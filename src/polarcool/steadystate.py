@@ -4,11 +4,13 @@ Two independent routes to the same answer:
 
 * :func:`solve_lyapunov` hands R V + V R^T + D = 0 to a dense
   Bartels-Stewart factorization (scipy) and verifies the residual.
-* :func:`integrate_covariance` steps dV/dt = R V + V R^T + D with a
-  fixed-step fourth-order Runge-Kutta kernel until relaxation.
+* :func:`integrate_covariance` propagates dV/dt = R V + V R^T + D exactly
+  to a finite horizon: Van Loan's block exponential for one short step,
+  then Smith's doubling to reach the horizon.
 
-Keeping both alive is deliberate: they share no linear algebra beyond the
-matrix product, so agreement is a real check on the construction of R and D.
+Keeping both alive is deliberate: one is a Schur factorization, the other a
+Pade matrix exponential and matrix products, so agreement is a real check
+on the construction of R and D.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._kernels import rk4_covariance
 from .dynamics import LinearModel
 from .errors import SolverError, UnstableSystemError, ValidationError
 
@@ -52,6 +53,11 @@ class SteadyState:
     condition_flag: bool
 
 
+def _require_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: contains a NaN or infinite entry")
+
+
 def check_stability(drift: np.ndarray) -> StabilityInfo:
     """Hurwitz test with a scale-aware margin.
 
@@ -62,6 +68,7 @@ def check_stability(drift: np.ndarray) -> StabilityInfo:
     r = np.asarray(drift, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError(f"drift: expected a square matrix, got shape {r.shape}")
+    _require_finite("drift", r)
     margin = STABILITY_MARGIN * np.linalg.norm(r)
     abscissa = float(np.linalg.eigvals(r).real.max())
     return StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
@@ -81,6 +88,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
         raise ValidationError(
             f"drift/diffusion: expected matching square matrices, got {r.shape} and {d.shape}"
         )
+    _require_finite("diffusion", d)
     if not np.allclose(d, d.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(d).max()))):
         raise ValidationError("diffusion: must be symmetric")
     info = check_stability(r)
@@ -114,6 +122,8 @@ def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
     out = []
     for k in range(v.shape[0] // 2):
         n = 0.5 * (v[2 * k, 2 * k] + v[2 * k + 1, 2 * k + 1] - 1.0)
+        if not math.isfinite(n):
+            raise SolverError(f"mode {k}: non-finite occupation {n}")
         if n < OCCUPATION_CLAMP:
             raise SolverError(f"mode {k}: occupation {n:.3e} below the vacuum clamp")
         out.append(max(n, 0.0))
@@ -125,15 +135,16 @@ def integrate_covariance(
     diffusion: np.ndarray,
     v0: np.ndarray | None = None,
     t_final: float | None = None,
-    dt: float | None = None,
-    force_python: bool = False,
 ) -> np.ndarray:
-    """Time-domain route to the steady covariance (fixed-step RK4).
+    """Time-domain route: V(t_final) of dV/dt = R V + V R^T + D, exactly.
 
     Defaults: v0 = vacuum (I/2), t_final = 15 / |spectral abscissa| (about
-    3e-7 residual decay in the slowest covariance mode), dt = 0.05 / rho(R).
-    A user-provided dt above 0.05/rho(R) is rejected rather than silently
-    integrating an underresolved rotation.
+    3e-7 residual decay in the slowest covariance mode). There is no step
+    size: with h = t_final / 2^k and ||R h||_1 <= 1, one expm of the block
+    [[-R, D], [0, R^T]] h gives Phi = exp(R h) and the exact one-step
+    increment Q (Van Loan 1978); k squarings Q <- Phi Q Phi^T + Q,
+    Phi <- Phi^2 (Smith 1968) carry the pair to t_final. A single expm at
+    t_final would overflow in its exp(-R t) block.
     """
     r = np.asarray(drift, dtype=float)
     d = np.asarray(diffusion, dtype=float)
@@ -141,35 +152,40 @@ def integrate_covariance(
         raise ValidationError(
             f"drift/diffusion: expected matching square matrices, got {r.shape} and {d.shape}"
         )
-    eigs = np.linalg.eigvals(r)
-    rho = float(np.abs(eigs).max())
-    if rho == 0.0:
-        raise ValidationError("drift: zero spectral radius, nothing to integrate")
-    dt_max = 0.05 / rho
-    if dt is None:
-        dt = dt_max
-    elif dt > dt_max:
-        raise ValidationError(f"dt: {dt:.3e} exceeds the resolution limit {dt_max:.3e}")
-    elif dt <= 0.0:
-        raise ValidationError("dt: must be strictly positive")
+    _require_finite("drift", r)
+    _require_finite("diffusion", d)
     if t_final is None:
-        abscissa = float(eigs.real.max())
-        if abscissa >= 0.0:
+        info = check_stability(r)
+        if not info.stable:
             raise UnstableSystemError(
-                f"drift is not stable (spectral abscissa {abscissa:.6e}); pass t_final explicitly"
+                f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e}); "
+                "pass t_final explicitly"
             )
-        t_final = 15.0 / abs(abscissa)
-    elif t_final <= 0.0:
-        raise ValidationError("t_final: must be strictly positive")
+        t_final = 15.0 / abs(info.spectral_abscissa)
+    elif not 0.0 < t_final < math.inf:
+        raise ValidationError("t_final: must be finite and strictly positive")
+    n = r.shape[0]
     if v0 is None:
-        v0 = 0.5 * np.eye(r.shape[0])
+        v0 = 0.5 * np.eye(n)
     else:
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != r.shape:
             raise ValidationError(f"v0: expected shape {r.shape}, got {v0.shape}")
-    steps = int(math.ceil(t_final / dt))
-    h = t_final / steps
-    v = rk4_covariance(r, d, v0, steps, h, force_python=force_python)
+        _require_finite("v0", v0)
+    k = math.ceil(math.log2(max(float(np.linalg.norm(r, 1)) * t_final, 1.0)))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -r
+    block[:n, n:] = d
+    block[n:, n:] = r.T
+    f = scipy.linalg.expm(block * (t_final / 2.0 ** k))
+    phi = f[n:, n:].T
+    q = phi @ f[:n, n:]
+    for _ in range(k):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    v = phi @ v0 @ phi.T + q
+    if not np.isfinite(v).all():
+        raise SolverError(f"covariance overflowed before t_final {t_final:.3e}")
     return 0.5 * (v + v.T)
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report content, CSV/plot-file formats."""
 import math
+import os
 import re
 import subprocess
 import sys
@@ -281,9 +282,23 @@ def test_solver_error_maps_to_exit2(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        ["polarcool", "tune", "--config", BASE],
-        capture_output=True, text=True, timeout=120,
+    # run the [project.scripts] target as the installed wrapper would, so no
+    # install is needed: sys.exit(func()) with the script's argv
+    with open("pyproject.toml", encoding="utf-8") as fh:
+        target = re.search(r'^\[project\.scripts\][^\[]*?^polarcool\s*=\s*"([\w.]+):(\w+)"',
+                           fh.read(), re.M | re.S)
+    assert target, "pyproject.toml: no polarcool entry under [project.scripts]"
+    module, func = target.groups()
+    wrapper = (
+        f"import sys\nfrom {module} import {func}\n"
+        f"sys.argv = ['polarcool', 'tune', '--config', {BASE!r}]\n"
+        f"sys.exit({func}())\n"
     )
-    assert proc.returncode == 0
+    paths = ["src", os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "two-mode tuning:" in proc.stdout

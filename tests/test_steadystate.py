@@ -48,6 +48,8 @@ def test_check_stability_verdicts():
     assert info.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValidationError):
         pc.check_stability(np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.check_stability(np.array([[-1.0, np.nan], [0.0, -1.0]]))
 
 
 def test_blue_detuned_drive_is_unstable():
@@ -79,6 +81,10 @@ def test_solve_lyapunov_validations():
         pc.solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(UnstableSystemError):
         pc.solve_lyapunov(np.eye(2), np.eye(2))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.solve_lyapunov(np.array([[-1.0, 0.0], [np.inf, -1.0]]), np.eye(2))
+    with pytest.raises(ValidationError, match="diffusion"):
+        pc.solve_lyapunov(-np.eye(2), np.diag([1.0, np.inf]))
 
 
 def test_lyapunov_matches_integrator_random_instances():
@@ -92,25 +98,39 @@ def test_lyapunov_matches_integrator_random_instances():
         assert np.linalg.norm(v_time - v_lyap) < 1e-2 * scale
 
 
-def test_integrator_python_and_compiled_paths_agree():
-    rng = np.random.default_rng(7)
-    r, d = random_block_instance(rng, 4)
-    v_fast = pc.integrate_covariance(r, d)
-    v_py = pc.integrate_covariance(r, d, force_python=True)
-    assert np.abs(v_fast - v_py).max() <= 1e-12 * np.abs(v_fast).max()
+def test_integrate_covariance_transient_closed_form():
+    # one damped rotation from v0 = c I stays isotropic and relaxes at 2 kappa
+    kappa, omega, nbar, c = 0.37, 2.9, 4.25, 3.0
+    r = np.array([[-kappa, omega], [-omega, -kappa]])
+    d = 2.0 * kappa * (nbar + 0.5) * np.eye(2)
+    for t in (0.1, 1.0, 3.0, 40.0):
+        decay = math.exp(-2.0 * kappa * t)
+        expected = (c * decay + (nbar + 0.5) * (1.0 - decay)) * np.eye(2)
+        v = pc.integrate_covariance(r, d, v0=c * np.eye(2), t_final=t)
+        assert np.allclose(v, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_integrate_covariance_validations():
     r = -np.eye(2)
     d = np.eye(2)
-    with pytest.raises(ValidationError, match="dt"):
-        pc.integrate_covariance(r, d, dt=1.0)  # above 0.05 / rho
-    with pytest.raises(ValidationError, match="dt"):
-        pc.integrate_covariance(r, d, dt=-1e-3)
     with pytest.raises(ValidationError, match="t_final"):
         pc.integrate_covariance(r, d, t_final=-1.0)
+    with pytest.raises(ValidationError, match="t_final"):
+        pc.integrate_covariance(r, d, t_final=math.nan)
+    with pytest.raises(ValidationError, match="drift"):
+        pc.integrate_covariance(np.array([[-1.0, np.nan], [0.0, -1.0]]), d, t_final=1.0)
+    with pytest.raises(ValidationError, match="diffusion"):
+        pc.integrate_covariance(r, np.diag([1.0, np.inf]))
+    with pytest.raises(ValidationError, match="v0"):
+        pc.integrate_covariance(r, d, v0=np.diag([0.5, np.nan]))
     with pytest.raises(UnstableSystemError):
         pc.integrate_covariance(np.array([[0.0, 1.0], [-1.0, 0.0]]), d)
+    # abscissa -1e-12 lies inside the stability margin (1.4e-9): the default
+    # horizon takes check_stability's verdict instead of planning ~1e13 s
+    with pytest.raises(UnstableSystemError):
+        pc.integrate_covariance(np.array([[-1e-12, 1.0], [-1.0, -1e-12]]), d)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="overflow"):
+        pc.integrate_covariance(-r, d, t_final=1e3)
     # explicit horizon works even for a marginal drift
     v = pc.integrate_covariance(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
                                 v0=np.eye(2), t_final=1.0)
@@ -130,6 +150,8 @@ def test_extract_occupations_vacuum_and_clamp():
         pc.extract_occupations(too_low)
     with pytest.raises(ValidationError):
         pc.extract_occupations(np.eye(3))
+    with pytest.raises(SolverError, match="non-finite"):
+        pc.extract_occupations(np.diag([0.5, np.nan]))
 
 
 def test_zero_coupling_recovers_thermal_occupations():
