@@ -10,7 +10,6 @@ rates (:mod:`polarcool.analytics`).
 from .analytics import (
     CoolingRates,
     cooling_report,
-    effective_cooling,
     network_cooling,
     quantum_backaction_limit,
     sideband_rates,
@@ -28,17 +27,13 @@ from .config import (
 from .dynamics import (
     LinearModel,
     MatterMode,
-    NetworkAverages,
     NetworkDrive,
     NetworkPolariton,
     PolaritonMode,
     SteadyStateAverages,
-    build_diffusion,
-    build_drift,
     build_linear_model,
     build_network,
     photon_matter_diagonalize,
-    solve_averages,
 )
 from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
 from .model import (
@@ -82,7 +77,6 @@ __all__ = [
     "LinearModel",
     "MatterMode",
     "MechanicalMode",
-    "NetworkAverages",
     "NetworkDrive",
     "NetworkPolariton",
     "NModeConfig",
@@ -103,8 +97,6 @@ __all__ = [
     "TwoModeSetup",
     "UnstableSystemError",
     "ValidationError",
-    "build_diffusion",
-    "build_drift",
     "build_linear_model",
     "build_network",
     "calibrate_drive",
@@ -112,7 +104,6 @@ __all__ = [
     "cooling_report",
     "diagonalize_polaritons",
     "dump_config",
-    "effective_cooling",
     "evaluate_point",
     "extract_occupations",
     "integrate_covariance",
@@ -125,7 +116,6 @@ __all__ = [
     "quantum_backaction_limit",
     "serialize_config",
     "sideband_rates",
-    "solve_averages",
     "solve_lyapunov",
     "steady_state",
     "sweep",

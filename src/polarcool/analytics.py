@@ -3,9 +3,11 @@
 Each polariton acts on each mechanical mode as a structured bath, scattering
 drive quanta to its red (anti-Stokes) and blue (Stokes) sidebands. The rate
 asymmetry gives an extra mechanical damping and a radiation-pressure noise
-floor; both follow from the drift-matrix parameters alone, so agreement with
-the Lyapunov-solver occupations is a nontrivial consistency check in the
-weak-coupling regime and a quantified divergence outside it.
+floor; both follow from the drift and diffusion parameters alone, so
+:func:`network_cooling` reads them off any :class:`~polarcool.dynamics.LinearModel`
+(two polaritons or N) and agreement with the Lyapunov-solver occupations is
+a nontrivial consistency check in the weak-coupling regime and a quantified
+divergence outside it.
 """
 from __future__ import annotations
 
@@ -13,11 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import LinearModel
+from .dynamics import LinearModel, build_linear_model
 from .errors import ValidationError
-from .model import PolaritonBasis, SystemParams, thermal_occupation
+from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _rates_for_mode(
             weak = False
     net = [a - s for a, s in zip(anti, stokes)]
     kappa_eff = mech_damping + sum(net)
-    dominant = int(np.argmax(anti)) if anti else 0
+    dominant = anti.index(max(anti)) if anti else 0
 
     def estimate(extra_noise: float, extra_damp: float) -> float:
         denom = mech_damping + extra_damp
@@ -103,30 +103,6 @@ def _rates_for_mode(
     )
 
 
-def effective_cooling(
-    params: SystemParams, basis: PolaritonBasis, effective_couplings: tuple[float, ...]
-) -> tuple[CoolingRates, ...]:
-    """Cooling rates of every mechanical mode, two-polariton system.
-
-    ``effective_couplings`` are the real linearized couplings G_jM from the
-    steady-state averages; the upper/lower polaritons see them scaled by
-    sin(theta) and cos(theta), their matter content.
-    """
-    mechs = params.mechanical_modes
-    if len(effective_couplings) != len(mechs):
-        raise ValidationError("effective_couplings: one entry per mechanical mode required")
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    linewidths = (basis.upper_linewidth, basis.lower_linewidth)
-    detunings = (basis.detuning_upper, basis.detuning_lower)
-    out = []
-    for j, (mech, g_m) in enumerate(zip(mechs, effective_couplings)):
-        nbar = thermal_occupation(mech.freq, params.bath_temperature)
-        out.append(_rates_for_mode(
-            j, mech.damping, nbar, (g_m * s, g_m * c), linewidths, detunings, mech.freq
-        ))
-    return tuple(out)
-
-
 def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     """Cooling rates read directly off a linear model's drift and diffusion.
 
@@ -139,18 +115,19 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     n_m = len(model.mode_layout) - n_p
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
-    r, d = model.drift, model.diffusion
-    linewidths = tuple(-float(r[2 * k, 2 * k]) for k in range(n_p))
-    detunings = tuple(float(r[2 * k, 2 * k + 1]) for k in range(n_p))
+    # nested lists: entry reads are far cheaper than numpy scalar indexing
+    r, d_diag = model.drift.tolist(), model.diffusion.diagonal().tolist()
+    linewidths = tuple(-r[2 * k][2 * k] for k in range(n_p))
+    detunings = tuple(r[2 * k][2 * k + 1] for k in range(n_p))
     out = []
     for j in range(n_m):
         i = 2 * (n_p + j)
-        mech_freq = float(r[i, i + 1])
-        mech_damping = -float(r[i, i])
+        mech_freq = r[i][i + 1]
+        mech_damping = -r[i][i]
         if mech_damping <= 0.0:
             raise ValidationError(f"model: mechanical mode {j} has nonpositive damping")
-        nbar = float(d[i, i]) / (2.0 * mech_damping) - 0.5
-        couplings = tuple(-float(r[2 * k, i]) for k in range(n_p))
+        nbar = d_diag[i] / (2.0 * mech_damping) - 0.5
+        couplings = tuple(-r[2 * k][i] for k in range(n_p))
         out.append(_rates_for_mode(
             j, mech_damping, nbar, couplings, linewidths, detunings, mech_freq
         ))
@@ -158,13 +135,8 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
 
 
 def cooling_report(params: SystemParams, mode: str = "approx") -> tuple[CoolingRates, ...]:
-    """Convenience wrapper: diagonalize, solve averages, evaluate the rates."""
-    from .dynamics import solve_averages
-    from .model import diagonalize_polaritons
-
-    basis = diagonalize_polaritons(params)
-    averages = solve_averages(params, basis, mode=mode)
-    return effective_cooling(params, basis, averages.effective_couplings)
+    """Convenience wrapper: build the two-polariton model, evaluate the rates."""
+    return network_cooling(build_linear_model(params, mode=mode))
 
 
 def quantum_backaction_limit(linewidth: float, mech_freq: float) -> float:

@@ -14,7 +14,7 @@ import math
 import sys
 import warnings
 
-from .analytics import effective_cooling, network_cooling, quantum_backaction_limit
+from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
 from .dynamics import build_linear_model
 from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
@@ -109,7 +109,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     params = setup.params_at(cfg.theta)
     basis = diagonalize_polaritons(params)
     model = build_linear_model(params, basis, mode=averages_mode)
-    rates = effective_cooling(params, basis, model.averages.effective_couplings)
+    rates = network_cooling(model)
     state = steady_state(model, require_stable=False)
 
     lines = ["working point:"]
@@ -122,8 +122,8 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     lines.append(f"  averages mode = {model.averages.mode}")
     avg = model.averages
     lines.append("steady-state averages:")
-    lines.append(f"  |<U>| = {_fmt(abs(avg.avg_upper))}")
-    lines.append(f"  |<L>| = {_fmt(abs(avg.avg_lower))}")
+    for name, p_avg in zip("UL", avg.avg_polaritons):
+        lines.append(f"  |<{name}>| = {_fmt(abs(p_avg))}")
     lines.append(f"  |<M>| = {_fmt(abs(avg.avg_matter))}")
     for j, g_eff in enumerate(avg.effective_couplings):
         lines.append(f"  G_{j + 1} = {_fmt(g_eff / TWO_PI)} Hz")
@@ -134,7 +134,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     lines.append("occupations:")
     for j, (mech, r) in enumerate(zip(params.mechanical_modes, rates)):
         nbar = thermal_occupation(mech.freq, params.bath_temperature)
-        numeric = state.occupations[2 + j] if state.stable else math.nan
+        numeric = state.occupations[len(avg.avg_polaritons) + j] if state.stable else math.nan
         lines.append(
             f"  mode {j + 1}: numeric {_fmt(numeric)}  analytic {_fmt(r.n_eff)}"
             f"  thermal {_fmt(nbar)}"
@@ -159,9 +159,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 def _rates_report(cfg: RunConfig, averages_mode: str) -> str:
     setup = _require_setup(cfg)
     params = setup.params_at(cfg.theta)
-    basis = diagonalize_polaritons(params)
-    model = build_linear_model(params, basis, mode=averages_mode)
-    rates = effective_cooling(params, basis, model.averages.effective_couplings)
+    rates = network_cooling(build_linear_model(params, mode=averages_mode))
     lines = [f"scattering rates at theta = {_fmt(cfg.theta)} rad (all rates in Hz):"]
     names = ("upper", "lower")
     for r in rates:
@@ -179,7 +177,7 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tune_report(cfg: RunConfig) -> tuple[str, bool]:
+def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     if cfg.nmode is not None:
         nm = cfg.nmode
         tuned = tune_n_mode(
@@ -196,7 +194,7 @@ def _tune_report(cfg: RunConfig) -> tuple[str, bool]:
         for i, f in enumerate(tuned.matter_freqs):
             lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
         model = polariton_network(
-            tuned, nm.mechanical_modes, nm.rabi_freq, nm.bath_temperature
+            tuned, nm.mechanical_modes, nm.rabi_freq, nm.bath_temperature, averages_mode
         )
         state = steady_state(model, require_stable=False)
         verdict = "stable" if state.stable else "UNSTABLE"
@@ -293,7 +291,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "tune":
-        report, stable = _tune_report(cfg)
+        report, stable = _tune_report(cfg, averages_mode)
         _emit(report, args.out)
         if args.require_stable and not stable:
             return EXIT_UNSTABLE

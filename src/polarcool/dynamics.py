@@ -1,9 +1,13 @@
 """Mean-field steady state and linearized fluctuation dynamics.
 
-Builds the classical averages (approximate closed form or a selfconsistent
-fixed point), the effective polariton-mechanics couplings, and the drift and
-diffusion matrices of the quadrature fluctuations, for the two-polariton
-system and its N-polariton / N-mechanics generalization.
+One builder, :func:`build_network`, covers every system: N polaritons, all
+fed by one drive through their matter content (one weight per node), cooling
+M mechanical modes. It finds the classical averages (approximate closed form
+or a selfconsistent fixed point) and the effective couplings they induce,
+and builds the drift and diffusion matrices of the quadrature fluctuations.
+The two-polariton system is the two-node case: :func:`build_linear_model`
+feeds it the upper and lower polaritons with weights sin(theta) and
+cos(theta) and their dissipative cross-coupling.
 
 Quadrature ordering is (X, Y) per mode, polaritons first, then mechanics.
 Vacuum noise corresponds to covariance 1/2 per quadrature.
@@ -18,7 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, SolverError, ValidationError
-from .model import MechanicalMode, PolaritonBasis, SystemParams, thermal_occupation
+from .model import (
+    MechanicalMode,
+    PolaritonBasis,
+    SystemParams,
+    diagonalize_polaritons,
+    thermal_occupation,
+)
 
 SELFCONSISTENT_MIXING = 0.5
 SELFCONSISTENT_CAP = 10_000
@@ -29,30 +39,21 @@ SELFCONSISTENT_RTOL = 1e-12
 class SteadyStateAverages:
     """Classical steady-state amplitudes and the effective couplings they induce.
 
-    ``effective_couplings`` are real: the approximate solution leaves the
-    matter amplitude purely imaginary so 2i G_0j <M> is real by itself; the
+    ``avg_polaritons`` holds one amplitude per node and ``avg_matter`` the
+    matter amplitude M = sum_k w_k <P_k> that every mechanical mode sees.
+    ``effective_couplings`` holds one real G_j = 2 G_0j |M| per mechanical
+    mode; node k couples to mode j with G_j w_k. The approximate solution
+    leaves M purely imaginary so 2i G_0j M is real by itself; the
     selfconsistent solution acquires a small extra phase, which is absorbed
-    by rotating both polariton fluctuation operators by ``phase_rotation``
+    by rotating every polariton fluctuation operator by ``phase_rotation``
     (the diffusion matrix is invariant under that common rotation).
     """
 
-    avg_upper: complex
-    avg_lower: complex
+    avg_polaritons: tuple[complex, ...]
     avg_mech: tuple[complex, ...]
     avg_matter: complex
     effective_couplings: tuple[float, ...]
     phase_rotation: float
-    mode: str
-
-
-@dataclass(frozen=True)
-class NetworkAverages:
-    """Classical amplitudes for an N-polariton network (approximate closed form)."""
-
-    avg_polaritons: tuple[complex, ...]
-    avg_mech: tuple[complex, ...]
-    avg_matter: tuple[complex, ...]
-    coupling_matrix: tuple[tuple[float, ...], ...]   # [mech][polariton]
     mode: str
 
 
@@ -63,7 +64,32 @@ class LinearModel:
     drift: np.ndarray
     diffusion: np.ndarray
     mode_layout: tuple[str, ...]
-    averages: SteadyStateAverages | NetworkAverages
+    averages: SteadyStateAverages
+
+
+@dataclass(frozen=True)
+class NetworkPolariton:
+    """Polariton node of a cooling network.
+
+    ``weight`` is the node's matter content: the drive feeds the node with
+    weight * Omega and every mechanical mode couples to it through the matter
+    amplitude with the same weight (sin(theta) and cos(theta) for the upper
+    and lower polariton of the two-mode system). ``detuning`` overrides the
+    default ``freq - drive_freq`` for callers that already carry the
+    drive-frame frequency at small-number accuracy.
+    """
+
+    freq: float
+    linewidth: float
+    weight: float
+    detuning: float | None = None
+
+
+@dataclass(frozen=True)
+class NetworkDrive:
+    drive_freq: float
+    rabi_freq: float
+    bath_temperature: float
 
 
 def _steady_amplitude(weight: float, rabi: float, detuning: float) -> complex:
@@ -74,188 +100,222 @@ def _real_coupling(bare: float, matter_avg: complex) -> float:
     return (2j * bare * matter_avg).real
 
 
-def solve_averages(
-    params: SystemParams, basis: PolaritonBasis, mode: str = "approx"
-) -> SteadyStateAverages:
-    """Steady-state classical amplitudes of polaritons and mechanics.
+def _require(path: str, value: float, ok: bool, what: str) -> None:
+    if not (ok and abs(value) < math.inf):
+        raise ValidationError(f"{path}: must be {what}, got {value}")
 
-    Parameters
-    ----------
-    params, basis
-        System and its polariton normal-mode data.
-    mode : {"approx", "selfconsistent"}
-        "approx" evaluates the resolved-sideband closed form
-        <U> = -i Omega sin(theta)/Delta_u, <L> = -i Omega cos(theta)/Delta_l,
-        <b_j> = -G_0j |<M>|^2 / omega_j; it requires nonzero detunings.
-        "selfconsistent" iterates the full classical equations including the
-        linewidths, the dissipative coupling and the displacement-induced
-        detuning shift, with damped fixed-point mixing.
 
-    Raises
-    ------
-    ValidationError
-        approx mode with a vanishing detuning.
-    ConvergenceError
-        selfconsistent mode exceeding its iteration cap (a sign the working
-        point approaches bistability).
-    """
+def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
+    """Detunings and cross-damping matrix (nested lists) of valid inputs; raises otherwise."""
+    n_p = len(polaritons)
+    if n_p < 1 or len(mechanics) < 1:
+        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
     if mode not in ("approx", "selfconsistent"):
         raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    du, dl = basis.detuning_upper, basis.detuning_lower
-    mechs = params.mechanical_modes
-    rabi = params.rabi_freq
+    rabi, temp = drive.rabi_freq, drive.bath_temperature
+    _require("drive.rabi_freq", rabi, rabi >= 0.0, "finite and non-negative")
+    _require("drive.bath_temperature", temp, temp >= 0.0, "finite and non-negative")
+    for j, mech in enumerate(mechanics):
+        mech.validate(path=f"mechanics[{j}]")
+    detunings = []
+    for k, p in enumerate(polaritons):
+        det = p.freq - drive.drive_freq if p.detuning is None else p.detuning
+        for field, value, ok, what in (
+            ("freq", p.freq, p.freq > 0.0, "finite and strictly positive"),
+            ("linewidth", p.linewidth, p.linewidth > 0.0, "finite and strictly positive"),
+            ("weight", p.weight, True, "finite"),
+            ("detuning", det, True, "finite"),
+        ):
+            _require(f"polaritons[{k}].{field}", value, ok, what)
+        if det == 0.0 and mode == "approx" and rabi != 0.0:
+            raise ValidationError(
+                f"polaritons[{k}].detuning: polariton resonant with the drive (zero detuning);"
+                " approx mode requires nonzero detunings"
+            )
+        detunings.append(det)
+    if cross_damping is None:
+        return detunings, [[0.0] * n_p for _ in range(n_p)]
+    cross = np.asarray(cross_damping, dtype=float)
+    if cross.shape != (n_p, n_p):
+        raise ValidationError(f"cross_damping: expected shape {(n_p, n_p)}, got {cross.shape}")
+    # nested floats: a few scalar checks beat numpy reductions on an N_p x N_p matrix
+    cross = cross.tolist()
+    if not all(cross[k][q] == cross[q][k] and abs(cross[k][q]) < math.inf
+               for k in range(n_p) for q in range(k + 1, n_p)) \
+            or any(cross[k][k] != 0.0 for k in range(n_p)):
+        raise ValidationError("cross_damping: must be finite and symmetric with a zero diagonal")
+    return detunings, cross
 
-    if rabi == 0.0:
-        zero = (0.0,) * len(mechs)
-        return SteadyStateAverages(0j, 0j, (0j,) * len(mechs), 0j, zero, 0.0, mode)
 
-    if mode == "approx":
-        if du == 0.0 or dl == 0.0:
-            raise ValidationError("solve_averages: approx mode requires nonzero detunings")
-        upper = _steady_amplitude(s, rabi, du)
-        lower = _steady_amplitude(c, rabi, dl)
-        matter = s * upper + c * lower
-        m2 = abs(matter) ** 2
-        mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechs)
-        couplings = tuple(_real_coupling(m.bare_coupling, matter) for m in mechs)
-        return SteadyStateAverages(upper, lower, mech_avgs, matter, couplings, 0.0, mode)
+def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
+    """Polariton amplitudes solving the full classical equations.
 
-    return _selfconsistent_averages(params, basis)
-
-
-def _selfconsistent_averages(params: SystemParams, basis: PolaritonBasis) -> SteadyStateAverages:
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    du, dl = basis.detuning_upper, basis.detuning_lower
-    ku, kl = basis.upper_linewidth, basis.lower_linewidth
-    dk = basis.dissipative_coupling
-    rabi = params.rabi_freq
-    mechs = params.mechanical_modes
-
-    # start from the closed form when detunings allow, else from zero
-    upper = _steady_amplitude(s, rabi, du) if du != 0.0 else 0j
-    lower = _steady_amplitude(c, rabi, dl) if dl != 0.0 else 0j
+    At a fixed displacement shift x the polariton equations are linear,
+    (A0 + i x w w^T) P = Omega w with A0 = i Delta + kappa + K, so
+    P = Omega v / (1 + i x chi) with v = A0^{-1} w and chi = w^T v, and the
+    shift depends on P only through the matter amplitude,
+    x = sigma |M|^2 with sigma = sum_j 2 G_0j Re[-i G_0j / (i omega_j + gamma_j)].
+    Damped fixed-point mixing of the amplitudes therefore projects exactly
+    onto the scalar update M <- (1 - mix) M + mix Omega chi / (1 + i sigma |M|^2 chi),
+    one small linear solve per point whatever the number of nodes.
+    """
+    w = np.asarray(weights, dtype=float)
+    a0 = np.diag(1j * np.asarray(detunings) + linewidths) + np.asarray(cross)
+    try:
+        v = np.linalg.solve(a0, w)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"selfconsistent averages: singular polariton matrix ({exc})") from exc
+    chi = complex(w @ v)
+    sigma = sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
+                for m in mechanics)
+    # start from the closed form, dropping nodes resonant with the drive
+    matter = sum(wk * _steady_amplitude(wk, rabi, d)
+                 for wk, d in zip(weights, detunings) if d != 0.0)
     mix = SELFCONSISTENT_MIXING
     for _ in range(SELFCONSISTENT_CAP):
-        matter = s * upper + c * lower
-        m2 = abs(matter) ** 2
-        mech_avgs = [-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping) for m in mechs]
-        shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(mechs, mech_avgs))
-        # polariton pair at fixed displacement shift: 2x2 linear solve
-        a11 = 1j * (du + shift * s * s) + ku
-        a12 = dk + 1j * shift * s * c
-        a21 = dk + 1j * shift * c * s
-        a22 = 1j * (dl + shift * c * c) + kl
-        det = a11 * a22 - a12 * a21
-        new_upper = (a22 * (rabi * s) - a12 * (rabi * c)) / det
-        new_lower = (a11 * (rabi * c) - a21 * (rabi * s)) / det
-        upper_next = (1.0 - mix) * upper + mix * new_upper
-        lower_next = (1.0 - mix) * lower + mix * new_lower
-        delta = abs(upper_next - upper) + abs(lower_next - lower)
-        upper, lower = upper_next, lower_next
-        if delta <= SELFCONSISTENT_RTOL * (abs(upper) + abs(lower)):
+        target = rabi * chi / (1.0 + 1j * sigma * abs(matter) ** 2 * chi)
+        step = mix * (target - matter)
+        matter += step
+        if abs(step) <= SELFCONSISTENT_RTOL * abs(matter):
             break
     else:
         raise ConvergenceError(
             f"selfconsistent averages did not converge in {SELFCONSISTENT_CAP} iterations"
         )
-
-    matter = s * upper + c * lower
-    m2 = abs(matter) ** 2
-    mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping) for m in mechs)
-    phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
-    couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechs)
-    return SteadyStateAverages(
-        upper, lower, mech_avgs, matter, couplings, phase, "selfconsistent"
-    )
+    return tuple(complex(x) for x in rabi * v / (1.0 + 1j * sigma * abs(matter) ** 2 * chi))
 
 
-def build_drift(
-    params: SystemParams, basis: PolaritonBasis, averages: SteadyStateAverages
-) -> np.ndarray:
-    """Drift matrix of the linearized fluctuations, two-polariton case.
+def build_network(
+    polaritons: Sequence[NetworkPolariton],
+    mechanics: Sequence[MechanicalMode],
+    drive: NetworkDrive,
+    cross_damping: np.ndarray | None = None,
+    mode: str = "approx",
+) -> LinearModel:
+    """Linear fluctuation model of N_p polaritons cooling N_m mechanical modes.
 
-    Quadrature order (X_U, Y_U, X_L, Y_L, X_b1, Y_b1, ...). Each polariton
-    block is a damped rotation at its detuning, each mechanical block one at
-    its lab frequency; the effective coupling G_jM enters the X rows of the
-    polaritons and the Y rows of the mechanics with sin/cos weights, and an
-    unequal photon/magnon linewidth adds -delta_kappa I_2 between the two
-    polariton pairs.
+    Node k is a damped rotation at its drive detuning; the drive feeds it
+    with w_k Omega, and mechanical mode j couples to it with G_j w_k,
+    G_j = 2 G_0j |M|, through the matter amplitude M = sum_k w_k <P_k>
+    (X rows of the nodes, Y rows of the mechanics).
+
+    Parameters
+    ----------
+    polaritons, mechanics, drive
+        Nodes, mechanical modes, and the drive with its bath temperature.
+    cross_damping
+        Symmetric N_p x N_p matrix K of dissipative node-node couplings with
+        a zero diagonal, or None for none. K_kl adds -K_kl I_2 between nodes
+        k and l in the drift and their shared input noise
+        2 K_kl (nbar + 1/2) I_2 to the diffusion, nbar taken at the pair's
+        mean frequency.
+    mode : {"approx", "selfconsistent"}
+        "approx" evaluates the resolved-sideband closed form
+        <P_k> = -i w_k Omega / Delta_k, <b_j> = -G_0j |M|^2 / omega_j; it
+        requires nonzero detunings. "selfconsistent" solves the full
+        classical equations including the linewidths, K and the
+        displacement-induced detuning shift, by damped fixed-point iteration.
+
+    Raises
+    ------
+    ValidationError
+        A missing, NaN, infinite or out-of-range input, named by its path
+        (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
+        approx mode with a node resonant with the drive.
+    ConvergenceError
+        selfconsistent mode exceeding its iteration cap (a sign the working
+        point approaches bistability).
+    SolverError
+        selfconsistent mode with a singular polariton matrix.
     """
-    mechs = params.mechanical_modes
-    if len(averages.effective_couplings) != len(mechs):
-        raise ValidationError("averages: effective_couplings length mismatch with mechanical_modes")
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    n = 2 * (2 + len(mechs))
+    detunings, cross = _validated_inputs(polaritons, mechanics, drive, cross_damping, mode)
+    n_p, n_m = len(polaritons), len(mechanics)
+    weights = [p.weight for p in polaritons]
+    rabi = drive.rabi_freq
+
+    if rabi == 0.0:
+        p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
+        matter, couplings, phase = 0j, (0.0,) * n_m, 0.0
+    elif mode == "approx":
+        p_avgs = tuple(_steady_amplitude(w, rabi, d) for w, d in zip(weights, detunings))
+        matter = sum(w * p for w, p in zip(weights, p_avgs))
+        m2 = abs(matter) ** 2
+        mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
+        couplings = tuple(_real_coupling(m.bare_coupling, matter) for m in mechanics)
+        phase = 0.0
+    else:
+        p_avgs = _selfconsistent_polaritons(
+            weights, detunings, [p.linewidth for p in polaritons], cross, rabi, mechanics
+        )
+        matter = sum(w * p for w, p in zip(weights, p_avgs))
+        m2 = abs(matter) ** 2
+        mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
+                          for m in mechanics)
+        couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
+        phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
+
+    temp = drive.bath_temperature
+    n = 2 * (n_p + n_m)
     r = np.zeros((n, n))
-    r[0:2, 0:2] = [[-basis.upper_linewidth, basis.detuning_upper],
-                   [-basis.detuning_upper, -basis.upper_linewidth]]
-    r[2:4, 2:4] = [[-basis.lower_linewidth, basis.detuning_lower],
-                   [-basis.detuning_lower, -basis.lower_linewidth]]
-    dk = basis.dissipative_coupling
-    if dk != 0.0:
-        r[0:2, 2:4] = [[-dk, 0.0], [0.0, -dk]]
-        r[2:4, 0:2] = [[-dk, 0.0], [0.0, -dk]]
-    for j, (mech, g_eff) in enumerate(zip(mechs, averages.effective_couplings)):
-        i = 4 + 2 * j
-        r[i:i + 2, i:i + 2] = [[-mech.damping, mech.freq], [-mech.freq, -mech.damping]]
-        r[0, i] = -g_eff * s
-        r[2, i] = -g_eff * c
-        r[i + 1, 1] = g_eff * s
-        r[i + 1, 3] = g_eff * c
-    return r
-
-
-def build_diffusion(params: SystemParams, basis: PolaritonBasis) -> np.ndarray:
-    """Noise-input covariance matrix matching :func:`build_drift`'s ordering.
-
-    Each mode contributes 2 kappa (nbar + 1/2) I_2; sharing of the photon and
-    magnon input noises between the two polaritons adds a
-    2 delta_kappa (nbar_c + 1/2) I_2 cross block. Bath occupations are
-    evaluated at omega_u, omega_l and their midpoint respectively (recorded
-    choice; immaterial below ~1 K at GHz frequencies).
-    """
-    mechs = params.mechanical_modes
-    t = params.bath_temperature
-    n = 2 * (2 + len(mechs))
     d = np.zeros((n, n))
-    n_u = thermal_occupation(basis.upper_freq, t)
-    n_l = thermal_occupation(basis.lower_freq, t)
-    d[0:2, 0:2] = 2.0 * basis.upper_linewidth * (n_u + 0.5) * np.eye(2)
-    d[2:4, 2:4] = 2.0 * basis.lower_linewidth * (n_l + 0.5) * np.eye(2)
-    dk = basis.dissipative_coupling
-    if dk != 0.0:
-        n_c = thermal_occupation(0.5 * (basis.upper_freq + basis.lower_freq), t)
-        cross = 2.0 * dk * (n_c + 0.5) * np.eye(2)
-        d[0:2, 2:4] = cross
-        d[2:4, 0:2] = cross
-    for j, mech in enumerate(mechs):
-        i = 4 + 2 * j
-        nb = thermal_occupation(mech.freq, t)
-        d[i:i + 2, i:i + 2] = 2.0 * mech.damping * (nb + 0.5) * np.eye(2)
-    return d
+
+    def rotation(i: int, damping: float, freq: float, nbar: float) -> None:
+        # damped rotation block of drift and its input noise 2 damping (nbar + 1/2) I_2
+        r[i, i] = r[i + 1, i + 1] = -damping
+        r[i, i + 1], r[i + 1, i] = freq, -freq
+        d[i, i] = d[i + 1, i + 1] = 2.0 * damping * (nbar + 0.5)
+
+    for k, (p, det) in enumerate(zip(polaritons, detunings)):
+        rotation(2 * k, p.linewidth, det, thermal_occupation(p.freq, temp))
+        for q in range(k + 1, n_p):
+            cd = cross[k][q]
+            if cd != 0.0:
+                i, i2 = 2 * k, 2 * q
+                r[i, i2] = r[i + 1, i2 + 1] = r[i2, i] = r[i2 + 1, i + 1] = -cd
+                n_c = thermal_occupation(0.5 * (p.freq + polaritons[q].freq), temp)
+                d[i, i2] = d[i + 1, i2 + 1] = d[i2, i] = d[i2 + 1, i + 1] = 2.0 * cd * (n_c + 0.5)
+    for j, (mech, g_j) in enumerate(zip(mechanics, couplings)):
+        i = 2 * (n_p + j)
+        rotation(i, mech.damping, mech.freq, thermal_occupation(mech.freq, temp))
+        for k, w in enumerate(weights):
+            r[2 * k, i] = -g_j * w
+            r[i + 1, 2 * k + 1] = g_j * w
+
+    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
+    averages = SteadyStateAverages(
+        avg_polaritons=p_avgs,
+        avg_mech=mech_avgs,
+        avg_matter=matter,
+        effective_couplings=couplings,
+        phase_rotation=phase,
+        mode=mode,
+    )
+    return LinearModel(drift=r, diffusion=d, mode_layout=layout, averages=averages)
 
 
 def build_linear_model(
     params: SystemParams, basis: PolaritonBasis | None = None, mode: str = "approx"
 ) -> LinearModel:
-    """Convenience composition: averages, drift and diffusion in one object."""
-    from .model import diagonalize_polaritons
+    """The two-polariton system as a two-node network, nodes (upper, lower).
 
+    The nodes carry matter weights sin(theta) and cos(theta), the basis's
+    detunings (formed without GHz-scale round-off) and the dissipative
+    coupling delta-kappa between them; see :func:`build_network`.
+    """
     if basis is None:
         basis = diagonalize_polaritons(params)
-    averages = solve_averages(params, basis, mode=mode)
-    layout = ("U", "L") + tuple(f"b{j + 1}" for j in range(len(params.mechanical_modes)))
-    return LinearModel(
-        drift=build_drift(params, basis, averages),
-        diffusion=build_diffusion(params, basis),
-        mode_layout=layout,
-        averages=averages,
+    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    nodes = (
+        NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s, basis.detuning_upper),
+        NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c, basis.detuning_lower),
     )
+    drive = NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
+    dk = basis.dissipative_coupling
+    return build_network(nodes, params.mechanical_modes, drive, [[0.0, dk], [dk, 0.0]], mode)
 
 
 # ---------------------------------------------------------------------------
-# N-polariton generalization
+# photon-matter diagonalization for N-polariton devices
 
 
 @dataclass(frozen=True)
@@ -273,12 +333,15 @@ class PolaritonMode:
 
     ``weights`` is the orthonormal eigenvector (photon component first, then
     one entry per matter mode), signed so its largest-magnitude matter
-    component is positive.
+    component is positive. ``cross_damping`` holds this mode's dissipative
+    coupling to every mode of the network (zero for itself), the
+    off-diagonal of the bare losses in the polariton basis.
     """
 
     freq: float
     linewidth: float
     weights: tuple[float, ...]
+    cross_damping: tuple[float, ...]
 
 
 def photon_matter_diagonalize(
@@ -289,17 +352,25 @@ def photon_matter_diagonalize(
     """Normal modes of one cavity coupled to M matter modes, ascending in frequency.
 
     Diagonalizes the (M+1)x(M+1) symmetric frequency-coupling matrix; the
-    polariton linewidths are the weight-squared averages of the bare ones.
+    polariton linewidths are the weight-squared averages of the bare ones,
+    and modes k, l share the dissipative coupling
+    K_kl = sum_i v_ik v_il (kappa_i - kappa_cavity), which is exactly zero
+    when every bare linewidth equals the cavity's.
     Raises SolverError on (near-)degenerate eigenvalues, where the weight
     assignment is ambiguous.
     """
     if not matter_modes:
         raise ValidationError("matter_modes: must not be empty")
+    _require("cavity_freq", cavity_freq, cavity_freq > 0, "finite and strictly positive")
+    _require("cavity_linewidth", cavity_linewidth, cavity_linewidth > 0,
+             "finite and strictly positive")
     for i, mm in enumerate(matter_modes):
         if not mm.coupling > 0:
             raise ValidationError(f"matter_modes[{i}].coupling: must be strictly positive")
         if not mm.freq > 0:
             raise ValidationError(f"matter_modes[{i}].freq: must be strictly positive")
+        _require(f"matter_modes[{i}].linewidth", mm.linewidth, mm.linewidth > 0,
+                 "finite and strictly positive")
     m = len(matter_modes)
     h = np.zeros((m + 1, m + 1))
     h[0, 0] = cavity_freq
@@ -314,139 +385,18 @@ def photon_matter_diagonalize(
             f"photon_matter_diagonalize: near-degenerate polaritons (min gap {gaps.min():.3e})"
         )
     bare_kappas = np.array([cavity_linewidth] + [mm.linewidth for mm in matter_modes])
-    out = []
-    for k in range(m + 1):
-        v = vecs[:, k].copy()
-        matter_part = v[1:]
-        lead = np.argmax(np.abs(matter_part))
-        if matter_part[lead] < 0:
-            v = -v
-        out.append(PolaritonMode(
+    # sign convention: each mode's largest-magnitude matter component positive
+    lead = np.abs(vecs[1:]).argmax(axis=0)
+    vecs = vecs * np.where(vecs[1 + lead, np.arange(m + 1)] < 0, -1.0, 1.0)
+    excess = vecs.T @ ((bare_kappas - cavity_linewidth)[:, None] * vecs)
+    cross = 0.5 * (excess + excess.T)
+    np.fill_diagonal(cross, 0.0)
+    return tuple(
+        PolaritonMode(
             freq=float(freqs[k]),
-            linewidth=float((v**2 * bare_kappas).sum()),
-            weights=tuple(float(x) for x in v),
-        ))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class NetworkPolariton:
-    """Polariton node of a cooling network.
-
-    ``drive_weight`` projects the matter drive onto this polariton;
-    ``coupling_weights`` holds one matter-composition weight per mechanical
-    mode (for the two-polariton system these are sin(theta) and cos(theta)).
-    ``detuning`` overrides the default ``freq - drive_freq`` for callers
-    that already carry the drive-frame frequency at small-number accuracy.
-    """
-
-    freq: float
-    linewidth: float
-    drive_weight: float
-    coupling_weights: tuple[float, ...]
-    detuning: float | None = None
-
-
-@dataclass(frozen=True)
-class NetworkDrive:
-    drive_freq: float
-    rabi_freq: float
-    bath_temperature: float
-
-
-def build_network(
-    polaritons: Sequence[NetworkPolariton],
-    mechanics: Sequence[MechanicalMode],
-    drive: NetworkDrive,
-    cross_damping: np.ndarray | None = None,
-) -> LinearModel:
-    """Linear fluctuation model of N_p polaritons cooling N_m mechanical modes.
-
-    Generalizes the two-polariton block pattern: polariton k carries a damped
-    rotation at its drive detuning, and couples to mechanical mode j with
-    G_jk = 2 G_0j <M_j> w_jk where <M_j> = sum_k w_jk <P_k> is the matter
-    amplitude seen by that mode. With polaritons (upper, lower) and weights
-    (sin theta, cos theta) this reproduces the two-mode builders entrywise.
-
-    ``cross_damping`` optionally supplies a symmetric N_p x N_p matrix of
-    dissipative polariton-polariton couplings (zero diagonal); the default is
-    the diagonal-dissipation case of equal bare linewidths.
-    """
-    n_p, n_m = len(polaritons), len(mechanics)
-    if n_p < 1 or n_m < 1:
-        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
-    for k, p in enumerate(polaritons):
-        if len(p.coupling_weights) != n_m:
-            raise ValidationError(
-                f"polaritons[{k}].coupling_weights: expected {n_m} entries, got {len(p.coupling_weights)}"
-            )
-    if cross_damping is not None:
-        cross_damping = np.asarray(cross_damping, dtype=float)
-        if cross_damping.shape != (n_p, n_p):
-            raise ValidationError(
-                f"cross_damping: expected shape {(n_p, n_p)}, got {cross_damping.shape}"
-            )
-
-    detunings = [
-        p.freq - drive.drive_freq if p.detuning is None else p.detuning
-        for p in polaritons
-    ]
-    if any(d == 0.0 for d in detunings):
-        raise ValidationError("build_network: polariton resonant with the drive (zero detuning)")
-    p_avgs = [_steady_amplitude(p.drive_weight, drive.rabi_freq, d)
-              for p, d in zip(polaritons, detunings)]
-
-    matter_avgs = []
-    mech_avgs = []
-    couplings = []
-    for j, mech in enumerate(mechanics):
-        mj = polaritons[0].coupling_weights[j] * p_avgs[0]
-        for k in range(1, n_p):
-            mj += polaritons[k].coupling_weights[j] * p_avgs[k]
-        matter_avgs.append(mj)
-        mech_avgs.append(complex(-mech.bare_coupling * abs(mj) ** 2 / mech.freq))
-        g_j = _real_coupling(mech.bare_coupling, mj)
-        couplings.append(tuple(g_j * polaritons[k].coupling_weights[j] for k in range(n_p)))
-
-    n = 2 * (n_p + n_m)
-    r = np.zeros((n, n))
-    d = np.zeros((n, n))
-    for k, (p, det) in enumerate(zip(polaritons, detunings)):
-        i = 2 * k
-        r[i:i + 2, i:i + 2] = [[-p.linewidth, det], [-det, -p.linewidth]]
-        nb = thermal_occupation(p.freq, drive.bath_temperature)
-        d[i:i + 2, i:i + 2] = 2.0 * p.linewidth * (nb + 0.5) * np.eye(2)
-    if cross_damping is not None:
-        for p in range(n_p):
-            for q in range(p + 1, n_p):
-                cd = cross_damping[p, q]
-                if cd == 0.0:
-                    continue
-                block = -cd * np.eye(2)
-                r[2 * p:2 * p + 2, 2 * q:2 * q + 2] = block
-                r[2 * q:2 * q + 2, 2 * p:2 * p + 2] = block
-                n_c = thermal_occupation(
-                    0.5 * (polaritons[p].freq + polaritons[q].freq), drive.bath_temperature
-                )
-                dblock = 2.0 * cd * (n_c + 0.5) * np.eye(2)
-                d[2 * p:2 * p + 2, 2 * q:2 * q + 2] = dblock
-                d[2 * q:2 * q + 2, 2 * p:2 * p + 2] = dblock
-    for j, mech in enumerate(mechanics):
-        i = 2 * n_p + 2 * j
-        r[i:i + 2, i:i + 2] = [[-mech.damping, mech.freq], [-mech.freq, -mech.damping]]
-        nb = thermal_occupation(mech.freq, drive.bath_temperature)
-        d[i:i + 2, i:i + 2] = 2.0 * mech.damping * (nb + 0.5) * np.eye(2)
-        for k in range(n_p):
-            g_jk = couplings[j][k]
-            r[2 * k, i] = -g_jk
-            r[i + 1, 2 * k + 1] = g_jk
-
-    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
-    averages = NetworkAverages(
-        avg_polaritons=tuple(p_avgs),
-        avg_mech=tuple(mech_avgs),
-        avg_matter=tuple(matter_avgs),
-        coupling_matrix=tuple(couplings),
-        mode="approx",
+            linewidth=float((vecs[:, k] ** 2 * bare_kappas).sum()),
+            weights=tuple(float(x) for x in vecs[:, k]),
+            cross_damping=tuple(float(x) for x in cross[k]),
+        )
+        for k in range(m + 1)
     )
-    return LinearModel(drift=r, diffusion=d, mode_layout=layout, averages=averages)

@@ -21,13 +21,17 @@ class MechanicalMode:
     bare_coupling: float
 
     def validate(self, path: str = "mechanical_mode") -> None:
-        if not self.freq > 0:
-            raise ValidationError(f"{path}.freq: must be strictly positive, got {self.freq}")
-        if not self.damping > 0:
-            raise ValidationError(f"{path}.damping: must be strictly positive, got {self.damping}")
-        if self.bare_coupling < 0:
+        if not 0 < self.freq < math.inf:
             raise ValidationError(
-                f"{path}.bare_coupling: must be non-negative, got {self.bare_coupling}"
+                f"{path}.freq: must be finite and strictly positive, got {self.freq}"
+            )
+        if not 0 < self.damping < math.inf:
+            raise ValidationError(
+                f"{path}.damping: must be finite and strictly positive, got {self.damping}"
+            )
+        if not 0 <= self.bare_coupling < math.inf:
+            raise ValidationError(
+                f"{path}.bare_coupling: must be finite and non-negative, got {self.bare_coupling}"
             )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .analytics import effective_cooling
+from .analytics import network_cooling
 from .dynamics import (
     LinearModel,
     MatterMode,
@@ -28,7 +28,7 @@ from .dynamics import (
     photon_matter_diagonalize,
 )
 from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
-from .model import MechanicalMode, SystemParams, diagonalize_polaritons
+from .model import MechanicalMode, SystemParams
 from .steadystate import steady_state
 
 
@@ -166,9 +166,8 @@ def evaluate_point(
 ) -> SweepRow:
     """Solve one tuned working point end to end (analytic rates + covariance)."""
     params = setup.params_at(theta, temperature=temperature, rabi=rabi)
-    basis = diagonalize_polaritons(params)
-    model = build_linear_model(params, basis, mode=averages)
-    rates = effective_cooling(params, basis, model.averages.effective_couplings)
+    model = build_linear_model(params, mode=averages)
+    rates = network_cooling(model)
     state = steady_state(model, require_stable=False)
     flags = []
     if not state.stable:
@@ -177,7 +176,8 @@ def evaluate_point(
         flags.append("ill_conditioned")
     if any(not r.weak_coupling for r in rates):
         flags.append("weak_coupling_broken")
-    n_numeric = state.occupations[2:] if state.stable else (math.nan, math.nan)
+    n_p = len(model.averages.avg_polaritons)
+    n_numeric = state.occupations[n_p:] if state.stable else (math.nan,) * len(rates)
     return SweepRow(
         variable=math.nan,
         theta=theta,
@@ -229,16 +229,16 @@ def sweep(
         try:
             row = evaluate_point(setup, **kwargs)
         except (ValidationError, ConvergenceError, SolverError) as exc:
-            nan2 = (math.nan, math.nan)
+            nans = (math.nan,) * len(setup.mechanical_modes)
             row = SweepRow(
                 variable=math.nan,
                 theta=kwargs["theta"] if kwargs["theta"] is not None else math.nan,
                 coupling=math.nan,
                 magnon_freq=math.nan,
                 drive_freq=math.nan,
-                kappa_eff=nan2,
-                n_analytic=nan2,
-                n_numeric=nan2,
+                kappa_eff=nans,
+                n_analytic=nans,
+                n_numeric=nans,
                 stable=False,
                 flags=(f"error:{type(exc).__name__}",),
             )
@@ -313,7 +313,7 @@ def optimize_theta(
             value = pick(row.n_numeric) if row.stable else math.inf
             occ = row.n_numeric
         except (ValidationError, ConvergenceError, SolverError):
-            value, occ = math.inf, (math.nan, math.nan)
+            value, occ = math.inf, (math.nan,) * len(setup.mechanical_modes)
         if not math.isfinite(value):
             value = math.inf
         cache[theta] = (value, occ)
@@ -438,29 +438,24 @@ def polariton_network(
     mechanics,
     rabi_freq: float,
     bath_temperature: float,
-    matter_index: int = 0,
+    mode: str = "approx",
 ) -> LinearModel:
-    """Linear model for an N-mode tuned device.
+    """Linear model for an N-mode tuned device, averages in ``mode``.
 
-    The drive and the mechanical strain both address one matter mode
-    (``matter_index``), so each polariton's drive weight and coupling weight
-    are that matter component of its eigenvector. For one matter mode this
-    reduces entrywise to the two-polariton builders.
+    The drive and the mechanical strain both address the first matter mode,
+    so each node's weight is that component of its eigenvector, and the
+    polaritons share the dissipative couplings of their bare losses. For one
+    matter mode this is :func:`build_linear_model` with the nodes in
+    ascending order (lower, upper).
     """
-    mech_modes = tuple(mechanics)
-    weights = [p.weights[1 + matter_index] for p in tuned.polaritons]
     polaritons = tuple(
-        NetworkPolariton(
-            freq=p.freq,
-            linewidth=p.linewidth,
-            drive_weight=w,
-            coupling_weights=(w,) * len(mech_modes),
-        )
-        for p, w in zip(tuned.polaritons, weights)
+        NetworkPolariton(freq=p.freq, linewidth=p.linewidth, weight=p.weights[1])
+        for p in tuned.polaritons
     )
     drive = NetworkDrive(
         drive_freq=tuned.drive_freq,
         rabi_freq=rabi_freq,
         bath_temperature=bath_temperature,
     )
-    return build_network(polaritons, mech_modes, drive)
+    cross = [p.cross_damping for p in tuned.polaritons]
+    return build_network(polaritons, tuple(mechanics), drive, cross, mode)

@@ -60,10 +60,7 @@ def classical_rhs(v, params, basis):
 
 
 def averages_vector(avg):
-    return np.array([
-        avg.avg_upper.real, avg.avg_upper.imag,
-        avg.avg_lower.real, avg.avg_lower.imag,
-    ] + [x for b in avg.avg_mech for x in (b.real, b.imag)])
+    return np.array([x for z in avg.avg_polaritons + avg.avg_mech for x in (z.real, z.imag)])
 
 
 def rotate_polaritons(mat_or_vec, psi):

@@ -43,6 +43,30 @@ def test_backaction_limit_values_and_warning():
         pc.quantum_backaction_limit(-1.0, omega)
 
 
+def model_with_couplings(params, couplings, detuning_sign=1.0):
+    """Two-node network at the params' polaritons with effective couplings G_j given.
+
+    In approx mode G_j = 2 G_0j |M| and the matter amplitude M does not
+    depend on G_0j, so the bare couplings set the effective ones; a negative
+    ``detuning_sign`` puts both polaritons on the blue side of the drive.
+    """
+    basis = pc.diagonalize_polaritons(params)
+    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    nodes = (
+        pc.NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s,
+                            detuning_sign * basis.detuning_upper),
+        pc.NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c,
+                            detuning_sign * basis.detuning_lower),
+    )
+    drive = pc.NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
+    matter = params.rabi_freq * abs(s * s / basis.detuning_upper + c * c / basis.detuning_lower)
+    mechs = tuple(dataclasses.replace(m, bare_coupling=g / (2.0 * matter))
+                  for m, g in zip(params.mechanical_modes, couplings))
+    model = pc.build_network(nodes, mechs, drive)
+    assert np.allclose(np.abs(model.averages.effective_couplings), couplings, rtol=1e-12, atol=0)
+    return model
+
+
 def test_weak_coupling_flag_threshold():
     params = make_base_setup().params_at(0.7)
     basis = pc.diagonalize_polaritons(params)
@@ -51,8 +75,8 @@ def test_weak_coupling_flag_threshold():
     w_max = max(s, c)
     below = 0.49 * kappa_min / w_max
     above = 0.51 * kappa_min / w_max
-    rates_ok = pc.effective_cooling(params, basis, (below, below))
-    rates_bad = pc.effective_cooling(params, basis, (above, below))
+    rates_ok = pc.network_cooling(model_with_couplings(params, (below, below)))
+    rates_bad = pc.network_cooling(model_with_couplings(params, (above, below)))
     assert all(r.weak_coupling for r in rates_ok)
     assert not rates_bad[0].weak_coupling
     assert rates_bad[1].weak_coupling
@@ -60,8 +84,7 @@ def test_weak_coupling_flag_threshold():
 
 def test_n_eff_approaches_thermal_as_coupling_vanishes():
     params = make_base_setup().params_at(0.7)
-    basis = pc.diagonalize_polaritons(params)
-    rates = pc.effective_cooling(params, basis, (1e-6, 1e-6))
+    rates = pc.network_cooling(model_with_couplings(params, (1e-6, 1e-6)))
     for rate, mech in zip(rates, params.mechanical_modes):
         nbar = pc.thermal_occupation(mech.freq, params.bath_temperature)
         assert rate.n_eff == pytest.approx(nbar, rel=1e-6)
@@ -71,33 +94,11 @@ def test_n_eff_approaches_thermal_as_coupling_vanishes():
 
 def test_n_eff_infinite_under_net_heating():
     params = make_base_setup().params_at(0.6)
-    basis = pc.diagonalize_polaritons(params)
     # flip to blue detuning: Stokes resonant, net damping goes negative
-    blue = dataclasses.replace(
-        basis,
-        detuning_upper=-basis.detuning_upper,
-        detuning_lower=-basis.detuning_lower,
-    )
-    rates = pc.effective_cooling(params, blue, (2e6, 2e6))
+    rates = pc.network_cooling(model_with_couplings(params, (2e6, 2e6), detuning_sign=-1.0))
     assert math.isinf(rates[0].n_eff)
     assert math.isinf(rates[0].n_eff_all)
     assert rates[0].kappa_eff < 0.0
-
-
-def test_network_route_reproduces_two_mode_route():
-    params = make_base_setup().params_at(0.8)
-    basis = pc.diagonalize_polaritons(params)
-    model = pc.build_linear_model(params, basis)
-    direct = pc.effective_cooling(params, basis, model.averages.effective_couplings)
-    via_model = pc.network_cooling(model)
-    assert len(direct) == len(via_model) == 2
-    for a, b in zip(direct, via_model):
-        assert a.stokes == pytest.approx(b.stokes, rel=1e-12)
-        assert a.anti_stokes == pytest.approx(b.anti_stokes, rel=1e-12)
-        assert a.kappa_eff == pytest.approx(b.kappa_eff, rel=1e-12)
-        assert a.n_eff == pytest.approx(b.n_eff, rel=1e-10)
-        assert a.n_eff_all == pytest.approx(b.n_eff_all, rel=1e-10)
-        assert a.dominant == b.dominant
 
 
 def test_analytic_matches_lyapunov_in_weak_coupling():

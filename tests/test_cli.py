@@ -144,6 +144,21 @@ def test_tune_n_mode_report(capsys):
         assert abs(analytic - numeric) < 0.25 * numeric
 
 
+def test_tune_n_mode_averages_override(capsys):
+    assert main(["tune", "--config", THREE]) == 0
+    approx = report_occupations(capsys.readouterr().out)
+    code = main(["tune", "--config", THREE, "--averages", "selfconsistent"])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "network: stable" in text
+    exact = report_occupations(text)
+    assert len(exact) == len(approx) == 3
+    for (n_exact, _, _), (n_approx, _, _) in zip(exact, approx):
+        # the override reaches the network builder, and moves it only slightly
+        assert n_exact != n_approx
+        assert n_exact == pytest.approx(n_approx, rel=1e-2)
+
+
 def test_optimize_report(capsys):
     code = main(["optimize", "--config", BASE])
     text = capsys.readouterr().out

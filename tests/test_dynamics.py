@@ -1,14 +1,15 @@
 """Steady-state averages, drift/diffusion construction, N-polariton network."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import polarcool as pc
-from polarcool.dynamics import build_diffusion, build_drift, solve_averages
 from polarcool.errors import SolverError, ValidationError
 
 from helpers import (
+    BASE_RABI,
     TWO_PI,
     averages_vector,
     classical_rhs,
@@ -25,6 +26,10 @@ def tuned(theta=0.25 * math.pi, **overrides):
     return params, pc.diagonalize_polaritons(params)
 
 
+def solve_averages(params, basis, mode="approx"):
+    return pc.build_linear_model(params, basis, mode=mode).averages
+
+
 # ---------------------------------------------------------------------------
 # classical averages
 
@@ -33,11 +38,10 @@ def test_approx_averages_closed_form():
     params, basis = tuned(theta=0.25 * math.pi)
     avg = solve_averages(params, basis)
     s, c = math.sin(basis.theta), math.cos(basis.theta)
-    assert avg.avg_upper == pytest.approx(
-        -1j * s * params.rabi_freq / basis.detuning_upper, rel=1e-14)
-    assert avg.avg_lower == pytest.approx(
-        -1j * c * params.rabi_freq / basis.detuning_lower, rel=1e-14)
-    assert avg.avg_matter == pytest.approx(s * avg.avg_upper + c * avg.avg_lower, rel=1e-14)
+    upper, lower = avg.avg_polaritons
+    assert upper == pytest.approx(-1j * s * params.rabi_freq / basis.detuning_upper, rel=1e-14)
+    assert lower == pytest.approx(-1j * c * params.rabi_freq / basis.detuning_lower, rel=1e-14)
+    assert avg.avg_matter == pytest.approx(s * upper + c * lower, rel=1e-14)
     # matter amplitude is purely imaginary in this approximation
     assert abs(avg.avg_matter.real) < 1e-9 * abs(avg.avg_matter)
     for mech, b, g_eff in zip(params.mechanical_modes, avg.avg_mech, avg.effective_couplings):
@@ -52,8 +56,8 @@ def test_approx_averages_reference_magnitudes():
     # frozen first-run values at theta = pi/4, base drive
     params, basis = tuned()
     avg = solve_averages(params, basis)
-    assert abs(avg.avg_upper) == pytest.approx(294575.23653285, rel=1e-11)
-    assert abs(avg.avg_lower) == pytest.approx(883725.70959854, rel=1e-11)
+    assert abs(avg.avg_polaritons[0]) == pytest.approx(294575.23653285, rel=1e-11)
+    assert abs(avg.avg_polaritons[1]) == pytest.approx(883725.70959854, rel=1e-11)
     assert abs(avg.avg_matter) == pytest.approx(833184.58928803, rel=1e-11)
     assert avg.effective_couplings[0] == pytest.approx(2094021.26783320, rel=1e-11)
 
@@ -61,7 +65,7 @@ def test_approx_averages_reference_magnitudes():
 def test_zero_drive_has_zero_averages():
     params, basis = tuned(rabi_freq=0.0)
     avg = solve_averages(params, basis)
-    assert avg.avg_upper == 0j and avg.avg_lower == 0j
+    assert avg.avg_polaritons == (0j, 0j)
     assert avg.effective_couplings == (0.0, 0.0)
 
 
@@ -74,7 +78,7 @@ def test_approx_rejects_zero_detuning():
         detuning_upper=basis.detuning_upper, detuning_lower=0.0,
     )
     with pytest.raises(ValidationError, match="detuning"):
-        solve_averages(params, shifted)
+        pc.build_linear_model(params, shifted)
 
 
 def test_selfconsistent_close_to_approx_at_weak_drive():
@@ -84,8 +88,8 @@ def test_selfconsistent_close_to_approx_at_weak_drive():
         params, basis = tuned(theta=theta)
         approx = solve_averages(params, basis, mode="approx")
         exact = solve_averages(params, basis, mode="selfconsistent")
-        assert abs(exact.avg_upper) == pytest.approx(abs(approx.avg_upper), rel=1e-2)
-        assert abs(exact.avg_lower) == pytest.approx(abs(approx.avg_lower), rel=1e-2)
+        for p_exact, p_approx in zip(exact.avg_polaritons, approx.avg_polaritons):
+            assert abs(p_exact) == pytest.approx(abs(p_approx), rel=1e-2)
         assert abs(exact.avg_matter) == pytest.approx(abs(approx.avg_matter), rel=1e-2)
         for g_exact, g_approx in zip(exact.effective_couplings, approx.effective_couplings):
             assert g_exact > 0.0
@@ -94,24 +98,56 @@ def test_selfconsistent_close_to_approx_at_weak_drive():
 
 
 def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
-    params, basis = tuned(theta=0.6)
-    avg = solve_averages(params, basis, mode="selfconsistent")
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    matter = s * avg.avg_upper + c * avg.avg_lower
-    shift = sum(2.0 * m.bare_coupling * b.real
-                for m, b in zip(params.mechanical_modes, avg.avg_mech))
-    du = -(1j * (basis.detuning_upper + shift * s * s) + basis.upper_linewidth) * avg.avg_upper \
-        - (basis.dissipative_coupling + 1j * shift * s * c) * avg.avg_lower \
-        + params.rabi_freq * s
-    dl = -(1j * (basis.detuning_lower + shift * c * c) + basis.lower_linewidth) * avg.avg_lower \
-        - (basis.dissipative_coupling + 1j * shift * c * s) * avg.avg_upper \
-        + params.rabi_freq * c
-    scale = params.rabi_freq
-    assert abs(du) < 1e-9 * scale
-    assert abs(dl) < 1e-9 * scale
-    for mech, b in zip(params.mechanical_modes, avg.avg_mech):
-        db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
-        assert abs(db) < 1e-9 * scale
+    # equal bare linewidths, then unequal ones so delta-kappa is live
+    for overrides in ({}, {"magnon_linewidth": TWO_PI * 2.0e6}):
+        params, basis = tuned(theta=0.6, **overrides)
+        avg = solve_averages(params, basis, mode="selfconsistent")
+        s, c = math.sin(basis.theta), math.cos(basis.theta)
+        upper, lower = avg.avg_polaritons
+        matter = s * upper + c * lower
+        shift = sum(2.0 * m.bare_coupling * b.real
+                    for m, b in zip(params.mechanical_modes, avg.avg_mech))
+        du = -(1j * (basis.detuning_upper + shift * s * s) + basis.upper_linewidth) * upper \
+            - (basis.dissipative_coupling + 1j * shift * s * c) * lower \
+            + params.rabi_freq * s
+        dl = -(1j * (basis.detuning_lower + shift * c * c) + basis.lower_linewidth) * lower \
+            - (basis.dissipative_coupling + 1j * shift * c * s) * upper \
+            + params.rabi_freq * c
+        scale = params.rabi_freq
+        assert abs(du) < 1e-9 * scale
+        assert abs(dl) < 1e-9 * scale
+        for mech, b in zip(params.mechanical_modes, avg.avg_mech):
+            db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
+            assert abs(db) < 1e-9 * scale
+
+    # three nodes: the preset, then unequal bare linewidths so the cross damping is live
+    for linewidths_hz in ((1.0e6, 1.0e6), (1.0e6, 3.0e6)):
+        tuned_n = pc.tune_n_mode(
+            cavity_freq=TWO_PI * 1.0e10,
+            mech_freqs=[TWO_PI * 1.0e7, TWO_PI * 2.0e7, TWO_PI * 3.5e7],
+            couplings=[TWO_PI * 7.0e6, TWO_PI * 9.0e6],
+            cavity_linewidth=TWO_PI * 1.0e6,
+            matter_linewidths=[TWO_PI * k for k in linewidths_hz],
+        )
+        mechs = make_mechs(freq_hz=(1.0e7, 2.0e7, 3.5e7))
+        model = pc.polariton_network(tuned_n, mechs, BASE_RABI, 0.01, "selfconsistent")
+        avg = model.averages
+        assert avg.mode == "selfconsistent"
+        pols = tuned_n.polaritons
+        cross = np.array([p.cross_damping for p in pols])
+        assert bool(cross.any()) == (linewidths_hz[1] != 1.0e6)
+        w = [p.weights[1] for p in pols]
+        matter = sum(wk * pk for wk, pk in zip(w, avg.avg_polaritons))
+        assert matter == pytest.approx(avg.avg_matter, rel=1e-12)
+        shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(mechs, avg.avg_mech))
+        for k, (p, p_avg) in enumerate(zip(pols, avg.avg_polaritons)):
+            dp = -(1j * (p.freq - tuned_n.drive_freq) + p.linewidth) * p_avg \
+                - sum(cross[k, q] * avg.avg_polaritons[q] for q in range(len(pols))) \
+                - 1j * w[k] * shift * matter + BASE_RABI * w[k]
+            assert abs(dp) < 1e-9 * BASE_RABI
+        for mech, b in zip(mechs, avg.avg_mech):
+            db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
+            assert abs(db) < 1e-9 * BASE_RABI
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +176,8 @@ def test_drift_matches_finite_difference_jacobian():
     match down to finite-difference noise.
     """
     params, basis = tuned(theta=0.6)
-    avg = solve_averages(params, basis, mode="selfconsistent")
-    drift = build_drift(params, basis, avg)
+    model = pc.build_linear_model(params, basis, mode="selfconsistent")
+    avg, drift = model.averages, model.drift
     jac = rotate_polaritons(fd_jacobian(params, basis, avg), avg.phase_rotation)
     scale = np.abs(drift).max()
     assert np.abs(jac - drift).max() < 5e-4 * scale
@@ -151,8 +187,8 @@ def test_drift_matches_finite_difference_jacobian():
 
 def test_drift_block_structure():
     params, basis = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
-    avg = solve_averages(params, basis)
-    r = build_drift(params, basis, avg)
+    model = pc.build_linear_model(params, basis)
+    avg, r = model.averages, model.drift
     s, c = math.sin(basis.theta), math.cos(basis.theta)
     assert r.shape == (8, 8)
     assert r[0, 0] == -basis.upper_linewidth and r[0, 1] == basis.detuning_upper
@@ -172,8 +208,7 @@ def test_drift_block_structure():
 
 def test_drift_zero_coupling_decouples():
     params, basis = tuned(rabi_freq=0.0)
-    avg = solve_averages(params, basis)
-    r = build_drift(params, basis, avg)
+    r = pc.build_linear_model(params, basis).drift
     off = r[0:4, 4:8]
     assert np.all(off == 0.0) and np.all(r[4:8, 0:4] == 0.0)
 
@@ -184,7 +219,7 @@ def test_drift_zero_coupling_decouples():
 
 def test_diffusion_matches_mode_occupations():
     params, basis = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
-    d = build_diffusion(params, basis)
+    d = pc.build_linear_model(params, basis).diffusion
     t = params.bath_temperature
     n_u = pc.thermal_occupation(basis.upper_freq, t)
     n_l = pc.thermal_occupation(basis.lower_freq, t)
@@ -208,7 +243,7 @@ def test_diffusion_positive_semidefinite_with_dissipative_coupling():
             magnon_linewidth=TWO_PI * 10 ** rng.uniform(5, 7),
             bath_temperature=rng.uniform(0.0, 1.0),
         )
-        d = build_diffusion(params, basis)
+        d = pc.build_linear_model(params, basis).diffusion
         eigs = np.linalg.eigvalsh(d)
         assert eigs.min() >= -1e-12 * abs(eigs.max())
 
@@ -236,6 +271,8 @@ def test_photon_matter_single_mode_matches_two_mode_transform():
     assert upper.weights[1] == pytest.approx(s, abs=1e-12)
     assert lower.weights[0] == pytest.approx(-s, abs=1e-12)
     assert lower.weights[1] == pytest.approx(c, abs=1e-12)
+    # equal bare linewidths: no dissipative cross-coupling, exactly
+    assert lower.cross_damping == (0.0, 0.0) and upper.cross_damping == (0.0, 0.0)
 
 
 def test_photon_matter_weights_orthonormal():
@@ -280,10 +317,22 @@ def test_photon_matter_rejects_bad_input():
             [pc.MatterMode(freq=TWO_PI * 1e10, coupling=0.0, linewidth=TWO_PI * 1e6)],
             TWO_PI * 1e6,
         )
+    with pytest.raises(ValidationError, match=r"matter_modes\[1\].linewidth"):
+        pc.photon_matter_diagonalize(
+            TWO_PI * 1e10,
+            [pc.MatterMode(freq=TWO_PI * 1e10, coupling=TWO_PI * 1e6, linewidth=TWO_PI * 1e6),
+             pc.MatterMode(freq=TWO_PI * 1.01e10, coupling=TWO_PI * 1e6, linewidth=-1.0)],
+            TWO_PI * 1e6,
+        )
+    one_mode = [pc.MatterMode(freq=TWO_PI * 1e10, coupling=TWO_PI * 1e6, linewidth=TWO_PI * 1e6)]
+    with pytest.raises(ValidationError, match="cavity_linewidth"):
+        pc.photon_matter_diagonalize(TWO_PI * 1e10, one_mode, math.nan)
+    with pytest.raises(ValidationError, match="cavity_freq"):
+        pc.photon_matter_diagonalize(math.inf, one_mode, TWO_PI * 1e6)
 
 
 # ---------------------------------------------------------------------------
-# network generalization reduces to the two-mode builders
+# the two-mode wrapper is a two-node network
 
 
 def test_network_reduction_is_bit_identical():
@@ -296,11 +345,9 @@ def test_network_reduction_is_bit_identical():
         s, c = math.sin(basis.theta), math.cos(basis.theta)
         polaritons = (
             pc.NetworkPolariton(freq=basis.upper_freq, linewidth=basis.upper_linewidth,
-                                drive_weight=s, coupling_weights=(s, s),
-                                detuning=basis.detuning_upper),
+                                weight=s, detuning=basis.detuning_upper),
             pc.NetworkPolariton(freq=basis.lower_freq, linewidth=basis.lower_linewidth,
-                                drive_weight=c, coupling_weights=(c, c),
-                                detuning=basis.detuning_lower),
+                                weight=c, detuning=basis.detuning_lower),
         )
         drive = pc.NetworkDrive(drive_freq=params.drive_freq, rabi_freq=params.rabi_freq,
                                 bath_temperature=params.bath_temperature)
@@ -309,23 +356,36 @@ def test_network_reduction_is_bit_identical():
                                    cross_damping=[[0.0, dk], [dk, 0.0]])
         assert np.array_equal(network.drift, model2.drift)
         assert np.array_equal(network.diffusion, model2.diffusion)
-        assert network.averages.avg_polaritons[0] == model2.averages.avg_upper
-        assert network.averages.avg_polaritons[1] == model2.averages.avg_lower
+        assert network.averages == model2.averages
 
 
 def test_network_rejects_resonant_drive():
-    mechs = make_mechs()
-    pol = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6,
-                              drive_weight=0.7, coupling_weights=(0.7, 0.7))
-    drive = pc.NetworkDrive(drive_freq=TWO_PI * 1e10, rabi_freq=1e13, bath_temperature=0.01)
-    with pytest.raises(ValidationError, match="resonant"):
-        pc.build_network([pol], mechs, drive)
-
-
-def test_network_validates_weight_lengths():
-    mechs = make_mechs()
-    pol = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6,
-                              drive_weight=0.7, coupling_weights=(0.7,))
+    """A resonant node, and every other bad input, raises naming its field."""
+    pol = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6, weight=0.7)
     drive = pc.NetworkDrive(drive_freq=TWO_PI * 9.9e9, rabi_freq=1e13, bath_temperature=0.01)
-    with pytest.raises(ValidationError, match="coupling_weights"):
-        pc.build_network([pol], mechs, drive)
+    mechs = make_mechs()
+    swap = dataclasses.replace
+    with pytest.raises(ValidationError, match="resonant"):
+        pc.build_network([pol], mechs, swap(drive, drive_freq=TWO_PI * 1e10))
+
+    cases = [  # (field path, polaritons, mechanics, drive, cross_damping)
+        (r"drive\.rabi_freq", [pol], mechs, swap(drive, rabi_freq=math.nan), None),
+        (r"drive\.rabi_freq", [pol], mechs, swap(drive, rabi_freq=-1.0), None),
+        (r"drive\.bath_temperature", [pol], mechs, swap(drive, bath_temperature=-0.01), None),
+        (r"drive\.bath_temperature", [pol], mechs, swap(drive, bath_temperature=math.nan), None),
+        (r"polaritons\[0\]\.linewidth", [swap(pol, linewidth=-TWO_PI * 1e6)], mechs, drive, None),
+        (r"polaritons\[1\]\.detuning", [pol, swap(pol, detuning=math.nan)], mechs, drive, None),
+        (r"polaritons\[0\]\.weight", [swap(pol, weight=math.inf)], mechs, drive, None),
+        (r"mechanics\[1\]\.damping", [pol], (mechs[0], swap(mechs[1], damping=0.0)), drive, None),
+        # lower triangle only, a nonzero diagonal, a NaN, the wrong shape
+        ("cross_damping", [pol, pol], mechs, drive, [[0.0, 0.0], [1e5, 0.0]]),
+        ("cross_damping", [pol, pol], mechs, drive, [[1e5, 0.0], [0.0, 0.0]]),
+        ("cross_damping", [pol, pol], mechs, drive, [[0.0, math.nan], [math.nan, 0.0]]),
+        ("cross_damping", [pol, pol], mechs, drive, [[0.0]]),
+    ]
+    for mode in ("approx", "selfconsistent"):
+        for field, pols, mech_modes, bad_drive, cross in cases:
+            with pytest.raises(ValidationError, match=field):
+                pc.build_network(pols, mech_modes, bad_drive, cross, mode=mode)
+    with pytest.raises(ValidationError, match="mode"):
+        pc.build_network([pol], mechs, drive, mode="exact")

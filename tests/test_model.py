@@ -1,4 +1,5 @@
 """Physical model layer: validation, polariton transform, occupations, drive."""
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ def test_mechanical_mode_validate_reports_path():
     mode = pc.MechanicalMode(freq=-1.0, damping=TWO_PI * 100.0, bare_coupling=0.0)
     with pytest.raises(ValidationError, match=r"mechanical_modes\[0\].freq"):
         mode.validate("mechanical_modes[0]")
+    # NaN and inf fail too, instead of reaching the drift as numbers
+    for field, value in (("freq", math.inf), ("damping", math.nan), ("bare_coupling", math.nan)):
+        bad = dataclasses.replace(
+            pc.MechanicalMode(freq=TWO_PI * 1e7, damping=TWO_PI * 100.0, bare_coupling=0.0),
+            **{field: value})
+        with pytest.raises(ValidationError, match=rf"mechanics\[2\]\.{field}"):
+            bad.validate("mechanics[2]")
 
 
 def test_system_params_accepts_list_and_stores_tuple():

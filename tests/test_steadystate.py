@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import polarcool as pc
-from polarcool.dynamics import solve_averages
 from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
 from helpers import (
@@ -203,9 +202,9 @@ def test_linearized_propagator_tracks_nonlinear_trajectory():
     """
     params = make_base_setup().params_at(0.6)
     basis = pc.diagonalize_polaritons(params)
-    avg = solve_averages(params, basis, mode="selfconsistent")
-    drift = shift_corrected_drift(
-        pc.build_drift(params, basis, avg), params, basis, avg)
+    model = pc.build_linear_model(params, basis, mode="selfconsistent")
+    avg = model.averages
+    drift = shift_corrected_drift(model.drift, params, basis, avg)
 
     z0 = averages_vector(avg)
     rng = np.random.default_rng(5150)

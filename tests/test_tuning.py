@@ -257,3 +257,36 @@ def test_polariton_network_cools_all_three_modes():
     for j, mech in enumerate(mechs):
         nbar = pc.thermal_occupation(mech.freq, 0.01)
         assert state.occupations[3 + j] < nbar
+
+
+def test_polariton_network_keeps_dissipative_cross_coupling():
+    """One matter mode with kappa_m != kappa_a: the N-mode route is the two-mode model.
+
+    The network orders its nodes (lower, upper), the two-mode model
+    (upper, lower); after that permutation drift, diffusion and occupations
+    must agree, which needs the shared-loss cross damping delta-kappa.
+    """
+    params = make_base_setup(magnon_linewidth=TWO_PI * 4.0e6).params_at(0.6)
+    polaritons = pc.photon_matter_diagonalize(
+        params.cavity_freq,
+        [pc.MatterMode(freq=params.magnon_freq, coupling=params.photon_matter_coupling,
+                       linewidth=params.magnon_linewidth)],
+        params.cavity_linewidth,
+    )
+    tuned = pc.NModeResult(matter_freqs=(params.magnon_freq,), drive_freq=params.drive_freq,
+                           polaritons=polaritons, residual=0.0, converged=True)
+    perm = [2, 3, 0, 1, 4, 5, 6, 7]
+    for mode in ("approx", "selfconsistent"):
+        two_mode = pc.build_linear_model(params, mode=mode)
+        assert two_mode.drift[0, 2] != 0.0
+        network = pc.polariton_network(tuned, params.mechanical_modes, params.rabi_freq,
+                                       params.bath_temperature, mode)
+        drift = network.drift[np.ix_(perm, perm)]
+        diffusion = network.diffusion[np.ix_(perm, perm)]
+        assert np.abs(drift - two_mode.drift).max() <= 1e-12 * np.abs(two_mode.drift).max()
+        assert np.abs(diffusion - two_mode.diffusion).max() \
+            <= 1e-12 * np.abs(two_mode.diffusion).max()
+        occ_network = pc.steady_state(network).occupations
+        occ_network = (occ_network[1], occ_network[0]) + occ_network[2:]
+        occ_two_mode = pc.steady_state(two_mode).occupations
+        assert occ_network == pytest.approx(occ_two_mode, rel=1e-9)
