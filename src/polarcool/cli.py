@@ -4,7 +4,7 @@ Subcommands: simulate (one working point, full report), rates (analytic
 scattering-rate table), sweep (grid -> CSV, optional plot-data file), tune
 (working-point inversion, two-mode or N-mode), optimize (best mixing angle).
 
-Exit codes: 0 success, 1 validation error, 2 solver/convergence error,
+Exit codes: 0 success, 1 validation error, 2 solver error,
 3 instability under --require-stable.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ import warnings
 from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
 from .dynamics import build_linear_model
-from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
+from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import diagonalize_polaritons, thermal_occupation
 from .steadystate import steady_state
 from .tuning import optimize_theta, polariton_network, sweep, tune_n_mode, tune_two_mode
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit with status 3 when the working point is unstable")
         p.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
                        help="override the config's steady-state averages mode")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep evaluation")
+    sub.choices["sweep"].add_argument("--threads", type=int, default=1,
+                                      help="worker threads for sweep evaluation")
     return parser
 
 
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         sys.stderr.write(f"unstable: {exc}\n")
         return EXIT_UNSTABLE
-    except (SolverError, ConvergenceError) as exc:
+    except SolverError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

@@ -138,7 +138,8 @@ def _parse_drive(obj, path: str) -> float:
     return calibrate_drive(cal, power=_number(m, "power_w", path))
 
 
-def _parse_system(obj, path: str) -> TwoModeSetup:
+def _parse_system(obj, path: str, drive) -> TwoModeSetup:
+    """The two-mode setup; the ``drive`` section is resolved after the system's own fields."""
     m = _mapping(obj, path)
     _check_keys(m, {"cavity_freq_hz", "cavity_linewidth_hz", "magnon_linewidth_hz",
                     "bath_temperature_k", "mechanical_modes"}, path)
@@ -154,7 +155,7 @@ def _parse_system(obj, path: str) -> TwoModeSetup:
         magnon_linewidth=_freq(m, "magnon_linewidth_hz", path),
         mechanical_modes=mechs,
         bath_temperature=_number(m, "bath_temperature_k", path),
-        rabi_freq=0.0,
+        rabi_freq=_parse_drive(drive, "config.drive"),
     )
 
 
@@ -239,16 +240,7 @@ def parse_config(raw) -> RunConfig:
             raise ValidationError("config.system: missing required section")
         if "drive" not in m:
             raise ValidationError("config.drive: missing required section")
-        setup = _parse_system(m["system"], "config.system")
-        rabi = _parse_drive(m["drive"], "config.drive")
-        setup = TwoModeSetup(
-            cavity_freq=setup.cavity_freq,
-            cavity_linewidth=setup.cavity_linewidth,
-            magnon_linewidth=setup.magnon_linewidth,
-            mechanical_modes=setup.mechanical_modes,
-            bath_temperature=setup.bath_temperature,
-            rabi_freq=rabi,
-        )
+        setup = _parse_system(m["system"], "config.system", m["drive"])
     elif "nmode" not in m:
         raise ValidationError("config.system: missing required section")
     theta = m.get("theta", 0.25 * math.pi)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, SolverError, ValidationError
+from .errors import SolverError, ValidationError
 from .model import (
     MechanicalMode,
     PolaritonBasis,
@@ -29,11 +29,6 @@ from .model import (
     diagonalize_polaritons,
     thermal_occupation,
 )
-
-SELFCONSISTENT_MIXING = 0.5
-SELFCONSISTENT_CAP = 10_000
-SELFCONSISTENT_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SteadyStateAverages:
@@ -47,6 +42,8 @@ class SteadyStateAverages:
     selfconsistent solution acquires a small extra phase, which is absorbed
     by rotating every polariton fluctuation operator by ``phase_rotation``
     (the diffusion matrix is invariant under that common rotation).
+    ``branches`` holds M of every classical steady state in ascending |M|
+    (three where it is bistable); the record describes ``branches[0]``.
     """
 
     avg_polaritons: tuple[complex, ...]
@@ -55,6 +52,7 @@ class SteadyStateAverages:
     effective_couplings: tuple[float, ...]
     phase_rotation: float
     mode: str
+    branches: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -90,14 +88,6 @@ class NetworkDrive:
     drive_freq: float
     rabi_freq: float
     bath_temperature: float
-
-
-def _steady_amplitude(weight: float, rabi: float, detuning: float) -> complex:
-    return -1j * weight * rabi / detuning
-
-
-def _real_coupling(bare: float, matter_avg: complex) -> float:
-    return (2j * bare * matter_avg).real
 
 
 def _require(path: str, value: float, ok: bool, what: str) -> None:
@@ -147,17 +137,45 @@ def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
     return detunings, cross
 
 
+def _nonnegative_roots(coeffs) -> list[float]:
+    """Ascending roots u >= 0 of the real cubic ``coeffs``, highest power first.
+
+    np.roots drops zero leading coefficients (a line needs no special case) and
+    resolves a near-double root at a fold only to about sqrt(eps), as a real or
+    a complex pair. So a root within 1e-6 max|root| of the real axis counts when
+    |f(u)| <= 1e-15 sum|terms|; a real one first gets two Newton steps, each kept
+    only if it lowers |f| (from a pair's real part they might jump to another root).
+    """
+    c3, c2, c1, c0 = coeffs
+
+    def f(u):
+        return ((c3 * u + c2) * u + c1) * u + c0
+
+    roots, found = np.roots(coeffs).tolist(), []
+    near_axis = 1e-6 * max(map(abs, roots))
+    for u, imag in ((r.real, r.imag) for r in roots if abs(r.imag) <= near_axis):
+        for _ in range(2 if imag == 0.0 else 0):
+            slope = (3.0 * c3 * u + 2.0 * c2) * u + c1
+            nxt = u - f(u) / slope if slope else u
+            u = nxt if abs(f(nxt)) < abs(f(u)) else u
+        terms = ((abs(c3) * u + abs(c2)) * u + abs(c1)) * u + abs(c0)
+        if u >= 0.0 and abs(f(u)) <= 1e-15 * terms:
+            found.append(u)
+    return sorted(found)
+
+
 def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
-    """Polariton amplitudes solving the full classical equations.
+    """Polariton amplitudes of the lowest branch, and the matter amplitude of every branch.
 
     At a fixed displacement shift x the polariton equations are linear,
     (A0 + i x w w^T) P = Omega w with A0 = i Delta + kappa + K, so
     P = Omega v / (1 + i x chi) with v = A0^{-1} w and chi = w^T v, and the
     shift depends on P only through the matter amplitude,
     x = sigma |M|^2 with sigma = sum_j 2 G_0j Re[-i G_0j / (i omega_j + gamma_j)].
-    Damped fixed-point mixing of the amplitudes therefore projects exactly
-    onto the scalar update M <- (1 - mix) M + mix Omega chi / (1 + i sigma |M|^2 chi),
-    one small linear solve per point whatever the number of nodes.
+    So M = Omega chi / (1 + i sigma u chi) with u = |M|^2 a non-negative root of
+    sigma^2 |chi|^2 u^3 - 2 sigma Im(chi) u^2 + u - Omega^2 |chi|^2 = 0 whatever the
+    number of nodes: at least one, as f(0) <= 0 < f'(0), and three where it is
+    statically bistable; the lowest is the branch a drive ramped up from zero reaches.
     """
     w = np.asarray(weights, dtype=float)
     a0 = np.diag(1j * np.asarray(detunings) + linewidths) + np.asarray(cross)
@@ -168,21 +186,11 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mech
     chi = complex(w @ v)
     sigma = sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
                 for m in mechanics)
-    # start from the closed form, dropping nodes resonant with the drive
-    matter = sum(wk * _steady_amplitude(wk, rabi, d)
-                 for wk, d in zip(weights, detunings) if d != 0.0)
-    mix = SELFCONSISTENT_MIXING
-    for _ in range(SELFCONSISTENT_CAP):
-        target = rabi * chi / (1.0 + 1j * sigma * abs(matter) ** 2 * chi)
-        step = mix * (target - matter)
-        matter += step
-        if abs(step) <= SELFCONSISTENT_RTOL * abs(matter):
-            break
-    else:
-        raise ConvergenceError(
-            f"selfconsistent averages did not converge in {SELFCONSISTENT_CAP} iterations"
-        )
-    return tuple(complex(x) for x in rabi * v / (1.0 + 1j * sigma * abs(matter) ** 2 * chi))
+    coeffs = ((sigma * abs(chi)) ** 2, -2.0 * sigma * chi.imag, 1.0, -(rabi * abs(chi)) ** 2)
+    roots = _nonnegative_roots(coeffs)
+    branches = tuple(rabi * chi / (1.0 + 1j * sigma * u * chi) for u in roots)
+    p_avgs = tuple(complex(x) for x in rabi * v / (1.0 + 1j * sigma * roots[0] * chi))
+    return p_avgs, branches
 
 
 def build_network(
@@ -214,7 +222,8 @@ def build_network(
         <P_k> = -i w_k Omega / Delta_k, <b_j> = -G_0j |M|^2 / omega_j; it
         requires nonzero detunings. "selfconsistent" solves the full
         classical equations including the linewidths, K and the
-        displacement-induced detuning shift, by damped fixed-point iteration.
+        displacement-induced detuning shift, from one cubic in |M|^2 (lowest
+        branch; every branch's M is in ``averages.branches``).
 
     Raises
     ------
@@ -222,9 +231,6 @@ def build_network(
         A missing, NaN, infinite or out-of-range input, named by its path
         (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
         approx mode with a node resonant with the drive.
-    ConvergenceError
-        selfconsistent mode exceeding its iteration cap (a sign the working
-        point approaches bistability).
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
@@ -235,19 +241,19 @@ def build_network(
 
     if rabi == 0.0:
         p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
-        matter, couplings, phase = 0j, (0.0,) * n_m, 0.0
+        matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
     elif mode == "approx":
-        p_avgs = tuple(_steady_amplitude(w, rabi, d) for w, d in zip(weights, detunings))
+        p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
         matter = sum(w * p for w, p in zip(weights, p_avgs))
         m2 = abs(matter) ** 2
         mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
-        couplings = tuple(_real_coupling(m.bare_coupling, matter) for m in mechanics)
-        phase = 0.0
+        couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
+        phase, branches = 0.0, (matter,)
     else:
-        p_avgs = _selfconsistent_polaritons(
+        p_avgs, branches = _selfconsistent_polaritons(
             weights, detunings, [p.linewidth for p in polaritons], cross, rabi, mechanics
         )
-        matter = sum(w * p for w, p in zip(weights, p_avgs))
+        matter = branches[0]
         m2 = abs(matter) ** 2
         mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
                           for m in mechanics)
@@ -289,6 +295,7 @@ def build_network(
         effective_couplings=couplings,
         phase_rotation=phase,
         mode=mode,
+        branches=branches,
     )
     return LinearModel(drift=r, diffusion=d, mode_layout=layout, averages=averages)
 

@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to converge within its budget."""
+    """A solve that did not converge; part of the taxonomy, raised nowhere in the package."""
 
 
 class UnstableSystemError(RuntimeError):

@@ -27,7 +27,7 @@ from .dynamics import (
     build_network,
     photon_matter_diagonalize,
 )
-from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
+from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import MechanicalMode, SystemParams
 from .steadystate import steady_state
 
@@ -228,7 +228,7 @@ def sweep(
             kwargs["rabi"] = value
         try:
             row = evaluate_point(setup, **kwargs)
-        except (ValidationError, ConvergenceError, SolverError) as exc:
+        except (ValidationError, SolverError) as exc:
             nans = (math.nan,) * len(setup.mechanical_modes)
             row = SweepRow(
                 variable=math.nan,
@@ -312,7 +312,7 @@ def optimize_theta(
                                  rabi=rabi, averages=averages)
             value = pick(row.n_numeric) if row.stable else math.inf
             occ = row.n_numeric
-        except (ValidationError, ConvergenceError, SolverError):
+        except (ValidationError, SolverError):
             value, occ = math.inf, (math.nan,) * len(setup.mechanical_modes)
         if not math.isfinite(value):
             value = math.inf

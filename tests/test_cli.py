@@ -210,6 +210,13 @@ def test_sweep_determinism_across_threads(capsys, tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_threads_is_a_sweep_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", BASE, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_sweep_writes_plot_data(capsys, tmp_path):
     plot = tmp_path / "sweep.dat"
     raw = base_raw(sweep={"variable": "theta", "start": 0.3, "stop": 1.2,

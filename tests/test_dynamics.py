@@ -97,28 +97,31 @@ def test_selfconsistent_close_to_approx_at_weak_drive():
         assert exact.mode == "selfconsistent"
 
 
+def max_classical_residual(params, basis, polaritons, mech_avgs):
+    """Largest right-hand side of the two-mode classical equations at the given averages."""
+    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    upper, lower = polaritons
+    matter = s * upper + c * lower
+    shift = sum(2.0 * m.bare_coupling * b.real
+                for m, b in zip(params.mechanical_modes, mech_avgs))
+    du = -(1j * (basis.detuning_upper + shift * s * s) + basis.upper_linewidth) * upper \
+        - (basis.dissipative_coupling + 1j * shift * s * c) * lower \
+        + params.rabi_freq * s
+    dl = -(1j * (basis.detuning_lower + shift * c * c) + basis.lower_linewidth) * lower \
+        - (basis.dissipative_coupling + 1j * shift * c * s) * upper \
+        + params.rabi_freq * c
+    dbs = [-(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
+           for mech, b in zip(params.mechanical_modes, mech_avgs)]
+    return max(abs(r) for r in (du, dl, *dbs))
+
+
 def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
     # equal bare linewidths, then unequal ones so delta-kappa is live
     for overrides in ({}, {"magnon_linewidth": TWO_PI * 2.0e6}):
         params, basis = tuned(theta=0.6, **overrides)
         avg = solve_averages(params, basis, mode="selfconsistent")
-        s, c = math.sin(basis.theta), math.cos(basis.theta)
-        upper, lower = avg.avg_polaritons
-        matter = s * upper + c * lower
-        shift = sum(2.0 * m.bare_coupling * b.real
-                    for m, b in zip(params.mechanical_modes, avg.avg_mech))
-        du = -(1j * (basis.detuning_upper + shift * s * s) + basis.upper_linewidth) * upper \
-            - (basis.dissipative_coupling + 1j * shift * s * c) * lower \
-            + params.rabi_freq * s
-        dl = -(1j * (basis.detuning_lower + shift * c * c) + basis.lower_linewidth) * lower \
-            - (basis.dissipative_coupling + 1j * shift * c * s) * upper \
-            + params.rabi_freq * c
-        scale = params.rabi_freq
-        assert abs(du) < 1e-9 * scale
-        assert abs(dl) < 1e-9 * scale
-        for mech, b in zip(params.mechanical_modes, avg.avg_mech):
-            db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
-            assert abs(db) < 1e-9 * scale
+        residual = max_classical_residual(params, basis, avg.avg_polaritons, avg.avg_mech)
+        assert residual < 1e-9 * params.rabi_freq
 
     # three nodes: the preset, then unequal bare linewidths so the cross damping is live
     for linewidths_hz in ((1.0e6, 1.0e6), (1.0e6, 3.0e6)):
@@ -148,6 +151,95 @@ def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
         for mech, b in zip(mechs, avg.avg_mech):
             db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
             assert abs(db) < 1e-9 * BASE_RABI
+
+
+def highpower(theta=0.3, drive_factor=1.0):
+    setup = pc.load_config("configs/two_mode_highpower.config").setup
+    params = setup.params_at(theta, rabi=drive_factor * setup.rabi_freq)
+    return params, pc.diagonalize_polaritons(params)
+
+
+@pytest.mark.parametrize("drive_factor", (3.3, 10.0, 22.0))
+def test_selfconsistent_solves_strong_drive(drive_factor):
+    # the cubic has a single root here; a damped iteration of M used to give up
+    params, basis = highpower(drive_factor=drive_factor)
+    avg = solve_averages(params, basis, mode="selfconsistent")
+    assert avg.branches == (avg.avg_matter,)
+    assert np.isfinite(averages_vector(avg)).all()
+    residual = max_classical_residual(params, basis, avg.avg_polaritons, avg.avg_mech)
+    assert residual < 1e-9 * params.rabi_freq
+
+
+def branch_averages(params, basis, matter):
+    """Polariton and mechanical averages of the steady state with matter amplitude M.
+
+    M fixes the mechanical displacements and so the detuning shift; the
+    polariton equations are then linear in the amplitudes.
+    """
+    mech_avgs = [-1j * m.bare_coupling * abs(matter) ** 2 / (1j * m.freq + m.damping)
+                 for m in params.mechanical_modes]
+    shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(params.mechanical_modes, mech_avgs))
+    w = np.array([math.sin(basis.theta), math.cos(basis.theta)])
+    dk = basis.dissipative_coupling
+    a = np.array([[1j * basis.detuning_upper + basis.upper_linewidth, dk],
+                  [dk, 1j * basis.detuning_lower + basis.lower_linewidth]])
+    polaritons = np.linalg.solve(a + 1j * shift * np.outer(w, w), params.rabi_freq * w)
+    return tuple(complex(p) for p in polaritons), mech_avgs
+
+
+def test_selfconsistent_reports_every_branch():
+    params, basis = highpower()
+    avg = solve_averages(params, basis, mode="selfconsistent")
+    assert len(avg.branches) == 3
+    assert avg.branches[0] == avg.avg_matter
+    magnitudes = [abs(m) for m in avg.branches]
+    assert magnitudes == sorted(magnitudes)
+    # the lowest branch is the one the damped fixed-point iteration reached (frozen value)
+    assert avg.avg_matter == pytest.approx(478965.3085257518 - 4778026.818752742j, rel=1e-12)
+    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    for matter in avg.branches:
+        polaritons, mech_avgs = branch_averages(params, basis, matter)
+        assert s * polaritons[0] + c * polaritons[1] == pytest.approx(matter, rel=1e-9)
+        residual = max_classical_residual(params, basis, polaritons, mech_avgs)
+        assert residual < 1e-9 * params.rabi_freq
+    approx = solve_averages(params, basis)
+    assert approx.branches == (approx.avg_matter,)
+    params, basis = tuned(rabi_freq=0.0)
+    assert solve_averages(params, basis, mode="selfconsistent").branches == (0j,)
+
+
+def test_selfconsistent_keeps_the_lower_branch_at_its_fold():
+    # one node at detuning 2 kappa: its cubic is bistable, and at the upper end
+    # of the lower branch two roots merge at u_a, the local maximum of g(u) = f(u) + Omega^2 |chi|^2
+    kappa, detuning = 1.0, 2.0
+    pol = pc.NetworkPolariton(freq=10.0, linewidth=kappa, weight=1.0, detuning=detuning)
+    mech = pc.MechanicalMode(freq=1.0, damping=1e-3, bare_coupling=0.01)
+    chi = 1.0 / (1j * detuning + kappa)
+    sigma = 2.0 * mech.bare_coupling * (-1j * mech.bare_coupling / (1j * mech.freq + mech.damping)).real
+    c3, c2 = (sigma * abs(chi)) ** 2, -2.0 * sigma * chi.imag
+    u_a = (-c2 - math.sqrt(c2 * c2 - 3.0 * c3)) / (3.0 * c3)
+    fold = math.sqrt(((c3 * u_a + c2) * u_a + 1.0) * u_a) / abs(chi)
+
+    def averages(rabi):
+        drive = pc.NetworkDrive(drive_freq=10.0 - detuning, rabi_freq=rabi, bath_temperature=0.0)
+        avg = pc.build_network([pol], [mech], drive, mode="selfconsistent").averages
+        (p,), (b,) = avg.avg_polaritons, avg.avg_mech
+        shift = 2.0 * mech.bare_coupling * b.real
+        residual = max(abs(-(1j * (detuning + shift) + kappa) * p + rabi),
+                       abs(-(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(p) ** 2))
+        assert residual < 1e-9 * rabi
+        return avg
+
+    # just inside the fold the near-double root may come back from np.roots as a complex pair
+    for offset in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+        avg = averages(fold * (1.0 - offset))
+        assert len(avg.branches) == 3
+        assert abs(avg.avg_matter) ** 2 == pytest.approx(u_a, rel=1e-5)
+    # beyond it only the upper branch is left
+    for offset in (1e-12, 1e-10, 1e-6):
+        avg = averages(fold * (1.0 + offset))
+        assert len(avg.branches) == 1
+        assert abs(avg.avg_matter) ** 2 > 2.0 * u_a
 
 
 # ---------------------------------------------------------------------------
