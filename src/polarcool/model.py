@@ -151,9 +151,10 @@ def thermal_occupation(freq: float, temperature: float) -> float:
         raise ValidationError(f"freq: must be strictly positive, got {freq}")
     if temperature < 0:
         raise ValidationError(f"temperature: must be non-negative, got {temperature}")
-    if temperature == 0.0:
+    kt = KB * temperature
+    if kt == 0.0:  # zero, or a temperature so small that k_B T underflows
         return 0.0
-    x = HBAR * freq / (KB * temperature)
+    x = HBAR * freq / kt
     if x > 700.0:
         return math.exp(-x)
     return 1.0 / math.expm1(x)

@@ -2,8 +2,10 @@
 
 Two independent routes to the same answer:
 
-* :func:`solve_lyapunov` hands R V + V R^T + D = 0 to a dense
-  Bartels-Stewart factorization (scipy) and verifies the residual.
+* :func:`solve_lyapunov` solves R V + V R^T + D = 0 by Bartels-Stewart
+  (Comm. ACM 15, 820, 1972) and verifies the residual. One real Schur
+  factorization R = Z T Z^T gives both the stability verdict (the spectral
+  abscissa is max(diag T)) and the solve, so a working point factors R once.
 * :func:`integrate_covariance` propagates dV/dt = R V + V R^T + D exactly
   to a finite horizon: Van Loan's block exponential for one short step,
   then Smith's doubling to reach the horizon.
@@ -58,45 +60,73 @@ def _require_finite(name: str, a: np.ndarray) -> None:
         raise ValidationError(f"{name}: contains a NaN or infinite entry")
 
 
-def check_stability(drift: np.ndarray) -> StabilityInfo:
-    """Hurwitz test with a scale-aware margin.
-
-    The drift is called stable when every eigenvalue real part lies below
-    -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
-    flip the verdict between platforms.
-    """
-    r = np.asarray(drift, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError(f"drift: expected a square matrix, got shape {r.shape}")
-    _require_finite("drift", r)
-    margin = STABILITY_MARGIN * np.linalg.norm(r)
-    abscissa = float(np.linalg.eigvals(r).real.max())
-    return StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
+def _real(name: str, a) -> np.ndarray:
+    """``a`` as a float array; text, objects and complex entries are typed errors."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a real numeric matrix") from None
+    raise ValidationError(f"{name}: expected a real matrix, got complex entries")
 
 
-def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Solve R V + V R^T + D = 0 for the steady covariance V.
-
-    Returns (V, residual, condition_flag) where residual is
-    ||R V + V R^T + D||_F / ||D||_F. Raises UnstableSystemError when the
-    drift fails the stability check and SolverError when the residual of an
-    otherwise-accepted solve exceeds 1e-9.
-    """
-    r = np.asarray(drift, dtype=float)
-    d = np.asarray(diffusion, dtype=float)
+def _pair(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
+    r = _real("drift", drift)
+    d = _real("diffusion", diffusion)
     if r.shape != d.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError(
             f"drift/diffusion: expected matching square matrices, got {r.shape} and {d.shape}"
         )
+    if r.size == 0:
+        raise ValidationError("drift/diffusion: expected non-empty matrices, got shape (0, 0)")
+    return r, d
+
+
+def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo]:
+    """Real Schur form R = Z T Z^T and the stability verdict read off its diagonal.
+
+    LAPACK standardizes every 2x2 block of T so that both its diagonal
+    entries hold the real part of the complex pair, so max(diag T) is the
+    spectral abscissa.
+    """
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValidationError(f"drift: expected a square matrix, got shape {r.shape}")
+    if r.size == 0:
+        raise ValidationError("drift: expected a non-empty matrix, got shape (0, 0)")
+    _require_finite("drift", r)
+    try:
+        t, z = scipy.linalg.schur(r, output="real", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"drift: real Schur factorization failed ({exc})") from None
+    margin = STABILITY_MARGIN * float(np.linalg.norm(r))
+    abscissa = float(t.diagonal().max())
+    return t, z, StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
+
+
+def _check_diffusion(d: np.ndarray) -> None:
     _require_finite("diffusion", d)
-    if not np.allclose(d, d.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(d).max()))):
+    if np.abs(d - d.T).max() > 1e-12 * max(1.0, float(np.abs(d).max())):
         raise ValidationError("diffusion: must be symmetric")
-    info = check_stability(r)
-    if not info.stable:
-        raise UnstableSystemError(
-            f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e})"
+
+
+def _solve_factored(
+    r: np.ndarray, d: np.ndarray, t: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, float, bool]:
+    """Bartels-Stewart on the factors R = Z T Z^T, then the residual check.
+
+    The products follow scipy's ``solve_continuous_lyapunov`` operation for
+    operation, so V is bit-identical to it.
+    """
+    f = z.T.dot((-d).dot(z))
+    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+    if info != 0:
+        raise SolverError(
+            f"lyapunov: triangular Sylvester solve returned info {info} "
+            "(eigenvalue pairs of the drift nearly cancel)"
         )
-    v = scipy.linalg.solve_continuous_lyapunov(r, -d)
+    y *= scale
+    v = z.dot(y).dot(z.T)
     v = 0.5 * (v + v.T)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
@@ -108,6 +138,34 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     # strong cancellation in the factored solve
     proxy = 2.0 * float(np.linalg.norm(r)) * float(np.linalg.norm(v)) / d_norm
     return v, residual, proxy > CONDITION_LIMIT
+
+
+def check_stability(drift: np.ndarray) -> StabilityInfo:
+    """Hurwitz test with a scale-aware margin, read off the real Schur form of R.
+
+    The drift is called stable when every eigenvalue real part lies below
+    -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
+    flip the verdict between platforms.
+    """
+    return _schur(_real("drift", drift))[2]
+
+
+def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Solve R V + V R^T + D = 0 for the steady covariance V.
+
+    Returns (V, residual, condition_flag) where residual is
+    ||R V + V R^T + D||_F / ||D||_F. Raises UnstableSystemError when the
+    drift fails the stability check and SolverError when the residual of an
+    otherwise-accepted solve exceeds 1e-9.
+    """
+    r, d = _pair(drift, diffusion)
+    _check_diffusion(d)
+    t, z, info = _schur(r)
+    if not info.stable:
+        raise UnstableSystemError(
+            f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e})"
+        )
+    return _solve_factored(r, d, t, z)
 
 
 def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
@@ -146,12 +204,7 @@ def integrate_covariance(
     Phi <- Phi^2 (Smith 1968) carry the pair to t_final. A single expm at
     t_final would overflow in its exp(-R t) block.
     """
-    r = np.asarray(drift, dtype=float)
-    d = np.asarray(diffusion, dtype=float)
-    if r.shape != d.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError(
-            f"drift/diffusion: expected matching square matrices, got {r.shape} and {d.shape}"
-        )
+    r, d = _pair(drift, diffusion)
     _require_finite("drift", r)
     _require_finite("diffusion", d)
     if t_final is None:
@@ -172,7 +225,12 @@ def integrate_covariance(
         if v0.shape != r.shape:
             raise ValidationError(f"v0: expected shape {r.shape}, got {v0.shape}")
         _require_finite("v0", v0)
-    k = math.ceil(math.log2(max(float(np.linalg.norm(r, 1)) * t_final, 1.0)))
+    span = float(np.linalg.norm(r, 1)) * t_final
+    if not span <= 2.0 ** 1023:
+        raise ValidationError(
+            f"t_final: ||R||_1 t_final = {span:.3e} exceeds the doubling range 2^1023"
+        )
+    k = math.ceil(math.log2(max(span, 1.0)))
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -r
     block[:n, n:] = d
@@ -192,16 +250,20 @@ def integrate_covariance(
 def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState:
     """Full pipeline: stability, Lyapunov solve, occupations.
 
+    R is factored once: the verdict is read off its real Schur form and the
+    Lyapunov equation is solved on the same factors.
+
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so sweeps can record the row.
     """
-    info = check_stability(model.drift)
+    r = _real("drift", model.drift)
+    t, z, info = _schur(r)
     if not info.stable:
         if require_stable:
             raise UnstableSystemError(
                 f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e})"
             )
-        n_modes = model.drift.shape[0] // 2
+        n_modes = r.shape[0] // 2
         return SteadyState(
             covariance=None,
             occupations=(math.nan,) * n_modes,
@@ -210,7 +272,9 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
             lyapunov_residual=math.nan,
             condition_flag=False,
         )
-    v, residual, flagged = solve_lyapunov(model.drift, model.diffusion)
+    r, d = _pair(r, model.diffusion)
+    _check_diffusion(d)
+    v, residual, flagged = _solve_factored(r, d, t, z)
     return SteadyState(
         covariance=v,
         occupations=extract_occupations(v),

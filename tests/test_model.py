@@ -47,6 +47,8 @@ def test_thermal_occupation_deep_quantum_regime_underflows_gracefully():
     # hbar omega / k T ~ 5e4: expm1 would overflow, the exp branch must not
     n = pc.thermal_occupation(TWO_PI * 1.0e10, 1e-5)
     assert 0.0 <= n < 1e-300
+    # a subnormal temperature makes k_B T underflow to zero
+    assert pc.thermal_occupation(TWO_PI * 1.0e7, 1e-308) == 0.0
 
 
 def test_thermal_occupation_classical_limit():

@@ -1,14 +1,26 @@
 """Covariance solvers: Lyapunov route, time-domain route, derived occupations."""
+import collections
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import polarcool as pc
-from polarcool.errors import SolverError, UnstableSystemError, ValidationError
+import polarcool.steadystate as steadystate
+from polarcool.errors import (
+    ConvergenceError,
+    SolverError,
+    UnstableSystemError,
+    ValidationError,
+)
 
 from helpers import (
     TWO_PI,
@@ -49,6 +61,23 @@ def test_check_stability_verdicts():
         pc.check_stability(np.zeros((2, 3)))
     with pytest.raises(ValidationError, match="drift"):
         pc.check_stability(np.array([[-1.0, np.nan], [0.0, -1.0]]))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.check_stability(np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.check_stability("abc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="drift.*complex"):
+            pc.check_stability(-np.eye(2) + 1j * np.eye(2))
+
+
+def test_stability_info_holds_plain_python_scalars():
+    info = pc.check_stability(-np.eye(2))
+    assert type(info.stable) is bool
+    assert type(info.spectral_abscissa) is float
+    assert type(info.margin) is float
+    record = json.loads(json.dumps(dataclasses.asdict(info)))
+    assert record == {"stable": True, "spectral_abscissa": -1.0, "margin": info.margin}
 
 
 def test_blue_detuned_drive_is_unstable():
@@ -84,6 +113,27 @@ def test_solve_lyapunov_validations():
         pc.solve_lyapunov(np.array([[-1.0, 0.0], [np.inf, -1.0]]), np.eye(2))
     with pytest.raises(ValidationError, match="diffusion"):
         pc.solve_lyapunov(-np.eye(2), np.diag([1.0, np.inf]))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.solve_lyapunov("abc", np.eye(2))
+    with pytest.raises(ValidationError, match="diffusion"):
+        pc.solve_lyapunov(-np.eye(2), [["a", "b"], ["c", "d"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="drift.*complex"):
+            pc.solve_lyapunov(-np.eye(2) + 0j, np.eye(2))
+        with pytest.raises(ValidationError, match="diffusion.*complex"):
+            pc.solve_lyapunov(-np.eye(2), np.eye(2) + 1j * np.eye(2)[::-1])
+
+
+def test_solve_lyapunov_cancelling_eigenvalues_raise_without_warning():
+    # stable by the margin, but the eigenvalue sums underflow: the triangular
+    # Sylvester solve reports a perturbed solution (info 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="info 1"):
+            pc.solve_lyapunov(-1e-300 * np.eye(2), np.eye(2))
 
 
 def test_lyapunov_matches_integrator_random_instances():
@@ -122,6 +172,19 @@ def test_integrate_covariance_validations():
         pc.integrate_covariance(r, np.diag([1.0, np.inf]))
     with pytest.raises(ValidationError, match="v0"):
         pc.integrate_covariance(r, d, v0=np.diag([0.5, np.nan]))
+    with pytest.raises(ValidationError, match="drift"):
+        pc.integrate_covariance(np.zeros((0, 0)), np.zeros((0, 0)), t_final=1.0)
+    with pytest.raises(ValidationError, match="drift"):
+        pc.integrate_covariance("abc", d, t_final=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="diffusion.*complex"):
+            pc.integrate_covariance(r, d + 0j, t_final=1.0)
+    # ||R||_1 t_final beyond the doubling range: 2^k or ceil(inf) would overflow
+    with pytest.raises(ValidationError, match="t_final"):
+        pc.integrate_covariance(r, d, t_final=1e308)
+    with pytest.raises(ValidationError, match="t_final"):
+        pc.integrate_covariance(1e10 * r, d, t_final=1e300)
     with pytest.raises(UnstableSystemError):
         pc.integrate_covariance(np.array([[0.0, 1.0], [-1.0, 0.0]]), d)
     # abscissa -1e-12 lies inside the stability margin (1.4e-9): the default
@@ -134,6 +197,112 @@ def test_integrate_covariance_validations():
     v = pc.integrate_covariance(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
                                 v0=np.eye(2), t_final=1.0)
     assert np.allclose(v, np.eye(2), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one real Schur factorization serves the verdict and the solve
+
+TYPED_ERRORS = (ValidationError, ConvergenceError, UnstableSystemError, SolverError)
+
+
+def assert_shared_factorization(r, d, solve):
+    """The verdict matches the eigenvalues, and solving succeeds exactly when stable."""
+    info = pc.check_stability(r)
+    assert info.stable == (np.linalg.eigvals(r).real.max() < -info.margin)
+    try:
+        v, residual = solve()
+    except TYPED_ERRORS as exc:
+        assert not info.stable, f"stable drift failed: {exc!r}"
+        return
+    assert info.stable
+    expected = scipy.linalg.solve_continuous_lyapunov(r, -d)
+    expected = 0.5 * (expected + expected.T)
+    assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert residual < 1e-9
+
+
+@st.composite
+def networks(draw):
+    """Random cooling networks: 1-4 nodes, 1-4 mechanical modes, drives past the edge.
+
+    Nodes sit near a mechanical sideband, one in five on the heating side;
+    the Rabi frequency spans 1e-2 to 3e2 times the base preset's, so about a
+    third of the draws are unstable.
+    """
+    unit = st.floats(0.0, 1.0)
+    n_m = draw(st.integers(1, 4))
+    mechs = [
+        pc.MechanicalMode(
+            freq=TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit)),
+            damping=TWO_PI * (10.0 + 990.0 * draw(unit)),
+            bare_coupling=TWO_PI * (0.05 + 0.95 * draw(unit)),
+        )
+        for _ in range(n_m)
+    ]
+    drive_freq = TWO_PI * 1e10
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        mech = draw(st.sampled_from(mechs))
+        sign = draw(st.sampled_from((1.0, 1.0, 1.0, 1.0, -1.0)))
+        detuning = sign * mech.freq * (0.8 + 0.4 * draw(unit))
+        nodes.append(pc.NetworkPolariton(
+            freq=drive_freq + detuning,
+            linewidth=TWO_PI * (3e5 + 2.7e6 * draw(unit)),
+            weight=0.1 + 0.9 * draw(unit),
+            detuning=detuning,
+        ))
+    drive = pc.NetworkDrive(
+        drive_freq=drive_freq,
+        rabi_freq=7.85e13 * 10.0 ** (-2.0 + 4.5 * draw(unit)),
+        bath_temperature=draw(unit),
+    )
+    return nodes, mechs, drive, draw(st.sampled_from(("approx", "selfconsistent")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(networks())
+def test_network_verdict_and_solve_share_one_factorization(network):
+    nodes, mechs, drive, mode = network
+    try:
+        model = pc.build_network(nodes, mechs, drive, mode=mode)
+    except TYPED_ERRORS:
+        return
+
+    def solve():
+        state = pc.steady_state(model)
+        return state.covariance, state.lyapunov_residual
+
+    assert_shared_factorization(model.drift, model.diffusion, solve)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-0.5, 1.0))
+def test_block_verdict_and_solve_share_one_factorization(n_pairs, seed, shift):
+    # the blocks damp at 0.2-0.8; shifting R by +shift I crosses the edge
+    r, d = random_block_instance(np.random.default_rng(seed), n_pairs)
+    r = r + shift * np.eye(r.shape[0])
+    assert_shared_factorization(r, d, lambda: pc.solve_lyapunov(r, d)[:2])
+
+
+def test_steady_state_factors_the_drift_once(monkeypatch):
+    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(steadystate.scipy.linalg, "schur")
+    counted(steadystate.scipy.linalg, "solve_continuous_lyapunov")
+    counted(steadystate.np.linalg, "eigvals")
+    state = pc.steady_state(model)
+    assert state.stable
+    assert calls == {"schur": 1}
 
 
 # ---------------------------------------------------------------------------
