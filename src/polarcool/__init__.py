@@ -63,6 +63,7 @@ from .tuning import (
     evaluate_point,
     optimize_theta,
     polariton_network,
+    solve_model,
     sweep,
     tune_n_mode,
     tune_two_mode,
@@ -117,6 +118,7 @@ __all__ = [
     "serialize_config",
     "sideband_rates",
     "solve_lyapunov",
+    "solve_model",
     "steady_state",
     "sweep",
     "thermal_occupation",

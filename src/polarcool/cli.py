@@ -19,8 +19,8 @@ from .config import RunConfig, load_config
 from .dynamics import build_linear_model
 from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import diagonalize_polaritons, thermal_occupation
-from .steadystate import steady_state
-from .tuning import optimize_theta, polariton_network, sweep, tune_n_mode, tune_two_mode
+from .tuning import (optimize_theta, polariton_network, solve_model, sweep, tune_n_mode,
+                     tune_two_mode)
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,8 +109,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     params = setup.params_at(cfg.theta)
     basis = diagonalize_polaritons(params)
     model = build_linear_model(params, basis, mode=averages_mode)
-    rates = network_cooling(model)
-    state = steady_state(model, require_stable=False)
+    rates, state, flags, numeric = solve_model(model)
 
     lines = ["working point:"]
     lines.append(f"  theta = {_fmt(cfg.theta)} rad")
@@ -132,18 +131,12 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     if state.stable:
         lines.append(f"lyapunov residual: {state.lyapunov_residual:.3e}")
     lines.append("occupations:")
-    for j, (mech, r) in enumerate(zip(params.mechanical_modes, rates)):
+    for j, (mech, r, n) in enumerate(zip(params.mechanical_modes, rates, numeric)):
         nbar = thermal_occupation(mech.freq, params.bath_temperature)
-        numeric = state.occupations[len(avg.avg_polaritons) + j] if state.stable else math.nan
         lines.append(
-            f"  mode {j + 1}: numeric {_fmt(numeric)}  analytic {_fmt(r.n_eff)}"
+            f"  mode {j + 1}: numeric {_fmt(n)}  analytic {_fmt(r.n_eff)}"
             f"  thermal {_fmt(nbar)}"
         )
-    flags = []
-    if any(not r.weak_coupling for r in rates):
-        flags.append("weak_coupling_broken")
-    if state.condition_flag:
-        flags.append("ill_conditioned")
     lines.append(f"flags: {';'.join(flags) if flags else '-'}")
 
     linewidths = (basis.upper_linewidth, basis.lower_linewidth)
@@ -156,7 +149,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", state.stable
 
 
-def _rates_report(cfg: RunConfig, averages_mode: str) -> str:
+def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     setup = _require_setup(cfg)
     params = setup.params_at(cfg.theta)
     rates = network_cooling(build_linear_model(params, mode=averages_mode))
@@ -174,7 +167,7 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> str:
                      f"  (dominant: {names[r.dominant]})")
         lines.append(f"  n_eff = {_fmt(r.n_eff)}  n_eff_all = {_fmt(r.n_eff_all)}")
         lines.append(f"  weak coupling valid: {'yes' if r.weak_coupling else 'no'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
 def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
@@ -196,17 +189,15 @@ def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
         model = polariton_network(
             tuned, nm.mechanical_modes, nm.rabi_freq, nm.bath_temperature, averages_mode
         )
-        state = steady_state(model, require_stable=False)
+        rates, state, _, numeric = solve_model(model)
         verdict = "stable" if state.stable else "UNSTABLE"
         lines.append(f"  network: {verdict}"
                      f" (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
         if state.stable:
-            n_p = len(tuned.polaritons)
-            rates = network_cooling(model)
-            for j, (mech, r) in enumerate(zip(nm.mechanical_modes, rates)):
+            for j, (mech, r, n) in enumerate(zip(nm.mechanical_modes, rates, numeric)):
                 nbar = thermal_occupation(mech.freq, nm.bath_temperature)
                 lines.append(
-                    f"  mode {j + 1}: numeric {_fmt(state.occupations[n_p + j])}"
+                    f"  mode {j + 1}: numeric {_fmt(n)}"
                     f"  analytic {_fmt(r.n_eff_all)}  thermal {_fmt(nbar)}"
                 )
         return "\n".join(lines) + "\n", state.stable
@@ -228,7 +219,7 @@ def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
-def _optimize_report(cfg: RunConfig, averages_mode: str) -> str:
+def _optimize_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     setup = _require_setup(cfg)
     kwargs = {"averages": averages_mode}
     if cfg.optimize is not None:
@@ -247,61 +238,48 @@ def _optimize_report(cfg: RunConfig, averages_mode: str) -> str:
                  f" {_fmt(result.occupations[1])})")
     lines.append(f"  evaluations = {result.evaluations}")
     lines.append(f"  converged = {'yes' if result.converged else 'no'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
+
+
+_REPORTS = {
+    "simulate": _simulate_report,
+    "rates": _rates_report,
+    "tune": _tune_report,
+    "optimize": _optimize_report,
+}
 
 
 def _run(args) -> int:
     cfg = load_config(args.config)
     averages_mode = args.averages or cfg.averages
-
-    if args.command == "simulate":
-        report, stable = _simulate_report(cfg, averages_mode)
+    if args.command != "sweep":
+        report, stable = _REPORTS[args.command](cfg, averages_mode)
         _emit(report, args.out)
-        if args.require_stable and not stable:
-            return EXIT_UNSTABLE
-        return EXIT_OK
+        return EXIT_UNSTABLE if args.require_stable and not stable else EXIT_OK
 
-    if args.command == "rates":
-        _emit(_rates_report(cfg, averages_mode), args.out)
-        return EXIT_OK
-
-    if args.command == "sweep":
-        setup = _require_setup(cfg)
-        if cfg.sweep is None:
-            raise ValidationError("config.sweep: required for the sweep command")
-        if not args.out:
-            raise ValidationError("--out: required for the sweep command")
-        grid = [
-            cfg.sweep.start + (cfg.sweep.stop - cfg.sweep.start) * i / (cfg.sweep.points - 1)
-            for i in range(cfg.sweep.points)
-        ]
-        rows = sweep(
-            setup,
-            cfg.sweep.variable,
-            grid,
-            theta=cfg.theta,
-            averages=averages_mode,
-            threads=args.threads,
-            require_stable=args.require_stable,
-        )
-        write_csv(rows, args.out)
-        if cfg.sweep.plot:
-            write_plot_data(rows, cfg.sweep.plot, cfg.sweep.variable)
-        sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
-        return EXIT_OK
-
-    if args.command == "tune":
-        report, stable = _tune_report(cfg, averages_mode)
-        _emit(report, args.out)
-        if args.require_stable and not stable:
-            return EXIT_UNSTABLE
-        return EXIT_OK
-
-    if args.command == "optimize":
-        _emit(_optimize_report(cfg, averages_mode), args.out)
-        return EXIT_OK
-
-    raise ValidationError(f"unknown command {args.command!r}")
+    setup = _require_setup(cfg)
+    if cfg.sweep is None:
+        raise ValidationError("config.sweep: required for the sweep command")
+    if not args.out:
+        raise ValidationError("--out: required for the sweep command")
+    grid = [
+        cfg.sweep.start + (cfg.sweep.stop - cfg.sweep.start) * i / (cfg.sweep.points - 1)
+        for i in range(cfg.sweep.points)
+    ]
+    rows = sweep(
+        setup,
+        cfg.sweep.variable,
+        grid,
+        theta=cfg.theta,
+        averages=averages_mode,
+        threads=args.threads,
+        require_stable=args.require_stable,
+    )
+    write_csv(rows, args.out)
+    if cfg.sweep.plot:
+        write_plot_data(rows, cfg.sweep.plot, cfg.sweep.variable)
+    sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -149,8 +149,8 @@ def thermal_occupation(freq: float, temperature: float) -> float:
     """
     if not freq > 0:
         raise ValidationError(f"freq: must be strictly positive, got {freq}")
-    if temperature < 0:
-        raise ValidationError(f"temperature: must be non-negative, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValidationError(f"temperature: must be finite and non-negative, got {temperature}")
     kt = KB * temperature
     if kt == 0.0:  # zero, or a temperature so small that k_B T underflows
         return 0.0

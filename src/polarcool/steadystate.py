@@ -55,46 +55,44 @@ class SteadyState:
     condition_flag: bool
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name}: contains a NaN or infinite entry")
-
-
-def _real(name: str, a) -> np.ndarray:
-    """``a`` as a float array; text, objects and complex entries are typed errors."""
+def _matrix(name: str, a) -> np.ndarray:
+    """``a`` as a real, square, non-empty and finite float matrix, or a typed error."""
     try:
         arr = np.asarray(a)
         if arr.dtype.kind != "c":
-            return arr.astype(float, copy=False)
+            arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{name}: expected a real numeric matrix") from None
-    raise ValidationError(f"{name}: expected a real matrix, got complex entries")
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name}: expected a real matrix, got complex entries")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{name}: expected a non-empty matrix, got shape (0, 0)")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: contains a NaN or infinite entry")
+    return arr
 
 
 def _pair(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
-    r = _real("drift", drift)
-    d = _real("diffusion", diffusion)
-    if r.shape != d.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
+    r = _matrix("drift", drift)
+    d = _matrix("diffusion", diffusion)
+    if r.shape != d.shape:
         raise ValidationError(
-            f"drift/diffusion: expected matching square matrices, got {r.shape} and {d.shape}"
+            f"drift/diffusion: expected matching shapes, got {r.shape} and {d.shape}"
         )
-    if r.size == 0:
-        raise ValidationError("drift/diffusion: expected non-empty matrices, got shape (0, 0)")
+    if np.abs(d - d.T).max() > 1e-12 * max(1.0, float(np.abs(d).max())):
+        raise ValidationError("diffusion: must be symmetric")
     return r, d
 
 
 def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo]:
-    """Real Schur form R = Z T Z^T and the stability verdict read off its diagonal.
+    """Real Schur form R = Z T Z^T of a validated drift and the verdict read off its diagonal.
 
     LAPACK standardizes every 2x2 block of T so that both its diagonal
     entries hold the real part of the complex pair, so max(diag T) is the
     spectral abscissa.
     """
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError(f"drift: expected a square matrix, got shape {r.shape}")
-    if r.size == 0:
-        raise ValidationError("drift: expected a non-empty matrix, got shape (0, 0)")
-    _require_finite("drift", r)
     try:
         t, z = scipy.linalg.schur(r, output="real", check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -104,25 +102,29 @@ def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo]:
     return t, z, StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
 
 
-def _check_diffusion(d: np.ndarray) -> None:
-    _require_finite("diffusion", d)
-    if np.abs(d - d.T).max() > 1e-12 * max(1.0, float(np.abs(d).max())):
-        raise ValidationError("diffusion: must be symmetric")
+def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
+    return UnstableSystemError(
+        f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e}){hint}"
+    )
 
 
-def _solve_factored(
-    r: np.ndarray, d: np.ndarray, t: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, float, bool]:
-    """Bartels-Stewart on the factors R = Z T Z^T, then the residual check.
+def _solve(drift, diffusion) -> tuple[StabilityInfo, np.ndarray | None, float, bool]:
+    """Validate, factor R = Z T Z^T once and, if stable, solve on the same factors.
 
-    The products follow scipy's ``solve_continuous_lyapunov`` operation for
-    operation, so V is bit-identical to it.
+    Returns (verdict, V, residual, condition_flag); V is None and the
+    residual NaN when the drift is unstable. The Bartels-Stewart products
+    follow scipy's ``solve_continuous_lyapunov`` operation for operation, so
+    V is bit-identical to it.
     """
+    r, d = _pair(drift, diffusion)
+    t, z, info = _schur(r)
+    if not info.stable:
+        return info, None, math.nan, False
     f = z.T.dot((-d).dot(z))
-    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
-    if info != 0:
+    y, scale, status = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+    if status != 0:
         raise SolverError(
-            f"lyapunov: triangular Sylvester solve returned info {info} "
+            f"lyapunov: triangular Sylvester solve returned info {status} "
             "(eigenvalue pairs of the drift nearly cancel)"
         )
     y *= scale
@@ -130,14 +132,14 @@ def _solve_factored(
     v = 0.5 * (v + v.T)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
-        return v, 0.0, False
+        return info, v, 0.0, False
     residual = float(np.linalg.norm(r @ v + v @ r.T + d)) / d_norm
     if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
         raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
     # cheap conditioning proxy: large covariance from modest inputs signals
     # strong cancellation in the factored solve
     proxy = 2.0 * float(np.linalg.norm(r)) * float(np.linalg.norm(v)) / d_norm
-    return v, residual, proxy > CONDITION_LIMIT
+    return info, v, residual, proxy > CONDITION_LIMIT
 
 
 def check_stability(drift: np.ndarray) -> StabilityInfo:
@@ -147,7 +149,7 @@ def check_stability(drift: np.ndarray) -> StabilityInfo:
     -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
     flip the verdict between platforms.
     """
-    return _schur(_real("drift", drift))[2]
+    return _schur(_matrix("drift", drift))[2]
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -158,14 +160,10 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     drift fails the stability check and SolverError when the residual of an
     otherwise-accepted solve exceeds 1e-9.
     """
-    r, d = _pair(drift, diffusion)
-    _check_diffusion(d)
-    t, z, info = _schur(r)
-    if not info.stable:
-        raise UnstableSystemError(
-            f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e})"
-        )
-    return _solve_factored(r, d, t, z)
+    info, v, residual, flagged = _solve(drift, diffusion)
+    if v is None:
+        raise _unstable(info)
+    return v, residual, flagged
 
 
 def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
@@ -205,15 +203,10 @@ def integrate_covariance(
     t_final would overflow in its exp(-R t) block.
     """
     r, d = _pair(drift, diffusion)
-    _require_finite("drift", r)
-    _require_finite("diffusion", d)
     if t_final is None:
-        info = check_stability(r)
+        info = _schur(r)[2]
         if not info.stable:
-            raise UnstableSystemError(
-                f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e}); "
-                "pass t_final explicitly"
-            )
+            raise _unstable(info, "; pass t_final explicitly")
         t_final = 15.0 / abs(info.spectral_abscissa)
     elif not 0.0 < t_final < math.inf:
         raise ValidationError("t_final: must be finite and strictly positive")
@@ -221,10 +214,9 @@ def integrate_covariance(
     if v0 is None:
         v0 = 0.5 * np.eye(n)
     else:
-        v0 = np.asarray(v0, dtype=float)
+        v0 = _matrix("v0", v0)
         if v0.shape != r.shape:
             raise ValidationError(f"v0: expected shape {r.shape}, got {v0.shape}")
-        _require_finite("v0", v0)
     span = float(np.linalg.norm(r, 1)) * t_final
     if not span <= 2.0 ** 1023:
         raise ValidationError(
@@ -256,29 +248,15 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so sweeps can record the row.
     """
-    r = _real("drift", model.drift)
-    t, z, info = _schur(r)
-    if not info.stable:
-        if require_stable:
-            raise UnstableSystemError(
-                f"drift is not stable (spectral abscissa {info.spectral_abscissa:.6e})"
-            )
-        n_modes = r.shape[0] // 2
-        return SteadyState(
-            covariance=None,
-            occupations=(math.nan,) * n_modes,
-            stable=False,
-            spectral_abscissa=info.spectral_abscissa,
-            lyapunov_residual=math.nan,
-            condition_flag=False,
-        )
-    r, d = _pair(r, model.diffusion)
-    _check_diffusion(d)
-    v, residual, flagged = _solve_factored(r, d, t, z)
+    info, v, residual, flagged = _solve(model.drift, model.diffusion)
+    if v is None and require_stable:
+        raise _unstable(info)
     return SteadyState(
         covariance=v,
-        occupations=extract_occupations(v),
-        stable=True,
+        occupations=(
+            (math.nan,) * (len(model.drift) // 2) if v is None else extract_occupations(v)
+        ),
+        stable=info.stable,
         spectral_abscissa=info.spectral_abscissa,
         lyapunov_residual=residual,
         condition_flag=flagged,

@@ -10,6 +10,7 @@ mode. Sweeps and a derivative-free optimizer sit on top.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -58,12 +59,15 @@ def tune_two_mode(
     """
     if not 0.0 < theta < 0.5 * math.pi:
         raise ValidationError(f"theta: must lie strictly inside (0, pi/2), got {theta}")
-    if not 0.0 < target_lower < target_upper:
+    if not 0.0 < target_lower < target_upper < math.inf:
         raise ValidationError(
-            f"targets: need 0 < target_lower < target_upper, got ({target_lower}, {target_upper})"
+            "targets: need 0 < target_lower < target_upper < inf,"
+            f" got ({target_lower}, {target_upper})"
         )
-    if cavity_freq <= 0.0:
-        raise ValidationError("cavity_freq: must be strictly positive")
+    if not 0.0 < cavity_freq < math.inf:
+        raise ValidationError(
+            f"cavity_freq: must be finite and strictly positive, got {cavity_freq}"
+        )
     split = target_upper - target_lower
     coupling = 0.5 * split * math.sin(2.0 * theta)
     detuning_am = split * math.cos(2.0 * theta)
@@ -157,16 +161,12 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-def evaluate_point(
-    setup: TwoModeSetup,
-    theta: float,
-    temperature: float | None = None,
-    rabi: float | None = None,
-    averages: str = "approx",
-) -> SweepRow:
-    """Solve one tuned working point end to end (analytic rates + covariance)."""
-    params = setup.params_at(theta, temperature=temperature, rabi=rabi)
-    model = build_linear_model(params, mode=averages)
+def solve_model(model: LinearModel) -> tuple:
+    """(rates, steady state, flags, mechanical occupations) of one working point.
+
+    An unstable model is flagged, not raised, and its occupations are NaN. The
+    flags, in order: ``unstable``, ``ill_conditioned``, ``weak_coupling_broken``.
+    """
     rates = network_cooling(model)
     state = steady_state(model, require_stable=False)
     flags = []
@@ -176,8 +176,37 @@ def evaluate_point(
         flags.append("ill_conditioned")
     if any(not r.weak_coupling for r in rates):
         flags.append("weak_coupling_broken")
-    n_p = len(model.averages.avg_polaritons)
-    n_numeric = state.occupations[n_p:] if state.stable else (math.nan,) * len(rates)
+    return rates, state, tuple(flags), state.occupations[len(model.averages.avg_polaritons):]
+
+
+def evaluate_point(
+    setup: TwoModeSetup,
+    theta: float,
+    temperature: float | None = None,
+    rabi: float | None = None,
+    averages: str = "approx",
+) -> SweepRow:
+    """Solve one tuned working point end to end (analytic rates + covariance).
+
+    A ValidationError or SolverError comes back as an ``error:<Type>`` row.
+    """
+    try:
+        params = setup.params_at(theta, temperature=temperature, rabi=rabi)
+        rates, state, flags, n_numeric = solve_model(build_linear_model(params, mode=averages))
+    except (ValidationError, SolverError) as exc:
+        nans = (math.nan,) * len(setup.mechanical_modes)
+        return SweepRow(
+            variable=math.nan,
+            theta=theta,
+            coupling=math.nan,
+            magnon_freq=math.nan,
+            drive_freq=math.nan,
+            kappa_eff=nans,
+            n_analytic=nans,
+            n_numeric=nans,
+            stable=False,
+            flags=(f"error:{type(exc).__name__}",),
+        )
     return SweepRow(
         variable=math.nan,
         theta=theta,
@@ -186,9 +215,9 @@ def evaluate_point(
         drive_freq=params.drive_freq,
         kappa_eff=tuple(r.kappa_eff for r in rates),
         n_analytic=tuple(r.n_eff for r in rates),
-        n_numeric=tuple(n_numeric),
+        n_numeric=n_numeric,
         stable=state.stable,
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -212,37 +241,26 @@ def sweep(
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
     if variable != "theta" and theta is None:
         raise ValidationError(f"theta: required when sweeping {variable!r}")
-    values = [float(v) for v in grid]
+    try:
+        items = list(grid)
+    except TypeError:
+        raise ValidationError(f"grid: expected an iterable of numbers, got {grid!r}") from None
+    values = []
+    for i, v in enumerate(items):
+        try:
+            values.append(float(v))
+        except (TypeError, ValueError):
+            raise ValidationError(f"grid[{i}]: expected a real number, got {v!r}") from None
     if not values:
         raise ValidationError("grid: must not be empty")
     if threads < 1:
         raise ValidationError("threads: must be at least 1")
 
     def solve_one(value: float) -> SweepRow:
-        kwargs = {"theta": theta, "averages": averages}
-        if variable == "theta":
-            kwargs["theta"] = value
-        elif variable == "temperature":
-            kwargs["temperature"] = value
-        else:
-            kwargs["rabi"] = value
-        try:
-            row = evaluate_point(setup, **kwargs)
-        except (ValidationError, SolverError) as exc:
-            nans = (math.nan,) * len(setup.mechanical_modes)
-            row = SweepRow(
-                variable=math.nan,
-                theta=kwargs["theta"] if kwargs["theta"] is not None else math.nan,
-                coupling=math.nan,
-                magnon_freq=math.nan,
-                drive_freq=math.nan,
-                kappa_eff=nans,
-                n_analytic=nans,
-                n_numeric=nans,
-                stable=False,
-                flags=(f"error:{type(exc).__name__}",),
-            )
-        return replace(row, variable=value)
+        # the sweep variables are evaluate_point's keywords; a theta sweep
+        # overrides the fixed angle
+        kwargs = {"theta": theta, variable: value}
+        return replace(evaluate_point(setup, averages=averages, **kwargs), variable=value)
 
     if threads == 1:
         rows = [solve_one(v) for v in values]
@@ -298,8 +316,11 @@ def optimize_theta(
     lo, hi = bounds
     if not 0.0 < lo < hi < 0.5 * math.pi:
         raise ValidationError(f"bounds: need 0 < lo < hi < pi/2, got {bounds}")
-    if coarse_points < 3:
-        raise ValidationError("coarse_points: need at least 3")
+    if (not isinstance(coarse_points, numbers.Integral) or isinstance(coarse_points, bool)
+            or coarse_points < 3):
+        raise ValidationError(f"coarse_points: expected an integer >= 3, got {coarse_points!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol: must be finite and strictly positive, got {tol!r}")
     pick = {"max": lambda n: max(n), "mode1": lambda n: n[0], "mode2": lambda n: n[1]}[objective]
 
     cache: dict[float, tuple[float, tuple[float, float]]] = {}
@@ -307,16 +328,11 @@ def optimize_theta(
     def score(theta: float) -> float:
         if theta in cache:
             return cache[theta][0]
-        try:
-            row = evaluate_point(setup, theta, temperature=temperature,
-                                 rabi=rabi, averages=averages)
-            value = pick(row.n_numeric) if row.stable else math.inf
-            occ = row.n_numeric
-        except (ValidationError, SolverError):
-            value, occ = math.inf, (math.nan,) * len(setup.mechanical_modes)
+        row = evaluate_point(setup, theta, temperature=temperature, rabi=rabi, averages=averages)
+        value = pick(row.n_numeric) if row.stable else math.inf
         if not math.isfinite(value):
             value = math.inf
-        cache[theta] = (value, occ)
+        cache[theta] = (value, row.n_numeric)
         return value
 
     grid = np.linspace(lo, hi, coarse_points)

@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+from polarcool import load_config, sweep
 from polarcool.cli import CSV_COLUMNS, main
 from polarcool.errors import SolverError
 
@@ -108,6 +110,17 @@ def test_simulate_instability_needs_flag_for_nonzero_exit(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("drive", [None, {"rabi_hz": 6.25e14}], ids=["base", "unstable"])
+def test_simulate_flags_match_one_point_sweep(capsys, tmp_path, drive):
+    path = write_config(tmp_path, base_raw() if drive is None else base_raw(drive=drive))
+    assert main(["simulate", "--config", path]) == 0
+    flags = re.search(r"^flags: (\S+)$", capsys.readouterr().out, re.M).group(1)
+    cfg = load_config(path)
+    (row,) = sweep(cfg.setup, "theta", [cfg.theta])
+    assert ("unstable" in row.flags) == (drive is not None)
+    assert flags == (";".join(row.flags) or "-")
+
+
 # ---------------------------------------------------------------------------
 # rates / tune / optimize
 
@@ -199,7 +212,7 @@ def test_sweep_csv_format(capsys, tmp_path):
 def test_sweep_matches_golden_file(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_sweep(capsys, BASE, out) == 0
-    assert out.read_bytes() == open(GOLDEN, "rb").read()
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 
 def test_sweep_determinism_across_threads(capsys, tmp_path):
@@ -298,7 +311,7 @@ def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverError("manufactured failure")
 
-    monkeypatch.setattr("polarcool.cli.steady_state", explode)
+    monkeypatch.setattr("polarcool.tuning.steady_state", explode)
     assert main(["simulate", "--config", BASE]) == 2
     assert "solver error" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Config parsing, validation messages, serialization round-trips."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,14 @@ def test_nmode_only_config_is_valid():
     assert cfg.setup is None
     # and it still round-trips
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_config_examples_parse():
+    readme = Path("README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(yaml.safe_load(block))
 
 
 def test_theta_and_averages_validation():

@@ -63,6 +63,9 @@ def test_thermal_occupation_rejects_bad_input():
         pc.thermal_occupation(-1.0, 0.01)
     with pytest.raises(ValidationError):
         pc.thermal_occupation(TWO_PI * 1.0e7, -0.01)
+    for bad_temperature in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="temperature"):
+            pc.thermal_occupation(TWO_PI * 1.0e7, bad_temperature)
 
 
 # ---------------------------------------------------------------------------

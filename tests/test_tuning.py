@@ -59,6 +59,11 @@ def test_tune_two_mode_validations():
         pc.tune_two_mode(**{**good, "target_lower": 0.0})
     with pytest.raises(ValidationError, match="cavity_freq"):
         pc.tune_two_mode(**{**good, "cavity_freq": -1.0})
+    for bad_cavity in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="cavity_freq"):
+            pc.tune_two_mode(**{**good, "cavity_freq": bad_cavity})
+    with pytest.raises(ValidationError, match="targets"):
+        pc.tune_two_mode(**{**good, "target_upper": math.inf})
     # a huge splitting at small theta would push the magnon below zero
     with pytest.raises(ValidationError, match="magnon"):
         pc.tune_two_mode(TWO_PI * 1e6, 1.0, TWO_PI * 1e7, 0.05)
@@ -124,6 +129,11 @@ def test_sweep_temperature_and_rabi_need_theta():
         pc.sweep(setup, "power", [1.0], theta=0.8)
     with pytest.raises(ValidationError, match="grid"):
         pc.sweep(setup, "theta", [])
+    for bad_entry in ("abc", None):
+        with pytest.raises(ValidationError, match=r"grid\[1\]"):
+            pc.sweep(setup, "theta", [0.5, bad_entry])
+    with pytest.raises(ValidationError, match="^grid: expected an iterable"):
+        pc.sweep(setup, "theta", 5)
     with pytest.raises(ValidationError, match="threads"):
         pc.sweep(setup, "theta", [0.5], threads=0)
 
@@ -138,6 +148,13 @@ def test_sweep_records_per_point_errors():
     assert math.isnan(bad.coupling)
     assert all(math.isnan(n) for n in bad.n_numeric)
     assert bad.variable == 2.5  # grid position is still reported
+    # the row is built by evaluate_point itself, so direct callers get it too
+    direct = pc.evaluate_point(setup, 2.5)
+    assert direct.flags == ("error:ValidationError",)
+    assert not direct.stable
+    assert direct.theta == 2.5
+    assert math.isnan(direct.variable)
+    assert all(math.isnan(n) for n in direct.n_numeric + direct.kappa_eff)
 
 
 def test_sweep_flags_unstable_and_require_stable_raises():
@@ -202,6 +219,13 @@ def test_optimize_validations():
         pc.optimize_theta(setup, bounds=(0.5, 0.2))
     with pytest.raises(ValidationError, match="coarse_points"):
         pc.optimize_theta(setup, coarse_points=2)
+    for bad_points in (3.5, True):
+        with pytest.raises(ValidationError, match="coarse_points"):
+            pc.optimize_theta(setup, coarse_points=bad_points)
+    # the step halves towards 0.0, so only a positive floor ends the refinement
+    for bad_tol in (-1e-6, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            pc.optimize_theta(setup, tol=bad_tol)
 
 
 # ---------------------------------------------------------------------------
