@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .dynamics import LinearModel, build_linear_model
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .model import SystemParams
 
 
@@ -53,8 +53,10 @@ def sideband_rates(
     A_pm = kappa g^2 / (4 [kappa^2 + (Delta pm omega)^2]); red detuning
     (Delta ~ +omega) makes the anti-Stokes term resonant and cools.
     """
-    if linewidth <= 0.0:
-        raise ValidationError("linewidth: must be strictly positive")
+    coupling = check_real("coupling", coupling)
+    linewidth = check_real("linewidth", linewidth, above=0.0)
+    detuning = check_real("detuning", detuning)
+    mech_freq = check_real("mech_freq", mech_freq)
     g2 = coupling * coupling
     stokes = linewidth * g2 / (4.0 * (linewidth**2 + (detuning + mech_freq) ** 2))
     anti = linewidth * g2 / (4.0 * (linewidth**2 + (detuning - mech_freq) ** 2))
@@ -123,9 +125,7 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     for j in range(n_m):
         i = 2 * (n_p + j)
         mech_freq = r[i][i + 1]
-        mech_damping = -r[i][i]
-        if mech_damping <= 0.0:
-            raise ValidationError(f"model: mechanical mode {j} has nonpositive damping")
+        mech_damping = check_real(f"model: mechanical mode {j} damping", -r[i][i], above=0.0)
         nbar = d_diag[i] / (2.0 * mech_damping) - 0.5
         couplings = tuple(-r[2 * k][i] for k in range(n_p))
         out.append(_rates_for_mode(
@@ -145,8 +145,8 @@ def quantum_backaction_limit(linewidth: float, mech_freq: float) -> float:
     Emits a warning above 0.01, where the drive sits outside the resolved
     sideband regime and the limit stops being a useful target.
     """
-    if linewidth <= 0.0 or mech_freq <= 0.0:
-        raise ValidationError("linewidth and mech_freq must be strictly positive")
+    linewidth = check_real("linewidth", linewidth, above=0.0)
+    mech_freq = check_real("mech_freq", mech_freq, above=0.0)
     limit = linewidth**2 / (4.0 * mech_freq**2)
     if limit > 1e-2:
         warnings.warn(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .model import DriveCalibration, MechanicalMode, calibrate_drive
 from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, TwoModeSetup
 
@@ -72,20 +72,16 @@ def _mapping(obj, path: str) -> dict:
     return obj
 
 
-def _number(mapping: dict, key: str, path: str, positive: bool = False) -> float:
+def _number(mapping: dict, key: str, path: str, **bounds) -> float:
+    """``mapping[key]`` checked by :func:`check_real`; ``bounds`` are its keywords."""
     if key not in mapping:
         raise ValidationError(f"{path}.{key}: missing required key")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if positive and not value > 0.0:
-        raise ValidationError(f"{path}.{key}: must be strictly positive, got {value}")
-    return value
+    return check_real(f"{path}.{key}", mapping[key], **bounds)
 
 
-def _freq(mapping: dict, key: str, path: str, positive: bool = True) -> float:
-    return TWO_PI * _number(mapping, key, path, positive=positive)
+def _freq(mapping: dict, key: str, path: str) -> float:
+    """A strictly positive ``*_hz`` entry, converted to rad/s."""
+    return TWO_PI * _number(mapping, key, path, above=0.0)
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -113,29 +109,26 @@ def _parse_drive(obj, path: str) -> float:
     m = _mapping(obj, path)
     if "rabi_hz" in m:
         _check_keys(m, {"rabi_hz"}, path)
-        rabi = _freq(m, "rabi_hz", path, positive=False)
-        if rabi < 0.0:
-            raise ValidationError(f"{path}.rabi_hz: must be non-negative")
-        return rabi
+        return TWO_PI * _number(m, "rabi_hz", path, at_least=0.0)
     allowed = {"sphere_diameter_m", "field_t", "power_w",
                "reference_power_w", "reference_field_t"}
     _check_keys(m, allowed, path)
     reference = None
     if "reference_power_w" in m or "reference_field_t" in m:
         reference = (
-            _number(m, "reference_power_w", path, positive=True),
-            _number(m, "reference_field_t", path, positive=True),
+            _number(m, "reference_power_w", path, above=0.0),
+            _number(m, "reference_field_t", path, above=0.0),
         )
     cal = DriveCalibration(
-        sphere_diameter=_number(m, "sphere_diameter_m", path, positive=True),
+        sphere_diameter=_number(m, "sphere_diameter_m", path, above=0.0),
         reference_power=reference,
     )
     has_field, has_power = "field_t" in m, "power_w" in m
     if has_field == has_power:
         raise ValidationError(f"{path}: give exactly one of field_t, power_w (or rabi_hz)")
     if has_field:
-        return calibrate_drive(cal, field_amplitude=_number(m, "field_t", path))
-    return calibrate_drive(cal, power=_number(m, "power_w", path))
+        return calibrate_drive(cal, field_amplitude=_number(m, "field_t", path, at_least=0.0))
+    return calibrate_drive(cal, power=_number(m, "power_w", path, at_least=0.0))
 
 
 def _parse_system(obj, path: str, drive) -> TwoModeSetup:
@@ -154,7 +147,7 @@ def _parse_system(obj, path: str, drive) -> TwoModeSetup:
         cavity_linewidth=_freq(m, "cavity_linewidth_hz", path),
         magnon_linewidth=_freq(m, "magnon_linewidth_hz", path),
         mechanical_modes=mechs,
-        bath_temperature=_number(m, "bath_temperature_k", path),
+        bath_temperature=_number(m, "bath_temperature_k", path, at_least=0.0),
         rabi_freq=_parse_drive(drive, "config.drive"),
     )
 
@@ -191,7 +184,7 @@ def _parse_optimize(obj, path: str) -> OptimizeConfig:
     coarse = m.get("coarse_points", 33)
     if not isinstance(coarse, int) or isinstance(coarse, bool) or coarse < 3:
         raise ValidationError(f"{path}.coarse_points: expected an integer >= 3, got {coarse!r}")
-    tol = _number(m, "tol", path, positive=True) if "tol" in m else 1e-6
+    tol = _number(m, "tol", path, above=0.0) if "tol" in m else 1e-6
     return OptimizeConfig(objective=objective, lower=lower, upper=upper,
                           coarse_points=coarse, tol=tol)
 
@@ -200,12 +193,8 @@ def _parse_freq_list(m: dict, key: str, path: str) -> tuple[float, ...]:
     raw = m.get(key)
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}.{key}: expected a non-empty list")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{path}.{key}[{i}]: expected a number, got {v!r}")
-        out.append(TWO_PI * float(v))
-    return tuple(out)
+    return tuple(TWO_PI * check_real(f"{path}.{key}[{i}]", v, above=0.0)
+                 for i, v in enumerate(raw))
 
 
 def _parse_nmode(obj, path: str) -> NModeConfig:
@@ -226,7 +215,7 @@ def _parse_nmode(obj, path: str) -> NModeConfig:
         matter_linewidths=_parse_freq_list(m, "matter_linewidths_hz", path),
         mechanical_modes=mechs,
         rabi_freq=_parse_drive(m.get("drive"), f"{path}.drive"),
-        bath_temperature=_number(m, "bath_temperature_k", path),
+        bath_temperature=_number(m, "bath_temperature_k", path, at_least=0.0),
     )
 
 
@@ -243,12 +232,8 @@ def parse_config(raw) -> RunConfig:
         setup = _parse_system(m["system"], "config.system", m["drive"])
     elif "nmode" not in m:
         raise ValidationError("config.system: missing required section")
-    theta = m.get("theta", 0.25 * math.pi)
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-        raise ValidationError(f"config.theta: expected a number, got {theta!r}")
-    theta = float(theta)
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise ValidationError(f"config.theta: must lie strictly inside (0, pi/2), got {theta}")
+    theta = check_real("config.theta", m.get("theta", 0.25 * math.pi),
+                       above=0.0, below=0.5 * math.pi)
     averages = m.get("averages", "approx")
     if averages not in ("approx", "selfconsistent"):
         raise ValidationError(

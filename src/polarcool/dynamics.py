@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, check_real
 from .model import (
     MechanicalMode,
     PolaritonBasis,
@@ -90,11 +90,6 @@ class NetworkDrive:
     bath_temperature: float
 
 
-def _require(path: str, value: float, ok: bool, what: str) -> None:
-    if not (ok and abs(value) < math.inf):
-        raise ValidationError(f"{path}: must be {what}, got {value}")
-
-
 def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
     """Detunings and cross-damping matrix (nested lists) of valid inputs; raises otherwise."""
     n_p = len(polaritons)
@@ -102,21 +97,17 @@ def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
         raise ValidationError("build_network: need at least one polariton and one mechanical mode")
     if mode not in ("approx", "selfconsistent"):
         raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
-    rabi, temp = drive.rabi_freq, drive.bath_temperature
-    _require("drive.rabi_freq", rabi, rabi >= 0.0, "finite and non-negative")
-    _require("drive.bath_temperature", temp, temp >= 0.0, "finite and non-negative")
+    rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
+    check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
     for j, mech in enumerate(mechanics):
         mech.validate(path=f"mechanics[{j}]")
     detunings = []
     for k, p in enumerate(polaritons):
+        check_real(f"polaritons[{k}].freq", p.freq, above=0.0)
+        check_real(f"polaritons[{k}].linewidth", p.linewidth, above=0.0)
+        check_real(f"polaritons[{k}].weight", p.weight)
         det = p.freq - drive.drive_freq if p.detuning is None else p.detuning
-        for field, value, ok, what in (
-            ("freq", p.freq, p.freq > 0.0, "finite and strictly positive"),
-            ("linewidth", p.linewidth, p.linewidth > 0.0, "finite and strictly positive"),
-            ("weight", p.weight, True, "finite"),
-            ("detuning", det, True, "finite"),
-        ):
-            _require(f"polaritons[{k}].{field}", value, ok, what)
+        det = check_real(f"polaritons[{k}].detuning", det)
         if det == 0.0 and mode == "approx" and rabi != 0.0:
             raise ValidationError(
                 f"polaritons[{k}].detuning: polariton resonant with the drive (zero detuning);"
@@ -368,16 +359,11 @@ def photon_matter_diagonalize(
     """
     if not matter_modes:
         raise ValidationError("matter_modes: must not be empty")
-    _require("cavity_freq", cavity_freq, cavity_freq > 0, "finite and strictly positive")
-    _require("cavity_linewidth", cavity_linewidth, cavity_linewidth > 0,
-             "finite and strictly positive")
+    check_real("cavity_freq", cavity_freq, above=0.0)
+    check_real("cavity_linewidth", cavity_linewidth, above=0.0)
     for i, mm in enumerate(matter_modes):
-        if not mm.coupling > 0:
-            raise ValidationError(f"matter_modes[{i}].coupling: must be strictly positive")
-        if not mm.freq > 0:
-            raise ValidationError(f"matter_modes[{i}].freq: must be strictly positive")
-        _require(f"matter_modes[{i}].linewidth", mm.linewidth, mm.linewidth > 0,
-                 "finite and strictly positive")
+        for field in ("coupling", "freq", "linewidth"):
+            check_real(f"matter_modes[{i}].{field}", getattr(mm, field), above=0.0)
     m = len(matter_modes)
     h = np.zeros((m + 1, m + 1))
     h[0, 0] = cavity_freq

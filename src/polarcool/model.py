@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import GYROMAGNETIC_RATIO, HBAR, KB, SPIN_DENSITY
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 
 
 @dataclass(frozen=True)
@@ -21,18 +21,9 @@ class MechanicalMode:
     bare_coupling: float
 
     def validate(self, path: str = "mechanical_mode") -> None:
-        if not 0 < self.freq < math.inf:
-            raise ValidationError(
-                f"{path}.freq: must be finite and strictly positive, got {self.freq}"
-            )
-        if not 0 < self.damping < math.inf:
-            raise ValidationError(
-                f"{path}.damping: must be finite and strictly positive, got {self.damping}"
-            )
-        if not 0 <= self.bare_coupling < math.inf:
-            raise ValidationError(
-                f"{path}.bare_coupling: must be finite and non-negative, got {self.bare_coupling}"
-            )
+        check_real(f"{path}.freq", self.freq, above=0.0)
+        check_real(f"{path}.damping", self.damping, above=0.0)
+        check_real(f"{path}.bare_coupling", self.bare_coupling, at_least=0.0)
 
 
 @dataclass(frozen=True)
@@ -59,15 +50,9 @@ class SystemParams:
         object.__setattr__(self, "mechanical_modes", tuple(self.mechanical_modes))
         for name in ("cavity_freq", "magnon_freq", "photon_matter_coupling",
                      "cavity_linewidth", "magnon_linewidth", "drive_freq"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValidationError(f"{name}: must be strictly positive, got {v}")
-        if self.rabi_freq < 0:
-            raise ValidationError(f"rabi_freq: must be non-negative, got {self.rabi_freq}")
-        if self.bath_temperature < 0:
-            raise ValidationError(
-                f"bath_temperature: must be non-negative, got {self.bath_temperature}"
-            )
+            check_real(name, getattr(self, name), above=0.0)
+        check_real("rabi_freq", self.rabi_freq, at_least=0.0)
+        check_real("bath_temperature", self.bath_temperature, at_least=0.0)
         if not self.mechanical_modes:
             raise ValidationError("mechanical_modes: must not be empty")
         for j, m in enumerate(self.mechanical_modes):
@@ -111,9 +96,7 @@ def diagonalize_polaritons(params: SystemParams) -> PolaritonBasis:
         Mixing angle, eigenfrequencies, transformed linewidths, the
         dissipative cross-coupling delta-kappa, and drive detunings.
     """
-    g = params.photon_matter_coupling
-    if not g > 0:
-        raise ValidationError(f"photon_matter_coupling: must be strictly positive, got {g}")
+    g = check_real("photon_matter_coupling", params.photon_matter_coupling, above=0.0)
     delta_am = params.cavity_freq - params.magnon_freq
     # atan2 keeps theta in (0, pi/2) for g > 0, both signs of delta_am
     theta = 0.5 * math.atan2(2.0 * g, delta_am)
@@ -147,11 +130,8 @@ def thermal_occupation(freq: float, temperature: float) -> float:
     (hbar w / kT << 1) loses no precision, and switches to the asymptotic
     exponential once expm1 would overflow.
     """
-    if not freq > 0:
-        raise ValidationError(f"freq: must be strictly positive, got {freq}")
-    if not 0.0 <= temperature < math.inf:
-        raise ValidationError(f"temperature: must be finite and non-negative, got {temperature}")
-    kt = KB * temperature
+    freq = check_real("freq", freq, above=0.0)
+    kt = KB * check_real("temperature", temperature, at_least=0.0)
     if kt == 0.0:  # zero, or a temperature so small that k_B T underflows
         return 0.0
     x = HBAR * freq / kt
@@ -175,20 +155,16 @@ class DriveCalibration:
     reference_power: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.sphere_diameter > 0:
-            raise ValidationError(
-                f"sphere_diameter: must be strictly positive, got {self.sphere_diameter}"
-            )
-        if not self.spin_density > 0:
-            raise ValidationError(f"spin_density: must be strictly positive, got {self.spin_density}")
-        if not self.gyro_ratio > 0:
-            raise ValidationError(f"gyro_ratio: must be strictly positive, got {self.gyro_ratio}")
+        for name in ("sphere_diameter", "spin_density", "gyro_ratio"):
+            check_real(name, getattr(self, name), above=0.0)
         if self.reference_power is not None:
-            p_ref, b_ref = self.reference_power
-            if not (p_ref > 0 and b_ref > 0):
-                raise ValidationError(
-                    f"reference_power: both entries must be strictly positive, got {self.reference_power}"
-                )
+            try:
+                p_ref, b_ref = self.reference_power
+            except (TypeError, ValueError):
+                raise ValidationError(f"reference_power: expected a (power, field) pair,"
+                                      f" got {self.reference_power!r}") from None
+            check_real("reference_power[0]", p_ref, above=0.0)
+            check_real("reference_power[1]", b_ref, above=0.0)
 
     @property
     def spin_number(self) -> float:
@@ -211,12 +187,10 @@ def calibrate_drive(
     if (field_amplitude is None) == (power is None):
         raise ValidationError("calibrate_drive: give exactly one of field_amplitude, power")
     if field_amplitude is None:
-        if power < 0:
-            raise ValidationError(f"power: must be non-negative, got {power}")
+        power = check_real("power", power, at_least=0.0)
         if cal.reference_power is None:
             raise ValidationError("power input requires cal.reference_power")
         p_ref, b_ref = cal.reference_power
         field_amplitude = b_ref * math.sqrt(power / p_ref)
-    if field_amplitude < 0:
-        raise ValidationError(f"field_amplitude: must be non-negative, got {field_amplitude}")
+    field_amplitude = check_real("field_amplitude", field_amplitude, at_least=0.0)
     return (math.sqrt(5.0) / 4.0) * cal.gyro_ratio * math.sqrt(cal.spin_number) * field_amplitude

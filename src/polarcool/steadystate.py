@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import LinearModel
-from .errors import SolverError, UnstableSystemError, ValidationError
+from .errors import SolverError, UnstableSystemError, ValidationError, check_real
 
 STABILITY_MARGIN = 1e-9
 RESIDUAL_LIMIT = 1e-9
@@ -208,8 +208,8 @@ def integrate_covariance(
         if not info.stable:
             raise _unstable(info, "; pass t_final explicitly")
         t_final = 15.0 / abs(info.spectral_abscissa)
-    elif not 0.0 < t_final < math.inf:
-        raise ValidationError("t_final: must be finite and strictly positive")
+    else:
+        t_final = check_real("t_final", t_final, above=0.0)
     n = r.shape[0]
     if v0 is None:
         v0 = 0.5 * np.eye(n)

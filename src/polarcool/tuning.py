@@ -28,7 +28,7 @@ from .dynamics import (
     build_network,
     photon_matter_diagonalize,
 )
-from .errors import SolverError, UnstableSystemError, ValidationError
+from .errors import SolverError, UnstableSystemError, ValidationError, check_real
 from .model import MechanicalMode, SystemParams
 from .steadystate import steady_state
 
@@ -57,23 +57,14 @@ def tune_two_mode(
     give detunings (target_upper, target_lower) exactly, for any
     theta in the open interval (0, pi/2).
     """
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise ValidationError(f"theta: must lie strictly inside (0, pi/2), got {theta}")
-    if not 0.0 < target_lower < target_upper < math.inf:
-        raise ValidationError(
-            "targets: need 0 < target_lower < target_upper < inf,"
-            f" got ({target_lower}, {target_upper})"
-        )
-    if not 0.0 < cavity_freq < math.inf:
-        raise ValidationError(
-            f"cavity_freq: must be finite and strictly positive, got {cavity_freq}"
-        )
+    theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
+    target_lower = check_real("targets", target_lower, above=0.0)
+    target_upper = check_real("targets", target_upper, above=target_lower)
+    cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
     split = target_upper - target_lower
     coupling = 0.5 * split * math.sin(2.0 * theta)
     detuning_am = split * math.cos(2.0 * theta)
-    magnon_freq = cavity_freq - detuning_am
-    if magnon_freq <= 0.0:
-        raise ValidationError("tune_two_mode: resulting magnon frequency is nonpositive")
+    magnon_freq = check_real("magnon_freq", cavity_freq - detuning_am, above=0.0)
     drive_freq = 0.5 * (cavity_freq + magnon_freq) - 0.5 * (target_upper + target_lower)
     return TuneResult(
         theta=theta,
@@ -104,6 +95,12 @@ class TwoModeSetup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mechanical_modes", tuple(self.mechanical_modes))
+        for name in ("cavity_freq", "cavity_linewidth", "magnon_linewidth"):
+            check_real(name, getattr(self, name), above=0.0)
+        check_real("bath_temperature", self.bath_temperature, at_least=0.0)
+        check_real("rabi_freq", self.rabi_freq, at_least=0.0)
+        for j, m in enumerate(self.mechanical_modes):
+            m.validate(path=f"mechanical_modes[{j}]")
         if len(self.mechanical_modes) != 2:
             raise ValidationError(
                 f"mechanical_modes: two-mode setup needs exactly 2, got {len(self.mechanical_modes)}"
@@ -233,24 +230,20 @@ def sweep(
     """Evaluate a 1-D grid of working points, order-preserving.
 
     ``variable`` is one of "theta", "temperature", "rabi"; non-theta sweeps
-    hold the mixing angle fixed at ``theta``. Per-point solver failures are
-    recorded in the row's flags rather than raised; an unstable point raises
-    UnstableSystemError only under require_stable=True.
+    hold the mixing angle fixed at ``theta``. Grid entries must be finite
+    numbers; a point that fails validation (an angle outside (0, pi/2)) or
+    the solve is recorded in the row's flags rather than raised; an unstable
+    point raises UnstableSystemError only under require_stable=True.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
-    if variable != "theta" and theta is None:
-        raise ValidationError(f"theta: required when sweeping {variable!r}")
+    if variable != "theta":
+        theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
     try:
         items = list(grid)
     except TypeError:
         raise ValidationError(f"grid: expected an iterable of numbers, got {grid!r}") from None
-    values = []
-    for i, v in enumerate(items):
-        try:
-            values.append(float(v))
-        except (TypeError, ValueError):
-            raise ValidationError(f"grid[{i}]: expected a real number, got {v!r}") from None
+    values = [check_real(f"grid[{i}]", v) for i, v in enumerate(items)]
     if not values:
         raise ValidationError("grid: must not be empty")
     if threads < 1:
@@ -313,14 +306,20 @@ def optimize_theta(
         raise ValidationError(
             f"objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
         )
-    lo, hi = bounds
-    if not 0.0 < lo < hi < 0.5 * math.pi:
-        raise ValidationError(f"bounds: need 0 < lo < hi < pi/2, got {bounds}")
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        raise ValidationError(f"bounds: expected a (lo, hi) pair, got {bounds!r}") from None
+    lo = check_real("bounds[0]", lo, above=0.0)
+    hi = check_real("bounds[1]", hi, above=lo, below=0.5 * math.pi)
     if (not isinstance(coarse_points, numbers.Integral) or isinstance(coarse_points, bool)
             or coarse_points < 3):
         raise ValidationError(f"coarse_points: expected an integer >= 3, got {coarse_points!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol: must be finite and strictly positive, got {tol!r}")
+    tol = check_real("tol", tol, above=0.0)
+    if temperature is not None:
+        check_real("temperature", temperature, at_least=0.0)
+    if rabi is not None:
+        check_real("rabi", rabi, at_least=0.0)
     pick = {"max": lambda n: max(n), "mode1": lambda n: n[0], "mode2": lambda n: n[1]}[objective]
 
     cache: dict[float, tuple[float, tuple[float, float]]] = {}
@@ -399,16 +398,17 @@ def tune_n_mode(
     directions are driven to zero by least squares over the matter
     frequencies at fixed couplings.
     """
-    mech = [float(w) for w in mech_freqs]
-    gs = [float(g) for g in couplings]
-    kappas = [float(k) for k in matter_linewidths]
+    cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
+    cavity_linewidth = check_real("cavity_linewidth", cavity_linewidth, above=0.0)
+    mech = [check_real(f"mech_freqs[{i}]", w, above=0.0) for i, w in enumerate(mech_freqs)]
+    gs = [check_real(f"couplings[{i}]", g, above=0.0) for i, g in enumerate(couplings)]
+    kappas = [check_real(f"matter_linewidths[{i}]", k, above=0.0)
+              for i, k in enumerate(matter_linewidths)]
     n = len(mech)
     if n < 2:
         raise ValidationError("mech_freqs: need at least two mechanical modes")
     if sorted(mech) != mech or len(set(mech)) != n:
         raise ValidationError("mech_freqs: must be strictly increasing")
-    if any(w <= 0 for w in mech):
-        raise ValidationError("mech_freqs: must be strictly positive")
     if len(gs) != n - 1 or len(kappas) != n - 1:
         raise ValidationError(
             f"couplings/matter_linewidths: need {n - 1} entries for {n} mechanical modes"
@@ -429,9 +429,11 @@ def tune_n_mode(
     if initial_guess is None:
         span = mech[-1] - mech[0]
         initial_guess = cavity_freq + np.linspace(-span / 3.0, span / 3.0, n - 1)
-    x0 = np.asarray(initial_guess, dtype=float)
-    if x0.shape != (n - 1,):
-        raise ValidationError(f"initial_guess: expected {n - 1} entries, got shape {x0.shape}")
+    if np.shape(initial_guess) != (n - 1,):
+        raise ValidationError(
+            f"initial_guess: expected {n - 1} entries, got shape {np.shape(initial_guess)}"
+        )
+    x0 = np.array([check_real(f"initial_guess[{i}]", v) for i, v in enumerate(initial_guess)])
 
     sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
     freqs = np.sort(sol.x)

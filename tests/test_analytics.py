@@ -26,6 +26,11 @@ def test_sideband_rates_hand_values():
     assert a_blue == pytest.approx(stokes, rel=1e-15)
     with pytest.raises(ValidationError):
         pc.sideband_rates(1.0, 0.0, 1.0, 1.0)
+    # NaN in any slot used to come back as (nan, nan)
+    with pytest.raises(ValidationError, match="^linewidth: must be finite"):
+        pc.sideband_rates(1.0, math.nan, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="^coupling: must be finite"):
+        pc.sideband_rates(math.nan, 1.0, 1.0, 1.0)
 
 
 def test_backaction_limit_values_and_warning():
@@ -41,6 +46,10 @@ def test_backaction_limit_values_and_warning():
     assert bad == pytest.approx(0.25, rel=1e-15)
     with pytest.raises(ValidationError):
         pc.quantum_backaction_limit(-1.0, omega)
+    with pytest.raises(ValidationError, match="^linewidth: must be finite"):
+        pc.quantum_backaction_limit(math.nan, omega)
+    with pytest.raises(ValidationError, match="^mech_freq: must be finite"):
+        pc.quantum_backaction_limit(kappa, math.inf)
 
 
 def model_with_couplings(params, couplings, detuning_sign=1.0):

@@ -307,6 +307,23 @@ def test_bad_config_exit1(capsys, tmp_path):
     assert "config.system" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize("section,key,value", [
+    ("system", "bath_temperature_k", math.nan),
+    ("system", "bath_temperature_k", -1.0),
+    ("system", "cavity_freq_hz", math.inf),
+    ("drive", "field_t", math.inf),
+])
+def test_bad_device_fails_at_load(capsys, tmp_path, command, section, key, value):
+    """Such configs once loaded, and sweep/optimize exited 0 with all-NaN output."""
+    raw = base_raw(sweep={"variable": "theta", "start": 0.1, "stop": 1.4, "points": 3})
+    raw[section][key] = value
+    out = tmp_path / "result.out"
+    assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config.{section}.{key}: must be finite")
+    assert not out.exists()
+
+
 def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverError("manufactured failure")

@@ -421,6 +421,10 @@ def test_photon_matter_rejects_bad_input():
         pc.photon_matter_diagonalize(TWO_PI * 1e10, one_mode, math.nan)
     with pytest.raises(ValidationError, match="cavity_freq"):
         pc.photon_matter_diagonalize(math.inf, one_mode, TWO_PI * 1e6)
+    # an infinite coupling used to give all-NaN polaritons
+    with pytest.raises(ValidationError, match=r"^matter_modes\[0\]\.coupling: must be finite"):
+        pc.photon_matter_diagonalize(
+            TWO_PI * 1e10, [dataclasses.replace(one_mode[0], coupling=math.inf)], TWO_PI * 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ def test_thermal_occupation_rejects_bad_input():
     for bad_temperature in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="temperature"):
             pc.thermal_occupation(TWO_PI * 1.0e7, bad_temperature)
+    # a bool is not a frequency (True once read as 1 rad/s, n = 1.3e10 at 0.1 K)
+    with pytest.raises(ValidationError, match="^freq: expected a number"):
+        pc.thermal_occupation(True, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,11 @@ def test_system_params_rejects_nonpositive_fields_with_field_name():
         kwargs[field] = 0.0
         with pytest.raises(ValidationError, match=field):
             pc.SystemParams(**kwargs)
+    # NaN and inf are not numbers in range either
+    for field, value in (("rabi_freq", math.nan), ("drive_freq", math.inf),
+                         ("bath_temperature", math.nan), ("cavity_freq", math.inf)):
+        with pytest.raises(ValidationError, match=f"^{field}: must be finite"):
+            dataclasses.replace(good, **{field: value})
 
 
 def test_system_params_rejects_duplicate_mechanical_frequencies():
@@ -260,6 +268,12 @@ def test_calibrate_drive_input_validation():
     with pytest.raises(ValidationError):
         pc.calibrate_drive(cal, field_amplitude=-1e-5)
     assert pc.calibrate_drive(cal, field_amplitude=0.0) == 0.0
+    for bad_field in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^field_amplitude: must be finite"):
+            pc.calibrate_drive(cal, field_amplitude=bad_field)
+    anchored = pc.DriveCalibration(sphere_diameter=250e-6, reference_power=(4.3e-3, 2.7e-5))
+    with pytest.raises(ValidationError, match="^power: must be finite"):
+        pc.calibrate_drive(anchored, power=math.nan)
 
 
 def test_drive_calibration_rejects_bad_geometry():
@@ -267,3 +281,7 @@ def test_drive_calibration_rejects_bad_geometry():
         pc.DriveCalibration(sphere_diameter=0.0)
     with pytest.raises(ValidationError, match="reference_power"):
         pc.DriveCalibration(sphere_diameter=250e-6, reference_power=(0.0, 2.7e-5))
+    with pytest.raises(ValidationError, match="^reference_power: expected a"):
+        pc.DriveCalibration(sphere_diameter=250e-6, reference_power=(4.3e-3,))
+    with pytest.raises(ValidationError, match="^sphere_diameter: must be finite"):
+        pc.DriveCalibration(sphere_diameter=math.inf)

@@ -64,6 +64,9 @@ def test_tune_two_mode_validations():
             pc.tune_two_mode(**{**good, "cavity_freq": bad_cavity})
     with pytest.raises(ValidationError, match="targets"):
         pc.tune_two_mode(**{**good, "target_upper": math.inf})
+    # a string angle used to raise a raw TypeError from the comparison
+    with pytest.raises(ValidationError, match="^theta: expected a number"):
+        pc.tune_two_mode(1e10, 1e7, 2e7, "abc")
     # a huge splitting at small theta would push the magnon below zero
     with pytest.raises(ValidationError, match="magnon"):
         pc.tune_two_mode(TWO_PI * 1e6, 1.0, TWO_PI * 1e7, 0.05)
@@ -92,6 +95,14 @@ def test_two_mode_setup_validations():
     descending = tuple(reversed(make_mechs()))
     with pytest.raises(ValidationError, match="increasing"):
         pc.TwoModeSetup(mechanical_modes=descending, **kwargs)
+    # a bad device fails when it is built, not once per working point
+    for field, value in (("cavity_freq", math.nan), ("bath_temperature", -1.0),
+                         ("rabi_freq", math.inf), ("magnon_linewidth", "1e6")):
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            pc.TwoModeSetup(mechanical_modes=make_mechs(), **{**kwargs, field: value})
+    bad_mode = pc.MechanicalMode(freq=TWO_PI * 3e7, damping=math.nan, bare_coupling=0.0)
+    with pytest.raises(ValidationError, match=r"^mechanical_modes\[1\]\.damping"):
+        pc.TwoModeSetup(mechanical_modes=(make_mechs()[0], bad_mode), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +147,13 @@ def test_sweep_temperature_and_rabi_need_theta():
         pc.sweep(setup, "theta", 5)
     with pytest.raises(ValidationError, match="threads"):
         pc.sweep(setup, "theta", [0.5], threads=0)
+    for bad_entry in (math.nan, math.inf, True):
+        with pytest.raises(ValidationError, match=r"^grid\[1\]: "):
+            pc.sweep(setup, "theta", [0.5, bad_entry])
+    # the fixed angle is checked once, before any point is solved
+    for bad_theta in (math.nan, 2.0, "0.8"):
+        with pytest.raises(ValidationError, match="^theta: "):
+            pc.sweep(setup, "temperature", [0.01], theta=bad_theta)
 
 
 def test_sweep_records_per_point_errors():
@@ -151,6 +169,7 @@ def test_sweep_records_per_point_errors():
     # the row is built by evaluate_point itself, so direct callers get it too
     direct = pc.evaluate_point(setup, 2.5)
     assert direct.flags == ("error:ValidationError",)
+    assert pc.evaluate_point(setup, None).flags == ("error:ValidationError",)
     assert not direct.stable
     assert direct.theta == 2.5
     assert math.isnan(direct.variable)
@@ -226,6 +245,18 @@ def test_optimize_validations():
     for bad_tol in (-1e-6, 0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="tol"):
             pc.optimize_theta(setup, tol=bad_tol)
+    # non-numbers and a short bounds pair used to raise raw TypeError/ValueError
+    with pytest.raises(ValidationError, match="^tol: expected a number"):
+        pc.optimize_theta(setup, tol="x")
+    with pytest.raises(ValidationError, match="^bounds: expected a"):
+        pc.optimize_theta(setup, bounds=(0.1,))
+    with pytest.raises(ValidationError, match=r"^bounds\[1\]: must be finite"):
+        pc.optimize_theta(setup, bounds=(0.1, math.nan))
+    # overrides are checked once, not turned into 60 inf-scored points
+    with pytest.raises(ValidationError, match="^temperature: "):
+        pc.optimize_theta(setup, temperature=math.nan)
+    with pytest.raises(ValidationError, match="^rabi: "):
+        pc.optimize_theta(setup, rabi=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +298,15 @@ def test_tune_n_mode_validations():
         pc.tune_n_mode(**{**inputs, "couplings": [TWO_PI * 7e6]})
     with pytest.raises(ValidationError, match="initial_guess"):
         pc.tune_n_mode(**inputs, initial_guess=[1.0, 2.0, 3.0])
+    # NaN used to surface as scipy's raw ValueError, a string as a float() error
+    with pytest.raises(ValidationError, match="^cavity_freq: must be finite"):
+        pc.tune_n_mode(**{**inputs, "cavity_freq": math.nan})
+    with pytest.raises(ValidationError, match=r"^mech_freqs\[1\]: expected a number"):
+        pc.tune_n_mode(**{**inputs, "mech_freqs": [1e7, "2e7", 3e7]})
+    with pytest.raises(ValidationError, match=r"^couplings\[0\]: must be finite"):
+        pc.tune_n_mode(**{**inputs, "couplings": [0.0, TWO_PI * 9e6]})
+    with pytest.raises(ValidationError, match=r"^initial_guess\[1\]: expected a number"):
+        pc.tune_n_mode(**inputs, initial_guess=[1.0, "abc"])
 
 
 def test_polariton_network_cools_all_three_modes():
