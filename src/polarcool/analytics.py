@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import LinearModel, build_linear_model
 from .errors import ValidationError, check_real
 from .model import SystemParams
@@ -53,13 +55,24 @@ def sideband_rates(
     A_pm = kappa g^2 / (4 [kappa^2 + (Delta pm omega)^2]); red detuning
     (Delta ~ +omega) makes the anti-Stokes term resonant and cools.
     """
-    coupling = check_real("coupling", coupling)
-    linewidth = check_real("linewidth", linewidth, above=0.0)
-    detuning = check_real("detuning", detuning)
-    mech_freq = check_real("mech_freq", mech_freq)
+    return _sideband_rates(check_real("coupling", coupling),
+                           check_real("linewidth", linewidth, above=0.0),
+                           check_real("detuning", detuning),
+                           check_real("mech_freq", mech_freq))
+
+
+def _sideband_rates(
+    coupling: float, linewidth: float, detuning: float, mech_freq: float
+) -> tuple[float, float]:
+    """:func:`sideband_rates` of finite values and a positive linewidth."""
     g2 = coupling * coupling
-    stokes = linewidth * g2 / (4.0 * (linewidth**2 + (detuning + mech_freq) ** 2))
-    anti = linewidth * g2 / (4.0 * (linewidth**2 + (detuning - mech_freq) ** 2))
+    try:
+        stokes = linewidth * g2 / (4.0 * (linewidth**2 + (detuning + mech_freq) ** 2))
+        anti = linewidth * g2 / (4.0 * (linewidth**2 + (detuning - mech_freq) ** 2))
+    except OverflowError:  # float ** 2 raises instead of giving inf
+        raise ValidationError(
+            "sideband_rates: linewidth^2 + (detuning +- mech_freq)^2 overflows"
+        ) from None
     return stokes, anti
 
 
@@ -75,7 +88,7 @@ def _rates_for_mode(
     stokes, anti = [], []
     weak = True
     for g, kappa, det in zip(couplings, linewidths, detunings):
-        s_k, a_k = sideband_rates(g, kappa, det, mech_freq)
+        s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
         stokes.append(s_k)
         anti.append(a_k)
         if abs(g) > 0.5 * kappa:
@@ -117,9 +130,12 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     n_m = len(model.mode_layout) - n_p
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
+    if not np.isfinite(model.drift).all():
+        raise ValidationError("model.drift: contains a NaN or infinite entry")
     # nested lists: entry reads are far cheaper than numpy scalar indexing
     r, d_diag = model.drift.tolist(), model.diffusion.diagonal().tolist()
-    linewidths = tuple(-r[2 * k][2 * k] for k in range(n_p))
+    linewidths = tuple(check_real(f"model: polariton {k} linewidth", -r[2 * k][2 * k], above=0.0)
+                       for k in range(n_p))
     detunings = tuple(r[2 * k][2 * k + 1] for k in range(n_p))
     out = []
     for j in range(n_m):

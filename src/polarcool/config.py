@@ -79,9 +79,14 @@ def _number(mapping: dict, key: str, path: str, **bounds) -> float:
     return check_real(f"{path}.{key}", mapping[key], **bounds)
 
 
+def _rad_s(path: str, hz: float) -> float:
+    """A checked ``*_hz`` value in rad/s; one that overflows there fails under ``path``."""
+    return check_real(path, TWO_PI * hz)
+
+
 def _freq(mapping: dict, key: str, path: str) -> float:
     """A strictly positive ``*_hz`` entry, converted to rad/s."""
-    return TWO_PI * _number(mapping, key, path, above=0.0)
+    return _rad_s(f"{path}.{key}", _number(mapping, key, path, above=0.0))
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -109,7 +114,7 @@ def _parse_drive(obj, path: str) -> float:
     m = _mapping(obj, path)
     if "rabi_hz" in m:
         _check_keys(m, {"rabi_hz"}, path)
-        return TWO_PI * _number(m, "rabi_hz", path, at_least=0.0)
+        return _rad_s(f"{path}.rabi_hz", _number(m, "rabi_hz", path, at_least=0.0))
     allowed = {"sphere_diameter_m", "field_t", "power_w",
                "reference_power_w", "reference_field_t"}
     _check_keys(m, allowed, path)
@@ -126,9 +131,12 @@ def _parse_drive(obj, path: str) -> float:
     has_field, has_power = "field_t" in m, "power_w" in m
     if has_field == has_power:
         raise ValidationError(f"{path}: give exactly one of field_t, power_w (or rabi_hz)")
+    # a field or power so large that the Rabi frequency overflows fails under its own path
     if has_field:
-        return calibrate_drive(cal, field_amplitude=_number(m, "field_t", path, at_least=0.0))
-    return calibrate_drive(cal, power=_number(m, "power_w", path, at_least=0.0))
+        field = _number(m, "field_t", path, at_least=0.0)
+        return check_real(f"{path}.field_t", calibrate_drive(cal, field_amplitude=field))
+    power = _number(m, "power_w", path, at_least=0.0)
+    return check_real(f"{path}.power_w", calibrate_drive(cal, power=power))
 
 
 def _parse_system(obj, path: str, drive) -> TwoModeSetup:
@@ -193,7 +201,7 @@ def _parse_freq_list(m: dict, key: str, path: str) -> tuple[float, ...]:
     raw = m.get(key)
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}.{key}: expected a non-empty list")
-    return tuple(TWO_PI * check_real(f"{path}.{key}[{i}]", v, above=0.0)
+    return tuple(_rad_s(f"{path}.{key}[{i}]", check_real(f"{path}.{key}[{i}]", v, above=0.0))
                  for i, v in enumerate(raw))
 
 

@@ -26,8 +26,8 @@ from .model import (
     MechanicalMode,
     PolaritonBasis,
     SystemParams,
+    _bose,
     diagonalize_polaritons,
-    thermal_occupation,
 )
 
 @dataclass(frozen=True)
@@ -90,23 +90,16 @@ class NetworkDrive:
     bath_temperature: float
 
 
-def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
-    """Detunings and cross-damping matrix (nested lists) of valid inputs; raises otherwise."""
-    n_p = len(polaritons)
-    if n_p < 1 or len(mechanics) < 1:
-        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
+def _node_detunings(polaritons, drive_freq: float, rabi: float, mode: str) -> list[float]:
+    """Drive detunings of valid polariton nodes in a valid ``mode``; raises otherwise."""
     if mode not in ("approx", "selfconsistent"):
         raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
-    rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
-    check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
-    for j, mech in enumerate(mechanics):
-        mech.validate(path=f"mechanics[{j}]")
     detunings = []
     for k, p in enumerate(polaritons):
         check_real(f"polaritons[{k}].freq", p.freq, above=0.0)
         check_real(f"polaritons[{k}].linewidth", p.linewidth, above=0.0)
         check_real(f"polaritons[{k}].weight", p.weight)
-        det = p.freq - drive.drive_freq if p.detuning is None else p.detuning
+        det = p.freq - drive_freq if p.detuning is None else p.detuning
         det = check_real(f"polaritons[{k}].detuning", det)
         if det == 0.0 and mode == "approx" and rabi != 0.0:
             raise ValidationError(
@@ -114,6 +107,19 @@ def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
                 " approx mode requires nonzero detunings"
             )
         detunings.append(det)
+    return detunings
+
+
+def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
+    """Detunings and cross-damping matrix (nested lists) of valid inputs; raises otherwise."""
+    n_p = len(polaritons)
+    if n_p < 1 or len(mechanics) < 1:
+        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
+    rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
+    check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
+    for j, mech in enumerate(mechanics):
+        mech.validate(path=f"mechanics[{j}]")
+    detunings = _node_detunings(polaritons, drive.drive_freq, rabi, mode)
     if cross_damping is None:
         return detunings, [[0.0] * n_p for _ in range(n_p)]
     cross = np.asarray(cross_damping, dtype=float)
@@ -226,30 +232,42 @@ def build_network(
         selfconsistent mode with a singular polariton matrix.
     """
     detunings, cross = _validated_inputs(polaritons, mechanics, drive, cross_damping, mode)
+    return _network(polaritons, detunings, mechanics, drive, cross, mode)
+
+
+def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearModel:
+    """:func:`build_network` of checked inputs, ``cross`` as nested lists.
+
+    Derived values are not checked one by one: an average that overflows, or
+    a single finiteness test on the assembled drift, raises ValidationError.
+    """
     n_p, n_m = len(polaritons), len(mechanics)
     weights = [p.weight for p in polaritons]
     rabi = drive.rabi_freq
 
-    if rabi == 0.0:
-        p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
-        matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
-    elif mode == "approx":
-        p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
-        matter = sum(w * p for w, p in zip(weights, p_avgs))
-        m2 = abs(matter) ** 2
-        mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
-        couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
-        phase, branches = 0.0, (matter,)
-    else:
-        p_avgs, branches = _selfconsistent_polaritons(
-            weights, detunings, [p.linewidth for p in polaritons], cross, rabi, mechanics
-        )
-        matter = branches[0]
-        m2 = abs(matter) ** 2
-        mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
-                          for m in mechanics)
-        couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
-        phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
+    try:
+        if rabi == 0.0:
+            p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
+            matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
+        elif mode == "approx":
+            p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
+            matter = sum(w * p for w, p in zip(weights, p_avgs))
+            m2 = abs(matter) ** 2
+            mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
+            couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
+            phase, branches = 0.0, (matter,)
+        else:
+            p_avgs, branches = _selfconsistent_polaritons(
+                weights, detunings, [p.linewidth for p in polaritons], cross, rabi, mechanics
+            )
+            matter = branches[0]
+            m2 = abs(matter) ** 2
+            mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
+                              for m in mechanics)
+            couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
+            phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
+    except OverflowError:  # float ** 2 raises instead of giving inf
+        raise ValidationError("averages: a value derived from the inputs overflows") from None
 
     temp = drive.bath_temperature
     n = 2 * (n_p + n_m)
@@ -263,21 +281,23 @@ def build_network(
         d[i, i] = d[i + 1, i + 1] = 2.0 * damping * (nbar + 0.5)
 
     for k, (p, det) in enumerate(zip(polaritons, detunings)):
-        rotation(2 * k, p.linewidth, det, thermal_occupation(p.freq, temp))
+        rotation(2 * k, p.linewidth, det, _bose(p.freq, temp))
         for q in range(k + 1, n_p):
             cd = cross[k][q]
             if cd != 0.0:
                 i, i2 = 2 * k, 2 * q
                 r[i, i2] = r[i + 1, i2 + 1] = r[i2, i] = r[i2 + 1, i + 1] = -cd
-                n_c = thermal_occupation(0.5 * (p.freq + polaritons[q].freq), temp)
+                n_c = _bose(0.5 * (p.freq + polaritons[q].freq), temp)
                 d[i, i2] = d[i + 1, i2 + 1] = d[i2, i] = d[i2 + 1, i + 1] = 2.0 * cd * (n_c + 0.5)
     for j, (mech, g_j) in enumerate(zip(mechanics, couplings)):
         i = 2 * (n_p + j)
-        rotation(i, mech.damping, mech.freq, thermal_occupation(mech.freq, temp))
+        rotation(i, mech.damping, mech.freq, _bose(mech.freq, temp))
         for k, w in enumerate(weights):
             r[2 * k, i] = -g_j * w
             r[i + 1, 2 * k + 1] = g_j * w
 
+    if not np.isfinite(r).all():
+        raise ValidationError("drift: an entry derived from the inputs is NaN or infinite")
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
     averages = SteadyStateAverages(
         avg_polaritons=p_avgs,
@@ -308,8 +328,10 @@ def build_linear_model(
         NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c, basis.detuning_lower),
     )
     drive = NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
+    # the drive and the mechanics were checked when params was built; the nodes are new here
+    detunings = _node_detunings(nodes, params.drive_freq, params.rabi_freq, mode)
     dk = basis.dissipative_coupling
-    return build_network(nodes, params.mechanical_modes, drive, [[0.0, dk], [dk, 0.0]], mode)
+    return _network(nodes, detunings, params.mechanical_modes, drive, [[0.0, dk], [dk, 0.0]], mode)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def diagonalize_polaritons(params: SystemParams) -> PolaritonBasis:
         Mixing angle, eigenfrequencies, transformed linewidths, the
         dissipative cross-coupling delta-kappa, and drive detunings.
     """
-    g = check_real("photon_matter_coupling", params.photon_matter_coupling, above=0.0)
+    g = params.photon_matter_coupling  # SystemParams holds it > 0
     delta_am = params.cavity_freq - params.magnon_freq
     # atan2 keeps theta in (0, pi/2) for g > 0, both signs of delta_am
     theta = 0.5 * math.atan2(2.0 * g, delta_am)
@@ -130,8 +130,13 @@ def thermal_occupation(freq: float, temperature: float) -> float:
     (hbar w / kT << 1) loses no precision, and switches to the asymptotic
     exponential once expm1 would overflow.
     """
-    freq = check_real("freq", freq, above=0.0)
-    kt = KB * check_real("temperature", temperature, at_least=0.0)
+    return _bose(check_real("freq", freq, above=0.0),
+                 check_real("temperature", temperature, at_least=0.0))
+
+
+def _bose(freq: float, temperature: float) -> float:
+    """:func:`thermal_occupation` of a checked frequency and temperature."""
+    kt = KB * temperature
     if kt == 0.0:  # zero, or a temperature so small that k_B T underflows
         return 0.0
     x = HBAR * freq / kt

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgees
 
 from .dynamics import LinearModel
 from .errors import SolverError, UnstableSystemError, ValidationError, check_real
@@ -86,20 +87,36 @@ def _pair(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
     return r, d
 
 
-def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo]:
-    """Real Schur form R = Z T Z^T of a validated drift and the verdict read off its diagonal.
+# optimal dgees workspace per matrix size, from one lwork=-1 query each (the
+# answer depends on n alone); the minimal 3n workspace changes the blocking
+# and so the bits of T and Z
+_DGEES_LWORK: dict[int, int] = {}
 
-    LAPACK standardizes every 2x2 block of T so that both its diagonal
-    entries hold the real part of the complex pair, so max(diag T) is the
-    spectral abscissa.
+
+def _no_sort(wr: float, wi: float) -> None:
+    """Eigenvalue selector dgees requires; never called, as nothing is sorted."""
+
+
+def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]:
+    """Real Schur form R = Z T Z^T of a validated drift, the verdict read off it, and ||R||_F.
+
+    One direct LAPACK call with the workspace ``scipy.linalg.schur`` would
+    query, so T and Z are bit-identical to it. LAPACK standardizes every 2x2
+    block of T so that both its diagonal entries hold the real part of the
+    complex pair, so max(diag T) is the spectral abscissa.
     """
-    try:
-        t, z = scipy.linalg.schur(r, output="real", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"drift: real Schur factorization failed ({exc})") from None
-    margin = STABILITY_MARGIN * float(np.linalg.norm(r))
+    n = r.shape[0]
+    lwork = _DGEES_LWORK.get(n)
+    if lwork is None:
+        lwork = _DGEES_LWORK[n] = int(dgees(_no_sort, r, lwork=-1)[-2][0])
+    t, _, _, _, z, _, status = dgees(_no_sort, r, lwork=lwork)
+    if status != 0:
+        raise SolverError(f"drift: real Schur factorization failed (dgees info {status})")
+    r_norm = float(np.linalg.norm(r))
+    margin = STABILITY_MARGIN * r_norm
     abscissa = float(t.diagonal().max())
-    return t, z, StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
+    info = StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
+    return t, z, info, r_norm
 
 
 def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
@@ -117,7 +134,7 @@ def _solve(drift, diffusion) -> tuple[StabilityInfo, np.ndarray | None, float, b
     V is bit-identical to it.
     """
     r, d = _pair(drift, diffusion)
-    t, z, info = _schur(r)
+    t, z, info, r_norm = _schur(r)
     if not info.stable:
         return info, None, math.nan, False
     f = z.T.dot((-d).dot(z))
@@ -138,7 +155,7 @@ def _solve(drift, diffusion) -> tuple[StabilityInfo, np.ndarray | None, float, b
         raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
     # cheap conditioning proxy: large covariance from modest inputs signals
     # strong cancellation in the factored solve
-    proxy = 2.0 * float(np.linalg.norm(r)) * float(np.linalg.norm(v)) / d_norm
+    proxy = 2.0 * r_norm * float(np.linalg.norm(v)) / d_norm
     return info, v, residual, proxy > CONDITION_LIMIT
 
 
@@ -175,9 +192,10 @@ def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
     v = np.asarray(covariance, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValidationError(f"covariance: expected an even square matrix, got shape {v.shape}")
+    diag = v.diagonal().tolist()  # plain floats: cheaper to read, and what callers get
     out = []
-    for k in range(v.shape[0] // 2):
-        n = 0.5 * (v[2 * k, 2 * k] + v[2 * k + 1, 2 * k + 1] - 1.0)
+    for k in range(len(diag) // 2):
+        n = 0.5 * (diag[2 * k] + diag[2 * k + 1] - 1.0)
         if not math.isfinite(n):
             raise SolverError(f"mode {k}: non-finite occupation {n}")
         if n < OCCUPATION_CLAMP:

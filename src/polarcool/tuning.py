@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .analytics import network_cooling
 from .dynamics import (
@@ -61,20 +60,28 @@ def tune_two_mode(
     target_lower = check_real("targets", target_lower, above=0.0)
     target_upper = check_real("targets", target_upper, above=target_lower)
     cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
-    split = target_upper - target_lower
-    coupling = 0.5 * split * math.sin(2.0 * theta)
-    detuning_am = split * math.cos(2.0 * theta)
-    magnon_freq = check_real("magnon_freq", cavity_freq - detuning_am, above=0.0)
-    drive_freq = 0.5 * (cavity_freq + magnon_freq) - 0.5 * (target_upper + target_lower)
+    coupling, detuning_am, magnon_freq, drive_freq = _tune(
+        cavity_freq, target_lower, target_upper, theta
+    )
     return TuneResult(
         theta=theta,
         photon_matter_coupling=coupling,
         cavity_magnon_detuning=detuning_am,
-        magnon_freq=magnon_freq,
+        magnon_freq=check_real("magnon_freq", magnon_freq, above=0.0),
         drive_freq=drive_freq,
         detuning_upper=target_upper,
         detuning_lower=target_lower,
     )
+
+
+def _tune(cavity_freq, target_lower, target_upper, theta) -> tuple[float, float, float, float]:
+    """(coupling, cavity-magnon detuning, magnon and drive frequency) of checked targets."""
+    split = target_upper - target_lower
+    coupling = 0.5 * split * math.sin(2.0 * theta)
+    detuning_am = split * math.cos(2.0 * theta)
+    magnon_freq = cavity_freq - detuning_am
+    drive_freq = 0.5 * (cavity_freq + magnon_freq) - 0.5 * (target_upper + target_lower)
+    return coupling, detuning_am, magnon_freq, drive_freq
 
 
 @dataclass(frozen=True)
@@ -115,20 +122,21 @@ class TwoModeSetup:
         temperature: float | None = None,
         rabi: float | None = None,
     ) -> SystemParams:
-        tuned = tune_two_mode(
+        # the device was checked when it was built; SystemParams checks the tuned values
+        coupling, _, magnon_freq, drive_freq = _tune(
             self.cavity_freq,
             self.mechanical_modes[0].freq,
             self.mechanical_modes[1].freq,
-            theta,
+            check_real("theta", theta, above=0.0, below=0.5 * math.pi),
         )
         return SystemParams(
             cavity_freq=self.cavity_freq,
-            magnon_freq=tuned.magnon_freq,
-            photon_matter_coupling=tuned.photon_matter_coupling,
+            magnon_freq=magnon_freq,
+            photon_matter_coupling=coupling,
             cavity_linewidth=self.cavity_linewidth,
             magnon_linewidth=self.magnon_linewidth,
             mechanical_modes=self.mechanical_modes,
-            drive_freq=tuned.drive_freq,
+            drive_freq=drive_freq,
             rabi_freq=self.rabi_freq if rabi is None else rabi,
             bath_temperature=(
                 self.bath_temperature if temperature is None else temperature
@@ -252,8 +260,11 @@ def sweep(
     def solve_one(value: float) -> SweepRow:
         # the sweep variables are evaluate_point's keywords; a theta sweep
         # overrides the fixed angle
-        kwargs = {"theta": theta, variable: value}
-        return replace(evaluate_point(setup, averages=averages, **kwargs), variable=value)
+        row = evaluate_point(setup, averages=averages, **{"theta": theta, variable: value})
+        # the row is new and not yet shared: set its grid value in place, as a
+        # frozen dataclass's own __init__ does, instead of rebuilding it
+        object.__setattr__(row, "variable", value)
+        return row
 
     if threads == 1:
         rows = [solve_one(v) for v in values]
@@ -434,6 +445,8 @@ def tune_n_mode(
             f"initial_guess: expected {n - 1} entries, got shape {np.shape(initial_guess)}"
         )
     x0 = np.array([check_real(f"initial_guess[{i}]", v) for i, v in enumerate(initial_guess)])
+
+    from scipy.optimize import least_squares  # heavy import, needed only here
 
     sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
     freqs = np.sort(sol.x)

@@ -31,6 +31,9 @@ def test_sideband_rates_hand_values():
         pc.sideband_rates(1.0, math.nan, 1.0, 1.0)
     with pytest.raises(ValidationError, match="^coupling: must be finite"):
         pc.sideband_rates(math.nan, 1.0, 1.0, 1.0)
+    # finite inputs whose squares overflow: a ValidationError, not a raw OverflowError
+    with pytest.raises(ValidationError, match="^sideband_rates: .* overflows"):
+        pc.sideband_rates(1.0, 1e200, 1.0, 1.0)
 
 
 def test_backaction_limit_values_and_warning():

@@ -313,6 +313,9 @@ def test_bad_config_exit1(capsys, tmp_path):
     ("system", "bath_temperature_k", -1.0),
     ("system", "cavity_freq_hz", math.inf),
     ("drive", "field_t", math.inf),
+    # finite in the file, infinite once converted to rad/s
+    ("system", "cavity_freq_hz", 1e308),
+    ("drive", "field_t", 1e300),
 ])
 def test_bad_device_fails_at_load(capsys, tmp_path, command, section, key, value):
     """Such configs once loaded, and sweep/optimize exited 0 with all-NaN output."""
@@ -354,3 +357,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "two-mode tuning:" in proc.stdout
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize serves only tune_n_mode; importing it with the package
+    # costs every command about a third of its start-up time
+    code = "import sys, polarcool, polarcool.cli; print(sorted(m for m in sys.modules" \
+           " if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))"
+    paths = ["src", os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

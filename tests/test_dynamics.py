@@ -485,3 +485,16 @@ def test_network_rejects_resonant_drive():
                 pc.build_network(pols, mech_modes, bad_drive, cross, mode=mode)
     with pytest.raises(ValidationError, match="mode"):
         pc.build_network([pol], mechs, drive, mode="exact")
+
+
+def test_network_rejects_derived_values_that_overflow():
+    node = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6, weight=1e300)
+    drive = pc.NetworkDrive(drive_freq=TWO_PI * 9.9e9, rabi_freq=1e13, bath_temperature=0.01)
+    mech = make_mechs()[0]
+    # the checked inputs are finite, the coupling G w in the drift is not
+    with pytest.raises(ValidationError, match="^drift: "):
+        pc.build_network([node], [mech], drive)
+    # |M|^2 of the selfconsistent averages overflows
+    big = dataclasses.replace(node, weight=1e155)
+    with pytest.raises(ValidationError, match="^averages: "):
+        pc.build_network([big], [mech], drive, mode="selfconsistent")

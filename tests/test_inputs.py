@@ -175,3 +175,13 @@ def test_scalar_inputs_reject_non_numbers(path, call, none_means_default):
             continue
         with pytest.raises(ValidationError, match="^" + re.escape(path) + ": "):
             call(value)
+
+
+HZ_FIELDS = [(path, call) for path, call, _ in CONFIG if "_hz" in path]
+
+
+@pytest.mark.parametrize("path,call", HZ_FIELDS, ids=[path for path, _ in HZ_FIELDS])
+def test_hz_fields_that_overflow_in_rad_s_fail_under_their_path(path, call):
+    # 1e308 Hz is finite, 2 pi times it is not
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ": must be finite"):
+        call(1e308)

@@ -293,16 +293,59 @@ def test_steady_state_factors_the_drift_once(monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if kwargs.get("lwork") == -1:
+                calls["workspace query"] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    # one direct dgees call per point; the workspace size is queried once per
+    # matrix size, so an empty cache adds one query before the first point
+    monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    counted(steadystate, "dgees")
     counted(steadystate.scipy.linalg, "schur")
     counted(steadystate.scipy.linalg, "solve_continuous_lyapunov")
     counted(steadystate.np.linalg, "eigvals")
-    state = pc.steady_state(model)
-    assert state.stable
-    assert calls == {"schur": 1}
+    for _ in range(3):
+        state = pc.steady_state(model)
+        assert state.stable
+    assert calls == {"dgees": 4, "workspace query": 1}
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 75, 76, 130, 200])
+def test_schur_matches_scipy_bit_for_bit(n):
+    # the cached workspace is the one scipy.linalg.schur queries, so the
+    # blocking and every bit of T and Z agree, also past LAPACK's block size
+    a = np.random.default_rng(n).standard_normal((n, n))
+    t, z = steadystate._schur(a)[:2]
+    t_ref, z_ref = scipy.linalg.schur(a, output="real")
+    assert t.tobytes() == t_ref.tobytes()
+    assert z.tobytes() == z_ref.tobytes()
+
+
+def test_schur_failure_is_a_solver_error(monkeypatch):
+    def failing(select, a, lwork=None):
+        if lwork == -1:
+            return None, 0, None, None, None, np.array([3.0 * len(a)]), 0
+        return a, 0, None, None, a, None, 2
+
+    monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    monkeypatch.setattr(steadystate, "dgees", failing)
+    with pytest.raises(SolverError, match="^drift: real Schur factorization failed"):
+        pc.check_stability(-np.eye(4))
+
+
+def test_nonfinite_drift_of_a_hand_built_model_is_rejected():
+    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    for bad in (math.nan, math.inf, -math.inf):
+        for index in ((0, 0), (0, 4), (5, 1)):
+            drift = model.drift.copy()
+            drift[index] = bad
+            broken = dataclasses.replace(model, drift=drift)
+            with pytest.raises(ValidationError, match="drift"):
+                pc.steady_state(broken, require_stable=False)
+            with pytest.raises(ValidationError, match="drift"):
+                pc.network_cooling(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Working-point tuning, sweeps, and the mixing-angle optimizer."""
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import polarcool as pc
+from polarcool import analytics, dynamics, errors, steadystate, tuning
+from polarcool import model as model_module
+from polarcool.config import load_config
 from polarcool.errors import UnstableSystemError, ValidationError
 
 from helpers import BASE_RABI, TWO_PI, make_base_setup, make_mechs
@@ -174,6 +179,52 @@ def test_sweep_records_per_point_errors():
     assert direct.theta == 2.5
     assert math.isnan(direct.variable)
     assert all(math.isnan(n) for n in direct.n_numeric + direct.kappa_eff)
+
+
+def test_sweep_rows_hold_plain_floats():
+    setup = make_base_setup()
+    rows = pc.sweep(setup, "theta", np.linspace(0.3, 1.2, 4), averages="selfconsistent")
+    rows += pc.sweep(setup, "temperature", [0.0, 0.1], theta=np.float64(0.8))
+    for row in rows:
+        for field in dataclasses.fields(row):
+            value = getattr(row, field.name)
+            if field.name in ("stable", "flags"):
+                continue
+            for x in value if isinstance(value, tuple) else (value,):
+                assert type(x) is float, (field.name, type(x))
+    result = pc.optimize_theta(setup, coarse_points=5, tol=1e-2)
+    assert all(type(n) is float for n in result.occupations)
+
+
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("overrides", [
+    {"rabi_freq": 1e300},  # the classical averages overflow
+    {"cavity_freq": 1.7e308},  # the drive frequency overflows
+    {"cavity_linewidth": 1e200},  # the sideband-rate denominators overflow
+], ids=["averages", "drive", "rates"])
+def test_overflowing_derived_values_give_error_rows(overrides, averages):
+    row = pc.evaluate_point(make_base_setup(**overrides), 0.7, averages=averages)
+    assert row.flags == ("error:ValidationError",)
+    assert all(math.isnan(n) for n in row.n_numeric + row.n_analytic)
+
+
+def test_approx_point_checks_each_value_once(monkeypatch):
+    # theta, the tuned SystemParams (its device scalars and mechanics), the two
+    # polariton nodes and the model's linewidths and dampings: 27 values, each
+    # checked once
+    setup = load_config("configs/two_mode_base.config").setup
+    calls = collections.Counter()
+
+    def counted(path, *args, **kwargs):
+        calls[path] += 1
+        return errors.check_real(path, *args, **kwargs)
+
+    for module in (analytics, dynamics, model_module, steadystate, tuning):
+        monkeypatch.setattr(module, "check_real", counted)
+    row = pc.evaluate_point(setup, 0.7)
+    assert row.stable and not row.flags
+    assert sum(calls.values()) <= 30, calls
+    assert max(calls.values()) == 1, calls
 
 
 def test_sweep_flags_unstable_and_require_stable_raises():
