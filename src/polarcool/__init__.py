@@ -7,15 +7,15 @@ point (:mod:`polarcool.tuning`), linearize around the classical steady state
 rates (:mod:`polarcool.analytics`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytics import (
     CoolingRates,
-    cooling_report,
     network_cooling,
     quantum_backaction_limit,
     sideband_rates,
 )
 from .config import (
-    NModeConfig,
     OptimizeConfig,
     RunConfig,
     SweepConfig,
@@ -55,14 +55,13 @@ from .steadystate import (
     steady_state,
 )
 from .tuning import (
+    Device,
     NModeResult,
     OptimizeResult,
     SweepRow,
     TuneResult,
-    TwoModeSetup,
     evaluate_point,
     optimize_theta,
-    polariton_network,
     solve_model,
     sweep,
     tune_n_mode,
@@ -71,58 +70,7 @@ from .tuning import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "CoolingRates",
-    "DriveCalibration",
-    "LinearModel",
-    "MatterMode",
-    "MechanicalMode",
-    "NetworkDrive",
-    "NetworkPolariton",
-    "NModeConfig",
-    "NModeResult",
-    "OptimizeConfig",
-    "OptimizeResult",
-    "PolaritonBasis",
-    "PolaritonMode",
-    "RunConfig",
-    "SolverError",
-    "StabilityInfo",
-    "SteadyState",
-    "SteadyStateAverages",
-    "SweepConfig",
-    "SweepRow",
-    "SystemParams",
-    "TuneResult",
-    "TwoModeSetup",
-    "UnstableSystemError",
-    "ValidationError",
-    "build_linear_model",
-    "build_network",
-    "calibrate_drive",
-    "check_stability",
-    "cooling_report",
-    "diagonalize_polaritons",
-    "dump_config",
-    "evaluate_point",
-    "extract_occupations",
-    "integrate_covariance",
-    "load_config",
-    "network_cooling",
-    "optimize_theta",
-    "parse_config",
-    "photon_matter_diagonalize",
-    "polariton_network",
-    "quantum_backaction_limit",
-    "serialize_config",
-    "sideband_rates",
-    "solve_lyapunov",
-    "solve_model",
-    "steady_state",
-    "sweep",
-    "thermal_occupation",
-    "tune_n_mode",
-    "tune_two_mode",
-    "__version__",
-]
+# every name imported above, and the version
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__.append("__version__")

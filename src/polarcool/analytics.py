@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearModel, build_linear_model
+from .dynamics import LinearModel
 from .errors import ValidationError, check_real
-from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -148,11 +147,6 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
             j, mech_damping, nbar, couplings, linewidths, detunings, mech_freq
         ))
     return tuple(out)
-
-
-def cooling_report(params: SystemParams, mode: str = "approx") -> tuple[CoolingRates, ...]:
-    """Convenience wrapper: build the two-polariton model, evaluate the rates."""
-    return network_cooling(build_linear_model(params, mode=mode))
 
 
 def quantum_backaction_limit(linewidth: float, mech_freq: float) -> float:

@@ -16,20 +16,23 @@ import warnings
 
 from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
-from .dynamics import build_linear_model
 from .errors import SolverError, UnstableSystemError, ValidationError
-from .model import diagonalize_polaritons, thermal_occupation
-from .tuning import (optimize_theta, polariton_network, solve_model, sweep, tune_n_mode,
-                     tune_two_mode)
+from .model import thermal_occupation
+from .tuning import optimize_theta, solve_model, sweep
 
 TWO_PI = 2.0 * math.pi
 
-CSV_COLUMNS = (
-    "variable", "theta", "g_hz", "omega_m_hz", "omega_0_hz",
-    "kappa1_eff_hz", "kappa2_eff_hz",
-    "n1_analytic", "n1_numeric", "n2_analytic", "n2_numeric",
-    "stable", "flags",
-)
+
+def csv_columns(n_modes: int) -> tuple[str, ...]:
+    """Header of a sweep CSV whose rows carry ``n_modes`` mechanical modes."""
+    modes = range(1, n_modes + 1)
+    return (
+        "variable", "theta", "g_hz", "omega_m_hz", "omega_0_hz",
+        *(f"kappa{j}_eff_hz" for j in modes),
+        *(f"n{j}_{kind}" for j in modes for kind in ("analytic", "numeric")),
+        "stable", "flags",
+    )
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,12 +51,8 @@ def _row_fields(row) -> list[str]:
         _fmt(row.coupling / TWO_PI),
         _fmt(row.magnon_freq / TWO_PI),
         _fmt(row.drive_freq / TWO_PI),
-        _fmt(row.kappa_eff[0] / TWO_PI),
-        _fmt(row.kappa_eff[1] / TWO_PI),
-        _fmt(row.n_analytic[0]),
-        _fmt(row.n_numeric[0]),
-        _fmt(row.n_analytic[1]),
-        _fmt(row.n_numeric[1]),
+        *(_fmt(k / TWO_PI) for k in row.kappa_eff),
+        *(_fmt(n) for pair in zip(row.n_analytic, row.n_numeric) for n in pair),
         "true" if row.stable else "false",
         ";".join(row.flags),
     ]
@@ -65,7 +64,7 @@ def write_csv(rows, path: str) -> None:
     All values are plain %.12g numbers or bare lowercase words, so no field
     ever needs quoting and identical inputs give bit-identical files.
     """
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(csv_columns(len(rows[0].kappa_eff)))]
     lines.extend(",".join(_row_fields(row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -77,8 +76,7 @@ def write_plot_data(rows, path: str, variable: str) -> None:
     header = [
         "# steady-state cooling sweep",
         f"# swept variable: {variable} [{unit}]",
-        "# columns: variable theta g_hz omega_m_hz omega_0_hz kappa1_eff_hz"
-        " kappa2_eff_hz n1_analytic n1_numeric n2_analytic n2_numeric stable flags",
+        "# columns: " + " ".join(csv_columns(len(rows[0].kappa_eff))),
         "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
     ]
     lines = list(header)
@@ -91,12 +89,6 @@ def write_plot_data(rows, path: str, variable: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _require_setup(cfg: RunConfig):
-    if cfg.setup is None:
-        raise ValidationError("config.system: required for this command")
-    return cfg.setup
-
-
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
@@ -104,24 +96,41 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _occupation_lines(device, numeric, analytic) -> list[str]:
+    """One line per mechanical mode: numeric and analytic occupation, thermal reference."""
+    return [
+        f"  mode {j + 1}: numeric {_fmt(n)}  analytic {_fmt(a)}"
+        f"  thermal {_fmt(thermal_occupation(mech.freq, device.bath_temperature))}"
+        for j, (mech, n, a) in enumerate(zip(device.mechanical_modes, numeric, analytic))
+    ]
+
+
 def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    setup = _require_setup(cfg)
-    params = setup.params_at(cfg.theta)
-    basis = diagonalize_polaritons(params)
-    model = build_linear_model(params, basis, mode=averages_mode)
+    device = cfg.setup
+    tuning, model = device.working_point(cfg.theta, mode=averages_mode)
     rates, state, flags, numeric = solve_model(model)
+    # polariton k's linewidth and drive detuning, as the model holds them
+    drift = model.drift
+    nodes = range(len(model.averages.avg_polaritons))
+    linewidths = [-drift[2 * k, 2 * k] for k in nodes]
+    detunings = [drift[2 * k, 2 * k + 1] for k in nodes]
 
     lines = ["working point:"]
-    lines.append(f"  theta = {_fmt(cfg.theta)} rad")
-    lines.append(f"  g = {_fmt(params.photon_matter_coupling / TWO_PI)} Hz")
-    lines.append(f"  omega_m = {_fmt(params.magnon_freq / TWO_PI)} Hz")
-    lines.append(f"  omega_0 = {_fmt(params.drive_freq / TWO_PI)} Hz")
-    lines.append(f"  detunings = ({_fmt(basis.detuning_upper / TWO_PI)},"
-                 f" {_fmt(basis.detuning_lower / TWO_PI)}) Hz")
+    if device.couplings:
+        names = [f"P{k + 1}" for k in nodes]
+        for i, f in enumerate(tuning.matter_freqs):
+            lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
+    else:
+        names = ["U", "L"]
+        lines.append(f"  theta = {_fmt(cfg.theta)} rad")
+        lines.append(f"  g = {_fmt(tuning.photon_matter_coupling / TWO_PI)} Hz")
+        lines.append(f"  omega_m = {_fmt(tuning.magnon_freq / TWO_PI)} Hz")
+    lines.append(f"  omega_0 = {_fmt(tuning.drive_freq / TWO_PI)} Hz")
+    lines.append(f"  detunings = ({', '.join(_fmt(d / TWO_PI) for d in detunings)}) Hz")
     lines.append(f"  averages mode = {model.averages.mode}")
     avg = model.averages
     lines.append("steady-state averages:")
-    for name, p_avg in zip("UL", avg.avg_polaritons):
+    for name, p_avg in zip(names, avg.avg_polaritons):
         lines.append(f"  |<{name}>| = {_fmt(abs(p_avg))}")
     lines.append(f"  |<M>| = {_fmt(abs(avg.avg_matter))}")
     for j, g_eff in enumerate(avg.effective_couplings):
@@ -131,18 +140,12 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     if state.stable:
         lines.append(f"lyapunov residual: {state.lyapunov_residual:.3e}")
     lines.append("occupations:")
-    for j, (mech, r, n) in enumerate(zip(params.mechanical_modes, rates, numeric)):
-        nbar = thermal_occupation(mech.freq, params.bath_temperature)
-        lines.append(
-            f"  mode {j + 1}: numeric {_fmt(n)}  analytic {_fmt(r.n_eff)}"
-            f"  thermal {_fmt(nbar)}"
-        )
+    lines.extend(_occupation_lines(device, numeric, [r.n_eff for r in rates]))
     lines.append(f"flags: {';'.join(flags) if flags else '-'}")
 
-    linewidths = (basis.upper_linewidth, basis.lower_linewidth)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for mech, r in zip(params.mechanical_modes, rates):
+        for mech, r in zip(device.mechanical_modes, rates):
             quantum_backaction_limit(linewidths[r.dominant], mech.freq)
         for w in caught:
             lines.append(f"warning: {w.message}")
@@ -150,11 +153,14 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 
 
 def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    setup = _require_setup(cfg)
-    params = setup.params_at(cfg.theta)
-    rates = network_cooling(build_linear_model(params, mode=averages_mode))
-    lines = [f"scattering rates at theta = {_fmt(cfg.theta)} rad (all rates in Hz):"]
-    names = ("upper", "lower")
+    _, model = cfg.setup.working_point(cfg.theta, mode=averages_mode)
+    rates = network_cooling(model)
+    if cfg.setup.couplings:
+        lines = ["scattering rates (all rates in Hz):"]
+        names = [f"polariton {k + 1}" for k in range(len(model.averages.avg_polaritons))]
+    else:
+        lines = [f"scattering rates at theta = {_fmt(cfg.theta)} rad (all rates in Hz):"]
+        names = ["upper", "lower"]
     for r in rates:
         lines.append(f"mode {r.mode_index + 1}:")
         for k, name in enumerate(names):
@@ -171,56 +177,36 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 
 
 def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    if cfg.nmode is not None:
-        nm = cfg.nmode
-        tuned = tune_n_mode(
-            nm.cavity_freq,
-            [m.freq for m in nm.mechanical_modes],
-            nm.couplings,
-            nm.cavity_linewidth,
-            nm.matter_linewidths,
-        )
-        lines = [f"n-mode tuning ({len(nm.mechanical_modes)} polaritons):"]
+    device = cfg.setup
+    if device.couplings:
+        tuned, model = device.working_point(mode=averages_mode)
+        lines = [f"n-mode tuning ({len(device.mechanical_modes)} polaritons):"]
         lines.append(f"  converged: {'yes' if tuned.converged else 'no'}")
         lines.append(f"  residual: {tuned.residual / TWO_PI:.6e} Hz")
         lines.append(f"  omega_0 = {_fmt(tuned.drive_freq / TWO_PI)} Hz")
         for i, f in enumerate(tuned.matter_freqs):
             lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
-        model = polariton_network(
-            tuned, nm.mechanical_modes, nm.rabi_freq, nm.bath_temperature, averages_mode
-        )
         rates, state, _, numeric = solve_model(model)
         verdict = "stable" if state.stable else "UNSTABLE"
         lines.append(f"  network: {verdict}"
                      f" (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
         if state.stable:
-            for j, (mech, r, n) in enumerate(zip(nm.mechanical_modes, rates, numeric)):
-                nbar = thermal_occupation(mech.freq, nm.bath_temperature)
-                lines.append(
-                    f"  mode {j + 1}: numeric {_fmt(n)}"
-                    f"  analytic {_fmt(r.n_eff_all)}  thermal {_fmt(nbar)}"
-                )
+            lines.extend(_occupation_lines(device, numeric, [r.n_eff_all for r in rates]))
         return "\n".join(lines) + "\n", state.stable
 
-    setup = _require_setup(cfg)
-    tuned = tune_two_mode(
-        setup.cavity_freq,
-        setup.mechanical_modes[0].freq,
-        setup.mechanical_modes[1].freq,
-        cfg.theta,
-    )
+    params = device.params_at(cfg.theta)
+    lower, upper = device.mechanical_modes
     lines = ["two-mode tuning:"]
-    lines.append(f"  theta = {_fmt(tuned.theta)} rad")
-    lines.append(f"  g = {_fmt(tuned.photon_matter_coupling / TWO_PI)} Hz")
-    lines.append(f"  omega_m = {_fmt(tuned.magnon_freq / TWO_PI)} Hz")
-    lines.append(f"  omega_0 = {_fmt(tuned.drive_freq / TWO_PI)} Hz")
-    lines.append(f"  detuning upper = {_fmt(tuned.detuning_upper / TWO_PI)} Hz")
-    lines.append(f"  detuning lower = {_fmt(tuned.detuning_lower / TWO_PI)} Hz")
+    lines.append(f"  theta = {_fmt(cfg.theta)} rad")
+    lines.append(f"  g = {_fmt(params.photon_matter_coupling / TWO_PI)} Hz")
+    lines.append(f"  omega_m = {_fmt(params.magnon_freq / TWO_PI)} Hz")
+    lines.append(f"  omega_0 = {_fmt(params.drive_freq / TWO_PI)} Hz")
+    lines.append(f"  detuning upper = {_fmt(upper.freq / TWO_PI)} Hz")
+    lines.append(f"  detuning lower = {_fmt(lower.freq / TWO_PI)} Hz")
     return "\n".join(lines) + "\n", True
 
 
 def _optimize_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    setup = _require_setup(cfg)
     kwargs = {"averages": averages_mode}
     if cfg.optimize is not None:
         kwargs.update(
@@ -229,7 +215,7 @@ def _optimize_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
             coarse_points=cfg.optimize.coarse_points,
             tol=cfg.optimize.tol,
         )
-    result = optimize_theta(setup, **kwargs)
+    result = optimize_theta(cfg.setup, **kwargs)
     lines = ["optimization result:"]
     lines.append(f"  objective = {kwargs.get('objective', 'max')}")
     lines.append(f"  theta = {_fmt(result.theta)} rad")
@@ -257,7 +243,6 @@ def _run(args) -> int:
         _emit(report, args.out)
         return EXIT_UNSTABLE if args.require_stable and not stable else EXIT_OK
 
-    setup = _require_setup(cfg)
     if cfg.sweep is None:
         raise ValidationError("config.sweep: required for the sweep command")
     if not args.out:
@@ -267,7 +252,7 @@ def _run(args) -> int:
         for i in range(cfg.sweep.points)
     ]
     rows = sweep(
-        setup,
+        cfg.setup,
         cfg.sweep.variable,
         grid,
         theta=cfg.theta,

@@ -16,9 +16,16 @@ import yaml
 
 from .errors import ValidationError, check_real
 from .model import DriveCalibration, MechanicalMode, calibrate_drive
-from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, TwoModeSetup
+from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, Device
 
 TWO_PI = 2.0 * math.pi
+
+# each sweep variable's domain as check_real bounds; a grid is linear, so its ends suffice
+_SWEEP_DOMAINS = {
+    "theta": {"above": 0.0, "below": 0.5 * math.pi},
+    "temperature": {"at_least": 0.0},
+    "rabi": {"at_least": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -40,30 +47,18 @@ class OptimizeConfig:
 
 
 @dataclass(frozen=True)
-class NModeConfig:
-    cavity_freq: float
-    cavity_linewidth: float
-    couplings: tuple[float, ...]
-    matter_linewidths: tuple[float, ...]
-    mechanical_modes: tuple[MechanicalMode, ...]
-    rabi_freq: float
-    bath_temperature: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description (drive already reduced to a Rabi rate).
 
-    ``setup`` is None for configs that only describe an N-mode tuning problem;
-    commands needing the two-mode system reject those with a clear error.
+    ``setup`` is the device of a ``system`` (with ``drive``) section, which is
+    angle-tuned, or of an ``nmode`` section, which has fixed couplings.
     """
 
-    setup: TwoModeSetup | None
+    setup: Device
     theta: float
     averages: str
     sweep: SweepConfig | None = None
     optimize: OptimizeConfig | None = None
-    nmode: NModeConfig | None = None
 
 
 def _mapping(obj, path: str) -> dict:
@@ -139,25 +134,38 @@ def _parse_drive(obj, path: str) -> float:
     return check_real(f"{path}.power_w", calibrate_drive(cal, power=power))
 
 
-def _parse_system(obj, path: str, drive) -> TwoModeSetup:
-    """The two-mode setup; the ``drive`` section is resolved after the system's own fields."""
+def _parse_device(obj, path: str, drive=None) -> Device:
+    """The device of a ``system`` section, angle-tuned with ``drive`` the config's
+    drive section, or of an ``nmode`` section (``drive`` None): fixed couplings and
+    its own drive. The drive is resolved after the section's own fields, and a mode
+    count or ordering that the Device rejects names the section.
+    """
     m = _mapping(obj, path)
-    _check_keys(m, {"cavity_freq_hz", "cavity_linewidth_hz", "magnon_linewidth_hz",
-                    "bath_temperature_k", "mechanical_modes"}, path)
+    fixed = drive is None
+    own = {"couplings_hz", "matter_linewidths_hz", "drive"} if fixed else {"magnon_linewidth_hz"}
+    _check_keys(m, own | {"cavity_freq_hz", "cavity_linewidth_hz", "bath_temperature_k",
+                          "mechanical_modes"}, path)
     mechs_raw = m.get("mechanical_modes")
     if not isinstance(mechs_raw, list) or not mechs_raw:
         raise ValidationError(f"{path}.mechanical_modes: expected a non-empty list")
-    mechs = tuple(
-        _parse_mech(item, f"{path}.mechanical_modes[{i}]") for i, item in enumerate(mechs_raw)
-    )
-    return TwoModeSetup(
+    fields = dict(
+        mechanical_modes=tuple(_parse_mech(item, f"{path}.mechanical_modes[{i}]")
+                               for i, item in enumerate(mechs_raw)),
         cavity_freq=_freq(m, "cavity_freq_hz", path),
         cavity_linewidth=_freq(m, "cavity_linewidth_hz", path),
-        magnon_linewidth=_freq(m, "magnon_linewidth_hz", path),
-        mechanical_modes=mechs,
-        bath_temperature=_number(m, "bath_temperature_k", path, at_least=0.0),
-        rabi_freq=_parse_drive(drive, "config.drive"),
     )
+    if fixed:
+        fields["couplings"] = _parse_freq_list(m, "couplings_hz", path)
+        fields["matter_linewidths"] = _parse_freq_list(m, "matter_linewidths_hz", path)
+    else:
+        fields["matter_linewidths"] = (_freq(m, "magnon_linewidth_hz", path),)
+    fields["bath_temperature"] = _number(m, "bath_temperature_k", path, at_least=0.0)
+    fields["rabi_freq"] = (_parse_drive(m.get("drive"), f"{path}.drive") if fixed
+                           else _parse_drive(drive, "config.drive"))
+    try:
+        return Device(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc}") from None
 
 
 def _parse_sweep(obj, path: str) -> SweepConfig:
@@ -169,8 +177,8 @@ def _parse_sweep(obj, path: str) -> SweepConfig:
     points = m.get("points")
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
         raise ValidationError(f"{path}.points: expected an integer >= 2, got {points!r}")
-    start = _number(m, "start", path)
-    stop = _number(m, "stop", path)
+    start = _number(m, "start", path, **_SWEEP_DOMAINS[variable])
+    stop = _number(m, "stop", path, **_SWEEP_DOMAINS[variable])
     if not stop > start:
         raise ValidationError(f"{path}: need stop > start, got ({start}, {stop})")
     plot = m.get("plot")
@@ -205,41 +213,23 @@ def _parse_freq_list(m: dict, key: str, path: str) -> tuple[float, ...]:
                  for i, v in enumerate(raw))
 
 
-def _parse_nmode(obj, path: str) -> NModeConfig:
-    m = _mapping(obj, path)
-    _check_keys(m, {"cavity_freq_hz", "cavity_linewidth_hz", "couplings_hz",
-                    "matter_linewidths_hz", "mechanical_modes", "drive",
-                    "bath_temperature_k"}, path)
-    mechs_raw = m.get("mechanical_modes")
-    if not isinstance(mechs_raw, list) or len(mechs_raw) < 2:
-        raise ValidationError(f"{path}.mechanical_modes: expected a list of at least 2")
-    mechs = tuple(
-        _parse_mech(item, f"{path}.mechanical_modes[{i}]") for i, item in enumerate(mechs_raw)
-    )
-    return NModeConfig(
-        cavity_freq=_freq(m, "cavity_freq_hz", path),
-        cavity_linewidth=_freq(m, "cavity_linewidth_hz", path),
-        couplings=_parse_freq_list(m, "couplings_hz", path),
-        matter_linewidths=_parse_freq_list(m, "matter_linewidths_hz", path),
-        mechanical_modes=mechs,
-        rabi_freq=_parse_drive(m.get("drive"), f"{path}.drive"),
-        bath_temperature=_number(m, "bath_temperature_k", path, at_least=0.0),
-    )
-
-
 def parse_config(raw) -> RunConfig:
     m = _mapping(raw, "config")
     _check_keys(m, {"system", "drive", "theta", "averages", "sweep", "optimize", "nmode"},
                 "config")
-    setup = None
-    if "system" in m or "drive" in m:
-        if "system" not in m:
-            raise ValidationError("config.system: missing required section")
-        if "drive" not in m:
-            raise ValidationError("config.drive: missing required section")
-        setup = _parse_system(m["system"], "config.system", m["drive"])
-    elif "nmode" not in m:
+    if "nmode" in m:
+        if "system" in m or "drive" in m:
+            raise ValidationError(
+                "config: give one device, either system with drive or nmode, not both"
+            )
+        setup = _parse_device(m["nmode"], "config.nmode")
+    elif "system" not in m:
         raise ValidationError("config.system: missing required section")
+    elif "drive" not in m:
+        raise ValidationError("config.drive: missing required section")
+    else:
+        setup = _parse_device(m["system"], "config.system",
+                              _mapping(m["drive"], "config.drive"))
     theta = check_real("config.theta", m.get("theta", 0.25 * math.pi),
                        above=0.0, below=0.5 * math.pi)
     averages = m.get("averages", "approx")
@@ -253,7 +243,6 @@ def parse_config(raw) -> RunConfig:
         averages=averages,
         sweep=_parse_sweep(m["sweep"], "config.sweep") if "sweep" in m else None,
         optimize=_parse_optimize(m["optimize"], "config.optimize") if "optimize" in m else None,
-        nmode=_parse_nmode(m["nmode"], "config.nmode") if "nmode" in m else None,
     )
 
 
@@ -278,16 +267,24 @@ def _serialize_mech(m: MechanicalMode) -> dict:
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Plain mapping in file units, suitable for yaml.safe_dump."""
-    out: dict = {}
-    if cfg.setup is not None:
-        out["system"] = {
-            "cavity_freq_hz": cfg.setup.cavity_freq / TWO_PI,
-            "cavity_linewidth_hz": cfg.setup.cavity_linewidth / TWO_PI,
-            "magnon_linewidth_hz": cfg.setup.magnon_linewidth / TWO_PI,
-            "bath_temperature_k": cfg.setup.bath_temperature,
-            "mechanical_modes": [_serialize_mech(m) for m in cfg.setup.mechanical_modes],
-        }
-        out["drive"] = {"rabi_hz": cfg.setup.rabi_freq / TWO_PI}
+    d = cfg.setup
+    cavity = {"cavity_freq_hz": d.cavity_freq / TWO_PI,
+              "cavity_linewidth_hz": d.cavity_linewidth / TWO_PI}
+    bath_and_mechs = {"bath_temperature_k": d.bath_temperature,
+                      "mechanical_modes": [_serialize_mech(m) for m in d.mechanical_modes]}
+    drive = {"rabi_hz": d.rabi_freq / TWO_PI}
+    if d.couplings:
+        out: dict = {"nmode": {
+            **cavity,
+            "couplings_hz": [g / TWO_PI for g in d.couplings],
+            "matter_linewidths_hz": [k / TWO_PI for k in d.matter_linewidths],
+            **bath_and_mechs,
+            "drive": drive,
+        }}
+    else:
+        out = {"system": {**cavity, "magnon_linewidth_hz": d.matter_linewidths[0] / TWO_PI,
+                          **bath_and_mechs},
+               "drive": drive}
     out["theta"] = cfg.theta
     out["averages"] = cfg.averages
     if cfg.sweep is not None:
@@ -306,16 +303,6 @@ def serialize_config(cfg: RunConfig) -> dict:
             "upper": cfg.optimize.upper,
             "coarse_points": cfg.optimize.coarse_points,
             "tol": cfg.optimize.tol,
-        }
-    if cfg.nmode is not None:
-        out["nmode"] = {
-            "cavity_freq_hz": cfg.nmode.cavity_freq / TWO_PI,
-            "cavity_linewidth_hz": cfg.nmode.cavity_linewidth / TWO_PI,
-            "couplings_hz": [g / TWO_PI for g in cfg.nmode.couplings],
-            "matter_linewidths_hz": [k / TWO_PI for k in cfg.nmode.matter_linewidths],
-            "mechanical_modes": [_serialize_mech(m) for m in cfg.nmode.mechanical_modes],
-            "drive": {"rabi_hz": cfg.nmode.rabi_freq / TWO_PI},
-            "bath_temperature_k": cfg.nmode.bath_temperature,
         }
     return out
 

@@ -1,11 +1,13 @@
 """Working-point selection: hit mechanical sidebands with polariton detunings.
 
-The two-mode transform is exact and closed-form: given a mixing angle it
+A :class:`Device` is tuned one of two ways. For an angle-tuned pair the
+two-mode transform is exact and closed-form: given a mixing angle it
 returns the photon-matter coupling, matter frequency and drive frequency
 that place the lower polariton at detuning omega_1 and the upper at omega_2.
-The N-mode version inverts the diagonalization numerically (least squares
-over the matter frequencies) since no closed form exists beyond one matter
-mode. Sweeps and a derivative-free optimizer sit on top.
+A device with fixed couplings is inverted numerically instead (least
+squares over the matter frequencies, once per device), since no closed form
+exists beyond one matter mode. Sweeps and a derivative-free optimizer sit
+on top.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,37 +87,69 @@ def _tune(cavity_freq, target_lower, target_upper, theta) -> tuple[float, float,
     return coupling, detuning_am, magnon_freq, drive_freq
 
 
-@dataclass(frozen=True)
-class TwoModeSetup:
-    """Everything fixed about a two-mechanical-mode device except the working point.
+def _entries(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name}: expected a sequence, got {value!r}") from None
 
-    ``params_at`` closes the loop: pick a mixing angle (optionally overriding
-    temperature or drive strength) and get a fully tuned SystemParams whose
-    polariton detunings sit on the two mechanical sidebands.
+
+@dataclass(frozen=True)
+class Device:
+    """Everything fixed about a device except the working point.
+
+    One cavity, N - 1 matter modes and N >= 2 mechanical modes in increasing
+    frequency; polariton k is to sit on the sideband of mechanical mode k.
+    With ``couplings`` empty the device is an angle-tuned pair (N = 2): the
+    mixing angle of each working point sets the photon-matter coupling and
+    the matter and drive frequencies in closed form (:meth:`params_at`).
+    Otherwise ``couplings`` holds the N - 1 fixed cavity-matter couplings,
+    and :func:`tune_n_mode` places the polaritons once per device
+    (:attr:`tuning`), so its working points take no angle.
     """
 
     cavity_freq: float
     cavity_linewidth: float
-    magnon_linewidth: float
+    matter_linewidths: tuple[float, ...]
     mechanical_modes: tuple[MechanicalMode, ...]
     bath_temperature: float
     rabi_freq: float
+    couplings: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mechanical_modes", tuple(self.mechanical_modes))
-        for name in ("cavity_freq", "cavity_linewidth", "magnon_linewidth"):
+        for name in ("matter_linewidths", "mechanical_modes", "couplings"):
+            object.__setattr__(self, name, _entries(name, getattr(self, name)))
+        for name in ("cavity_freq", "cavity_linewidth"):
             check_real(name, getattr(self, name), above=0.0)
+        for name in ("matter_linewidths", "couplings"):
+            for i, value in enumerate(getattr(self, name)):
+                check_real(f"{name}[{i}]", value, above=0.0)
         check_real("bath_temperature", self.bath_temperature, at_least=0.0)
         check_real("rabi_freq", self.rabi_freq, at_least=0.0)
         for j, m in enumerate(self.mechanical_modes):
             m.validate(path=f"mechanical_modes[{j}]")
-        if len(self.mechanical_modes) != 2:
+        n = len(self.mechanical_modes)
+        if n < 2:
+            raise ValidationError(f"mechanical_modes: need at least 2, got {n}")
+        if not self.couplings and n != 2:
             raise ValidationError(
-                f"mechanical_modes: two-mode setup needs exactly 2, got {len(self.mechanical_modes)}"
+                f"mechanical_modes: an angle-tuned device (no couplings) needs exactly 2, got {n}"
             )
-        lo, hi = self.mechanical_modes
-        if not lo.freq < hi.freq:
+        freqs = [m.freq for m in self.mechanical_modes]
+        if any(a >= b for a, b in zip(freqs, freqs[1:])):
             raise ValidationError("mechanical_modes: must be ordered by increasing frequency")
+        if len(self.matter_linewidths) != n - 1:
+            raise ValidationError(f"matter_linewidths: need {n - 1} entries for {n} mechanical"
+                                  f" modes, got {len(self.matter_linewidths)}")
+        if self.couplings and len(self.couplings) != n - 1:
+            raise ValidationError(f"couplings: need {n - 1} entries for {n} mechanical"
+                                  f" modes, got {len(self.couplings)}")
+
+    def _needs_angle(self, what: str) -> None:
+        if self.couplings:
+            raise ValidationError(
+                f"{what}: needs an angle-tuned device, this one has fixed couplings"
+            )
 
     def params_at(
         self,
@@ -122,6 +157,8 @@ class TwoModeSetup:
         temperature: float | None = None,
         rabi: float | None = None,
     ) -> SystemParams:
+        """Tuned parameters at mixing angle ``theta``; the overrides replace the device's own."""
+        self._needs_angle("params_at")
         # the device was checked when it was built; SystemParams checks the tuned values
         coupling, _, magnon_freq, drive_freq = _tune(
             self.cavity_freq,
@@ -134,7 +171,7 @@ class TwoModeSetup:
             magnon_freq=magnon_freq,
             photon_matter_coupling=coupling,
             cavity_linewidth=self.cavity_linewidth,
-            magnon_linewidth=self.magnon_linewidth,
+            magnon_linewidth=self.matter_linewidths[0],
             mechanical_modes=self.mechanical_modes,
             drive_freq=drive_freq,
             rabi_freq=self.rabi_freq if rabi is None else rabi,
@@ -142,6 +179,48 @@ class TwoModeSetup:
                 self.bath_temperature if temperature is None else temperature
             ),
         )
+
+    @cached_property
+    def tuning(self) -> NModeResult:
+        """Matter and drive frequencies of a fixed-coupling device, found on first use."""
+        return tune_n_mode(
+            self.cavity_freq,
+            [m.freq for m in self.mechanical_modes],
+            self.couplings,
+            self.cavity_linewidth,
+            self.matter_linewidths,
+        )
+
+    def working_point(
+        self,
+        theta: float | None = None,
+        temperature: float | None = None,
+        rabi: float | None = None,
+        mode: str = "approx",
+    ) -> tuple[SystemParams | NModeResult, LinearModel]:
+        """(tuning, linear model) of one working point, averages in ``mode``.
+
+        The tuning is :meth:`params_at`, or the fixed-coupling device's
+        :attr:`tuning`, which ignores ``theta``. Its network is driven and
+        strained through the first matter mode, so each node's weight is that
+        component of its eigenvector; the nodes share the dissipative
+        couplings of their bare losses.
+        """
+        if not self.couplings:
+            params = self.params_at(theta, temperature=temperature, rabi=rabi)
+            return params, build_linear_model(params, mode=mode)
+        tuned = self.tuning
+        polaritons = tuple(
+            NetworkPolariton(freq=p.freq, linewidth=p.linewidth, weight=p.weights[1])
+            for p in tuned.polaritons
+        )
+        drive = NetworkDrive(
+            drive_freq=tuned.drive_freq,
+            rabi_freq=self.rabi_freq if rabi is None else rabi,
+            bath_temperature=self.bath_temperature if temperature is None else temperature,
+        )
+        cross = [p.cross_damping for p in tuned.polaritons]
+        return tuned, build_network(polaritons, self.mechanical_modes, drive, cross, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +264,24 @@ def solve_model(model: LinearModel) -> tuple:
 
 
 def evaluate_point(
-    setup: TwoModeSetup,
-    theta: float,
+    setup: Device,
+    theta: float | None = None,
     temperature: float | None = None,
     rabi: float | None = None,
     averages: str = "approx",
 ) -> SweepRow:
     """Solve one tuned working point end to end (analytic rates + covariance).
 
-    A ValidationError or SolverError comes back as an ``error:<Type>`` row.
+    A fixed-coupling device takes no angle: its row's theta, coupling and
+    magnon_freq are NaN. A ValidationError or SolverError comes back as an
+    ``error:<Type>`` row.
     """
+    fixed = bool(setup.couplings)
+    if fixed:
+        theta = math.nan
     try:
-        params = setup.params_at(theta, temperature=temperature, rabi=rabi)
-        rates, state, flags, n_numeric = solve_model(build_linear_model(params, mode=averages))
+        tuning, model = setup.working_point(theta, temperature, rabi, averages)
+        rates, state, flags, n_numeric = solve_model(model)
     except (ValidationError, SolverError) as exc:
         nans = (math.nan,) * len(setup.mechanical_modes)
         return SweepRow(
@@ -215,9 +299,9 @@ def evaluate_point(
     return SweepRow(
         variable=math.nan,
         theta=theta,
-        coupling=params.photon_matter_coupling,
-        magnon_freq=params.magnon_freq,
-        drive_freq=params.drive_freq,
+        coupling=math.nan if fixed else tuning.photon_matter_coupling,
+        magnon_freq=math.nan if fixed else tuning.magnon_freq,
+        drive_freq=tuning.drive_freq,
         kappa_eff=tuple(r.kappa_eff for r in rates),
         n_analytic=tuple(r.n_eff for r in rates),
         n_numeric=n_numeric,
@@ -227,7 +311,7 @@ def evaluate_point(
 
 
 def sweep(
-    setup: TwoModeSetup,
+    setup: Device,
     variable: str,
     grid,
     theta: float | None = None,
@@ -237,15 +321,19 @@ def sweep(
 ) -> tuple[SweepRow, ...]:
     """Evaluate a 1-D grid of working points, order-preserving.
 
-    ``variable`` is one of "theta", "temperature", "rabi"; non-theta sweeps
-    hold the mixing angle fixed at ``theta``. Grid entries must be finite
-    numbers; a point that fails validation (an angle outside (0, pi/2)) or
-    the solve is recorded in the row's flags rather than raised; an unstable
-    point raises UnstableSystemError only under require_stable=True.
+    ``variable`` is one of "theta", "temperature", "rabi". A theta sweep
+    needs an angle-tuned device; the other sweeps hold its mixing angle
+    fixed at ``theta``, which a fixed-coupling device does not take. Grid
+    entries must be finite numbers; a point that fails validation (an angle
+    outside (0, pi/2)) or the solve is recorded in the row's flags rather
+    than raised; an unstable point raises UnstableSystemError only under
+    require_stable=True.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
-    if variable != "theta":
+    if variable == "theta":
+        setup._needs_angle("variable theta")
+    elif not setup.couplings:
         theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
     try:
         items = list(grid)
@@ -297,7 +385,7 @@ class OptimizeResult:
 
 
 def optimize_theta(
-    setup: TwoModeSetup,
+    setup: Device,
     objective: str = "max",
     temperature: float | None = None,
     rabi: float | None = None,
@@ -313,6 +401,7 @@ def optimize_theta(
     failed points score +inf, so the optimizer simply walks around them.
     ``objective`` selects max(n_1, n_2) or a single mode's occupation.
     """
+    setup._needs_angle("optimize_theta")
     if objective not in OPTIMIZE_OBJECTIVES:
         raise ValidationError(
             f"objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
@@ -462,31 +551,3 @@ def tune_n_mode(
         residual=resid,
         converged=converged,
     )
-
-
-def polariton_network(
-    tuned: NModeResult,
-    mechanics,
-    rabi_freq: float,
-    bath_temperature: float,
-    mode: str = "approx",
-) -> LinearModel:
-    """Linear model for an N-mode tuned device, averages in ``mode``.
-
-    The drive and the mechanical strain both address the first matter mode,
-    so each node's weight is that component of its eigenvector, and the
-    polaritons share the dissipative couplings of their bare losses. For one
-    matter mode this is :func:`build_linear_model` with the nodes in
-    ascending order (lower, upper).
-    """
-    polaritons = tuple(
-        NetworkPolariton(freq=p.freq, linewidth=p.linewidth, weight=p.weights[1])
-        for p in tuned.polaritons
-    )
-    drive = NetworkDrive(
-        drive_freq=tuned.drive_freq,
-        rabi_freq=rabi_freq,
-        bath_temperature=bath_temperature,
-    )
-    cross = [p.cross_damping for p in tuned.polaritons]
-    return build_network(polaritons, tuple(mechanics), drive, cross, mode)

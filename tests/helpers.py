@@ -22,17 +22,18 @@ def make_mechs(freq_hz=(1.0e7, 3.0e7), damping_hz=100.0, bare_coupling_hz=0.2):
     )
 
 
-def make_base_setup(**overrides):
+def make_base_setup(magnon_linewidth=TWO_PI * 1.0e6, **overrides):
+    """The base preset's angle-tuned device; ``magnon_linewidth`` is its one matter linewidth."""
     kwargs = dict(
         cavity_freq=TWO_PI * 1.0e10,
         cavity_linewidth=TWO_PI * 1.0e6,
-        magnon_linewidth=TWO_PI * 1.0e6,
+        matter_linewidths=(magnon_linewidth,),
         mechanical_modes=make_mechs(),
         bath_temperature=0.01,
         rabi_freq=BASE_RABI,
     )
     kwargs.update(overrides)
-    return pc.TwoModeSetup(**kwargs)
+    return pc.Device(**kwargs)
 
 
 # ---------------------------------------------------------------------------

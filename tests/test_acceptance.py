@@ -222,21 +222,23 @@ def test_criterion_6_tuning_round_trip():
 
 def test_criterion_7_three_mode_extension():
     mech_freqs = [TWO_PI * 1.0e7, TWO_PI * 2.0e7, TWO_PI * 3.5e7]
-    tuned = pc.tune_n_mode(
-        cavity_freq=TWO_PI * 1.0e10,
-        mech_freqs=mech_freqs,
-        couplings=[TWO_PI * 7.0e6, TWO_PI * 9.0e6],
-        cavity_linewidth=TWO_PI * 1.0e6,
-        matter_linewidths=[TWO_PI * 1.0e6, TWO_PI * 1.0e6],
-    )
-    assert tuned.converged
     mechs = tuple(
         pc.MechanicalMode(freq=f, damping=TWO_PI * 100.0,
                           bare_coupling=TWO_PI * 0.2)
         for f in mech_freqs
     )
     temp = 0.01
-    model = pc.polariton_network(tuned, mechs, 78525797543744.95, temp)
+    device = pc.Device(
+        cavity_freq=TWO_PI * 1.0e10,
+        cavity_linewidth=TWO_PI * 1.0e6,
+        matter_linewidths=[TWO_PI * 1.0e6, TWO_PI * 1.0e6],
+        mechanical_modes=mechs,
+        bath_temperature=temp,
+        rabi_freq=78525797543744.95,
+        couplings=[TWO_PI * 7.0e6, TWO_PI * 9.0e6],
+    )
+    tuned, model = device.working_point()
+    assert tuned.converged
     state = pc.steady_state(model)
     rates = pc.network_cooling(model)
 

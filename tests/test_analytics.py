@@ -118,8 +118,9 @@ def test_analytic_matches_lyapunov_in_weak_coupling():
     setup = make_base_setup(rabi_freq=0.3 * make_base_setup().rabi_freq)
     for theta in (0.4, 0.25 * math.pi, 1.05):
         params = setup.params_at(theta)
-        state = pc.steady_state(pc.build_linear_model(params))
-        rates = pc.cooling_report(params)
+        model = pc.build_linear_model(params)
+        state = pc.steady_state(model)
+        rates = pc.network_cooling(model)
         assert all(r.weak_coupling for r in rates)
         for j, rate in enumerate(rates):
             numeric = state.occupations[2 + j]

@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, report content, CSV/plot-file formats."""
+import json
 import math
 import os
 import re
@@ -9,14 +10,18 @@ from pathlib import Path
 import pytest
 import yaml
 
-from polarcool import load_config, sweep
-from polarcool.cli import CSV_COLUMNS, main
+from polarcool import load_config, serialize_config, sweep
+from polarcool.cli import csv_columns, main
 from polarcool.errors import SolverError
 
 BASE = "configs/two_mode_base.config"
 HIGHPOWER = "configs/two_mode_highpower.config"
 THREE = "configs/three_mode.config"
 GOLDEN = "tests/golden/two_mode_base_sweep.csv"
+# the three-mode preset's temperature sweep in both averages modes, recorded
+# from the separate N-mode path (tune_n_mode, polariton_network, solve_model)
+# that Device.working_point replaced
+THREE_SWEEP = "tests/golden/three_mode_sweep.json"
 
 
 def write_config(tmp_path, raw, name="case.config"):
@@ -125,6 +130,29 @@ def test_simulate_flags_match_one_point_sweep(capsys, tmp_path, drive):
 # rates / tune / optimize
 
 
+@pytest.mark.parametrize("config,command", [
+    (BASE, "simulate"), (BASE, "rates"), (BASE, "tune"), (BASE, "optimize"), (THREE, "tune")])
+def test_preset_reports_match_golden_files(capsys, config, command):
+    golden = Path("tests/golden") / f"{Path(config).stem}_{command}.txt"
+    assert main([command, "--config", config]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_three_mode_reports(capsys):
+    assert main(["simulate", "--config", THREE]) == 0
+    text = capsys.readouterr().out
+    assert "detunings = (10000000, 20000000, 35000000) Hz" in text
+    assert "|<P3>|" in text and "G_3 = " in text and "flags: -" in text
+    for numeric, analytic, thermal in report_occupations(text):
+        assert numeric < thermal / 10.0
+        assert abs(analytic - numeric) < 0.25 * numeric
+    assert main(["rates", "--config", THREE]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("scattering rates (all rates in Hz):")
+    for j in (1, 2, 3):
+        assert f"(dominant: polariton {j})" in text
+
+
 def test_rates_report(capsys):
     code = main(["rates", "--config", BASE])
     text = capsys.readouterr().out
@@ -195,11 +223,11 @@ def test_sweep_csv_format(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_sweep(capsys, BASE, out) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(csv_columns(2))
     assert len(lines) == 102
     for line in lines[1:]:
         fields = line.split(",")
-        assert len(fields) == len(CSV_COLUMNS)
+        assert len(fields) == len(csv_columns(2))
         assert fields[11] in ("true", "false")
         for value in fields[:11]:
             float(value)  # every numeric field parses
@@ -243,7 +271,7 @@ def test_sweep_writes_plot_data(capsys, tmp_path):
     assert len(data) == 7
     for line in data:
         fields = line.split()
-        assert len(fields) == len(CSV_COLUMNS)
+        assert len(fields) == len(csv_columns(2))
         assert fields[11] in ("0", "1")
         assert fields[12] == "-" or ";" in fields[12] or fields[12]
 
@@ -270,6 +298,48 @@ def test_sweep_rejects_degenerate_grid_without_output(capsys, tmp_path):
     assert code == 1
     assert "points" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variable,start,stop", [
+    ("temperature", -0.1, 0.1), ("theta", 0.5, 2.0), ("rabi", -1.0e13, 1.0e13)])
+def test_sweep_grid_outside_its_domain_exits_1_without_output(capsys, tmp_path, variable,
+                                                               start, stop):
+    """A negative temperature grid once wrote an error:ValidationError row and exited 0."""
+    raw = base_raw(sweep={"variable": variable, "start": start, "stop": stop, "points": 3})
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 1
+    bad = "start" if start < 0 else "stop"
+    assert capsys.readouterr().err.startswith(f"error: config.sweep.{bad}: must be finite")
+    assert not out.exists()
+
+
+def test_three_mode_sweep_matches_recorded_occupations(capsys, tmp_path):
+    """The three-mode preset sweeps in both averages modes, bit-identical to its record."""
+    want = json.loads(Path(THREE_SWEEP).read_text())
+    device = load_config(THREE).setup
+    for mode in ("approx", "selfconsistent"):
+        out = tmp_path / f"{mode}.csv"
+        assert run_sweep(capsys, THREE, out, ("--averages", mode)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(csv_columns(3))
+        assert len(lines) == 1 + len(want["temperature"])
+        rec = want[mode]
+        rows = sweep(device, "temperature", want["temperature"], averages=mode)
+        for i, (line, row) in enumerate(zip(lines[1:], rows)):
+            fields = line.split(",")
+            assert float(fields[0]) == pytest.approx(want["temperature"][i], rel=1e-11)
+            assert fields[1:4] == ["nan", "nan", "nan"]
+            assert fields[-2:] == ["true", ""]
+            assert row.drive_freq == want["drive_freq"]
+            assert math.isnan(row.theta) and math.isnan(row.coupling)
+            assert row.stable and row.flags == ()
+            for key, got in (("kappa_eff", row.kappa_eff), ("n_analytic", row.n_analytic),
+                             ("n_numeric", row.n_numeric)):
+                assert list(got) == rec[key][i], (mode, i, key)
+            assert fields[8:14] == [f"{n:.12g}" for pair in zip(rec["n_analytic"][i],
+                                                                 rec["n_numeric"][i])
+                                    for n in pair]
 
 
 def test_sweep_require_stable_exit3_without_partial_file(capsys, tmp_path):
@@ -301,10 +371,17 @@ def test_bad_config_exit1(capsys, tmp_path):
     bad.write_text("system: [unclosed\n")
     assert main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
-    # an n-mode-only config cannot drive the two-mode pipeline
-    assert main(["simulate", "--config", THREE]) == 1
-    err = capsys.readouterr().err
-    assert "config.system" in err
+    # a three-mode device simulates, but has no mixing angle to sweep or optimize
+    assert main(["simulate", "--config", THREE]) == 0
+    assert len(report_occupations(capsys.readouterr().out)) == 3
+    assert main(["optimize", "--config", THREE]) == 1
+    assert "needs an angle-tuned device" in capsys.readouterr().err
+    raw = serialize_config(load_config(THREE))
+    raw["sweep"] = {"variable": "theta", "start": 0.1, "stop": 1.4, "points": 3}
+    out = tmp_path / "theta.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert "needs an angle-tuned device" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimize"])

@@ -1,4 +1,5 @@
 """Config parsing, validation messages, serialization round-trips."""
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarcool.config import (
     dump_config,
@@ -50,10 +53,11 @@ def test_presets_load_and_units_convert():
     assert hot.sweep.variable == "temperature"
 
     nm = load_config("configs/three_mode.config")
-    assert nm.setup is None
-    assert nm.nmode is not None
-    assert len(nm.nmode.mechanical_modes) == 3
-    assert len(nm.nmode.couplings) == 2
+    assert len(nm.setup.mechanical_modes) == 3
+    assert len(nm.setup.couplings) == 2
+    assert nm.setup.couplings[1] == pytest.approx(TWO_PI * 9.0e6, rel=1e-15)
+    assert len(nm.setup.matter_linewidths) == 2
+    assert nm.sweep.variable == "temperature"
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -78,6 +82,72 @@ def test_round_trip_random_draws_tight():
             a.freq == pytest.approx(b.freq, rel=5e-16)
             for a, b in zip(back.setup.mechanical_modes, cfg.setup.mechanical_modes)
         )
+
+
+def _hz(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_configs(draw):
+    """A valid raw config: one device of either format, N = 2..4, optional sections."""
+    n = 2 if draw(st.booleans()) else draw(st.integers(2, 4))
+    mech_freqs = sorted(draw(st.lists(_hz(1e5, 1e8), min_size=n, max_size=n, unique=True)))
+    device = {
+        "cavity_freq_hz": draw(_hz(1e8, 1e11)),
+        "cavity_linewidth_hz": draw(_hz(1e3, 1e8)),
+        "bath_temperature_k": draw(_hz(0.0, 10.0)),
+        "mechanical_modes": [{"freq_hz": f, "damping_hz": draw(_hz(1e-3, 1e5)),
+                              "bare_coupling_hz": draw(_hz(1e-3, 1e3))} for f in mech_freqs],
+    }
+    drive = draw(st.one_of(
+        st.builds(lambda r: {"rabi_hz": r}, _hz(0.0, 1e15)),
+        st.builds(lambda d, b: {"sphere_diameter_m": d, "field_t": b},
+                  _hz(1e-6, 1e-2), _hz(0.0, 1e-3)),
+    ))
+    if n == 2 and draw(st.booleans()):
+        raw = {"system": {**device, "magnon_linewidth_hz": draw(_hz(1e3, 1e8))},
+               "drive": drive}
+    else:
+        raw = {"nmode": {**device, "drive": drive,
+                         "couplings_hz": draw(st.lists(_hz(1e3, 1e9), min_size=n - 1,
+                                                       max_size=n - 1)),
+                         "matter_linewidths_hz": draw(st.lists(_hz(1e3, 1e8), min_size=n - 1,
+                                                               max_size=n - 1))}}
+    raw["theta"] = draw(st.floats(1e-6, 0.5 * math.pi - 1e-6))
+    raw["averages"] = draw(st.sampled_from(["approx", "selfconsistent"]))
+    if draw(st.booleans()):
+        variable = draw(st.sampled_from(["theta", "temperature", "rabi"]))
+        hi = 0.5 * math.pi - 1e-6 if variable == "theta" else 1e15
+        start, stop = sorted(draw(st.lists(st.floats(1e-6, hi), min_size=2, max_size=2,
+                                           unique=True)))
+        raw["sweep"] = {"variable": variable, "start": start, "stop": stop,
+                        "points": draw(st.integers(2, 200))}
+    if draw(st.booleans()):
+        lower, upper = sorted(draw(st.lists(st.floats(1e-6, 1.5), min_size=2, max_size=2,
+                                            unique=True)))
+        raw["optimize"] = {"objective": draw(st.sampled_from(["max", "mode1", "mode2"])),
+                           "lower": lower, "upper": upper, "tol": draw(_hz(1e-12, 1e-2))}
+    return raw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_configs())
+def test_round_trip_is_exact_for_random_devices(raw):
+    cfg = parse_config(raw)
+    out = serialize_config(cfg)
+    # one device per file, in the format it came in
+    assert ("nmode" in out) == bool(cfg.setup.couplings) == ("system" not in out)
+    back = parse_config(out)
+    drive = (raw.get("drive") or raw["nmode"]["drive"])
+    if "rabi_hz" not in drive:
+        # a Rabi frequency calibrated from a field is written in Hz: one rounding
+        assert back.setup.rabi_freq == pytest.approx(cfg.setup.rabi_freq, rel=4.5e-16)
+        cfg = dataclasses.replace(
+            cfg, setup=dataclasses.replace(cfg.setup, rabi_freq=back.setup.rabi_freq))
+    assert back == cfg
+    assert parse_config(serialize_config(back)) == back
+    assert parse_config(yaml.safe_load(yaml.safe_dump(out))) == back
 
 
 def test_dump_and_reload(tmp_path):
@@ -156,9 +226,30 @@ def test_system_and_drive_must_come_together():
         parse_config({"theta": 0.5})
 
 
+def test_one_device_per_config():
+    nmode = load_config("configs/three_mode.config")
+    for extra in ({"system": base_raw()["system"]}, {"drive": base_raw()["drive"]}):
+        raw = {**serialize_config(nmode), **extra}
+        with pytest.raises(ValidationError, match=r"^config: give one device"):
+            parse_config(raw)
+    # a mode count or ordering the device rejects names the config section
+    raw = serialize_config(nmode)
+    raw["nmode"]["couplings_hz"] = raw["nmode"]["couplings_hz"][:1]
+    with pytest.raises(ValidationError, match=r"^config\.nmode\.couplings: need 2 entries"):
+        parse_config(raw)
+    raw = base_raw()
+    raw["system"]["mechanical_modes"].append(
+        {"freq_hz": 5.0e7, "damping_hz": 100.0, "bare_coupling_hz": 0.2})
+    with pytest.raises(ValidationError, match=r"^config\.system\.mechanical_modes: .*exactly 2"):
+        parse_config(raw)
+    raw["system"]["mechanical_modes"] = raw["system"]["mechanical_modes"][1::-1]
+    with pytest.raises(ValidationError, match=r"^config\.system\.mechanical_modes: .*increasing"):
+        parse_config(raw)
+
+
 def test_nmode_only_config_is_valid():
     cfg = load_config("configs/three_mode.config")
-    assert cfg.setup is None
+    assert cfg.setup.couplings
     # and it still round-trips
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -169,6 +260,14 @@ def test_readme_config_examples_parse():
     assert blocks
     for block in blocks:
         parse_config(yaml.safe_load(block))
+
+
+def test_readme_python_examples_run():
+    readme = Path("README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_theta_and_averages_validation():
@@ -201,6 +300,28 @@ def test_sweep_section_validation():
     raw["sweep"] = {"variable": "power", "start": 0.1, "stop": 1.0, "points": 5}
     with pytest.raises(ValidationError, match="variable"):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("variable,start,stop,bad", [
+    ("theta", 0.0, 1.0, "start"),
+    ("theta", -0.5, 1.0, "start"),
+    ("theta", 0.1, 0.5 * math.pi, "stop"),
+    ("theta", 0.1, 2.0, "stop"),
+    ("temperature", -0.1, 0.1, "start"),
+    ("temperature", -0.2, -0.1, "start"),
+    ("rabi", -1.0e12, 1.0e13, "start"),
+])
+def test_sweep_grid_must_lie_in_its_variables_domain(variable, start, stop, bad):
+    """Such a grid once loaded, and its sweep wrote error rows and exited 0."""
+    raw = base_raw()
+    raw["sweep"] = {"variable": variable, "start": start, "stop": stop, "points": 3}
+    with pytest.raises(ValidationError, match=rf"^config\.sweep\.{bad}: must be finite"):
+        parse_config(raw)
+    # the domain's own edge is a valid end where it is closed
+    if variable != "theta":
+        raw["sweep"]["start"] = 0.0
+        raw["sweep"]["stop"] = abs(stop)
+        assert parse_config(raw).sweep.start == 0.0
 
 
 def test_optimize_section_defaults_and_validation():

@@ -125,15 +125,17 @@ def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
 
     # three nodes: the preset, then unequal bare linewidths so the cross damping is live
     for linewidths_hz in ((1.0e6, 1.0e6), (1.0e6, 3.0e6)):
-        tuned_n = pc.tune_n_mode(
+        mechs = make_mechs(freq_hz=(1.0e7, 2.0e7, 3.5e7))
+        device = pc.Device(
             cavity_freq=TWO_PI * 1.0e10,
-            mech_freqs=[TWO_PI * 1.0e7, TWO_PI * 2.0e7, TWO_PI * 3.5e7],
-            couplings=[TWO_PI * 7.0e6, TWO_PI * 9.0e6],
             cavity_linewidth=TWO_PI * 1.0e6,
             matter_linewidths=[TWO_PI * k for k in linewidths_hz],
+            mechanical_modes=mechs,
+            bath_temperature=0.01,
+            rabi_freq=BASE_RABI,
+            couplings=[TWO_PI * 7.0e6, TWO_PI * 9.0e6],
         )
-        mechs = make_mechs(freq_hz=(1.0e7, 2.0e7, 3.5e7))
-        model = pc.polariton_network(tuned_n, mechs, BASE_RABI, 0.01, "selfconsistent")
+        tuned_n, model = device.working_point(mode="selfconsistent")
         avg = model.averages
         assert avg.mode == "selfconsistent"
         pols = tuned_n.polaritons

@@ -34,7 +34,7 @@ swap = dataclasses.replace
 
 def _setup(**fields):
     kwargs = {f.name: getattr(SETUP, f.name) for f in dataclasses.fields(SETUP)}
-    return pc.TwoModeSetup(**{**kwargs, **fields})
+    return pc.Device(**{**kwargs, **fields})
 
 
 def _nmode(key, value):
@@ -60,8 +60,8 @@ API = [
       for name in ("cavity_freq", "magnon_freq", "photon_matter_coupling", "cavity_linewidth",
                    "magnon_linewidth", "drive_freq", "rabi_freq", "bath_temperature")],
     *[(name, lambda v, name=name: _setup(**{name: v}), False)
-      for name in ("cavity_freq", "cavity_linewidth", "magnon_linewidth",
-                   "bath_temperature", "rabi_freq")],
+      for name in ("cavity_freq", "cavity_linewidth", "bath_temperature", "rabi_freq")],
+    ("matter_linewidths[0]", lambda v: _setup(matter_linewidths=(v,)), False),
     ("sphere_diameter", lambda v: pc.DriveCalibration(sphere_diameter=v), False),
     ("spin_density", lambda v: swap(CAL, spin_density=v), False),
     ("gyro_ratio", lambda v: swap(CAL, gyro_ratio=v), False),

@@ -93,21 +93,45 @@ def test_params_at_overrides():
 
 def test_two_mode_setup_validations():
     kwargs = dict(cavity_freq=TWO_PI * 1e10, cavity_linewidth=TWO_PI * 1e6,
-                  magnon_linewidth=TWO_PI * 1e6, bath_temperature=0.01,
+                  matter_linewidths=(TWO_PI * 1e6,), bath_temperature=0.01,
                   rabi_freq=BASE_RABI)
+    with pytest.raises(ValidationError, match="at least 2"):
+        pc.Device(mechanical_modes=make_mechs()[:1], **kwargs)
     with pytest.raises(ValidationError, match="exactly 2"):
-        pc.TwoModeSetup(mechanical_modes=make_mechs()[:1], **kwargs)
+        pc.Device(mechanical_modes=make_mechs((1e7, 2e7, 3e7)), **kwargs)
     descending = tuple(reversed(make_mechs()))
     with pytest.raises(ValidationError, match="increasing"):
-        pc.TwoModeSetup(mechanical_modes=descending, **kwargs)
+        pc.Device(mechanical_modes=descending, **kwargs)
     # a bad device fails when it is built, not once per working point
     for field, value in (("cavity_freq", math.nan), ("bath_temperature", -1.0),
-                         ("rabi_freq", math.inf), ("magnon_linewidth", "1e6")):
-        with pytest.raises(ValidationError, match=f"^{field}: "):
-            pc.TwoModeSetup(mechanical_modes=make_mechs(), **{**kwargs, field: value})
+                         ("rabi_freq", math.inf), ("matter_linewidths", ("1e6",))):
+        with pytest.raises(ValidationError, match=f"^{field}(\\[0\\])?: "):
+            pc.Device(mechanical_modes=make_mechs(), **{**kwargs, field: value})
     bad_mode = pc.MechanicalMode(freq=TWO_PI * 3e7, damping=math.nan, bare_coupling=0.0)
     with pytest.raises(ValidationError, match=r"^mechanical_modes\[1\]\.damping"):
-        pc.TwoModeSetup(mechanical_modes=(make_mechs()[0], bad_mode), **kwargs)
+        pc.Device(mechanical_modes=(make_mechs()[0], bad_mode), **kwargs)
+    with pytest.raises(ValidationError, match=r"^matter_linewidths: need 1 entries"):
+        pc.Device(mechanical_modes=make_mechs(), **{**kwargs, "matter_linewidths": ()})
+    with pytest.raises(ValidationError, match=r"^matter_linewidths: expected a sequence"):
+        pc.Device(mechanical_modes=make_mechs(), **{**kwargs, "matter_linewidths": 1.0})
+
+
+def test_fixed_coupling_device_validations():
+    device = three_mode_device()
+    assert device.couplings and len(device.matter_linewidths) == 2
+    fields = {f.name: getattr(device, f.name) for f in dataclasses.fields(device)}
+    with pytest.raises(ValidationError, match=r"^couplings: need 2 entries for 3"):
+        pc.Device(**{**fields, "couplings": device.couplings[:1]})
+    with pytest.raises(ValidationError, match=r"^couplings\[1\]: must be finite"):
+        pc.Device(**{**fields, "couplings": (TWO_PI * 7e6, -1.0)})
+    with pytest.raises(ValidationError, match=r"^matter_linewidths: need 2 entries for 3"):
+        pc.Device(**{**fields, "matter_linewidths": device.matter_linewidths[:1]})
+    # the angle is no knob of a fixed-coupling device
+    for call in (lambda: device.params_at(0.7),
+                 lambda: pc.sweep(device, "theta", [0.5, 0.7]),
+                 lambda: pc.optimize_theta(device)):
+        with pytest.raises(ValidationError, match="needs an angle-tuned device"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -360,42 +384,51 @@ def test_tune_n_mode_validations():
         pc.tune_n_mode(**inputs, initial_guess=[1.0, "abc"])
 
 
-def test_polariton_network_cools_all_three_modes():
-    tuned = pc.tune_n_mode(**three_mode_inputs())
-    mechs = tuple(
-        pc.MechanicalMode(freq=f, damping=TWO_PI * 100.0, bare_coupling=TWO_PI * 0.2)
-        for f in three_mode_inputs()["mech_freqs"]
+def three_mode_device():
+    inputs = three_mode_inputs()
+    return pc.Device(
+        cavity_freq=inputs["cavity_freq"],
+        cavity_linewidth=inputs["cavity_linewidth"],
+        matter_linewidths=inputs["matter_linewidths"],
+        mechanical_modes=make_mechs(freq_hz=(1.0e7, 2.0e7, 3.5e7)),
+        bath_temperature=0.01,
+        rabi_freq=BASE_RABI,
+        couplings=inputs["couplings"],
     )
-    model = pc.polariton_network(tuned, mechs, BASE_RABI, 0.01)
+
+
+def test_polariton_network_cools_all_three_modes():
+    device = three_mode_device()
+    tuned, model = device.working_point()
+    assert tuned is device.tuning  # tuned once per device
+    assert tuned == pc.tune_n_mode(**three_mode_inputs())
     state = pc.steady_state(model)
     assert state.stable
-    for j, mech in enumerate(mechs):
+    for j, mech in enumerate(device.mechanical_modes):
         nbar = pc.thermal_occupation(mech.freq, 0.01)
         assert state.occupations[3 + j] < nbar
 
 
 def test_polariton_network_keeps_dissipative_cross_coupling():
-    """One matter mode with kappa_m != kappa_a: the N-mode route is the two-mode model.
+    """One matter mode with kappa_m != kappa_a: a fixed-coupling device is the angle-tuned one.
 
-    The network orders its nodes (lower, upper), the two-mode model
-    (upper, lower); after that permutation drift, diffusion and occupations
-    must agree, which needs the shared-loss cross damping delta-kappa.
+    Fixing the coupling that the angle sets, the numeric tuning finds the
+    same magnon and drive frequencies. The network orders its nodes
+    (lower, upper), the two-mode model (upper, lower); after that
+    permutation drift, diffusion and occupations must agree, which needs the
+    shared-loss cross damping delta-kappa.
     """
-    params = make_base_setup(magnon_linewidth=TWO_PI * 4.0e6).params_at(0.6)
-    polaritons = pc.photon_matter_diagonalize(
-        params.cavity_freq,
-        [pc.MatterMode(freq=params.magnon_freq, coupling=params.photon_matter_coupling,
-                       linewidth=params.magnon_linewidth)],
-        params.cavity_linewidth,
-    )
-    tuned = pc.NModeResult(matter_freqs=(params.magnon_freq,), drive_freq=params.drive_freq,
-                           polaritons=polaritons, residual=0.0, converged=True)
+    angle_tuned = make_base_setup(magnon_linewidth=TWO_PI * 4.0e6)
+    params = angle_tuned.params_at(0.6)
+    fixed = dataclasses.replace(angle_tuned, couplings=(params.photon_matter_coupling,))
+    assert fixed.tuning.converged
+    assert fixed.tuning.matter_freqs[0] == pytest.approx(params.magnon_freq, rel=1e-14)
+    assert fixed.tuning.drive_freq == pytest.approx(params.drive_freq, rel=1e-14)
     perm = [2, 3, 0, 1, 4, 5, 6, 7]
     for mode in ("approx", "selfconsistent"):
-        two_mode = pc.build_linear_model(params, mode=mode)
+        _, two_mode = angle_tuned.working_point(0.6, mode=mode)
         assert two_mode.drift[0, 2] != 0.0
-        network = pc.polariton_network(tuned, params.mechanical_modes, params.rabi_freq,
-                                       params.bath_temperature, mode)
+        _, network = fixed.working_point(mode=mode)
         drift = network.drift[np.ix_(perm, perm)]
         diffusion = network.diffusion[np.ix_(perm, perm)]
         assert np.abs(drift - two_mode.drift).max() <= 1e-12 * np.abs(two_mode.drift).max()
