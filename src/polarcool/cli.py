@@ -18,7 +18,7 @@ from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
 from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import thermal_occupation
-from .tuning import optimize_theta, solve_model, sweep
+from .tuning import _tuning_flags, optimize_theta, solve_model, sweep
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +109,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     device = cfg.setup
     tuning, model = device.working_point(cfg.theta, mode=averages_mode)
     rates, state, flags, numeric = solve_model(model)
+    flags = _tuning_flags(tuning, flags)
     # polariton k's linewidth and drive detuning, as the model holds them
     drift = model.drift
     nodes = range(len(model.averages.avg_polaritons))

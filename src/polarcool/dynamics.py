@@ -134,31 +134,121 @@ def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
     return detunings, cross
 
 
-def _nonnegative_roots(coeffs) -> list[float]:
-    """Ascending roots u >= 0 of the real cubic ``coeffs``, highest power first.
+def _eliminate(rows) -> list:
+    """x with a x = b from the rows [a_k..., b_k] of the augmented matrix, which
+    it overwrites: Gaussian elimination with partial pivoting on Python scalars;
+    raises SolverError on a zero pivot."""
+    n = len(rows)
+    for k in range(n):
+        for i in range(k + 1, n):  # the largest entry of column k goes on top
+            if abs(rows[i][k]) > abs(rows[k][k]):
+                rows[i], rows[k] = rows[k], rows[i]
+        top = rows[k]
+        if top[k] == 0:
+            raise SolverError("selfconsistent averages: singular polariton matrix")
+        for row in rows[k + 1:]:
+            factor = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= factor * top[j]
+    x = [0j] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        acc = row[n]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
 
-    np.roots drops zero leading coefficients (a line needs no special case) and
-    resolves a near-double root at a fold only to about sqrt(eps), as a real or
-    a complex pair. So a root within 1e-6 max|root| of the real axis counts when
-    |f(u)| <= 1e-15 sum|terms|; a real one first gets two Newton steps, each kept
-    only if it lowers |f| (from a pair's real part they might jump to another root).
+
+def _cubic_seeds(p: float, c: float) -> list[float]:
+    """Real roots of y^3 + p y^2 + y - c in closed form, ascending: trigonometric
+    for three, Cardano for one (Kahan 1986; Blinn 2006-07).
+
+    The depressed form t = y + p/3 loses a root much smaller than 1 to
+    cancellation, so the root of least magnitude is recomputed from the
+    identity y = c / (y^2 + p y + 1).
     """
-    c3, c2, c1, c0 = coeffs
+    h = 0.5 * (p * (2.0 * p * p - 9.0) / 27.0 - c)  # t^3 + 3 k t + 2 h = 0
+    k = (1.0 - p * p / 3.0) / 3.0
+    if k < 0.0 and h * h + k * k * k < 0.0:
+        r = 2.0 * math.sqrt(-k)
+        phi = math.acos(max(-1.0, min(1.0, -8.0 * h / (r * r * r)))) / 3.0
+        third = 2.0 * math.pi / 3.0  # cos(phi + third) <= cos(phi + 2 third) <= cos(phi)
+        ys = [r * math.cos(a) - p / 3.0 for a in (phi + third, phi + 2.0 * third, phi)]
+        small = 0 if p < 0.0 else 2  # all three roots are positive for p < 0, two negative else
+    else:
+        # sqrt(h^2 + k^3) without squaring h, which overflows for c beyond ~1e154
+        q, k3 = abs(h), abs(k) ** 1.5
+        s = math.hypot(q, k3) if k >= 0.0 else math.sqrt(max(q - k3, 0.0)) * math.sqrt(q + k3)
+        big = -math.copysign((q + s) ** (1.0 / 3.0), h)
+        ys, small = [(big - k / big if big else 0.0) - p / 3.0], 0
+    y = ys[small]
+    others = (y + p) * y + 1.0  # the product of the other two roots, positive
+    if others > 0.0:
+        ys[small] = c / others
+    return ys
 
-    def f(u):
-        return ((c3 * u + c2) * u + c1) * u + c0
 
-    roots, found = np.roots(coeffs).tolist(), []
-    near_axis = 1e-6 * max(map(abs, roots))
-    for u, imag in ((r.real, r.imag) for r in roots if abs(r.imag) <= near_axis):
-        for _ in range(2 if imag == 0.0 else 0):
-            slope = (3.0 * c3 * u + 2.0 * c2) * u + c1
-            nxt = u - f(u) / slope if slope else u
-            u = nxt if abs(f(nxt)) < abs(f(u)) else u
-        terms = ((abs(c3) * u + abs(c2)) * u + abs(c1)) * u + abs(c0)
-        if u >= 0.0 and abs(f(u)) <= 1e-15 * terms:
-            found.append(u)
-    return sorted(found)
+def _nonnegative_roots(p: float, c: float) -> list[float]:
+    """Ascending roots y >= 0 of the monic cubic f(y) = y^3 + p y^2 + y - c, |p| <= 2, c >= 0.
+
+    f(0) = -c <= 0 < f(2 + 2 c^(1/3)), and f has critical points, 0 < y_lo < y_hi,
+    only for p < -sqrt(3); between these marks f is monotone. A critical point
+    where |f| <= 1e-15 sum|terms| is a double root at round-off (a fold), listed
+    twice; two such points are one triple root. Every other root lies where f
+    changes sign between two marks and is polished there by bracketed Newton
+    steps from its closed-form seed, until a step is below 1e-14 relative.
+    """
+
+    def f(y):
+        return ((y + p) * y + 1.0) * y - c
+
+    marks = [(0.0, -c, 1)]  # (y, f(y) or 0 at a root, multiplicity of that root)
+    disc = p * p - 3.0
+    if p < 0.0 and disc > -1e-14:  # a rounded p = -sqrt(3) keeps its critical point
+        y_hi = (math.sqrt(max(disc, 0.0)) - p) / 3.0
+        y_lo = 1.0 / (3.0 * y_hi)  # the product of the critical points is 1/3
+        f_lo, f_hi = f(y_lo), f(y_hi)
+        if abs(f_lo) <= 1e-15 * (((y_lo - p) * y_lo + 1.0) * y_lo + c):
+            f_lo = 0.0
+        if abs(f_hi) <= 1e-15 * (((y_hi - p) * y_hi + 1.0) * y_hi + c):
+            f_hi = 0.0
+        if f_lo == f_hi == 0.0:
+            marks.append((-p / 3.0, 0.0, 3))
+        else:
+            marks += [(y_lo, f_lo, 2), (y_hi, f_hi, 2)]
+    marks.append((2.0 + 2.0 * c ** (1.0 / 3.0), 1.0, 0))
+
+    seeds, roots = _cubic_seeds(p, c), []
+    for (lo, f_a, mult), (hi, f_b, _) in zip(marks, marks[1:]):
+        if f_a == 0.0:
+            roots += [lo] * mult
+            continue
+        if f_b == 0.0 or (f_a < 0.0) == (f_b < 0.0):
+            continue
+        rising = f_a < 0.0
+        for y in seeds:
+            if lo < y < hi:
+                break
+        else:
+            y = 0.5 * (lo + hi)
+        for _ in range(100):
+            fy = f(y)
+            if fy == 0.0:
+                break
+            if (fy < 0.0) == rising:
+                lo = y
+            else:
+                hi = y
+            slope = (3.0 * y + 2.0 * p) * y + 1.0
+            nxt = y - fy / slope if slope else math.nan
+            if not lo <= nxt <= hi:  # also a NaN, from an overflowed f near the bound
+                nxt = 0.5 * (lo + hi)
+            y, step = nxt, abs(nxt - y)
+            if step <= 1e-14 * y:
+                break
+        roots.append(y)
+    return roots
 
 
 def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
@@ -171,23 +261,33 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mech
     x = sigma |M|^2 with sigma = sum_j 2 G_0j Re[-i G_0j / (i omega_j + gamma_j)].
     So M = Omega chi / (1 + i sigma u chi) with u = |M|^2 a non-negative root of
     sigma^2 |chi|^2 u^3 - 2 sigma Im(chi) u^2 + u - Omega^2 |chi|^2 = 0 whatever the
-    number of nodes: at least one, as f(0) <= 0 < f'(0), and three where it is
-    statically bistable; the lowest is the branch a drive ramped up from zero reaches.
+    number of nodes. Scaled to y = |sigma| |chi| u it is the monic
+    y^3 + p y^2 + y - c = 0 with p = -2 sgn(sigma) Im(chi) / |chi| in [-2, 2] and
+    c = |sigma| |chi|^3 Omega^2, whose only large coefficient is c. It has one
+    root, as f(0) <= 0 < f'(0), or three where it is statically bistable; the
+    lowest is the branch a drive ramped up from zero reaches. At a fold, where
+    f vanishes at a critical point to round-off, the double root is listed
+    twice. sigma chi = 0 leaves no shift: M = Omega chi.
     """
-    w = np.asarray(weights, dtype=float)
-    a0 = np.diag(1j * np.asarray(detunings) + linewidths) + np.asarray(cross)
-    try:
-        v = np.linalg.solve(a0, w)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"selfconsistent averages: singular polariton matrix ({exc})") from exc
-    chi = complex(w @ v)
+    n = len(weights)
+    v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
+                     for q in range(n)] + [weights[k]] for k in range(n)])
+    chi = sum(w * x for w, x in zip(weights, v))
     sigma = sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
                 for m in mechanics)
-    coeffs = ((sigma * abs(chi)) ** 2, -2.0 * sigma * chi.imag, 1.0, -(rabi * abs(chi)) ** 2)
-    roots = _nonnegative_roots(coeffs)
-    branches = tuple(rabi * chi / (1.0 + 1j * sigma * u * chi) for u in roots)
-    p_avgs = tuple(complex(x) for x in rabi * v / (1.0 + 1j * sigma * roots[0] * chi))
-    return p_avgs, branches
+    scale = abs(sigma) * abs(chi)
+    if scale == 0.0:
+        unit, ys = 0j, [0.0]
+    else:
+        unit = math.copysign(1.0, sigma) * chi / abs(chi)  # sigma u chi = y unit
+        field = rabi * abs(chi)
+        p, c = -2.0 * unit.imag, scale * field * field
+        if not (math.isfinite(p) and math.isfinite(c)):
+            raise OverflowError
+        ys = _nonnegative_roots(p, c)
+    branches = tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys)
+    lowest = rabi / (1.0 + 1j * ys[0] * unit)
+    return tuple(lowest * x for x in v), branches
 
 
 def build_network(
@@ -219,15 +319,19 @@ def build_network(
         <P_k> = -i w_k Omega / Delta_k, <b_j> = -G_0j |M|^2 / omega_j; it
         requires nonzero detunings. "selfconsistent" solves the full
         classical equations including the linewidths, K and the
-        displacement-induced detuning shift, from one cubic in |M|^2 (lowest
-        branch; every branch's M is in ``averages.branches``).
+        displacement-induced detuning shift, from one cubic in |M|^2 scaled
+        to the monic y^3 + p y^2 + y - c with |p| <= 2 and c >= 0 (lowest
+        branch; every branch's M is in ``averages.branches``, and a fold's
+        double root, where the cubic vanishes to round-off at a critical
+        point, is listed twice).
 
     Raises
     ------
     ValidationError
         A missing, NaN, infinite or out-of-range input, named by its path
         (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
-        approx mode with a node resonant with the drive.
+        approx mode with a node resonant with the drive; an average derived
+        from finite inputs that overflows.
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """

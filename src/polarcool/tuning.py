@@ -263,6 +263,13 @@ def solve_model(model: LinearModel) -> tuple:
     return rates, state, tuple(flags), state.occupations[len(model.averages.avg_polaritons):]
 
 
+def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
+    """``flags`` plus ``tuning_not_converged`` where a fixed-coupling tuning missed its sidebands."""
+    if isinstance(tuning, NModeResult) and not tuning.converged:
+        return flags + ("tuning_not_converged",)
+    return flags
+
+
 def evaluate_point(
     setup: Device,
     theta: float | None = None,
@@ -273,8 +280,9 @@ def evaluate_point(
     """Solve one tuned working point end to end (analytic rates + covariance).
 
     A fixed-coupling device takes no angle: its row's theta, coupling and
-    magnon_freq are NaN. A ValidationError or SolverError comes back as an
-    ``error:<Type>`` row.
+    magnon_freq are NaN, and a tuning that did not converge adds the flag
+    ``tuning_not_converged`` after those of :func:`solve_model`. A
+    ValidationError or SolverError comes back as an ``error:<Type>`` row.
     """
     fixed = bool(setup.couplings)
     if fixed:
@@ -306,7 +314,7 @@ def evaluate_point(
         n_analytic=tuple(r.n_eff for r in rates),
         n_numeric=n_numeric,
         stable=state.stable,
-        flags=flags,
+        flags=_tuning_flags(tuning, flags),
     )
 
 

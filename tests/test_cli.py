@@ -404,6 +404,29 @@ def test_bad_device_fails_at_load(capsys, tmp_path, command, section, key, value
     assert not out.exists()
 
 
+def test_selfconsistent_overflow_is_a_config_error(capsys, tmp_path):
+    raw = base_raw()
+    for mode in raw["system"]["mechanical_modes"]:
+        mode["bare_coupling_hz"] = 1.0e300
+    path = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", path, "--averages", "selfconsistent"]) == 1
+    assert capsys.readouterr().err.startswith("error: averages: ")
+
+
+def test_unconverged_tuning_flag_reaches_simulate_and_csv(capsys, tmp_path):
+    raw = serialize_config(load_config(THREE))
+    raw["nmode"]["couplings_hz"] = [7.0e6, 1.0e5]
+    raw["sweep"] = {"variable": "temperature", "start": 0.01, "stop": 0.02, "points": 2}
+    path = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", path]) == 0
+    assert "flags: tuning_not_converged" in capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.endswith(",true,tuning_not_converged") for row in rows)
+
+
 def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverError("manufactured failure")

@@ -2,10 +2,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcool as pc
+from polarcool import dynamics
 from polarcool.errors import SolverError, ValidationError
 
 from helpers import (
@@ -232,7 +236,8 @@ def test_selfconsistent_keeps_the_lower_branch_at_its_fold():
         assert residual < 1e-9 * rabi
         return avg
 
-    # just inside the fold the near-double root may come back from np.roots as a complex pair
+    # just inside the fold the cubic vanishes at its critical point to round-off
+    # or dips just below zero there: either way the lower branch is kept
     for offset in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
         avg = averages(fold * (1.0 - offset))
         assert len(avg.branches) == 3
@@ -242,6 +247,132 @@ def test_selfconsistent_keeps_the_lower_branch_at_its_fold():
         avg = averages(fold * (1.0 + offset))
         assert len(avg.branches) == 1
         assert abs(avg.avg_matter) ** 2 > 2.0 * u_a
+
+
+# ---------------------------------------------------------------------------
+# the scaled cubic y^3 + p y^2 + y - c and the node solve, against referees
+
+EPS = 2.0 ** -52
+
+
+def referee_roots(p, c):
+    """(root, allowed error) of every non-negative root of y^3 + p y^2 + y - c, ascending.
+
+    mpmath finds all three roots of the float coefficients at 50 digits, and
+    Newton steps at that precision refine each real simple root (polyroots
+    resolves a root only to 1e-50 absolute, and c reaches 1e-150). A
+    perturbation of f by its evaluation round-off, 8 eps sum|terms|, moves a
+    simple root by eps_f / |f'| and a k-fold one by (eps_f / |f^(k) / k!|)^(1/k);
+    roots closer than twice that for k = 2 or 3 are one multiple root at
+    round-off, possibly split into a complex pair, and count with their number
+    at their mean.
+    """
+    with mpmath.workdps(50):
+        roots = sorted(mpmath.polyroots([1, p, 1, -c], maxsteps=400, extraprec=400),
+                       key=lambda r: (mpmath.re(r), mpmath.im(r)))
+    roots = [complex(r) for r in roots]
+
+    def radius(y):
+        y = abs(y)
+        eps_f = 8.0 * EPS * (((y + abs(p)) * y + 1.0) * y + c)
+        return eps_f / max(abs((3.0 * y + 2.0 * p) * y + 1.0), 1e-300), \
+            max(math.sqrt(eps_f / max(abs(3.0 * y + p), 1e-300)), eps_f ** (1.0 / 3.0))
+
+    def refine(y):
+        with mpmath.workdps(50):
+            y = mpmath.mpf(y)
+            for _ in range(400):
+                step = (((y + p) * y + 1) * y - c) / ((3 * y + 2 * p) * y + 1)
+                y -= step
+                if abs(step) <= mpmath.mpf(10) ** -45 * abs(y):
+                    break
+            return float(y)
+
+    clusters = [[roots[0]]]
+    for r in roots[1:]:
+        mean = sum(clusters[-1]) / len(clusters[-1])
+        if abs(r - mean) <= 2.0 * radius(0.5 * (r + mean))[1]:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    found = []
+    for members in clusters:
+        mean = sum(members) / len(members)
+        if len(members) == 1 and mean.imag != 0.0 or mean.real < 0.0:
+            continue
+        simple, multiple = radius(mean.real)
+        err = simple if len(members) == 1 else 2.0 * multiple
+        root = mean.real if len(members) > 1 else refine(mean.real)
+        found += [(root, 1e-12 * root + 2.0 * err)] * len(members)
+    return found
+
+
+def chosen_double_root(r, rel):
+    """(p, c) of (y - a)(y - r)^2 with a = (1 - r^2) / (2 r), c scaled by 1 + rel.
+
+    The y coefficient r^2 + 2 a r is 1 by the choice of a; r in [1/3, 1] gives
+    a >= 0 and p in [-2, -sqrt(3)], and r = 1/sqrt(3) the triple root.
+    """
+    a = (1.0 - r * r) / (2.0 * r)
+    return -(a + 2.0 * r), a * r * r * (1.0 + rel)
+
+
+cubics = st.one_of(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)),
+    st.builds(
+        chosen_double_root,
+        st.one_of(st.just(1.0 / math.sqrt(3.0)), st.just(1.0), st.floats(1.0 / 3.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e-2), st.floats(-1e-2, -1e-6)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cubics)
+def test_cubic_roots_match_a_50_digit_referee(pc_pair):
+    p, c = pc_pair
+    got = dynamics._nonnegative_roots(p, c)
+    want = referee_roots(p, c)
+    assert len(got) == len(want), (p, c, got, want)
+    assert got == sorted(got)
+    for y, (ref, tol) in zip(got, want):
+        assert abs(y - ref) <= tol, (p, c, got, want)
+
+
+def test_cubic_roots_at_the_edges_of_the_range():
+    # c where 1 + c^(1/3) as the upper bracket end would round to c^(1/3)
+    for c in (1e289, 1e300, 1.7e308):
+        (y,) = dynamics._nonnegative_roots(-1.99, c)
+        assert y == pytest.approx(c ** (1.0 / 3.0), rel=1e-12)
+    assert dynamics._nonnegative_roots(0.5, 0.0) == [0.0]
+    assert dynamics._nonnegative_roots(-2.0, 0.0) == [0.0, 1.0, 1.0]
+    assert dynamics._nonnegative_roots(-2.0, 4.0 / 27.0) == [1.0 / 3.0, 1.0 / 3.0,
+                                                             pytest.approx(4.0 / 3.0, rel=1e-14)]
+    assert dynamics._nonnegative_roots(-math.sqrt(3.0), 1.0 / (3.0 * math.sqrt(3.0))) \
+        == [pytest.approx(1.0 / math.sqrt(3.0), rel=1e-5)] * 3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_node_elimination_matches_numpy(n, seed):
+    rng = np.random.default_rng(seed)
+    cross = rng.uniform(-1.0, 1.0, (n, n))
+    cross = np.triu(cross, 1) + np.triu(cross, 1).T
+    a = np.diag(rng.uniform(0.1, 10.0, n) + 1j * rng.uniform(-10.0, 10.0, n)) + cross
+    w = rng.uniform(-1.0, 1.0, n)
+    rows = [list(row) + [wk] for row, wk in zip(a.tolist(), w.tolist())]
+    got = np.array(dynamics._eliminate(rows))
+    want = np.linalg.solve(a, w)
+    assert np.abs(got - want).max() <= 1e-13 * np.linalg.cond(a) * np.abs(want).max()
+
+
+def test_singular_polariton_matrix_raises_solver_error():
+    # A0 = [[1, 1], [1, 1]]: unit linewidths, no detuning, unit cross damping
+    pol = pc.NetworkPolariton(freq=10.0, linewidth=1.0, weight=1.0, detuning=0.0)
+    drive = pc.NetworkDrive(drive_freq=10.0, rabi_freq=1.0, bath_temperature=0.0)
+    with pytest.raises(SolverError, match="singular polariton matrix"):
+        pc.build_network([pol, pol], make_mechs(), drive, [[0.0, 1.0], [1.0, 0.0]],
+                         mode="selfconsistent")
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,18 @@ def test_overflowing_derived_values_give_error_rows(overrides, averages):
     assert all(math.isnan(n) for n in row.n_numeric + row.n_analytic)
 
 
+def test_selfconsistent_point_at_extreme_finite_inputs_is_a_row():
+    """The scaled cubic keeps these finite: no raw LinAlgError, no RuntimeWarning."""
+    setup = load_config("configs/two_mode_base.config").setup
+    row = pc.evaluate_point(setup, 0.7, averages="selfconsistent", rabi=1e160)
+    assert row.flags == ("unstable", "weak_coupling_broken")
+    assert all(math.isnan(n) for n in row.n_numeric)
+    mechs = tuple(dataclasses.replace(m, bare_coupling=1e300) for m in setup.mechanical_modes)
+    row = pc.evaluate_point(dataclasses.replace(setup, mechanical_modes=mechs), 0.7,
+                            averages="selfconsistent")
+    assert row.flags == ("error:ValidationError",)
+
+
 def test_approx_point_checks_each_value_once(monkeypatch):
     # theta, the tuned SystemParams (its device scalars and mechanics), the two
     # polariton nodes and the model's linewidths and dampings: 27 values, each
@@ -407,6 +419,21 @@ def test_polariton_network_cools_all_three_modes():
     for j, mech in enumerate(device.mechanical_modes):
         nbar = pc.thermal_occupation(mech.freq, 0.01)
         assert state.occupations[3 + j] < nbar
+
+
+def test_unconverged_tuning_is_flagged():
+    device = dataclasses.replace(load_config("configs/three_mode.config").setup,
+                                 couplings=(TWO_PI * 7e6, TWO_PI * 1e5))
+    assert not device.tuning.converged
+    assert device.tuning.residual > TWO_PI * 1e6
+    for averages in ("approx", "selfconsistent"):
+        row = pc.evaluate_point(device, averages=averages)
+        assert row.flags == ("tuning_not_converged",)
+        assert all(math.isfinite(n) for n in row.n_numeric)
+        (swept,) = pc.sweep(device, "temperature", [0.01], averages=averages)
+        assert swept.flags == row.flags
+    # a converged tuning adds nothing
+    assert pc.evaluate_point(three_mode_device()).flags == ()
 
 
 def test_polariton_network_keeps_dissipative_cross_coupling():
