@@ -154,7 +154,7 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 
 
 def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    _, model = cfg.setup.working_point(cfg.theta, mode=averages_mode)
+    tuning, model = cfg.setup.working_point(cfg.theta, mode=averages_mode)
     rates = network_cooling(model)
     if cfg.setup.couplings:
         lines = ["scattering rates (all rates in Hz):"]
@@ -174,6 +174,9 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
                      f"  (dominant: {names[r.dominant]})")
         lines.append(f"  n_eff = {_fmt(r.n_eff)}  n_eff_all = {_fmt(r.n_eff_all)}")
         lines.append(f"  weak coupling valid: {'yes' if r.weak_coupling else 'no'}")
+    flags = _tuning_flags(tuning, ())
+    if flags:
+        lines.append(f"flags: {';'.join(flags)}")
     return "\n".join(lines) + "\n", True
 
 
@@ -289,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
                        help="override the config's steady-state averages mode")
     sub.choices["sweep"].add_argument("--threads", type=int, default=1,
-                                      help="worker threads for sweep evaluation")
+                                      help="worker threads for sweep evaluation (measured"
+                                      " slower than serial on every run so far)")
     return parser
 
 

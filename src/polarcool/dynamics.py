@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_real
+from .errors import SolverError, ValidationError, check_drift_diffusion, check_real
 from .model import (
     MechanicalMode,
     PolaritonBasis,
@@ -57,12 +57,27 @@ class SteadyStateAverages:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Drift and diffusion of the linearized fluctuations plus their provenance."""
+    """Drift and diffusion of the linearized fluctuations plus their provenance.
+
+    The one place a model's matrices are checked: construction (and so
+    ``dataclasses.replace``) raises ValidationError, naming the field, unless
+    both are real, square, non-empty, finite and of one shape, and the
+    diffusion is symmetric within 1e-12 max(1, max|D|). The model holds
+    read-only float copies, so what was checked cannot change afterwards and
+    the solvers use the matrices without checking them again.
+    """
 
     drift: np.ndarray
     diffusion: np.ndarray
     mode_layout: tuple[str, ...]
     averages: SteadyStateAverages
+
+    def __post_init__(self) -> None:
+        for name, arr in zip(("drift", "diffusion"),
+                             check_drift_diffusion(self.drift, self.diffusion)):
+            arr = arr.copy(order="K")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -343,7 +358,8 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearMode
     """:func:`build_network` of checked inputs, ``cross`` as nested lists.
 
     Derived values are not checked one by one: an average that overflows, or
-    a single finiteness test on the assembled drift, raises ValidationError.
+    a NaN or infinite entry of the assembled matrices, which the
+    :class:`LinearModel` rejects, raises ValidationError.
     """
     n_p, n_m = len(polaritons), len(mechanics)
     weights = [p.weight for p in polaritons]
@@ -400,8 +416,6 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearMode
             r[2 * k, i] = -g_j * w
             r[i + 1, 2 * k + 1] = g_j * w
 
-    if not np.isfinite(r).all():
-        raise ValidationError("drift: an entry derived from the inputs is NaN or infinite")
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
     averages = SteadyStateAverages(
         avg_polaritons=p_avgs,

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one check on scalar inputs."""
+"""Exception types shared across the package, and the checks on scalar and matrix inputs."""
 import math
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -47,3 +49,42 @@ def check_real(path: str, value, above=None, at_least=None, below=None) -> float
     if below is not None:
         wanted.append(f"< {below}")
     raise ValidationError(f"{path}: must be {' and '.join(wanted)}, got {value}")
+
+
+def check_matrix(path: str, a) -> np.ndarray:
+    """``a`` as a real, square, non-empty and finite float matrix, or a ValidationError.
+
+    Complex entries are rejected before any conversion; the result may share
+    memory with ``a``.
+    """
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind != "c":
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: expected a real numeric matrix") from None
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{path}: expected a real matrix, got complex entries")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{path}: expected a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{path}: expected a non-empty matrix, got shape (0, 0)")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: contains a NaN or infinite entry")
+    return arr
+
+
+def check_drift_diffusion(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_matrix` of both, of matching shapes, the diffusion symmetric
+    within 1e-12 max(1, max|D|)."""
+    r = check_matrix("drift", drift)
+    d = check_matrix("diffusion", diffusion)
+    if r.shape != d.shape:
+        raise ValidationError(
+            f"drift/diffusion: expected matching shapes, got {r.shape} and {d.shape}"
+        )
+    # an exactly symmetric D, as every builder makes, passes without the tolerance
+    if not (d == d.T).all() and \
+            np.abs(d - d.T).max() > 1e-12 * max(1.0, float(np.abs(d).max())):
+        raise ValidationError("diffusion: must be symmetric")
+    return r, d

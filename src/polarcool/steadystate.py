@@ -24,7 +24,14 @@ import scipy.linalg
 from scipy.linalg.lapack import dgees
 
 from .dynamics import LinearModel
-from .errors import SolverError, UnstableSystemError, ValidationError, check_real
+from .errors import (
+    SolverError,
+    UnstableSystemError,
+    ValidationError,
+    check_drift_diffusion,
+    check_matrix,
+    check_real,
+)
 
 STABILITY_MARGIN = 1e-9
 RESIDUAL_LIMIT = 1e-9
@@ -56,37 +63,6 @@ class SteadyState:
     condition_flag: bool
 
 
-def _matrix(name: str, a) -> np.ndarray:
-    """``a`` as a real, square, non-empty and finite float matrix, or a typed error."""
-    try:
-        arr = np.asarray(a)
-        if arr.dtype.kind != "c":
-            arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name}: expected a real numeric matrix") from None
-    if arr.dtype.kind == "c":
-        raise ValidationError(f"{name}: expected a real matrix, got complex entries")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{name}: expected a non-empty matrix, got shape (0, 0)")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name}: contains a NaN or infinite entry")
-    return arr
-
-
-def _pair(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
-    r = _matrix("drift", drift)
-    d = _matrix("diffusion", diffusion)
-    if r.shape != d.shape:
-        raise ValidationError(
-            f"drift/diffusion: expected matching shapes, got {r.shape} and {d.shape}"
-        )
-    if np.abs(d - d.T).max() > 1e-12 * max(1.0, float(np.abs(d).max())):
-        raise ValidationError("diffusion: must be symmetric")
-    return r, d
-
-
 # optimal dgees workspace per matrix size, from one lwork=-1 query each (the
 # answer depends on n alone); the minimal 3n workspace changes the blocking
 # and so the bits of T and Z
@@ -95,6 +71,13 @@ _DGEES_LWORK: dict[int, int] = {}
 
 def _no_sort(wr: float, wi: float) -> None:
     """Eigenvalue selector dgees requires; never called, as nothing is sorted."""
+
+
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm of a real matrix, computed as ``np.linalg.norm`` does
+    (bit for bit) without its dispatch."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]:
@@ -112,7 +95,7 @@ def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]
     t, _, _, _, z, _, status = dgees(_no_sort, r, lwork=lwork)
     if status != 0:
         raise SolverError(f"drift: real Schur factorization failed (dgees info {status})")
-    r_norm = float(np.linalg.norm(r))
+    r_norm = _fro(r)
     margin = STABILITY_MARGIN * r_norm
     abscissa = float(t.diagonal().max())
     info = StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
@@ -125,15 +108,14 @@ def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
     )
 
 
-def _solve(drift, diffusion) -> tuple[StabilityInfo, np.ndarray | None, float, bool]:
-    """Validate, factor R = Z T Z^T once and, if stable, solve on the same factors.
+def _solve(r: np.ndarray, d: np.ndarray) -> tuple[StabilityInfo, np.ndarray | None, float, bool]:
+    """Factor a checked drift R = Z T Z^T once and, if stable, solve on the same factors.
 
     Returns (verdict, V, residual, condition_flag); V is None and the
     residual NaN when the drift is unstable. The Bartels-Stewart products
     follow scipy's ``solve_continuous_lyapunov`` operation for operation, so
     V is bit-identical to it.
     """
-    r, d = _pair(drift, diffusion)
     t, z, info, r_norm = _schur(r)
     if not info.stable:
         return info, None, math.nan, False
@@ -147,15 +129,15 @@ def _solve(drift, diffusion) -> tuple[StabilityInfo, np.ndarray | None, float, b
     y *= scale
     v = z.dot(y).dot(z.T)
     v = 0.5 * (v + v.T)
-    d_norm = float(np.linalg.norm(d))
+    d_norm = _fro(d)
     if d_norm == 0.0:
         return info, v, 0.0, False
-    residual = float(np.linalg.norm(r @ v + v @ r.T + d)) / d_norm
+    residual = _fro(r @ v + v @ r.T + d) / d_norm
     if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
         raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
     # cheap conditioning proxy: large covariance from modest inputs signals
     # strong cancellation in the factored solve
-    proxy = 2.0 * r_norm * float(np.linalg.norm(v)) / d_norm
+    proxy = 2.0 * r_norm * _fro(v) / d_norm
     return info, v, residual, proxy > CONDITION_LIMIT
 
 
@@ -166,7 +148,7 @@ def check_stability(drift: np.ndarray) -> StabilityInfo:
     -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
     flip the verdict between platforms.
     """
-    return _schur(_matrix("drift", drift))[2]
+    return _schur(check_matrix("drift", drift))[2]
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -177,7 +159,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     drift fails the stability check and SolverError when the residual of an
     otherwise-accepted solve exceeds 1e-9.
     """
-    info, v, residual, flagged = _solve(drift, diffusion)
+    info, v, residual, flagged = _solve(*check_drift_diffusion(drift, diffusion))
     if v is None:
         raise _unstable(info)
     return v, residual, flagged
@@ -220,7 +202,7 @@ def integrate_covariance(
     Phi <- Phi^2 (Smith 1968) carry the pair to t_final. A single expm at
     t_final would overflow in its exp(-R t) block.
     """
-    r, d = _pair(drift, diffusion)
+    r, d = check_drift_diffusion(drift, diffusion)
     if t_final is None:
         info = _schur(r)[2]
         if not info.stable:
@@ -232,7 +214,7 @@ def integrate_covariance(
     if v0 is None:
         v0 = 0.5 * np.eye(n)
     else:
-        v0 = _matrix("v0", v0)
+        v0 = check_matrix("v0", v0)
         if v0.shape != r.shape:
             raise ValidationError(f"v0: expected shape {r.shape}, got {v0.shape}")
     span = float(np.linalg.norm(r, 1)) * t_final
@@ -261,7 +243,8 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     """Full pipeline: stability, Lyapunov solve, occupations.
 
     R is factored once: the verdict is read off its real Schur form and the
-    Lyapunov equation is solved on the same factors.
+    Lyapunov equation is solved on the same factors. The model's matrices
+    were checked when it was built, so they are not checked again.
 
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so sweeps can record the row.

@@ -425,6 +425,24 @@ def test_unconverged_tuning_flag_reaches_simulate_and_csv(capsys, tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 2
     assert all(row.endswith(",true,tuning_not_converged") for row in rows)
+    assert main(["rates", "--config", path]) == 0
+    assert capsys.readouterr().out.endswith("\nflags: tuning_not_converged\n")
+
+
+def test_converged_rates_reports_carry_no_flags(capsys):
+    for path in (BASE, THREE):
+        assert main(["rates", "--config", path]) == 0
+        assert "flags" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unreadable_config_exits_1(capsys, tmp_path, command):
+    binary = tmp_path / "binary.config"
+    binary.write_bytes(b"\xff\xfe")
+    out = str(tmp_path / "out.csv")
+    for path, reason in ((binary, "not UTF-8 text"), (tmp_path, "cannot read the config file")):
+        assert main([command, "--config", str(path), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
 
 
 def test_solver_error_maps_to_exit2(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarcool.config as config
 from polarcool.config import (
     dump_config,
     load_config,
@@ -347,3 +348,24 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text("system: [unclosed\n")
     with pytest.raises(ValidationError, match="invalid YAML"):
         load_config(str(bad))
+
+
+def test_unreadable_config_is_a_validation_error(tmp_path):
+    binary = tmp_path / "binary.config"
+    binary.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValidationError, match=re.escape(f"{binary}: not UTF-8 text")):
+        load_config(str(binary))
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path}: cannot read")):
+        load_config(str(tmp_path))
+
+
+CONFIG_FILES = sorted(str(p) for p in (*Path("configs").glob("*.config"),
+                                       *Path("perfbench/configs").glob("*.config")))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", CONFIG_FILES)
+def test_libyaml_and_python_loaders_give_one_config(path, monkeypatch):
+    fast = load_config(path)
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    assert load_config(path) == fast

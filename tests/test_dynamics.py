@@ -631,3 +631,65 @@ def test_network_rejects_derived_values_that_overflow():
     big = dataclasses.replace(node, weight=1e155)
     with pytest.raises(ValidationError, match="^averages: "):
         pc.build_network([big], [mech], drive, mode="selfconsistent")
+
+
+# ---------------------------------------------------------------------------
+# the linear model checks its matrices once, when built
+
+
+def base_model():
+    return pc.build_linear_model(make_base_setup().params_at(0.7))
+
+
+def bad_matrices():
+    """(field, drift, diffusion, message) of each kind of invalid pair."""
+    good = base_model()
+    r, d = good.drift.copy(), good.diffusion.copy()
+    cases = []
+    for field, ok in (("drift", r), ("diffusion", d)):
+        for bad in (math.nan, math.inf, -math.inf):
+            broken = ok.copy()
+            broken[1, 2] = bad
+            cases.append((field, broken, "NaN or infinite"))
+        cases.append((field, ok.astype(complex), "complex"))
+        cases.append((field, ok[:, :-1], "square"))
+        cases.append((field, np.zeros((0, 0)), "non-empty"))
+        cases.append((field, ok[:-2, :-2], "matching shapes"))
+        cases.append((field, [["a"]], "real numeric"))
+    d_skew = d.copy()
+    d_skew[0, 1] += 2e-12 * np.abs(d).max()
+    cases.append(("diffusion", d_skew, "symmetric"))
+    return [(field, bad if field == "drift" else r, bad if field == "diffusion" else d, msg)
+            for field, bad, msg in cases]
+
+
+@pytest.mark.parametrize("field, drift, diffusion, message", bad_matrices())
+def test_linear_model_rejects_invalid_matrices(field, drift, diffusion, message):
+    model = base_model()
+    with pytest.raises(ValidationError, match=field) as exc:
+        pc.LinearModel(drift, diffusion, model.mode_layout, model.averages)
+    assert message in str(exc.value)
+    with pytest.raises(ValidationError, match=field):
+        dataclasses.replace(model, drift=drift, diffusion=diffusion)
+
+
+def test_linear_model_accepts_round_off_asymmetry():
+    model = base_model()
+    d = model.diffusion.copy()
+    d[0, 1] += 0.5e-12 * np.abs(d).max()
+    kept = pc.LinearModel(model.drift, d, model.mode_layout, model.averages)
+    assert kept.diffusion.tobytes() == d.tobytes()
+
+
+def test_linear_model_holds_read_only_copies():
+    model = base_model()
+    drift, diffusion = model.drift.copy(), model.diffusion.copy()
+    rebuilt = pc.LinearModel(drift, diffusion, model.mode_layout, model.averages)
+    for mine, held in ((drift, rebuilt.drift), (diffusion, rebuilt.diffusion)):
+        assert held.tobytes() == mine.tobytes() and held.dtype == float
+        assert not np.shares_memory(held, mine)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 1.0
+        mine[0, 0] = 1.0  # the caller's array stays writable
+    ints = pc.LinearModel(-np.eye(2, dtype=int), np.eye(2, dtype=int), ("b1",), model.averages)
+    assert ints.drift.dtype == float and not ints.drift.flags.writeable

@@ -465,3 +465,48 @@ def test_polariton_network_keeps_dissipative_cross_coupling():
         occ_network = (occ_network[1], occ_network[0]) + occ_network[2:]
         occ_two_mode = pc.steady_state(two_mode).occupations
         assert occ_network == pytest.approx(occ_two_mode, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one matrix check per working point
+
+
+@pytest.fixture
+def check_counts(monkeypatch):
+    """Calls of the two matrix checks, under every name a polarcool module binds them to."""
+    counts = collections.Counter()
+    for name in ("check_drift_diffusion", "check_matrix"):
+        original = getattr(errors, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (errors, dynamics, steadystate):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("device, averages", [
+    (make_base_setup(), "approx"),
+    (make_base_setup(), "selfconsistent"),
+    (three_mode_device(), "approx"),
+])
+def test_a_working_point_checks_its_matrices_once(check_counts, device, averages):
+    row = pc.evaluate_point(device, 0.7, averages=averages)
+    assert row.stable and not row.flags
+    # the model's construction: one pair check, i.e. one check per matrix
+    assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
+    _, model = device.working_point(0.7, mode=averages)
+    check_counts.clear()
+    pc.steady_state(model)
+    pc.network_cooling(model)
+    assert not check_counts
+
+
+def test_solve_lyapunov_checks_its_arrays_once(check_counts):
+    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    check_counts.clear()
+    pc.solve_lyapunov(model.drift, model.diffusion)
+    assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
