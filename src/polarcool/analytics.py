@@ -123,11 +123,16 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     finite, as its construction checked.
     """
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
-    n_m = len(model.mode_layout) - n_p
+    # nested lists: entry reads are far cheaper than numpy scalar indexing
+    return _cooling(model.drift.tolist(), model.diffusion.diagonal().tolist(), n_p,
+                    len(model.mode_layout) - n_p)
+
+
+def _cooling(r: list, d_diag: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
+    """:func:`network_cooling` of a drift as nested lists of floats (rows), the
+    diffusion diagonal as a list, and the counts of polariton and mechanical modes."""
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
-    # nested lists: entry reads are far cheaper than numpy scalar indexing
-    r, d_diag = model.drift.tolist(), model.diffusion.diagonal().tolist()
     linewidths = tuple(check_real(f"model: polariton {k} linewidth", -r[2 * k][2 * k], above=0.0)
                        for k in range(n_p))
     detunings = tuple(r[2 * k][2 * k + 1] for k in range(n_p))

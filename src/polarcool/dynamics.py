@@ -55,7 +55,7 @@ class SteadyStateAverages:
     branches: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Drift and diffusion of the linearized fluctuations plus their provenance.
 
@@ -64,7 +64,8 @@ class LinearModel:
     both are real, square, non-empty, finite and of one shape, and the
     diffusion is symmetric within 1e-12 max(1, max|D|). The model holds
     read-only float copies, so what was checked cannot change afterwards and
-    the solvers use the matrices without checking them again.
+    the solvers use the matrices without checking them again. Two models
+    compare equal only if they are the same object.
     """
 
     drift: np.ndarray
@@ -78,6 +79,27 @@ class LinearModel:
             arr = arr.copy(order="K")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _checked_stack(drifts: list, diffusions: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """The drifts and the diffusions of P working points, each a nested list as
+    :func:`_network` makes it, as two (P, n, n) float stacks checked with one
+    call, and per point the ValidationError of its own check or None.
+
+    The predicate is :class:`LinearModel`'s, matrix by matrix; each point is
+    checked on its own only if the stack's check raises.
+    """
+    r, d = np.array(drifts, dtype=float), np.array(diffusions, dtype=float)
+    faults = [None] * len(r)
+    try:
+        check_drift_diffusion(r, d, 3)  # a stack of matrices
+    except ValidationError:
+        for p in range(len(r)):
+            try:
+                check_drift_diffusion(r[p], d[p])
+            except ValidationError as exc:
+                faults[p] = exc
+    return r, d, faults
 
 
 @dataclass(frozen=True)
@@ -350,16 +372,22 @@ def build_network(
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
+    return LinearModel(*_network_fields(polaritons, mechanics, drive, cross_damping, mode))
+
+
+def _network_fields(polaritons, mechanics, drive, cross_damping, mode) -> tuple:
+    """:func:`build_network` up to its :class:`LinearModel`: the model's fields (:func:`_network`)."""
     detunings, cross = _validated_inputs(polaritons, mechanics, drive, cross_damping, mode)
     return _network(polaritons, detunings, mechanics, drive, cross, mode)
 
 
-def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearModel:
-    """:func:`build_network` of checked inputs, ``cross`` as nested lists.
+def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
+    """(drift, diffusion, layout, averages) of checked inputs, ``cross`` and both
+    matrices as nested lists: the fields of a :class:`LinearModel`, not yet checked.
 
-    Derived values are not checked one by one: an average that overflows, or
-    a NaN or infinite entry of the assembled matrices, which the
-    :class:`LinearModel` rejects, raises ValidationError.
+    Derived values are not checked one by one: an average that overflows
+    raises ValidationError here, and a NaN or infinite matrix entry is left to
+    the matrix check (:class:`LinearModel`, or a sweep's one check per stack).
     """
     n_p, n_m = len(polaritons), len(mechanics)
     weights = [p.weight for p in polaritons]
@@ -391,14 +419,15 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearMode
 
     temp = drive.bath_temperature
     n = 2 * (n_p + n_m)
-    r = np.zeros((n, n))
-    d = np.zeros((n, n))
+    # nested lists: an item write is far cheaper than numpy's; np.array makes the same floats
+    r = [[0.0] * n for _ in range(n)]
+    d = [[0.0] * n for _ in range(n)]
 
     def rotation(i: int, damping: float, freq: float, nbar: float) -> None:
         # damped rotation block of drift and its input noise 2 damping (nbar + 1/2) I_2
-        r[i, i] = r[i + 1, i + 1] = -damping
-        r[i, i + 1], r[i + 1, i] = freq, -freq
-        d[i, i] = d[i + 1, i + 1] = 2.0 * damping * (nbar + 0.5)
+        r[i][i] = r[i + 1][i + 1] = -damping
+        r[i][i + 1], r[i + 1][i] = freq, -freq
+        d[i][i] = d[i + 1][i + 1] = 2.0 * damping * (nbar + 0.5)
 
     for k, (p, det) in enumerate(zip(polaritons, detunings)):
         rotation(2 * k, p.linewidth, det, _bose(p.freq, temp))
@@ -406,15 +435,15 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearMode
             cd = cross[k][q]
             if cd != 0.0:
                 i, i2 = 2 * k, 2 * q
-                r[i, i2] = r[i + 1, i2 + 1] = r[i2, i] = r[i2 + 1, i + 1] = -cd
+                r[i][i2] = r[i + 1][i2 + 1] = r[i2][i] = r[i2 + 1][i + 1] = -cd
                 n_c = _bose(0.5 * (p.freq + polaritons[q].freq), temp)
-                d[i, i2] = d[i + 1, i2 + 1] = d[i2, i] = d[i2 + 1, i + 1] = 2.0 * cd * (n_c + 0.5)
+                d[i][i2] = d[i + 1][i2 + 1] = d[i2][i] = d[i2 + 1][i + 1] = 2.0 * cd * (n_c + 0.5)
     for j, (mech, g_j) in enumerate(zip(mechanics, couplings)):
         i = 2 * (n_p + j)
         rotation(i, mech.damping, mech.freq, _bose(mech.freq, temp))
         for k, w in enumerate(weights):
-            r[2 * k, i] = -g_j * w
-            r[i + 1, 2 * k + 1] = g_j * w
+            r[2 * k][i] = -g_j * w
+            r[i + 1][2 * k + 1] = g_j * w
 
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
     averages = SteadyStateAverages(
@@ -426,7 +455,7 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> LinearMode
         mode=mode,
         branches=branches,
     )
-    return LinearModel(drift=r, diffusion=d, mode_layout=layout, averages=averages)
+    return r, d, layout, averages
 
 
 def build_linear_model(
@@ -438,6 +467,11 @@ def build_linear_model(
     detunings (formed without GHz-scale round-off) and the dissipative
     coupling delta-kappa between them; see :func:`build_network`.
     """
+    return LinearModel(*_two_mode_fields(params, basis, mode))
+
+
+def _two_mode_fields(params: SystemParams, basis: PolaritonBasis | None, mode: str) -> tuple:
+    """:func:`build_linear_model` up to its :class:`LinearModel`: the model's fields."""
     if basis is None:
         basis = diagonalize_polaritons(params)
     s, c = math.sin(basis.theta), math.cos(basis.theta)

@@ -19,20 +19,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .analytics import network_cooling
+from .analytics import _cooling, network_cooling
 from .dynamics import (
     LinearModel,
     MatterMode,
     NetworkDrive,
     NetworkPolariton,
     PolaritonMode,
-    build_linear_model,
-    build_network,
+    _checked_stack,
+    _network_fields,
+    _two_mode_fields,
     photon_matter_diagonalize,
 )
 from .errors import SolverError, UnstableSystemError, ValidationError, check_real
 from .model import MechanicalMode, SystemParams
-from .steadystate import steady_state
+from .steadystate import _solve, extract_occupations, steady_state
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,15 @@ class Device:
         component of its eigenvector; the nodes share the dissipative
         couplings of their bare losses.
         """
+        tuning, *fields = self._fields(theta, temperature, rabi, mode)
+        return tuning, LinearModel(*fields)
+
+    def _fields(self, theta, temperature, rabi, mode) -> tuple:
+        """(tuning, drift, diffusion, layout, averages): :meth:`working_point`
+        up to its model, the matrices as nested lists and not yet checked."""
         if not self.couplings:
             params = self.params_at(theta, temperature=temperature, rabi=rabi)
-            return params, build_linear_model(params, mode=mode)
+            return (params, *_two_mode_fields(params, None, mode))
         tuned = self.tuning
         polaritons = tuple(
             NetworkPolariton(freq=p.freq, linewidth=p.linewidth, weight=p.weights[1])
@@ -220,7 +227,7 @@ class Device:
             bath_temperature=self.bath_temperature if temperature is None else temperature,
         )
         cross = [p.cross_damping for p in tuned.polaritons]
-        return tuned, build_network(polaritons, self.mechanical_modes, drive, cross, mode)
+        return (tuned, *_network_fields(polaritons, self.mechanical_modes, drive, cross, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +260,20 @@ def solve_model(model: LinearModel) -> tuple:
     """
     rates = network_cooling(model)
     state = steady_state(model, require_stable=False)
+    flags = _flags(state.stable, state.condition_flag, rates)
+    return rates, state, flags, state.occupations[len(model.averages.avg_polaritons):]
+
+
+def _flags(stable: bool, ill_conditioned: bool, rates) -> tuple[str, ...]:
+    """The flags of :func:`solve_model`, in its order."""
     flags = []
-    if not state.stable:
+    if not stable:
         flags.append("unstable")
-    if state.condition_flag:
+    if ill_conditioned:
         flags.append("ill_conditioned")
     if any(not r.weak_coupling for r in rates):
         flags.append("weak_coupling_broken")
-    return rates, state, tuple(flags), state.occupations[len(model.averages.avg_polaritons):]
+    return tuple(flags)
 
 
 def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
@@ -268,6 +281,87 @@ def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
     if isinstance(tuning, NModeResult) and not tuning.converged:
         return flags + ("tuning_not_converged",)
     return flags
+
+
+# points per stack: bounds the nested lists and arrays a long sweep holds at once
+_STACK_POINTS = 256
+
+
+def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
+    """One row per working point ``(variable, theta, temperature, rabi)``, the
+    points built and checked as one stack of up to ``_STACK_POINTS``.
+
+    Each point runs the one-point build (:meth:`Device._fields`); the drifts
+    and diffusions of the points that built are stacked and checked with one
+    call (:func:`~polarcool.dynamics._checked_stack`), then each point's rates
+    and steady state are solved on its own matrices of the stack, with the
+    same operations as :func:`solve_model` on a :class:`LinearModel`. A
+    ValidationError or SolverError of a point, at its build, matrix check,
+    rates, solve or occupations, in that order, becomes its ``error:<Type>``
+    row; the other points go on.
+    """
+    fixed = bool(setup.couplings)
+    n_m = len(setup.mechanical_modes)
+    nans = (math.nan,) * n_m
+
+    def error_row(value, theta, exc) -> SweepRow:
+        return SweepRow(
+            variable=value,
+            theta=theta,
+            coupling=math.nan,
+            magnon_freq=math.nan,
+            drive_freq=math.nan,
+            kappa_eff=nans,
+            n_analytic=nans,
+            n_numeric=nans,
+            stable=False,
+            flags=(f"error:{type(exc).__name__}",),
+        )
+
+    rows = []
+    for start in range(0, len(points), _STACK_POINTS):
+        block, built, drifts, diffusions = [], [], [], []
+        for value, theta, temperature, rabi in points[start:start + _STACK_POINTS]:
+            if fixed:
+                theta = math.nan
+            try:
+                tuning, r, d, layout, _ = setup._fields(theta, temperature, rabi, averages)
+            except (ValidationError, SolverError) as exc:
+                block.append(error_row(value, theta, exc))
+                continue
+            built.append((len(block), value, theta, tuning, len(layout) - n_m))
+            drifts.append(r)
+            diffusions.append(d)
+            block.append(None)
+        if built:
+            drift, diffusion, faults = _checked_stack(drifts, diffusions)
+            # plain floats, as network_cooling reads them off a model: the
+            # builder's lists hold numpy scalars where a device was given them
+            drift_rows, diagonals = drift.tolist(), diffusion.diagonal(0, 1, 2).tolist()
+        for p, (i, value, theta, tuning, n_p) in enumerate(built):
+            try:
+                if faults[p] is not None:
+                    raise faults[p]
+                rates = _cooling(drift_rows[p], diagonals[p], n_p, n_m)
+                info, v, _, ill_conditioned = _solve(drift[p], diffusion[p])
+                n_numeric = nans if v is None else extract_occupations(v)[n_p:]
+            except (ValidationError, SolverError) as exc:
+                block[i] = error_row(value, theta, exc)
+                continue
+            block[i] = SweepRow(
+                variable=value,
+                theta=theta,
+                coupling=math.nan if fixed else tuning.photon_matter_coupling,
+                magnon_freq=math.nan if fixed else tuning.magnon_freq,
+                drive_freq=tuning.drive_freq,
+                kappa_eff=tuple(r.kappa_eff for r in rates),
+                n_analytic=tuple(r.n_eff for r in rates),
+                n_numeric=n_numeric,
+                stable=info.stable,
+                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, rates)),
+            )
+        rows += block
+    return rows
 
 
 def evaluate_point(
@@ -284,38 +378,7 @@ def evaluate_point(
     ``tuning_not_converged`` after those of :func:`solve_model`. A
     ValidationError or SolverError comes back as an ``error:<Type>`` row.
     """
-    fixed = bool(setup.couplings)
-    if fixed:
-        theta = math.nan
-    try:
-        tuning, model = setup.working_point(theta, temperature, rabi, averages)
-        rates, state, flags, n_numeric = solve_model(model)
-    except (ValidationError, SolverError) as exc:
-        nans = (math.nan,) * len(setup.mechanical_modes)
-        return SweepRow(
-            variable=math.nan,
-            theta=theta,
-            coupling=math.nan,
-            magnon_freq=math.nan,
-            drive_freq=math.nan,
-            kappa_eff=nans,
-            n_analytic=nans,
-            n_numeric=nans,
-            stable=False,
-            flags=(f"error:{type(exc).__name__}",),
-        )
-    return SweepRow(
-        variable=math.nan,
-        theta=theta,
-        coupling=math.nan if fixed else tuning.photon_matter_coupling,
-        magnon_freq=math.nan if fixed else tuning.magnon_freq,
-        drive_freq=tuning.drive_freq,
-        kappa_eff=tuple(r.kappa_eff for r in rates),
-        n_analytic=tuple(r.n_eff for r in rates),
-        n_numeric=n_numeric,
-        stable=state.stable,
-        flags=_tuning_flags(tuning, flags),
-    )
+    return _rows(setup, [(math.nan, theta, temperature, rabi)], averages)[0]
 
 
 def sweep(
@@ -335,7 +398,10 @@ def sweep(
     entries must be finite numbers; a point that fails validation (an angle
     outside (0, pi/2)) or the solve is recorded in the row's flags rather
     than raised; an unstable point raises UnstableSystemError only under
-    require_stable=True.
+    require_stable=True. The points are built and checked as one stack and
+    each solved on its own, as :func:`evaluate_point` solves one; with
+    ``threads`` > 1 the grid is cut into that many contiguous chunks, one
+    stack per worker.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
@@ -350,23 +416,21 @@ def sweep(
     values = [check_real(f"grid[{i}]", v) for i, v in enumerate(items)]
     if not values:
         raise ValidationError("grid: must not be empty")
-    if threads < 1:
-        raise ValidationError("threads: must be at least 1")
+    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
+        raise ValidationError(f"threads: expected an integer >= 1, got {threads!r}")
 
-    def solve_one(value: float) -> SweepRow:
-        # the sweep variables are evaluate_point's keywords; a theta sweep
-        # overrides the fixed angle
-        row = evaluate_point(setup, averages=averages, **{"theta": theta, variable: value})
-        # the row is new and not yet shared: set its grid value in place, as a
-        # frozen dataclass's own __init__ does, instead of rebuilding it
-        object.__setattr__(row, "variable", value)
-        return row
-
-    if threads == 1:
-        rows = [solve_one(v) for v in values]
+    # a point is (grid value, theta, temperature, rabi), SWEEP_VARIABLES' order;
+    # the grid value overrides its keyword (a theta sweep, the fixed angle)
+    at, default = SWEEP_VARIABLES.index(variable), (theta, None, None)
+    points = [(v, *default[:at], v, *default[at + 1:]) for v in values]
+    chunks = min(threads, len(points))
+    if chunks == 1:
+        rows = _rows(setup, points, averages)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_one, values))
+        cuts = [len(points) * c // chunks for c in range(chunks + 1)]
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            parts = pool.map(lambda a, b: _rows(setup, points[a:b], averages), cuts, cuts[1:])
+            rows = [row for part in parts for row in part]
     if require_stable:
         for row in rows:
             if not row.stable:
@@ -432,17 +496,23 @@ def optimize_theta(
 
     cache: dict[float, tuple[float, tuple[float, float]]] = {}
 
+    def solve(thetas) -> None:
+        """Score the angles not yet in the cache, as one stack."""
+        new = [t for t in dict.fromkeys(thetas) if t not in cache]
+        if not new:
+            return
+        points = [(math.nan, t, temperature, rabi) for t in new]
+        for theta, row in zip(new, _rows(setup, points, averages)):
+            value = pick(row.n_numeric) if row.stable else math.inf
+            if not math.isfinite(value):
+                value = math.inf
+            cache[theta] = (value, row.n_numeric)
+
     def score(theta: float) -> float:
-        if theta in cache:
-            return cache[theta][0]
-        row = evaluate_point(setup, theta, temperature=temperature, rabi=rabi, averages=averages)
-        value = pick(row.n_numeric) if row.stable else math.inf
-        if not math.isfinite(value):
-            value = math.inf
-        cache[theta] = (value, row.n_numeric)
-        return value
+        return cache[theta][0]
 
     grid = np.linspace(lo, hi, coarse_points)
+    solve(grid)
     best = min(grid, key=score)
     trace = [(float(best), score(best))]
 
@@ -450,8 +520,10 @@ def optimize_theta(
     floor = tol * (hi - lo)
     while step > floor:
         moved = False
-        for cand in (best - step, best + step):
-            cand = min(max(cand, lo), hi)
+        # both candidates are scored on every step, so they go as one stack
+        candidates = [min(max(cand, lo), hi) for cand in (best - step, best + step)]
+        solve(candidates)
+        for cand in candidates:
             if score(cand) < score(best):
                 best = cand
                 trace.append((float(best), score(best)))

@@ -659,6 +659,7 @@ def bad_matrices():
     d_skew = d.copy()
     d_skew[0, 1] += 2e-12 * np.abs(d).max()
     cases.append(("diffusion", d_skew, "symmetric"))
+    cases += [(field, ok != 0.0, "booleans") for field, ok in (("drift", r), ("diffusion", d))]
     return [(field, bad if field == "drift" else r, bad if field == "diffusion" else d, msg)
             for field, bad, msg in cases]
 
@@ -679,6 +680,15 @@ def test_linear_model_accepts_round_off_asymmetry():
     d[0, 1] += 0.5e-12 * np.abs(d).max()
     kept = pc.LinearModel(model.drift, d, model.mode_layout, model.averages)
     assert kept.diffusion.tobytes() == d.tobytes()
+
+
+def test_linear_models_compare_by_identity():
+    setup = make_base_setup()
+    first, second = setup.working_point(0.7)[1], setup.working_point(0.7)[1]
+    assert (first == second) is False
+    assert (first == first) is True
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second, first}) == 2
 
 
 def test_linear_model_holds_read_only_copies():

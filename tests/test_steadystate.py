@@ -127,6 +127,28 @@ def test_solve_lyapunov_validations():
             pc.solve_lyapunov(-np.eye(2), np.eye(2) + 1j * np.eye(2)[::-1])
 
 
+@pytest.mark.parametrize("field", ["drift", "diffusion"])
+def test_matrix_entry_points_reject_booleans(field):
+    matrices = {"drift": -np.eye(2), "diffusion": np.eye(2)}
+    matrices[field] = np.array([[True, False], [False, True]])
+    calls = [lambda: pc.solve_lyapunov(matrices["drift"], matrices["diffusion"]),
+             lambda: pc.integrate_covariance(matrices["drift"], matrices["diffusion"], t_final=1.0)]
+    if field == "drift":
+        calls.append(lambda: pc.check_stability(matrices["drift"]))
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^{field}: .*booleans"):
+            call()
+
+
+def test_matrix_entry_points_reject_a_stack():
+    stack = np.stack([-np.eye(2)] * 3)
+    for call in (lambda: pc.solve_lyapunov(stack, np.stack([np.eye(2)] * 3)),
+                 lambda: pc.check_stability(stack),
+                 lambda: pc.integrate_covariance(stack, np.stack([np.eye(2)] * 3), t_final=1.0)):
+        with pytest.raises(ValidationError, match=r"^drift: expected a square matrix, got shape"):
+            call()
+
+
 def test_solve_lyapunov_cancelling_eigenvalues_raise_without_warning():
     # stable by the margin, but the eigenvalue sums underflow: the triangular
     # Sylvester solve reports a perturbed solution (info 1)

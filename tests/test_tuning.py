@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcool as pc
 from polarcool import analytics, dynamics, errors, steadystate, tuning
 from polarcool import model as model_module
 from polarcool.config import load_config
-from polarcool.errors import UnstableSystemError, ValidationError
+from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
 from helpers import BASE_RABI, TWO_PI, make_base_setup, make_mechs
 
@@ -174,8 +176,9 @@ def test_sweep_temperature_and_rabi_need_theta():
             pc.sweep(setup, "theta", [0.5, bad_entry])
     with pytest.raises(ValidationError, match="^grid: expected an iterable"):
         pc.sweep(setup, "theta", 5)
-    with pytest.raises(ValidationError, match="threads"):
-        pc.sweep(setup, "theta", [0.5], threads=0)
+    for bad_threads in (0, "2", None, 2.5, True):
+        with pytest.raises(ValidationError, match="^threads: expected an integer >= 1"):
+            pc.sweep(setup, "theta", [0.5], threads=bad_threads)
     for bad_entry in (math.nan, math.inf, True):
         with pytest.raises(ValidationError, match=r"^grid\[1\]: "):
             pc.sweep(setup, "theta", [0.5, bad_entry])
@@ -510,3 +513,197 @@ def test_solve_lyapunov_checks_its_arrays_once(check_counts):
     check_counts.clear()
     pc.solve_lyapunov(model.drift, model.diffusion)
     assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
+
+
+# ---------------------------------------------------------------------------
+# a sweep's points as one stack
+
+
+def bits(values) -> tuple:
+    """Floats as hex strings: equal exactly when the floats are, NaN matching NaN."""
+    return tuple(float.hex(float(x)) for x in values)
+
+
+def row_bits(row: pc.SweepRow) -> tuple:
+    return (float.hex(row.variable), float.hex(row.theta), float.hex(row.coupling),
+            float.hex(row.magnon_freq), float.hex(row.drive_freq), bits(row.kappa_eff),
+            bits(row.n_analytic), bits(row.n_numeric), row.stable, row.flags)
+
+
+def one_point_bits(device, theta=None, temperature=None, rabi=None, averages="approx"):
+    """(kappa_eff, n_analytic, n_numeric, stable, flags) from the one-point API:
+    ``Device.working_point``, then ``solve_model`` on its LinearModel."""
+    fixed = bool(device.couplings)
+    nans = (math.nan,) * len(device.mechanical_modes)
+    try:
+        tuning_, model = device.working_point(theta, temperature, rabi, averages)
+        rates, state, flags, n_numeric = pc.solve_model(model)
+    except (ValidationError, SolverError) as exc:
+        return bits(nans), bits(nans), bits(nans), False, (f"error:{type(exc).__name__}",)
+    if fixed and not tuning_.converged:
+        flags += ("tuning_not_converged",)
+    return (bits(r.kappa_eff for r in rates), bits(r.n_eff for r in rates), bits(n_numeric),
+            state.stable, flags)
+
+
+MECH_HZ = (1.0e7, 2.0e7, 3.5e7, 5.0e7)
+# in units of the base drive: weak, up to the instability edge, and well past it
+DRIVES = st.sampled_from([0.0, 60.0]) | st.floats(0.0, 2.0) | st.floats(2.0, 60.0)
+
+
+@st.composite
+def devices(draw):
+    """An angle-tuned base device or a fixed-coupling one with N = 2..4 modes, at a
+    temperature in [0, 1] K and a drive from zero to well past the instability edge."""
+    temperature = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rabi = BASE_RABI * draw(DRIVES)
+    n = draw(st.sampled_from(["angle-tuned", 2, 3, 4]))
+    if n == "angle-tuned":
+        return make_base_setup(magnon_linewidth=TWO_PI * draw(st.floats(0.3e6, 4.0e6)),
+                               bath_temperature=temperature, rabi_freq=rabi)
+    return pc.Device(
+        cavity_freq=TWO_PI * 1.0e10,
+        cavity_linewidth=TWO_PI * 1.0e6,
+        matter_linewidths=tuple(TWO_PI * draw(st.floats(0.5e6, 2.0e6)) for _ in range(n - 1)),
+        mechanical_modes=make_mechs(freq_hz=MECH_HZ[:n]),
+        bath_temperature=temperature,
+        rabi_freq=rabi,
+        couplings=tuple(TWO_PI * draw(st.floats(4.0e6, 12.0e6)) for _ in range(n - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(device=devices(), averages=st.sampled_from(["approx", "selfconsistent"]),
+       data=st.data())
+def test_sweep_rows_equal_the_one_point_api(device, averages, data):
+    variables = ["temperature", "rabi"] + ([] if device.couplings else ["theta"] * 2)
+    variable = data.draw(st.sampled_from(variables))
+    if variable == "theta":
+        # 2.0 lies outside (0, pi/2): an error row
+        values = st.sampled_from([1e-3, 0.5 * math.pi - 1e-3, 2.0]) | st.floats(0.01, 1.56)
+    elif variable == "temperature":
+        values = st.floats(0.0, 1.0)
+    else:
+        values = DRIVES.map(lambda x: x * BASE_RABI)
+    grid = data.draw(st.lists(values, min_size=1, max_size=5))
+    theta = None if device.couplings or variable == "theta" else data.draw(st.floats(0.05, 1.5))
+    rows = pc.sweep(device, variable, grid, theta=theta, averages=averages)
+    for value, row in zip(grid, rows):
+        point = {"theta": theta, "temperature": None, "rabi": None, variable: value}
+        assert row.variable == value
+        assert (bits(row.kappa_eff), bits(row.n_analytic), bits(row.n_numeric), row.stable,
+                row.flags) == one_point_bits(device, averages=averages, **point)
+    threaded = pc.sweep(device, variable, grid, theta=theta, averages=averages, threads=3)
+    assert [row_bits(row) for row in threaded] == [row_bits(row) for row in rows]
+
+
+def inject(monkeypatch, name: str, marked_diffusion: np.ndarray) -> None:
+    """Make the sweep's stage ``name`` raise for the point of ``marked_diffusion``."""
+    original = getattr(tuning, name)
+
+    def failing(*args):
+        # _cooling(drift rows, diffusion diagonal, ...), _solve(drift, diffusion)
+        marked = (args[1] == marked_diffusion.diagonal().tolist() if name == "_cooling"
+                  else np.array_equal(args[1], marked_diffusion))
+        if marked:
+            raise (ValidationError if name == "_cooling" else SolverError)(f"{name}: injected")
+        return original(*args)
+
+    monkeypatch.setattr(tuning, name, failing)
+
+
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("stage, variable, bad, error", [
+    ("build", "theta", 2.5, "ValidationError"),  # the angle is out of range
+    ("build", "rabi", 1e300, "ValidationError"),  # the averages overflow
+    ("matrix check", "temperature", 1.7e308, "ValidationError"),  # the diffusion is infinite
+    ("rates", "temperature", 0.3, "ValidationError"),
+    ("solve", "temperature", 0.3, "SolverError"),
+])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_one_failing_point_leaves_the_others_bit_identical(
+        monkeypatch, check_counts, averages, stage, variable, bad, error, position):
+    setup = make_base_setup()
+    grid = {"theta": [0.3, 0.6, 0.9, 1.2], "rabi": [0.5 * BASE_RABI, BASE_RABI, 3.0 * BASE_RABI,
+                                                     5.0 * BASE_RABI],
+            "temperature": [0.0, 0.01, 0.1, 1.0]}[variable]
+    theta = None if variable == "theta" else 0.7
+    clean = pc.sweep(setup, variable, grid, theta=theta, averages=averages)
+    if stage in ("rates", "solve"):
+        _, model = setup.working_point(theta, temperature=bad, mode=averages)
+        inject(monkeypatch, "_cooling" if stage == "rates" else "_solve", model.diffusion)
+    check_counts.clear()
+    rows = pc.sweep(setup, variable, grid[:position] + [bad] + grid[position:], theta=theta,
+                    averages=averages)
+    failed = rows[position]
+    assert failed.flags == (f"error:{error}",) and not failed.stable
+    assert failed.variable == bad
+    assert all(math.isnan(x) for x in failed.kappa_eff + failed.n_analytic + failed.n_numeric)
+    others = rows[:position] + rows[position + 1:]
+    assert [row_bits(row) for row in others] == [row_bits(row) for row in clean]
+    # only a failed stack check falls back to one check per point
+    stack_checks = 1 + len(rows) if stage == "matrix check" else 1
+    assert check_counts["check_drift_diffusion"] == stack_checks
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Calls of dgees, of the two model classes' construction and of the stack path."""
+    counts = collections.Counter()
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(steadystate, "dgees", "dgees")
+    counting(steadystate, "SteadyState", "SteadyState")
+    counting(dynamics.LinearModel, "__post_init__", "LinearModel")
+    counting(tuning, "_rows", "stacks")
+    return counts
+
+
+@pytest.mark.parametrize("device, variable", [
+    (make_base_setup(), "theta"),
+    (make_base_setup(), "temperature"),
+    (three_mode_device(), "rabi"),
+])
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+def test_a_sweep_checks_one_stack_and_factors_each_point_once(
+        monkeypatch, check_counts, call_counts, device, variable, averages):
+    grid = {"theta": np.linspace(0.2, 1.4, 9), "temperature": np.linspace(0.0, 1.0, 9),
+            "rabi": np.linspace(0.2, 2.0, 9) * BASE_RABI}[variable]
+    theta = 0.7 if variable != "theta" and not device.couplings else None
+    monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    rows = pc.sweep(device, variable, grid, theta=theta, averages=averages)
+    assert all(row.stable for row in rows)
+    assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
+    # one factorization per point, plus one workspace query on an empty cache
+    assert call_counts == {"dgees": len(grid) + 1, "stacks": 1}
+    call_counts.clear()
+    pc.sweep(device, variable, grid, theta=theta, averages=averages)
+    assert call_counts == {"dgees": len(grid), "stacks": 1}
+
+
+def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
+    sizes = []
+    original = tuning._rows
+
+    def recorded(setup, points, averages):
+        sizes.append([theta for _, theta, _, _ in points])
+        return original(setup, points, averages)
+
+    monkeypatch.setattr(tuning, "_rows", recorded)
+    monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    result = pc.optimize_theta(make_base_setup(), coarse_points=17, tol=1e-4)
+    assert result.converged
+    assert len(sizes[0]) == 17  # the coarse grid
+    assert all(len(thetas) in (1, 2) for thetas in sizes[1:])  # one compass step each
+    scored = [theta for thetas in sizes for theta in thetas]
+    assert len(scored) == len(set(scored)) == result.evaluations  # no angle twice
+    assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
+    assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
