@@ -59,13 +59,11 @@ from .tuning import (
     NModeResult,
     OptimizeResult,
     SweepRow,
-    TuneResult,
     evaluate_point,
     optimize_theta,
     solve_model,
     sweep,
     tune_n_mode,
-    tune_two_mode,
 )
 
 __version__ = "0.1.0"

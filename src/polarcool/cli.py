@@ -292,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
                        help="override the config's steady-state averages mode")
     sub.choices["sweep"].add_argument("--threads", type=int, default=1,
-                                      help="worker threads for sweep evaluation (measured"
-                                      " slower than serial on every run so far)")
+                                      help="accepted and ignored: sweeps run serially; kept"
+                                      " until the benchmark's commands stop passing it")
     return parser
 
 

@@ -129,15 +129,22 @@ def _solve(r: np.ndarray, d: np.ndarray) -> tuple[StabilityInfo, np.ndarray | No
     y *= scale
     v = z.dot(y).dot(z.T)
     v = 0.5 * (v + v.T)
-    d_norm = _fro(d)
-    if d_norm == 0.0:
-        return info, v, 0.0, False
-    residual = _fro(r @ v + v @ r.T + d) / d_norm
-    if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
-        raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-    # cheap conditioning proxy: large covariance from modest inputs signals
-    # strong cancellation in the factored solve
-    proxy = 2.0 * r_norm * _fro(v) / d_norm
+    # a norm that overflows is inf: ||D|| or the residual raises a
+    # SolverError below, ||V|| sets the condition flag
+    with np.errstate(over="ignore"):
+        d_norm = _fro(d)
+        if d_norm == 0.0:
+            return info, v, 0.0, False
+        if d_norm == math.inf:
+            # every residual would divide to 0 or NaN: none could be checked
+            raise SolverError("lyapunov: the diffusion's norm overflows, so the residual"
+                              " cannot be checked")
+        residual = _fro(r @ v + v @ r.T + d) / d_norm
+        if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
+            raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+        # cheap conditioning proxy: large covariance from modest inputs signals
+        # strong cancellation in the factored solve
+        proxy = 2.0 * r_norm * _fro(v) / d_norm
     return info, v, residual, proxy > CONDITION_LIMIT
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,50 +35,13 @@ from .model import MechanicalMode, SystemParams
 from .steadystate import _solve, extract_occupations, steady_state
 
 
-@dataclass(frozen=True)
-class TuneResult:
-    """Two-mode working point: what to set so the detunings equal the targets."""
-
-    theta: float
-    photon_matter_coupling: float
-    cavity_magnon_detuning: float
-    magnon_freq: float
-    drive_freq: float
-    detuning_upper: float
-    detuning_lower: float
-
-
-def tune_two_mode(
-    cavity_freq: float, target_lower: float, target_upper: float, theta: float
-) -> TuneResult:
-    """Closed-form inverse of the polariton transform.
-
-    With splitting S = target_upper - target_lower the choices
-    g = (S/2) sin(2 theta), omega_m = omega_a - S cos(2 theta) and
-    omega_0 = (omega_a + omega_m)/2 - (target_upper + target_lower)/2
-    give detunings (target_upper, target_lower) exactly, for any
-    theta in the open interval (0, pi/2).
-    """
-    theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
-    target_lower = check_real("targets", target_lower, above=0.0)
-    target_upper = check_real("targets", target_upper, above=target_lower)
-    cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
-    coupling, detuning_am, magnon_freq, drive_freq = _tune(
-        cavity_freq, target_lower, target_upper, theta
-    )
-    return TuneResult(
-        theta=theta,
-        photon_matter_coupling=coupling,
-        cavity_magnon_detuning=detuning_am,
-        magnon_freq=check_real("magnon_freq", magnon_freq, above=0.0),
-        drive_freq=drive_freq,
-        detuning_upper=target_upper,
-        detuning_lower=target_lower,
-    )
-
-
 def _tune(cavity_freq, target_lower, target_upper, theta) -> tuple[float, float, float, float]:
-    """(coupling, cavity-magnon detuning, magnon and drive frequency) of checked targets."""
+    """(coupling, cavity-magnon detuning, magnon and drive frequency) of checked targets.
+
+    With splitting S = target_upper - target_lower, g = (S/2) sin(2 theta),
+    omega_m = omega_a - S cos(2 theta) and omega_0 = (omega_a + omega_m)/2 -
+    (target_upper + target_lower)/2 give the detunings exactly.
+    """
     split = target_upper - target_lower
     coupling = 0.5 * split * math.sin(2.0 * theta)
     detuning_am = split * math.cos(2.0 * theta)
@@ -399,9 +361,9 @@ def sweep(
     outside (0, pi/2)) or the solve is recorded in the row's flags rather
     than raised; an unstable point raises UnstableSystemError only under
     require_stable=True. The points are built and checked as one stack and
-    each solved on its own, as :func:`evaluate_point` solves one; with
-    ``threads`` > 1 the grid is cut into that many contiguous chunks, one
-    stack per worker.
+    each solved on its own, as :func:`evaluate_point` solves one, on the
+    calling thread. ``threads`` is checked and otherwise ignored; it stays
+    until the benchmark's workloads stop passing it.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
@@ -423,17 +385,10 @@ def sweep(
     # the grid value overrides its keyword (a theta sweep, the fixed angle)
     at, default = SWEEP_VARIABLES.index(variable), (theta, None, None)
     points = [(v, *default[:at], v, *default[at + 1:]) for v in values]
-    chunks = min(threads, len(points))
-    if chunks == 1:
-        rows = _rows(setup, points, averages)
-    else:
-        cuts = [len(points) * c // chunks for c in range(chunks + 1)]
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            parts = pool.map(lambda a, b: _rows(setup, points[a:b], averages), cuts, cuts[1:])
-            rows = [row for part in parts for row in part]
+    rows = _rows(setup, points, averages)
     if require_stable:
         for row in rows:
-            if not row.stable:
+            if "unstable" in row.flags:
                 raise UnstableSystemError(
                     f"sweep point {variable}={row.variable:.6g} is unstable"
                 )

@@ -5,6 +5,7 @@ without -s the test names carry the same pass/fail information. Thresholds
 are fixed here on purpose: loosening them is a release decision, not a
 test-maintenance chore.
 """
+import dataclasses
 import math
 import time
 
@@ -197,18 +198,8 @@ def test_criterion_6_tuning_round_trip():
         lower = TWO_PI * rng.uniform(5e6, 4e7)
         upper = lower * rng.uniform(1.5, 3.5)
         theta = rng.uniform(0.02, 0.5 * math.pi - 0.02)
-        tuned = pc.tune_two_mode(cavity, lower, upper, theta)
-        params = pc.SystemParams(
-            cavity_freq=cavity,
-            magnon_freq=tuned.magnon_freq,
-            photon_matter_coupling=tuned.photon_matter_coupling,
-            cavity_linewidth=TWO_PI * 1e6,
-            magnon_linewidth=TWO_PI * 1e6,
-            mechanical_modes=make_mechs(),
-            drive_freq=tuned.drive_freq,
-            rabi_freq=78525797543744.95,
-            bath_temperature=0.01,
-        )
+        mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (lower, upper)))
+        params = make_base_setup(cavity_freq=cavity, mechanical_modes=mechs).params_at(theta)
         basis = pc.diagonalize_polaritons(params)
         worst = max(
             worst,

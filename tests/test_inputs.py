@@ -47,10 +47,7 @@ def _nmode_entry(key, value):
 
 # (field path, call with the value, None means "not given")
 API = [
-    ("theta", lambda v: pc.tune_two_mode(CAV, LO, HI, v), False),
-    ("cavity_freq", lambda v: pc.tune_two_mode(v, LO, HI, 0.7), False),
-    ("targets", lambda v: pc.tune_two_mode(CAV, v, HI, 0.7), False),
-    ("targets", lambda v: pc.tune_two_mode(CAV, LO, v, 0.7), False),
+    ("theta", SETUP.params_at, False),
     ("freq", lambda v: pc.thermal_occupation(v, 0.1), False),
     ("temperature", lambda v: pc.thermal_occupation(LO, v), False),
     ("mechanical_mode.freq", lambda v: swap(MECH, freq=v).validate(), False),

@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from helpers import BASE_RABI, TWO_PI, make_base_setup, make_mechs
 
 
 def test_tune_round_trip_recovers_targets():
-    """tune -> diagonalize must return the requested angle and detunings.
+    """params_at -> diagonalize must return the requested angle and detunings.
 
     Draw ranges mirror realistic devices (GHz polaritons, MHz sidebands).
     The detunings are parts-per-thousand of the carrier, so rel 1e-12 already
@@ -34,49 +35,12 @@ def test_tune_round_trip_recovers_targets():
         lower = TWO_PI * rng.uniform(5e6, 4e7)
         upper = lower * rng.uniform(1.5, 3.5)
         theta = rng.uniform(0.02, 0.5 * math.pi - 0.02)
-        tuned = pc.tune_two_mode(cavity, lower, upper, theta)
-        params = pc.SystemParams(
-            cavity_freq=cavity,
-            magnon_freq=tuned.magnon_freq,
-            photon_matter_coupling=tuned.photon_matter_coupling,
-            cavity_linewidth=TWO_PI * 1e6,
-            magnon_linewidth=TWO_PI * 1e6,
-            mechanical_modes=make_mechs(),
-            drive_freq=tuned.drive_freq,
-            rabi_freq=BASE_RABI,
-            bath_temperature=0.01,
-        )
+        mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (lower, upper)))
+        params = make_base_setup(cavity_freq=cavity, mechanical_modes=mechs).params_at(theta)
         basis = pc.diagonalize_polaritons(params)
         assert basis.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
         assert basis.detuning_upper == pytest.approx(upper, rel=1e-12)
         assert basis.detuning_lower == pytest.approx(lower, rel=1e-12)
-
-
-def test_tune_two_mode_validations():
-    good = dict(cavity_freq=TWO_PI * 1e10, target_lower=TWO_PI * 1e7,
-                target_upper=TWO_PI * 3e7, theta=0.7)
-    pc.tune_two_mode(**good)  # sanity
-    for bad_theta in (0.0, 0.5 * math.pi, -0.1, 2.0):
-        with pytest.raises(ValidationError, match="theta"):
-            pc.tune_two_mode(**{**good, "theta": bad_theta})
-    with pytest.raises(ValidationError, match="targets"):
-        pc.tune_two_mode(**{**good, "target_lower": TWO_PI * 3e7,
-                            "target_upper": TWO_PI * 1e7})
-    with pytest.raises(ValidationError, match="targets"):
-        pc.tune_two_mode(**{**good, "target_lower": 0.0})
-    with pytest.raises(ValidationError, match="cavity_freq"):
-        pc.tune_two_mode(**{**good, "cavity_freq": -1.0})
-    for bad_cavity in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="cavity_freq"):
-            pc.tune_two_mode(**{**good, "cavity_freq": bad_cavity})
-    with pytest.raises(ValidationError, match="targets"):
-        pc.tune_two_mode(**{**good, "target_upper": math.inf})
-    # a string angle used to raise a raw TypeError from the comparison
-    with pytest.raises(ValidationError, match="^theta: expected a number"):
-        pc.tune_two_mode(1e10, 1e7, 2e7, "abc")
-    # a huge splitting at small theta would push the magnon below zero
-    with pytest.raises(ValidationError, match="magnon"):
-        pc.tune_two_mode(TWO_PI * 1e6, 1.0, TWO_PI * 1e7, 0.05)
 
 
 def test_params_at_overrides():
@@ -91,6 +55,20 @@ def test_params_at_overrides():
     # tuned geometry is unchanged by the overrides
     assert hot.magnon_freq == params.magnon_freq
     assert weak.drive_freq == params.drive_freq
+
+
+def test_params_at_validations():
+    setup = make_base_setup()
+    for bad_theta in (0.0, 0.5 * math.pi, -0.1, 2.0):
+        with pytest.raises(ValidationError, match="^theta: "):
+            setup.params_at(bad_theta)
+    with pytest.raises(ValidationError, match="^theta: expected a number"):
+        setup.params_at("abc")
+    # a huge splitting at small theta would push the magnon below zero
+    mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (1.0, TWO_PI * 1e7)))
+    wide = make_base_setup(cavity_freq=TWO_PI * 1e6, mechanical_modes=mechs)
+    with pytest.raises(ValidationError, match="^magnon_freq: "):
+        wide.params_at(0.05)
 
 
 def test_two_mode_setup_validations():
@@ -153,12 +131,19 @@ def test_sweep_preserves_grid_order_and_values():
         assert all(math.isfinite(n) for n in row.n_numeric)
 
 
-def test_sweep_threads_match_serial():
-    setup = make_base_setup()
-    grid = np.linspace(0.25, 1.3, 12)
-    serial = pc.sweep(setup, "theta", grid, threads=1)
-    threaded = pc.sweep(setup, "theta", grid, threads=4)
-    assert serial == threaded
+def test_sweep_runs_one_stack_on_the_calling_thread(monkeypatch):
+    """``threads`` is accepted and ignored: the whole grid is one call of ``_rows``."""
+    calls = []
+
+    def counted(setup, points, averages):
+        calls.append((threading.get_ident(), len(points)))
+        return original(setup, points, averages)
+
+    original = tuning._rows
+    monkeypatch.setattr(tuning, "_rows", counted)
+    rows = pc.sweep(make_base_setup(), "theta", np.linspace(0.25, 1.3, 12), threads=4)
+    assert len(rows) == 12
+    assert calls == [(threading.get_ident(), 12)]
 
 
 def test_sweep_temperature_and_rabi_need_theta():
@@ -235,6 +220,28 @@ def test_overflowing_derived_values_give_error_rows(overrides, averages):
     assert all(math.isnan(n) for n in row.n_numeric + row.n_analytic)
 
 
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+def test_diffusion_norm_overflow_is_an_error_row_without_a_warning(averages):
+    """||D||_F overflows (entries ~1e303, or ~1e160 at 1e157 K): the residual
+    cannot be checked, so the point is a SolverError row, and no RuntimeWarning
+    escapes (the suite turns warnings into errors)."""
+    setup = make_base_setup()
+    for temperature in (1e300, 1e157):
+        row = pc.evaluate_point(setup, 0.7, temperature=temperature, averages=averages)
+        assert row.flags == ("error:SolverError",)
+        assert all(math.isnan(n) for n in row.n_numeric)
+    with pytest.raises(SolverError, match="diffusion's norm overflows"):
+        pc.steady_state(setup.working_point(0.7, temperature=1e300)[1])
+
+
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+def test_temperature_sweep_through_a_norm_overflow_keeps_its_other_rows(averages):
+    setup = make_base_setup()
+    rows = pc.sweep(setup, "temperature", [0.01, 1e300, 0.1], theta=0.7, averages=averages)
+    assert [row.flags for row in rows] == [(), ("error:SolverError",), ()]
+    assert rows[0].n_numeric[0] < rows[2].n_numeric[0]
+
+
 def test_selfconsistent_point_at_extreme_finite_inputs_is_a_row():
     """The scaled cubic keeps these finite: no raw LinAlgError, no RuntimeWarning."""
     setup = load_config("configs/two_mode_base.config").setup
@@ -275,6 +282,23 @@ def test_sweep_flags_unstable_and_require_stable_raises():
     assert "unstable" in rows[1].flags
     assert all(math.isnan(n) for n in rows[1].n_numeric)
     with pytest.raises(UnstableSystemError):
+        pc.sweep(setup, "rabi", grid, theta=0.25 * math.pi, require_stable=True)
+
+
+def test_require_stable_raises_for_unstable_rows_only():
+    """A failed point is an ``error:`` row, also under require_stable; an unstable one raises."""
+    setup = make_base_setup()
+    # 2.0 lies outside (0, pi/2); the diffusion's norm overflows at 1e300 K
+    for variable, bad in (("theta", 2.0), ("temperature", 1e300)):
+        theta = None if variable == "theta" else 0.7
+        good = 0.7 if variable == "theta" else 0.01
+        rows = pc.sweep(setup, variable, [good, bad], theta=theta, require_stable=True)
+        assert rows[0].stable and not rows[0].flags
+        assert not rows[1].stable and rows[1].flags[0].startswith("error:")
+    grid = [BASE_RABI, 1e300, 50.0 * BASE_RABI]  # ok, an error row, unstable
+    rows = pc.sweep(setup, "rabi", grid, theta=0.25 * math.pi)
+    assert [row.flags[:1] for row in rows] == [(), ("error:ValidationError",), ("unstable",)]
+    with pytest.raises(UnstableSystemError, match=r"rabi=3\.9\d*e\+15 is unstable"):
         pc.sweep(setup, "rabi", grid, theta=0.25 * math.pi, require_stable=True)
 
 
@@ -593,8 +617,6 @@ def test_sweep_rows_equal_the_one_point_api(device, averages, data):
         assert row.variable == value
         assert (bits(row.kappa_eff), bits(row.n_analytic), bits(row.n_numeric), row.stable,
                 row.flags) == one_point_bits(device, averages=averages, **point)
-    threaded = pc.sweep(device, variable, grid, theta=theta, averages=averages, threads=3)
-    assert [row_bits(row) for row in threaded] == [row_bits(row) for row in rows]
 
 
 def inject(monkeypatch, name: str, marked_diffusion: np.ndarray) -> None:
