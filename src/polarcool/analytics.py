@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .dynamics import LinearModel
+from .dynamics import LinearModel, _values
 from .errors import ValidationError, check_real
 
 
@@ -123,28 +123,29 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     finite, as its construction checked.
     """
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
-    # nested lists: entry reads are far cheaper than numpy scalar indexing
-    return _cooling(model.drift.tolist(), model.diffusion.diagonal().tolist(), n_p,
-                    len(model.mode_layout) - n_p)
+    n_m = len(model.mode_layout) - n_p
+    return _cooling(_values(model, n_p, n_m), n_p, n_m)
 
 
-def _cooling(r: list, d_diag: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
-    """:func:`network_cooling` of a drift as nested lists of floats (rows), the
-    diffusion diagonal as a list, and the counts of polariton and mechanical modes."""
+def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
+    """:func:`network_cooling` of the values that fill a drift and diffusion
+    (:func:`~polarcool.dynamics._pattern`), as plain floats, and the counts of
+    polariton and mechanical modes."""
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
-    linewidths = tuple(check_real(f"model: polariton {k} linewidth", -r[2 * k][2 * k], above=0.0)
+    # per mode: -damping, frequency, -frequency, noise; two per node pair; couplings
+    linewidths = tuple(check_real(f"model: polariton {k} linewidth", -values[4 * k], above=0.0)
                        for k in range(n_p))
-    detunings = tuple(r[2 * k][2 * k + 1] for k in range(n_p))
+    detunings = tuple(values[4 * k + 1] for k in range(n_p))
+    couplings = 4 * (n_p + n_m) + n_p * (n_p - 1)
     out = []
     for j in range(n_m):
-        i = 2 * (n_p + j)
-        mech_freq = r[i][i + 1]
-        mech_damping = check_real(f"model: mechanical mode {j} damping", -r[i][i], above=0.0)
-        nbar = d_diag[i] / (2.0 * mech_damping) - 0.5
-        couplings = tuple(-r[2 * k][i] for k in range(n_p))
+        m, start = 4 * (n_p + j), couplings + 2 * j * n_p
+        mech_damping = check_real(f"model: mechanical mode {j} damping", -values[m], above=0.0)
+        nbar = values[m + 3] / (2.0 * mech_damping) - 0.5
         out.append(_rates_for_mode(
-            j, mech_damping, nbar, couplings, linewidths, detunings, mech_freq
+            j, mech_damping, nbar, tuple(-g for g in values[start:start + 2 * n_p:2]),
+            linewidths, detunings, values[m + 1]
         ))
     return tuple(out)
 

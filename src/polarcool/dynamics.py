@@ -15,6 +15,7 @@ Vacuum noise corresponds to covariance 1/2 per quadrature.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,15 +82,67 @@ class LinearModel:
             object.__setattr__(self, name, arr)
 
 
-def _checked_stack(drifts: list, diffusions: list) -> tuple[np.ndarray, np.ndarray, list]:
-    """The drifts and the diffusions of P working points, each a nested list as
-    :func:`_network` makes it, as two (P, n, n) float stacks checked with one
-    call, and per point the ValidationError of its own check or None.
+@functools.cache
+def _pattern(n_p: int, n_m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the values of a point (:func:`_network`) go in its drift and diffusion.
+
+    Returns (cells, sources, read): the cells the values fill, counted in the
+    drift and then the diffusion, raveled one after the other, the index of
+    the value each cell takes, and per value the first cell it fills. The
+    values are, in order: per mode (nodes, then mechanics) its damping
+    (negated), rotation frequency, the same negated, and input noise
+    2 damping (nbar + 1/2); per node pair (k < q) its cross damping (negated)
+    and shared noise, +0.0 for an uncoupled pair; per mechanical mode j and
+    node k the couplings -G_j w_k and G_j w_k.
+    :func:`~polarcool.analytics._cooling` reads the rates off them.
+    """
+    n, pairs = n_p + n_m, [(k, q) for k in range(n_p) for q in range(k + 1, n_p)]
+    cells = []  # (matrix: 0 drift, 1 diffusion, row, column, value index)
+    for m in range(n):
+        i, v = 2 * m, 4 * m
+        cells += [(0, i, i, v), (0, i + 1, i + 1, v), (0, i, i + 1, v + 1),
+                  (0, i + 1, i, v + 2), (1, i, i, v + 3), (1, i + 1, i + 1, v + 3)]
+    for c, (k, q) in enumerate(pairs):
+        i, i2, v = 2 * k, 2 * q, 4 * n + 2 * c
+        for a, b in ((i, i2), (i + 1, i2 + 1), (i2, i), (i2 + 1, i + 1)):
+            cells += [(0, a, b, v), (1, a, b, v + 1)]
+    for j in range(n_m):
+        i = 2 * (n_p + j)
+        for k in range(n_p):
+            v = 4 * n + 2 * len(pairs) + 2 * (j * n_p + k)
+            cells += [(0, 2 * k, i, v), (0, i + 1, 2 * k + 1, v + 1)]
+    flat = [(2 * n * (2 * n * matrix + a) + b, v) for matrix, a, b, v in cells]
+    read = {}
+    for cell, v in flat:
+        read.setdefault(v, cell)
+    return (np.array([cell for cell, _ in flat]), np.array([v for _, v in flat]),
+            np.array([read[v] for v in range(len(read))]))
+
+
+def _stack(n_p: int, n_m: int, values: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of P points, each a flat list as :func:`_network` makes it, as a
+    (P, K) float array, and the (P, n, n) drift and diffusion stacks they fill.
+
+    Both stacks are zeros with one fancy-index write (:func:`_pattern`), so an
+    entry no value fills is +0.0; neither stack is checked.
+    """
+    vals = np.array(values, dtype=float)
+    n = 2 * (n_p + n_m)
+    cells, sources, _ = _pattern(n_p, n_m)
+    matrices = np.zeros((len(vals), 2 * n * n))
+    matrices[:, cells] = vals[:, sources]
+    matrices = matrices.reshape(-1, 2, n, n)
+    return vals, matrices[:, 0], matrices[:, 1]
+
+
+def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
+    """:func:`_stack` of P points, its drift and diffusion checked with one call,
+    and per point the ValidationError of its own check or None.
 
     The predicate is :class:`LinearModel`'s, matrix by matrix; each point is
     checked on its own only if the stack's check raises.
     """
-    r, d = np.array(drifts, dtype=float), np.array(diffusions, dtype=float)
+    vals, r, d = _stack(n_p, n_m, values)
     faults = [None] * len(r)
     try:
         check_drift_diffusion(r, d, 3)  # a stack of matrices
@@ -99,7 +152,19 @@ def _checked_stack(drifts: list, diffusions: list) -> tuple[np.ndarray, np.ndarr
                 check_drift_diffusion(r[p], d[p])
             except ValidationError as exc:
                 faults[p] = exc
-    return r, d, faults
+    return vals, r, d, faults
+
+
+def _model(n_p: int, n_m: int, values: list, layout: tuple, averages) -> LinearModel:
+    """The :class:`LinearModel` of one point's values, a one-point stack, which it checks."""
+    _, r, d = _stack(n_p, n_m, [values])
+    return LinearModel(r[0], d[0], layout, averages)
+
+
+def _values(model: LinearModel, n_p: int, n_m: int) -> list:
+    """The values of :func:`_network` read back off a model's matrices, as plain floats."""
+    cells = np.concatenate((model.drift.ravel(), model.diffusion.ravel()))
+    return cells[_pattern(n_p, n_m)[2]].tolist()
 
 
 @dataclass(frozen=True)
@@ -372,22 +437,24 @@ def build_network(
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
-    return LinearModel(*_network_fields(polaritons, mechanics, drive, cross_damping, mode))
+    return _model(len(polaritons), len(mechanics),
+                  *_network_fields(polaritons, mechanics, drive, cross_damping, mode))
 
 
 def _network_fields(polaritons, mechanics, drive, cross_damping, mode) -> tuple:
-    """:func:`build_network` up to its :class:`LinearModel`: the model's fields (:func:`_network`)."""
+    """:func:`build_network` up to its one-point stack: the fields of :func:`_network`."""
     detunings, cross = _validated_inputs(polaritons, mechanics, drive, cross_damping, mode)
     return _network(polaritons, detunings, mechanics, drive, cross, mode)
 
 
 def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
-    """(drift, diffusion, layout, averages) of checked inputs, ``cross`` and both
-    matrices as nested lists: the fields of a :class:`LinearModel`, not yet checked.
+    """(values, layout, averages) of checked inputs, ``cross`` as nested lists: the
+    drift and diffusion of one point as one flat list of the values that fill
+    them (:func:`_pattern`), and the other fields of its :class:`LinearModel`.
 
     Derived values are not checked one by one: an average that overflows
-    raises ValidationError here, and a NaN or infinite matrix entry is left to
-    the matrix check (:class:`LinearModel`, or a sweep's one check per stack).
+    raises ValidationError here, and a NaN or infinite value is left to the
+    matrix check (:class:`LinearModel`, or a sweep's one check per stack).
     """
     n_p, n_m = len(polaritons), len(mechanics)
     weights = [p.weight for p in polaritons]
@@ -418,32 +485,26 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
         raise ValidationError("averages: a value derived from the inputs overflows") from None
 
     temp = drive.bath_temperature
-    n = 2 * (n_p + n_m)
-    # nested lists: an item write is far cheaper than numpy's; np.array makes the same floats
-    r = [[0.0] * n for _ in range(n)]
-    d = [[0.0] * n for _ in range(n)]
-
-    def rotation(i: int, damping: float, freq: float, nbar: float) -> None:
-        # damped rotation block of drift and its input noise 2 damping (nbar + 1/2) I_2
-        r[i][i] = r[i + 1][i + 1] = -damping
-        r[i][i + 1], r[i + 1][i] = freq, -freq
-        d[i][i] = d[i + 1][i + 1] = 2.0 * damping * (nbar + 0.5)
-
-    for k, (p, det) in enumerate(zip(polaritons, detunings)):
-        rotation(2 * k, p.linewidth, det, _bose(p.freq, temp))
+    # damped rotation blocks and their input noise 2 damping (nbar + 1/2) I_2,
+    # then the node-node and node-mechanics couplings, in _pattern's order
+    values = []
+    for p, det in zip(polaritons, detunings):
+        g = p.linewidth
+        values += (-g, det, -det, 2.0 * g * (_bose(p.freq, temp) + 0.5))
+    for m in mechanics:
+        g, f = m.damping, m.freq
+        values += (-g, f, -f, 2.0 * g * (_bose(f, temp) + 0.5))
+    for k, p in enumerate(polaritons):
         for q in range(k + 1, n_p):
             cd = cross[k][q]
             if cd != 0.0:
-                i, i2 = 2 * k, 2 * q
-                r[i][i2] = r[i + 1][i2 + 1] = r[i2][i] = r[i2 + 1][i + 1] = -cd
                 n_c = _bose(0.5 * (p.freq + polaritons[q].freq), temp)
-                d[i][i2] = d[i + 1][i2 + 1] = d[i2][i] = d[i2 + 1][i + 1] = 2.0 * cd * (n_c + 0.5)
-    for j, (mech, g_j) in enumerate(zip(mechanics, couplings)):
-        i = 2 * (n_p + j)
-        rotation(i, mech.damping, mech.freq, _bose(mech.freq, temp))
-        for k, w in enumerate(weights):
-            r[2 * k][i] = -g_j * w
-            r[i + 1][2 * k + 1] = g_j * w
+                values += (-cd, 2.0 * cd * (n_c + 0.5))
+            else:  # uncoupled nodes: +0.0, as in an entry no value fills
+                values += (0.0, 0.0)
+    for g_j in couplings:
+        for w in weights:
+            values += (-g_j * w, g_j * w)
 
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
     averages = SteadyStateAverages(
@@ -455,7 +516,7 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
         mode=mode,
         branches=branches,
     )
-    return r, d, layout, averages
+    return values, layout, averages
 
 
 def build_linear_model(
@@ -467,11 +528,11 @@ def build_linear_model(
     detunings (formed without GHz-scale round-off) and the dissipative
     coupling delta-kappa between them; see :func:`build_network`.
     """
-    return LinearModel(*_two_mode_fields(params, basis, mode))
+    return _model(2, len(params.mechanical_modes), *_two_mode_fields(params, basis, mode))
 
 
 def _two_mode_fields(params: SystemParams, basis: PolaritonBasis | None, mode: str) -> tuple:
-    """:func:`build_linear_model` up to its :class:`LinearModel`: the model's fields."""
+    """:func:`build_linear_model` up to its one-point stack: the fields of :func:`_network`."""
     if basis is None:
         basis = diagonalize_polaritons(params)
     s, c = math.sin(basis.theta), math.cos(basis.theta)

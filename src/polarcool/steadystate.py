@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgees
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .dynamics import LinearModel
 from .errors import (
@@ -80,14 +80,26 @@ def _fro(a: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _fros(a: np.ndarray) -> np.ndarray:
+    """:func:`_fro` of each matrix of a C-ordered stack (..., n, n), in order, bit
+    for bit: matmul of a row by a column runs the same dot product."""
+    x = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt(np.matmul(x, x.transpose(0, 2, 1))[:, 0, 0])
+
+
 def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]:
     """Real Schur form R = Z T Z^T of a validated drift, the verdict read off it, and ||R||_F.
 
     One direct LAPACK call with the workspace ``scipy.linalg.schur`` would
     query, so T and Z are bit-identical to it. LAPACK standardizes every 2x2
     block of T so that both its diagonal entries hold the real part of the
-    complex pair, so max(diag T) is the spectral abscissa.
+    complex pair, so max(diag T) is the spectral abscissa. Callers run it
+    under ``np.errstate(over="ignore")``: a drift whose norm overflows raises
+    SolverError, as its margin would be infinite.
     """
+    r_norm = _fro(r)
+    if r_norm == math.inf:
+        raise SolverError("drift: its norm overflows, so the stability margin cannot be set")
     n = r.shape[0]
     lwork = _DGEES_LWORK.get(n)
     if lwork is None:
@@ -95,7 +107,6 @@ def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]
     t, _, _, _, z, _, status = dgees(_no_sort, r, lwork=lwork)
     if status != 0:
         raise SolverError(f"drift: real Schur factorization failed (dgees info {status})")
-    r_norm = _fro(r)
     margin = STABILITY_MARGIN * r_norm
     abscissa = float(t.diagonal().max())
     info = StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
@@ -108,44 +119,97 @@ def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
     )
 
 
-def _solve(r: np.ndarray, d: np.ndarray) -> tuple[StabilityInfo, np.ndarray | None, float, bool]:
-    """Factor a checked drift R = Z T Z^T once and, if stable, solve on the same factors.
+def _solve(r: np.ndarray, d: np.ndarray) -> list:
+    """Per point of (P, n, n) stacks of checked drifts and diffusions, its
+    (verdict, V, residual, condition_flag), or the SolverError of that point.
 
-    Returns (verdict, V, residual, condition_flag); V is None and the
-    residual NaN when the drift is unstable. The Bartels-Stewart products
-    follow scipy's ``solve_continuous_lyapunov`` operation for operation, so
-    V is bit-identical to it.
+    Each point factors its drift R = Z T Z^T once and, if stable, solves on the
+    same factors; V is None and the residual NaN where the drift is unstable.
+    The Bartels-Stewart products follow scipy's ``solve_continuous_lyapunov``
+    operation for operation, so V is bit-identical to it. The norms that check
+    the solves are formed as one stack (:func:`_verify`). A zero diffusion has
+    the exact V = 0 and residual 0; a diffusion whose norm overflows leaves no
+    residual to check, and a residual above 1e-9 is an error.
     """
-    t, z, info, r_norm = _schur(r)
-    if not info.stable:
-        return info, None, math.nan, False
-    f = z.T.dot((-d).dot(z))
-    y, scale, status = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
-    if status != 0:
-        raise SolverError(
-            f"lyapunov: triangular Sylvester solve returned info {status} "
-            "(eigenvalue pairs of the drift nearly cancel)"
-        )
-    y *= scale
-    v = z.dot(y).dot(z.T)
-    v = 0.5 * (v + v.T)
-    # a norm that overflows is inf: ||D|| or the residual raises a
-    # SolverError below, ||V|| sets the condition flag
-    with np.errstate(over="ignore"):
-        d_norm = _fro(d)
+    out, solved = [], []
+    # the covariances, residuals and diffusions of the stack in one array, so
+    # that _verify forms all their norms with one product; a point without a
+    # covariance keeps zeros, its norms unread
+    checks = np.zeros((3, *d.shape))
+    v = checks[0]
+    # an overflow is inf and a residual that cannot be formed NaN, judged point
+    # by point, so no warning concerns the whole stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(len(r)):
+            try:
+                t, z, info, r_norm = _schur(r[p])
+                if not info.stable:
+                    out.append((info, None, math.nan, False))
+                    continue
+                f = z.T.dot((-d[p]).dot(z))
+                y, scale, status = dtrsyl(t, t, f, tranb="T")
+                if status != 0:
+                    raise SolverError(
+                        f"lyapunov: triangular Sylvester solve returned info {status} "
+                        "(eigenvalue pairs of the drift nearly cancel)"
+                    )
+            except SolverError as exc:
+                out.append(exc)
+                continue
+            y *= scale
+            w = z.dot(y).dot(z.T)
+            v[p] = 0.5 * (w + w.T)
+            out.append(info)
+            solved.append((p, r_norm))
+        if not solved:
+            return out
+        v_norms, e_norms, d_norms = _verify(r, d, checks)
+    for p, r_norm in solved:
+        d_norm = d_norms[p]
         if d_norm == 0.0:
-            return info, v, 0.0, False
+            out[p] = (out[p], v[p], 0.0, False)
+            continue
         if d_norm == math.inf:
             # every residual would divide to 0 or NaN: none could be checked
-            raise SolverError("lyapunov: the diffusion's norm overflows, so the residual"
-                              " cannot be checked")
-        residual = _fro(r @ v + v @ r.T + d) / d_norm
+            out[p] = SolverError("lyapunov: the diffusion's norm overflows, so the residual"
+                                 " cannot be checked")
+            continue
+        residual = e_norms[p] / d_norm
         if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
-            raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+            out[p] = SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+            continue
         # cheap conditioning proxy: large covariance from modest inputs signals
         # strong cancellation in the factored solve
-        proxy = 2.0 * r_norm * _fro(v) / d_norm
-    return info, v, residual, proxy > CONDITION_LIMIT
+        proxy = 2.0 * r_norm * v_norms[p] / d_norm
+        out[p] = (out[p], v[p], residual, proxy > CONDITION_LIMIT)
+    return out
+
+
+def _verify(r: np.ndarray, d: np.ndarray, checks: np.ndarray) -> tuple[list, list, list]:
+    """||V||_F, ||R V + V R^T + D||_F and ||D||_F of each point of (P, n, n)
+    stacks, as three lists of plain floats, formed for the whole stack at once.
+
+    ``checks`` is a (3, P, n, n) array that holds the covariances V and takes
+    the residuals and the diffusions. Each norm is bit-identical to
+    :func:`_fro` of the point's 2-D products in C order. It runs under the
+    ``np.errstate`` of :func:`_solve`.
+    """
+    v, e, checks[2] = checks[0], checks[1], d
+    np.matmul(r, v, out=e)
+    e += v @ r.transpose(0, 2, 1)
+    e += d
+    norms = _fros(checks).tolist()
+    p = len(d)
+    return norms[:p], norms[p:2 * p], norms[2 * p:]
+
+
+def _solve_one(r: np.ndarray, d: np.ndarray) -> tuple:
+    """:func:`_solve` of one checked drift and diffusion as a one-point stack;
+    raises its SolverError."""
+    result = _solve(r[None], d[None])[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 def check_stability(drift: np.ndarray) -> StabilityInfo:
@@ -155,7 +219,9 @@ def check_stability(drift: np.ndarray) -> StabilityInfo:
     -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
     flip the verdict between platforms.
     """
-    return _schur(check_matrix("drift", drift))[2]
+    r = check_matrix("drift", drift)
+    with np.errstate(over="ignore"):
+        return _schur(r)[2]
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -166,7 +232,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     drift fails the stability check and SolverError when the residual of an
     otherwise-accepted solve exceeds 1e-9.
     """
-    info, v, residual, flagged = _solve(*check_drift_diffusion(drift, diffusion))
+    info, v, residual, flagged = _solve_one(*check_drift_diffusion(drift, diffusion))
     if v is None:
         raise _unstable(info)
     return v, residual, flagged
@@ -211,7 +277,8 @@ def integrate_covariance(
     """
     r, d = check_drift_diffusion(drift, diffusion)
     if t_final is None:
-        info = _schur(r)[2]
+        with np.errstate(over="ignore"):
+            info = _schur(r)[2]
         if not info.stable:
             raise _unstable(info, "; pass t_final explicitly")
         t_final = 15.0 / abs(info.spectral_abscissa)
@@ -256,7 +323,7 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so sweeps can record the row.
     """
-    info, v, residual, flagged = _solve(model.drift, model.diffusion)
+    info, v, residual, flagged = _solve_one(model.drift, model.diffusion)
     if v is None and require_stable:
         raise _unstable(info)
     return SteadyState(

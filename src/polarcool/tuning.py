@@ -26,6 +26,7 @@ from .dynamics import (
     NetworkPolariton,
     PolaritonMode,
     _checked_stack,
+    _model,
     _network_fields,
     _two_mode_fields,
     photon_matter_diagonalize,
@@ -169,12 +170,14 @@ class Device:
         component of its eigenvector; the nodes share the dissipative
         couplings of their bare losses.
         """
-        tuning, *fields = self._fields(theta, temperature, rabi, mode)
-        return tuning, LinearModel(*fields)
+        tuning, values, layout, averages = self._fields(theta, temperature, rabi, mode)
+        n_p, n_m = len(self.matter_linewidths) + 1, len(self.mechanical_modes)
+        return tuning, _model(n_p, n_m, values, layout, averages)
 
     def _fields(self, theta, temperature, rabi, mode) -> tuple:
-        """(tuning, drift, diffusion, layout, averages): :meth:`working_point`
-        up to its model, the matrices as nested lists and not yet checked."""
+        """(tuning, values, layout, averages): :meth:`working_point` up to its
+        one-point stack, the matrices as one flat list of the values that fill
+        them (:func:`~polarcool.dynamics._network`), not yet checked."""
         if not self.couplings:
             params = self.params_at(theta, temperature=temperature, rabi=rabi)
             return (params, *_two_mode_fields(params, None, mode))
@@ -245,25 +248,28 @@ def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
     return flags
 
 
-# points per stack: bounds the nested lists and arrays a long sweep holds at once
+# points per stack: bounds the values, matrices and solves a long sweep holds
+# at once, about 6 KB per point
 _STACK_POINTS = 256
 
 
 def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     """One row per working point ``(variable, theta, temperature, rabi)``, the
-    points built and checked as one stack of up to ``_STACK_POINTS``.
+    points built, checked and verified as one stack of up to ``_STACK_POINTS``.
 
-    Each point runs the one-point build (:meth:`Device._fields`); the drifts
-    and diffusions of the points that built are stacked and checked with one
-    call (:func:`~polarcool.dynamics._checked_stack`), then each point's rates
-    and steady state are solved on its own matrices of the stack, with the
-    same operations as :func:`solve_model` on a :class:`LinearModel`. A
+    Each point runs the one-point build (:meth:`Device._fields`) to one flat
+    list of values; the points that built fill one drift and one diffusion
+    stack, checked with one call (:func:`~polarcool.dynamics._checked_stack`).
+    Each point's rates are read off its values, and the points whose rates
+    succeed are solved with one :func:`~polarcool.steadystate._solve`: its own
+    factorization and solve per point, one verification for all. The
+    operations are those of :func:`solve_model` on a :class:`LinearModel`. A
     ValidationError or SolverError of a point, at its build, matrix check,
     rates, solve or occupations, in that order, becomes its ``error:<Type>``
     row; the other points go on.
     """
     fixed = bool(setup.couplings)
-    n_m = len(setup.mechanical_modes)
+    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
     nans = (math.nan,) * n_m
 
     def error_row(value, theta, exc) -> SweepRow:
@@ -282,30 +288,40 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
 
     rows = []
     for start in range(0, len(points), _STACK_POINTS):
-        block, built, drifts, diffusions = [], [], [], []
+        block, built, values = [], [], []
         for value, theta, temperature, rabi in points[start:start + _STACK_POINTS]:
             if fixed:
                 theta = math.nan
             try:
-                tuning, r, d, layout, _ = setup._fields(theta, temperature, rabi, averages)
+                tuning, point_values, _, _ = setup._fields(theta, temperature, rabi, averages)
             except (ValidationError, SolverError) as exc:
                 block.append(error_row(value, theta, exc))
                 continue
-            built.append((len(block), value, theta, tuning, len(layout) - n_m))
-            drifts.append(r)
-            diffusions.append(d)
+            built.append((len(block), value, theta, tuning))
+            values.append(point_values)
             block.append(None)
-        if built:
-            drift, diffusion, faults = _checked_stack(drifts, diffusions)
-            # plain floats, as network_cooling reads them off a model: the
-            # builder's lists hold numpy scalars where a device was given them
-            drift_rows, diagonals = drift.tolist(), diffusion.diagonal(0, 1, 2).tolist()
-        for p, (i, value, theta, tuning, n_p) in enumerate(built):
+        if not built:
+            rows += block
+            continue
+        vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
+        rates = {}  # of each point left to solve, by its index in the stack
+        # plain floats, as network_cooling reads them off a model
+        for p, ((i, value, theta, _), point_values) in enumerate(zip(built, vals.tolist())):
             try:
                 if faults[p] is not None:
                     raise faults[p]
-                rates = _cooling(drift_rows[p], diagonals[p], n_p, n_m)
-                info, v, _, ill_conditioned = _solve(drift[p], diffusion[p])
+                rates[p] = _cooling(point_values, n_p, n_m)
+            except (ValidationError, SolverError) as exc:
+                block[i] = error_row(value, theta, exc)
+        live = list(rates)
+        if len(live) < len(drift):
+            drift, diffusion = drift[live], diffusion[live]
+        for p, result in zip(live, _solve(drift, diffusion)):
+            i, value, theta, tuning = built[p]
+            try:
+                if isinstance(result, SolverError):
+                    raise result
+                info, v, _, ill_conditioned = result
                 n_numeric = nans if v is None else extract_occupations(v)[n_p:]
             except (ValidationError, SolverError) as exc:
                 block[i] = error_row(value, theta, exc)
@@ -316,11 +332,11 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
                 coupling=math.nan if fixed else tuning.photon_matter_coupling,
                 magnon_freq=math.nan if fixed else tuning.magnon_freq,
                 drive_freq=tuning.drive_freq,
-                kappa_eff=tuple(r.kappa_eff for r in rates),
-                n_analytic=tuple(r.n_eff for r in rates),
+                kappa_eff=tuple(r.kappa_eff for r in rates[p]),
+                n_analytic=tuple(r.n_eff for r in rates[p]),
                 n_numeric=n_numeric,
                 stable=info.stable,
-                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, rates)),
+                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, rates[p])),
             )
         rows += block
     return rows

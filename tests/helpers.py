@@ -105,3 +105,43 @@ def random_block_instance(rng, n_pairs):
         r[i, j] = -g
         r[j + 1, i + 1] = g
     return r, d
+
+
+# ---------------------------------------------------------------------------
+# independent assembly oracle: the drift and diffusion filled entry by entry,
+# as nested lists, from the inputs and couplings of a network
+
+
+def assemble_network(polaritons, mechanics, drive, cross, couplings):
+    """(drift, diffusion) of a network with effective couplings ``couplings``.
+
+    ``cross`` is the nested N_p x N_p cross-damping list. Every entry no
+    statement writes is +0.0; an uncoupled node pair writes nothing.
+    """
+    n_p, temp = len(polaritons), drive.bath_temperature
+    n = 2 * (n_p + len(mechanics))
+    r = [[0.0] * n for _ in range(n)]
+    d = [[0.0] * n for _ in range(n)]
+
+    def rotation(i, damping, freq, nbar):
+        r[i][i] = r[i + 1][i + 1] = -damping
+        r[i][i + 1], r[i + 1][i] = freq, -freq
+        d[i][i] = d[i + 1][i + 1] = 2.0 * damping * (nbar + 0.5)
+
+    for k, p in enumerate(polaritons):
+        det = p.freq - drive.drive_freq if p.detuning is None else p.detuning
+        rotation(2 * k, p.linewidth, det, pc.thermal_occupation(p.freq, temp))
+        for q in range(k + 1, n_p):
+            cd = cross[k][q]
+            if cd != 0.0:
+                i, i2 = 2 * k, 2 * q
+                r[i][i2] = r[i + 1][i2 + 1] = r[i2][i] = r[i2 + 1][i + 1] = -cd
+                n_c = pc.thermal_occupation(0.5 * (p.freq + polaritons[q].freq), temp)
+                d[i][i2] = d[i + 1][i2 + 1] = d[i2][i] = d[i2 + 1][i + 1] = 2.0 * cd * (n_c + 0.5)
+    for j, (mech, g_j) in enumerate(zip(mechanics, couplings)):
+        i = 2 * (n_p + j)
+        rotation(i, mech.damping, mech.freq, pc.thermal_occupation(mech.freq, temp))
+        for k, p in enumerate(polaritons):
+            r[2 * k][i] = -g_j * p.weight
+            r[i + 1][2 * k + 1] = g_j * p.weight
+    return np.array(r, dtype=float), np.array(d, dtype=float)

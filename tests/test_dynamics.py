@@ -15,6 +15,7 @@ from polarcool.errors import SolverError, ValidationError
 from helpers import (
     BASE_RABI,
     TWO_PI,
+    assemble_network,
     averages_vector,
     classical_rhs,
     make_base_setup,
@@ -436,6 +437,69 @@ def test_drift_zero_coupling_decouples():
     r = pc.build_linear_model(params, basis).drift
     off = r[0:4, 4:8]
     assert np.all(off == 0.0) and np.all(r[4:8, 0:4] == 0.0)
+
+
+@st.composite
+def assembled_networks(draw):
+    """1-4 nodes and 1-4 mechanical modes in either averages mode, each node
+    pair with or without cross damping (signed zeros included), node weights of
+    either sign or zero, and two drives of one network, zero drive included."""
+    unit = st.floats(0.0, 1.0)
+    mechs = [
+        pc.MechanicalMode(
+            freq=TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit)),
+            damping=TWO_PI * (10.0 + 990.0 * draw(unit)),
+            bare_coupling=TWO_PI * (0.05 + 0.95 * draw(unit)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    drive_freq = TWO_PI * 1e10
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        detuning = draw(st.sampled_from((1.0, -1.0))) * TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit))
+        nodes.append(pc.NetworkPolariton(
+            freq=drive_freq + detuning,
+            linewidth=TWO_PI * (3e5 + 2.7e6 * draw(unit)),
+            weight=draw(st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0)),
+            detuning=draw(st.sampled_from((None, detuning))),
+        ))
+    cross = None
+    if draw(st.booleans()):
+        cross = [[0.0] * len(nodes) for _ in nodes]
+        for k in range(len(nodes)):
+            for q in range(k + 1, len(nodes)):
+                cross[k][q] = cross[q][k] = draw(
+                    st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0).map(lambda x: 1e5 * x))
+    drives = [
+        pc.NetworkDrive(
+            drive_freq=drive_freq,
+            rabi_freq=BASE_RABI * draw(st.sampled_from((0.0,)) | st.floats(0.0, 3.0)),
+            bath_temperature=draw(st.sampled_from((0.0,)) | unit),
+        )
+        for _ in range(2)
+    ]
+    return nodes, mechs, drives, cross, draw(st.sampled_from(("approx", "selfconsistent")))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(assembled_networks())
+def test_the_stack_fills_the_oracles_entries_bit_for_bit(network):
+    # tobytes pins every bit, signed zeros included
+    nodes, mechs, drives, cross, mode = network
+    try:
+        fields = [dynamics._network_fields(nodes, mechs, drive, cross, mode) for drive in drives]
+    except (ValidationError, SolverError):
+        return
+    _, r, d = dynamics._stack(len(nodes), len(mechs), [values for values, _, _ in fields])
+    zeros = [[0.0] * len(nodes) for _ in nodes]
+    for p, (drive, (_, _, averages)) in enumerate(zip(drives, fields)):
+        want_r, want_d = assemble_network(nodes, mechs, drive, cross or zeros,
+                                          averages.effective_couplings)
+        assert r[p].tobytes() == want_r.tobytes()
+        assert d[p].tobytes() == want_d.tobytes()
+    model = pc.build_network(nodes, mechs, drives[0], cross, mode)  # a one-point stack
+    assert model.drift.tobytes() == r[0].tobytes()
+    assert model.diffusion.tobytes() == d[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

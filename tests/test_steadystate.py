@@ -241,6 +241,8 @@ def assert_shared_factorization(r, d, solve):
     expected = 0.5 * (expected + expected.T)
     assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
     assert residual < 1e-9
+    # the stacked verification forms the residual as the 2-D products do, bit for bit
+    assert residual == np.linalg.norm(r @ v + v @ r.T + d) / np.linalg.norm(d)
 
 
 @st.composite
@@ -468,3 +470,6 @@ def test_fro_is_np_linalg_norm_bit_for_bit(n, seed, exponent, fortran):
     if fortran:
         a = np.asfortranarray(a)
     assert steadystate._fro(a) == float(np.linalg.norm(a))
+    # a sweep's verification forms the norms of a whole stack at once
+    stack = np.ascontiguousarray(np.stack([a, a.T, -2.0 * a]))
+    assert steadystate._fros(stack).tolist() == [steadystate._fro(m) for m in stack]

@@ -619,19 +619,40 @@ def test_sweep_rows_equal_the_one_point_api(device, averages, data):
                 row.flags) == one_point_bits(device, averages=averages, **point)
 
 
-def inject(monkeypatch, name: str, marked_diffusion: np.ndarray) -> None:
-    """Make the sweep's stage ``name`` raise for the point of ``marked_diffusion``."""
-    original = getattr(tuning, name)
+def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
+    """Make the sweep's stage ``stage`` fail for the point of ``model``.
 
-    def failing(*args):
-        # _cooling(drift rows, diffusion diagonal, ...), _solve(drift, diffusion)
-        marked = (args[1] == marked_diffusion.diagonal().tolist() if name == "_cooling"
-                  else np.array_equal(args[1], marked_diffusion))
-        if marked:
-            raise (ValidationError if name == "_cooling" else SolverError)(f"{name}: injected")
-        return original(*args)
+    ``rates`` raises from ``_cooling(values, n_p, n_m)`` and ``solve`` makes
+    ``_solve(drifts, diffusions)`` return a SolverError for that point; ``residual``
+    doubles the point's triangular Sylvester solution, so its covariance fails
+    the stacked residual check.
+    """
+    if stage == "rates":
+        original, marked = tuning._cooling, dynamics._values(model, 2, 2)
 
-    monkeypatch.setattr(tuning, name, failing)
+        def failing(values, n_p, n_m):
+            if values == marked:
+                raise ValidationError("_cooling: injected")
+            return original(values, n_p, n_m)
+
+        monkeypatch.setattr(tuning, "_cooling", failing)
+    elif stage == "solve":
+        original = tuning._solve
+
+        def failing(drifts, diffusions):
+            return [SolverError("_solve: injected") if np.array_equal(d, model.diffusion)
+                    else result for d, result in zip(diffusions, original(drifts, diffusions))]
+
+        monkeypatch.setattr(tuning, "_solve", failing)
+    else:
+        t, z = steadystate._schur(model.drift)[:2]
+        marked, original = z.T.dot((-model.diffusion).dot(z)), steadystate.dtrsyl
+
+        def wrong(a, b, c, **kwargs):
+            y, scale, status = original(a, b, c, **kwargs)
+            return (2.0 * y if np.array_equal(c, marked) else y), scale, status
+
+        monkeypatch.setattr(steadystate, "dtrsyl", wrong)
 
 
 @pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
@@ -641,6 +662,7 @@ def inject(monkeypatch, name: str, marked_diffusion: np.ndarray) -> None:
     ("matrix check", "temperature", 1.7e308, "ValidationError"),  # the diffusion is infinite
     ("rates", "temperature", 0.3, "ValidationError"),
     ("solve", "temperature", 0.3, "SolverError"),
+    ("residual", "temperature", 0.3, "SolverError"),  # fails the stacked residual check
 ])
 @pytest.mark.parametrize("position", [0, 2, 4])
 def test_one_failing_point_leaves_the_others_bit_identical(
@@ -651,9 +673,9 @@ def test_one_failing_point_leaves_the_others_bit_identical(
             "temperature": [0.0, 0.01, 0.1, 1.0]}[variable]
     theta = None if variable == "theta" else 0.7
     clean = pc.sweep(setup, variable, grid, theta=theta, averages=averages)
-    if stage in ("rates", "solve"):
+    if stage in ("rates", "solve", "residual"):
         _, model = setup.working_point(theta, temperature=bad, mode=averages)
-        inject(monkeypatch, "_cooling" if stage == "rates" else "_solve", model.diffusion)
+        inject(monkeypatch, stage, model)
     check_counts.clear()
     rows = pc.sweep(setup, variable, grid[:position] + [bad] + grid[position:], theta=theta,
                     averages=averages)
@@ -668,9 +690,32 @@ def test_one_failing_point_leaves_the_others_bit_identical(
     assert check_counts["check_drift_diffusion"] == stack_checks
 
 
+def test_a_drift_whose_norm_overflows_is_a_solver_error():
+    # ||R||_F overflows while every entry is finite: the margin 1e-9 ||R||_F
+    # would be infinite and call any such drift unstable
+    drift = np.diag([-1e160, -1.0])
+    overflow = "^drift: its norm overflows"
+    with pytest.raises(SolverError, match=overflow):
+        pc.check_stability(drift)
+    with pytest.raises(SolverError, match=overflow):
+        pc.solve_lyapunov(drift, np.eye(2))
+    # a drive of 1e162 rad/s puts couplings near 1e154 into the base device's drift
+    setup, huge = make_base_setup(), 1e162
+    _, model = setup.working_point(0.7, rabi=huge)
+    assert np.isfinite(model.drift).all()
+    with pytest.raises(SolverError, match=overflow):
+        pc.steady_state(model)
+    grid = [0.5 * BASE_RABI, BASE_RABI, 3.0 * BASE_RABI]
+    clean = pc.sweep(setup, "rabi", grid, theta=0.7)
+    rows = pc.sweep(setup, "rabi", grid[:1] + [huge] + grid[1:], theta=0.7)
+    assert rows[1].flags == ("error:SolverError",) and not rows[1].stable
+    assert [row_bits(row) for row in rows[:1] + rows[2:]] == [row_bits(row) for row in clean]
+
+
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of dgees, of the two model classes' construction and of the stack path."""
+    """Calls of dgees, of the stacked verification, of the two model classes'
+    construction and of the stack path."""
     counts = collections.Counter()
 
     def counting(owner, name, key):
@@ -683,6 +728,7 @@ def call_counts(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(steadystate, "dgees", "dgees")
+    counting(steadystate, "_verify", "verifications")
     counting(steadystate, "SteadyState", "SteadyState")
     counting(dynamics.LinearModel, "__post_init__", "LinearModel")
     counting(tuning, "_rows", "stacks")
@@ -704,11 +750,12 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
     rows = pc.sweep(device, variable, grid, theta=theta, averages=averages)
     assert all(row.stable for row in rows)
     assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
-    # one factorization per point, plus one workspace query on an empty cache
-    assert call_counts == {"dgees": len(grid) + 1, "stacks": 1}
+    # one factorization per point, plus one workspace query on an empty cache,
+    # and one verification of all the solves
+    assert call_counts == {"dgees": len(grid) + 1, "verifications": 1, "stacks": 1}
     call_counts.clear()
     pc.sweep(device, variable, grid, theta=theta, averages=averages)
-    assert call_counts == {"dgees": len(grid), "stacks": 1}
+    assert call_counts == {"dgees": len(grid), "verifications": 1, "stacks": 1}
 
 
 def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
@@ -729,3 +776,4 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert len(scored) == len(set(scored)) == result.evaluations  # no angle twice
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
+    assert call_counts["verifications"] == len(sizes)  # one per stack
