@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +62,9 @@ class LinearModel:
 
     The one place a model's matrices are checked: construction (and so
     ``dataclasses.replace``) raises ValidationError, naming the field, unless
-    both are real, square, non-empty, finite and of one shape, and the
-    diffusion is symmetric within 1e-12 max(1, max|D|). The model holds
+    both are real, square, non-empty, finite and of one shape, the diffusion
+    is symmetric within 1e-12 max(1, max|D|), and ``mode_layout`` names one
+    mode per two rows. The model holds
     read-only float copies, so what was checked cannot change afterwards and
     the solvers use the matrices without checking them again. Two models
     compare equal only if they are the same object.
@@ -80,6 +81,14 @@ class LinearModel:
             arr = arr.copy(order="K")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        try:
+            fits = 2 * len(self.mode_layout) == len(self.drift)
+        except TypeError:  # a layout without a length, such as None
+            fits = False
+        if not fits:
+            raise ValidationError(f"mode_layout: expected {len(self.drift) // 2} mode names for"
+                                  f" {len(self.drift)} x {len(self.drift)} matrices,"
+                                  f" got {self.mode_layout!r}")
 
 
 @functools.cache
@@ -155,10 +164,12 @@ def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
     return vals, r, d, faults
 
 
-def _model(n_p: int, n_m: int, values: list, layout: tuple, averages) -> LinearModel:
-    """The :class:`LinearModel` of one point's values, a one-point stack, which it checks."""
+def _model(n_p: int, n_m: int, values: list, averages: tuple) -> LinearModel:
+    """The :class:`LinearModel` of one point's values and averages (the fields of
+    :class:`SteadyStateAverages`, in order), a one-point stack, which it checks."""
     _, r, d = _stack(n_p, n_m, [values])
-    return LinearModel(r[0], d[0], layout, averages)
+    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
+    return LinearModel(r[0], d[0], layout, SteadyStateAverages(*averages))
 
 
 def _values(model: LinearModel, n_p: int, n_m: int) -> list:
@@ -192,38 +203,47 @@ class NetworkDrive:
     bath_temperature: float
 
 
-def _node_detunings(polaritons, drive_freq: float, rabi: float, mode: str) -> list[float]:
-    """Drive detunings of valid polariton nodes in a valid ``mode``; raises otherwise."""
+def _check_mode(mode: str) -> None:
     if mode not in ("approx", "selfconsistent"):
         raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
-    detunings = []
-    for k, p in enumerate(polaritons):
-        check_real(f"polaritons[{k}].freq", p.freq, above=0.0)
-        check_real(f"polaritons[{k}].linewidth", p.linewidth, above=0.0)
-        check_real(f"polaritons[{k}].weight", p.weight)
-        det = p.freq - drive_freq if p.detuning is None else p.detuning
-        det = check_real(f"polaritons[{k}].detuning", det)
-        if det == 0.0 and mode == "approx" and rabi != 0.0:
-            raise ValidationError(
-                f"polaritons[{k}].detuning: polariton resonant with the drive (zero detuning);"
-                " approx mode requires nonzero detunings"
-            )
-        detunings.append(det)
-    return detunings
 
 
-def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
-    """Detunings and cross-damping matrix (nested lists) of valid inputs; raises otherwise."""
-    n_p = len(polaritons)
-    if n_p < 1 or len(mechanics) < 1:
-        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
-    rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
-    check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
-    for j, mech in enumerate(mechanics):
-        mech.validate(path=f"mechanics[{j}]")
-    detunings = _node_detunings(polaritons, drive.drive_freq, rabi, mode)
+def _resonant(k: int) -> ValidationError:
+    """The error of node ``k`` resonant with a nonzero drive in approx mode."""
+    return ValidationError(
+        f"polaritons[{k}].detuning: polariton resonant with the drive (zero detuning);"
+        " approx mode requires nonzero detunings"
+    )
+
+
+def _node_detunings(freqs, linewidths, weights, detunings, drive_freq, resonance_fails: bool
+                    ) -> list[float]:
+    """The checked drive detunings of nodes whose values it checks, node by node;
+    a detuning of None is ``freq - drive_freq``. With ``resonance_fails``
+    (approx mode at a nonzero drive) a zero detuning raises."""
+    checked = []
+    for k, (freq, det) in enumerate(zip(freqs, detunings)):
+        freq_path, linewidth_path, weight_path, detuning_path = _node_paths(k)
+        check_real(freq_path, freq, above=0.0)
+        check_real(linewidth_path, linewidths[k], above=0.0)
+        check_real(weight_path, weights[k])
+        det = check_real(detuning_path, freq - drive_freq if det is None else det)
+        if det == 0.0 and resonance_fails:
+            raise _resonant(k)
+        checked.append(det)
+    return checked
+
+
+@functools.cache
+def _node_paths(k: int) -> tuple[str, ...]:
+    """The paths of node ``k``'s checked values, formatted once rather than per point."""
+    return tuple(f"polaritons[{k}].{name}" for name in ("freq", "linewidth", "weight", "detuning"))
+
+
+def _cross_damping(cross_damping, n_p: int) -> list:
+    """A checked N_p x N_p cross-damping matrix as nested lists of floats, zeros for None."""
     if cross_damping is None:
-        return detunings, [[0.0] * n_p for _ in range(n_p)]
+        return [[0.0] * n_p for _ in range(n_p)]
     cross = np.asarray(cross_damping, dtype=float)
     if cross.shape != (n_p, n_p):
         raise ValidationError(f"cross_damping: expected shape {(n_p, n_p)}, got {cross.shape}")
@@ -233,7 +253,7 @@ def _validated_inputs(polaritons, mechanics, drive, cross_damping, mode):
                for k in range(n_p) for q in range(k + 1, n_p)) \
             or any(cross[k][k] != 0.0 for k in range(n_p)):
         raise ValidationError("cross_damping: must be finite and symmetric with a zero diagonal")
-    return detunings, cross
+    return cross
 
 
 def _eliminate(rows) -> list:
@@ -404,7 +424,9 @@ def build_network(
     Node k is a damped rotation at its drive detuning; the drive feeds it
     with w_k Omega, and mechanical mode j couples to it with G_j w_k,
     G_j = 2 G_0j |M|, through the matter amplitude M = sum_k w_k <P_k>
-    (X rows of the nodes, Y rows of the mechanics).
+    (X rows of the nodes, Y rows of the mechanics). It checks every input
+    and hands the plain values to :func:`_network`, the one core every
+    working point runs through.
 
     Parameters
     ----------
@@ -437,29 +459,39 @@ def build_network(
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
-    return _model(len(polaritons), len(mechanics),
-                  *_network_fields(polaritons, mechanics, drive, cross_damping, mode))
+    n_p = len(polaritons)
+    if n_p < 1 or len(mechanics) < 1:
+        raise ValidationError("build_network: need at least one polariton and one mechanical mode")
+    rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
+    temperature = check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
+    for j, mech in enumerate(mechanics):
+        mech.validate(path=f"mechanics[{j}]")
+    _check_mode(mode)
+    freqs = [p.freq for p in polaritons]
+    linewidths = [p.linewidth for p in polaritons]
+    weights = [p.weight for p in polaritons]
+    detunings = _node_detunings(freqs, linewidths, weights, [p.detuning for p in polaritons],
+                                drive.drive_freq, mode == "approx" and rabi != 0.0)
+    cross = _cross_damping(cross_damping, n_p)
+    return _model(n_p, len(mechanics), *_network(
+        freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode))
 
 
-def _network_fields(polaritons, mechanics, drive, cross_damping, mode) -> tuple:
-    """:func:`build_network` up to its one-point stack: the fields of :func:`_network`."""
-    detunings, cross = _validated_inputs(polaritons, mechanics, drive, cross_damping, mode)
-    return _network(polaritons, detunings, mechanics, drive, cross, mode)
-
-
-def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
-    """(values, layout, averages) of checked inputs, ``cross`` as nested lists: the
-    drift and diffusion of one point as one flat list of the values that fill
-    them (:func:`_pattern`), and the other fields of its :class:`LinearModel`.
+def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross,
+             mode) -> tuple[list, tuple]:
+    """(values, averages) of one working point from checked plain inputs: per node
+    its frequency, linewidth, matter weight and drive detuning, the mechanical
+    modes, the drive's Rabi frequency and bath temperature, and the cross
+    damping as nested lists. ``values`` is its drift and diffusion as one flat
+    list of the values that fill them (:func:`_pattern`); ``averages`` holds the
+    fields of its :class:`SteadyStateAverages`, in order. A sweep reads the
+    values and builds neither a :class:`LinearModel` nor its averages record.
 
     Derived values are not checked one by one: an average that overflows
     raises ValidationError here, and a NaN or infinite value is left to the
     matrix check (:class:`LinearModel`, or a sweep's one check per stack).
     """
-    n_p, n_m = len(polaritons), len(mechanics)
-    weights = [p.weight for p in polaritons]
-    rabi = drive.rabi_freq
-
+    n_p, n_m = len(freqs), len(mechanics)
     try:
         if rabi == 0.0:
             p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
@@ -473,7 +505,7 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
             phase, branches = 0.0, (matter,)
         else:
             p_avgs, branches = _selfconsistent_polaritons(
-                weights, detunings, [p.linewidth for p in polaritons], cross, rabi, mechanics
+                weights, detunings, linewidths, cross, rabi, mechanics
             )
             matter = branches[0]
             m2 = abs(matter) ** 2
@@ -484,39 +516,26 @@ def _network(polaritons, detunings, mechanics, drive, cross, mode) -> tuple:
     except OverflowError:  # float ** 2 raises instead of giving inf
         raise ValidationError("averages: a value derived from the inputs overflows") from None
 
-    temp = drive.bath_temperature
     # damped rotation blocks and their input noise 2 damping (nbar + 1/2) I_2,
     # then the node-node and node-mechanics couplings, in _pattern's order
     values = []
-    for p, det in zip(polaritons, detunings):
-        g = p.linewidth
-        values += (-g, det, -det, 2.0 * g * (_bose(p.freq, temp) + 0.5))
+    for f, g, det in zip(freqs, linewidths, detunings):
+        values += (-g, det, -det, 2.0 * g * (_bose(f, temperature) + 0.5))
     for m in mechanics:
         g, f = m.damping, m.freq
-        values += (-g, f, -f, 2.0 * g * (_bose(f, temp) + 0.5))
-    for k, p in enumerate(polaritons):
+        values += (-g, f, -f, 2.0 * g * (_bose(f, temperature) + 0.5))
+    for k in range(n_p):
         for q in range(k + 1, n_p):
             cd = cross[k][q]
             if cd != 0.0:
-                n_c = _bose(0.5 * (p.freq + polaritons[q].freq), temp)
+                n_c = _bose(0.5 * (freqs[k] + freqs[q]), temperature)
                 values += (-cd, 2.0 * cd * (n_c + 0.5))
             else:  # uncoupled nodes: +0.0, as in an entry no value fills
                 values += (0.0, 0.0)
     for g_j in couplings:
         for w in weights:
             values += (-g_j * w, g_j * w)
-
-    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
-    averages = SteadyStateAverages(
-        avg_polaritons=p_avgs,
-        avg_mech=mech_avgs,
-        avg_matter=matter,
-        effective_couplings=couplings,
-        phase_rotation=phase,
-        mode=mode,
-        branches=branches,
-    )
-    return values, layout, averages
+    return values, (p_avgs, mech_avgs, matter, couplings, phase, mode, branches)
 
 
 def build_linear_model(
@@ -526,25 +545,29 @@ def build_linear_model(
 
     The nodes carry matter weights sin(theta) and cos(theta), the basis's
     detunings (formed without GHz-scale round-off) and the dissipative
-    coupling delta-kappa between them; see :func:`build_network`.
+    coupling delta-kappa between them; see :func:`build_network`. A wrapper
+    for one working point: it reads the plain values off ``params`` and the
+    basis and runs the pair's float core, :func:`_pair_network`.
     """
-    return _model(2, len(params.mechanical_modes), *_two_mode_fields(params, basis, mode))
-
-
-def _two_mode_fields(params: SystemParams, basis: PolaritonBasis | None, mode: str) -> tuple:
-    """:func:`build_linear_model` up to its one-point stack: the fields of :func:`_network`."""
     if basis is None:
         basis = diagonalize_polaritons(params)
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    nodes = (
-        NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s, basis.detuning_upper),
-        NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c, basis.detuning_lower),
-    )
-    drive = NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
-    # the drive and the mechanics were checked when params was built; the nodes are new here
-    detunings = _node_detunings(nodes, params.drive_freq, params.rabi_freq, mode)
-    dk = basis.dissipative_coupling
-    return _network(nodes, detunings, params.mechanical_modes, drive, [[0.0, dk], [dk, 0.0]], mode)
+    return _model(2, len(params.mechanical_modes), *_pair_network(
+        astuple(basis), params.mechanical_modes, params.rabi_freq,
+        params.bath_temperature, mode))
+
+
+def _pair_network(basis: tuple, mechanics, rabi, temperature, mode: str) -> tuple[list, tuple]:
+    """:func:`_network` of the two-polariton system from the fields of its
+    :class:`PolaritonBasis`, in order. It checks the mode and each node and
+    nothing else: the drive and the mechanics are the caller's to check."""
+    theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = basis
+    _check_mode(mode)
+    freqs, linewidths = (upper, lower), (kappa_u, kappa_l)
+    weights = (math.sin(theta), math.cos(theta))
+    detunings = _node_detunings(freqs, linewidths, weights, (det_u, det_l), None,
+                                mode == "approx" and rabi != 0.0)
+    return _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature,
+                    [[0.0, dk], [dk, 0.0]], mode)
 
 
 # ---------------------------------------------------------------------------

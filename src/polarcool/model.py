@@ -96,31 +96,29 @@ def diagonalize_polaritons(params: SystemParams) -> PolaritonBasis:
         Mixing angle, eigenfrequencies, transformed linewidths, the
         dissipative cross-coupling delta-kappa, and drive detunings.
     """
-    g = params.photon_matter_coupling  # SystemParams holds it > 0
-    delta_am = params.cavity_freq - params.magnon_freq
-    # atan2 keeps theta in (0, pi/2) for g > 0, both signs of delta_am
-    theta = 0.5 * math.atan2(2.0 * g, delta_am)
-    split = math.hypot(delta_am, 2.0 * g)
-    mean = 0.5 * (params.cavity_freq + params.magnon_freq)
-    upper = mean + 0.5 * split
-    lower = mean - 0.5 * split
+    return PolaritonBasis(*_pair(params.cavity_freq, params.magnon_freq,
+                                 params.photon_matter_coupling, params.cavity_linewidth,
+                                 params.magnon_linewidth, params.drive_freq))
+
+
+def _pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
+          drive_freq) -> tuple[float, ...]:
+    """:func:`diagonalize_polaritons` of plain floats, a coupling > 0 among them:
+    the fields of :class:`PolaritonBasis`, in order."""
+    delta_am = cavity_freq - magnon_freq
+    # atan2 keeps theta in (0, pi/2) for a coupling > 0, both signs of delta_am
+    theta = 0.5 * math.atan2(2.0 * coupling, delta_am)
+    split = math.hypot(delta_am, 2.0 * coupling)
+    mean = 0.5 * (cavity_freq + magnon_freq)
     s, c = math.sin(theta), math.cos(theta)
-    kappa_u = params.cavity_linewidth * c * c + params.magnon_linewidth * s * s
-    kappa_l = params.cavity_linewidth * s * s + params.magnon_linewidth * c * c
-    dk = (params.magnon_linewidth - params.cavity_linewidth) * s * c
+    kappa_u = cavity_linewidth * c * c + magnon_linewidth * s * s
+    kappa_l = cavity_linewidth * s * s + magnon_linewidth * c * c
+    dk = (magnon_linewidth - cavity_linewidth) * s * c
     # mean - drive is exact for nearby magnitudes; forming the eigenfrequency
     # first would round at the GHz scale and contaminate the MHz detunings
-    base = mean - params.drive_freq
-    return PolaritonBasis(
-        theta=theta,
-        upper_freq=upper,
-        lower_freq=lower,
-        upper_linewidth=kappa_u,
-        lower_linewidth=kappa_l,
-        dissipative_coupling=dk,
-        detuning_upper=base + 0.5 * split,
-        detuning_lower=base - 0.5 * split,
-    )
+    base = mean - drive_freq
+    return (theta, mean + 0.5 * split, mean - 0.5 * split, kappa_u, kappa_l, dk,
+            base + 0.5 * split, base - 0.5 * split)
 
 
 def thermal_occupation(freq: float, temperature: float) -> float:

@@ -22,33 +22,20 @@ from .analytics import _cooling, network_cooling
 from .dynamics import (
     LinearModel,
     MatterMode,
-    NetworkDrive,
-    NetworkPolariton,
     PolaritonMode,
+    _check_mode,
     _checked_stack,
+    _cross_damping,
     _model,
-    _network_fields,
-    _two_mode_fields,
+    _network,
+    _node_detunings,
+    _pair_network,
+    _resonant,
     photon_matter_diagonalize,
 )
 from .errors import SolverError, UnstableSystemError, ValidationError, check_real
-from .model import MechanicalMode, SystemParams
+from .model import MechanicalMode, SystemParams, _pair
 from .steadystate import _solve, extract_occupations, steady_state
-
-
-def _tune(cavity_freq, target_lower, target_upper, theta) -> tuple[float, float, float, float]:
-    """(coupling, cavity-magnon detuning, magnon and drive frequency) of checked targets.
-
-    With splitting S = target_upper - target_lower, g = (S/2) sin(2 theta),
-    omega_m = omega_a - S cos(2 theta) and omega_0 = (omega_a + omega_m)/2 -
-    (target_upper + target_lower)/2 give the detunings exactly.
-    """
-    split = target_upper - target_lower
-    coupling = 0.5 * split * math.sin(2.0 * theta)
-    detuning_am = split * math.cos(2.0 * theta)
-    magnon_freq = cavity_freq - detuning_am
-    drive_freq = 0.5 * (cavity_freq + magnon_freq) - 0.5 * (target_upper + target_lower)
-    return coupling, detuning_am, magnon_freq, drive_freq
 
 
 def _entries(name: str, value) -> tuple:
@@ -124,12 +111,7 @@ class Device:
         """Tuned parameters at mixing angle ``theta``; the overrides replace the device's own."""
         self._needs_angle("params_at")
         # the device was checked when it was built; SystemParams checks the tuned values
-        coupling, _, magnon_freq, drive_freq = _tune(
-            self.cavity_freq,
-            self.mechanical_modes[0].freq,
-            self.mechanical_modes[1].freq,
-            check_real("theta", theta, above=0.0, below=0.5 * math.pi),
-        )
+        coupling, magnon_freq, drive_freq = self._tuned(theta)
         return SystemParams(
             cavity_freq=self.cavity_freq,
             magnon_freq=magnon_freq,
@@ -144,6 +126,21 @@ class Device:
             ),
         )
 
+    def _tuned(self, theta) -> tuple[float, float, float]:
+        """(coupling, magnon frequency, drive frequency) of the pair at a checked angle.
+
+        With the targets omega_1 < omega_2 of the lower and upper polariton and
+        S = omega_2 - omega_1, g = (S/2) sin(2 theta), omega_m = omega_a - S cos(2 theta)
+        and omega_0 = (omega_a + omega_m)/2 - (omega_1 + omega_2)/2 give the
+        detunings exactly.
+        """
+        theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
+        lower, upper = self.mechanical_modes[0].freq, self.mechanical_modes[1].freq
+        split = upper - lower
+        magnon_freq = self.cavity_freq - split * math.cos(2.0 * theta)
+        drive_freq = 0.5 * (self.cavity_freq + magnon_freq) - 0.5 * (upper + lower)
+        return 0.5 * split * math.sin(2.0 * theta), magnon_freq, drive_freq
+
     @cached_property
     def tuning(self) -> NModeResult:
         """Matter and drive frequencies of a fixed-coupling device, found on first use."""
@@ -154,6 +151,20 @@ class Device:
             self.cavity_linewidth,
             self.matter_linewidths,
         )
+
+    @cached_property
+    def _nodes(self) -> tuple:
+        """(freqs, linewidths, weights, detunings, cross damping) of the nodes of a
+        fixed-coupling device (see :meth:`working_point`), as plain floats, checked
+        once: its :attr:`tuning` is the same at every working point."""
+        tuned = self.tuning
+        freqs = [p.freq for p in tuned.polaritons]
+        linewidths = [p.linewidth for p in tuned.polaritons]
+        weights = [p.weights[1] for p in tuned.polaritons]
+        detunings = _node_detunings(freqs, linewidths, weights, [None] * len(freqs),
+                                    tuned.drive_freq, False)
+        cross = _cross_damping([p.cross_damping for p in tuned.polaritons], len(freqs))
+        return freqs, linewidths, weights, detunings, cross
 
     def working_point(
         self,
@@ -170,29 +181,50 @@ class Device:
         component of its eigenvector; the nodes share the dissipative
         couplings of their bare losses.
         """
-        tuning, values, layout, averages = self._fields(theta, temperature, rabi, mode)
+        tuning, values, averages = self._fields(theta, temperature, rabi, mode)
+        if not self.couplings:
+            tuning = self.params_at(theta, temperature, rabi)
         n_p, n_m = len(self.matter_linewidths) + 1, len(self.mechanical_modes)
-        return tuning, _model(n_p, n_m, values, layout, averages)
+        return tuning, _model(n_p, n_m, values, averages)
 
     def _fields(self, theta, temperature, rabi, mode) -> tuple:
-        """(tuning, values, layout, averages): :meth:`working_point` up to its
-        one-point stack, the matrices as one flat list of the values that fill
-        them (:func:`~polarcool.dynamics._network`), not yet checked."""
+        """(tuning, values, averages) of one working point from plain floats:
+        :meth:`working_point` up to its one-point stack, the matrices as one flat
+        list of the values that fill them and the averages as a tuple
+        (:func:`~polarcool.dynamics._network`), neither checked yet.
+
+        The device's own fields were checked when it was built, and it is frozen,
+        so only what the point changes is checked here, with the paths and in
+        the order of :meth:`params_at` and :func:`~polarcool.dynamics.build_network`:
+        the angle, the tuned magnon frequency, coupling and drive frequency, the
+        rabi and temperature overrides, the averages mode and each node. The
+        tuning of an angle-tuned pair is (coupling, magnon frequency, drive
+        frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
+        are checked once (:attr:`_nodes`).
+        """
+        if self.couplings:
+            tuned, prefix = self.tuning, "drive."
+        else:
+            tuned, prefix = self._tuned(theta), ""
+            coupling, magnon_freq, drive_freq = tuned
+            # the checks of SystemParams on what the point changes, in its order
+            check_real("magnon_freq", magnon_freq, above=0.0)
+            check_real("photon_matter_coupling", coupling, above=0.0)
+            check_real("drive_freq", drive_freq, above=0.0)
+        rabi = self.rabi_freq if rabi is None else check_real(
+            f"{prefix}rabi_freq", rabi, at_least=0.0)
+        temperature = self.bath_temperature if temperature is None else check_real(
+            f"{prefix}bath_temperature", temperature, at_least=0.0)
         if not self.couplings:
-            params = self.params_at(theta, temperature=temperature, rabi=rabi)
-            return (params, *_two_mode_fields(params, None, mode))
-        tuned = self.tuning
-        polaritons = tuple(
-            NetworkPolariton(freq=p.freq, linewidth=p.linewidth, weight=p.weights[1])
-            for p in tuned.polaritons
-        )
-        drive = NetworkDrive(
-            drive_freq=tuned.drive_freq,
-            rabi_freq=self.rabi_freq if rabi is None else rabi,
-            bath_temperature=self.bath_temperature if temperature is None else temperature,
-        )
-        cross = [p.cross_damping for p in tuned.polaritons]
-        return (tuned, *_network_fields(polaritons, self.mechanical_modes, drive, cross, mode))
+            basis = _pair(self.cavity_freq, magnon_freq, coupling, self.cavity_linewidth,
+                          self.matter_linewidths[0], drive_freq)
+            return tuned, *_pair_network(basis, self.mechanical_modes, rabi, temperature, mode)
+        _check_mode(mode)
+        freqs, linewidths, weights, detunings, cross = self._nodes
+        if mode == "approx" and rabi != 0.0 and 0.0 in detunings:
+            raise _resonant(detunings.index(0.0))
+        return tuned, *_network(freqs, linewidths, weights, detunings, self.mechanical_modes,
+                                rabi, temperature, cross, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +289,11 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     """One row per working point ``(variable, theta, temperature, rabi)``, the
     points built, checked and verified as one stack of up to ``_STACK_POINTS``.
 
-    Each point runs the one-point build (:meth:`Device._fields`) to one flat
-    list of values; the points that built fill one drift and one diffusion
-    stack, checked with one call (:func:`~polarcool.dynamics._checked_stack`).
+    Each point runs the float core of the build (:meth:`Device._fields`) to
+    one flat list of values, checking only what the point changes and
+    building no parameter, basis, node or averages object; the points that
+    built fill one drift and one diffusion stack, checked with one call
+    (:func:`~polarcool.dynamics._checked_stack`).
     Each point's rates are read off its values, and the points whose rates
     succeed are solved with one :func:`~polarcool.steadystate._solve`: its own
     factorization and solve per point, one verification for all. The
@@ -293,7 +327,7 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
             if fixed:
                 theta = math.nan
             try:
-                tuning, point_values, _, _ = setup._fields(theta, temperature, rabi, averages)
+                tuning, point_values, _ = setup._fields(theta, temperature, rabi, averages)
             except (ValidationError, SolverError) as exc:
                 block.append(error_row(value, theta, exc))
                 continue
@@ -326,12 +360,14 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
             except (ValidationError, SolverError) as exc:
                 block[i] = error_row(value, theta, exc)
                 continue
+            coupling, magnon_freq, drive_freq = (
+                (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
             block[i] = SweepRow(
                 variable=value,
                 theta=theta,
-                coupling=math.nan if fixed else tuning.photon_matter_coupling,
-                magnon_freq=math.nan if fixed else tuning.magnon_freq,
-                drive_freq=tuning.drive_freq,
+                coupling=coupling,
+                magnon_freq=magnon_freq,
+                drive_freq=drive_freq,
                 kappa_eff=tuple(r.kappa_eff for r in rates[p]),
                 n_analytic=tuple(r.n_eff for r in rates[p]),
                 n_numeric=n_numeric,

@@ -486,18 +486,22 @@ def assembled_networks(draw):
 def test_the_stack_fills_the_oracles_entries_bit_for_bit(network):
     # tobytes pins every bit, signed zeros included
     nodes, mechs, drives, cross, mode = network
-    try:
-        fields = [dynamics._network_fields(nodes, mechs, drive, cross, mode) for drive in drives]
+    try:  # one-point stacks, which check the inputs
+        models = [pc.build_network(nodes, mechs, drive, cross, mode) for drive in drives]
     except (ValidationError, SolverError):
         return
-    _, r, d = dynamics._stack(len(nodes), len(mechs), [values for values, _, _ in fields])
-    zeros = [[0.0] * len(nodes) for _ in nodes]
-    for p, (drive, (_, _, averages)) in enumerate(zip(drives, fields)):
-        want_r, want_d = assemble_network(nodes, mechs, drive, cross or zeros,
-                                          averages.effective_couplings)
+    cross = cross or [[0.0] * len(nodes) for _ in nodes]
+    values = [dynamics._network(
+        [n.freq for n in nodes], [n.linewidth for n in nodes], [n.weight for n in nodes],
+        [n.freq - drive.drive_freq if n.detuning is None else n.detuning for n in nodes],
+        mechs, drive.rabi_freq, drive.bath_temperature, cross, mode)[0] for drive in drives]
+    _, r, d = dynamics._stack(len(nodes), len(mechs), values)
+    for p, (drive, model) in enumerate(zip(drives, models)):
+        want_r, want_d = assemble_network(nodes, mechs, drive, cross,
+                                          model.averages.effective_couplings)
         assert r[p].tobytes() == want_r.tobytes()
         assert d[p].tobytes() == want_d.tobytes()
-    model = pc.build_network(nodes, mechs, drives[0], cross, mode)  # a one-point stack
+    model = models[0]
     assert model.drift.tobytes() == r[0].tobytes()
     assert model.diffusion.tobytes() == d[0].tobytes()
 
@@ -736,6 +740,22 @@ def test_linear_model_rejects_invalid_matrices(field, drift, diffusion, message)
     assert message in str(exc.value)
     with pytest.raises(ValidationError, match=field):
         dataclasses.replace(model, drift=drift, diffusion=diffusion)
+
+
+@pytest.mark.parametrize("size, layout", [
+    (6, ("p1", "p2", "b1", "b2")),  # more names than modes: network_cooling ran off the end
+    (8, ("p1", "p2", "b1")),  # fewer: the rates read a mechanical damping as a linewidth
+    (8, ()),
+    (8, None),
+])
+def test_linear_model_rejects_a_layout_that_does_not_fit_its_matrices(size, layout):
+    model = base_model()
+    drift, diffusion = model.drift[:size, :size].copy(), model.diffusion[:size, :size].copy()
+    with pytest.raises(ValidationError, match="^mode_layout: "):
+        pc.LinearModel(drift, diffusion, layout, model.averages)
+    if size == len(model.drift):
+        with pytest.raises(ValidationError, match="^mode_layout: "):
+            dataclasses.replace(model, mode_layout=layout)
 
 
 def test_linear_model_accepts_round_off_asymmetry():

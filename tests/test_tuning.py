@@ -15,7 +15,7 @@ from polarcool import model as model_module
 from polarcool.config import load_config
 from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
-from helpers import BASE_RABI, TWO_PI, make_base_setup, make_mechs
+from helpers import BASE_RABI, TWO_PI, assemble_network, make_base_setup, make_mechs
 
 
 # ---------------------------------------------------------------------------
@@ -777,3 +777,160 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
     assert call_counts["verifications"] == len(sizes)  # one per stack
+
+
+# ---------------------------------------------------------------------------
+# the float core of a working point
+
+
+@st.composite
+def angle_tuned_points(draw):
+    """An angle-tuned device with bare linewidths of 0.3-4 MHz and up to four of its
+    working points: angles near both ends of (0, pi/2), temperatures from zero and
+    drives from zero to 60 times the base drive."""
+    linewidth = st.floats(0.3e6, 4.0e6).map(lambda hz: TWO_PI * hz)
+    device = make_base_setup(magnon_linewidth=draw(linewidth),
+                             cavity_linewidth=draw(linewidth))
+    thetas = st.sampled_from([1e-3, 0.5 * math.pi - 1e-3]) | st.floats(1e-3, 0.5 * math.pi - 1e-3)
+    temperatures = st.sampled_from([0.0]) | st.floats(0.0, 1.0)
+    points = draw(st.lists(st.tuples(thetas, temperatures, DRIVES.map(lambda x: x * BASE_RABI)),
+                           min_size=1, max_size=4))
+    return device, points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(angle_tuned_points(), st.sampled_from(["approx", "selfconsistent"]))
+def test_the_pair_core_fills_the_oracles_entries_bit_for_bit(drawn, averages):
+    """A sweep stack of the pair, built from plain floats, against the drift and
+    diffusion filled entry by entry from the one-point objects: params_at, then
+    diagonalize_polaritons, whose nodes carry the weights sin and cos theta."""
+    device, points = drawn
+    values, wanted = [], []
+    for theta, temperature, rabi in points:
+        try:
+            values.append(device._fields(theta, temperature, rabi, averages)[1])
+        except (ValidationError, SolverError) as exc:
+            with pytest.raises(type(exc)) as again:
+                device.working_point(theta, temperature, rabi, averages)
+            assert str(again.value) == str(exc)
+            continue
+        params = device.params_at(theta, temperature, rabi)
+        basis = pc.diagonalize_polaritons(params)
+        s, c = math.sin(basis.theta), math.cos(basis.theta)
+        nodes = [
+            pc.NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s, basis.detuning_upper),
+            pc.NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c, basis.detuning_lower),
+        ]
+        drive = pc.NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
+        dk = basis.dissipative_coupling
+        couplings = pc.build_linear_model(params, basis, averages).averages.effective_couplings
+        wanted.append(assemble_network(nodes, params.mechanical_modes, drive,
+                                       [[0.0, dk], [dk, 0.0]], couplings))
+    if not values:
+        return
+    _, drift, diffusion = dynamics._stack(2, 2, values)
+    for p, (want_r, want_d) in enumerate(wanted):
+        assert drift[p].tobytes() == want_r.tobytes()
+        assert diffusion[p].tobytes() == want_d.tobytes()
+
+
+LOW_CAVITY = TWO_PI * 1.5e7  # between the mechanical modes: the tuned drive goes negative
+
+# the messages of every failure that depends on the working point, as the
+# parameter objects of the one-point API word them
+POINT_FAILURES = [
+    ({}, {"theta": 0.0},
+     "theta: must be finite and strictly positive and < 1.5707963267948966, got 0.0"),
+    ({}, {"theta": -0.1},
+     "theta: must be finite and strictly positive and < 1.5707963267948966, got -0.1"),
+    ({}, {"theta": 0.5 * math.pi}, "theta: must be finite and strictly positive and"
+     " < 1.5707963267948966, got 1.5707963267948966"),
+    ({}, {"theta": math.nan},
+     "theta: must be finite and strictly positive and < 1.5707963267948966, got nan"),
+    ({}, {"theta": True}, "theta: expected a number, got True"),
+    ({}, {"theta": 0.7, "temperature": -1.0},
+     "bath_temperature: must be finite and non-negative, got -1.0"),
+    ({}, {"theta": 0.7, "temperature": "cold"}, "bath_temperature: expected a number, got 'cold'"),
+    ({}, {"theta": 0.7, "rabi": -1.0}, "rabi_freq: must be finite and non-negative, got -1.0"),
+    ({}, {"theta": 0.7, "rabi": "abc"}, "rabi_freq: expected a number, got 'abc'"),
+    ({"cavity_freq": LOW_CAVITY}, {"theta": 0.7},
+     "drive_freq: must be finite and strictly positive, got -42095277.08563882"),
+    # the tuned values come before the overrides, as in SystemParams
+    ({"cavity_freq": LOW_CAVITY}, {"theta": 0.7, "rabi": -1.0},
+     "drive_freq: must be finite and strictly positive, got -42095277.08563882"),
+    ({"cavity_freq": LOW_CAVITY}, {"theta": 0.3},
+     "magnon_freq: must be finite and strictly positive, got -9466952.574156597"),
+]
+
+
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("device, point, message", POINT_FAILURES)
+def test_a_point_dependent_failure_keeps_its_row_and_message(device, point, message, averages):
+    setup = make_base_setup(**device)
+    row = pc.evaluate_point(setup, averages=averages, **point)
+    assert row.flags == ("error:ValidationError",) and not row.stable
+    for call in (lambda: setup.params_at(**point),
+                 lambda: setup.working_point(mode=averages, **point)):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("point, message", [
+    ({"temperature": -1.0}, "drive.bath_temperature: must be finite and non-negative, got -1.0"),
+    ({"temperature": math.nan}, "drive.bath_temperature: must be finite and non-negative, got nan"),
+    ({"rabi": "abc"}, "drive.rabi_freq: expected a number, got 'abc'"),
+    ({"mode": "exact"}, "mode: expected 'approx' or 'selfconsistent', got 'exact'"),
+])
+def test_a_fixed_coupling_point_keeps_its_row_and_message(point, message):
+    device = three_mode_device()
+    mode = point.pop("mode", "approx")
+    assert pc.evaluate_point(device, averages=mode, **point).flags == ("error:ValidationError",)
+    with pytest.raises(ValidationError) as exc:
+        device.working_point(mode=mode, **point)
+    assert str(exc.value) == message
+
+
+@pytest.fixture
+def parameter_objects(monkeypatch):
+    """Constructions of the per-point parameter objects and calls of
+    ``MechanicalMode.validate``, counted by name."""
+    counts = collections.Counter()
+    for owner, name in ((pc.SystemParams, "__init__"), (pc.PolaritonBasis, "__init__"),
+                        (pc.NetworkPolariton, "__init__"), (pc.NetworkDrive, "__init__"),
+                        (pc.SteadyStateAverages, "__init__"), (pc.MechanicalMode, "validate")):
+        original = getattr(owner, name)
+
+        def counted(*args, _key=owner.__name__, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("angle_tuned", [True, False])
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+def test_a_sweep_builds_no_parameter_objects(monkeypatch, parameter_objects, angle_tuned,
+                                             averages):
+    device = make_base_setup() if angle_tuned else three_mode_device()
+    parameter_objects.clear()  # the device's own checks, once, when it was built
+    node_checks = collections.Counter()
+    original = tuning._node_detunings
+
+    def counted(*args):
+        node_checks["nodes"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(tuning, "_node_detunings", counted)
+    if angle_tuned:
+        rows = pc.sweep(device, "theta", np.linspace(0.2, 1.4, 7), averages=averages)
+    else:
+        rows = pc.sweep(device, "temperature", np.linspace(0.0, 1.0, 7), averages=averages)
+    assert all(row.stable for row in rows)
+    assert not parameter_objects
+    # a fixed-coupling device checks its nodes once, not once per point
+    assert node_checks == ({} if angle_tuned else {"nodes": 1})
+    # the one-point API still builds its objects
+    device.working_point(0.7, mode=averages)
+    assert parameter_objects["SteadyStateAverages"] == 1
