@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .dynamics import LinearModel, _values
 from .errors import ValidationError, check_real
+from .model import _sum
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _rates_for_mode(
         if abs(g) > 0.5 * kappa:
             weak = False
     net = [a - s for a, s in zip(anti, stokes)]
-    kappa_eff = mech_damping + sum(net)
+    kappa_eff = mech_damping + _sum(net)
     dominant = anti.index(max(anti)) if anti else 0
     # n = (gamma nbar + extra noise) / (gamma + extra damping), inf where that damping is <= 0
     base = mech_damping * mech_occupation
@@ -99,7 +100,7 @@ def _rates_for_mode(
     if anti:
         denom = mech_damping + net[dominant]
         n_eff = math.inf if denom <= 0.0 else (base + stokes[dominant]) / denom
-    n_eff_all = math.inf if kappa_eff <= 0.0 else (base + sum(stokes)) / kappa_eff
+    n_eff_all = math.inf if kappa_eff <= 0.0 else (base + _sum(stokes)) / kappa_eff
     return CoolingRates(
         mode_index=mode_index,
         stokes=tuple(stokes),

@@ -22,12 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_drift_diffusion, check_real
+from .errors import SolverError, ValidationError, check_drift_diffusion, check_matrix, check_real
 from .model import (
     MechanicalMode,
     PolaritonBasis,
     SystemParams,
     _bose,
+    _sum,
     diagonalize_polaritons,
 )
 
@@ -203,34 +204,16 @@ class NetworkDrive:
     bath_temperature: float
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("approx", "selfconsistent"):
-        raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
-
-
-def _resonant(k: int) -> ValidationError:
-    """The error of node ``k`` resonant with a nonzero drive in approx mode."""
-    return ValidationError(
-        f"polaritons[{k}].detuning: polariton resonant with the drive (zero detuning);"
-        " approx mode requires nonzero detunings"
-    )
-
-
-def _node_detunings(freqs, linewidths, weights, detunings, drive_freq, resonance_fails: bool
-                    ) -> list[float]:
+def _node_detunings(freqs, linewidths, weights, detunings, drive_freq) -> list[float]:
     """The checked drive detunings of nodes whose values it checks, node by node;
-    a detuning of None is ``freq - drive_freq``. With ``resonance_fails``
-    (approx mode at a nonzero drive) a zero detuning raises."""
+    a detuning of None is ``freq - drive_freq``."""
     checked = []
     for k, (freq, det) in enumerate(zip(freqs, detunings)):
         freq_path, linewidth_path, weight_path, detuning_path = _node_paths(k)
         check_real(freq_path, freq, above=0.0)
         check_real(linewidth_path, linewidths[k], above=0.0)
         check_real(weight_path, weights[k])
-        det = check_real(detuning_path, freq - drive_freq if det is None else det)
-        if det == 0.0 and resonance_fails:
-            raise _resonant(k)
-        checked.append(det)
+        checked.append(check_real(detuning_path, freq - drive_freq if det is None else det))
     return checked
 
 
@@ -244,16 +227,12 @@ def _cross_damping(cross_damping, n_p: int) -> list:
     """A checked N_p x N_p cross-damping matrix as nested lists of floats, zeros for None."""
     if cross_damping is None:
         return [[0.0] * n_p for _ in range(n_p)]
-    cross = np.asarray(cross_damping, dtype=float)
+    cross = check_matrix("cross_damping", cross_damping)
     if cross.shape != (n_p, n_p):
         raise ValidationError(f"cross_damping: expected shape {(n_p, n_p)}, got {cross.shape}")
-    # nested floats: a few scalar checks beat numpy reductions on an N_p x N_p matrix
-    cross = cross.tolist()
-    if not all(cross[k][q] == cross[q][k] and abs(cross[k][q]) < math.inf
-               for k in range(n_p) for q in range(k + 1, n_p)) \
-            or any(cross[k][k] != 0.0 for k in range(n_p)):
+    if (cross != cross.T).any() or cross.diagonal().any():
         raise ValidationError("cross_damping: must be finite and symmetric with a zero diagonal")
-    return cross
+    return cross.tolist()
 
 
 def _eliminate(rows) -> list:
@@ -394,9 +373,9 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mech
     n = len(weights)
     v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
                      for q in range(n)] + [weights[k]] for k in range(n)])
-    chi = sum(w * x for w, x in zip(weights, v))
-    sigma = sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
-                for m in mechanics)
+    chi = _sum(w * x for w, x in zip(weights, v))
+    sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
+                 for m in mechanics)
     scale = abs(sigma) * abs(chi)
     if scale == 0.0:
         unit, ys = 0j, [0.0]
@@ -454,8 +433,10 @@ def build_network(
     ValidationError
         A missing, NaN, infinite or out-of-range input, named by its path
         (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
-        approx mode with a node resonant with the drive; an average derived
-        from finite inputs that overflows.
+        an unknown mode; approx mode with a node resonant with a nonzero
+        drive; an average derived from finite inputs that overflows. Of
+        several faults the first in this order is reported: the drive, the
+        mechanics, node by node, the cross damping, the mode, the resonance.
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
@@ -466,12 +447,11 @@ def build_network(
     temperature = check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
     for j, mech in enumerate(mechanics):
         mech.validate(path=f"mechanics[{j}]")
-    _check_mode(mode)
     freqs = [p.freq for p in polaritons]
     linewidths = [p.linewidth for p in polaritons]
     weights = [p.weight for p in polaritons]
     detunings = _node_detunings(freqs, linewidths, weights, [p.detuning for p in polaritons],
-                                drive.drive_freq, mode == "approx" and rabi != 0.0)
+                                drive.drive_freq)
     cross = _cross_damping(cross_damping, n_p)
     return _model(n_p, len(mechanics), *_network(
         freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode))
@@ -487,10 +467,20 @@ def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature
     fields of its :class:`SteadyStateAverages`, in order. A sweep reads the
     values and builds neither a :class:`LinearModel` nor its averages record.
 
+    It checks the two rules that every working point obeys, for every caller:
+    the mode is "approx" or "selfconsistent", and in approx mode at a nonzero
+    drive no detuning is zero (the first zero one is named). The callers check
+    the inputs first, so a node's own bad value is reported before either.
     Derived values are not checked one by one: an average that overflows
     raises ValidationError here, and a NaN or infinite value is left to the
     matrix check (:class:`LinearModel`, or a sweep's one check per stack).
     """
+    if mode not in ("approx", "selfconsistent"):
+        raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
+    if mode == "approx" and rabi != 0.0 and 0.0 in detunings:
+        raise ValidationError(
+            f"polaritons[{detunings.index(0.0)}].detuning: polariton resonant with the drive"
+            " (zero detuning); approx mode requires nonzero detunings")
     n_p, n_m = len(freqs), len(mechanics)
     try:
         if rabi == 0.0:
@@ -498,7 +488,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature
             matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
         elif mode == "approx":
             p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
-            matter = sum(w * p for w, p in zip(weights, p_avgs))
+            matter = _sum(w * p for w, p in zip(weights, p_avgs))
             m2 = abs(matter) ** 2
             mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
             couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
@@ -547,27 +537,26 @@ def build_linear_model(
     detunings (formed without GHz-scale round-off) and the dissipative
     coupling delta-kappa between them; see :func:`build_network`. A wrapper
     for one working point: it reads the plain values off ``params`` and the
-    basis and runs the pair's float core, :func:`_pair_network`.
+    basis and runs the pair's float core, :func:`_pair_nodes` then :func:`_network`.
     """
     if basis is None:
         basis = diagonalize_polaritons(params)
-    return _model(2, len(params.mechanical_modes), *_pair_network(
-        astuple(basis), params.mechanical_modes, params.rabi_freq,
-        params.bath_temperature, mode))
+    freqs, linewidths, weights, detunings, cross = _pair_nodes(astuple(basis))
+    return _model(2, len(params.mechanical_modes), *_network(
+        freqs, linewidths, weights, detunings, params.mechanical_modes, params.rabi_freq,
+        params.bath_temperature, cross, mode))
 
 
-def _pair_network(basis: tuple, mechanics, rabi, temperature, mode: str) -> tuple[list, tuple]:
-    """:func:`_network` of the two-polariton system from the fields of its
-    :class:`PolaritonBasis`, in order. It checks the mode and each node and
-    nothing else: the drive and the mechanics are the caller's to check."""
+def _pair_nodes(basis: tuple) -> tuple:
+    """(freqs, linewidths, weights, detunings, cross damping) of the two-polariton
+    system's nodes, (upper, lower), from the fields of its :class:`PolaritonBasis`,
+    in order: the inputs of :func:`_network` that the nodes carry, each node checked."""
     theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = basis
-    _check_mode(mode)
     freqs, linewidths = (upper, lower), (kappa_u, kappa_l)
     weights = (math.sin(theta), math.cos(theta))
-    detunings = _node_detunings(freqs, linewidths, weights, (det_u, det_l), None,
-                                mode == "approx" and rabi != 0.0)
-    return _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature,
-                    [[0.0, dk], [dk, 0.0]], mode)
+    return (freqs, linewidths, weights,
+            _node_detunings(freqs, linewidths, weights, (det_u, det_l), None),
+            [[0.0, dk], [dk, 0.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,15 @@ def _bose(freq: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _sum(values):
+    """The builtin ``sum()`` added left to right from 0, whose bits do not depend on
+    the Python version: from 3.12 on the builtin compensates a sum of floats."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class DriveCalibration:
     """Geometry and material data mapping drive field or power to a Rabi frequency.

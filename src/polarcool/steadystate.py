@@ -244,7 +244,10 @@ def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
     Values in [-1e-9, 0) are clamped to zero (round-off below vacuum);
     anything lower raises SolverError since the covariance is then unphysical.
     """
-    v = np.asarray(covariance, dtype=float)
+    try:
+        v = np.asarray(covariance, dtype=float)
+    except (TypeError, ValueError):  # ragged, a string, Python complex numbers
+        raise ValidationError("covariance: expected a real numeric matrix") from None
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValidationError(f"covariance: expected an even square matrix, got shape {v.shape}")
     diag = v.diagonal().tolist()  # plain floats: cheaper to read, and what callers get

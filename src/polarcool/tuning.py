@@ -23,18 +23,15 @@ from .dynamics import (
     LinearModel,
     MatterMode,
     PolaritonMode,
-    _check_mode,
     _checked_stack,
-    _cross_damping,
     _model,
     _network,
     _node_detunings,
-    _pair_network,
-    _resonant,
+    _pair_nodes,
     photon_matter_diagonalize,
 )
 from .errors import SolverError, UnstableSystemError, ValidationError, check_real
-from .model import MechanicalMode, SystemParams, _pair
+from .model import MechanicalMode, SystemParams, _pair, _sum
 from .steadystate import _solve, extract_occupations, steady_state
 
 
@@ -110,7 +107,6 @@ class Device:
     ) -> SystemParams:
         """Tuned parameters at mixing angle ``theta``; the overrides replace the device's own."""
         self._needs_angle("params_at")
-        # the device was checked when it was built; SystemParams checks the tuned values
         coupling, magnon_freq, drive_freq = self._tuned(theta)
         return SystemParams(
             cavity_freq=self.cavity_freq,
@@ -127,7 +123,8 @@ class Device:
         )
 
     def _tuned(self, theta) -> tuple[float, float, float]:
-        """(coupling, magnon frequency, drive frequency) of the pair at a checked angle.
+        """(coupling, magnon frequency, drive frequency) of the pair at angle ``theta``,
+        each checked as :class:`SystemParams` checks it, in its order.
 
         With the targets omega_1 < omega_2 of the lower and upper polariton and
         S = omega_2 - omega_1, g = (S/2) sin(2 theta), omega_m = omega_a - S cos(2 theta)
@@ -137,9 +134,13 @@ class Device:
         theta = check_real("theta", theta, above=0.0, below=0.5 * math.pi)
         lower, upper = self.mechanical_modes[0].freq, self.mechanical_modes[1].freq
         split = upper - lower
+        coupling = 0.5 * split * math.sin(2.0 * theta)
         magnon_freq = self.cavity_freq - split * math.cos(2.0 * theta)
         drive_freq = 0.5 * (self.cavity_freq + magnon_freq) - 0.5 * (upper + lower)
-        return 0.5 * split * math.sin(2.0 * theta), magnon_freq, drive_freq
+        check_real("magnon_freq", magnon_freq, above=0.0)
+        check_real("photon_matter_coupling", coupling, above=0.0)
+        check_real("drive_freq", drive_freq, above=0.0)
+        return coupling, magnon_freq, drive_freq
 
     @cached_property
     def tuning(self) -> NModeResult:
@@ -155,16 +156,17 @@ class Device:
     @cached_property
     def _nodes(self) -> tuple:
         """(freqs, linewidths, weights, detunings, cross damping) of the nodes of a
-        fixed-coupling device (see :meth:`working_point`), as plain floats, checked
-        once: its :attr:`tuning` is the same at every working point."""
+        fixed-coupling device (see :meth:`working_point`), as plain floats, the nodes
+        checked once: its :attr:`tuning` is the same at every working point. The
+        cross damping is used as :func:`photon_matter_diagonalize` built it,
+        symmetric with a zero diagonal."""
         tuned = self.tuning
         freqs = [p.freq for p in tuned.polaritons]
         linewidths = [p.linewidth for p in tuned.polaritons]
         weights = [p.weights[1] for p in tuned.polaritons]
         detunings = _node_detunings(freqs, linewidths, weights, [None] * len(freqs),
-                                    tuned.drive_freq, False)
-        cross = _cross_damping([p.cross_damping for p in tuned.polaritons], len(freqs))
-        return freqs, linewidths, weights, detunings, cross
+                                    tuned.drive_freq)
+        return freqs, linewidths, weights, detunings, [p.cross_damping for p in tuned.polaritons]
 
     def working_point(
         self,
@@ -194,35 +196,27 @@ class Device:
         (:func:`~polarcool.dynamics._network`), neither checked yet.
 
         The device's own fields were checked when it was built, and it is frozen,
-        so only what the point changes is checked here, with the paths and in
-        the order of :meth:`params_at` and :func:`~polarcool.dynamics.build_network`:
-        the angle, the tuned magnon frequency, coupling and drive frequency, the
-        rabi and temperature overrides, the averages mode and each node. The
-        tuning of an angle-tuned pair is (coupling, magnon frequency, drive
-        frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
-        are checked once (:attr:`_nodes`).
+        so only what the point changes is checked here, with the paths of
+        :meth:`params_at` and :func:`~polarcool.dynamics.build_network` and in
+        this order: the angle and the tuned values (:meth:`_tuned`), the rabi and
+        temperature overrides, each node, then in :func:`~polarcool.dynamics._network`
+        the averages mode and the approx zero-detuning rule. The tuning of an
+        angle-tuned pair is (coupling, magnon frequency, drive frequency); a
+        fixed-coupling device's is its :attr:`tuning`, whose nodes are checked
+        once (:attr:`_nodes`).
         """
-        if self.couplings:
-            tuned, prefix = self.tuning, "drive."
-        else:
-            tuned, prefix = self._tuned(theta), ""
-            coupling, magnon_freq, drive_freq = tuned
-            # the checks of SystemParams on what the point changes, in its order
-            check_real("magnon_freq", magnon_freq, above=0.0)
-            check_real("photon_matter_coupling", coupling, above=0.0)
-            check_real("drive_freq", drive_freq, above=0.0)
+        tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
         rabi = self.rabi_freq if rabi is None else check_real(
             f"{prefix}rabi_freq", rabi, at_least=0.0)
         temperature = self.bath_temperature if temperature is None else check_real(
             f"{prefix}bath_temperature", temperature, at_least=0.0)
-        if not self.couplings:
-            basis = _pair(self.cavity_freq, magnon_freq, coupling, self.cavity_linewidth,
-                          self.matter_linewidths[0], drive_freq)
-            return tuned, *_pair_network(basis, self.mechanical_modes, rabi, temperature, mode)
-        _check_mode(mode)
-        freqs, linewidths, weights, detunings, cross = self._nodes
-        if mode == "approx" and rabi != 0.0 and 0.0 in detunings:
-            raise _resonant(detunings.index(0.0))
+        if self.couplings:
+            nodes = self._nodes
+        else:
+            coupling, magnon_freq, drive_freq = tuned
+            nodes = _pair_nodes(_pair(self.cavity_freq, magnon_freq, coupling,
+                                      self.cavity_linewidth, self.matter_linewidths[0], drive_freq))
+        freqs, linewidths, weights, detunings, cross = nodes
         return tuned, *_network(freqs, linewidths, weights, detunings, self.mechanical_modes,
                                 rabi, temperature, cross, mode)
 
@@ -587,10 +581,10 @@ def tune_n_mode(
     """
     cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
     cavity_linewidth = check_real("cavity_linewidth", cavity_linewidth, above=0.0)
-    mech = [check_real(f"mech_freqs[{i}]", w, above=0.0) for i, w in enumerate(mech_freqs)]
-    gs = [check_real(f"couplings[{i}]", g, above=0.0) for i, g in enumerate(couplings)]
-    kappas = [check_real(f"matter_linewidths[{i}]", k, above=0.0)
-              for i, k in enumerate(matter_linewidths)]
+    mech, gs, kappas = (
+        [check_real(f"{name}[{i}]", v, above=0.0) for i, v in enumerate(_entries(name, values))]
+        for name, values in (("mech_freqs", mech_freqs), ("couplings", couplings),
+                             ("matter_linewidths", matter_linewidths)))
     n = len(mech)
     if n < 2:
         raise ValidationError("mech_freqs: need at least two mechanical modes")
@@ -610,7 +604,7 @@ def tune_n_mode(
     def residuals(freqs: np.ndarray) -> np.ndarray:
         pols = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
         p_freqs = np.array([p.freq for p in pols])
-        drive = (p_freqs.sum() - sum(mech)) / n
+        drive = (p_freqs.sum() - _sum(mech)) / n
         return (p_freqs - drive) - np.asarray(mech)
 
     if initial_guess is None:
@@ -628,7 +622,7 @@ def tune_n_mode(
     freqs = np.sort(sol.x)
     polaritons = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
     p_freqs = np.array([p.freq for p in polaritons])
-    drive_freq = float((p_freqs.sum() - sum(mech)) / n)
+    drive_freq = float((p_freqs.sum() - _sum(mech)) / n)
     resid = float(np.abs((p_freqs - drive_freq) - np.asarray(mech)).max())
     converged = bool(sol.success) and resid <= 1e-6 * mech[-1]
     return NModeResult(

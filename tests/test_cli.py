@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from polarcool import load_config, serialize_config, sweep
+from polarcool import analytics, dynamics, load_config, serialize_config, sweep, tuning
 from polarcool.cli import csv_columns, main
 from polarcool.errors import SolverError
 
@@ -340,6 +340,33 @@ def test_three_mode_sweep_matches_recorded_occupations(capsys, tmp_path):
             assert fields[8:14] == [f"{n:.12g}" for pair in zip(rec["n_analytic"][i],
                                                                  rec["n_numeric"][i])
                                     for n in pair]
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum() of Python 3.12 and 3.13 in pure Python: ints exactly, floats
+    with Neumaier's compensation once the total is a float, the rest by plain addition.
+    It gives the bits of Python 3.13's sum() on random lists of floats."""
+    total, c = start, 0.0
+    for x in values:
+        if type(total) is float and type(x) in (float, int):
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    if type(total) is float and c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_three_mode_sweep_matches_its_record_under_a_compensated_sum(
+        monkeypatch, capsys, tmp_path):
+    """The sums of a working point and of the tuning add left to right, so the
+    record holds under the compensated sum() of Python 3.12 on as well."""
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0  # left to right gives 0.0
+    for module in (analytics, dynamics, tuning):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    test_three_mode_sweep_matches_recorded_occupations(capsys, tmp_path)
 
 
 def test_sweep_require_stable_exit3_without_partial_file(capsys, tmp_path):

@@ -688,6 +688,24 @@ def test_network_rejects_resonant_drive():
         pc.build_network([pol], mechs, drive, mode="exact")
 
 
+def test_a_nodes_own_fault_is_reported_before_the_mode_or_the_resonance():
+    pol = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6, weight=0.7)
+    drive = pc.NetworkDrive(drive_freq=TWO_PI * 9.9e9, rabi_freq=1e13, bath_temperature=0.01)
+    bad = dataclasses.replace(pol, freq=math.nan)
+    resonant = dataclasses.replace(pol, detuning=0.0)
+    message = "polaritons[1].freq: must be finite and strictly positive, got nan"
+    for nodes, mode in (([pol, bad], "exact"), ([resonant, bad], "approx")):
+        with pytest.raises(ValidationError) as exc:
+            pc.build_network(nodes, make_mechs(), drive, mode=mode)
+        assert str(exc.value) == message
+    # the pair's nodes too, through build_linear_model
+    params = make_base_setup().params_at(0.7)
+    basis = dataclasses.replace(pc.diagonalize_polaritons(params), lower_freq=math.nan)
+    with pytest.raises(ValidationError) as exc:
+        pc.build_linear_model(params, basis, mode="exact")
+    assert str(exc.value) == message
+
+
 def test_network_rejects_derived_values_that_overflow():
     node = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6, weight=1e300)
     drive = pc.NetworkDrive(drive_freq=TWO_PI * 9.9e9, rabi_freq=1e13, bath_temperature=0.01)

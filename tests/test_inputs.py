@@ -182,3 +182,27 @@ def test_hz_fields_that_overflow_in_rad_s_fail_under_their_path(path, call):
     # 1e308 Hz is finite, 2 pi times it is not
     with pytest.raises(ValidationError, match="^" + re.escape(path) + ": must be finite"):
         call(1e308)
+
+
+# (argument path, call with a malformed value): a ragged, string, complex or bool
+# matrix, or a scalar where a sequence goes, is a ValidationError naming the argument
+MALFORMED = {
+    "cross_damping ragged": ("cross_damping", lambda: pc.build_network(
+        [POL, POL], [MECH], DRIVE, [[0.0, 1.0], [1.0]])),
+    "cross_damping string": ("cross_damping", lambda: pc.build_network(
+        [POL, POL], [MECH], DRIVE, "abc")),
+    "cross_damping complex": ("cross_damping", lambda: pc.build_network(
+        [POL, POL], [MECH], DRIVE, [[0.0, 1j], [1j, 0.0]])),
+    "cross_damping bool": ("cross_damping", lambda: pc.build_network(
+        [POL, POL], [MECH], DRIVE, [[False, True], [True, False]])),
+    "covariance ragged": ("covariance", lambda: pc.extract_occupations([[0.5, 0.0], [0.5]])),
+    "covariance string": ("covariance", lambda: pc.extract_occupations("abc")),
+    "mech_freqs None": ("mech_freqs", lambda: pc.tune_n_mode(**{**NMODE, "mech_freqs": None})),
+    "couplings scalar": ("couplings", lambda: pc.tune_n_mode(**{**NMODE, "couplings": 5})),
+}
+
+
+@pytest.mark.parametrize("path,call", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_matrices_and_sequences_name_their_argument(path, call):
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ": "):
+        call()

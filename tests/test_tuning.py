@@ -891,6 +891,72 @@ def test_a_fixed_coupling_point_keeps_its_row_and_message(point, message):
     assert str(exc.value) == message
 
 
+def resonant_pair():
+    """An angle-tuned device whose lower polariton sits on the drive at theta = pi/4:
+    every tuned value is a small integer, and the lower mechanical frequency, 1e-300,
+    is lost next to them, so the lower detuning it sets is exactly 0.0."""
+    mechs = (pc.MechanicalMode(1e-300, 1.0, 1.0), pc.MechanicalMode(2.0, 1.0, 1.0))
+    return pc.Device(cavity_freq=4.0, cavity_linewidth=1.0, matter_linewidths=(1.0,),
+                     mechanical_modes=mechs, bath_temperature=0.0, rabi_freq=1.0)
+
+
+def resonant_three_mode():
+    """The three-mode device with a tuning whose drive sits on polariton 0."""
+    device = three_mode_device()
+    tuned = device.tuning
+    vars(device)["tuning"] = dataclasses.replace(tuned, drive_freq=tuned.polaritons[0].freq)
+    return device
+
+
+def network_inputs(device, theta):
+    """The arguments of build_network for the working point of ``device`` at ``theta``."""
+    if device.couplings:
+        tuned = device.tuning
+        nodes = [pc.NetworkPolariton(p.freq, p.linewidth, p.weights[1]) for p in tuned.polaritons]
+        cross, drive_freq = [p.cross_damping for p in tuned.polaritons], tuned.drive_freq
+    else:
+        params = device.params_at(theta)
+        b = pc.diagonalize_polaritons(params)
+        s, c = math.sin(b.theta), math.cos(b.theta)
+        nodes = [pc.NetworkPolariton(b.upper_freq, b.upper_linewidth, s, b.detuning_upper),
+                 pc.NetworkPolariton(b.lower_freq, b.lower_linewidth, c, b.detuning_lower)]
+        dk, drive_freq = b.dissipative_coupling, params.drive_freq
+        cross = [[0.0, dk], [dk, 0.0]]
+    drive = pc.NetworkDrive(drive_freq, device.rabi_freq, device.bath_temperature)
+    return nodes, device.mechanical_modes, drive, cross
+
+
+RESONANT = ("polaritons[{}].detuning: polariton resonant with the drive (zero detuning);"
+            " approx mode requires nonzero detunings")
+
+
+@pytest.mark.parametrize("fault", ["mode", "resonance"])
+@pytest.mark.parametrize("angle_tuned", [True, False])
+def test_the_mode_and_resonance_rules_read_the_same_through_every_entry_point(angle_tuned,
+                                                                               fault):
+    if fault == "mode":
+        device = make_base_setup() if angle_tuned else three_mode_device()
+        mode, message = "exact", "mode: expected 'approx' or 'selfconsistent', got 'exact'"
+    else:
+        device = resonant_pair() if angle_tuned else resonant_three_mode()
+        mode, message = "approx", RESONANT.format(1 if angle_tuned else 0)
+    theta = 0.25 * math.pi if angle_tuned else None
+    calls = [lambda: pc.build_network(*network_inputs(device, theta), mode=mode),
+             lambda: device.working_point(theta, mode=mode)]
+    if angle_tuned:
+        calls.append(lambda: pc.build_linear_model(device.params_at(theta), mode=mode))
+    for call in calls:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+    rows = (pc.evaluate_point(device, theta, averages=mode),
+            *pc.sweep(device, "temperature", [0.0, 0.5], theta=theta, averages=mode))
+    assert all(row.flags == ("error:ValidationError",) and not row.stable for row in rows)
+    if fault == "resonance":  # the rule is approx mode's only
+        _, model = device.working_point(theta, mode="selfconsistent")
+        assert model.averages.mode == "selfconsistent"
+
+
 @pytest.fixture
 def parameter_objects(monkeypatch):
     """Constructions of the per-point parameter objects and calls of
