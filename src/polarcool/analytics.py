@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .dynamics import LinearModel, _values
 from .errors import ValidationError, check_real
-from .model import _sum
 
 
 @dataclass(frozen=True)
@@ -74,46 +73,6 @@ def _sideband_rates(
     return stokes, anti
 
 
-def _rates_for_mode(
-    mode_index: int,
-    mech_damping: float,
-    mech_occupation: float,
-    couplings: tuple[float, ...],
-    linewidths: tuple[float, ...],
-    detunings: tuple[float, ...],
-    mech_freq: float,
-) -> CoolingRates:
-    stokes, anti = [], []
-    weak = True
-    for g, kappa, det in zip(couplings, linewidths, detunings):
-        s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
-        stokes.append(s_k)
-        anti.append(a_k)
-        if abs(g) > 0.5 * kappa:
-            weak = False
-    net = [a - s for a, s in zip(anti, stokes)]
-    kappa_eff = mech_damping + _sum(net)
-    dominant = anti.index(max(anti)) if anti else 0
-    # n = (gamma nbar + extra noise) / (gamma + extra damping), inf where that damping is <= 0
-    base = mech_damping * mech_occupation
-    n_eff = mech_occupation
-    if anti:
-        denom = mech_damping + net[dominant]
-        n_eff = math.inf if denom <= 0.0 else (base + stokes[dominant]) / denom
-    n_eff_all = math.inf if kappa_eff <= 0.0 else (base + _sum(stokes)) / kappa_eff
-    return CoolingRates(
-        mode_index=mode_index,
-        stokes=tuple(stokes),
-        anti_stokes=tuple(anti),
-        net=tuple(net),
-        kappa_eff=kappa_eff,
-        n_eff=n_eff,
-        n_eff_all=n_eff_all,
-        dominant=dominant,
-        weak_coupling=weak,
-    )
-
-
 def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     """Cooling rates read directly off a linear model's drift and diffusion.
 
@@ -121,34 +80,74 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     detunings, couplings, mechanical frequencies) come from the drift, bath
     occupations from the diffusion diagonal, so the estimate refers to
     exactly the system the covariance solver sees. The model's matrices are
-    finite, as its construction checked.
+    finite, as its construction checked. The numbers are those of the float
+    core :func:`_cooling`, which a sweep runs on each point without building
+    any :class:`CoolingRates`.
     """
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
     n_m = len(model.mode_layout) - n_p
-    return _cooling(_values(model, n_p, n_m), n_p, n_m)
+    return tuple(
+        CoolingRates(j, tuple(stokes), tuple(anti), tuple(net), kappa_eff, n_eff, n_eff_all,
+                     dominant, weak)
+        for j, (kappa_eff, n_eff, weak, n_eff_all, dominant, stokes, anti, net)
+        in enumerate(_cooling(_values(model, n_p, n_m), n_p, n_m))
+    )
 
 
-def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
-    """:func:`network_cooling` of the values that fill a drift and diffusion
-    (:func:`~polarcool.dynamics._pattern`), as plain floats, and the counts of
-    polariton and mechanical modes."""
+def _cooling(values: list, n_p: int, n_m: int) -> list[tuple]:
+    """The rates of :func:`network_cooling` from the values that fill a drift and
+    diffusion (:func:`~polarcool.dynamics._pattern`), as plain floats, and the
+    counts of polariton and mechanical modes.
+
+    Per mechanical mode, one pass over its couplings gives the tuple
+    (kappa_eff, n_eff, weak_coupling, n_eff_all, dominant, stokes, anti_stokes,
+    net), the last three as lists: the fields of :class:`CoolingRates`, those a
+    sweep row reads first. The sums add left to right from 0, as
+    :func:`~polarcool.model._sum` does.
+    """
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
     # per mode: -damping, frequency, -frequency, noise; two per node pair; couplings
-    linewidths = tuple(check_real(f"model: polariton {k} linewidth", -values[4 * k], above=0.0)
-                       for k in range(n_p))
-    detunings = tuple(values[4 * k + 1] for k in range(n_p))
+    linewidths = [-values[4 * k] for k in range(n_p)]
+    for k, kappa in enumerate(linewidths):
+        if not 0.0 < kappa < math.inf:  # check_real's test, so it raises with its message
+            check_real(f"model: polariton {k} linewidth", kappa, above=0.0)
+    detunings = values[1:4 * n_p:4]
     couplings = 4 * (n_p + n_m) + n_p * (n_p - 1)
     out = []
     for j in range(n_m):
         m, start = 4 * (n_p + j), couplings + 2 * j * n_p
-        mech_damping = check_real(f"model: mechanical mode {j} damping", -values[m], above=0.0)
-        nbar = values[m + 3] / (2.0 * mech_damping) - 0.5
-        out.append(_rates_for_mode(
-            j, mech_damping, nbar, tuple(-g for g in values[start:start + 2 * n_p:2]),
-            linewidths, detunings, values[m + 1]
-        ))
-    return tuple(out)
+        mech_damping = -values[m]
+        if not 0.0 < mech_damping < math.inf:
+            check_real(f"model: mechanical mode {j} damping", mech_damping, above=0.0)
+        nbar, mech_freq = values[m + 3] / (2.0 * mech_damping) - 0.5, values[m + 1]
+        stokes, anti, net = [], [], []
+        net_sum = stokes_sum = 0.0
+        dominant, top, weak = 0, 0.0, True
+        # each coupling is -G_j w_k, whose sign drops out of g^2 and |g|
+        for k, (g, kappa, det) in enumerate(
+                zip(values[start:start + 2 * n_p:2], linewidths, detunings)):
+            s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
+            if abs(g) > 0.5 * kappa:
+                weak = False
+            if not k or a_k > top:  # the first largest anti-Stokes rate, as max() finds it
+                dominant, top = k, a_k
+            net_k = a_k - s_k
+            stokes.append(s_k)
+            anti.append(a_k)
+            net.append(net_k)
+            net_sum += net_k
+            stokes_sum += s_k
+        kappa_eff = mech_damping + net_sum
+        # n = (gamma nbar + extra noise) / (gamma + extra damping), inf where that damping is <= 0
+        base = mech_damping * nbar
+        n_eff = nbar
+        if n_p:
+            denom = mech_damping + net[dominant]
+            n_eff = math.inf if denom <= 0.0 else (base + stokes[dominant]) / denom
+        n_eff_all = math.inf if kappa_eff <= 0.0 else (base + stokes_sum) / kappa_eff
+        out.append((kappa_eff, n_eff, weak, n_eff_all, dominant, stokes, anti, net))
+    return out
 
 
 def quantum_backaction_limit(linewidth: float, mech_freq: float) -> float:

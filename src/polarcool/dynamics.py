@@ -104,7 +104,9 @@ def _pattern(n_p: int, n_m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2 damping (nbar + 1/2); per node pair (k < q) its cross damping (negated)
     and shared noise, +0.0 for an uncoupled pair; per mechanical mode j and
     node k the couplings -G_j w_k and G_j w_k.
-    :func:`~polarcool.analytics._cooling` reads the rates off them.
+    :func:`~polarcool.analytics._cooling` reads the rates off them: the
+    linewidths, detunings, mechanical dampings, frequencies and noise, and per
+    mechanical mode its N_p couplings -G_j w_k, in one pass.
     """
     n, pairs = n_p + n_m, [(k, q) for k in range(n_p) for q in range(k + 1, n_p)]
     cells = []  # (matrix: 0 drift, 1 diffusion, row, column, value index)

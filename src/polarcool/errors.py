@@ -51,13 +51,9 @@ def check_real(path: str, value, above=None, at_least=None, below=None) -> float
     raise ValidationError(f"{path}: must be {' and '.join(wanted)}, got {value}")
 
 
-def check_matrix(path: str, a, ndim: int = 2) -> np.ndarray:
-    """``a`` as a real, square, non-empty and finite float matrix, or a ValidationError.
-
-    With ``ndim=3`` ``a`` is a stack of such matrices, each checked over the
-    trailing two axes with the same messages. A bool or complex matrix is
-    rejected before any conversion; the result may share memory with ``a``.
-    """
+def _real_array(path: str, a) -> np.ndarray:
+    """``a`` as a float array, or a ValidationError naming ``path`` if it is ragged,
+    not numeric, boolean or complex (rejected before any conversion)."""
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind
@@ -69,6 +65,17 @@ def check_matrix(path: str, a, ndim: int = 2) -> np.ndarray:
         raise ValidationError(f"{path}: expected a real numeric matrix, got booleans")
     if kind == "c":
         raise ValidationError(f"{path}: expected a real matrix, got complex entries")
+    return arr
+
+
+def check_matrix(path: str, a, ndim: int = 2) -> np.ndarray:
+    """``a`` as a real, square, non-empty and finite float matrix, or a ValidationError.
+
+    With ``ndim=3`` ``a`` is a stack of such matrices, each checked over the
+    trailing two axes with the same messages. A bool or complex matrix is
+    rejected before any conversion; the result may share memory with ``a``.
+    """
+    arr = _real_array(path, a)
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError(f"{path}: expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:

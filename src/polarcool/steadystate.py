@@ -28,6 +28,7 @@ from .errors import (
     SolverError,
     UnstableSystemError,
     ValidationError,
+    _real_array,
     check_drift_diffusion,
     check_matrix,
     check_real,
@@ -243,14 +244,19 @@ def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
 
     Values in [-1e-9, 0) are clamped to zero (round-off below vacuum);
     anything lower raises SolverError since the covariance is then unphysical.
+    A ragged, non-numeric, boolean or complex covariance, or one that is not an
+    even square matrix, raises ValidationError.
     """
-    try:
-        v = np.asarray(covariance, dtype=float)
-    except (TypeError, ValueError):  # ragged, a string, Python complex numbers
-        raise ValidationError("covariance: expected a real numeric matrix") from None
+    v = _real_array("covariance", covariance)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValidationError(f"covariance: expected an even square matrix, got shape {v.shape}")
-    diag = v.diagonal().tolist()  # plain floats: cheaper to read, and what callers get
+    return _occupations(v.diagonal().tolist())
+
+
+def _occupations(diag: list) -> tuple[float, ...]:
+    """:func:`extract_occupations` of the diagonal of a covariance that is known to
+    be an even square float matrix, as plain floats (cheaper to read, and what
+    callers get): the form a solve's V takes, so it is not checked again."""
     out = []
     for k in range(len(diag) // 2):
         n = 0.5 * (diag[2 * k] + diag[2 * k + 1] - 1.0)
@@ -332,7 +338,8 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     return SteadyState(
         covariance=v,
         occupations=(
-            (math.nan,) * (len(model.drift) // 2) if v is None else extract_occupations(v)
+            (math.nan,) * (len(model.drift) // 2) if v is None
+            else _occupations(v.diagonal().tolist())
         ),
         stable=info.stable,
         spectral_abscissa=info.spectral_abscissa,

@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .errors import SolverError, UnstableSystemError, ValidationError, check_real
 from .model import MechanicalMode, SystemParams, _pair, _sum
-from .steadystate import _solve, extract_occupations, steady_state
+from .steadystate import _occupations, _solve, steady_state
 
 
 def _entries(name: str, value) -> tuple:
@@ -251,18 +251,19 @@ def solve_model(model: LinearModel) -> tuple:
     """
     rates = network_cooling(model)
     state = steady_state(model, require_stable=False)
-    flags = _flags(state.stable, state.condition_flag, rates)
+    flags = _flags(state.stable, state.condition_flag, all(r.weak_coupling for r in rates))
     return rates, state, flags, state.occupations[len(model.averages.avg_polaritons):]
 
 
-def _flags(stable: bool, ill_conditioned: bool, rates) -> tuple[str, ...]:
-    """The flags of :func:`solve_model`, in its order."""
+def _flags(stable: bool, ill_conditioned: bool, weak_coupling: bool) -> tuple[str, ...]:
+    """The flags of :func:`solve_model`, in its order; ``weak_coupling`` holds
+    when it holds for every mechanical mode."""
     flags = []
     if not stable:
         flags.append("unstable")
     if ill_conditioned:
         flags.append("ill_conditioned")
-    if any(not r.weak_coupling for r in rates):
+    if not weak_coupling:
         flags.append("weak_coupling_broken")
     return tuple(flags)
 
@@ -288,10 +289,16 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     building no parameter, basis, node or averages object; the points that
     built fill one drift and one diffusion stack, checked with one call
     (:func:`~polarcool.dynamics._checked_stack`).
-    Each point's rates are read off its values, and the points whose rates
-    succeed are solved with one :func:`~polarcool.steadystate._solve`: its own
-    factorization and solve per point, one verification for all. The
-    operations are those of :func:`solve_model` on a :class:`LinearModel`. A
+    Each point's rates are read off its values by the float core
+    :func:`~polarcool.analytics._cooling`, whose per-mode tuples give the row's
+    kappa_eff, n_eff and weak-coupling verdict without a
+    :class:`~polarcool.analytics.CoolingRates`.
+    The points whose rates succeed are solved with one
+    :func:`~polarcool.steadystate._solve`: its own factorization and solve per
+    point, one verification for all; the occupations are read off the diagonal
+    of each V it returns, which is not checked again
+    (:func:`~polarcool.steadystate._occupations`). The operations are those of
+    :func:`solve_model` on a :class:`LinearModel`. A
     ValidationError or SolverError of a point, at its build, matrix check,
     rates, solve or occupations, in that order, becomes its ``error:<Type>``
     row; the other points go on.
@@ -333,7 +340,7 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
             continue
         vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
         rates = {}  # of each point left to solve, by its index in the stack
-        # plain floats, as network_cooling reads them off a model
+        # plain floats, as network_cooling reads them off a model; no CoolingRates
         for p, ((i, value, theta, _), point_values) in enumerate(zip(built, vals.tolist())):
             try:
                 if faults[p] is not None:
@@ -350,23 +357,24 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
                 if isinstance(result, SolverError):
                     raise result
                 info, v, _, ill_conditioned = result
-                n_numeric = nans if v is None else extract_occupations(v)[n_p:]
+                n_numeric = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
             except (ValidationError, SolverError) as exc:
                 block[i] = error_row(value, theta, exc)
                 continue
             coupling, magnon_freq, drive_freq = (
                 (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
+            kappa_eff, n_analytic, weak, *_ = zip(*rates[p])  # per field, over the modes
             block[i] = SweepRow(
                 variable=value,
                 theta=theta,
                 coupling=coupling,
                 magnon_freq=magnon_freq,
                 drive_freq=drive_freq,
-                kappa_eff=tuple(r.kappa_eff for r in rates[p]),
-                n_analytic=tuple(r.n_eff for r in rates[p]),
+                kappa_eff=kappa_eff,
+                n_analytic=n_analytic,
                 n_numeric=n_numeric,
                 stable=info.stable,
-                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, rates[p])),
+                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, all(weak))),
             )
         rows += block
     return rows
@@ -610,10 +618,13 @@ def tune_n_mode(
     if initial_guess is None:
         span = mech[-1] - mech[0]
         initial_guess = cavity_freq + np.linspace(-span / 3.0, span / 3.0, n - 1)
-    if np.shape(initial_guess) != (n - 1,):
-        raise ValidationError(
-            f"initial_guess: expected {n - 1} entries, got shape {np.shape(initial_guess)}"
-        )
+    try:
+        shape = np.shape(initial_guess)
+    except ValueError:  # ragged: numpy finds no shape
+        raise ValidationError(f"initial_guess: expected {n - 1} entries, got a ragged"
+                              " sequence") from None
+    if shape != (n - 1,):
+        raise ValidationError(f"initial_guess: expected {n - 1} entries, got shape {shape}")
     x0 = np.array([check_real(f"initial_guess[{i}]", v) for i, v in enumerate(initial_guess)])
 
     from scipy.optimize import least_squares  # heavy import, needed only here

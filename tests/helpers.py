@@ -4,6 +4,9 @@ import math
 import numpy as np
 
 import polarcool as pc
+from polarcool.analytics import CoolingRates, _sideband_rates
+from polarcool.errors import ValidationError, check_real
+from polarcool.model import _sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,3 +148,60 @@ def assemble_network(polaritons, mechanics, drive, cross, couplings):
             r[2 * k][i] = -g_j * p.weight
             r[i + 1][2 * k + 1] = g_j * p.weight
     return np.array(r, dtype=float), np.array(d, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# rates oracle: the closed-form rates as a list per quantity and a CoolingRates
+# per mode, with every linewidth and damping checked up front
+
+
+def rates_for_mode(mode_index, mech_damping, mech_occupation, couplings, linewidths, detunings,
+                   mech_freq):
+    stokes, anti = [], []
+    weak = True
+    for g, kappa, det in zip(couplings, linewidths, detunings):
+        s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
+        stokes.append(s_k)
+        anti.append(a_k)
+        if abs(g) > 0.5 * kappa:
+            weak = False
+    net = [a - s for a, s in zip(anti, stokes)]
+    kappa_eff = mech_damping + _sum(net)
+    dominant = anti.index(max(anti)) if anti else 0
+    base = mech_damping * mech_occupation
+    n_eff = mech_occupation
+    if anti:
+        denom = mech_damping + net[dominant]
+        n_eff = math.inf if denom <= 0.0 else (base + stokes[dominant]) / denom
+    n_eff_all = math.inf if kappa_eff <= 0.0 else (base + _sum(stokes)) / kappa_eff
+    return CoolingRates(
+        mode_index=mode_index,
+        stokes=tuple(stokes),
+        anti_stokes=tuple(anti),
+        net=tuple(net),
+        kappa_eff=kappa_eff,
+        n_eff=n_eff,
+        n_eff_all=n_eff_all,
+        dominant=dominant,
+        weak_coupling=weak,
+    )
+
+
+def cooling(values, n_p, n_m):
+    """``network_cooling`` of the values that fill a drift and diffusion."""
+    if n_m == 0:
+        raise ValidationError("model: no mechanical modes in layout")
+    linewidths = tuple(check_real(f"model: polariton {k} linewidth", -values[4 * k], above=0.0)
+                       for k in range(n_p))
+    detunings = tuple(values[4 * k + 1] for k in range(n_p))
+    couplings = 4 * (n_p + n_m) + n_p * (n_p - 1)
+    out = []
+    for j in range(n_m):
+        m, start = 4 * (n_p + j), couplings + 2 * j * n_p
+        mech_damping = check_real(f"model: mechanical mode {j} damping", -values[m], above=0.0)
+        nbar = values[m + 3] / (2.0 * mech_damping) - 0.5
+        out.append(rates_for_mode(
+            j, mech_damping, nbar, tuple(-g for g in values[start:start + 2 * n_p:2]),
+            linewidths, detunings, values[m + 1]
+        ))
+    return tuple(out)

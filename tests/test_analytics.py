@@ -1,15 +1,19 @@
 """Sideband-rate formulas and their agreement with the covariance solver."""
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcool as pc
+from polarcool import dynamics
 from polarcool.errors import ValidationError
 
-from helpers import TWO_PI, make_base_setup
+from helpers import TWO_PI, cooling, make_base_setup
 
 
 def test_sideband_rates_hand_values():
@@ -151,3 +155,59 @@ def test_mode_competition_ratio_follows_cot_squared():
     # resonant at tuned detunings and equal linewidths: ratio = (c/s)^2 exactly
     expected = 1.0 / np.tan(thetas) ** 2
     assert np.allclose(ratios, expected, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass rates against the oracle that checks every rate first
+
+RATE = st.sampled_from([1e3, 1e6]) | st.floats(1e2, 1e8)  # a linewidth or damping
+# at or past an edge: not positive, NaN, or so large that a square overflows
+# (1e154 overflows only when 4 (kappa^2 + ...) is formed, to inf, not raising)
+EDGE_RATE = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, 1e154, 1e160, 1e300])
+# a detuning of -1e6 or -1e7 on a mode of that frequency heats it
+FREQ = st.sampled_from([0.0, 1e6, -1e6, 1e7, -1e7]) | st.floats(-1e9, 1e9)
+EDGE_FREQ = st.sampled_from([1e154, 1e160])
+COUPLING = st.sampled_from([0.0, -0.0, 1e5, 1e7]) | st.floats(-1e8, 1e8)
+EDGE_COUPLING = st.sampled_from([1e160, -1e300])  # its square overflows to inf
+
+
+@st.composite
+def cooling_values(draw):
+    """(n_p, n_m, values) of a network of 1-4 polaritons and 1-4 mechanical modes
+    in the order of ``dynamics._pattern``; about one rate, frequency and coupling
+    in sixteen is at an edge."""
+    n_p, n_m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def edge() -> bool:
+        return draw(st.integers(0, 15)) == 0
+
+    values = []
+    for _ in range(n_p + n_m):
+        rate = draw(EDGE_RATE if edge() else RATE)
+        freq = draw(EDGE_FREQ if edge() else FREQ)
+        noise = draw(st.sampled_from([0.0, 1e300, math.nan]) | st.floats(0.0, 1e12))
+        values += [-rate, freq, -freq, noise]
+    values += [draw(st.floats(-1e6, 0.0)) for _ in range(n_p * (n_p - 1))]  # not read
+    for _ in range(n_m * n_p):
+        g = draw(EDGE_COUPLING if edge() else COUPLING)
+        values += [-g, g]
+    return n_p, n_m, values
+
+
+def outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=cooling_values())
+def test_network_cooling_equals_the_oracle_by_repr(case):
+    n_p, n_m, values = case
+    _, drift, diffusion = dynamics._stack(n_p, n_m, [values])
+    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
+    # a LinearModel would reject the NaN and infinite entries that reach the core here
+    model = types.SimpleNamespace(drift=drift[0], diffusion=diffusion[0], mode_layout=layout)
+    assert outcome(lambda: pc.network_cooling(model)) == outcome(
+        lambda: cooling(values, n_p, n_m))

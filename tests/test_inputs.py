@@ -197,6 +197,11 @@ MALFORMED = {
         [POL, POL], [MECH], DRIVE, [[False, True], [True, False]])),
     "covariance ragged": ("covariance", lambda: pc.extract_occupations([[0.5, 0.0], [0.5]])),
     "covariance string": ("covariance", lambda: pc.extract_occupations("abc")),
+    # a complex array used to warn, lose its imaginary part and fail the vacuum clamp
+    "covariance complex": ("covariance", lambda: pc.extract_occupations(np.eye(2) * 1j)),
+    "covariance bool": ("covariance", lambda: pc.extract_occupations(np.eye(2) > 0)),
+    "initial_guess ragged": ("initial_guess", lambda: pc.tune_n_mode(
+        **NMODE, initial_guess=[[1.0], [2.0, 3.0]])),
     "mech_freqs None": ("mech_freqs", lambda: pc.tune_n_mode(**{**NMODE, "mech_freqs": None})),
     "couplings scalar": ("couplings", lambda: pc.tune_n_mode(**{**NMODE, "couplings": 5})),
 }

@@ -959,12 +959,13 @@ def test_the_mode_and_resonance_rules_read_the_same_through_every_entry_point(an
 
 @pytest.fixture
 def parameter_objects(monkeypatch):
-    """Constructions of the per-point parameter objects and calls of
+    """Constructions of the per-point parameter and rates objects and calls of
     ``MechanicalMode.validate``, counted by name."""
     counts = collections.Counter()
     for owner, name in ((pc.SystemParams, "__init__"), (pc.PolaritonBasis, "__init__"),
                         (pc.NetworkPolariton, "__init__"), (pc.NetworkDrive, "__init__"),
-                        (pc.SteadyStateAverages, "__init__"), (pc.MechanicalMode, "validate")):
+                        (pc.SteadyStateAverages, "__init__"), (pc.CoolingRates, "__init__"),
+                        (pc.MechanicalMode, "validate")):
         original = getattr(owner, name)
 
         def counted(*args, _key=owner.__name__, _original=original, **kwargs):
@@ -994,9 +995,13 @@ def test_a_sweep_builds_no_parameter_objects(monkeypatch, parameter_objects, ang
     else:
         rows = pc.sweep(device, "temperature", np.linspace(0.0, 1.0, 7), averages=averages)
     assert all(row.stable for row in rows)
+    if angle_tuned:
+        assert pc.optimize_theta(device, averages=averages, coarse_points=5, tol=1e-3).converged
     assert not parameter_objects
     # a fixed-coupling device checks its nodes once, not once per point
     assert node_checks == ({} if angle_tuned else {"nodes": 1})
-    # the one-point API still builds its objects
-    device.working_point(0.7, mode=averages)
+    # the one-point API still builds its objects, and one CoolingRates per mode
+    _, model = device.working_point(0.7, mode=averages)
+    pc.network_cooling(model)
     assert parameter_objects["SteadyStateAverages"] == 1
+    assert parameter_objects["CoolingRates"] == len(device.mechanical_modes)
