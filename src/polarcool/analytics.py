@@ -70,6 +70,10 @@ def _sideband_rates(
         raise ValidationError(
             "sideband_rates: linewidth^2 + (detuning +- mech_freq)^2 overflows"
         ) from None
+    except ZeroDivisionError:  # the linewidth's square underflows on an exact resonance
+        raise ValidationError(
+            "sideband_rates: linewidth^2 + (detuning +- mech_freq)^2 underflows to 0"
+        ) from None
     return stokes, anti
 
 

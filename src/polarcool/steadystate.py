@@ -82,36 +82,48 @@ def _fro(a: np.ndarray) -> float:
 
 
 def _fros(a: np.ndarray) -> np.ndarray:
-    """:func:`_fro` of each matrix of a C-ordered stack (..., n, n), in order, bit
-    for bit: matmul of a row by a column runs the same dot product."""
-    x = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    """:func:`_fro` of each matrix of a stack (..., n, n), in order, bit for bit:
+    matmul of a row by a column runs the same dot product, over each matrix in
+    memory order. The stack is C-ordered, or one matrix in either order."""
+    x = a.ravel(order="K").reshape(-1, 1, a.shape[-2] * a.shape[-1])
     return np.sqrt(np.matmul(x, x.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _schur(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, StabilityInfo, float]:
-    """Real Schur form R = Z T Z^T of a validated drift, the verdict read off it, and ||R||_F.
+def _factor(r: np.ndarray, r_norm: float, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form R = Z T Z^T of a validated drift whose ||R||_F is ``r_norm``,
+    as the pair (T, Z) in LAPACK's Fortran order; with ``compute_v=0`` T alone.
 
     One direct LAPACK call with the workspace ``scipy.linalg.schur`` would
-    query, so T and Z are bit-identical to it. LAPACK standardizes every 2x2
-    block of T so that both its diagonal entries hold the real part of the
-    complex pair, so max(diag T) is the spectral abscissa. Callers run it
-    under ``np.errstate(over="ignore")``: a drift whose norm overflows raises
-    SolverError, as its margin would be infinite.
+    query, so T and Z are bit-identical to it; T is the same without Z. A
+    drift whose norm overflows raises SolverError, as its margin would be
+    infinite.
     """
-    r_norm = _fro(r)
     if r_norm == math.inf:
         raise SolverError("drift: its norm overflows, so the stability margin cannot be set")
     n = r.shape[0]
     lwork = _DGEES_LWORK.get(n)
     if lwork is None:
         lwork = _DGEES_LWORK[n] = int(dgees(_no_sort, r, lwork=-1)[-2][0])
-    t, _, _, _, z, _, status = dgees(_no_sort, r, lwork=lwork)
+    t, _, _, _, z, _, status = dgees(_no_sort, r, compute_v=compute_v, lwork=lwork)
     if status != 0:
         raise SolverError(f"drift: real Schur factorization failed (dgees info {status})")
+    return t, z
+
+
+def _verdict(abscissa: float, r_norm: float) -> StabilityInfo:
+    """The verdict on a drift from max(diag T) of its real Schur form and its
+    ||R||_F. LAPACK standardizes every 2x2 block of T so that both its diagonal
+    entries hold the real part of the complex pair, so max(diag T) is the
+    spectral abscissa."""
     margin = STABILITY_MARGIN * r_norm
-    abscissa = float(t.diagonal().max())
-    info = StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
-    return t, z, info, r_norm
+    return StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
+
+
+def _stability(r: np.ndarray) -> StabilityInfo:
+    """The verdict on one validated drift, read off T alone (no Z is formed)."""
+    with np.errstate(over="ignore"):
+        r_norm = _fro(r)
+    return _verdict(float(_factor(r, r_norm, compute_v=0)[0].diagonal().max()), r_norm)
 
 
 def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
@@ -124,49 +136,76 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
     """Per point of (P, n, n) stacks of checked drifts and diffusions, its
     (verdict, V, residual, condition_flag), or the SolverError of that point.
 
-    Each point factors its drift R = Z T Z^T once and, if stable, solves on the
-    same factors; V is None and the residual NaN where the drift is unstable.
-    The Bartels-Stewart products follow scipy's ``solve_continuous_lyapunov``
-    operation for operation, so V is bit-identical to it. The norms that check
-    the solves are formed as one stack (:func:`_verify`). A zero diffusion has
-    the exact V = 0 and residual 0; a diffusion whose norm overflows leaves no
-    residual to check, and a residual above 1e-9 is an error.
+    Bartels-Stewart in stages over the stack. Only the LAPACK calls run per
+    point: each drift is factored R = Z T Z^T once (``dgees``), its verdict is
+    read off T, and a stable one is solved on the same factors (``dtrsyl``).
+    The products F = Z^T (-D) Z before the solve and V = (W + W^T)/2 with
+    W = (Z Y) Z^T after it are each formed for the whole stack, and one
+    :func:`_verify` checks all the solves. V is None and the residual NaN
+    where the drift is unstable. Every factor keeps the memory layout LAPACK
+    gives it (the stacks hold T^T, Z^T and Y^T, read through transposed
+    views), so each product runs the gemm of scipy's
+    ``solve_continuous_lyapunov`` and V is bit-identical to it. A zero
+    diffusion has the exact V = 0 and residual 0; a diffusion whose norm
+    overflows leaves no residual to check, and a residual above 1e-9 is an
+    error.
     """
-    out, solved = [], []
-    # the covariances, residuals and diffusions of the stack in one array, so
-    # that _verify forms all their norms with one product; a point without a
-    # covariance keeps zeros, its norms unread
-    checks = np.zeros((3, *d.shape))
-    v = checks[0]
+    size, n = r.shape[:2]
+    out = [None] * size
+    # T^T, Z^T and Y^T, then the covariances, residuals and diffusions, in one
+    # array so that _verify forms all their norms with one product. The
+    # products run over the whole stack: a point that is not solved keeps a
+    # zero Y^T, so its W and V are zero, and its norms are not read
+    stacks = np.zeros((6, size, n, n))
+    tt, zt, yt, checks = stacks[0], stacks[1], stacks[2], stacks[3:]
     # an overflow is inf and a residual that cannot be formed NaN, judged point
     # by point, so no warning concerns the whole stack
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(len(r)):
+        r_norms = _fros(r).tolist()
+        factored = []
+        for p in range(size):
             try:
-                t, z, info, r_norm = _schur(r[p])
-                if not info.stable:
-                    out.append((info, None, math.nan, False))
-                    continue
-                f = z.T.dot((-d[p]).dot(z))
-                y, scale, status = dtrsyl(t, t, f, tranb="T")
-                if status != 0:
-                    raise SolverError(
-                        f"lyapunov: triangular Sylvester solve returned info {status} "
-                        "(eigenvalue pairs of the drift nearly cancel)"
-                    )
+                t, z = _factor(r[p], r_norms[p])
             except SolverError as exc:
-                out.append(exc)
+                out[p] = exc
                 continue
-            y *= scale
-            w = z.dot(y).dot(z.T)
-            v[p] = 0.5 * (w + w.T)
-            out.append(info)
-            solved.append((p, r_norm))
+            tt[p], zt[p] = t.T, z.T
+            factored.append(p)
+        abscissae = tt.diagonal(axis1=1, axis2=2).max(axis=1).tolist()
+        live = []
+        for p in factored:
+            info = out[p] = _verdict(abscissae[p], r_norms[p])
+            if info.stable:
+                live.append(p)
+            else:
+                out[p] = (info, None, math.nan, False)
+        if not live:
+            return out
+        z = zt.transpose(0, 2, 1)
+        f = np.matmul(zt, np.matmul(-d, z))
+        solved = []
+        for p in live:
+            t = tt[p].T
+            y, scale, status = dtrsyl(t, t, f[p], tranb="T")
+            if status != 0:
+                out[p] = SolverError(
+                    f"lyapunov: triangular Sylvester solve returned info {status} "
+                    "(eigenvalue pairs of the drift nearly cancel)"
+                )
+                continue
+            if scale != 1.0:
+                y *= scale
+            yt[p] = y.T
+            solved.append(p)
         if not solved:
             return out
+        w = np.matmul(np.matmul(z, yt.transpose(0, 2, 1)), zt)
+        v = checks[0]
+        np.add(w, w.transpose(0, 2, 1), out=v)
+        v *= 0.5
         v_norms, e_norms, d_norms = _verify(r, d, checks)
-    for p, r_norm in solved:
-        d_norm = d_norms[p]
+    for p in solved:
+        r_norm, d_norm = r_norms[p], d_norms[p]
         if d_norm == 0.0:
             out[p] = (out[p], v[p], 0.0, False)
             continue
@@ -220,9 +259,7 @@ def check_stability(drift: np.ndarray) -> StabilityInfo:
     -margin, margin = 1e-9 ||R||_F, so round-off on a marginal mode cannot
     flip the verdict between platforms.
     """
-    r = check_matrix("drift", drift)
-    with np.errstate(over="ignore"):
-        return _schur(r)[2]
+    return _stability(check_matrix("drift", drift))
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -286,8 +323,7 @@ def integrate_covariance(
     """
     r, d = check_drift_diffusion(drift, diffusion)
     if t_final is None:
-        with np.errstate(over="ignore"):
-            info = _schur(r)[2]
+        info = _stability(r)
         if not info.stable:
             raise _unstable(info, "; pass t_final explicitly")
         t_final = 15.0 / abs(info.spectral_abscissa)
@@ -300,7 +336,7 @@ def integrate_covariance(
         v0 = check_matrix("v0", v0)
         if v0.shape != r.shape:
             raise ValidationError(f"v0: expected shape {r.shape}, got {v0.shape}")
-    span = float(np.linalg.norm(r, 1)) * t_final
+    span = float(np.abs(r).sum(axis=0).max()) * t_final  # ||R||_1, as np.linalg.norm forms it
     if not span <= 2.0 ** 1023:
         raise ValidationError(
             f"t_final: ||R||_1 t_final = {span:.3e} exceeds the doubling range 2^1023"
@@ -311,12 +347,15 @@ def integrate_covariance(
     block[:n, n:] = d
     block[n:, n:] = r.T
     f = scipy.linalg.expm(block * (t_final / 2.0 ** k))
-    phi = f[n:, n:].T
-    q = phi @ f[:n, n:]
+    # 2-D dot runs the gemm of the @ operator without the ufunc's overhead, but
+    # copies a strided argument into C order, which changes the gemm and so
+    # the bits; a Fortran-ordered phi keeps the layout of the transposed block
+    phi = np.asfortranarray(f[n:, n:].T)
+    q = phi.dot(f[:n, n:])
     for _ in range(k):
-        q = phi @ q @ phi.T + q
-        phi = phi @ phi
-    v = phi @ v0 @ phi.T + q
+        q += phi.dot(q).dot(phi.T)
+        phi = phi.dot(phi)
+    v = phi @ v0 @ phi.T + q  # @, as v0 may be strided
     if not np.isfinite(v).all():
         raise SolverError(f"covariance overflowed before t_final {t_final:.3e}")
     return 0.5 * (v + v.T)

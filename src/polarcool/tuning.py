@@ -276,7 +276,8 @@ def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
 
 
 # points per stack: bounds the values, matrices and solves a long sweep holds
-# at once, about 6 KB per point
+# at once, at its peak about 8.5 KB per point with the base preset's 8 x 8
+# matrices and 17 KB with the three-mode preset's 12 x 12 (tracemalloc)
 _STACK_POINTS = 256
 
 
@@ -294,8 +295,9 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     kappa_eff, n_eff and weak-coupling verdict without a
     :class:`~polarcool.analytics.CoolingRates`.
     The points whose rates succeed are solved with one
-    :func:`~polarcool.steadystate._solve`: its own factorization and solve per
-    point, one verification for all; the occupations are read off the diagonal
+    :func:`~polarcool.steadystate._solve`: its own factorization and triangular
+    solve per point, the products and one verification for the whole stack;
+    the occupations are read off the diagonal
     of each V it returns, which is not checked again
     (:func:`~polarcool.steadystate._occupations`). The operations are those of
     :func:`solve_model` on a :class:`LinearModel`. A

@@ -2,10 +2,12 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 import polarcool as pc
+from polarcool import steadystate
 from polarcool.analytics import CoolingRates, _sideband_rates
-from polarcool.errors import ValidationError, check_real
+from polarcool.errors import SolverError, ValidationError, check_real
 from polarcool.model import _sum
 
 TWO_PI = 2.0 * math.pi
@@ -205,3 +207,100 @@ def cooling(values, n_p, n_m):
             linewidths, detunings, values[m + 1]
         ))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# solver oracle: the Bartels-Stewart solve of a stack point by point, each
+# point's products formed as 2-D dots in scipy's order
+
+
+def schur(r):
+    """(T, Z, verdict, ||R||_F) of one validated drift, by one direct dgees call."""
+    r_norm = steadystate._fro(r)
+    if r_norm == math.inf:
+        raise SolverError("drift: its norm overflows, so the stability margin cannot be set")
+    n = r.shape[0]
+    lwork = steadystate._DGEES_LWORK.get(n)
+    if lwork is None:
+        lwork = steadystate._DGEES_LWORK[n] = int(
+            steadystate.dgees(steadystate._no_sort, r, lwork=-1)[-2][0])
+    t, _, _, _, z, _, status = steadystate.dgees(steadystate._no_sort, r, lwork=lwork)
+    if status != 0:
+        raise SolverError(f"drift: real Schur factorization failed (dgees info {status})")
+    margin = steadystate.STABILITY_MARGIN * r_norm
+    abscissa = float(t.diagonal().max())
+    info = steadystate.StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa,
+                                     margin=margin)
+    return t, z, info, r_norm
+
+
+def solve(r, d):
+    """``steadystate._solve`` of (P, n, n) stacks, each point factored, solved and
+    back-transformed on its own."""
+    out, solved = [], []
+    checks = np.zeros((3, *d.shape))
+    v = checks[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(len(r)):
+            try:
+                t, z, info, r_norm = schur(r[p])
+                if not info.stable:
+                    out.append((info, None, math.nan, False))
+                    continue
+                f = z.T.dot((-d[p]).dot(z))
+                y, scale, status = steadystate.dtrsyl(t, t, f, tranb="T")
+                if status != 0:
+                    raise SolverError(
+                        f"lyapunov: triangular Sylvester solve returned info {status} "
+                        "(eigenvalue pairs of the drift nearly cancel)"
+                    )
+            except SolverError as exc:
+                out.append(exc)
+                continue
+            y *= scale
+            w = z.dot(y).dot(z.T)
+            v[p] = 0.5 * (w + w.T)
+            out.append(info)
+            solved.append((p, r_norm))
+        if not solved:
+            return out
+        v_norms, e_norms, d_norms = steadystate._verify(r, d, checks)
+    for p, r_norm in solved:
+        d_norm = d_norms[p]
+        if d_norm == 0.0:
+            out[p] = (out[p], v[p], 0.0, False)
+            continue
+        if d_norm == math.inf:
+            out[p] = SolverError("lyapunov: the diffusion's norm overflows, so the residual"
+                                 " cannot be checked")
+            continue
+        residual = e_norms[p] / d_norm
+        if not math.isfinite(residual) or residual > steadystate.RESIDUAL_LIMIT:
+            out[p] = SolverError(
+                f"lyapunov residual {residual:.3e} exceeds {steadystate.RESIDUAL_LIMIT:.0e}")
+            continue
+        proxy = 2.0 * r_norm * v_norms[p] / d_norm
+        out[p] = (out[p], v[p], residual, proxy > steadystate.CONDITION_LIMIT)
+    return out
+
+
+def integrate(r, d, v0=None, t_final=None):
+    """``integrate_covariance`` of a checked drift and diffusion, its verdict read
+    off :func:`schur` and every product formed by the @ operator."""
+    if t_final is None:
+        t_final = 15.0 / abs(schur(r)[2].spectral_abscissa)
+    n = r.shape[0]
+    v0 = 0.5 * np.eye(n) if v0 is None else v0
+    k = math.ceil(math.log2(max(float(np.linalg.norm(r, 1)) * t_final, 1.0)))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -r
+    block[:n, n:] = d
+    block[n:, n:] = r.T
+    f = scipy.linalg.expm(block * (t_final / 2.0 ** k))
+    phi = f[n:, n:].T
+    q = phi @ f[:n, n:]
+    for _ in range(k):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    v = phi @ v0 @ phi.T + q
+    return 0.5 * (v + v.T)

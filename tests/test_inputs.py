@@ -211,3 +211,20 @@ MALFORMED = {
 def test_malformed_matrices_and_sequences_name_their_argument(path, call):
     with pytest.raises(ValidationError, match="^" + re.escape(path) + ": "):
         call()
+
+
+# a linewidth whose square underflows, on an exact sideband resonance: the
+# rate's denominator is 0, which used to escape as a raw ZeroDivisionError
+UNDERFLOW_NETWORK = pc.build_network(
+    [pc.NetworkPolariton(TWO_PI * 1e10, 1e-200, 1.0, detuning=MECH.freq)], [MECH], DRIVE)
+UNDERFLOW = {
+    "sideband_rates": lambda: pc.sideband_rates(1.0, 1e-200, 1.0, 1.0),
+    "network_cooling": lambda: pc.network_cooling(UNDERFLOW_NETWORK),
+    "solve_model": lambda: pc.solve_model(UNDERFLOW_NETWORK),
+}
+
+
+@pytest.mark.parametrize("call", UNDERFLOW.values(), ids=UNDERFLOW.keys())
+def test_a_rate_denominator_that_underflows_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match=r"^sideband_rates: .* underflows to 0$"):
+        call()

@@ -26,11 +26,13 @@ from helpers import (
     TWO_PI,
     averages_vector,
     classical_rhs,
+    integrate,
     make_base_setup,
     make_mechs,
     random_block_instance,
     rotate_polaritons,
     shift_corrected_drift,
+    solve,
 )
 
 
@@ -167,6 +169,21 @@ def test_lyapunov_matches_integrator_random_instances():
         assert residual < 1e-9
         scale = np.linalg.norm(v_lyap)
         assert np.linalg.norm(v_time - v_lyap) < 1e-2 * scale
+
+
+@pytest.mark.parametrize("n_pairs", range(1, 25))
+def test_integrate_covariance_equals_the_matmul_oracle(n_pairs):
+    # bit for bit, with the default horizon and vacuum start, and with an
+    # explicit horizon from a strided start
+    rng = np.random.default_rng(n_pairs)
+    for _ in range(3):
+        r, d = random_block_instance(rng, n_pairs)
+        assert pc.integrate_covariance(r, d).tobytes() == integrate(r, d).tobytes()
+        start = rng.uniform(0.0, 0.1, (4 * n_pairs, 4 * n_pairs)) + 0.25 * np.eye(4 * n_pairs)
+        v0 = (start + start.T)[::2, ::2]
+        assert not v0.flags.c_contiguous
+        assert (pc.integrate_covariance(r, d, v0=v0, t_final=3.7).tobytes()
+                == integrate(r, d, v0, 3.7).tobytes())
 
 
 def test_integrate_covariance_transient_closed_form():
@@ -336,19 +353,22 @@ def test_steady_state_factors_the_drift_once(monkeypatch):
     assert calls == {"dgees": 4, "workspace query": 1}
 
 
-@pytest.mark.parametrize("n", [*range(1, 41), 75, 76, 130, 200])
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 75, 76, 100, 130, 200])
 def test_schur_matches_scipy_bit_for_bit(n):
     # the cached workspace is the one scipy.linalg.schur queries, so the
-    # blocking and every bit of T and Z agree, also past LAPACK's block size
+    # blocking and every bit of T and Z agree, also past LAPACK's block size;
+    # T is the same when dgees forms no Z (the verdict-only route)
     a = np.random.default_rng(n).standard_normal((n, n))
-    t, z = steadystate._schur(a)[:2]
+    t, z = steadystate._factor(a, steadystate._fro(a))
     t_ref, z_ref = scipy.linalg.schur(a, output="real")
     assert t.tobytes() == t_ref.tobytes()
     assert z.tobytes() == z_ref.tobytes()
+    t_alone = steadystate._factor(a, steadystate._fro(a), compute_v=0)[0]
+    assert t_alone.tobytes() == t_ref.tobytes()
 
 
 def test_schur_failure_is_a_solver_error(monkeypatch):
-    def failing(select, a, lwork=None):
+    def failing(select, a, compute_v=1, lwork=None):
         if lwork == -1:
             return None, 0, None, None, None, np.array([3.0 * len(a)]), 0
         return a, 0, None, None, a, None, 2
@@ -357,6 +377,101 @@ def test_schur_failure_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(steadystate, "dgees", failing)
     with pytest.raises(SolverError, match="^drift: real Schur factorization failed"):
         pc.check_stability(-np.eye(4))
+
+
+# kinds of working point in a stack: the edges of every stage of the solve
+SOLVE_POINTS = ("stable", "unstable", "zero diffusion", "drift norm overflows",
+                "diffusion norm overflows", "cancelling", "residual", "status")
+
+
+def solve_point(rng, n, kind):
+    """(drift, diffusion) of one point of ``kind``; ``residual`` and ``status``
+    are stable points whose Sylvester solve :class:`Tampered` spoils."""
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    # shifted past the spectrum of a: every eigenvalue at least 0.1 into a half-plane
+    shift = np.abs(np.linalg.eigvals(a).real).max() + rng.uniform(0.1, 1.0)
+    r, d = a - shift * np.eye(n), b @ b.T
+    if kind == "unstable":
+        r = a + shift * np.eye(n)
+    elif kind == "zero diffusion":
+        d = np.zeros((n, n))
+    elif kind == "drift norm overflows":
+        r = 1e160 * r  # every entry finite, ||R||_F not
+    elif kind == "diffusion norm overflows":
+        d = 1e200 * d
+    elif kind == "cancelling":
+        r = -1e-300 * np.eye(n)  # stable, but the Sylvester solve reports info 1
+    return r, d
+
+
+class Tampered:
+    """``dtrsyl`` whose k-th call doubles its solution (a residual failure) or
+    reports status 3, for each k in ``plan``. Both solvers call it for the
+    stable points of a stack in order, so the same points are spoiled."""
+
+    def __init__(self, plan: dict):
+        self.plan, self.calls, self.dtrsyl = plan, 0, steadystate.dtrsyl
+
+    def __call__(self, a, b, c, **kwargs):
+        y, scale, status = self.dtrsyl(a, b, c, **kwargs)
+        kind = self.plan.get(self.calls)
+        self.calls += 1
+        if kind == "residual":
+            return 2.0 * y, scale, status
+        return y, scale, 3 if kind == "status" else status
+
+
+def solve_outcome(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    info, v, residual, flagged = result
+    return repr(info), None if v is None else v.tobytes(), repr(residual), flagged
+
+
+def assert_solve_matches_the_oracle(r, d, kinds):
+    """``_solve`` of the stacks gives every point the oracle's bytes, or its error."""
+    plan, calls = {}, 0
+    for kind in kinds:
+        if kind in ("residual", "status"):
+            plan[calls] = kind
+        calls += kind not in ("unstable", "drift norm overflows")
+    with pytest.MonkeyPatch.context() as patch:
+        tampered = Tampered(plan)
+        patch.setattr(steadystate, "dtrsyl", tampered)
+        expected = [solve_outcome(x) for x in solve(r, d)]
+        assert tampered.calls == calls
+        tampered.calls = 0
+        assert [solve_outcome(x) for x in steadystate._solve(r, d)] == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(SOLVE_POINTS), min_size=1, max_size=8), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_staged_solve_equals_the_point_by_point_oracle(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    r, d = (np.array(m) for m in zip(*(solve_point(rng, n, kind) for kind in kinds)))
+    outcomes = assert_solve_matches_the_oracle(r, d, kinds)
+    # each kind ends where it should, so every stage's edge is reached
+    for kind, outcome in zip(kinds, outcomes):
+        if kind in ("stable", "zero diffusion"):
+            assert outcome[1] is not None
+        elif kind == "unstable":
+            assert outcome[1] is None
+        else:
+            assert outcome[0] is SolverError
+
+
+@pytest.mark.parametrize("n", [64, 75, 100, 130])
+def test_staged_solve_equals_the_oracle_on_large_drifts(n):
+    rng = np.random.default_rng(n)
+    kinds = SOLVE_POINTS
+    r, d = (np.array(m) for m in zip(*(solve_point(rng, n, kind) for kind in kinds)))
+    assert_solve_matches_the_oracle(r, d, kinds)
+    # one point in Fortran order, as a caller of solve_lyapunov may pass it
+    r1, d1 = np.asfortranarray(r[0])[None], np.asfortranarray(d[0])[None]
+    assert_solve_matches_the_oracle(r1, d1, kinds[:1])
 
 
 def test_nonfinite_drift_of_a_hand_built_model_is_rejected():

@@ -15,7 +15,14 @@ from polarcool import model as model_module
 from polarcool.config import load_config
 from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
-from helpers import BASE_RABI, TWO_PI, assemble_network, make_base_setup, make_mechs
+from helpers import (
+    BASE_RABI,
+    TWO_PI,
+    assemble_network,
+    make_base_setup,
+    make_mechs,
+    schur,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +652,7 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
 
         monkeypatch.setattr(tuning, "_solve", failing)
     else:
-        t, z = steadystate._schur(model.drift)[:2]
+        t, z = schur(model.drift)[:2]
         marked, original = z.T.dot((-model.diffusion).dot(z)), steadystate.dtrsyl
 
         def wrong(a, b, c, **kwargs):
@@ -714,8 +721,8 @@ def test_a_drift_whose_norm_overflows_is_a_solver_error():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of dgees, of the stacked verification, of the two model classes'
-    construction and of the stack path."""
+    """Calls of dgees and dtrsyl, of the stacked verification, of ``np.matmul``
+    in the solver, of the two model classes' construction and of the stack path."""
     counts = collections.Counter()
 
     def counting(owner, name, key):
@@ -727,7 +734,16 @@ def call_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
+    class SolverNumpy:
+        """numpy as the solver module sees it; only ``matmul`` is counted."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(steadystate, "np", SolverNumpy())
+    counting(steadystate.np, "matmul", "matmul")
     counting(steadystate, "dgees", "dgees")
+    counting(steadystate, "dtrsyl", "dtrsyl")
     counting(steadystate, "_verify", "verifications")
     counting(steadystate, "SteadyState", "SteadyState")
     counting(dynamics.LinearModel, "__post_init__", "LinearModel")
@@ -750,12 +766,21 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
     rows = pc.sweep(device, variable, grid, theta=theta, averages=averages)
     assert all(row.stable for row in rows)
     assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
-    # one factorization per point, plus one workspace query on an empty cache,
-    # and one verification of all the solves
-    assert call_counts == {"dgees": len(grid) + 1, "verifications": 1, "stacks": 1}
+    # one factorization and one triangular solve per point, plus one workspace
+    # query on an empty cache, and one verification of all the solves; the
+    # products are stacked, so their count does not grow with the points
+    counts = dict(call_counts)
+    products = counts.pop("matmul")
+    assert counts == {"dgees": len(grid) + 1, "dtrsyl": len(grid), "verifications": 1,
+                      "stacks": 1}
     call_counts.clear()
     pc.sweep(device, variable, grid, theta=theta, averages=averages)
-    assert call_counts == {"dgees": len(grid), "verifications": 1, "stacks": 1}
+    assert call_counts == {"dgees": len(grid), "dtrsyl": len(grid), "verifications": 1,
+                           "stacks": 1, "matmul": products}
+    call_counts.clear()
+    pc.sweep(device, variable, grid[:2], theta=theta, averages=averages)
+    assert call_counts == {"dgees": 2, "dtrsyl": 2, "verifications": 1, "stacks": 1,
+                           "matmul": products}
 
 
 def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
