@@ -61,7 +61,15 @@ def sideband_rates(
 def _sideband_rates(
     coupling: float, linewidth: float, detuning: float, mech_freq: float
 ) -> tuple[float, float]:
-    """:func:`sideband_rates` of finite values and a positive linewidth."""
+    """:func:`sideband_rates` of finite values and a positive linewidth.
+
+    The rates stay scalar, point by point: no numpy form keeps their bits.
+    ``x ** 2`` on a float calls C ``pow``, which differs from ``x * x`` (what
+    numpy's ``a ** 2`` computes) on 2514 of 3,000,000 random doubles of
+    magnitude 2^-60 to 2^60, and numpy's ``power`` with an array exponent
+    (SIMD code on an AVX-512 host) differs from C ``pow`` on 54,783 of
+    2,000,000 (numpy 2.4.6, seed 0).
+    """
     g2 = coupling * coupling
     try:
         stokes = linewidth * g2 / (4.0 * (linewidth**2 + (detuning + mech_freq) ** 2))

@@ -22,7 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_drift_diffusion, check_matrix, check_real
+from .errors import (
+    SolverError,
+    ValidationError,
+    check_drift_diffusion,
+    check_entries,
+    check_matrix,
+    check_real,
+    check_type,
+)
 from .model import (
     MechanicalMode,
     PolaritonBasis,
@@ -148,18 +156,21 @@ def _stack(n_p: int, n_m: int, values: list) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
-    """:func:`_stack` of P points, its drift and diffusion checked with one call,
-    and per point the ValidationError of its own check or None.
+    """:func:`_stack` of P points, and per point the ValidationError of
+    :class:`LinearModel`'s check of its drift and diffusion, or None.
 
-    The predicate is :class:`LinearModel`'s, matrix by matrix; each point is
-    checked on its own only if the stack's check raises.
+    Every cell :func:`_pattern` fills holds one of the point's values and
+    every other cell is +0.0, and each diffusion value fills a diagonal cell
+    or both cells of a transposed pair, so the matrices of a point whose
+    values are all finite pass that check: one ``np.isfinite`` over the
+    (P, K) values gives the verdict of the whole stack. Only a point with a
+    NaN or infinite value is checked on its own, for its error.
     """
     vals, r, d = _stack(n_p, n_m, values)
     faults = [None] * len(r)
-    try:
-        check_drift_diffusion(r, d, 3)  # a stack of matrices
-    except ValidationError:
-        for p in range(len(r)):
+    finite = np.isfinite(vals)
+    if not finite.all():
+        for p in np.flatnonzero(~finite.all(axis=1)).tolist():
             try:
                 check_drift_diffusion(r[p], d[p])
             except ValidationError as exc:
@@ -207,15 +218,28 @@ class NetworkDrive:
 
 
 def _node_detunings(freqs, linewidths, weights, detunings, drive_freq) -> list[float]:
-    """The checked drive detunings of nodes whose values it checks, node by node;
-    a detuning of None is ``freq - drive_freq``."""
+    """The drive detunings of nodes whose values it checks, node by node, in the
+    order frequency, linewidth, weight, detuning; a detuning of None is
+    ``freq - drive_freq``.
+
+    A plain float passes by check_real's own test, inline; any other value (an
+    int, a numpy scalar) or a failing one goes through :func:`check_real`,
+    which converts it or raises with its path.
+    """
     checked = []
-    for k, (freq, det) in enumerate(zip(freqs, detunings)):
-        freq_path, linewidth_path, weight_path, detuning_path = _node_paths(k)
-        check_real(freq_path, freq, above=0.0)
-        check_real(linewidth_path, linewidths[k], above=0.0)
-        check_real(weight_path, weights[k])
-        checked.append(check_real(detuning_path, freq - drive_freq if det is None else det))
+    for k, (freq, linewidth, weight, det) in enumerate(zip(freqs, linewidths, weights, detunings)):
+        if not (type(freq) is float and 0.0 < freq < math.inf
+                and type(linewidth) is float and 0.0 < linewidth < math.inf
+                and type(weight) is float and abs(weight) < math.inf):
+            freq_path, linewidth_path, weight_path, _ = _node_paths(k)
+            check_real(freq_path, freq, above=0.0)
+            check_real(linewidth_path, linewidth, above=0.0)
+            check_real(weight_path, weight)
+        if det is None:
+            det = freq - drive_freq
+        if not (type(det) is float and abs(det) < math.inf):
+            det = check_real(_node_paths(k)[3], det)
+        checked.append(det)
     return checked
 
 
@@ -433,7 +457,9 @@ def build_network(
     Raises
     ------
     ValidationError
-        A missing, NaN, infinite or out-of-range input, named by its path
+        A drive, mechanical mode or node of the wrong type (``drive``,
+        ``mechanics[j]``, ``polaritons[k]``), checked first; a missing, NaN,
+        infinite or out-of-range input, named by its path
         (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
         an unknown mode; approx mode with a node resonant with a nonzero
         drive; an average derived from finite inputs that overflows. Of
@@ -442,6 +468,9 @@ def build_network(
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
+    check_type("drive", drive, NetworkDrive)
+    mechanics = check_entries("mechanics", mechanics, MechanicalMode)
+    polaritons = check_entries("polaritons", polaritons, NetworkPolariton)
     n_p = len(polaritons)
     if n_p < 1 or len(mechanics) < 1:
         raise ValidationError("build_network: need at least one polariton and one mechanical mode")
@@ -475,7 +504,8 @@ def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature
     the inputs first, so a node's own bad value is reported before either.
     Derived values are not checked one by one: an average that overflows
     raises ValidationError here, and a NaN or infinite value is left to the
-    matrix check (:class:`LinearModel`, or a sweep's one check per stack).
+    matrix check (:class:`LinearModel`, or a sweep's one finite test of its
+    stack's values, :func:`_checked_stack`).
     """
     if mode not in ("approx", "selfconsistent"):
         raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
@@ -606,6 +636,7 @@ def photon_matter_diagonalize(
     Raises SolverError on (near-)degenerate eigenvalues, where the weight
     assignment is ambiguous.
     """
+    matter_modes = check_entries("matter_modes", matter_modes, MatterMode)
     if not matter_modes:
         raise ValidationError("matter_modes: must not be empty")
     check_real("cavity_freq", cavity_freq, above=0.0)

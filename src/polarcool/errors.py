@@ -51,6 +51,28 @@ def check_real(path: str, value, above=None, at_least=None, below=None) -> float
     raise ValidationError(f"{path}: must be {' and '.join(wanted)}, got {value}")
 
 
+def check_type(path: str, value, kind: type):
+    """``value`` if it is a ``kind``, else a ValidationError naming ``path``."""
+    if isinstance(value, kind):
+        return value
+    raise ValidationError(f"{path}: expected a {kind.__name__}, got {value!r}")
+
+
+def check_entries(path: str, value, kind: type | None = None) -> tuple:
+    """``value`` as a tuple, or a ValidationError naming ``path`` if it is not a
+    sequence; with ``kind`` each entry must be a ``kind`` (:func:`check_type`,
+    named ``path[i]``)."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise ValidationError(f"{path}: expected a sequence, got {value!r}") from None
+    if kind is not None:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, kind):
+                check_type(f"{path}[{i}]", entry, kind)
+    return entries
+
+
 def _real_array(path: str, a) -> np.ndarray:
     """``a`` as a float array, or a ValidationError naming ``path`` if it is ragged,
     not numeric, boolean or complex (rejected before any conversion)."""

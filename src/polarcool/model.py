@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import GYROMAGNETIC_RATIO, HBAR, KB, SPIN_DENSITY
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_entries, check_real
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class SystemParams:
     bath_temperature: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mechanical_modes", tuple(self.mechanical_modes))
+        modes = check_entries("mechanical_modes", self.mechanical_modes, MechanicalMode)
+        object.__setattr__(self, "mechanical_modes", modes)
         for name in ("cavity_freq", "magnon_freq", "photon_matter_coupling",
                      "cavity_linewidth", "magnon_linewidth", "drive_freq"):
             check_real(name, getattr(self, name), above=0.0)

@@ -30,16 +30,15 @@ from .dynamics import (
     _pair_nodes,
     photon_matter_diagonalize,
 )
-from .errors import SolverError, UnstableSystemError, ValidationError, check_real
+from .errors import (
+    SolverError,
+    UnstableSystemError,
+    ValidationError,
+    check_entries,
+    check_real,
+)
 from .model import MechanicalMode, SystemParams, _pair, _sum
 from .steadystate import _occupations, _solve, steady_state
-
-
-def _entries(name: str, value) -> tuple:
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValidationError(f"{name}: expected a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,9 @@ class Device:
     couplings: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("matter_linewidths", "mechanical_modes", "couplings"):
-            object.__setattr__(self, name, _entries(name, getattr(self, name)))
+        for name, kind in (("matter_linewidths", None), ("mechanical_modes", MechanicalMode),
+                           ("couplings", None)):
+            object.__setattr__(self, name, check_entries(name, getattr(self, name), kind))
         for name in ("cavity_freq", "cavity_linewidth"):
             check_real(name, getattr(self, name), above=0.0)
         for name in ("matter_linewidths", "couplings"):
@@ -126,6 +126,11 @@ class Device:
         """(coupling, magnon frequency, drive frequency) of the pair at angle ``theta``,
         each checked as :class:`SystemParams` checks it, in its order.
 
+        The angle, a caller's input, goes through :func:`check_real`; the three
+        derived values are tested inline with check_real's own test, and
+        :func:`check_real` runs on them only when that test fails (or one is
+        not a plain float), to raise with its path and message.
+
         With the targets omega_1 < omega_2 of the lower and upper polariton and
         S = omega_2 - omega_1, g = (S/2) sin(2 theta), omega_m = omega_a - S cos(2 theta)
         and omega_0 = (omega_a + omega_m)/2 - (omega_1 + omega_2)/2 give the
@@ -137,9 +142,12 @@ class Device:
         coupling = 0.5 * split * math.sin(2.0 * theta)
         magnon_freq = self.cavity_freq - split * math.cos(2.0 * theta)
         drive_freq = 0.5 * (self.cavity_freq + magnon_freq) - 0.5 * (upper + lower)
-        check_real("magnon_freq", magnon_freq, above=0.0)
-        check_real("photon_matter_coupling", coupling, above=0.0)
-        check_real("drive_freq", drive_freq, above=0.0)
+        if not (type(magnon_freq) is float and 0.0 < magnon_freq < math.inf
+                and type(coupling) is float and 0.0 < coupling < math.inf
+                and type(drive_freq) is float and 0.0 < drive_freq < math.inf):
+            check_real("magnon_freq", magnon_freq, above=0.0)
+            check_real("photon_matter_coupling", coupling, above=0.0)
+            check_real("drive_freq", drive_freq, above=0.0)
         return coupling, magnon_freq, drive_freq
 
     @cached_property
@@ -200,16 +208,22 @@ class Device:
         :meth:`params_at` and :func:`~polarcool.dynamics.build_network` and in
         this order: the angle and the tuned values (:meth:`_tuned`), the rabi and
         temperature overrides, each node, then in :func:`~polarcool.dynamics._network`
-        the averages mode and the approx zero-detuning rule. The tuning of an
-        angle-tuned pair is (coupling, magnon frequency, drive frequency); a
-        fixed-coupling device's is its :attr:`tuning`, whose nodes are checked
-        once (:attr:`_nodes`).
+        the averages mode and the approx zero-detuning rule. A plain float passes
+        by check_real's own test, inline; :func:`check_real` runs only on another
+        type or a failing value, to convert it or raise with its message. The
+        tuning of an angle-tuned pair is (coupling, magnon frequency, drive
+        frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
+        are checked once (:attr:`_nodes`).
         """
         tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
-        rabi = self.rabi_freq if rabi is None else check_real(
-            f"{prefix}rabi_freq", rabi, at_least=0.0)
-        temperature = self.bath_temperature if temperature is None else check_real(
-            f"{prefix}bath_temperature", temperature, at_least=0.0)
+        if rabi is None:
+            rabi = self.rabi_freq
+        elif not (type(rabi) is float and 0.0 <= rabi < math.inf):
+            rabi = check_real(f"{prefix}rabi_freq", rabi, at_least=0.0)
+        if temperature is None:
+            temperature = self.bath_temperature
+        elif not (type(temperature) is float and 0.0 <= temperature < math.inf):
+            temperature = check_real(f"{prefix}bath_temperature", temperature, at_least=0.0)
         if self.couplings:
             nodes = self._nodes
         else:
@@ -286,9 +300,10 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     points built, checked and verified as one stack of up to ``_STACK_POINTS``.
 
     Each point runs the float core of the build (:meth:`Device._fields`) to
-    one flat list of values, checking only what the point changes and
-    building no parameter, basis, node or averages object; the points that
-    built fill one drift and one diffusion stack, checked with one call
+    one flat list of values, checking only what the point changes (the
+    values it derives by an inline test) and building no parameter, basis,
+    node or averages object; the points that built fill one drift and one
+    diffusion stack, whose check is one finite test of their values
     (:func:`~polarcool.dynamics._checked_stack`).
     Each point's rates are read off its values by the float core
     :func:`~polarcool.analytics._cooling`, whose per-mode tuples give the row's
@@ -500,9 +515,9 @@ def optimize_theta(
         raise ValidationError(f"coarse_points: expected an integer >= 3, got {coarse_points!r}")
     tol = check_real("tol", tol, above=0.0)
     if temperature is not None:
-        check_real("temperature", temperature, at_least=0.0)
+        temperature = check_real("temperature", temperature, at_least=0.0)
     if rabi is not None:
-        check_real("rabi", rabi, at_least=0.0)
+        rabi = check_real("rabi", rabi, at_least=0.0)
     pick = {"max": lambda n: max(n), "mode1": lambda n: n[0], "mode2": lambda n: n[1]}[objective]
 
     cache: dict[float, tuple[float, tuple[float, float]]] = {}
@@ -522,12 +537,13 @@ def optimize_theta(
     def score(theta: float) -> float:
         return cache[theta][0]
 
-    grid = np.linspace(lo, hi, coarse_points)
+    # plain floats, the grid's own doubles: check_real takes a float's fast path
+    grid = np.linspace(lo, hi, coarse_points).tolist()
     solve(grid)
     best = min(grid, key=score)
-    trace = [(float(best), score(best))]
+    trace = [(best, score(best))]
 
-    step = float(grid[1] - grid[0])
+    step = grid[1] - grid[0]
     floor = tol * (hi - lo)
     while step > floor:
         moved = False
@@ -537,14 +553,14 @@ def optimize_theta(
         for cand in candidates:
             if score(cand) < score(best):
                 best = cand
-                trace.append((float(best), score(best)))
+                trace.append((best, score(best)))
                 moved = True
         if not moved:
             step *= 0.5
 
     value, occupations = cache[best]
     return OptimizeResult(
-        theta=float(best),
+        theta=best,
         value=value,
         occupations=occupations,
         evaluations=len(cache),
@@ -592,7 +608,8 @@ def tune_n_mode(
     cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
     cavity_linewidth = check_real("cavity_linewidth", cavity_linewidth, above=0.0)
     mech, gs, kappas = (
-        [check_real(f"{name}[{i}]", v, above=0.0) for i, v in enumerate(_entries(name, values))]
+        [check_real(f"{name}[{i}]", v, above=0.0)
+         for i, v in enumerate(check_entries(name, values))]
         for name, values in (("mech_freqs", mech_freqs), ("couplings", couplings),
                              ("matter_linewidths", matter_linewidths)))
     n = len(mech)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcool as pc
-from polarcool import dynamics
+from polarcool import dynamics, errors
 from polarcool.errors import SolverError, ValidationError
 
 from helpers import (
@@ -504,6 +504,47 @@ def test_the_stack_fills_the_oracles_entries_bit_for_bit(network):
     model = models[0]
     assert model.drift.tobytes() == r[0].tobytes()
     assert model.diffusion.tobytes() == d[0].tobytes()
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 3])
+@pytest.mark.parametrize("n_m", [1, 2, 3])
+def test_each_diffusion_value_fills_the_diagonal_or_a_transposed_pair(n_p, n_m):
+    # so a point whose values are all finite has a finite, exactly symmetric
+    # diffusion, and np.isfinite over the values is the matrix check's verdict
+    n = 2 * (n_p + n_m)
+    cells, sources, read = dynamics._pattern(n_p, n_m)
+    assert len(set(cells.tolist())) == len(cells)  # no cell is filled twice
+    assert sorted(set(sources.tolist())) == list(range(len(read)))  # every value fills a cell
+    diffusion = {divmod(cell - n * n, n): v
+                 for cell, v in zip(cells.tolist(), sources.tolist()) if cell >= n * n}
+    for (row, col), v in diffusion.items():
+        assert row == col or diffusion.get((col, row)) == v
+
+
+def network_values(n_p, n_m) -> list:
+    """The values of a clean point of an n_p-node, n_m-mode network with cross damping."""
+    nodes = [pc.NetworkPolariton(freq=TWO_PI * (1e10 + 1e7 * k), linewidth=TWO_PI * 1e6,
+                                 weight=0.5 + 0.1 * k) for k in range(n_p)]
+    mechs = make_mechs(freq_hz=tuple(1e7 * (j + 1) for j in range(n_m)))
+    cross = [[0.0 if k == q else TWO_PI * 1e4 for q in range(n_p)] for k in range(n_p)]
+    drive = pc.NetworkDrive(drive_freq=TWO_PI * 9.99e9, rabi_freq=BASE_RABI,
+                            bath_temperature=0.01)
+    return dynamics._values(pc.build_network(nodes, mechs, drive, cross), n_p, n_m)
+
+
+@pytest.mark.parametrize("n_p, n_m", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_faults_its_point_as_the_matrix_check_does(n_p, n_m, bad):
+    clean = network_values(n_p, n_m)
+    for slot in range(len(clean)):
+        values = [list(clean), list(clean), list(clean)]
+        values[1][slot] = bad
+        _, r, d, faults = dynamics._checked_stack(n_p, n_m, values)
+        _, want_r, want_d = dynamics._stack(n_p, n_m, [values[1]])  # the point on its own
+        with pytest.raises(ValidationError) as want:
+            errors.check_drift_diffusion(want_r[0], want_d[0])
+        assert type(faults[1]) is type(want.value) and str(faults[1]) == str(want.value), slot
+        assert faults[0] is None and faults[2] is None, slot
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,43 @@ def test_malformed_matrices_and_sequences_name_their_argument(path, call):
         call()
 
 
+# (message, call with a record of the wrong type): a dict or tuple where a record
+# goes is a ValidationError naming the entry, raised where the record enters
+MODE_DICT, MODE_TUPLE = {"freq": 1.0}, dataclasses.astuple(MECH)
+MISTYPED = {
+    "Device mode dict": (f"mechanical_modes[0]: expected a MechanicalMode, got {MODE_DICT!r}",
+                         lambda: _setup(mechanical_modes=(MODE_DICT, MECH))),
+    "Device mode tuple": (f"mechanical_modes[1]: expected a MechanicalMode, got {MODE_TUPLE!r}",
+                          lambda: _setup(mechanical_modes=(MECH, MODE_TUPLE))),
+    "SystemParams mode dict": (
+        f"mechanical_modes[0]: expected a MechanicalMode, got {MODE_DICT!r}",
+        lambda: swap(PARAMS, mechanical_modes=(MODE_DICT,))),
+    "SystemParams mode tuple": (
+        f"mechanical_modes[0]: expected a MechanicalMode, got {MODE_TUPLE!r}",
+        lambda: swap(PARAMS, mechanical_modes=[MODE_TUPLE])),
+    "SystemParams modes None": ("mechanical_modes: expected a sequence, got None",
+                                lambda: swap(PARAMS, mechanical_modes=None)),
+    "build_network node tuple": (
+        f"polaritons[0]: expected a NetworkPolariton, got {dataclasses.astuple(POL)!r}",
+        lambda: pc.build_network([dataclasses.astuple(POL)], [MECH], DRIVE)),
+    "build_network mechanics tuple": (
+        f"mechanics[0]: expected a MechanicalMode, got {MODE_TUPLE!r}",
+        lambda: pc.build_network([POL], [MODE_TUPLE], DRIVE)),
+    "build_network drive None": ("drive: expected a NetworkDrive, got None",
+                                 lambda: pc.build_network([POL], [MECH], None)),
+    "photon_matter_diagonalize matter tuple": (
+        f"matter_modes[0]: expected a MatterMode, got {dataclasses.astuple(MATTER)!r}",
+        lambda: pc.photon_matter_diagonalize(CAV, [dataclasses.astuple(MATTER)],
+                                             TWO_PI * 1e6)),
+}
+
+
+@pytest.mark.parametrize("message,call", MISTYPED.values(), ids=MISTYPED.keys())
+def test_a_mistyped_record_names_its_entry(message, call):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 # a linewidth whose square underflows, on an exact sideband resonance: the
 # rate's denominator is 0, which used to escape as a raw ZeroDivisionError
 UNDERFLOW_NETWORK = pc.build_network(

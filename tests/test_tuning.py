@@ -261,11 +261,18 @@ def test_selfconsistent_point_at_extreme_finite_inputs_is_a_row():
     assert row.flags == ("error:ValidationError",)
 
 
-def test_approx_point_checks_each_value_once(monkeypatch):
-    # theta, the tuned SystemParams (its device scalars and mechanics), the two
-    # polariton nodes and the model's linewidths and dampings: 27 values, each
-    # checked once
-    setup = load_config("configs/two_mode_base.config").setup
+@pytest.mark.parametrize("overrides", ["none", "floats", "numpy scalars"])
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("device", ["pair", "three-mode"])
+def test_a_clean_point_checks_only_its_own_inputs(monkeypatch, device, averages, overrides):
+    # the angle goes through check_real, and an override that is not a plain
+    # float; the device's fields were checked when it was built, and every
+    # value the point derives (the tuning, the nodes, the rates) passes inline
+    fixed = device == "three-mode"
+    setup = three_mode_device() if fixed else load_config("configs/two_mode_base.config").setup
+    setup.working_point(0.7)  # a fixed-coupling device tunes and checks its nodes once
+    kind = {"none": None, "floats": float, "numpy scalars": np.float64}[overrides]
+    given = {} if kind is None else {"temperature": kind(0.02), "rabi": kind(0.5 * BASE_RABI)}
     calls = collections.Counter()
 
     def counted(path, *args, **kwargs):
@@ -274,10 +281,13 @@ def test_approx_point_checks_each_value_once(monkeypatch):
 
     for module in (analytics, dynamics, model_module, steadystate, tuning):
         monkeypatch.setattr(module, "check_real", counted)
-    row = pc.evaluate_point(setup, 0.7)
+    row = pc.evaluate_point(setup, 0.7, averages=averages, **given)
     assert row.stable and not row.flags
-    assert sum(calls.values()) <= 30, calls
-    assert max(calls.values()) == 1, calls
+    own = [] if fixed else ["theta"]
+    if kind is np.float64:
+        prefix = "drive." if fixed else ""
+        own += [f"{prefix}rabi_freq", f"{prefix}bath_temperature"]
+    assert calls == collections.Counter(own)
 
 
 def test_sweep_flags_unstable_and_require_stable_raises():
@@ -530,9 +540,11 @@ def check_counts(monkeypatch):
 def test_a_working_point_checks_its_matrices_once(check_counts, device, averages):
     row = pc.evaluate_point(device, 0.7, averages=averages)
     assert row.stable and not row.flags
+    # a one-point stack whose values are finite passes without a matrix check
+    assert not check_counts
+    _, model = device.working_point(0.7, mode=averages)
     # the model's construction: one pair check, i.e. one check per matrix
     assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
-    _, model = device.working_point(0.7, mode=averages)
     check_counts.clear()
     pc.steady_state(model)
     pc.network_cooling(model)
@@ -692,9 +704,9 @@ def test_one_failing_point_leaves_the_others_bit_identical(
     assert all(math.isnan(x) for x in failed.kappa_eff + failed.n_analytic + failed.n_numeric)
     others = rows[:position] + rows[position + 1:]
     assert [row_bits(row) for row in others] == [row_bits(row) for row in clean]
-    # only a failed stack check falls back to one check per point
-    stack_checks = 1 + len(rows) if stage == "matrix check" else 1
-    assert check_counts["check_drift_diffusion"] == stack_checks
+    # only the point whose values are not all finite has its matrices checked
+    point_checks = 1 if stage == "matrix check" else 0
+    assert check_counts["check_drift_diffusion"] == point_checks
 
 
 def test_a_drift_whose_norm_overflows_is_a_solver_error():
@@ -765,7 +777,8 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
     monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
     rows = pc.sweep(device, variable, grid, theta=theta, averages=averages)
     assert all(row.stable for row in rows)
-    assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
+    # the stack's values are finite, which is the matrix check's verdict
+    assert not check_counts
     # one factorization and one triangular solve per point, plus one workspace
     # query on an empty cache, and one verification of all the solves; the
     # products are stacked, so their count does not grow with the points
