@@ -463,8 +463,10 @@ def build_network(
         (``polaritons[k].linewidth``, ``drive.rabi_freq``, ``cross_damping``);
         an unknown mode; approx mode with a node resonant with a nonzero
         drive; an average derived from finite inputs that overflows. Of
-        several faults the first in this order is reported: the drive, the
-        mechanics, node by node, the cross damping, the mode, the resonance.
+        several faults the first in this order is reported: the drive (its
+        Rabi frequency, its bath temperature, then its frequency, checked
+        only when a node has no detuning of its own), the mechanics, node by
+        node, the cross damping, the mode, the resonance.
     SolverError
         selfconsistent mode with a singular polariton matrix.
     """
@@ -476,13 +478,16 @@ def build_network(
         raise ValidationError("build_network: need at least one polariton and one mechanical mode")
     rabi = check_real("drive.rabi_freq", drive.rabi_freq, at_least=0.0)
     temperature = check_real("drive.bath_temperature", drive.bath_temperature, at_least=0.0)
+    drive_freq = drive.drive_freq
+    if any(p.detuning is None for p in polaritons):  # a node detuned from the drive
+        drive_freq = check_real("drive.drive_freq", drive_freq, above=0.0)
     for j, mech in enumerate(mechanics):
         mech.validate(path=f"mechanics[{j}]")
     freqs = [p.freq for p in polaritons]
     linewidths = [p.linewidth for p in polaritons]
     weights = [p.weight for p in polaritons]
     detunings = _node_detunings(freqs, linewidths, weights, [p.detuning for p in polaritons],
-                                drive.drive_freq)
+                                drive_freq)
     cross = _cross_damping(cross_damping, n_p)
     return _model(n_p, len(mechanics), *_network(
         freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode))

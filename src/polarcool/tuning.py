@@ -67,13 +67,16 @@ class Device:
         for name, kind in (("matter_linewidths", None), ("mechanical_modes", MechanicalMode),
                            ("couplings", None)):
             object.__setattr__(self, name, check_entries(name, getattr(self, name), kind))
+        # each field keeps check_real's float, so that every value a working point
+        # derives from them is a plain float and passes its inline test
         for name in ("cavity_freq", "cavity_linewidth"):
-            check_real(name, getattr(self, name), above=0.0)
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above=0.0))
         for name in ("matter_linewidths", "couplings"):
-            for i, value in enumerate(getattr(self, name)):
+            object.__setattr__(self, name, tuple(
                 check_real(f"{name}[{i}]", value, above=0.0)
-        check_real("bath_temperature", self.bath_temperature, at_least=0.0)
-        check_real("rabi_freq", self.rabi_freq, at_least=0.0)
+                for i, value in enumerate(getattr(self, name))))
+        for name in ("bath_temperature", "rabi_freq"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), at_least=0.0))
         for j, m in enumerate(self.mechanical_modes):
             m.validate(path=f"mechanical_modes[{j}]")
         n = len(self.mechanical_modes)
@@ -295,9 +298,9 @@ def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
 _STACK_POINTS = 256
 
 
-def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
-    """One row per working point ``(variable, theta, temperature, rabi)``, the
-    points built, checked and verified as one stack of up to ``_STACK_POINTS``.
+def _built(setup: Device, points: list, averages: str) -> tuple:
+    """Stage one of a stack of working points ``(theta, temperature, rabi)``:
+    build each point, then check the stack.
 
     Each point runs the float core of the build (:meth:`Device._fields`) to
     one flat list of values, checking only what the point changes (the
@@ -305,29 +308,83 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     node or averages object; the points that built fill one drift and one
     diffusion stack, whose check is one finite test of their values
     (:func:`~polarcool.dynamics._checked_stack`).
+
+    Returns (errors, built, vals, drift, diffusion): per point the
+    ValidationError or SolverError of its build or matrix check, or None; the
+    (index, tuning) of each point that passed both; and the values, drifts and
+    diffusions of those points, in the order of ``built``.
+    """
+    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
+    errors, built, values = [None] * len(points), [], []
+    for i, (theta, temperature, rabi) in enumerate(points):
+        try:
+            tuning, point_values, _ = setup._fields(theta, temperature, rabi, averages)
+        except (ValidationError, SolverError) as exc:
+            errors[i] = exc
+            continue
+        built.append((i, tuning))
+        values.append(point_values)
+    if not built:
+        return errors, built, None, None, None
+    vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
+    clean = [p for p, fault in enumerate(faults) if fault is None]
+    if len(clean) < len(built):
+        for (i, _), fault in zip(built, faults):
+            errors[i] = fault
+        built = [built[p] for p in clean]
+        vals, drift, diffusion = vals[clean], drift[clean], diffusion[clean]
+    return errors, built, vals, drift, diffusion
+
+
+def _solved(drift: np.ndarray, diffusion: np.ndarray, n_p: int) -> list:
+    """Stage two of a stack: per point of its checked drifts and diffusions,
+    (stable, ill_conditioned, mechanical occupations), the occupations None
+    where the drift is unstable, or the SolverError of its solve or
+    occupations.
+
+    One :func:`~polarcool.steadystate._solve` runs its own factorization and
+    triangular solve per point, the products and one verification for the
+    whole stack; the occupations are read off the diagonal of each V it
+    returns, which is not checked again (:func:`~polarcool.steadystate._occupations`).
+    """
+    out = []
+    for result in _solve(drift, diffusion):
+        if isinstance(result, SolverError):
+            out.append(result)
+            continue
+        info, v, _, ill_conditioned = result
+        try:
+            occupations = None if v is None else _occupations(v.diagonal().tolist())[n_p:]
+        except SolverError as exc:
+            out.append(exc)
+            continue
+        out.append((info.stable, ill_conditioned, occupations))
+    return out
+
+
+def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
+    """One row per working point ``(variable, theta, temperature, rabi)``, the
+    points run as one stack of up to ``_STACK_POINTS``, in this order: build
+    and matrix check (:func:`_built`), rates, solve and occupations
+    (:func:`_solved`), row.
+
     Each point's rates are read off its values by the float core
     :func:`~polarcool.analytics._cooling`, whose per-mode tuples give the row's
     kappa_eff, n_eff and weak-coupling verdict without a
-    :class:`~polarcool.analytics.CoolingRates`.
-    The points whose rates succeed are solved with one
-    :func:`~polarcool.steadystate._solve`: its own factorization and triangular
-    solve per point, the products and one verification for the whole stack;
-    the occupations are read off the diagonal
-    of each V it returns, which is not checked again
-    (:func:`~polarcool.steadystate._occupations`). The operations are those of
-    :func:`solve_model` on a :class:`LinearModel`. A
-    ValidationError or SolverError of a point, at its build, matrix check,
-    rates, solve or occupations, in that order, becomes its ``error:<Type>``
-    row; the other points go on.
+    :class:`~polarcool.analytics.CoolingRates`; only the points whose rates
+    succeed are solved. The operations are those of :func:`solve_model` on a
+    :class:`LinearModel`. A ValidationError or SolverError of a point, at its
+    build, matrix check, rates, solve or occupations, in that order, becomes
+    its ``error:<Type>`` row; the other points go on.
     """
     fixed = bool(setup.couplings)
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
     nans = (math.nan,) * n_m
 
-    def error_row(value, theta, exc) -> SweepRow:
+    def error_row(point, exc) -> SweepRow:
         return SweepRow(
-            variable=value,
-            theta=theta,
+            variable=point[0],
+            theta=math.nan if fixed else point[1],
             coupling=math.nan,
             magnon_freq=math.nan,
             drive_freq=math.nan,
@@ -340,58 +397,45 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
 
     rows = []
     for start in range(0, len(points), _STACK_POINTS):
-        block, built, values = [], [], []
-        for value, theta, temperature, rabi in points[start:start + _STACK_POINTS]:
-            if fixed:
-                theta = math.nan
-            try:
-                tuning, point_values, _ = setup._fields(theta, temperature, rabi, averages)
-            except (ValidationError, SolverError) as exc:
-                block.append(error_row(value, theta, exc))
-                continue
-            built.append((len(block), value, theta, tuning))
-            values.append(point_values)
-            block.append(None)
+        stack = points[start:start + _STACK_POINTS]
+        errors, built, vals, drift, diffusion = _built(
+            setup, [point[1:] for point in stack], averages)
+        block = [None if exc is None else error_row(point, exc)
+                 for point, exc in zip(stack, errors)]
         if not built:
             rows += block
             continue
-        vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
-        rates = {}  # of each point left to solve, by its index in the stack
+        live, rates = [], []  # the points left to solve, by their place in the stack
         # plain floats, as network_cooling reads them off a model; no CoolingRates
-        for p, ((i, value, theta, _), point_values) in enumerate(zip(built, vals.tolist())):
+        for p, ((i, _), point_values) in enumerate(zip(built, vals.tolist())):
             try:
-                if faults[p] is not None:
-                    raise faults[p]
-                rates[p] = _cooling(point_values, n_p, n_m)
+                rates.append(_cooling(point_values, n_p, n_m))
             except (ValidationError, SolverError) as exc:
-                block[i] = error_row(value, theta, exc)
-        live = list(rates)
+                block[i] = error_row(stack[i], exc)
+                continue
+            live.append(p)
         if len(live) < len(drift):
             drift, diffusion = drift[live], diffusion[live]
-        for p, result in zip(live, _solve(drift, diffusion)):
-            i, value, theta, tuning = built[p]
-            try:
-                if isinstance(result, SolverError):
-                    raise result
-                info, v, _, ill_conditioned = result
-                n_numeric = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
-            except (ValidationError, SolverError) as exc:
-                block[i] = error_row(value, theta, exc)
+        for p, point_rates, result in zip(live, rates, _solved(drift, diffusion, n_p)):
+            i, tuning = built[p]
+            if isinstance(result, SolverError):
+                block[i] = error_row(stack[i], result)
                 continue
+            stable, ill_conditioned, n_numeric = result
             coupling, magnon_freq, drive_freq = (
                 (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
-            kappa_eff, n_analytic, weak, *_ = zip(*rates[p])  # per field, over the modes
+            kappa_eff, n_analytic, weak, *_ = zip(*point_rates)  # per field, over the modes
             block[i] = SweepRow(
-                variable=value,
-                theta=theta,
+                variable=stack[i][0],
+                theta=math.nan if fixed else stack[i][1],
                 coupling=coupling,
                 magnon_freq=magnon_freq,
                 drive_freq=drive_freq,
                 kappa_eff=kappa_eff,
                 n_analytic=n_analytic,
-                n_numeric=n_numeric,
-                stable=info.stable,
-                flags=_tuning_flags(tuning, _flags(info.stable, ill_conditioned, all(weak))),
+                n_numeric=nans if n_numeric is None else n_numeric,
+                stable=stable,
+                flags=_tuning_flags(tuning, _flags(stable, ill_conditioned, all(weak))),
             )
         rows += block
     return rows
@@ -495,8 +539,13 @@ def optimize_theta(
     """Minimize a steady-state occupation over the mixing angle.
 
     Deterministic two-stage search: a coarse grid over ``bounds`` followed by
-    a compass (step-halving) refinement from the best grid point. Unstable or
-    failed points score +inf, so the optimizer simply walks around them.
+    a compass (step-halving) refinement from the best grid point. The grid
+    and each compass step are scored as one stack through the two stages of
+    a sweep point that the score needs, build and check (:func:`_built`),
+    then solve and occupations (:func:`_solved`): no closed-form rates and no
+    :class:`SweepRow`, so the score does not depend on the analytic rates.
+    A point that fails its build, matrix check, solve or occupations, or is
+    unstable, scores +inf, so the optimizer simply walks around it.
     ``objective`` selects max(n_1, n_2) or a single mode's occupation.
     """
     setup._needs_angle("optimize_theta")
@@ -521,18 +570,25 @@ def optimize_theta(
     pick = {"max": lambda n: max(n), "mode1": lambda n: n[0], "mode2": lambda n: n[1]}[objective]
 
     cache: dict[float, tuple[float, tuple[float, float]]] = {}
+    failed = (math.inf, (math.nan,) * len(setup.mechanical_modes))
 
     def solve(thetas) -> None:
-        """Score the angles not yet in the cache, as one stack."""
+        """Score the angles not yet in the cache, as one stack of up to ``_STACK_POINTS``."""
         new = [t for t in dict.fromkeys(thetas) if t not in cache]
-        if not new:
-            return
-        points = [(math.nan, t, temperature, rabi) for t in new]
-        for theta, row in zip(new, _rows(setup, points, averages)):
-            value = pick(row.n_numeric) if row.stable else math.inf
-            if not math.isfinite(value):
-                value = math.inf
-            cache[theta] = (value, row.n_numeric)
+        for start in range(0, len(new), _STACK_POINTS):
+            stack = new[start:start + _STACK_POINTS]
+            _, built, _, drift, diffusion = _built(
+                setup, [(t, temperature, rabi) for t in stack], averages)
+            for theta in stack:
+                cache[theta] = failed  # unless it solves stable, below
+            if not built:
+                continue
+            for (i, _), result in zip(built, _solved(drift, diffusion, 2)):  # two nodes
+                if isinstance(result, SolverError):
+                    continue
+                stable, _, occupations = result
+                if stable:
+                    cache[stack[i]] = (pick(occupations), occupations)
 
     def score(theta: float) -> float:
         return cache[theta][0]

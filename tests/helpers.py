@@ -304,3 +304,49 @@ def integrate(r, d, v0=None, t_final=None):
         phi = phi @ phi
     v = phi @ v0 @ phi.T + q
     return 0.5 * (v + v.T)
+
+
+# ---------------------------------------------------------------------------
+# optimizer oracle: the compass search of optimize_theta with each angle scored
+# off a full sweep row, rates and all
+
+
+def optimize_by_rows(setup, objective="max", temperature=None, rabi=None, averages="approx",
+                     bounds=(1e-3, 0.5 * math.pi - 1e-3), coarse_points=33, tol=1e-6):
+    """``optimize_theta`` of valid inputs, each new angle of the coarse grid or a
+    compass step scored as one stack of ``tuning._rows``: pick(n_numeric) of a
+    stable row, +inf otherwise."""
+    from polarcool import tuning
+
+    pick = {"max": max, "mode1": lambda n: n[0], "mode2": lambda n: n[1]}[objective]
+    lo, hi = bounds
+    cache = {}
+
+    def solve(thetas):
+        new = [t for t in dict.fromkeys(thetas) if t not in cache]
+        if new:
+            points = [(math.nan, t, temperature, rabi) for t in new]
+            for theta, row in zip(new, tuning._rows(setup, points, averages)):
+                value = pick(row.n_numeric) if row.stable else math.inf
+                cache[theta] = (value if math.isfinite(value) else math.inf, row.n_numeric)
+
+    grid = np.linspace(lo, hi, coarse_points).tolist()
+    solve(grid)
+    best = min(grid, key=lambda t: cache[t][0])
+    trace = [(best, cache[best][0])]
+    step, floor = grid[1] - grid[0], tol * (hi - lo)
+    while step > floor:
+        moved = False
+        candidates = [min(max(cand, lo), hi) for cand in (best - step, best + step)]
+        solve(candidates)
+        for cand in candidates:
+            if cache[cand][0] < cache[best][0]:
+                best = cand
+                trace.append((best, cache[best][0]))
+                moved = True
+        if not moved:
+            step *= 0.5
+    value, occupations = cache[best]
+    return pc.OptimizeResult(theta=best, value=value, occupations=occupations,
+                             evaluations=len(cache), converged=math.isfinite(value),
+                             trace=tuple(trace))

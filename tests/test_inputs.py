@@ -76,6 +76,8 @@ API = [
      False),
     ("drive.bath_temperature",
      lambda v: pc.build_network([POL], [MECH], swap(DRIVE, bath_temperature=v)), False),
+    ("drive.drive_freq", lambda v: pc.build_network([POL], [MECH], swap(DRIVE, drive_freq=v)),
+     False),
     *[(f"polaritons[0].{name}",
        lambda v, name=name: pc.build_network([swap(POL, **{name: v})], [MECH], DRIVE),
        name == "detuning")
@@ -172,6 +174,18 @@ def test_scalar_inputs_reject_non_numbers(path, call, none_means_default):
             continue
         with pytest.raises(ValidationError, match="^" + re.escape(path) + ": "):
             call(value)
+
+
+def test_the_drive_frequency_is_checked_when_a_node_is_detuned_from_it():
+    own = swap(POL, detuning=LO)
+    for value in (None, "1.0", math.nan, 0.0):
+        drive = swap(DRIVE, drive_freq=value)
+        pc.build_network([own], [MECH], drive)  # every node has its own detuning
+        with pytest.raises(ValidationError, match=r"^drive\.drive_freq: "):
+            pc.build_network([own, POL], [MECH], drive)
+        # a fault of the drive comes before one of a node
+        with pytest.raises(ValidationError, match=r"^drive\.drive_freq: "):
+            pc.build_network([swap(POL, linewidth=math.nan)], [MECH], drive)
 
 
 HZ_FIELDS = [(path, call) for path, call, _ in CONFIG if "_hz" in path]

@@ -21,6 +21,7 @@ from helpers import (
     assemble_network,
     make_base_setup,
     make_mechs,
+    optimize_by_rows,
     schur,
 )
 
@@ -261,15 +262,28 @@ def test_selfconsistent_point_at_extreme_finite_inputs_is_a_row():
     assert row.flags == ("error:ValidationError",)
 
 
+def numpy_scalar_twin(device):
+    """``device`` with each of its own numbers given as a numpy scalar."""
+    return dataclasses.replace(
+        device, cavity_freq=np.float64(device.cavity_freq),
+        cavity_linewidth=np.float64(device.cavity_linewidth),
+        matter_linewidths=tuple(np.float64(x) for x in device.matter_linewidths),
+        bath_temperature=np.float64(device.bath_temperature),
+        rabi_freq=np.float64(device.rabi_freq),
+        couplings=tuple(np.float64(x) for x in device.couplings))
+
+
 @pytest.mark.parametrize("overrides", ["none", "floats", "numpy scalars"])
 @pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
-@pytest.mark.parametrize("device", ["pair", "three-mode"])
+@pytest.mark.parametrize("device", ["pair", "numpy-scalar pair", "three-mode"])
 def test_a_clean_point_checks_only_its_own_inputs(monkeypatch, device, averages, overrides):
     # the angle goes through check_real, and an override that is not a plain
     # float; the device's fields were checked when it was built, and every
     # value the point derives (the tuning, the nodes, the rates) passes inline
     fixed = device == "three-mode"
     setup = three_mode_device() if fixed else load_config("configs/two_mode_base.config").setup
+    if device == "numpy-scalar pair":
+        setup = numpy_scalar_twin(setup)  # kept as the floats check_real gives
     setup.working_point(0.7)  # a fixed-coupling device tunes and checks its nodes once
     kind = {"none": None, "floats": float, "numpy scalars": np.float64}[overrides]
     given = {} if kind is None else {"temperature": kind(0.02), "rabi": kind(0.5 * BASE_RABI)}
@@ -288,6 +302,17 @@ def test_a_clean_point_checks_only_its_own_inputs(monkeypatch, device, averages,
         prefix = "drive." if fixed else ""
         own += [f"{prefix}rabi_freq", f"{prefix}bath_temperature"]
     assert calls == collections.Counter(own)
+
+
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_a_numpy_scalar_device_sweeps_as_its_float_twin(fixed, averages):
+    device = three_mode_device() if fixed else load_config("configs/two_mode_base.config").setup
+    twin = numpy_scalar_twin(device)
+    assert repr(twin) == repr(device)
+    variable, grid = ("temperature", [0.0, 0.01, 0.3]) if fixed else ("theta", [0.2, 0.7, 1.4])
+    assert (repr(pc.sweep(twin, variable, grid, averages=averages))
+            == repr(pc.sweep(device, variable, grid, averages=averages)))
 
 
 def test_sweep_flags_unstable_and_require_stable_raises():
@@ -798,23 +823,47 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
 
 def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
     sizes = []
-    original = tuning._rows
+    original = tuning._built
 
     def recorded(setup, points, averages):
-        sizes.append([theta for _, theta, _, _ in points])
+        sizes.append([theta for theta, _, _ in points])
         return original(setup, points, averages)
 
-    monkeypatch.setattr(tuning, "_rows", recorded)
+    monkeypatch.setattr(tuning, "_built", recorded)
     monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    # the score is the solve's alone: no closed-form rates and no sweep row
+    for owner, name, key in ((tuning, "_cooling", "rates"), (tuning.SweepRow, "__init__", "rows")):
+        def counted(*args, _original=getattr(owner, name), _key=key, **kwargs):
+            call_counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
     result = pc.optimize_theta(make_base_setup(), coarse_points=17, tol=1e-4)
     assert result.converged
     assert len(sizes[0]) == 17  # the coarse grid
     assert all(len(thetas) in (1, 2) for thetas in sizes[1:])  # one compass step each
     scored = [theta for thetas in sizes for theta in thetas]
     assert len(scored) == len(set(scored)) == result.evaluations  # no angle twice
+    assert call_counts["rates"] == call_counts["rows"] == call_counts["stacks"] == 0
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
     assert call_counts["verifications"] == len(sizes)  # one per stack
+
+
+@pytest.mark.parametrize("temperature, rabi", [
+    (None, None), (0.0, None), (0.3, None),
+    (None, 20.0 * BASE_RABI),  # part of the coarse grid is unstable in both modes
+])
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+@pytest.mark.parametrize("objective", tuning.OPTIMIZE_OBJECTIVES)
+def test_optimize_scores_as_the_sweep_rows_do(objective, averages, temperature, rabi):
+    setup = make_base_setup()
+    result = pc.optimize_theta(setup, objective, temperature, rabi, averages)
+    assert repr(result) == repr(optimize_by_rows(setup, objective, temperature, rabi, averages))
+    if rabi is not None:
+        grid = np.linspace(1e-3, 0.5 * math.pi - 1e-3, 33)
+        stable = [pc.evaluate_point(setup, t, temperature, rabi, averages).stable for t in grid]
+        assert any(stable) and not all(stable)
 
 
 # ---------------------------------------------------------------------------
