@@ -178,12 +178,18 @@ def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
     return vals, r, d, faults
 
 
-def _model(n_p: int, n_m: int, values: list, averages: tuple) -> LinearModel:
-    """The :class:`LinearModel` of one point's values and averages (the fields of
-    :class:`SteadyStateAverages`, in order), a one-point stack, which it checks."""
+def _model(n_p: int, n_m: int, values: list, solved: tuple) -> LinearModel:
+    """The :class:`LinearModel` of one point's values and solution, both as
+    :func:`_network` returns them, a one-point stack, which it checks.
+
+    The one-point path (:func:`build_network`, :func:`build_linear_model`,
+    :meth:`~polarcool.tuning.Device.working_point`) is the only one that runs the
+    record step, :func:`_averages`, to form the :class:`SteadyStateAverages`;
+    a sweep point reads only its values.
+    """
     _, r, d = _stack(n_p, n_m, [values])
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
-    return LinearModel(r[0], d[0], layout, SteadyStateAverages(*averages))
+    return LinearModel(r[0], d[0], layout, SteadyStateAverages(*_averages(*solved)))
 
 
 def _values(model: LinearModel, n_p: int, n_m: int) -> list:
@@ -316,8 +322,9 @@ def _cubic_seeds(p: float, c: float) -> list[float]:
     return ys
 
 
-def _nonnegative_roots(p: float, c: float) -> list[float]:
-    """Ascending roots y >= 0 of the monic cubic f(y) = y^3 + p y^2 + y - c, |p| <= 2, c >= 0.
+def _nonnegative_roots(p: float, c: float, lowest: bool = False) -> list[float]:
+    """Ascending roots y >= 0 of the monic cubic f(y) = y^3 + p y^2 + y - c, |p| <= 2, c >= 0;
+    with ``lowest`` only the first (repeated if it is multiple), all a point's values read.
 
     f(0) = -c <= 0 < f(2 + 2 c^(1/3)), and f has critical points, 0 < y_lo < y_hi,
     only for p < -sqrt(3); between these marks f is monotone. A critical point
@@ -350,6 +357,8 @@ def _nonnegative_roots(p: float, c: float) -> list[float]:
     for (lo, f_a, mult), (hi, f_b, _) in zip(marks, marks[1:]):
         if f_a == 0.0:
             roots += [lo] * mult
+            if lowest:
+                break
             continue
         if f_b == 0.0 or (f_a < 0.0) == (f_b < 0.0):
             continue
@@ -375,17 +384,30 @@ def _nonnegative_roots(p: float, c: float) -> list[float]:
             if step <= 1e-14 * y:
                 break
         roots.append(y)
+        if lowest:
+            break
     return roots
 
 
-def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
-    """Polariton amplitudes of the lowest branch, and the matter amplitude of every branch.
+def _shift_coefficient(mechanics) -> float:
+    """sigma = sum_j 2 G_0j Re[-i G_0j / (i omega_j + gamma_j)] of the mechanical
+    modes: the detuning shift per |M|^2 of the selfconsistent averages
+    (:func:`_selfconsistent_polaritons`). It depends on the modes alone, so a
+    device forms it once and :func:`build_network` once per call."""
+    return _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
+                for m in mechanics)
+
+
+def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, sigma):
+    """The matter amplitude M of the lowest branch, and (v, chi, unit, cubic), from
+    which :func:`_averages` forms the polariton amplitudes and every branch's M;
+    ``cubic`` is (p, c) of the scaled cubic below, or None where there is no shift.
 
     At a fixed displacement shift x the polariton equations are linear,
     (A0 + i x w w^T) P = Omega w with A0 = i Delta + kappa + K, so
     P = Omega v / (1 + i x chi) with v = A0^{-1} w and chi = w^T v, and the
-    shift depends on P only through the matter amplitude,
-    x = sigma |M|^2 with sigma = sum_j 2 G_0j Re[-i G_0j / (i omega_j + gamma_j)].
+    shift depends on P only through the matter amplitude, x = sigma |M|^2 with
+    sigma from :func:`_shift_coefficient`.
     So M = Omega chi / (1 + i sigma u chi) with u = |M|^2 a non-negative root of
     sigma^2 |chi|^2 u^3 - 2 sigma Im(chi) u^2 + u - Omega^2 |chi|^2 = 0 whatever the
     number of nodes. Scaled to y = |sigma| |chi| u it is the monic
@@ -394,27 +416,26 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mech
     root, as f(0) <= 0 < f'(0), or three where it is statically bistable; the
     lowest is the branch a drive ramped up from zero reaches. At a fold, where
     f vanishes at a critical point to round-off, the double root is listed
-    twice. sigma chi = 0 leaves no shift: M = Omega chi.
+    twice. sigma chi = 0 leaves no shift: M = Omega chi. With ys the roots and
+    unit = sgn(sigma) chi / |chi|, branch k's M is Omega chi / (1 + i ys[k] unit),
+    and the polariton amplitudes of the lowest are P = Omega v / (1 + i ys[0] unit).
+    Only the lowest root is found here; the others are the record's.
     """
     n = len(weights)
     v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
                      for q in range(n)] + [weights[k]] for k in range(n)])
     chi = _sum(w * x for w, x in zip(weights, v))
-    sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
-                 for m in mechanics)
     scale = abs(sigma) * abs(chi)
     if scale == 0.0:
-        unit, ys = 0j, [0.0]
+        unit, cubic, y = 0j, None, 0.0
     else:
         unit = math.copysign(1.0, sigma) * chi / abs(chi)  # sigma u chi = y unit
         field = rabi * abs(chi)
         p, c = -2.0 * unit.imag, scale * field * field
         if not (math.isfinite(p) and math.isfinite(c)):
             raise OverflowError
-        ys = _nonnegative_roots(p, c)
-    branches = tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys)
-    lowest = rabi / (1.0 + 1j * ys[0] * unit)
-    return tuple(lowest * x for x in v), branches
+        cubic, y = (p, c), _nonnegative_roots(p, c, lowest=True)[0]
+    return rabi * chi / (1.0 + 1j * y * unit), (v, chi, unit, cubic)
 
 
 def build_network(
@@ -489,25 +510,31 @@ def build_network(
     detunings = _node_detunings(freqs, linewidths, weights, [p.detuning for p in polaritons],
                                 drive_freq)
     cross = _cross_damping(cross_damping, n_p)
+    sigma = _shift_coefficient(mechanics) if mode == "selfconsistent" else 0.0
     return _model(n_p, len(mechanics), *_network(
-        freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode))
+        freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temperature, cross, mode))
 
 
-def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross,
+def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temperature, cross,
              mode) -> tuple[list, tuple]:
-    """(values, averages) of one working point from checked plain inputs: per node
+    """(values, solved) of one working point from checked plain inputs: per node
     its frequency, linewidth, matter weight and drive detuning, the mechanical
-    modes, the drive's Rabi frequency and bath temperature, and the cross
-    damping as nested lists. ``values`` is its drift and diffusion as one flat
-    list of the values that fill them (:func:`_pattern`); ``averages`` holds the
-    fields of its :class:`SteadyStateAverages`, in order. A sweep reads the
-    values and builds neither a :class:`LinearModel` nor its averages record.
+    modes and their shift coefficient (:func:`_shift_coefficient`), the drive's
+    Rabi frequency and bath temperature, and the cross damping as nested lists.
+    ``values`` is its drift and diffusion as one flat list of the values that
+    fill them (:func:`_pattern`). ``solved`` holds the arguments of the record
+    step, :func:`_averages`: the node weights and detunings, the modes, the
+    Rabi frequency, the mode, the matter amplitude M and |M|^2, the effective
+    couplings and the selfconsistent solution (None in approx mode or at zero
+    drive). This values core is what every working point runs; a sweep reads
+    the values and forms neither a :class:`LinearModel` nor the fields of its
+    averages record, which only :func:`_model` forms.
 
     It checks the two rules that every working point obeys, for every caller:
     the mode is "approx" or "selfconsistent", and in approx mode at a nonzero
     drive no detuning is zero (the first zero one is named). The callers check
     the inputs first, so a node's own bad value is reported before either.
-    Derived values are not checked one by one: an average that overflows
+    Derived values are not checked one by one: an M whose |M|^2 overflows
     raises ValidationError here, and a NaN or infinite value is left to the
     matrix check (:class:`LinearModel`, or a sweep's one finite test of its
     stack's values, :func:`_checked_stack`).
@@ -518,28 +545,20 @@ def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature
         raise ValidationError(
             f"polaritons[{detunings.index(0.0)}].detuning: polariton resonant with the drive"
             " (zero detuning); approx mode requires nonzero detunings")
-    n_p, n_m = len(freqs), len(mechanics)
+    n_p = len(freqs)
+    solution = None
     try:
         if rabi == 0.0:
-            p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
-            matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
+            matter, m2, couplings = 0j, 0.0, (0.0,) * len(mechanics)
         elif mode == "approx":
-            p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
-            matter = _sum(w * p for w, p in zip(weights, p_avgs))
+            matter = _sum(w * (-1j * w * rabi / d) for w, d in zip(weights, detunings))
             m2 = abs(matter) ** 2
-            mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
             couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
-            phase, branches = 0.0, (matter,)
         else:
-            p_avgs, branches = _selfconsistent_polaritons(
-                weights, detunings, linewidths, cross, rabi, mechanics
-            )
-            matter = branches[0]
+            matter, solution = _selfconsistent_polaritons(
+                weights, detunings, linewidths, cross, rabi, sigma)
             m2 = abs(matter) ** 2
-            mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
-                              for m in mechanics)
             couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
-            phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
     except OverflowError:  # float ** 2 raises instead of giving inf
         raise ValidationError("averages: a value derived from the inputs overflows") from None
 
@@ -562,7 +581,35 @@ def _network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature
     for g_j in couplings:
         for w in weights:
             values += (-g_j * w, g_j * w)
-    return values, (p_avgs, mech_avgs, matter, couplings, phase, mode, branches)
+    return values, (weights, detunings, mechanics, rabi, mode, matter, m2, couplings, solution)
+
+
+def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
+              solution) -> tuple:
+    """The fields of a point's :class:`SteadyStateAverages`, in order, from the
+    ``solved`` of :func:`_network`: the record step, which only :func:`_model` runs.
+
+    It forms what no value of the point reads: the polariton amplitudes, the
+    mechanical averages <b_j> (-G_0j |M|^2 / omega_j in approx mode,
+    -i G_0j |M|^2 / (i omega_j + gamma_j) selfconsistently), the phase rotation,
+    and every root of the cubic and so every branch's M, each by the code the
+    core's M came from, so the first branch is M itself. It raises nothing:
+    the values that can overflow, |M|^2 and the cubic's coefficients, the core
+    formed.
+    """
+    if rabi == 0.0:
+        return (0j,) * len(weights), (0j,) * len(mechanics), matter, couplings, 0.0, mode, (0j,)
+    if mode == "approx":
+        return (tuple(-1j * w * rabi / d for w, d in zip(weights, detunings)),
+                tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics),
+                matter, couplings, 0.0, mode, (matter,))
+    v, chi, unit, cubic = solution
+    ys = [0.0] if cubic is None else _nonnegative_roots(*cubic)
+    lowest = rabi / (1.0 + 1j * ys[0] * unit)
+    return (tuple(lowest * x for x in v),
+            tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping) for m in mechanics),
+            matter, couplings, -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0,
+            mode, (matter,) + tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys[1:]))
 
 
 def build_linear_model(
@@ -579,8 +626,10 @@ def build_linear_model(
     if basis is None:
         basis = diagonalize_polaritons(params)
     freqs, linewidths, weights, detunings, cross = _pair_nodes(astuple(basis))
-    return _model(2, len(params.mechanical_modes), *_network(
-        freqs, linewidths, weights, detunings, params.mechanical_modes, params.rabi_freq,
+    mechanics = params.mechanical_modes
+    sigma = _shift_coefficient(mechanics) if mode == "selfconsistent" else 0.0
+    return _model(2, len(mechanics), *_network(
+        freqs, linewidths, weights, detunings, mechanics, sigma, params.rabi_freq,
         params.bath_temperature, cross, mode))
 
 

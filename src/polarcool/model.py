@@ -20,10 +20,12 @@ class MechanicalMode:
     damping: float
     bare_coupling: float
 
-    def validate(self, path: str = "mechanical_mode") -> None:
-        check_real(f"{path}.freq", self.freq, above=0.0)
-        check_real(f"{path}.damping", self.damping, above=0.0)
-        check_real(f"{path}.bare_coupling", self.bare_coupling, at_least=0.0)
+    def validate(self, path: str = "mechanical_mode") -> tuple[float, float, float]:
+        """The fields as :func:`check_real` gives them, (freq, damping, bare_coupling),
+        each checked in that order and named ``path.<field>``."""
+        return (check_real(f"{path}.freq", self.freq, above=0.0),
+                check_real(f"{path}.damping", self.damping, above=0.0),
+                check_real(f"{path}.bare_coupling", self.bare_coupling, at_least=0.0))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .dynamics import (
     _network,
     _node_detunings,
     _pair_nodes,
+    _shift_coefficient,
     photon_matter_diagonalize,
 )
 from .errors import (
@@ -77,8 +78,9 @@ class Device:
                 for i, value in enumerate(getattr(self, name))))
         for name in ("bath_temperature", "rabi_freq"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), at_least=0.0))
-        for j, m in enumerate(self.mechanical_modes):
-            m.validate(path=f"mechanical_modes[{j}]")
+        object.__setattr__(self, "mechanical_modes", tuple(
+            MechanicalMode(*m.validate(path=f"mechanical_modes[{j}]"))
+            for j, m in enumerate(self.mechanical_modes)))
         n = len(self.mechanical_modes)
         if n < 2:
             raise ValidationError(f"mechanical_modes: need at least 2, got {n}")
@@ -95,6 +97,10 @@ class Device:
         if self.couplings and len(self.couplings) != n - 1:
             raise ValidationError(f"couplings: need {n - 1} entries for {n} mechanical"
                                   f" modes, got {len(self.couplings)}")
+        # the shift coefficient of the selfconsistent averages, the same at every
+        # working point; set here, not as a cached_property, whose write to
+        # __dict__ makes every later attribute load on the device slower
+        object.__setattr__(self, "_sigma", _shift_coefficient(self.mechanical_modes))
 
     def _needs_angle(self, what: str) -> None:
         if self.couplings:
@@ -194,17 +200,17 @@ class Device:
         component of its eigenvector; the nodes share the dissipative
         couplings of their bare losses.
         """
-        tuning, values, averages = self._fields(theta, temperature, rabi, mode)
+        tuning, values, solved = self._fields(theta, temperature, rabi, mode)
         if not self.couplings:
             tuning = self.params_at(theta, temperature, rabi)
         n_p, n_m = len(self.matter_linewidths) + 1, len(self.mechanical_modes)
-        return tuning, _model(n_p, n_m, values, averages)
+        return tuning, _model(n_p, n_m, values, solved)
 
     def _fields(self, theta, temperature, rabi, mode) -> tuple:
-        """(tuning, values, averages) of one working point from plain floats:
+        """(tuning, values, solved) of one working point from plain floats:
         :meth:`working_point` up to its one-point stack, the matrices as one flat
-        list of the values that fill them and the averages as a tuple
-        (:func:`~polarcool.dynamics._network`), neither checked yet.
+        list of the values that fill them, not checked yet, and what the record
+        step needs to form its averages (:func:`~polarcool.dynamics._network`).
 
         The device's own fields were checked when it was built, and it is frozen,
         so only what the point changes is checked here, with the paths of
@@ -216,7 +222,8 @@ class Device:
         type or a failing value, to convert it or raise with its message. The
         tuning of an angle-tuned pair is (coupling, magnon frequency, drive
         frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
-        are checked once (:attr:`_nodes`).
+        are checked once (:attr:`_nodes`); the shift coefficient ``_sigma`` is
+        formed when the device is built.
         """
         tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
         if rabi is None:
@@ -235,7 +242,7 @@ class Device:
                                       self.cavity_linewidth, self.matter_linewidths[0], drive_freq))
         freqs, linewidths, weights, detunings, cross = nodes
         return tuned, *_network(freqs, linewidths, weights, detunings, self.mechanical_modes,
-                                rabi, temperature, cross, mode)
+                                self._sigma, rabi, temperature, cross, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +312,9 @@ def _built(setup: Device, points: list, averages: str) -> tuple:
     Each point runs the float core of the build (:meth:`Device._fields`) to
     one flat list of values, checking only what the point changes (the
     values it derives by an inline test) and building no parameter, basis,
-    node or averages object; the points that built fill one drift and one
-    diffusion stack, whose check is one finite test of their values
-    (:func:`~polarcool.dynamics._checked_stack`).
+    node or averages object, nor the fields of an averages record; the points
+    that built fill one drift and one diffusion stack, whose check is one
+    finite test of their values (:func:`~polarcool.dynamics._checked_stack`).
 
     Returns (errors, built, vals, drift, diffusion): per point the
     ValidationError or SolverError of its build or matrix check, or None; the
@@ -553,6 +560,10 @@ def optimize_theta(
         raise ValidationError(
             f"objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
         )
+    # checked here, not per angle: an unknown mode would score every angle +inf
+    if averages not in ("approx", "selfconsistent"):
+        raise ValidationError(
+            f"averages: expected 'approx' or 'selfconsistent', got {averages!r}")
     try:
         lo, hi = bounds
     except (TypeError, ValueError):

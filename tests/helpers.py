@@ -1,4 +1,5 @@
 """Shared construction helpers and independent oracles for the test suite."""
+import cmath
 import math
 
 import numpy as np
@@ -350,3 +351,88 @@ def optimize_by_rows(setup, objective="max", temperature=None, rabi=None, averag
     return pc.OptimizeResult(theta=best, value=value, occupations=occupations,
                              evaluations=len(cache), converged=math.isfinite(value),
                              trace=tuple(trace))
+
+
+# ---------------------------------------------------------------------------
+# network oracle: the values and the whole averages record of a point, formed
+# together at every point, before the record step was split off
+
+
+def selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
+    """Polariton amplitudes of the lowest branch, and the matter amplitude of every branch."""
+    from polarcool.dynamics import _eliminate, _nonnegative_roots
+
+    n = len(weights)
+    v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
+                     for q in range(n)] + [weights[k]] for k in range(n)])
+    chi = _sum(w * x for w, x in zip(weights, v))
+    sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
+                 for m in mechanics)
+    scale = abs(sigma) * abs(chi)
+    if scale == 0.0:
+        unit, ys = 0j, [0.0]
+    else:
+        unit = math.copysign(1.0, sigma) * chi / abs(chi)
+        field = rabi * abs(chi)
+        p, c = -2.0 * unit.imag, scale * field * field
+        if not (math.isfinite(p) and math.isfinite(c)):
+            raise OverflowError
+        ys = _nonnegative_roots(p, c)
+    branches = tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys)
+    lowest = rabi / (1.0 + 1j * ys[0] * unit)
+    return tuple(lowest * x for x in v), branches
+
+
+def network(freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode):
+    """(values, the fields of its SteadyStateAverages) of one point of checked inputs."""
+    from polarcool.model import _bose
+
+    if mode not in ("approx", "selfconsistent"):
+        raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
+    if mode == "approx" and rabi != 0.0 and 0.0 in detunings:
+        raise ValidationError(
+            f"polaritons[{detunings.index(0.0)}].detuning: polariton resonant with the drive"
+            " (zero detuning); approx mode requires nonzero detunings")
+    n_p, n_m = len(freqs), len(mechanics)
+    try:
+        if rabi == 0.0:
+            p_avgs, mech_avgs = (0j,) * n_p, (0j,) * n_m
+            matter, couplings, phase, branches = 0j, (0.0,) * n_m, 0.0, (0j,)
+        elif mode == "approx":
+            p_avgs = tuple(-1j * w * rabi / d for w, d in zip(weights, detunings))
+            matter = _sum(w * p for w, p in zip(weights, p_avgs))
+            m2 = abs(matter) ** 2
+            mech_avgs = tuple(complex(-m.bare_coupling * m2 / m.freq) for m in mechanics)
+            couplings = tuple((2j * m.bare_coupling * matter).real for m in mechanics)
+            phase, branches = 0.0, (matter,)
+        else:
+            p_avgs, branches = selfconsistent_polaritons(
+                weights, detunings, linewidths, cross, rabi, mechanics
+            )
+            matter = branches[0]
+            m2 = abs(matter) ** 2
+            mech_avgs = tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping)
+                              for m in mechanics)
+            couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
+            phase = -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0
+    except OverflowError:
+        raise ValidationError("averages: a value derived from the inputs overflows") from None
+
+    values = []
+    for f, g, det in zip(freqs, linewidths, detunings):
+        values += (-g, det, -det, 2.0 * g * (_bose(f, temperature) + 0.5))
+    for m in mechanics:
+        g, f = m.damping, m.freq
+        values += (-g, f, -f, 2.0 * g * (_bose(f, temperature) + 0.5))
+    for k in range(n_p):
+        for q in range(k + 1, n_p):
+            cd = cross[k][q]
+            if cd != 0.0:
+                n_c = _bose(0.5 * (freqs[k] + freqs[q]), temperature)
+                values += (-cd, 2.0 * cd * (n_c + 0.5))
+            else:
+                values += (0.0, 0.0)
+    for g_j in couplings:
+        for w in weights:
+            values += (-g_j * w, g_j * w)
+    return values, (p_avgs, mech_avgs, matter, couplings, phase, mode, branches)

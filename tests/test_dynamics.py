@@ -1,11 +1,12 @@
 """Steady-state averages, drift/diffusion construction, N-polariton network."""
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import polarcool as pc
@@ -20,6 +21,7 @@ from helpers import (
     classical_rhs,
     make_base_setup,
     make_mechs,
+    network,
     rotate_polaritons,
     shift_corrected_drift,
 )
@@ -340,6 +342,15 @@ def test_cubic_roots_match_a_50_digit_referee(pc_pair):
         assert abs(y - ref) <= tol, (p, c, got, want)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cubics)
+def test_the_lowest_root_alone_has_the_same_bits(pc_pair):
+    # all a working point's values read; repeated only where it is a multiple root
+    got = dynamics._nonnegative_roots(*pc_pair)
+    lowest = dynamics._nonnegative_roots(*pc_pair, lowest=True)
+    assert lowest == got[:len(lowest)] and set(lowest) == {got[0]}
+
+
 def test_cubic_roots_at_the_edges_of_the_range():
     # c where 1 + c^(1/3) as the upper bracket end would round to c^(1/3)
     for c in (1e289, 1e300, 1.7e308):
@@ -347,6 +358,8 @@ def test_cubic_roots_at_the_edges_of_the_range():
         assert y == pytest.approx(c ** (1.0 / 3.0), rel=1e-12)
     assert dynamics._nonnegative_roots(0.5, 0.0) == [0.0]
     assert dynamics._nonnegative_roots(-2.0, 0.0) == [0.0, 1.0, 1.0]
+    assert dynamics._nonnegative_roots(-2.0, 0.0, lowest=True) == [0.0]
+    assert dynamics._nonnegative_roots(-2.0, 4.0 / 27.0, lowest=True) == [1.0 / 3.0, 1.0 / 3.0]
     assert dynamics._nonnegative_roots(-2.0, 4.0 / 27.0) == [1.0 / 3.0, 1.0 / 3.0,
                                                              pytest.approx(4.0 / 3.0, rel=1e-14)]
     assert dynamics._nonnegative_roots(-math.sqrt(3.0), 1.0 / (3.0 * math.sqrt(3.0))) \
@@ -494,7 +507,8 @@ def test_the_stack_fills_the_oracles_entries_bit_for_bit(network):
     values = [dynamics._network(
         [n.freq for n in nodes], [n.linewidth for n in nodes], [n.weight for n in nodes],
         [n.freq - drive.drive_freq if n.detuning is None else n.detuning for n in nodes],
-        mechs, drive.rabi_freq, drive.bath_temperature, cross, mode)[0] for drive in drives]
+        mechs, dynamics._shift_coefficient(mechs), drive.rabi_freq, drive.bath_temperature,
+        cross, mode)[0] for drive in drives]
     _, r, d = dynamics._stack(len(nodes), len(mechs), values)
     for p, (drive, model) in enumerate(zip(drives, models)):
         want_r, want_d = assemble_network(nodes, mechs, drive, cross,
@@ -504,6 +518,112 @@ def test_the_stack_fills_the_oracles_entries_bit_for_bit(network):
     model = models[0]
     assert model.drift.tobytes() == r[0].tobytes()
     assert model.diffusion.tobytes() == d[0].tobytes()
+
+
+@st.composite
+def core_points(draw):
+    """Checked plain inputs of one point as the values core takes them: 1-4 nodes
+    and 1-4 mechanical modes (bare couplings zero or not), approx, selfconsistent or
+    an unknown mode, zero drive, and one of four kinds of point: plain (zero
+    detunings now and then); bistable, a selfconsistent drive inside the
+    three-root window of the cubic; overflow, a drive or detuning whose |M|^2
+    overflows; singular, two nodes whose polariton matrix is singular."""
+    unit = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(("plain", "bistable", "overflow", "singular")))
+    mode = "selfconsistent" if kind == "bistable" else draw(
+        st.sampled_from(("approx", "selfconsistent") * 4 + ("exact",)))
+    n_p = draw(st.integers(2 if kind == "singular" else 1, 4))
+    mechanics = [
+        pc.MechanicalMode(
+            freq=TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit)),
+            damping=TWO_PI * (10.0 + 990.0 * draw(unit)),
+            bare_coupling=TWO_PI * (draw(st.floats(0.05, 1.0)) if kind == "bistable"
+                                    else draw(st.sampled_from((0.0,)) | st.floats(0.05, 1.0))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    linewidths = [TWO_PI * (3e5 + 2.7e6 * draw(unit)) for _ in range(n_p)]
+    detunings = []
+    for kappa in linewidths:
+        size = TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit))
+        if kind == "bistable":  # 2 to 32 linewidths, so Im(chi) / |chi| < -sqrt(3) / 2
+            detunings.append(kappa * (2.0 + 30.0 * draw(unit)))
+        elif kind == "overflow":
+            detunings.append(draw(st.sampled_from((1e-150, -1.0, -1e-150, 1.0))) * size)
+        else:
+            detunings.append(draw(st.sampled_from((0.0, 1.0, -1.0, 1.0, -1.0))) * size)
+    if kind == "bistable":
+        weights = [draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.2, 1.0))
+                   for _ in range(n_p)]
+    else:
+        weights = [draw(st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0)) for _ in range(n_p)]
+    cross = [[0.0] * n_p for _ in range(n_p)]
+    if kind == "singular":  # rows (kappa, kappa) and (kappa, kappa): a zero pivot
+        linewidths[1], detunings[0], detunings[1] = linewidths[0], 0.0, 0.0
+        cross[0][1] = cross[1][0] = linewidths[0]
+    elif kind != "bistable" and draw(st.booleans()):
+        for k in range(n_p):
+            for q in range(k + 1, n_p):
+                cross[k][q] = cross[q][k] = draw(
+                    st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0).map(lambda x: 1e5 * x))
+    freqs = [TWO_PI * 1e10 + det for det in detunings]
+    rabi = BASE_RABI * draw(st.sampled_from((0.0,)) | st.floats(0.0, 3.0))
+    if kind == "overflow":
+        rabi = draw(st.sampled_from((1e300, 1e200, 1e160, BASE_RABI)))
+    elif kind == "bistable":
+        # y^3 + p y^2 + y - c has three roots for c between its values at the critical points
+        v = dynamics._eliminate([[complex(linewidths[k], detunings[k]) if q == k else 0j
+                                  for q in range(n_p)] + [weights[k]] for k in range(n_p)])
+        chi = sum(w * x for w, x in zip(weights, v))
+        sigma = dynamics._shift_coefficient(mechanics)
+        p = 2.0 * chi.imag / abs(chi)  # sigma < 0
+        y_hi = (math.sqrt(p * p - 3.0) - p) / 3.0
+        y_lo = 1.0 / (3.0 * y_hi)
+        low, high = (((y + p) * y + 1.0) * y for y in (y_hi, y_lo))
+        c = low + draw(st.floats(0.01, 0.99)) * (high - low)
+        rabi = math.sqrt(c / (abs(sigma) * abs(chi) ** 3))
+    temperature = draw(st.sampled_from((0.0,)) | unit)
+    return freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(core_points())
+def test_the_values_core_and_the_record_step_equal_the_oracle(point):
+    # the oracle forms the values and the whole record together at every point;
+    # the core must give the same values bit for bit (or the same error), and
+    # the one-point path the same record by repr and the same matrices
+    freqs, linewidths, weights, detunings, mechanics, rabi, temperature, cross, mode = point
+    n_p, n_m = len(freqs), len(mechanics)
+
+    def core():
+        return dynamics._network(freqs, linewidths, weights, detunings, mechanics,
+                                 dynamics._shift_coefficient(mechanics), rabi, temperature,
+                                 cross, mode)
+
+    try:
+        want_values, want_fields = network(*point)
+    except (ValidationError, SolverError) as exc:
+        event(f"core raises {type(exc).__name__}: {str(exc).split(':')[0]}")
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            core()
+        return
+    values, solved = core()
+    assert np.array(values).tobytes() == np.array(want_values).tobytes()
+    assert repr(dynamics._averages(*solved)) == repr(want_fields)
+    event(f"{mode}, {len(want_fields[-1])} branch(es)")
+    _, r, d = dynamics._stack(n_p, n_m, [want_values])
+    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
+    try:
+        want = pc.LinearModel(r[0], d[0], layout, pc.SteadyStateAverages(*want_fields))
+    except ValidationError as exc:
+        event("matrix check raises")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            dynamics._model(n_p, n_m, values, solved)
+        return
+    model = dynamics._model(n_p, n_m, values, solved)
+    assert repr(model.averages) == repr(want.averages)
+    assert model.drift.tobytes() == want.drift.tobytes()
+    assert model.diffusion.tobytes() == want.diffusion.tobytes()
 
 
 @pytest.mark.parametrize("n_p", [1, 2, 3])

@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -263,9 +264,12 @@ def test_selfconsistent_point_at_extreme_finite_inputs_is_a_row():
 
 
 def numpy_scalar_twin(device):
-    """``device`` with each of its own numbers given as a numpy scalar."""
+    """``device`` with each of its own numbers, its mechanical modes' included,
+    given as a numpy scalar."""
+    modes = tuple(pc.MechanicalMode(*(np.float64(x) for x in dataclasses.astuple(m)))
+                  for m in device.mechanical_modes)
     return dataclasses.replace(
-        device, cavity_freq=np.float64(device.cavity_freq),
+        device, mechanical_modes=modes, cavity_freq=np.float64(device.cavity_freq),
         cavity_linewidth=np.float64(device.cavity_linewidth),
         matter_linewidths=tuple(np.float64(x) for x in device.matter_linewidths),
         bath_temperature=np.float64(device.bath_temperature),
@@ -275,14 +279,15 @@ def numpy_scalar_twin(device):
 
 @pytest.mark.parametrize("overrides", ["none", "floats", "numpy scalars"])
 @pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
-@pytest.mark.parametrize("device", ["pair", "numpy-scalar pair", "three-mode"])
+@pytest.mark.parametrize("device", ["pair", "numpy-scalar pair", "three-mode",
+                                    "numpy-scalar three-mode"])
 def test_a_clean_point_checks_only_its_own_inputs(monkeypatch, device, averages, overrides):
     # the angle goes through check_real, and an override that is not a plain
     # float; the device's fields were checked when it was built, and every
     # value the point derives (the tuning, the nodes, the rates) passes inline
-    fixed = device == "three-mode"
+    fixed = device.endswith("three-mode")
     setup = three_mode_device() if fixed else load_config("configs/two_mode_base.config").setup
-    if device == "numpy-scalar pair":
+    if device.startswith("numpy-scalar"):
         setup = numpy_scalar_twin(setup)  # kept as the floats check_real gives
     setup.working_point(0.7)  # a fixed-coupling device tunes and checks its nodes once
     kind = {"none": None, "floats": float, "numpy scalars": np.float64}[overrides]
@@ -310,6 +315,7 @@ def test_a_numpy_scalar_device_sweeps_as_its_float_twin(fixed, averages):
     device = three_mode_device() if fixed else load_config("configs/two_mode_base.config").setup
     twin = numpy_scalar_twin(device)
     assert repr(twin) == repr(device)
+    assert all(type(x) is float for m in twin.mechanical_modes for x in dataclasses.astuple(m))
     variable, grid = ("temperature", [0.0, 0.01, 0.3]) if fixed else ("theta", [0.2, 0.7, 1.4])
     assert (repr(pc.sweep(twin, variable, grid, averages=averages))
             == repr(pc.sweep(device, variable, grid, averages=averages)))
@@ -413,6 +419,14 @@ def test_optimize_validations():
         pc.optimize_theta(setup, temperature=math.nan)
     with pytest.raises(ValidationError, match="^rabi: "):
         pc.optimize_theta(setup, rabi=-1.0)
+    # so is the averages mode, which scored every angle +inf when misspelled
+    for bad in ("selfconsistant", None):
+        with pytest.raises(ValidationError, match=(
+                "^averages: expected 'approx' or 'selfconsistent', got " + re.escape(repr(bad)))):
+            pc.optimize_theta(setup, averages=bad)
+    # a sweep point keeps its error row
+    row = pc.evaluate_point(setup, 0.7, averages="selfconsistant")
+    assert row.flags == ("error:ValidationError",)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,3 +1106,32 @@ def test_a_sweep_builds_no_parameter_objects(monkeypatch, parameter_objects, ang
     pc.network_cooling(model)
     assert parameter_objects["SteadyStateAverages"] == 1
     assert parameter_objects["CoolingRates"] == len(device.mechanical_modes)
+
+
+@pytest.mark.parametrize("angle_tuned", [True, False])
+@pytest.mark.parametrize("averages", ["approx", "selfconsistent"])
+def test_only_the_one_point_path_forms_the_averages_record(monkeypatch, angle_tuned, averages):
+    # a sweep point runs the values core alone; the record step runs once per
+    # working_point, and the shift coefficient once per device, when it is built
+    counts = collections.Counter()
+    for owner, name in ((dynamics, "_averages"), (tuning, "_shift_coefficient")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    device = make_base_setup() if angle_tuned else three_mode_device()
+    assert counts == {"_shift_coefficient": 1}
+    theta = 0.7 if angle_tuned else None
+    variable, grid = (("theta", np.linspace(0.2, 1.4, 7)) if angle_tuned
+                      else ("temperature", np.linspace(0.0, 1.0, 7)))
+    assert all(row.stable for row in pc.sweep(device, variable, grid, averages=averages))
+    assert pc.evaluate_point(device, theta, averages=averages).stable
+    if angle_tuned:
+        assert pc.optimize_theta(device, averages=averages, coarse_points=5, tol=1e-3).converged
+    assert counts == {"_shift_coefficient": 1}
+    _, model = device.working_point(theta, mode=averages)
+    assert counts == {"_shift_coefficient": 1, "_averages": 1}
+    assert model.averages.mode == averages
