@@ -92,73 +92,85 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     detunings, couplings, mechanical frequencies) come from the drift, bath
     occupations from the diffusion diagonal, so the estimate refers to
     exactly the system the covariance solver sees. The model's matrices are
-    finite, as its construction checked. The numbers are those of the float
-    core :func:`_cooling`, which a sweep runs on each point without building
-    any :class:`CoolingRates`.
+    finite, as its construction checked. kappa_eff, n_eff, the weak-coupling
+    verdict and the dominant polariton are those of the float core
+    :func:`_rates`, which a sweep runs on each point; the per-polariton rates
+    and ``n_eff_all`` are formed here only.
     """
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
     n_m = len(model.mode_layout) - n_p
-    return tuple(
-        CoolingRates(j, tuple(stokes), tuple(anti), tuple(net), kappa_eff, n_eff, n_eff_all,
-                     dominant, weak)
-        for j, (kappa_eff, n_eff, weak, n_eff_all, dominant, stokes, anti, net)
-        in enumerate(_cooling(_values(model, n_p, n_m), n_p, n_m))
-    )
+    values = _values(model, n_p, n_m)
+    rates = _rates(values, n_p, n_m)  # checks every value this function reads
+    linewidths, detunings = _nodes(values, n_p)
+    out = []
+    for j, (kappa_eff, n_eff, weak, dominant) in enumerate(rates):
+        mech_damping, nbar, mech_freq, couplings = _mode(values, n_p, n_m, j)
+        stokes, anti, stokes_sum = [], [], 0.0
+        for g, kappa, det in zip(couplings, linewidths, detunings):
+            s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
+            stokes.append(s_k)
+            anti.append(a_k)
+            stokes_sum += s_k
+        n_eff_all = (math.inf if kappa_eff <= 0.0
+                     else (mech_damping * nbar + stokes_sum) / kappa_eff)
+        out.append(CoolingRates(j, tuple(stokes), tuple(anti),
+                                tuple(a_k - s_k for s_k, a_k in zip(stokes, anti)),
+                                kappa_eff, n_eff, n_eff_all, dominant, weak))
+    return tuple(out)
 
 
-def _cooling(values: list, n_p: int, n_m: int) -> list[tuple]:
-    """The rates of :func:`network_cooling` from the values that fill a drift and
-    diffusion (:func:`~polarcool.dynamics._pattern`), as plain floats, and the
-    counts of polariton and mechanical modes.
+def _nodes(values: list, n_p: int) -> tuple[list, list]:
+    """(linewidths, detunings) of the polaritons in the values that fill a drift
+    and diffusion, laid out as :func:`~polarcool.dynamics._pattern` says."""
+    return [-values[4 * k] for k in range(n_p)], values[1:4 * n_p:4]
 
-    Per mechanical mode, one pass over its couplings gives the tuple
-    (kappa_eff, n_eff, weak_coupling, n_eff_all, dominant, stokes, anti_stokes,
-    net), the last three as lists: the fields of :class:`CoolingRates`, those a
-    sweep row reads first. The sums add left to right from 0, as
-    :func:`~polarcool.model._sum` does.
+
+def _mode(values: list, n_p: int, n_m: int, j: int) -> tuple:
+    """(damping, thermal occupation, frequency, couplings -G_j w_k to the
+    polaritons) of mechanical mode ``j`` in the values, its damping checked."""
+    m = 4 * (n_p + j)
+    mech_damping = -values[m]
+    if not 0.0 < mech_damping < math.inf:  # check_real's test, so it raises with its message
+        check_real(f"model: mechanical mode {j} damping", mech_damping, above=0.0)
+    start = 4 * (n_p + n_m) + n_p * (n_p - 1) + 2 * j * n_p
+    return (mech_damping, values[m + 3] / (2.0 * mech_damping) - 0.5, values[m + 1],
+            values[start:start + 2 * n_p:2])
+
+
+def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
+    """Per mechanical mode, (kappa_eff, n_eff, weak_coupling, dominant) of
+    :func:`network_cooling` from the values that fill a drift and diffusion, as
+    plain floats, and the counts of polariton and mechanical modes.
+
+    One pass over a mode's couplings keeps only the running net-rate sum and the
+    dominant polariton's rates, so no per-polariton list is formed. The sum adds
+    left to right from 0.0.
     """
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
-    # per mode: -damping, frequency, -frequency, noise; two per node pair; couplings
-    linewidths = [-values[4 * k] for k in range(n_p)]
+    linewidths, detunings = _nodes(values, n_p)
     for k, kappa in enumerate(linewidths):
-        if not 0.0 < kappa < math.inf:  # check_real's test, so it raises with its message
+        if not 0.0 < kappa < math.inf:
             check_real(f"model: polariton {k} linewidth", kappa, above=0.0)
-    detunings = values[1:4 * n_p:4]
-    couplings = 4 * (n_p + n_m) + n_p * (n_p - 1)
     out = []
     for j in range(n_m):
-        m, start = 4 * (n_p + j), couplings + 2 * j * n_p
-        mech_damping = -values[m]
-        if not 0.0 < mech_damping < math.inf:
-            check_real(f"model: mechanical mode {j} damping", mech_damping, above=0.0)
-        nbar, mech_freq = values[m + 3] / (2.0 * mech_damping) - 0.5, values[m + 1]
-        stokes, anti, net = [], [], []
-        net_sum = stokes_sum = 0.0
-        dominant, top, weak = 0, 0.0, True
+        mech_damping, nbar, mech_freq, couplings = _mode(values, n_p, n_m, j)
+        net_sum = top_s = top_a = 0.0
+        dominant, weak = 0, True
         # each coupling is -G_j w_k, whose sign drops out of g^2 and |g|
-        for k, (g, kappa, det) in enumerate(
-                zip(values[start:start + 2 * n_p:2], linewidths, detunings)):
+        for k, (g, kappa, det) in enumerate(zip(couplings, linewidths, detunings)):
             s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
             if abs(g) > 0.5 * kappa:
                 weak = False
-            if not k or a_k > top:  # the first largest anti-Stokes rate, as max() finds it
-                dominant, top = k, a_k
-            net_k = a_k - s_k
-            stokes.append(s_k)
-            anti.append(a_k)
-            net.append(net_k)
-            net_sum += net_k
-            stokes_sum += s_k
-        kappa_eff = mech_damping + net_sum
+            if not k or a_k > top_a:  # the first largest anti-Stokes rate, as max() finds it
+                dominant, top_s, top_a = k, s_k, a_k
+            net_sum += a_k - s_k
         # n = (gamma nbar + extra noise) / (gamma + extra damping), inf where that damping is <= 0
-        base = mech_damping * nbar
         n_eff = nbar
         if n_p:
-            denom = mech_damping + net[dominant]
-            n_eff = math.inf if denom <= 0.0 else (base + stokes[dominant]) / denom
-        n_eff_all = math.inf if kappa_eff <= 0.0 else (base + stokes_sum) / kappa_eff
-        out.append((kappa_eff, n_eff, weak, n_eff_all, dominant, stokes, anti, net))
+            denom = mech_damping + (top_a - top_s)
+            n_eff = math.inf if denom <= 0.0 else (mech_damping * nbar + top_s) / denom
+        out.append((mech_damping + net_sum, n_eff, weak, dominant))
     return out
 
 

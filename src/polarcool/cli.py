@@ -44,17 +44,18 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _row_fields(row) -> list[str]:
+def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[str]:
+    """One line per sweep row from one template: its 5 + 3 N_m numbers as %.12g
+    (the frequencies and rates in Hz), then its stability word and its flags."""
+    template = sep.join(["%.12g"] * (5 + 3 * len(rows[0].kappa_eff)) + ["%s", "%s"])
     return [
-        _fmt(row.variable),
-        _fmt(row.theta),
-        _fmt(row.coupling / TWO_PI),
-        _fmt(row.magnon_freq / TWO_PI),
-        _fmt(row.drive_freq / TWO_PI),
-        *(_fmt(k / TWO_PI) for k in row.kappa_eff),
-        *(_fmt(n) for pair in zip(row.n_analytic, row.n_numeric) for n in pair),
-        "true" if row.stable else "false",
-        ";".join(row.flags),
+        template % (
+            row.variable, row.theta, row.coupling / TWO_PI, row.magnon_freq / TWO_PI,
+            row.drive_freq / TWO_PI, *[k / TWO_PI for k in row.kappa_eff],
+            *[n for pair in zip(row.n_analytic, row.n_numeric) for n in pair],
+            stable if row.stable else unstable, ";".join(row.flags) if row.flags else no_flags,
+        )
+        for row in rows
     ]
 
 
@@ -65,7 +66,7 @@ def write_csv(rows, path: str) -> None:
     ever needs quoting and identical inputs give bit-identical files.
     """
     lines = [",".join(csv_columns(len(rows[0].kappa_eff)))]
-    lines.extend(",".join(_row_fields(row)) for row in rows)
+    lines += _table(rows, ",", "true", "false", "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -73,18 +74,13 @@ def write_csv(rows, path: str) -> None:
 def write_plot_data(rows, path: str, variable: str) -> None:
     """Gnuplot-friendly whitespace table; units spelled out in the # header."""
     unit = {"theta": "rad", "temperature": "K", "rabi": "rad/s"}[variable]
-    header = [
+    lines = [
         "# steady-state cooling sweep",
         f"# swept variable: {variable} [{unit}]",
         "# columns: " + " ".join(csv_columns(len(rows[0].kappa_eff))),
         "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
     ]
-    lines = list(header)
-    for row in rows:
-        fields = _row_fields(row)
-        fields[-2] = "1" if row.stable else "0"
-        fields[-1] = ";".join(row.flags) if row.flags else "-"
-        lines.append(" ".join(fields))
+    lines += _table(rows, " ", "1", "0", "-")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -276,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polarcool",
         description="Steady-state cooling of mechanical modes through tunable polaritons",
     )
+    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    common.add_argument("--config", required=True, help="path to a .config (YAML) file")
+    common.add_argument("--out", default=None, help="output file path")
+    common.add_argument("--require-stable", action="store_true",
+                        help="exit with status 3 when the working point is unstable")
+    common.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
+                        help="override the config's steady-state averages mode")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("simulate", "solve one working point and print a report"),
@@ -284,13 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("tune", "invert the working-point transform (two-mode or n-mode)"),
         ("optimize", "find the mixing angle minimizing the occupation"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a .config (YAML) file")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--require-stable", action="store_true",
-                       help="exit with status 3 when the working point is unstable")
-        p.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
-                       help="override the config's steady-state averages mode")
+        sub.add_parser(name, help=help_text, parents=[common])
     sub.choices["sweep"].add_argument("--threads", type=int, default=1,
                                       help="accepted and ignored: sweeps run serially; kept"
                                       " until the benchmark's commands stop passing it")

@@ -36,6 +36,7 @@ from .model import (
     PolaritonBasis,
     SystemParams,
     _bose,
+    _float_modes,
     _sum,
     diagonalize_polaritons,
 )
@@ -112,7 +113,7 @@ def _pattern(n_p: int, n_m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2 damping (nbar + 1/2); per node pair (k < q) its cross damping (negated)
     and shared noise, +0.0 for an uncoupled pair; per mechanical mode j and
     node k the couplings -G_j w_k and G_j w_k.
-    :func:`~polarcool.analytics._cooling` reads the rates off them: the
+    :func:`~polarcool.analytics._rates` reads the rates off them: the
     linewidths, detunings, mechanical dampings, frequencies and noise, and per
     mechanical mode its N_p couplings -G_j w_k, in one pass.
     """
@@ -502,8 +503,7 @@ def build_network(
     drive_freq = drive.drive_freq
     if any(p.detuning is None for p in polaritons):  # a node detuned from the drive
         drive_freq = check_real("drive.drive_freq", drive_freq, above=0.0)
-    for j, mech in enumerate(mechanics):
-        mech.validate(path=f"mechanics[{j}]")
+    mechanics = _float_modes(mechanics, "mechanics")
     freqs = [p.freq for p in polaritons]
     linewidths = [p.linewidth for p in polaritons]
     weights = [p.weight for p in polaritons]

@@ -28,6 +28,13 @@ class MechanicalMode:
                 check_real(f"{path}.bare_coupling", self.bare_coupling, at_least=0.0))
 
 
+def _float_modes(modes, path: str) -> tuple[MechanicalMode, ...]:
+    """The modes with each field as :meth:`MechanicalMode.validate` gives it, a
+    plain float, mode ``j`` checked as ``path[j]``: every value a working point
+    derives from them is then a float too, whatever number type they came in."""
+    return tuple(MechanicalMode(*m.validate(path=f"{path}[{j}]")) for j, m in enumerate(modes))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full parameter set of the driven photon-magnon-mechanics system.
@@ -58,8 +65,8 @@ class SystemParams:
         check_real("bath_temperature", self.bath_temperature, at_least=0.0)
         if not self.mechanical_modes:
             raise ValidationError("mechanical_modes: must not be empty")
-        for j, m in enumerate(self.mechanical_modes):
-            m.validate(path=f"mechanical_modes[{j}]")
+        object.__setattr__(self, "mechanical_modes",
+                           _float_modes(self.mechanical_modes, "mechanical_modes"))
         freqs = [m.freq for m in self.mechanical_modes]
         if len(set(freqs)) != len(freqs):
             raise ValidationError("mechanical_modes: frequencies must be pairwise distinct")

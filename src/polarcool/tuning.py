@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analytics import _cooling, network_cooling
+from .analytics import _rates, network_cooling
 from .dynamics import (
     LinearModel,
     MatterMode,
@@ -38,7 +38,7 @@ from .errors import (
     check_entries,
     check_real,
 )
-from .model import MechanicalMode, SystemParams, _pair, _sum
+from .model import MechanicalMode, SystemParams, _float_modes, _pair, _sum
 from .steadystate import _occupations, _solve, steady_state
 
 
@@ -78,9 +78,8 @@ class Device:
                 for i, value in enumerate(getattr(self, name))))
         for name in ("bath_temperature", "rabi_freq"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), at_least=0.0))
-        object.__setattr__(self, "mechanical_modes", tuple(
-            MechanicalMode(*m.validate(path=f"mechanical_modes[{j}]"))
-            for j, m in enumerate(self.mechanical_modes)))
+        object.__setattr__(self, "mechanical_modes",
+                           _float_modes(self.mechanical_modes, "mechanical_modes"))
         n = len(self.mechanical_modes)
         if n < 2:
             raise ValidationError(f"mechanical_modes: need at least 2, got {n}")
@@ -376,9 +375,10 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     (:func:`_solved`), row.
 
     Each point's rates are read off its values by the float core
-    :func:`~polarcool.analytics._cooling`, whose per-mode tuples give the row's
+    :func:`~polarcool.analytics._rates`, whose per-mode tuples give the row's
     kappa_eff, n_eff and weak-coupling verdict without a
-    :class:`~polarcool.analytics.CoolingRates`; only the points whose rates
+    :class:`~polarcool.analytics.CoolingRates` or any per-polariton rate list;
+    only the points whose rates
     succeed are solved. The operations are those of :func:`solve_model` on a
     :class:`LinearModel`. A ValidationError or SolverError of a point, at its
     build, matrix check, rates, solve or occupations, in that order, becomes
@@ -413,10 +413,10 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
             rows += block
             continue
         live, rates = [], []  # the points left to solve, by their place in the stack
-        # plain floats, as network_cooling reads them off a model; no CoolingRates
+        # plain floats, as network_cooling reads them off a model
         for p, ((i, _), point_values) in enumerate(zip(built, vals.tolist())):
             try:
-                rates.append(_cooling(point_values, n_p, n_m))
+                rates.append(_rates(point_values, n_p, n_m))
             except (ValidationError, SolverError) as exc:
                 block[i] = error_row(stack[i], exc)
                 continue
@@ -431,7 +431,7 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
             stable, ill_conditioned, n_numeric = result
             coupling, magnon_freq, drive_freq = (
                 (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
-            kappa_eff, n_analytic, weak, *_ = zip(*point_rates)  # per field, over the modes
+            kappa_eff, n_analytic, weak, _ = zip(*point_rates)  # per field, over the modes
             block[i] = SweepRow(
                 variable=stack[i][0],
                 theta=math.nan if fixed else stack[i][1],

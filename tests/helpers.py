@@ -308,6 +308,58 @@ def integrate(r, d, v0=None, t_final=None):
 
 
 # ---------------------------------------------------------------------------
+# sweep-table oracle: the CSV and plot-data writers formatting field by field
+
+
+def _fmt(value):
+    return f"{value:.12g}"
+
+
+def _row_fields(row):
+    return [
+        _fmt(row.variable),
+        _fmt(row.theta),
+        _fmt(row.coupling / TWO_PI),
+        _fmt(row.magnon_freq / TWO_PI),
+        _fmt(row.drive_freq / TWO_PI),
+        *(_fmt(k / TWO_PI) for k in row.kappa_eff),
+        *(_fmt(n) for pair in zip(row.n_analytic, row.n_numeric) for n in pair),
+        "true" if row.stable else "false",
+        ";".join(row.flags),
+    ]
+
+
+def write_csv(rows, path):
+    """``cli.write_csv`` with each field formatted on its own."""
+    from polarcool.cli import csv_columns
+
+    lines = [",".join(csv_columns(len(rows[0].kappa_eff)))]
+    lines.extend(",".join(_row_fields(row)) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_plot_data(rows, path, variable):
+    """``cli.write_plot_data`` with each field formatted on its own."""
+    from polarcool.cli import csv_columns
+
+    unit = {"theta": "rad", "temperature": "K", "rabi": "rad/s"}[variable]
+    lines = [
+        "# steady-state cooling sweep",
+        f"# swept variable: {variable} [{unit}]",
+        "# columns: " + " ".join(csv_columns(len(rows[0].kappa_eff))),
+        "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
+    ]
+    for row in rows:
+        fields = _row_fields(row)
+        fields[-2] = "1" if row.stable else "0"
+        fields[-1] = ";".join(row.flags) if row.flags else "-"
+        lines.append(" ".join(fields))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # optimizer oracle: the compass search of optimize_theta with each angle scored
 # off a full sweep row, rates and all
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcool as pc
-from polarcool import dynamics
+from polarcool import analytics, dynamics
 from polarcool.errors import ValidationError
 
 from helpers import TWO_PI, cooling, make_base_setup
@@ -211,3 +211,14 @@ def test_network_cooling_equals_the_oracle_by_repr(case):
     model = types.SimpleNamespace(drift=drift[0], diffusion=diffusion[0], mode_layout=layout)
     assert outcome(lambda: pc.network_cooling(model)) == outcome(
         lambda: cooling(values, n_p, n_m))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=cooling_values())
+def test_the_sweep_rates_core_equals_the_oracle_by_repr(case):
+    # what a sweep row reads of each mode, and the dominant polariton, without
+    # the per-polariton rates that only network_cooling forms
+    n_p, n_m, values = case
+    assert outcome(lambda: analytics._rates(values, n_p, n_m)) == outcome(
+        lambda: [(r.kappa_eff, r.n_eff, r.weak_coupling, r.dominant)
+                 for r in cooling(values, n_p, n_m)])

@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from polarcool import analytics, dynamics, load_config, serialize_config, sweep, tuning
-from polarcool.cli import csv_columns, main
+import helpers
+from polarcool import SweepRow, analytics, dynamics, load_config, serialize_config, sweep, tuning
+from polarcool.cli import csv_columns, main, write_csv, write_plot_data
 from polarcool.errors import SolverError
 
 BASE = "configs/two_mode_base.config"
@@ -276,6 +280,72 @@ def test_sweep_writes_plot_data(capsys, tmp_path):
         assert fields[12] == "-" or ";" in fields[12] or fields[12]
 
 
+# every number a %.12g field can hold at an edge: NaN, the infinities, signed
+# zeros, the smallest subnormal and numbers near the largest double
+EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)
+FLAGS = ("unstable", "ill_conditioned", "weak_coupling_broken", "tuning_not_converged")
+
+
+def table_row(n_m, x, stable=True, flags=()):
+    return SweepRow(x, x, x, x, x, (x,) * n_m, (x,) * n_m, (x,) * n_m, stable, flags)
+
+
+def error_row(n_m, variable):
+    return SweepRow(variable, math.nan, math.nan, math.nan, math.nan, (math.nan,) * n_m,
+                    (math.nan,) * n_m, (math.nan,) * n_m, False, ("error:SolverError",))
+
+
+def assert_writers_match_the_oracle(rows, directory):
+    for writer, oracle, args in (
+        (write_csv, helpers.write_csv, ()),
+        *((write_plot_data, helpers.write_plot_data, (variable,))
+          for variable in ("theta", "temperature", "rabi")),
+    ):
+        got, want = directory / "got", directory / "want"
+        writer(rows, str(got), *args)
+        oracle(rows, str(want), *args)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n_m", [1, 2, 3])
+def test_sweep_writers_match_the_per_field_oracle_at_the_edges(tmp_path, n_m):
+    rows = [table_row(n_m, x, stable=i % 2 == 0, flags=FLAGS[:i % 4])
+            for i, x in enumerate(EDGES + (1.0 / 3.0, -2.5e-10, 12345678901234.5, 7))]
+    rows += [table_row(n_m, 0.5, stable=np.bool_(True)),  # any truth value, as before
+             table_row(n_m, 0.5, stable=np.bool_(False)), table_row(n_m, 1e7, flags=FLAGS),
+             error_row(n_m, 0.3), error_row(n_m, math.nan)]
+    assert_writers_match_the_oracle(rows, tmp_path)
+    assert_writers_match_the_oracle(rows[-2:], tmp_path)  # error rows alone
+
+
+NUMBER = st.sampled_from(EDGES) | st.floats()
+
+
+@st.composite
+def table_rows(draw):
+    n_m = draw(st.integers(1, 3))
+
+    def numbers(count):
+        return tuple(draw(NUMBER) for _ in range(count))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append(error_row(n_m, draw(NUMBER)))
+            continue
+        flags = tuple(draw(st.lists(st.sampled_from(FLAGS), max_size=3, unique=True)))
+        rows.append(SweepRow(*numbers(5), numbers(n_m), numbers(n_m), numbers(n_m),
+                             draw(st.booleans()), flags))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=table_rows())
+def test_sweep_writers_match_the_per_field_oracle(tmp_path, rows):
+    assert_writers_match_the_oracle(rows, tmp_path)
+
+
 def test_sweep_needs_out_and_sweep_section(capsys, tmp_path):
     code = main(["sweep", "--config", BASE])
     err = capsys.readouterr().err
@@ -479,6 +549,17 @@ def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     monkeypatch.setattr("polarcool.tuning.steady_state", explode)
     assert main(["simulate", "--config", BASE]) == 2
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [None, "simulate", "rates", "sweep", "tune", "optimize"])
+def test_help_matches_golden_text(capsys, monkeypatch, command):
+    # argparse wraps its help to $COLUMNS; the golden files are 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    golden = Path("tests/golden") / (f"help_{command}.txt" if command else "help.txt")
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polarcool as pc
@@ -74,6 +74,30 @@ def test_zero_drive_has_zero_averages():
     avg = solve_averages(params, basis)
     assert avg.avg_polaritons == (0j, 0j)
     assert avg.effective_couplings == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["approx", "selfconsistent"])
+def test_numpy_scalar_mechanics_give_the_float_records(mode):
+    # the builders keep check_real's floats, so a record's repr does not depend
+    # on the number type its mechanical modes came in
+    def modes(number):
+        return [pc.MechanicalMode(*map(number, (TWO_PI * f, TWO_PI * 100.0, TWO_PI * 0.2)))
+                for f in (1.0e7, 3.0e7)]
+
+    def network(number):
+        return pc.build_network(
+            [pc.NetworkPolariton(TWO_PI * 1.0e10, TWO_PI * 1.0e6, 0.7, detuning=TWO_PI * 1.0e7)],
+            modes(number), pc.NetworkDrive(TWO_PI * 1.0e10, 1.0e13, 0.01), mode=mode)
+
+    params = make_base_setup().params_at(0.7)
+    twin = dataclasses.replace(params, mechanical_modes=modes(np.float64))
+    for got, want in ((network(np.float64), network(float)),
+                      (pc.build_linear_model(twin, mode=mode),
+                       pc.build_linear_model(dataclasses.replace(params, mechanical_modes=modes(
+                           float)), mode=mode))):
+        assert repr(got.averages) == repr(want.averages)
+        assert got.drift.tobytes() == want.drift.tobytes()
+        assert got.diffusion.tobytes() == want.diffusion.tobytes()
 
 
 def test_approx_rejects_zero_detuning():
@@ -268,7 +292,9 @@ def referee_roots(p, c):
     simple root by eps_f / |f'| and a k-fold one by (eps_f / |f^(k) / k!|)^(1/k);
     roots closer than twice that for k = 2 or 3 are one multiple root at
     round-off, possibly split into a complex pair, and count with their number
-    at their mean.
+    at their mean. A multiple root needs f' to vanish there: at the centre of
+    such a cluster |f'| stays within 8 eps_f^(2/3) plus its own evaluation
+    round-off, and elsewhere no roots are clustered, however flat f'' is.
     """
     with mpmath.workdps(50):
         roots = sorted(mpmath.polyroots([1, p, 1, -c], maxsteps=400, extraprec=400),
@@ -276,9 +302,12 @@ def referee_roots(p, c):
     roots = [complex(r) for r in roots]
 
     def radius(y):
+        slope = abs((3.0 * y + 2.0 * p) * y + 1.0)
         y = abs(y)
         eps_f = 8.0 * EPS * (((y + abs(p)) * y + 1.0) * y + c)
-        return eps_f / max(abs((3.0 * y + 2.0 * p) * y + 1.0), 1e-300), \
+        if slope > 8.0 * eps_f ** (2.0 / 3.0) + 8.0 * EPS * ((3.0 * y + 2.0 * abs(p)) * y + 1.0):
+            return eps_f / slope, 0.0  # f' does not vanish: no multiple root here
+        return eps_f / max(slope, 1e-300), \
             max(math.sqrt(eps_f / max(abs(3.0 * y + p), 1e-300)), eps_f ** (1.0 / 3.0))
 
     def refine(y):
@@ -332,6 +361,7 @@ cubics = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cubics)
+@example((0.0, 10.0 ** -50.5))  # one root near 0 and the pair +-i, far from any multiple root
 def test_cubic_roots_match_a_50_digit_referee(pc_pair):
     p, c = pc_pair
     got = dynamics._nonnegative_roots(p, c)
@@ -344,6 +374,7 @@ def test_cubic_roots_match_a_50_digit_referee(pc_pair):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cubics)
+@example((0.0, 10.0 ** -50.5))
 def test_the_lowest_root_alone_has_the_same_bits(pc_pair):
     # all a working point's values read; repeated only where it is a multiple root
     got = dynamics._nonnegative_roots(*pc_pair)

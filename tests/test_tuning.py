@@ -680,20 +680,20 @@ def test_sweep_rows_equal_the_one_point_api(device, averages, data):
 def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
     """Make the sweep's stage ``stage`` fail for the point of ``model``.
 
-    ``rates`` raises from ``_cooling(values, n_p, n_m)`` and ``solve`` makes
+    ``rates`` raises from ``_rates(values, n_p, n_m)`` and ``solve`` makes
     ``_solve(drifts, diffusions)`` return a SolverError for that point; ``residual``
     doubles the point's triangular Sylvester solution, so its covariance fails
     the stacked residual check.
     """
     if stage == "rates":
-        original, marked = tuning._cooling, dynamics._values(model, 2, 2)
+        original, marked = tuning._rates, dynamics._values(model, 2, 2)
 
         def failing(values, n_p, n_m):
             if values == marked:
-                raise ValidationError("_cooling: injected")
+                raise ValidationError("_rates: injected")
             return original(values, n_p, n_m)
 
-        monkeypatch.setattr(tuning, "_cooling", failing)
+        monkeypatch.setattr(tuning, "_rates", failing)
     elif stage == "solve":
         original = tuning._solve
 
@@ -846,7 +846,7 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     monkeypatch.setattr(tuning, "_built", recorded)
     monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
     # the score is the solve's alone: no closed-form rates and no sweep row
-    for owner, name, key in ((tuning, "_cooling", "rates"), (tuning.SweepRow, "__init__", "rows")):
+    for owner, name, key in ((tuning, "_rates", "rates"), (tuning.SweepRow, "__init__", "rows")):
         def counted(*args, _original=getattr(owner, name), _key=key, **kwargs):
             call_counts[_key] += 1
             return _original(*args, **kwargs)
