@@ -61,7 +61,6 @@ from .tuning import (
     SweepRow,
     evaluate_point,
     optimize_theta,
-    solve_model,
     sweep,
     tune_n_mode,
 )

@@ -92,14 +92,20 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     detunings, couplings, mechanical frequencies) come from the drift, bath
     occupations from the diffusion diagonal, so the estimate refers to
     exactly the system the covariance solver sees. The model's matrices are
-    finite, as its construction checked. kappa_eff, n_eff, the weak-coupling
-    verdict and the dominant polariton are those of the float core
-    :func:`_rates`, which a sweep runs on each point; the per-polariton rates
-    and ``n_eff_all`` are formed here only.
+    finite, as its construction checked. A wrapper: the values that fill the
+    matrices (:func:`~polarcool.dynamics._values`), then :func:`_cooling`.
     """
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
     n_m = len(model.mode_layout) - n_p
-    values = _values(model, n_p, n_m)
+    return _cooling(_values(model, n_p, n_m), n_p, n_m)
+
+
+def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
+    """:func:`network_cooling` of the values that fill a drift and diffusion, as
+    plain floats, and the counts of polariton and mechanical modes: kappa_eff,
+    n_eff, the weak-coupling verdict and the dominant polariton of :func:`_rates`,
+    which a sweep point runs alone, then the per-polariton rates and ``n_eff_all``.
+    """
     rates = _rates(values, n_p, n_m)  # checks every value this function reads
     linewidths, detunings = _nodes(values, n_p)
     out = []
@@ -139,7 +145,7 @@ def _mode(values: list, n_p: int, n_m: int, j: int) -> tuple:
 
 def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
     """Per mechanical mode, (kappa_eff, n_eff, weak_coupling, dominant) of
-    :func:`network_cooling` from the values that fill a drift and diffusion, as
+    :func:`_cooling` from the values that fill a drift and diffusion, as
     plain floats, and the counts of polariton and mechanical modes.
 
     One pass over a mode's couplings keeps only the running net-rate sum and the

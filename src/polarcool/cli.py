@@ -14,11 +14,12 @@ import math
 import sys
 import warnings
 
-from .analytics import network_cooling, quantum_backaction_limit
+from .analytics import _nodes, quantum_backaction_limit
 from .config import RunConfig, load_config
+from .dynamics import _averages
 from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import thermal_occupation
-from .tuning import _tuning_flags, optimize_theta, solve_model, sweep
+from .tuning import _flags, _point, optimize_theta, sweep
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,6 +60,15 @@ def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[st
     ]
 
 
+def _write(path: str, text: str) -> None:
+    """``text`` to the file at ``path``, or a ValidationError naming a path it cannot write."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write the output file ({exc.strerror})") from exc
+
+
 def write_csv(rows, path: str) -> None:
     """Sweep rows to an RFC-4180-style CSV (header row, LF line endings).
 
@@ -67,8 +77,7 @@ def write_csv(rows, path: str) -> None:
     """
     lines = [",".join(csv_columns(len(rows[0].kappa_eff)))]
     lines += _table(rows, ",", "true", "false", "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_plot_data(rows, path: str, variable: str) -> None:
@@ -81,15 +90,7 @@ def write_plot_data(rows, path: str, variable: str) -> None:
         "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
     ]
     lines += _table(rows, " ", "1", "0", "-")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _occupation_lines(device, numeric, analytic) -> list[str]:
@@ -103,39 +104,40 @@ def _occupation_lines(device, numeric, analytic) -> list[str]:
 
 def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     device = cfg.setup
-    tuning, model = device.working_point(cfg.theta, mode=averages_mode)
-    rates, state, flags, numeric = solve_model(model)
-    flags = _tuning_flags(tuning, flags)
-    # polariton k's linewidth and drive detuning, as the model holds them
-    drift = model.drift
-    nodes = range(len(model.averages.avg_polaritons))
-    linewidths = [-drift[2 * k, 2 * k] for k in nodes]
-    detunings = [drift[2 * k, 2 * k + 1] for k in nodes]
+    tuning, values, solved, rates, result = _point(device, cfg.theta, averages_mode)
+    if isinstance(result, SolverError):
+        raise result
+    info, residual, ill_conditioned, numeric = result
+    flags = _flags(tuning, info.stable, ill_conditioned, all(r.weak_coupling for r in rates))
+    # polariton k's linewidth and drive detuning, as its values hold them
+    linewidths, detunings = _nodes(values, len(device.matter_linewidths) + 1)
+    avg_polaritons, _, avg_matter, effective_couplings, _, mode, _ = _averages(*solved)
 
     lines = ["working point:"]
     if device.couplings:
-        names = [f"P{k + 1}" for k in nodes]
+        names = [f"P{k + 1}" for k in range(len(linewidths))]
         for i, f in enumerate(tuning.matter_freqs):
             lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
+        drive_freq = tuning.drive_freq
     else:
         names = ["U", "L"]
+        coupling, magnon_freq, drive_freq = tuning
         lines.append(f"  theta = {_fmt(cfg.theta)} rad")
-        lines.append(f"  g = {_fmt(tuning.photon_matter_coupling / TWO_PI)} Hz")
-        lines.append(f"  omega_m = {_fmt(tuning.magnon_freq / TWO_PI)} Hz")
-    lines.append(f"  omega_0 = {_fmt(tuning.drive_freq / TWO_PI)} Hz")
+        lines.append(f"  g = {_fmt(coupling / TWO_PI)} Hz")
+        lines.append(f"  omega_m = {_fmt(magnon_freq / TWO_PI)} Hz")
+    lines.append(f"  omega_0 = {_fmt(drive_freq / TWO_PI)} Hz")
     lines.append(f"  detunings = ({', '.join(_fmt(d / TWO_PI) for d in detunings)}) Hz")
-    lines.append(f"  averages mode = {model.averages.mode}")
-    avg = model.averages
+    lines.append(f"  averages mode = {mode}")
     lines.append("steady-state averages:")
-    for name, p_avg in zip(names, avg.avg_polaritons):
+    for name, p_avg in zip(names, avg_polaritons):
         lines.append(f"  |<{name}>| = {_fmt(abs(p_avg))}")
-    lines.append(f"  |<M>| = {_fmt(abs(avg.avg_matter))}")
-    for j, g_eff in enumerate(avg.effective_couplings):
+    lines.append(f"  |<M>| = {_fmt(abs(avg_matter))}")
+    for j, g_eff in enumerate(effective_couplings):
         lines.append(f"  G_{j + 1} = {_fmt(g_eff / TWO_PI)} Hz")
-    verdict = "stable" if state.stable else "UNSTABLE"
-    lines.append(f"stability: {verdict} (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
-    if state.stable:
-        lines.append(f"lyapunov residual: {state.lyapunov_residual:.3e}")
+    verdict = "stable" if info.stable else "UNSTABLE"
+    lines.append(f"stability: {verdict} (spectral abscissa {_fmt(info.spectral_abscissa)} rad/s)")
+    if info.stable:
+        lines.append(f"lyapunov residual: {residual:.3e}")
     lines.append("occupations:")
     lines.extend(_occupation_lines(device, numeric, [r.n_eff for r in rates]))
     lines.append(f"flags: {';'.join(flags) if flags else '-'}")
@@ -146,15 +148,15 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
             quantum_backaction_limit(linewidths[r.dominant], mech.freq)
         for w in caught:
             lines.append(f"warning: {w.message}")
-    return "\n".join(lines) + "\n", state.stable
+    return "\n".join(lines) + "\n", info.stable
 
 
 def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    tuning, model = cfg.setup.working_point(cfg.theta, mode=averages_mode)
-    rates = network_cooling(model)
+    # the point's solve is not reported, nor its failure
+    tuning, _, _, rates, _ = _point(cfg.setup, cfg.theta, averages_mode)
     if cfg.setup.couplings:
         lines = ["scattering rates (all rates in Hz):"]
-        names = [f"polariton {k + 1}" for k in range(len(model.averages.avg_polaritons))]
+        names = [f"polariton {k + 1}" for k in range(len(cfg.setup.matter_linewidths) + 1)]
     else:
         lines = [f"scattering rates at theta = {_fmt(cfg.theta)} rad (all rates in Hz):"]
         names = ["upper", "lower"]
@@ -170,7 +172,7 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
                      f"  (dominant: {names[r.dominant]})")
         lines.append(f"  n_eff = {_fmt(r.n_eff)}  n_eff_all = {_fmt(r.n_eff_all)}")
         lines.append(f"  weak coupling valid: {'yes' if r.weak_coupling else 'no'}")
-    flags = _tuning_flags(tuning, ())
+    flags = _flags(tuning)
     if flags:
         lines.append(f"flags: {';'.join(flags)}")
     return "\n".join(lines) + "\n", True
@@ -179,20 +181,22 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     device = cfg.setup
     if device.couplings:
-        tuned, model = device.working_point(mode=averages_mode)
+        tuned, _, _, rates, result = _point(device, cfg.theta, averages_mode)
+        if isinstance(result, SolverError):
+            raise result
+        info, _, _, numeric = result
         lines = [f"n-mode tuning ({len(device.mechanical_modes)} polaritons):"]
         lines.append(f"  converged: {'yes' if tuned.converged else 'no'}")
         lines.append(f"  residual: {tuned.residual / TWO_PI:.6e} Hz")
         lines.append(f"  omega_0 = {_fmt(tuned.drive_freq / TWO_PI)} Hz")
         for i, f in enumerate(tuned.matter_freqs):
             lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
-        rates, state, _, numeric = solve_model(model)
-        verdict = "stable" if state.stable else "UNSTABLE"
+        verdict = "stable" if info.stable else "UNSTABLE"
         lines.append(f"  network: {verdict}"
-                     f" (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
-        if state.stable:
+                     f" (spectral abscissa {_fmt(info.spectral_abscissa)} rad/s)")
+        if info.stable:
             lines.extend(_occupation_lines(device, numeric, [r.n_eff_all for r in rates]))
-        return "\n".join(lines) + "\n", state.stable
+        return "\n".join(lines) + "\n", info.stable
 
     params = device.params_at(cfg.theta)
     lower, upper = device.mechanical_modes
@@ -240,7 +244,9 @@ def _run(args) -> int:
     averages_mode = args.averages or cfg.averages
     if args.command != "sweep":
         report, stable = _REPORTS[args.command](cfg, averages_mode)
-        _emit(report, args.out)
+        sys.stdout.write(report)
+        if args.out:
+            _write(args.out, report)
         return EXIT_UNSTABLE if args.require_stable and not stable else EXIT_OK
 
     if cfg.sweep is None:
@@ -272,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polarcool",
         description="Steady-state cooling of mechanical modes through tunable polaritons",
     )
-    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    # the options of every subcommand; -h/--help first, where argparse would add it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                        help="show this help message and exit")
     common.add_argument("--config", required=True, help="path to a .config (YAML) file")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--require-stable", action="store_true",
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("tune", "invert the working-point transform (two-mode or n-mode)"),
         ("optimize", "find the mixing angle minimizing the occupation"),
     ):
-        sub.add_parser(name, help=help_text, parents=[common])
+        sub.add_parser(name, help=help_text, parents=[common], add_help=False)
     sub.choices["sweep"].add_argument("--threads", type=int, default=1,
                                       help="accepted and ignored: sweeps run serially; kept"
                                       " until the benchmark's commands stop passing it")

@@ -184,9 +184,9 @@ def _model(n_p: int, n_m: int, values: list, solved: tuple) -> LinearModel:
     :func:`_network` returns them, a one-point stack, which it checks.
 
     The one-point path (:func:`build_network`, :func:`build_linear_model`,
-    :meth:`~polarcool.tuning.Device.working_point`) is the only one that runs the
-    record step, :func:`_averages`, to form the :class:`SteadyStateAverages`;
-    a sweep point reads only its values.
+    :meth:`~polarcool.tuning.Device.working_point`) and the ``simulate`` report
+    are all that run the record step, :func:`_averages`; a sweep point reads
+    only its values.
     """
     _, r, d = _stack(n_p, n_m, [values])
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
@@ -528,7 +528,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
     couplings and the selfconsistent solution (None in approx mode or at zero
     drive). This values core is what every working point runs; a sweep reads
     the values and forms neither a :class:`LinearModel` nor the fields of its
-    averages record, which only :func:`_model` forms.
+    averages record, which only :func:`_model` and a report form.
 
     It checks the two rules that every working point obeys, for every caller:
     the mode is "approx" or "selfconsistent", and in approx mode at a nonzero
@@ -587,7 +587,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
 def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
               solution) -> tuple:
     """The fields of a point's :class:`SteadyStateAverages`, in order, from the
-    ``solved`` of :func:`_network`: the record step, which only :func:`_model` runs.
+    ``solved`` of :func:`_network`: the record step, which only :func:`_model` and a report run.
 
     It forms what no value of the point reads: the polariton amplitudes, the
     mechanical averages <b_j> (-G_0j |M|^2 / omega_j in approx mode,

@@ -90,15 +90,14 @@ def _real_array(path: str, a) -> np.ndarray:
     return arr
 
 
-def check_matrix(path: str, a, ndim: int = 2) -> np.ndarray:
+def check_matrix(path: str, a) -> np.ndarray:
     """``a`` as a real, square, non-empty and finite float matrix, or a ValidationError.
 
-    With ``ndim=3`` ``a`` is a stack of such matrices, each checked over the
-    trailing two axes with the same messages. A bool or complex matrix is
-    rejected before any conversion; the result may share memory with ``a``.
+    A bool or complex matrix is rejected before any conversion; the result may
+    share memory with ``a``.
     """
     arr = _real_array(path, a)
-    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{path}: expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{path}: expected a non-empty matrix, got shape {arr.shape}")
@@ -107,20 +106,16 @@ def check_matrix(path: str, a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-def check_drift_diffusion(drift, diffusion, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def check_drift_diffusion(drift, diffusion) -> tuple[np.ndarray, np.ndarray]:
     """:func:`check_matrix` of both, of matching shapes, the diffusion symmetric
-    within 1e-12 max(1, max|D|); with ``ndim=3`` of two stacks, matrix by matrix."""
-    r = check_matrix("drift", drift, ndim)
-    d = check_matrix("diffusion", diffusion, ndim)
+    within 1e-12 max(1, max|D|)."""
+    r = check_matrix("drift", drift)
+    d = check_matrix("diffusion", diffusion)
     if r.shape != d.shape:
         raise ValidationError(
             f"drift/diffusion: expected matching shapes, got {r.shape} and {d.shape}"
         )
     # an exactly symmetric D, as every builder makes, passes without the tolerance
-    d_t = d.swapaxes(-1, -2)
-    if not (d == d_t).all():
-        axes = (-2, -1)
-        if (np.abs(d - d_t).max(axis=axes)
-                > 1e-12 * np.maximum(1.0, np.abs(d).max(axis=axes))).any():
-            raise ValidationError("diffusion: must be symmetric")
+    if not (d == d.T).all() and np.abs(d - d.T).max() > 1e-12 * max(1.0, np.abs(d).max()):
+        raise ValidationError("diffusion: must be symmetric")
     return r, d

@@ -243,15 +243,6 @@ def _verify(r: np.ndarray, d: np.ndarray, checks: np.ndarray) -> tuple[list, lis
     return norms[:p], norms[p:2 * p], norms[2 * p:]
 
 
-def _solve_one(r: np.ndarray, d: np.ndarray) -> tuple:
-    """:func:`_solve` of one checked drift and diffusion as a one-point stack;
-    raises its SolverError."""
-    result = _solve(r[None], d[None])[0]
-    if isinstance(result, SolverError):
-        raise result
-    return result
-
-
 def check_stability(drift: np.ndarray) -> StabilityInfo:
     """Hurwitz test with a scale-aware margin, read off the real Schur form of R.
 
@@ -270,7 +261,11 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     drift fails the stability check and SolverError when the residual of an
     otherwise-accepted solve exceeds 1e-9.
     """
-    info, v, residual, flagged = _solve_one(*check_drift_diffusion(drift, diffusion))
+    r, d = check_drift_diffusion(drift, diffusion)
+    (result,) = _solve(r[None], d[None])  # a one-point stack
+    if isinstance(result, SolverError):
+        raise result
+    info, v, residual, flagged = result
     if v is None:
         raise _unstable(info)
     return v, residual, flagged
@@ -369,9 +364,12 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     were checked when it was built, so they are not checked again.
 
     With require_stable=False an unstable model yields covariance=None and
-    NaN occupations instead of raising, so sweeps can record the row.
+    NaN occupations instead of raising, so a caller can record the point.
     """
-    info, v, residual, flagged = _solve_one(model.drift, model.diffusion)
+    (result,) = _solve(model.drift[None], model.diffusion[None])  # a one-point stack
+    if isinstance(result, SolverError):
+        raise result
+    info, v, residual, flagged = result
     if v is None and require_stable:
         raise _unstable(info)
     return SteadyState(

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .analytics import _rates, network_cooling
+from .analytics import _cooling, _rates
 from .dynamics import (
     LinearModel,
     MatterMode,
@@ -39,7 +38,7 @@ from .errors import (
     check_real,
 )
 from .model import MechanicalMode, SystemParams, _float_modes, _pair, _sum
-from .steadystate import _occupations, _solve, steady_state
+from .steadystate import _occupations, _solve
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,11 @@ class Device:
             raise ValidationError(f"couplings: need {n - 1} entries for {n} mechanical"
                                   f" modes, got {len(self.couplings)}")
         # the shift coefficient of the selfconsistent averages, the same at every
-        # working point; set here, not as a cached_property, whose write to
-        # __dict__ makes every later attribute load on the device slower
+        # working point, and the slot of the fixed-coupling tuning and its nodes,
+        # filled on first use: set here, not as a cached_property, whose write of a
+        # new key to __dict__ makes every later attribute load on the device slower
         object.__setattr__(self, "_sigma", _shift_coefficient(self.mechanical_modes))
+        object.__setattr__(self, "_fixed", None)
 
     def _needs_angle(self, what: str) -> None:
         if self.couplings:
@@ -158,31 +159,32 @@ class Device:
             check_real("drive_freq", drive_freq, above=0.0)
         return coupling, magnon_freq, drive_freq
 
-    @cached_property
+    @property
     def tuning(self) -> NModeResult:
-        """Matter and drive frequencies of a fixed-coupling device, found on first use."""
-        return tune_n_mode(
-            self.cavity_freq,
-            [m.freq for m in self.mechanical_modes],
-            self.couplings,
-            self.cavity_linewidth,
-            self.matter_linewidths,
-        )
+        """Matter and drive frequencies of a fixed-coupling device, found on first use
+        and held in ``_fixed`` as (tuning, None) until :meth:`_nodes` adds its nodes."""
+        if self._fixed is None:
+            object.__setattr__(self, "_fixed", (tune_n_mode(
+                self.cavity_freq, [m.freq for m in self.mechanical_modes], self.couplings,
+                self.cavity_linewidth, self.matter_linewidths), None))
+        return self._fixed[0]
 
-    @cached_property
     def _nodes(self) -> tuple:
         """(freqs, linewidths, weights, detunings, cross damping) of the nodes of a
         fixed-coupling device (see :meth:`working_point`), as plain floats, the nodes
-        checked once: its :attr:`tuning` is the same at every working point. The
-        cross damping is used as :func:`photon_matter_diagonalize` built it,
-        symmetric with a zero diagonal."""
-        tuned = self.tuning
-        freqs = [p.freq for p in tuned.polaritons]
-        linewidths = [p.linewidth for p in tuned.polaritons]
-        weights = [p.weights[1] for p in tuned.polaritons]
-        detunings = _node_detunings(freqs, linewidths, weights, [None] * len(freqs),
-                                    tuned.drive_freq)
-        return freqs, linewidths, weights, detunings, [p.cross_damping for p in tuned.polaritons]
+        checked once, on first use: its :attr:`tuning` is the same at every working
+        point. The cross damping is used as :func:`photon_matter_diagonalize` built
+        it, symmetric with a zero diagonal."""
+        tuned, nodes = self.tuning, self._fixed[1]
+        if nodes is None:
+            pols = tuned.polaritons
+            freqs, linewidths = [p.freq for p in pols], [p.linewidth for p in pols]
+            weights = [p.weights[1] for p in pols]
+            nodes = (freqs, linewidths, weights, _node_detunings(
+                freqs, linewidths, weights, [None] * len(pols), tuned.drive_freq),
+                [p.cross_damping for p in pols])
+            object.__setattr__(self, "_fixed", (tuned, nodes))
+        return nodes
 
     def working_point(
         self,
@@ -221,7 +223,7 @@ class Device:
         type or a failing value, to convert it or raise with its message. The
         tuning of an angle-tuned pair is (coupling, magnon frequency, drive
         frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
-        are checked once (:attr:`_nodes`); the shift coefficient ``_sigma`` is
+        are checked once (:meth:`_nodes`); the shift coefficient ``_sigma`` is
         formed when the device is built.
         """
         tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
@@ -234,7 +236,7 @@ class Device:
         elif not (type(temperature) is float and 0.0 <= temperature < math.inf):
             temperature = check_real(f"{prefix}bath_temperature", temperature, at_least=0.0)
         if self.couplings:
-            nodes = self._nodes
+            nodes = self._nodes()
         else:
             coupling, magnon_freq, drive_freq = tuned
             nodes = _pair_nodes(_pair(self.cavity_freq, magnon_freq, coupling,
@@ -266,21 +268,12 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-def solve_model(model: LinearModel) -> tuple:
-    """(rates, steady state, flags, mechanical occupations) of one working point.
-
-    An unstable model is flagged, not raised, and its occupations are NaN. The
-    flags, in order: ``unstable``, ``ill_conditioned``, ``weak_coupling_broken``.
-    """
-    rates = network_cooling(model)
-    state = steady_state(model, require_stable=False)
-    flags = _flags(state.stable, state.condition_flag, all(r.weak_coupling for r in rates))
-    return rates, state, flags, state.occupations[len(model.averages.avg_polaritons):]
-
-
-def _flags(stable: bool, ill_conditioned: bool, weak_coupling: bool) -> tuple[str, ...]:
-    """The flags of :func:`solve_model`, in its order; ``weak_coupling`` holds
-    when it holds for every mechanical mode."""
+def _flags(tuning, stable: bool = True, ill_conditioned: bool = False,
+           weak_coupling: bool = True) -> tuple[str, ...]:
+    """The flags of a working point, in order: ``unstable``, ``ill_conditioned``,
+    ``weak_coupling_broken`` (``weak_coupling`` holds when it holds for every
+    mechanical mode) and ``tuning_not_converged``, where a fixed-coupling
+    tuning missed its sidebands; the defaults leave the tuning's flag alone."""
     flags = []
     if not stable:
         flags.append("unstable")
@@ -288,14 +281,9 @@ def _flags(stable: bool, ill_conditioned: bool, weak_coupling: bool) -> tuple[st
         flags.append("ill_conditioned")
     if not weak_coupling:
         flags.append("weak_coupling_broken")
-    return tuple(flags)
-
-
-def _tuning_flags(tuning, flags: tuple[str, ...]) -> tuple[str, ...]:
-    """``flags`` plus ``tuning_not_converged`` where a fixed-coupling tuning missed its sidebands."""
     if isinstance(tuning, NModeResult) and not tuning.converged:
-        return flags + ("tuning_not_converged",)
-    return flags
+        flags.append("tuning_not_converged")
+    return tuple(flags)
 
 
 # points per stack: bounds the values, matrices and solves a long sweep holds
@@ -317,25 +305,26 @@ def _built(setup: Device, points: list, averages: str) -> tuple:
 
     Returns (errors, built, vals, drift, diffusion): per point the
     ValidationError or SolverError of its build or matrix check, or None; the
-    (index, tuning) of each point that passed both; and the values, drifts and
+    (index, tuning, solved) of each point that passed both, ``solved`` being
+    what only a report's record step reads; and the values, drifts and
     diffusions of those points, in the order of ``built``.
     """
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
     errors, built, values = [None] * len(points), [], []
     for i, (theta, temperature, rabi) in enumerate(points):
         try:
-            tuning, point_values, _ = setup._fields(theta, temperature, rabi, averages)
+            tuning, point_values, solved = setup._fields(theta, temperature, rabi, averages)
         except (ValidationError, SolverError) as exc:
             errors[i] = exc
             continue
-        built.append((i, tuning))
+        built.append((i, tuning, solved))
         values.append(point_values)
     if not built:
         return errors, built, None, None, None
     vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
     clean = [p for p, fault in enumerate(faults) if fault is None]
     if len(clean) < len(built):
-        for (i, _), fault in zip(built, faults):
+        for (i, _, _), fault in zip(built, faults):
             errors[i] = fault
         built = [built[p] for p in clean]
         vals, drift, diffusion = vals[clean], drift[clean], diffusion[clean]
@@ -343,107 +332,110 @@ def _built(setup: Device, points: list, averages: str) -> tuple:
 
 
 def _solved(drift: np.ndarray, diffusion: np.ndarray, n_p: int) -> list:
-    """Stage two of a stack: per point of its checked drifts and diffusions,
-    (stable, ill_conditioned, mechanical occupations), the occupations None
-    where the drift is unstable, or the SolverError of its solve or
-    occupations.
+    """Stage three of a stack: per point of its checked drifts and diffusions,
+    (verdict, residual, ill_conditioned, mechanical occupations), the
+    occupations NaN where the drift is unstable, or the SolverError of its
+    solve or occupations.
 
     One :func:`~polarcool.steadystate._solve` runs its own factorization and
     triangular solve per point, the products and one verification for the
     whole stack; the occupations are read off the diagonal of each V it
     returns, which is not checked again (:func:`~polarcool.steadystate._occupations`).
     """
-    out = []
+    out, nans = [], (math.nan,) * (drift.shape[-1] // 2 - n_p)
     for result in _solve(drift, diffusion):
         if isinstance(result, SolverError):
             out.append(result)
             continue
-        info, v, _, ill_conditioned = result
+        info, v, residual, ill_conditioned = result
         try:
-            occupations = None if v is None else _occupations(v.diagonal().tolist())[n_p:]
+            occupations = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
         except SolverError as exc:
             out.append(exc)
             continue
-        out.append((info.stable, ill_conditioned, occupations))
+        out.append((info, residual, ill_conditioned, occupations))
     return out
+
+
+def _stages(setup: Device, points: list, averages: str) -> tuple:
+    """The one per-point sequence, over one stack of working points
+    ``(theta, temperature, rabi)``: build and matrix check (:func:`_built`),
+    rates (:func:`~polarcool.analytics._rates`, off each point's values), then
+    solve and occupations (:func:`_solved`), a point stopping at its first
+    ValidationError or SolverError: what :func:`~polarcool.analytics.network_cooling`
+    and :func:`~polarcool.steadystate.steady_state` do to its model.
+
+    Returns (errors, built, vals, live, rates, results): the first three of
+    :func:`_built`, ``errors`` with the rates failures added, then per point
+    solved its place in ``built``, its rates and its result of :func:`_solved`.
+    """
+    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
+    errors, built, vals, drift, diffusion = _built(setup, points, averages)
+    if not built:
+        return errors, built, vals, [], [], []
+    live, rates = [], []
+    # plain floats, as network_cooling reads them off a model
+    for p, ((i, _, _), point_values) in enumerate(zip(built, vals.tolist())):
+        try:
+            rates.append(_rates(point_values, n_p, n_m))
+        except (ValidationError, SolverError) as exc:
+            errors[i] = exc
+            continue
+        live.append(p)
+    if len(live) < len(drift):
+        drift, diffusion = drift[live], diffusion[live]
+    return errors, built, vals, live, rates, _solved(drift, diffusion, n_p)
+
+
+def _point(setup: Device, theta: float | None, averages: str) -> tuple:
+    """A report's working point: :func:`_stages` of a one-point stack.
+
+    Returns (tuning, values, solved, rates, result), what a report prints
+    beyond a row: ``solved`` for the record step (:func:`~polarcool.dynamics._averages`),
+    the :class:`~polarcool.analytics.CoolingRates` of the values, and the
+    result of :func:`_solved` or its SolverError, for a report that solves to
+    raise. Raises the point's error of build, matrix check or rates.
+    """
+    errors, built, vals, _, _, results = _stages(setup, [(theta, None, None)], averages)
+    if errors[0] is not None:
+        raise errors[0]
+    ((_, tuning, solved),), values = built, vals[0].tolist()
+    rates = _cooling(values, len(setup.matter_linewidths) + 1, len(setup.mechanical_modes))
+    return tuning, values, solved, rates, results[0]
 
 
 def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     """One row per working point ``(variable, theta, temperature, rabi)``, the
-    points run as one stack of up to ``_STACK_POINTS``, in this order: build
-    and matrix check (:func:`_built`), rates, solve and occupations
-    (:func:`_solved`), row.
-
-    Each point's rates are read off its values by the float core
-    :func:`~polarcool.analytics._rates`, whose per-mode tuples give the row's
-    kappa_eff, n_eff and weak-coupling verdict without a
-    :class:`~polarcool.analytics.CoolingRates` or any per-polariton rate list;
-    only the points whose rates
-    succeed are solved. The operations are those of :func:`solve_model` on a
-    :class:`LinearModel`. A ValidationError or SolverError of a point, at its
-    build, matrix check, rates, solve or occupations, in that order, becomes
-    its ``error:<Type>`` row; the other points go on.
+    points run through :func:`_stages` as stacks of up to ``_STACK_POINTS``.
+    A point that fails becomes its ``error:<Type>`` row; the others go on.
     """
     fixed = bool(setup.couplings)
-    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
-    nans = (math.nan,) * n_m
+    nans = (math.nan,) * len(setup.mechanical_modes)
 
     def error_row(point, exc) -> SweepRow:
-        return SweepRow(
-            variable=point[0],
-            theta=math.nan if fixed else point[1],
-            coupling=math.nan,
-            magnon_freq=math.nan,
-            drive_freq=math.nan,
-            kappa_eff=nans,
-            n_analytic=nans,
-            n_numeric=nans,
-            stable=False,
-            flags=(f"error:{type(exc).__name__}",),
-        )
+        return SweepRow(point[0], math.nan if fixed else point[1], math.nan, math.nan, math.nan,
+                        nans, nans, nans, False, (f"error:{type(exc).__name__}",))
 
     rows = []
     for start in range(0, len(points), _STACK_POINTS):
         stack = points[start:start + _STACK_POINTS]
-        errors, built, vals, drift, diffusion = _built(
+        errors, built, _, live, rates, results = _stages(
             setup, [point[1:] for point in stack], averages)
         block = [None if exc is None else error_row(point, exc)
                  for point, exc in zip(stack, errors)]
-        if not built:
-            rows += block
-            continue
-        live, rates = [], []  # the points left to solve, by their place in the stack
-        # plain floats, as network_cooling reads them off a model
-        for p, ((i, _), point_values) in enumerate(zip(built, vals.tolist())):
-            try:
-                rates.append(_rates(point_values, n_p, n_m))
-            except (ValidationError, SolverError) as exc:
-                block[i] = error_row(stack[i], exc)
-                continue
-            live.append(p)
-        if len(live) < len(drift):
-            drift, diffusion = drift[live], diffusion[live]
-        for p, point_rates, result in zip(live, rates, _solved(drift, diffusion, n_p)):
-            i, tuning = built[p]
+        for p, point_rates, result in zip(live, rates, results):
+            i, tuning, _ = built[p]
             if isinstance(result, SolverError):
                 block[i] = error_row(stack[i], result)
                 continue
-            stable, ill_conditioned, n_numeric = result
+            info, _, ill_conditioned, n_numeric = result
             coupling, magnon_freq, drive_freq = (
                 (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
             kappa_eff, n_analytic, weak, _ = zip(*point_rates)  # per field, over the modes
             block[i] = SweepRow(
-                variable=stack[i][0],
-                theta=math.nan if fixed else stack[i][1],
-                coupling=coupling,
-                magnon_freq=magnon_freq,
-                drive_freq=drive_freq,
-                kappa_eff=kappa_eff,
-                n_analytic=n_analytic,
-                n_numeric=nans if n_numeric is None else n_numeric,
-                stable=stable,
-                flags=_tuning_flags(tuning, _flags(stable, ill_conditioned, all(weak))),
-            )
+                stack[i][0], math.nan if fixed else stack[i][1], coupling, magnon_freq,
+                drive_freq, kappa_eff, n_analytic, n_numeric, info.stable,
+                _flags(tuning, info.stable, ill_conditioned, all(weak)))
         rows += block
     return rows
 
@@ -459,7 +451,7 @@ def evaluate_point(
 
     A fixed-coupling device takes no angle: its row's theta, coupling and
     magnon_freq are NaN, and a tuning that did not converge adds the flag
-    ``tuning_not_converged`` after those of :func:`solve_model`. A
+    ``tuning_not_converged`` (:func:`_flags`). A
     ValidationError or SolverError comes back as an ``error:<Type>`` row.
     """
     return _rows(setup, [(math.nan, theta, temperature, rabi)], averages)[0]
@@ -594,11 +586,11 @@ def optimize_theta(
                 cache[theta] = failed  # unless it solves stable, below
             if not built:
                 continue
-            for (i, _), result in zip(built, _solved(drift, diffusion, 2)):  # two nodes
+            for (i, _, _), result in zip(built, _solved(drift, diffusion, 2)):  # two nodes
                 if isinstance(result, SolverError):
                     continue
-                stable, _, occupations = result
-                if stable:
+                info, _, _, occupations = result
+                if info.stable:
                     cache[stack[i]] = (pick(occupations), occupations)
 
     def score(theta: float) -> float:

@@ -23,8 +23,8 @@ HIGHPOWER = "configs/two_mode_highpower.config"
 THREE = "configs/three_mode.config"
 GOLDEN = "tests/golden/two_mode_base_sweep.csv"
 # the three-mode preset's temperature sweep in both averages modes, recorded
-# from the separate N-mode path (tune_n_mode, polariton_network, solve_model)
-# that Device.working_point replaced
+# from the separate N-mode path (tune_n_mode, polariton_network and a one-point
+# solve) that Device.working_point replaced
 THREE_SWEEP = "tests/golden/three_mode_sweep.json"
 
 
@@ -542,11 +542,92 @@ def test_unreadable_config_exits_1(capsys, tmp_path, command):
         assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
 
 
-def test_solver_error_maps_to_exit2(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise SolverError("manufactured failure")
+def preset_raw(path, section, **changes):
+    """A preset's mapping as its file holds it, with ``changes`` made to ``section``
+    (``drive`` of an ``nmode`` preset is its own subsection); a ``mech_hz`` change
+    sets the mechanical mode frequencies."""
+    raw = yaml.safe_load(Path(path).read_text())
+    top = raw["nmode"] if "nmode" in raw else raw["system"]
+    target = top["drive"] if section == "drive" and "nmode" in raw else raw[section]
+    for key, value in changes.items():
+        if key == "mech_hz":
+            for mode, freq in zip(top["mechanical_modes"], value):
+                mode["freq_hz"] = freq
+        else:
+            target[key] = value
+    return raw
 
-    monkeypatch.setattr("polarcool.tuning.steady_state", explode)
+
+# detunings whose sideband denominators overflow, and, for "solve", a drift whose
+# Frobenius norm overflows while every rate is still finite (frequencies in Hz)
+RATES_HZ, SOLVE_HZ = 1e307 / (2 * math.pi), 6.0e153 / (2 * math.pi)
+THREE_RATES_HZ = 7.0e153 / (2 * math.pi)
+AVERAGES = "error: averages: a value derived from the inputs overflows\n"
+SIDEBAND = "error: sideband_rates: linewidth^2 + (detuning +- mech_freq)^2 overflows\n"
+NORM = "solver error: drift: its norm overflows, so the stability margin cannot be set\n"
+
+
+# per failing point, the (exit code, stderr) of simulate, rates and tune, as
+# they were when the reports ran Device.working_point and the one-point solve;
+# a two-mode tune prints the closed-form tuning and runs no point
+@pytest.mark.parametrize("raw,want", [
+    (lambda: preset_raw(HIGHPOWER, "drive", power_w=1.0e300),
+     ((1, AVERAGES), (1, AVERAGES), (0, ""))),
+    (lambda: preset_raw(THREE, "drive", field_t=1.0e200),
+     ((1, AVERAGES), (1, AVERAGES), (1, AVERAGES))),
+    (lambda: preset_raw(BASE, "system", cavity_freq_hz=2 * RATES_HZ,
+                        mech_hz=(0.3 * RATES_HZ, RATES_HZ)),
+     ((1, SIDEBAND), (1, SIDEBAND), (0, ""))),
+    (lambda: preset_raw(THREE, "nmode", cavity_freq_hz=2 * THREE_RATES_HZ,
+                        couplings_hz=[0.02 * THREE_RATES_HZ, 0.03 * THREE_RATES_HZ],
+                        mech_hz=[x * THREE_RATES_HZ for x in (0.8, 0.9, 1.0)]),
+     ((1, SIDEBAND), (1, SIDEBAND), (1, SIDEBAND))),
+    (lambda: preset_raw(BASE, "system", cavity_freq_hz=2 * SOLVE_HZ,
+                        mech_hz=(0.9 * SOLVE_HZ, SOLVE_HZ)),
+     ((2, NORM), (0, ""), (0, ""))),
+    (lambda: preset_raw(THREE, "nmode", cavity_freq_hz=2 * SOLVE_HZ,
+                        couplings_hz=[0.02 * SOLVE_HZ, 0.03 * SOLVE_HZ],
+                        mech_hz=[x * SOLVE_HZ for x in (0.8, 0.9, 1.0)]),
+     ((2, NORM), (0, ""), (2, NORM))),
+], ids=["build-two", "build-three", "rates-two", "rates-three", "solve-two", "solve-three"])
+def test_a_failing_point_keeps_each_reports_error_line_and_exit_code(capsys, tmp_path, raw,
+                                                                     want):
+    path = write_config(tmp_path, raw())
+    for command, (code, err) in zip(("simulate", "rates", "tune"), want):
+        got = main([command, "--config", path])
+        out = capsys.readouterr()
+        assert (got, out.err) == (code, err), command
+        assert (out.out == "") == (code != 0), command
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "plot"])
+def test_an_output_path_that_cannot_be_written_is_a_validation_error(capsys, tmp_path,
+                                                                     command):
+    """Such a path once escaped as a raw FileNotFoundError traceback."""
+    missing = tmp_path / "missing" / "out.txt"
+    if command == "simulate":
+        argv = ["simulate", "--config", BASE, "--out", str(missing)]
+    elif command == "sweep":
+        argv = ["sweep", "--config", BASE, "--out", str(missing)]
+    else:
+        raw = base_raw(sweep={"variable": "theta", "start": 0.3, "stop": 1.2, "points": 3,
+                              "plot": str(missing)})
+        argv = ["sweep", "--config", write_config(tmp_path, raw),
+                "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    reason = "cannot write the output file (No such file or directory)"
+    assert out.err == f"error: {missing}: {reason}\n"
+    assert out.out.startswith("working point:") == (command == "simulate")
+    assert (tmp_path / "sweep.csv").exists() == (command == "plot")
+    assert not missing.parent.exists()
+
+
+def test_solver_error_maps_to_exit2(capsys, monkeypatch):
+    def explode(drifts, diffusions):  # each point's solve fails, as _solve reports it
+        return [SolverError("manufactured failure")] * len(drifts)
+
+    monkeypatch.setattr("polarcool.tuning._solve", explode)
     assert main(["simulate", "--config", BASE]) == 2
     assert "solver error" in capsys.readouterr().err
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import polarcool as pc
+from polarcool import analytics, dynamics
 from polarcool.config import parse_config
 from polarcool.errors import ValidationError
 
@@ -271,7 +272,8 @@ UNDERFLOW_NETWORK = pc.build_network(
 UNDERFLOW = {
     "sideband_rates": lambda: pc.sideband_rates(1.0, 1e-200, 1.0, 1.0),
     "network_cooling": lambda: pc.network_cooling(UNDERFLOW_NETWORK),
-    "solve_model": lambda: pc.solve_model(UNDERFLOW_NETWORK),
+    # the values-level rates that network_cooling wraps and the CLI reports run
+    "rates_of_values": lambda: analytics._cooling(dynamics._values(UNDERFLOW_NETWORK, 1, 1), 1, 1),
 }
 
 
