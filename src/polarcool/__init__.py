@@ -31,7 +31,6 @@ from .dynamics import (
     NetworkPolariton,
     PolaritonMode,
     SteadyStateAverages,
-    build_linear_model,
     build_network,
     photon_matter_diagonalize,
 )
@@ -39,10 +38,7 @@ from .errors import ConvergenceError, SolverError, UnstableSystemError, Validati
 from .model import (
     DriveCalibration,
     MechanicalMode,
-    PolaritonBasis,
-    SystemParams,
     calibrate_drive,
-    diagonalize_polaritons,
     thermal_occupation,
 )
 from .steadystate import (

@@ -198,13 +198,13 @@ def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
             lines.extend(_occupation_lines(device, numeric, [r.n_eff_all for r in rates]))
         return "\n".join(lines) + "\n", info.stable
 
-    params = device.params_at(cfg.theta)
+    coupling, magnon_freq, drive_freq = device._tuned(cfg.theta)
     lower, upper = device.mechanical_modes
     lines = ["two-mode tuning:"]
     lines.append(f"  theta = {_fmt(cfg.theta)} rad")
-    lines.append(f"  g = {_fmt(params.photon_matter_coupling / TWO_PI)} Hz")
-    lines.append(f"  omega_m = {_fmt(params.magnon_freq / TWO_PI)} Hz")
-    lines.append(f"  omega_0 = {_fmt(params.drive_freq / TWO_PI)} Hz")
+    lines.append(f"  g = {_fmt(coupling / TWO_PI)} Hz")
+    lines.append(f"  omega_m = {_fmt(magnon_freq / TWO_PI)} Hz")
+    lines.append(f"  omega_0 = {_fmt(drive_freq / TWO_PI)} Hz")
     lines.append(f"  detuning upper = {_fmt(upper.freq / TWO_PI)} Hz")
     lines.append(f"  detuning lower = {_fmt(lower.freq / TWO_PI)} Hz")
     return "\n".join(lines) + "\n", True

@@ -5,9 +5,9 @@ fed by one drive through their matter content (one weight per node), cooling
 M mechanical modes. It finds the classical averages (approximate closed form
 or a selfconsistent fixed point) and the effective couplings they induce,
 and builds the drift and diffusion matrices of the quadrature fluctuations.
-The two-polariton system is the two-node case: :func:`build_linear_model`
-feeds it the upper and lower polaritons with weights sin(theta) and
-cos(theta) and their dissipative cross-coupling.
+The two-polariton system is the two-node case (:func:`_pair_nodes`): the
+upper and lower polaritons with weights sin(theta) and cos(theta) and their
+dissipative cross-coupling.
 
 Quadrature ordering is (X, Y) per mode, polaritons first, then mechanics.
 Vacuum noise corresponds to covariance 1/2 per quadrature.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +31,7 @@ from .errors import (
     check_real,
     check_type,
 )
-from .model import (
-    MechanicalMode,
-    PolaritonBasis,
-    SystemParams,
-    _bose,
-    _float_modes,
-    _sum,
-    diagonalize_polaritons,
-)
+from .model import MechanicalMode, _bose, _float_modes, _sum
 
 @dataclass(frozen=True)
 class SteadyStateAverages:
@@ -183,10 +175,9 @@ def _model(n_p: int, n_m: int, values: list, solved: tuple) -> LinearModel:
     """The :class:`LinearModel` of one point's values and solution, both as
     :func:`_network` returns them, a one-point stack, which it checks.
 
-    The one-point path (:func:`build_network`, :func:`build_linear_model`,
-    :meth:`~polarcool.tuning.Device.working_point`) and the ``simulate`` report
-    are all that run the record step, :func:`_averages`; a sweep point reads
-    only its values.
+    The one-point path (:func:`build_network`, :meth:`~polarcool.tuning.Device.working_point`)
+    and the ``simulate`` report are all that run the record step, :func:`_averages`;
+    a sweep point reads only its values.
     """
     _, r, d = _stack(n_p, n_m, [values])
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
@@ -612,32 +603,11 @@ def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
             mode, (matter,) + tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys[1:]))
 
 
-def build_linear_model(
-    params: SystemParams, basis: PolaritonBasis | None = None, mode: str = "approx"
-) -> LinearModel:
-    """The two-polariton system as a two-node network, nodes (upper, lower).
-
-    The nodes carry matter weights sin(theta) and cos(theta), the basis's
-    detunings (formed without GHz-scale round-off) and the dissipative
-    coupling delta-kappa between them; see :func:`build_network`. A wrapper
-    for one working point: it reads the plain values off ``params`` and the
-    basis and runs the pair's float core, :func:`_pair_nodes` then :func:`_network`.
-    """
-    if basis is None:
-        basis = diagonalize_polaritons(params)
-    freqs, linewidths, weights, detunings, cross = _pair_nodes(astuple(basis))
-    mechanics = params.mechanical_modes
-    sigma = _shift_coefficient(mechanics) if mode == "selfconsistent" else 0.0
-    return _model(2, len(mechanics), *_network(
-        freqs, linewidths, weights, detunings, mechanics, sigma, params.rabi_freq,
-        params.bath_temperature, cross, mode))
-
-
-def _pair_nodes(basis: tuple) -> tuple:
+def _pair_nodes(pair: tuple) -> tuple:
     """(freqs, linewidths, weights, detunings, cross damping) of the two-polariton
-    system's nodes, (upper, lower), from the fields of its :class:`PolaritonBasis`,
-    in order: the inputs of :func:`_network` that the nodes carry, each node checked."""
-    theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = basis
+    system's nodes, (upper, lower), from its normal modes as :func:`~polarcool.model._pair`
+    gives them: the inputs of :func:`_network` that the nodes carry, each node checked."""
+    theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = pair
     freqs, linewidths = (upper, lower), (kappa_u, kappa_l)
     weights = (math.sin(theta), math.cos(theta))
     return (freqs, linewidths, weights,

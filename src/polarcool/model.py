@@ -1,4 +1,4 @@
-"""System parameters, polariton diagonalization, thermal occupation, drive calibration.
+"""Mechanical modes, the two-polariton normal modes, thermal occupation, drive calibration.
 
 Frequencies and rates are angular (rad/s). Linewidths are amplitude
 half-widths (a bare mode decays as e^{-kappa t}).
@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import GYROMAGNETIC_RATIO, HBAR, KB, SPIN_DENSITY
-from .errors import ValidationError, check_entries, check_real
+from .errors import ValidationError, check_real
 
 
 @dataclass(frozen=True)
@@ -35,86 +35,16 @@ def _float_modes(modes, path: str) -> tuple[MechanicalMode, ...]:
     return tuple(MechanicalMode(*m.validate(path=f"{path}[{j}]")) for j, m in enumerate(modes))
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Full parameter set of the driven photon-magnon-mechanics system.
-
-    ``drive_freq`` is the frequency of the coherent drive on the matter mode;
-    ``rabi_freq`` its strength. ``mechanical_modes`` must have pairwise
-    distinct frequencies, since the cooling scheme relies on spectrally
-    separated sidebands.
-    """
-
-    cavity_freq: float
-    magnon_freq: float
-    photon_matter_coupling: float
-    cavity_linewidth: float
-    magnon_linewidth: float
-    mechanical_modes: tuple[MechanicalMode, ...]
-    drive_freq: float
-    rabi_freq: float
-    bath_temperature: float
-
-    def __post_init__(self) -> None:
-        modes = check_entries("mechanical_modes", self.mechanical_modes, MechanicalMode)
-        object.__setattr__(self, "mechanical_modes", modes)
-        for name in ("cavity_freq", "magnon_freq", "photon_matter_coupling",
-                     "cavity_linewidth", "magnon_linewidth", "drive_freq"):
-            check_real(name, getattr(self, name), above=0.0)
-        check_real("rabi_freq", self.rabi_freq, at_least=0.0)
-        check_real("bath_temperature", self.bath_temperature, at_least=0.0)
-        if not self.mechanical_modes:
-            raise ValidationError("mechanical_modes: must not be empty")
-        object.__setattr__(self, "mechanical_modes",
-                           _float_modes(self.mechanical_modes, "mechanical_modes"))
-        freqs = [m.freq for m in self.mechanical_modes]
-        if len(set(freqs)) != len(freqs):
-            raise ValidationError("mechanical_modes: frequencies must be pairwise distinct")
-
-
-@dataclass(frozen=True)
-class PolaritonBasis:
-    """Two-polariton normal-mode data of the coupled photon-magnon pair.
+def _pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
+          drive_freq) -> tuple[float, ...]:
+    """Normal modes of the photon-magnon pair, from plain floats with a coupling > 0:
+    (theta, upper frequency, lower frequency, upper linewidth, lower linewidth,
+    dissipative coupling delta-kappa, upper detuning, lower detuning).
 
     The upper polariton is U = a cos(theta) + m sin(theta), the lower one
     L = -a sin(theta) + m cos(theta); theta in (0, pi/2) so every weight
     factor sin^2, cos^2 stays in [0, 1].
     """
-
-    theta: float
-    upper_freq: float
-    lower_freq: float
-    upper_linewidth: float
-    lower_linewidth: float
-    dissipative_coupling: float
-    detuning_upper: float
-    detuning_lower: float
-
-
-def diagonalize_polaritons(params: SystemParams) -> PolaritonBasis:
-    """Normal modes of the photon-magnon pair.
-
-    Parameters
-    ----------
-    params : SystemParams
-        Requires ``photon_matter_coupling > 0``; without coupling there is
-        no polariton splitting and the basis is undefined.
-
-    Returns
-    -------
-    PolaritonBasis
-        Mixing angle, eigenfrequencies, transformed linewidths, the
-        dissipative cross-coupling delta-kappa, and drive detunings.
-    """
-    return PolaritonBasis(*_pair(params.cavity_freq, params.magnon_freq,
-                                 params.photon_matter_coupling, params.cavity_linewidth,
-                                 params.magnon_linewidth, params.drive_freq))
-
-
-def _pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
-          drive_freq) -> tuple[float, ...]:
-    """:func:`diagonalize_polaritons` of plain floats, a coupling > 0 among them:
-    the fields of :class:`PolaritonBasis`, in order."""
     delta_am = cavity_freq - magnon_freq
     # atan2 keeps theta in (0, pi/2) for a coupling > 0, both signs of delta_am
     theta = 0.5 * math.atan2(2.0 * coupling, delta_am)

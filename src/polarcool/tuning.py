@@ -37,7 +37,7 @@ from .errors import (
     check_entries,
     check_real,
 )
-from .model import MechanicalMode, SystemParams, _float_modes, _pair, _sum
+from .model import MechanicalMode, _float_modes, _pair, _sum
 from .steadystate import _occupations, _solve
 
 
@@ -49,7 +49,7 @@ class Device:
     frequency; polariton k is to sit on the sideband of mechanical mode k.
     With ``couplings`` empty the device is an angle-tuned pair (N = 2): the
     mixing angle of each working point sets the photon-matter coupling and
-    the matter and drive frequencies in closed form (:meth:`params_at`).
+    the matter and drive frequencies in closed form (:meth:`_tuned`).
     Otherwise ``couplings`` holds the N - 1 fixed cavity-matter couplings,
     and :func:`tune_n_mode` places the polaritons once per device
     (:attr:`tuning`), so its working points take no angle.
@@ -108,32 +108,11 @@ class Device:
                 f"{what}: needs an angle-tuned device, this one has fixed couplings"
             )
 
-    def params_at(
-        self,
-        theta: float,
-        temperature: float | None = None,
-        rabi: float | None = None,
-    ) -> SystemParams:
-        """Tuned parameters at mixing angle ``theta``; the overrides replace the device's own."""
-        self._needs_angle("params_at")
-        coupling, magnon_freq, drive_freq = self._tuned(theta)
-        return SystemParams(
-            cavity_freq=self.cavity_freq,
-            magnon_freq=magnon_freq,
-            photon_matter_coupling=coupling,
-            cavity_linewidth=self.cavity_linewidth,
-            magnon_linewidth=self.matter_linewidths[0],
-            mechanical_modes=self.mechanical_modes,
-            drive_freq=drive_freq,
-            rabi_freq=self.rabi_freq if rabi is None else rabi,
-            bath_temperature=(
-                self.bath_temperature if temperature is None else temperature
-            ),
-        )
-
     def _tuned(self, theta) -> tuple[float, float, float]:
         """(coupling, magnon frequency, drive frequency) of the pair at angle ``theta``,
-        each checked as :class:`SystemParams` checks it, in its order.
+        each checked to be finite and positive, in the order magnon frequency,
+        coupling, drive frequency, and named ``magnon_freq``, ``photon_matter_coupling``
+        and ``drive_freq``.
 
         The angle, a caller's input, goes through :func:`check_real`; the three
         derived values are tested inline with check_real's own test, and
@@ -192,18 +171,17 @@ class Device:
         temperature: float | None = None,
         rabi: float | None = None,
         mode: str = "approx",
-    ) -> tuple[SystemParams | NModeResult, LinearModel]:
+    ) -> tuple[tuple[float, float, float] | NModeResult, LinearModel]:
         """(tuning, linear model) of one working point, averages in ``mode``.
 
-        The tuning is :meth:`params_at`, or the fixed-coupling device's
+        The tuning is the pair's (coupling, magnon frequency, drive frequency)
+        at ``theta`` (:meth:`_tuned`), or the fixed-coupling device's
         :attr:`tuning`, which ignores ``theta``. Its network is driven and
         strained through the first matter mode, so each node's weight is that
         component of its eigenvector; the nodes share the dissipative
         couplings of their bare losses.
         """
         tuning, values, solved = self._fields(theta, temperature, rabi, mode)
-        if not self.couplings:
-            tuning = self.params_at(theta, temperature, rabi)
         n_p, n_m = len(self.matter_linewidths) + 1, len(self.mechanical_modes)
         return tuning, _model(n_p, n_m, values, solved)
 
@@ -215,7 +193,7 @@ class Device:
 
         The device's own fields were checked when it was built, and it is frozen,
         so only what the point changes is checked here, with the paths of
-        :meth:`params_at` and :func:`~polarcool.dynamics.build_network` and in
+        :meth:`_tuned` and :func:`~polarcool.dynamics.build_network` and in
         this order: the angle and the tuned values (:meth:`_tuned`), the rabi and
         temperature overrides, each node, then in :func:`~polarcool.dynamics._network`
         the averages mode and the approx zero-detuning rule. A plain float passes
@@ -663,6 +641,10 @@ def tune_n_mode(
     makes the residual vector sum to zero; the remaining N-1 mismatch
     directions are driven to zero by least squares over the matter
     frequencies at fixed couplings.
+
+    A search whose iterate leaves the domain (a matter frequency that is not
+    positive) ends there, not converged, with the in-domain point of least
+    residual it evaluated; an initial guess outside the domain raises.
     """
     cavity_freq = check_real("cavity_freq", cavity_freq, above=0.0)
     cavity_linewidth = check_real("cavity_linewidth", cavity_linewidth, above=0.0)
@@ -687,11 +669,17 @@ def tune_n_mode(
             for f, g, k in zip(freqs, gs, kappas)
         )
 
+    best = []  # (cost, freqs) of the in-domain point of least cost evaluated so far
+
     def residuals(freqs: np.ndarray) -> np.ndarray:
         pols = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
         p_freqs = np.array([p.freq for p in pols])
         drive = (p_freqs.sum() - _sum(mech)) / n
-        return (p_freqs - drive) - np.asarray(mech)
+        mismatch = (p_freqs - drive) - np.asarray(mech)
+        cost = float(mismatch @ mismatch)
+        if not best or cost < best[0]:
+            best[:] = cost, freqs.copy()
+        return mismatch
 
     if initial_guess is None:
         span = mech[-1] - mech[0]
@@ -707,13 +695,22 @@ def tune_n_mode(
 
     from scipy.optimize import least_squares  # heavy import, needed only here
 
-    sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    freqs = np.sort(sol.x)
+    # residuals beyond about 1e154 rad/s overflow scipy's cost, which is then
+    # inf; the search and its verdict need no warning for it
+    with np.errstate(over="ignore"):
+        try:
+            sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+            found, success = sol.x, bool(sol.success)
+        except ValidationError:  # a matter frequency left the domain
+            if not best:  # at the initial guess: its own fault
+                raise
+            found, success = best[1], False
+    freqs = np.sort(found)
     polaritons = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
     p_freqs = np.array([p.freq for p in polaritons])
     drive_freq = float((p_freqs.sum() - _sum(mech)) / n)
     resid = float(np.abs((p_freqs - drive_freq) - np.asarray(mech)).max())
-    converged = bool(sol.success) and resid <= 1e-6 * mech[-1]
+    converged = success and resid <= 1e-6 * mech[-1]
     return NModeResult(
         matter_freqs=tuple(float(f) for f in freqs),
         drive_freq=drive_freq,

@@ -1,6 +1,7 @@
 """Shared construction helpers and independent oracles for the test suite."""
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -9,7 +10,7 @@ import polarcool as pc
 from polarcool import steadystate
 from polarcool.analytics import CoolingRates, _sideband_rates
 from polarcool.errors import SolverError, ValidationError, check_real
-from polarcool.model import _sum
+from polarcool.model import _pair, _sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,25 +43,92 @@ def make_base_setup(magnon_linewidth=TWO_PI * 1.0e6, **overrides):
     return pc.Device(**kwargs)
 
 
+def design(n):
+    """An exactly tuned fixed-coupling device of ``n`` modes, and its designed matter
+    frequencies: mechanical modes at 10, 20, ..., 10 n MHz with the base preset's
+    damping and bare coupling, polaritons on their sidebands of a 10 GHz drive,
+    matter frequencies at the midpoints between those targets, every bare
+    linewidth 1 MHz, and the couplings and cavity frequency of the arrowhead
+    inverse eigenvalue problem (Boley & Golub 1987): g_i^2 = -prod_k (w_i - l_k)
+    / prod_(j != i) (w_i - w_j), and the trace fixes the cavity."""
+    mech_hz = tuple(1.0e7 * (k + 1) for k in range(n))
+    targets = [TWO_PI * (1.0e10 + f) for f in mech_hz]
+    matter = [0.5 * (a + b) for a, b in zip(targets, targets[1:])]
+    couplings = tuple(
+        math.sqrt(-math.prod(w - t for t in targets)
+                  / math.prod(w - v for j, v in enumerate(matter) if j != i))
+        for i, w in enumerate(matter))
+    device = pc.Device(
+        cavity_freq=sum(targets) - sum(matter),
+        cavity_linewidth=TWO_PI * 1.0e6,
+        matter_linewidths=(TWO_PI * 1.0e6,) * (n - 1),
+        mechanical_modes=make_mechs(freq_hz=mech_hz),
+        bath_temperature=0.01,
+        rabi_freq=BASE_RABI,
+        couplings=couplings,
+    )
+    return device, matter
+
+
+# ---------------------------------------------------------------------------
+# the angle-tuned pair's normal modes, named, and the same pair built by hand
+# as a two-node network
+
+
+class Pair(NamedTuple):
+    """The normal modes of an angle-tuned pair, the fields of ``model._pair`` in order."""
+
+    theta: float
+    upper_freq: float
+    lower_freq: float
+    upper_linewidth: float
+    lower_linewidth: float
+    dissipative_coupling: float
+    detuning_upper: float
+    detuning_lower: float
+
+
+def pair_at(setup, theta):
+    """The normal modes of ``setup``'s pair at mixing angle ``theta``."""
+    coupling, magnon_freq, drive_freq = setup._tuned(theta)
+    return Pair(*_pair(setup.cavity_freq, magnon_freq, coupling, setup.cavity_linewidth,
+                       setup.matter_linewidths[0], drive_freq))
+
+
+def pair_network(setup, theta, mode="approx", **changes):
+    """``build_network`` of the pair's two nodes at ``theta``, (upper, lower), each
+    with its own detuning, their cross damping and ``setup``'s drive and mechanics;
+    ``changes`` replace fields of the :class:`Pair` first."""
+    pair = pair_at(setup, theta)._replace(**changes)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
+    nodes = (pc.NetworkPolariton(pair.upper_freq, pair.upper_linewidth, s, pair.detuning_upper),
+             pc.NetworkPolariton(pair.lower_freq, pair.lower_linewidth, c, pair.detuning_lower))
+    drive = pc.NetworkDrive(drive_freq=setup._tuned(theta)[2], rabi_freq=setup.rabi_freq,
+                            bath_temperature=setup.bath_temperature)
+    dk = pair.dissipative_coupling
+    return pc.build_network(nodes, setup.mechanical_modes, drive, [[0.0, dk], [dk, 0.0]], mode)
+
+
 # ---------------------------------------------------------------------------
 # independent classical-dynamics oracle, coded from the equations of motion
 # rather than from the package's matrix builders
 
 
-def classical_rhs(v, params, basis):
-    """Full nonlinear classical equations in (Re, Im) coordinates."""
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
+def classical_rhs(v, pair, mechanics, rabi):
+    """Full nonlinear classical equations in (Re, Im) coordinates, of a pair's
+    normal modes (a :class:`Pair`), its mechanical modes and its Rabi frequency."""
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
     u = v[0] + 1j * v[1]
     low = v[2] + 1j * v[3]
-    bs = [v[4 + 2 * j] + 1j * v[5 + 2 * j] for j in range(len(params.mechanical_modes))]
+    bs = [v[4 + 2 * j] + 1j * v[5 + 2 * j] for j in range(len(mechanics))]
     matter = s * u + c * low
-    x = sum(2.0 * m.bare_coupling * b.real for m, b in zip(params.mechanical_modes, bs))
-    du = -(1j * basis.detuning_upper + basis.upper_linewidth) * u \
-        - basis.dissipative_coupling * low - 1j * s * x * matter + params.rabi_freq * s
-    dl = -(1j * basis.detuning_lower + basis.lower_linewidth) * low \
-        - basis.dissipative_coupling * u - 1j * c * x * matter + params.rabi_freq * c
+    x = sum(2.0 * m.bare_coupling * b.real for m, b in zip(mechanics, bs))
+    du = -(1j * pair.detuning_upper + pair.upper_linewidth) * u \
+        - pair.dissipative_coupling * low - 1j * s * x * matter + rabi * s
+    dl = -(1j * pair.detuning_lower + pair.lower_linewidth) * low \
+        - pair.dissipative_coupling * u - 1j * c * x * matter + rabi * c
     out = [du.real, du.imag, dl.real, dl.imag]
-    for mech, b in zip(params.mechanical_modes, bs):
+    for mech, b in zip(mechanics, bs):
         db = -(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
         out.extend([db.real, db.imag])
     return np.array(out)
@@ -81,11 +149,10 @@ def rotate_polaritons(mat_or_vec, psi):
     return t @ mat_or_vec @ t.T
 
 
-def shift_corrected_drift(drift, params, basis, avg):
+def shift_corrected_drift(drift, pair, mechanics, avg):
     """Add back the static displacement detuning shift the model drops."""
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    shift = sum(2.0 * m.bare_coupling * b.real
-                for m, b in zip(params.mechanical_modes, avg.avg_mech))
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
+    shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(mechanics, avg.avg_mech))
     corrected = np.array(drift, dtype=float, copy=True)
     spin = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for rows, cols, w in (((0, 2), (0, 2), s * s), ((0, 2), (2, 4), s * c),

@@ -19,6 +19,7 @@ from helpers import (
     TWO_PI,
     make_base_setup,
     make_mechs,
+    pair_at,
     random_block_instance,
 )
 
@@ -163,9 +164,9 @@ def test_criterion_4_thermal_equilibrium_oracle():
             bath_temperature=temp,
             rabi_freq=rng.uniform(0.1, 2.0) * 78525797543744.95,
         )
-        params = setup.params_at(rng.uniform(0.1, 1.4))
-        state = pc.steady_state(pc.build_linear_model(params))
-        for mech, n in zip(params.mechanical_modes, state.occupations[2:]):
+        _, model = setup.working_point(rng.uniform(0.1, 1.4))
+        state = pc.steady_state(model)
+        for mech, n in zip(setup.mechanical_modes, state.occupations[2:]):
             expected = pc.thermal_occupation(mech.freq, temp)
             worst = max(worst, abs(n - expected) / expected)
     verdict(4, worst <= 5e-10,
@@ -199,8 +200,7 @@ def test_criterion_6_tuning_round_trip():
         upper = lower * rng.uniform(1.5, 3.5)
         theta = rng.uniform(0.02, 0.5 * math.pi - 0.02)
         mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (lower, upper)))
-        params = make_base_setup(cavity_freq=cavity, mechanical_modes=mechs).params_at(theta)
-        basis = pc.diagonalize_polaritons(params)
+        basis = pair_at(make_base_setup(cavity_freq=cavity, mechanical_modes=mechs), theta)
         worst = max(
             worst,
             abs(basis.detuning_upper - upper) / upper,
@@ -254,7 +254,7 @@ def test_criterion_8_weight_competition():
     coupling = TWO_PI * 2e5
     ratios = []
     for theta in np.linspace(0.15, 0.5 * math.pi - 0.15, 50):
-        basis = pc.diagonalize_polaritons(setup.params_at(float(theta)))
+        basis = pair_at(setup, float(theta))
         s, c = math.sin(basis.theta), math.cos(basis.theta)
         _, anti_l1 = pc.sideband_rates(
             coupling * c, basis.lower_linewidth, basis.detuning_lower, omega_1)

@@ -13,7 +13,7 @@ import polarcool as pc
 from polarcool import analytics, dynamics
 from polarcool.errors import ValidationError
 
-from helpers import TWO_PI, cooling, make_base_setup
+from helpers import TWO_PI, cooling, make_base_setup, pair_at
 
 
 def test_sideband_rates_hand_values():
@@ -59,14 +59,15 @@ def test_backaction_limit_values_and_warning():
         pc.quantum_backaction_limit(kappa, math.inf)
 
 
-def model_with_couplings(params, couplings, detuning_sign=1.0):
-    """Two-node network at the params' polaritons with effective couplings G_j given.
+def model_with_couplings(setup, theta, couplings, detuning_sign=1.0):
+    """Two-node network at the device's polaritons at ``theta`` with effective
+    couplings G_j given.
 
     In approx mode G_j = 2 G_0j |M| and the matter amplitude M does not
     depend on G_0j, so the bare couplings set the effective ones; a negative
     ``detuning_sign`` puts both polaritons on the blue side of the drive.
     """
-    basis = pc.diagonalize_polaritons(params)
+    basis = pair_at(setup, theta)
     s, c = math.sin(basis.theta), math.cos(basis.theta)
     nodes = (
         pc.NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s,
@@ -74,44 +75,44 @@ def model_with_couplings(params, couplings, detuning_sign=1.0):
         pc.NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c,
                             detuning_sign * basis.detuning_lower),
     )
-    drive = pc.NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
-    matter = params.rabi_freq * abs(s * s / basis.detuning_upper + c * c / basis.detuning_lower)
+    drive = pc.NetworkDrive(setup._tuned(theta)[2], setup.rabi_freq, setup.bath_temperature)
+    matter = setup.rabi_freq * abs(s * s / basis.detuning_upper + c * c / basis.detuning_lower)
     mechs = tuple(dataclasses.replace(m, bare_coupling=g / (2.0 * matter))
-                  for m, g in zip(params.mechanical_modes, couplings))
+                  for m, g in zip(setup.mechanical_modes, couplings))
     model = pc.build_network(nodes, mechs, drive)
     assert np.allclose(np.abs(model.averages.effective_couplings), couplings, rtol=1e-12, atol=0)
     return model
 
 
 def test_weak_coupling_flag_threshold():
-    params = make_base_setup().params_at(0.7)
-    basis = pc.diagonalize_polaritons(params)
+    setup = make_base_setup()
+    basis = pair_at(setup, 0.7)
     kappa_min = min(basis.upper_linewidth, basis.lower_linewidth)
     s, c = math.sin(basis.theta), math.cos(basis.theta)
     w_max = max(s, c)
     below = 0.49 * kappa_min / w_max
     above = 0.51 * kappa_min / w_max
-    rates_ok = pc.network_cooling(model_with_couplings(params, (below, below)))
-    rates_bad = pc.network_cooling(model_with_couplings(params, (above, below)))
+    rates_ok = pc.network_cooling(model_with_couplings(setup, 0.7, (below, below)))
+    rates_bad = pc.network_cooling(model_with_couplings(setup, 0.7, (above, below)))
     assert all(r.weak_coupling for r in rates_ok)
     assert not rates_bad[0].weak_coupling
     assert rates_bad[1].weak_coupling
 
 
 def test_n_eff_approaches_thermal_as_coupling_vanishes():
-    params = make_base_setup().params_at(0.7)
-    rates = pc.network_cooling(model_with_couplings(params, (1e-6, 1e-6)))
-    for rate, mech in zip(rates, params.mechanical_modes):
-        nbar = pc.thermal_occupation(mech.freq, params.bath_temperature)
+    setup = make_base_setup()
+    rates = pc.network_cooling(model_with_couplings(setup, 0.7, (1e-6, 1e-6)))
+    for rate, mech in zip(rates, setup.mechanical_modes):
+        nbar = pc.thermal_occupation(mech.freq, setup.bath_temperature)
         assert rate.n_eff == pytest.approx(nbar, rel=1e-6)
         assert rate.n_eff_all == pytest.approx(nbar, rel=1e-6)
         assert rate.kappa_eff == pytest.approx(mech.damping, rel=1e-6)
 
 
 def test_n_eff_infinite_under_net_heating():
-    params = make_base_setup().params_at(0.6)
     # flip to blue detuning: Stokes resonant, net damping goes negative
-    rates = pc.network_cooling(model_with_couplings(params, (2e6, 2e6), detuning_sign=-1.0))
+    rates = pc.network_cooling(model_with_couplings(make_base_setup(), 0.6, (2e6, 2e6),
+                                                    detuning_sign=-1.0))
     assert math.isinf(rates[0].n_eff)
     assert math.isinf(rates[0].n_eff_all)
     assert rates[0].kappa_eff < 0.0
@@ -121,8 +122,7 @@ def test_analytic_matches_lyapunov_in_weak_coupling():
     """The two routes are fully independent; they must agree where both hold."""
     setup = make_base_setup(rabi_freq=0.3 * make_base_setup().rabi_freq)
     for theta in (0.4, 0.25 * math.pi, 1.05):
-        params = setup.params_at(theta)
-        model = pc.build_linear_model(params)
+        _, model = setup.working_point(theta)
         state = pc.steady_state(model)
         rates = pc.network_cooling(model)
         assert all(r.weak_coupling for r in rates)
@@ -140,8 +140,7 @@ def test_mode_competition_ratio_follows_cot_squared():
     thetas = np.linspace(0.15, math.pi / 2 - 0.15, 50)
     ratios = []
     for theta in thetas:
-        params = setup.params_at(float(theta))
-        basis = pc.diagonalize_polaritons(params)
+        basis = pair_at(setup, float(theta))
         s, c = math.sin(basis.theta), math.cos(basis.theta)
         # mode 1 anti-Stokes through the lower polariton
         _, a_l1 = pc.sideband_rates(g_fixed * c, basis.lower_linewidth,

@@ -526,6 +526,20 @@ def test_unconverged_tuning_flag_reaches_simulate_and_csv(capsys, tmp_path):
     assert capsys.readouterr().out.endswith("\nflags: tuning_not_converged\n")
 
 
+def test_a_tuning_whose_residuals_overflow_reports_only_its_error(capsys, tmp_path):
+    # residuals near 1e305 rad/s overflow the least-squares cost; the warning
+    # that numpy gives for it used to reach stderr ahead of the error line
+    raw = serialize_config(load_config(THREE))
+    raw["nmode"]["cavity_freq_hz"] = 3.2e306
+    raw["nmode"]["couplings_hz"] = [1.6e305, 1.92e305]
+    for mode, freq in zip(raw["nmode"]["mechanical_modes"], (3.2e305, 8.0e305, 1.6e306)):
+        mode["freq_hz"] = freq
+    path = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sideband_rates: ") and err.count("\n") == 1
+
+
 def test_converged_rates_reports_carry_no_flags(capsys):
     for path in (BASE, THREE):
         assert main(["rates", "--config", path]) == 0

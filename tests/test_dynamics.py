@@ -22,19 +22,21 @@ from helpers import (
     make_base_setup,
     make_mechs,
     network,
+    pair_at,
+    pair_network,
     rotate_polaritons,
     shift_corrected_drift,
 )
 
 
 def tuned(theta=0.25 * math.pi, **overrides):
+    """The base device with ``overrides``, and its pair's normal modes at ``theta``."""
     setup = make_base_setup(**overrides)
-    params = setup.params_at(theta)
-    return params, pc.diagonalize_polaritons(params)
+    return setup, pair_at(setup, theta)
 
 
-def solve_averages(params, basis, mode="approx"):
-    return pc.build_linear_model(params, basis, mode=mode).averages
+def solve_averages(setup, theta, mode="approx"):
+    return setup.working_point(theta, mode=mode)[1].averages
 
 
 # ---------------------------------------------------------------------------
@@ -42,16 +44,16 @@ def solve_averages(params, basis, mode="approx"):
 
 
 def test_approx_averages_closed_form():
-    params, basis = tuned(theta=0.25 * math.pi)
-    avg = solve_averages(params, basis)
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    setup, pair = tuned(theta=0.25 * math.pi)
+    avg = solve_averages(setup, 0.25 * math.pi)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
     upper, lower = avg.avg_polaritons
-    assert upper == pytest.approx(-1j * s * params.rabi_freq / basis.detuning_upper, rel=1e-14)
-    assert lower == pytest.approx(-1j * c * params.rabi_freq / basis.detuning_lower, rel=1e-14)
+    assert upper == pytest.approx(-1j * s * setup.rabi_freq / pair.detuning_upper, rel=1e-14)
+    assert lower == pytest.approx(-1j * c * setup.rabi_freq / pair.detuning_lower, rel=1e-14)
     assert avg.avg_matter == pytest.approx(s * upper + c * lower, rel=1e-14)
     # matter amplitude is purely imaginary in this approximation
     assert abs(avg.avg_matter.real) < 1e-9 * abs(avg.avg_matter)
-    for mech, b, g_eff in zip(params.mechanical_modes, avg.avg_mech, avg.effective_couplings):
+    for mech, b, g_eff in zip(setup.mechanical_modes, avg.avg_mech, avg.effective_couplings):
         assert b == pytest.approx(-mech.bare_coupling * abs(avg.avg_matter) ** 2 / mech.freq,
                                   rel=1e-14)
         assert g_eff == pytest.approx(2.0 * mech.bare_coupling * abs(avg.avg_matter), rel=1e-12)
@@ -61,8 +63,7 @@ def test_approx_averages_closed_form():
 
 def test_approx_averages_reference_magnitudes():
     # frozen first-run values at theta = pi/4, base drive
-    params, basis = tuned()
-    avg = solve_averages(params, basis)
+    avg = solve_averages(make_base_setup(), 0.25 * math.pi)
     assert abs(avg.avg_polaritons[0]) == pytest.approx(294575.23653285, rel=1e-11)
     assert abs(avg.avg_polaritons[1]) == pytest.approx(883725.70959854, rel=1e-11)
     assert abs(avg.avg_matter) == pytest.approx(833184.58928803, rel=1e-11)
@@ -70,8 +71,7 @@ def test_approx_averages_reference_magnitudes():
 
 
 def test_zero_drive_has_zero_averages():
-    params, basis = tuned(rabi_freq=0.0)
-    avg = solve_averages(params, basis)
+    avg = solve_averages(make_base_setup(rabi_freq=0.0), 0.25 * math.pi)
     assert avg.avg_polaritons == (0j, 0j)
     assert avg.effective_couplings == (0.0, 0.0)
 
@@ -89,36 +89,27 @@ def test_numpy_scalar_mechanics_give_the_float_records(mode):
             [pc.NetworkPolariton(TWO_PI * 1.0e10, TWO_PI * 1.0e6, 0.7, detuning=TWO_PI * 1.0e7)],
             modes(number), pc.NetworkDrive(TWO_PI * 1.0e10, 1.0e13, 0.01), mode=mode)
 
-    params = make_base_setup().params_at(0.7)
-    twin = dataclasses.replace(params, mechanical_modes=modes(np.float64))
-    for got, want in ((network(np.float64), network(float)),
-                      (pc.build_linear_model(twin, mode=mode),
-                       pc.build_linear_model(dataclasses.replace(params, mechanical_modes=modes(
-                           float)), mode=mode))):
+    def device(number):
+        return make_base_setup(mechanical_modes=modes(number)).working_point(0.7, mode=mode)[1]
+
+    for got, want in ((network(np.float64), network(float)), (device(np.float64), device(float))):
         assert repr(got.averages) == repr(want.averages)
         assert got.drift.tobytes() == want.drift.tobytes()
         assert got.diffusion.tobytes() == want.diffusion.tobytes()
 
 
 def test_approx_rejects_zero_detuning():
-    params, basis = tuned()
-    shifted = pc.PolaritonBasis(
-        theta=basis.theta, upper_freq=basis.upper_freq, lower_freq=basis.lower_freq,
-        upper_linewidth=basis.upper_linewidth, lower_linewidth=basis.lower_linewidth,
-        dissipative_coupling=basis.dissipative_coupling,
-        detuning_upper=basis.detuning_upper, detuning_lower=0.0,
-    )
-    with pytest.raises(ValidationError, match="detuning"):
-        pc.build_linear_model(params, shifted)
+    with pytest.raises(ValidationError, match=r"^polaritons\[1\]\.detuning: polariton resonant"):
+        pair_network(make_base_setup(), 0.25 * math.pi, detuning_lower=0.0)
 
 
 def test_selfconsistent_close_to_approx_at_weak_drive():
     # the dominant correction is a common phase, which the rotation absorbs;
     # magnitudes must agree to the percent level at this drive strength
+    setup = make_base_setup()
     for theta in (0.25 * math.pi, 0.6, 1.0):
-        params, basis = tuned(theta=theta)
-        approx = solve_averages(params, basis, mode="approx")
-        exact = solve_averages(params, basis, mode="selfconsistent")
+        approx = solve_averages(setup, theta, mode="approx")
+        exact = solve_averages(setup, theta, mode="selfconsistent")
         for p_exact, p_approx in zip(exact.avg_polaritons, approx.avg_polaritons):
             assert abs(p_exact) == pytest.approx(abs(p_approx), rel=1e-2)
         assert abs(exact.avg_matter) == pytest.approx(abs(approx.avg_matter), rel=1e-2)
@@ -128,31 +119,31 @@ def test_selfconsistent_close_to_approx_at_weak_drive():
         assert exact.mode == "selfconsistent"
 
 
-def max_classical_residual(params, basis, polaritons, mech_avgs):
+def max_classical_residual(setup, pair, polaritons, mech_avgs):
     """Largest right-hand side of the two-mode classical equations at the given averages."""
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
     upper, lower = polaritons
     matter = s * upper + c * lower
     shift = sum(2.0 * m.bare_coupling * b.real
-                for m, b in zip(params.mechanical_modes, mech_avgs))
-    du = -(1j * (basis.detuning_upper + shift * s * s) + basis.upper_linewidth) * upper \
-        - (basis.dissipative_coupling + 1j * shift * s * c) * lower \
-        + params.rabi_freq * s
-    dl = -(1j * (basis.detuning_lower + shift * c * c) + basis.lower_linewidth) * lower \
-        - (basis.dissipative_coupling + 1j * shift * c * s) * upper \
-        + params.rabi_freq * c
+                for m, b in zip(setup.mechanical_modes, mech_avgs))
+    du = -(1j * (pair.detuning_upper + shift * s * s) + pair.upper_linewidth) * upper \
+        - (pair.dissipative_coupling + 1j * shift * s * c) * lower \
+        + setup.rabi_freq * s
+    dl = -(1j * (pair.detuning_lower + shift * c * c) + pair.lower_linewidth) * lower \
+        - (pair.dissipative_coupling + 1j * shift * c * s) * upper \
+        + setup.rabi_freq * c
     dbs = [-(1j * mech.freq + mech.damping) * b - 1j * mech.bare_coupling * abs(matter) ** 2
-           for mech, b in zip(params.mechanical_modes, mech_avgs)]
+           for mech, b in zip(setup.mechanical_modes, mech_avgs)]
     return max(abs(r) for r in (du, dl, *dbs))
 
 
 def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
     # equal bare linewidths, then unequal ones so delta-kappa is live
     for overrides in ({}, {"magnon_linewidth": TWO_PI * 2.0e6}):
-        params, basis = tuned(theta=0.6, **overrides)
-        avg = solve_averages(params, basis, mode="selfconsistent")
-        residual = max_classical_residual(params, basis, avg.avg_polaritons, avg.avg_mech)
-        assert residual < 1e-9 * params.rabi_freq
+        setup, pair = tuned(theta=0.6, **overrides)
+        avg = solve_averages(setup, 0.6, mode="selfconsistent")
+        residual = max_classical_residual(setup, pair, avg.avg_polaritons, avg.avg_mech)
+        assert residual < 1e-9 * setup.rabi_freq
 
     # three nodes: the preset, then unequal bare linewidths so the cross damping is live
     for linewidths_hz in ((1.0e6, 1.0e6), (1.0e6, 3.0e6)):
@@ -186,59 +177,63 @@ def test_selfconsistent_is_a_fixed_point_of_the_classical_equations():
             assert abs(db) < 1e-9 * BASE_RABI
 
 
-def highpower(theta=0.3, drive_factor=1.0):
+HIGHPOWER_THETA = 0.3
+
+
+def highpower(drive_factor=1.0):
+    """The high-power preset with its drive scaled, and its pair at ``HIGHPOWER_THETA``."""
     setup = pc.load_config("configs/two_mode_highpower.config").setup
-    params = setup.params_at(theta, rabi=drive_factor * setup.rabi_freq)
-    return params, pc.diagonalize_polaritons(params)
+    setup = dataclasses.replace(setup, rabi_freq=drive_factor * setup.rabi_freq)
+    return setup, pair_at(setup, HIGHPOWER_THETA)
 
 
 @pytest.mark.parametrize("drive_factor", (3.3, 10.0, 22.0))
 def test_selfconsistent_solves_strong_drive(drive_factor):
     # the cubic has a single root here; a damped iteration of M used to give up
-    params, basis = highpower(drive_factor=drive_factor)
-    avg = solve_averages(params, basis, mode="selfconsistent")
+    setup, pair = highpower(drive_factor=drive_factor)
+    avg = solve_averages(setup, HIGHPOWER_THETA, mode="selfconsistent")
     assert avg.branches == (avg.avg_matter,)
     assert np.isfinite(averages_vector(avg)).all()
-    residual = max_classical_residual(params, basis, avg.avg_polaritons, avg.avg_mech)
-    assert residual < 1e-9 * params.rabi_freq
+    residual = max_classical_residual(setup, pair, avg.avg_polaritons, avg.avg_mech)
+    assert residual < 1e-9 * setup.rabi_freq
 
 
-def branch_averages(params, basis, matter):
+def branch_averages(setup, pair, matter):
     """Polariton and mechanical averages of the steady state with matter amplitude M.
 
     M fixes the mechanical displacements and so the detuning shift; the
     polariton equations are then linear in the amplitudes.
     """
     mech_avgs = [-1j * m.bare_coupling * abs(matter) ** 2 / (1j * m.freq + m.damping)
-                 for m in params.mechanical_modes]
-    shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(params.mechanical_modes, mech_avgs))
-    w = np.array([math.sin(basis.theta), math.cos(basis.theta)])
-    dk = basis.dissipative_coupling
-    a = np.array([[1j * basis.detuning_upper + basis.upper_linewidth, dk],
-                  [dk, 1j * basis.detuning_lower + basis.lower_linewidth]])
-    polaritons = np.linalg.solve(a + 1j * shift * np.outer(w, w), params.rabi_freq * w)
+                 for m in setup.mechanical_modes]
+    shift = sum(2.0 * m.bare_coupling * b.real for m, b in zip(setup.mechanical_modes, mech_avgs))
+    w = np.array([math.sin(pair.theta), math.cos(pair.theta)])
+    dk = pair.dissipative_coupling
+    a = np.array([[1j * pair.detuning_upper + pair.upper_linewidth, dk],
+                  [dk, 1j * pair.detuning_lower + pair.lower_linewidth]])
+    polaritons = np.linalg.solve(a + 1j * shift * np.outer(w, w), setup.rabi_freq * w)
     return tuple(complex(p) for p in polaritons), mech_avgs
 
 
 def test_selfconsistent_reports_every_branch():
-    params, basis = highpower()
-    avg = solve_averages(params, basis, mode="selfconsistent")
+    setup, pair = highpower()
+    avg = solve_averages(setup, HIGHPOWER_THETA, mode="selfconsistent")
     assert len(avg.branches) == 3
     assert avg.branches[0] == avg.avg_matter
     magnitudes = [abs(m) for m in avg.branches]
     assert magnitudes == sorted(magnitudes)
     # the lowest branch is the one the damped fixed-point iteration reached (frozen value)
     assert avg.avg_matter == pytest.approx(478965.3085257518 - 4778026.818752742j, rel=1e-12)
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
     for matter in avg.branches:
-        polaritons, mech_avgs = branch_averages(params, basis, matter)
+        polaritons, mech_avgs = branch_averages(setup, pair, matter)
         assert s * polaritons[0] + c * polaritons[1] == pytest.approx(matter, rel=1e-9)
-        residual = max_classical_residual(params, basis, polaritons, mech_avgs)
-        assert residual < 1e-9 * params.rabi_freq
-    approx = solve_averages(params, basis)
+        residual = max_classical_residual(setup, pair, polaritons, mech_avgs)
+        assert residual < 1e-9 * setup.rabi_freq
+    approx = solve_averages(setup, HIGHPOWER_THETA)
     assert approx.branches == (approx.avg_matter,)
-    params, basis = tuned(rabi_freq=0.0)
-    assert solve_averages(params, basis, mode="selfconsistent").branches == (0j,)
+    undriven = make_base_setup(rabi_freq=0.0)
+    assert solve_averages(undriven, 0.25 * math.pi, mode="selfconsistent").branches == (0j,)
 
 
 def test_selfconsistent_keeps_the_lower_branch_at_its_fold():
@@ -424,7 +419,7 @@ def test_singular_polariton_matrix_raises_solver_error():
 # drift oracle: finite differences of an independently coded right-hand side
 
 
-def fd_jacobian(params, basis, avg):
+def fd_jacobian(setup, pair, avg):
     z0 = averages_vector(avg)
     n = z0.size
     jac = np.zeros((n, n))
@@ -432,8 +427,9 @@ def fd_jacobian(params, basis, avg):
         step = 1e-6 * max(abs(z0[j]), 1.0)
         e = np.zeros(n)
         e[j] = step
-        jac[:, j] = (classical_rhs(z0 + e, params, basis)
-                     - classical_rhs(z0 - e, params, basis)) / (2.0 * step)
+        jac[:, j] = (classical_rhs(z0 + e, pair, setup.mechanical_modes, setup.rabi_freq)
+                     - classical_rhs(z0 - e, pair, setup.mechanical_modes, setup.rabi_freq)
+                     ) / (2.0 * step)
     return jac
 
 
@@ -445,27 +441,27 @@ def test_drift_matches_finite_difference_jacobian():
     only discrepancy left. Correcting for it analytically must bring the
     match down to finite-difference noise.
     """
-    params, basis = tuned(theta=0.6)
-    model = pc.build_linear_model(params, basis, mode="selfconsistent")
+    setup, pair = tuned(theta=0.6)
+    model = setup.working_point(0.6, mode="selfconsistent")[1]
     avg, drift = model.averages, model.drift
-    jac = rotate_polaritons(fd_jacobian(params, basis, avg), avg.phase_rotation)
+    jac = rotate_polaritons(fd_jacobian(setup, pair, avg), avg.phase_rotation)
     scale = np.abs(drift).max()
     assert np.abs(jac - drift).max() < 5e-4 * scale
-    corrected = shift_corrected_drift(drift, params, basis, avg)
+    corrected = shift_corrected_drift(drift, pair, setup.mechanical_modes, avg)
     assert np.abs(jac - corrected).max() < 1e-6 * scale
 
 
 def test_drift_block_structure():
-    params, basis = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
-    model = pc.build_linear_model(params, basis)
+    setup, pair = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
+    model = setup.working_point(0.6)[1]
     avg, r = model.averages, model.drift
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
     assert r.shape == (8, 8)
-    assert r[0, 0] == -basis.upper_linewidth and r[0, 1] == basis.detuning_upper
-    assert r[2, 3] == basis.detuning_lower
-    assert r[0, 2] == -basis.dissipative_coupling
-    assert r[2, 0] == -basis.dissipative_coupling
-    for j, (mech, g_eff) in enumerate(zip(params.mechanical_modes, avg.effective_couplings)):
+    assert r[0, 0] == -pair.upper_linewidth and r[0, 1] == pair.detuning_upper
+    assert r[2, 3] == pair.detuning_lower
+    assert r[0, 2] == -pair.dissipative_coupling
+    assert r[2, 0] == -pair.dissipative_coupling
+    for j, (mech, g_eff) in enumerate(zip(setup.mechanical_modes, avg.effective_couplings)):
         i = 4 + 2 * j
         assert r[i, i + 1] == mech.freq and r[i, i] == -mech.damping
         assert r[0, i] == -g_eff * s
@@ -477,8 +473,7 @@ def test_drift_block_structure():
 
 
 def test_drift_zero_coupling_decouples():
-    params, basis = tuned(rabi_freq=0.0)
-    r = pc.build_linear_model(params, basis).drift
+    r = make_base_setup(rabi_freq=0.0).working_point(0.25 * math.pi)[1].drift
     off = r[0:4, 4:8]
     assert np.all(off == 0.0) and np.all(r[4:8, 0:4] == 0.0)
 
@@ -703,16 +698,16 @@ def test_a_non_finite_value_faults_its_point_as_the_matrix_check_does(n_p, n_m, 
 
 
 def test_diffusion_matches_mode_occupations():
-    params, basis = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
-    d = pc.build_linear_model(params, basis).diffusion
-    t = params.bath_temperature
-    n_u = pc.thermal_occupation(basis.upper_freq, t)
-    n_l = pc.thermal_occupation(basis.lower_freq, t)
-    n_c = pc.thermal_occupation(0.5 * (basis.upper_freq + basis.lower_freq), t)
-    assert d[0, 0] == pytest.approx(2 * basis.upper_linewidth * (n_u + 0.5), rel=1e-14)
-    assert d[2, 2] == pytest.approx(2 * basis.lower_linewidth * (n_l + 0.5), rel=1e-14)
-    assert d[0, 2] == pytest.approx(2 * basis.dissipative_coupling * (n_c + 0.5), rel=1e-14)
-    for j, mech in enumerate(params.mechanical_modes):
+    setup, pair = tuned(theta=0.6, magnon_linewidth=TWO_PI * 2.0e6)
+    d = setup.working_point(0.6)[1].diffusion
+    t = setup.bath_temperature
+    n_u = pc.thermal_occupation(pair.upper_freq, t)
+    n_l = pc.thermal_occupation(pair.lower_freq, t)
+    n_c = pc.thermal_occupation(0.5 * (pair.upper_freq + pair.lower_freq), t)
+    assert d[0, 0] == pytest.approx(2 * pair.upper_linewidth * (n_u + 0.5), rel=1e-14)
+    assert d[2, 2] == pytest.approx(2 * pair.lower_linewidth * (n_l + 0.5), rel=1e-14)
+    assert d[0, 2] == pytest.approx(2 * pair.dissipative_coupling * (n_c + 0.5), rel=1e-14)
+    for j, mech in enumerate(setup.mechanical_modes):
         i = 4 + 2 * j
         nb = pc.thermal_occupation(mech.freq, t)
         assert d[i, i] == pytest.approx(2 * mech.damping * (nb + 0.5), rel=1e-14)
@@ -723,12 +718,12 @@ def test_diffusion_positive_semidefinite_with_dissipative_coupling():
     # kappa_u kappa_l - delta_kappa^2 = kappa_a kappa_m > 0 guarantees this
     rng = np.random.default_rng(31)
     for _ in range(50):
-        params, basis = tuned(
-            theta=rng.uniform(0.05, 0.5 * math.pi - 0.05),
+        theta = rng.uniform(0.05, 0.5 * math.pi - 0.05)
+        setup = make_base_setup(
             magnon_linewidth=TWO_PI * 10 ** rng.uniform(5, 7),
             bath_temperature=rng.uniform(0.0, 1.0),
         )
-        d = pc.build_linear_model(params, basis).diffusion
+        d = setup.working_point(theta)[1].diffusion
         eigs = np.linalg.eigvalsh(d)
         assert eigs.min() >= -1e-12 * abs(eigs.max())
 
@@ -738,19 +733,20 @@ def test_diffusion_positive_semidefinite_with_dissipative_coupling():
 
 
 def test_photon_matter_single_mode_matches_two_mode_transform():
-    params, basis = tuned(theta=0.6)
+    setup, pair = tuned(theta=0.6)
+    coupling, magnon_freq, _ = setup._tuned(0.6)
     modes = pc.photon_matter_diagonalize(
-        params.cavity_freq,
-        [pc.MatterMode(freq=params.magnon_freq, coupling=params.photon_matter_coupling,
-                       linewidth=params.magnon_linewidth)],
-        params.cavity_linewidth,
+        setup.cavity_freq,
+        [pc.MatterMode(freq=magnon_freq, coupling=coupling,
+                       linewidth=setup.matter_linewidths[0])],
+        setup.cavity_linewidth,
     )
     lower, upper = modes
-    s, c = math.sin(basis.theta), math.cos(basis.theta)
-    assert upper.freq == pytest.approx(basis.upper_freq, rel=1e-13)
-    assert lower.freq == pytest.approx(basis.lower_freq, rel=1e-13)
-    assert upper.linewidth == pytest.approx(basis.upper_linewidth, rel=1e-10)
-    assert lower.linewidth == pytest.approx(basis.lower_linewidth, rel=1e-10)
+    s, c = math.sin(pair.theta), math.cos(pair.theta)
+    assert upper.freq == pytest.approx(pair.upper_freq, rel=1e-13)
+    assert lower.freq == pytest.approx(pair.lower_freq, rel=1e-13)
+    assert upper.linewidth == pytest.approx(pair.upper_linewidth, rel=1e-10)
+    assert lower.linewidth == pytest.approx(pair.lower_linewidth, rel=1e-10)
     # sign convention: largest matter component positive
     assert upper.weights[0] == pytest.approx(c, abs=1e-12)
     assert upper.weights[1] == pytest.approx(s, abs=1e-12)
@@ -821,31 +817,18 @@ def test_photon_matter_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# the two-mode wrapper is a two-node network
+# the angle-tuned device is a two-node network
 
 
 def test_network_reduction_is_bit_identical():
+    setup = make_base_setup(magnon_linewidth=TWO_PI * 2.0e6)
     for theta in (0.3, 0.25 * math.pi, 1.1):
-        setup = make_base_setup(magnon_linewidth=TWO_PI * 2.0e6)
-        params = setup.params_at(theta)
-        basis = pc.diagonalize_polaritons(params)
-        model2 = pc.build_linear_model(params, basis)
-
-        s, c = math.sin(basis.theta), math.cos(basis.theta)
-        polaritons = (
-            pc.NetworkPolariton(freq=basis.upper_freq, linewidth=basis.upper_linewidth,
-                                weight=s, detuning=basis.detuning_upper),
-            pc.NetworkPolariton(freq=basis.lower_freq, linewidth=basis.lower_linewidth,
-                                weight=c, detuning=basis.detuning_lower),
-        )
-        drive = pc.NetworkDrive(drive_freq=params.drive_freq, rabi_freq=params.rabi_freq,
-                                bath_temperature=params.bath_temperature)
-        dk = basis.dissipative_coupling
-        network = pc.build_network(polaritons, params.mechanical_modes, drive,
-                                   cross_damping=[[0.0, dk], [dk, 0.0]])
-        assert np.array_equal(network.drift, model2.drift)
-        assert np.array_equal(network.diffusion, model2.diffusion)
-        assert network.averages == model2.averages
+        for mode in ("approx", "selfconsistent"):
+            model2 = setup.working_point(theta, mode=mode)[1]
+            network = pair_network(setup, theta, mode)
+            assert network.drift.tobytes() == model2.drift.tobytes()
+            assert network.diffusion.tobytes() == model2.diffusion.tobytes()
+            assert network.averages == model2.averages
 
 
 def test_network_rejects_resonant_drive():
@@ -890,11 +873,9 @@ def test_a_nodes_own_fault_is_reported_before_the_mode_or_the_resonance():
         with pytest.raises(ValidationError) as exc:
             pc.build_network(nodes, make_mechs(), drive, mode=mode)
         assert str(exc.value) == message
-    # the pair's nodes too, through build_linear_model
-    params = make_base_setup().params_at(0.7)
-    basis = dataclasses.replace(pc.diagonalize_polaritons(params), lower_freq=math.nan)
+    # the pair's two nodes too, the lower one's frequency NaN
     with pytest.raises(ValidationError) as exc:
-        pc.build_linear_model(params, basis, mode="exact")
+        pair_network(make_base_setup(), 0.7, "exact", lower_freq=math.nan)
     assert str(exc.value) == message
 
 
@@ -916,7 +897,7 @@ def test_network_rejects_derived_values_that_overflow():
 
 
 def base_model():
-    return pc.build_linear_model(make_base_setup().params_at(0.7))
+    return make_base_setup().working_point(0.7)[1]
 
 
 def bad_matrices():

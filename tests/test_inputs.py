@@ -22,7 +22,6 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, None, "1.0", True, 1j)
 
 CAV, LO, HI = TWO_PI * 1e10, TWO_PI * 1e7, TWO_PI * 3e7
 SETUP = make_base_setup()
-PARAMS = SETUP.params_at(0.7)
 MECH = make_mechs()[0]
 POL = pc.NetworkPolariton(freq=TWO_PI * 1e10, linewidth=TWO_PI * 1e6, weight=0.7)
 DRIVE = pc.NetworkDrive(drive_freq=TWO_PI * 9.9e9, rabi_freq=1e13, bath_temperature=0.01)
@@ -48,15 +47,14 @@ def _nmode_entry(key, value):
 
 # (field path, call with the value, None means "not given")
 API = [
-    ("theta", SETUP.params_at, False),
+    ("theta", SETUP.working_point, False),
     ("freq", lambda v: pc.thermal_occupation(v, 0.1), False),
     ("temperature", lambda v: pc.thermal_occupation(LO, v), False),
     ("mechanical_mode.freq", lambda v: swap(MECH, freq=v).validate(), False),
     ("mechanical_mode.damping", lambda v: swap(MECH, damping=v).validate(), False),
     ("mechanical_mode.bare_coupling", lambda v: swap(MECH, bare_coupling=v).validate(), False),
-    *[(name, lambda v, name=name: swap(PARAMS, **{name: v}), False)
-      for name in ("cavity_freq", "magnon_freq", "photon_matter_coupling", "cavity_linewidth",
-                   "magnon_linewidth", "drive_freq", "rabi_freq", "bath_temperature")],
+    ("rabi_freq", lambda v: SETUP.working_point(0.7, rabi=v), True),
+    ("bath_temperature", lambda v: SETUP.working_point(0.7, temperature=v), True),
     *[(name, lambda v, name=name: _setup(**{name: v}), False)
       for name in ("cavity_freq", "cavity_linewidth", "bath_temperature", "rabi_freq")],
     ("matter_linewidths[0]", lambda v: _setup(matter_linewidths=(v,)), False),
@@ -236,14 +234,8 @@ MISTYPED = {
                          lambda: _setup(mechanical_modes=(MODE_DICT, MECH))),
     "Device mode tuple": (f"mechanical_modes[1]: expected a MechanicalMode, got {MODE_TUPLE!r}",
                           lambda: _setup(mechanical_modes=(MECH, MODE_TUPLE))),
-    "SystemParams mode dict": (
-        f"mechanical_modes[0]: expected a MechanicalMode, got {MODE_DICT!r}",
-        lambda: swap(PARAMS, mechanical_modes=(MODE_DICT,))),
-    "SystemParams mode tuple": (
-        f"mechanical_modes[0]: expected a MechanicalMode, got {MODE_TUPLE!r}",
-        lambda: swap(PARAMS, mechanical_modes=[MODE_TUPLE])),
-    "SystemParams modes None": ("mechanical_modes: expected a sequence, got None",
-                                lambda: swap(PARAMS, mechanical_modes=None)),
+    "Device modes None": ("mechanical_modes: expected a sequence, got None",
+                          lambda: _setup(mechanical_modes=None)),
     "build_network node tuple": (
         f"polaritons[0]: expected a NetworkPolariton, got {dataclasses.astuple(POL)!r}",
         lambda: pc.build_network([dataclasses.astuple(POL)], [MECH], DRIVE)),

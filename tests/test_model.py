@@ -7,8 +7,9 @@ import pytest
 
 import polarcool as pc
 from polarcool.errors import ValidationError
+from polarcool.model import _pair
 
-from helpers import TWO_PI, make_base_setup, make_mechs
+from helpers import TWO_PI, Pair, make_base_setup, pair_at
 
 # high-precision references computed with 40-digit arithmetic
 OCCUPATION_TABLE = (
@@ -23,10 +24,6 @@ OCCUPATION_TABLE = (
 SPIN_NUMBER_250UM = 3.452479426601283e16
 RABI_AT_27UT = 78525797543744.959
 RABI_AT_69MW = 314559404199249.857
-
-
-def make_params(theta=0.25 * math.pi, **overrides):
-    return make_base_setup(**overrides).params_at(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -72,41 +69,7 @@ def test_thermal_occupation_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# parameter validation
-
-
-def test_system_params_rejects_nonpositive_fields_with_field_name():
-    good = make_params()
-    for field in ("cavity_freq", "magnon_freq", "photon_matter_coupling",
-                  "cavity_linewidth", "magnon_linewidth"):
-        kwargs = {f: getattr(good, f) for f in (
-            "cavity_freq", "magnon_freq", "photon_matter_coupling", "cavity_linewidth",
-            "magnon_linewidth", "mechanical_modes", "drive_freq", "rabi_freq",
-            "bath_temperature")}
-        kwargs[field] = 0.0
-        with pytest.raises(ValidationError, match=field):
-            pc.SystemParams(**kwargs)
-    # NaN and inf are not numbers in range either
-    for field, value in (("rabi_freq", math.nan), ("drive_freq", math.inf),
-                         ("bath_temperature", math.nan), ("cavity_freq", math.inf)):
-        with pytest.raises(ValidationError, match=f"^{field}: must be finite"):
-            dataclasses.replace(good, **{field: value})
-
-
-def test_system_params_rejects_duplicate_mechanical_frequencies():
-    good = make_params()
-    with pytest.raises(ValidationError, match="distinct"):
-        pc.SystemParams(
-            cavity_freq=good.cavity_freq,
-            magnon_freq=good.magnon_freq,
-            photon_matter_coupling=good.photon_matter_coupling,
-            cavity_linewidth=good.cavity_linewidth,
-            magnon_linewidth=good.magnon_linewidth,
-            mechanical_modes=make_mechs(freq_hz=(1.0e7, 1.0e7)),
-            drive_freq=good.drive_freq,
-            rabi_freq=good.rabi_freq,
-            bath_temperature=good.bath_temperature,
-        )
+# mechanical modes
 
 
 def test_mechanical_mode_validate_reports_path():
@@ -122,64 +85,37 @@ def test_mechanical_mode_validate_reports_path():
             bad.validate("mechanics[2]")
 
 
-def test_system_params_accepts_list_and_stores_tuple():
-    good = make_params()
-    params = pc.SystemParams(
-        cavity_freq=good.cavity_freq,
-        magnon_freq=good.magnon_freq,
-        photon_matter_coupling=good.photon_matter_coupling,
-        cavity_linewidth=good.cavity_linewidth,
-        magnon_linewidth=good.magnon_linewidth,
-        mechanical_modes=list(good.mechanical_modes),
-        drive_freq=good.drive_freq,
-        rabi_freq=good.rabi_freq,
-        bath_temperature=good.bath_temperature,
-    )
-    assert isinstance(params.mechanical_modes, tuple)
-
-
 # ---------------------------------------------------------------------------
 # polariton transform
 
 
+def pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth, drive_freq):
+    return Pair(*_pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
+                       drive_freq))
+
+
 def test_diagonalize_reference_point():
     # detuning equal to the coupling: theta = atan2(2, 1) / 2
-    params = pc.SystemParams(
-        cavity_freq=TWO_PI * 1.0e10,
-        magnon_freq=TWO_PI * 9.99e9,
-        photon_matter_coupling=TWO_PI * 1.0e7,
-        cavity_linewidth=TWO_PI * 1.0e6,
-        magnon_linewidth=TWO_PI * 1.0e6,
-        mechanical_modes=make_mechs(),
-        drive_freq=TWO_PI * 9.98e9,
-        rabi_freq=0.0,
-        bath_temperature=0.01,
-    )
-    basis = pc.diagonalize_polaritons(params)
+    drive_freq = TWO_PI * 9.98e9
+    basis = pair(TWO_PI * 1.0e10, TWO_PI * 9.99e9, TWO_PI * 1.0e7, TWO_PI * 1.0e6,
+                 TWO_PI * 1.0e6, drive_freq)
     assert basis.theta == pytest.approx(0.55357435889704525, rel=1e-14)
     assert basis.upper_freq == pytest.approx(62870685292.570374, rel=1e-13)
     assert basis.lower_freq == pytest.approx(62730188997.949560, rel=1e-13)
     # detunings are evaluated midpoint-first to dodge GHz-scale round-off,
     # so they match the naive difference only to its own cancellation noise
-    assert basis.detuning_upper == pytest.approx(
-        basis.upper_freq - params.drive_freq, rel=1e-12)
+    assert basis.detuning_upper == pytest.approx(basis.upper_freq - drive_freq, rel=1e-12)
 
 
 def test_diagonalize_invariants_random_draws():
     rng = np.random.default_rng(417)
-    mechs = make_mechs()
     for _ in range(200):
         cavity = TWO_PI * rng.uniform(5e9, 2e10)
         magnon = cavity + TWO_PI * rng.uniform(-5e7, 5e7)
         g = TWO_PI * 10 ** rng.uniform(5, 7.5)
         ka = TWO_PI * 10 ** rng.uniform(4, 6.5)
         km = TWO_PI * 10 ** rng.uniform(4, 6.5)
-        params = pc.SystemParams(
-            cavity_freq=cavity, magnon_freq=magnon, photon_matter_coupling=g,
-            cavity_linewidth=ka, magnon_linewidth=km, mechanical_modes=mechs,
-            drive_freq=cavity - TWO_PI * 3e7, rabi_freq=0.0, bath_temperature=0.01,
-        )
-        b = pc.diagonalize_polaritons(params)
+        b = pair(cavity, magnon, g, ka, km, cavity - TWO_PI * 3e7)
         assert 0.0 < b.theta < 0.5 * math.pi
         assert b.upper_freq > b.lower_freq
         # frequency and linewidth sums are preserved by the rotation
@@ -196,32 +132,27 @@ def test_diagonalize_invariants_random_draws():
 
 
 def test_diagonalize_theta_side_of_resonance():
-    mechs = make_mechs()
-    common = dict(photon_matter_coupling=TWO_PI * 1e7, cavity_linewidth=TWO_PI * 1e6,
-                  magnon_linewidth=TWO_PI * 1e6, mechanical_modes=mechs,
-                  drive_freq=TWO_PI * 9.9e9, rabi_freq=0.0, bath_temperature=0.01)
-    red = pc.diagonalize_polaritons(pc.SystemParams(
-        cavity_freq=TWO_PI * 1e10, magnon_freq=TWO_PI * 0.995e10, **common))
-    blue = pc.diagonalize_polaritons(pc.SystemParams(
-        cavity_freq=TWO_PI * 1e10, magnon_freq=TWO_PI * 1.005e10, **common))
-    resonant = pc.diagonalize_polaritons(pc.SystemParams(
-        cavity_freq=TWO_PI * 1e10, magnon_freq=TWO_PI * 1e10, **common))
+    def theta(magnon_freq):
+        return pair(TWO_PI * 1e10, magnon_freq, TWO_PI * 1e7, TWO_PI * 1e6, TWO_PI * 1e6,
+                    TWO_PI * 9.9e9).theta
+
+    red, blue = theta(TWO_PI * 0.995e10), theta(TWO_PI * 1.005e10)
     # magnon below cavity -> mostly-photon upper branch -> theta < pi/4
-    assert red.theta < 0.25 * math.pi < blue.theta
-    assert resonant.theta == pytest.approx(0.25 * math.pi, rel=1e-14)
+    assert red < 0.25 * math.pi < blue
+    assert theta(TWO_PI * 1e10) == pytest.approx(0.25 * math.pi, rel=1e-14)
 
 
 def test_dissipative_coupling_vanishes_for_equal_linewidths():
-    basis = pc.diagonalize_polaritons(make_params())
+    basis = pair_at(make_base_setup(), 0.25 * math.pi)
     assert basis.dissipative_coupling == 0.0
 
 
 def test_dissipative_coupling_sign_tracks_linewidth_difference():
-    params = make_params(magnon_linewidth=TWO_PI * 2.0e6)
-    basis = pc.diagonalize_polaritons(params)
+    setup = make_base_setup(magnon_linewidth=TWO_PI * 2.0e6)
+    basis = pair_at(setup, 0.25 * math.pi)
     # kappa_m > kappa_a: delta kappa = (kappa_m - kappa_a) sin cos > 0
     assert basis.dissipative_coupling > 0.0
-    expected = (params.magnon_linewidth - params.cavity_linewidth) \
+    expected = (setup.matter_linewidths[0] - setup.cavity_linewidth) \
         * math.sin(basis.theta) * math.cos(basis.theta)
     assert basis.dissipative_coupling == pytest.approx(expected, rel=1e-12)
 

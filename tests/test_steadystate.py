@@ -23,12 +23,15 @@ from polarcool.errors import (
 )
 
 from helpers import (
+    BASE_RABI,
     TWO_PI,
     averages_vector,
     classical_rhs,
     integrate,
     make_base_setup,
     make_mechs,
+    pair_at,
+    pair_network,
     random_block_instance,
     rotate_polaritons,
     shift_corrected_drift,
@@ -36,17 +39,18 @@ from helpers import (
 )
 
 
-def blue_detuned_params():
-    """Drive above the lower polariton: anti-damping wins.
+def blue_detuned_model():
+    """Drive above the lower polariton: anti-damping wins. The pair's two nodes,
+    built by hand with the detunings of a drive at the lower polariton + omega_1.
 
     theta = pi/4 would null the matter average for this drive choice
     (s^2/delta_u cancels c^2/delta_l exactly), so keep it asymmetric.
     """
-    setup = make_base_setup()
-    params = setup.params_at(0.6, rabi=20.0 * setup.rabi_freq)
-    basis = pc.diagonalize_polaritons(params)
-    omega_1 = params.mechanical_modes[0].freq
-    return dataclasses.replace(params, drive_freq=basis.lower_freq + omega_1)
+    setup = make_base_setup(rabi_freq=20.0 * BASE_RABI)
+    pair = pair_at(setup, 0.6)
+    omega_1 = setup.mechanical_modes[0].freq
+    return pair_network(setup, 0.6, detuning_upper=pair.upper_freq - pair.lower_freq - omega_1,
+                        detuning_lower=-omega_1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +87,7 @@ def test_stability_info_holds_plain_python_scalars():
 
 
 def test_blue_detuned_drive_is_unstable():
-    model = pc.build_linear_model(blue_detuned_params())
+    model = blue_detuned_model()
     info = pc.check_stability(model.drift)
     assert not info.stable
     assert info.spectral_abscissa > 0.0
@@ -326,7 +330,7 @@ def test_block_verdict_and_solve_share_one_factorization(n_pairs, seed, shift):
 
 
 def test_steady_state_factors_the_drift_once(monkeypatch):
-    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    _, model = make_base_setup().working_point(0.7)
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -477,7 +481,7 @@ def test_staged_solve_equals_the_oracle_on_large_drifts(n):
 def test_nonfinite_drift_of_a_hand_built_model_is_rejected():
     # the model checks its matrices when built, so a broken one never reaches
     # steady_state or network_cooling
-    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    _, model = make_base_setup().working_point(0.7)
     for bad in (math.nan, math.inf, -math.inf):
         for index in ((0, 0), (0, 4), (5, 1)):
             drift = model.drift.copy()
@@ -505,16 +509,15 @@ def test_extract_occupations_vacuum_and_clamp():
 
 def test_zero_coupling_recovers_thermal_occupations():
     mechs = make_mechs(bare_coupling_hz=0.0)
-    params = make_base_setup(mechanical_modes=mechs).params_at(0.7)
-    state = pc.steady_state(pc.build_linear_model(params))
-    for j, mech in enumerate(params.mechanical_modes):
-        nbar = pc.thermal_occupation(mech.freq, params.bath_temperature)
+    setup = make_base_setup(mechanical_modes=mechs)
+    state = pc.steady_state(setup.working_point(0.7)[1])
+    for j, mech in enumerate(setup.mechanical_modes):
+        nbar = pc.thermal_occupation(mech.freq, setup.bath_temperature)
         assert state.occupations[2 + j] == pytest.approx(nbar, rel=1e-10)
 
 
 def test_steady_state_reports_uncertainty_compliant_covariance():
-    params = make_base_setup().params_at(0.25 * math.pi)
-    state = pc.steady_state(pc.build_linear_model(params))
+    state = pc.steady_state(make_base_setup().working_point(0.25 * math.pi)[1])
     n = state.covariance.shape[0]
     omega = np.zeros((n, n))
     for k in range(n // 2):
@@ -528,7 +531,7 @@ def test_steady_state_reports_uncertainty_compliant_covariance():
 
 
 def test_steady_state_unstable_paths():
-    model = pc.build_linear_model(blue_detuned_params())
+    model = blue_detuned_model()
     with pytest.raises(UnstableSystemError):
         pc.steady_state(model)
     state = pc.steady_state(model, require_stable=False)
@@ -550,11 +553,11 @@ def test_linearized_propagator_tracks_nonlinear_trajectory():
     visible phase over the integration window. Deviations are scaled so the
     quadratic terms stay ~1e-4 relative.
     """
-    params = make_base_setup().params_at(0.6)
-    basis = pc.diagonalize_polaritons(params)
-    model = pc.build_linear_model(params, basis, mode="selfconsistent")
+    setup = make_base_setup()
+    pair = pair_at(setup, 0.6)
+    _, model = setup.working_point(0.6, mode="selfconsistent")
     avg = model.averages
-    drift = shift_corrected_drift(model.drift, params, basis, avg)
+    drift = shift_corrected_drift(model.drift, pair, setup.mechanical_modes, avg)
 
     z0 = averages_vector(avg)
     rng = np.random.default_rng(5150)
@@ -562,7 +565,7 @@ def test_linearized_propagator_tracks_nonlinear_trajectory():
     t_final = 2e-6
 
     sol = solve_ivp(
-        lambda _t, v: classical_rhs(v, params, basis),
+        lambda _t, v: classical_rhs(v, pair, setup.mechanical_modes, setup.rabi_freq),
         (0.0, t_final),
         z0 + delta0,
         rtol=1e-11,

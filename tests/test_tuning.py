@@ -20,9 +20,11 @@ from helpers import (
     BASE_RABI,
     TWO_PI,
     assemble_network,
+    design,
     make_base_setup,
     make_mechs,
     optimize_by_rows,
+    pair_at,
     schur,
 )
 
@@ -32,7 +34,7 @@ from helpers import (
 
 
 def test_tune_round_trip_recovers_targets():
-    """params_at -> diagonalize must return the requested angle and detunings.
+    """The tuned pair's normal modes must have the requested angle and detunings.
 
     Draw ranges mirror realistic devices (GHz polaritons, MHz sidebands).
     The detunings are parts-per-thousand of the carrier, so rel 1e-12 already
@@ -45,39 +47,38 @@ def test_tune_round_trip_recovers_targets():
         upper = lower * rng.uniform(1.5, 3.5)
         theta = rng.uniform(0.02, 0.5 * math.pi - 0.02)
         mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (lower, upper)))
-        params = make_base_setup(cavity_freq=cavity, mechanical_modes=mechs).params_at(theta)
-        basis = pc.diagonalize_polaritons(params)
+        basis = pair_at(make_base_setup(cavity_freq=cavity, mechanical_modes=mechs), theta)
         assert basis.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
         assert basis.detuning_upper == pytest.approx(upper, rel=1e-12)
         assert basis.detuning_lower == pytest.approx(lower, rel=1e-12)
 
 
-def test_params_at_overrides():
+def test_working_point_overrides():
     setup = make_base_setup()
-    params = setup.params_at(0.9)
-    assert params.bath_temperature == setup.bath_temperature
-    assert params.rabi_freq == setup.rabi_freq
-    hot = setup.params_at(0.9, temperature=0.35)
-    assert hot.bath_temperature == 0.35
-    weak = setup.params_at(0.9, rabi=0.1 * setup.rabi_freq)
-    assert weak.rabi_freq == pytest.approx(0.1 * setup.rabi_freq, rel=1e-15)
-    # tuned geometry is unchanged by the overrides
-    assert hot.magnon_freq == params.magnon_freq
-    assert weak.drive_freq == params.drive_freq
+    tuned, _ = setup.working_point(0.9)
+    assert tuned == setup._tuned(0.9)
+    for override, field, value in (("temperature", "bath_temperature", 0.35),
+                                   ("rabi", "rabi_freq", 0.1 * setup.rabi_freq)):
+        got_tuning, got = setup.working_point(0.9, **{override: value})
+        # the override replaces the device's own value, and the tuning is unchanged by it
+        _, want = dataclasses.replace(setup, **{field: value}).working_point(0.9)
+        assert got.drift.tobytes() == want.drift.tobytes()
+        assert got.diffusion.tobytes() == want.diffusion.tobytes()
+        assert got_tuning == tuned
 
 
-def test_params_at_validations():
+def test_working_point_angle_validations():
     setup = make_base_setup()
     for bad_theta in (0.0, 0.5 * math.pi, -0.1, 2.0):
         with pytest.raises(ValidationError, match="^theta: "):
-            setup.params_at(bad_theta)
+            setup.working_point(bad_theta)
     with pytest.raises(ValidationError, match="^theta: expected a number"):
-        setup.params_at("abc")
+        setup.working_point("abc")
     # a huge splitting at small theta would push the magnon below zero
     mechs = tuple(dataclasses.replace(m, freq=f) for m, f in zip(make_mechs(), (1.0, TWO_PI * 1e7)))
     wide = make_base_setup(cavity_freq=TWO_PI * 1e6, mechanical_modes=mechs)
     with pytest.raises(ValidationError, match="^magnon_freq: "):
-        wide.params_at(0.05)
+        wide.working_point(0.05)
 
 
 def test_two_mode_setup_validations():
@@ -105,6 +106,31 @@ def test_two_mode_setup_validations():
         pc.Device(mechanical_modes=make_mechs(), **{**kwargs, "matter_linewidths": 1.0})
 
 
+def test_device_rejects_nonpositive_fields_with_field_name():
+    good = make_base_setup()
+    for field, value in (("cavity_freq", 0.0), ("cavity_linewidth", 0.0),
+                         ("matter_linewidths", (0.0,))):
+        with pytest.raises(ValidationError, match=f"^{field}(\\[0\\])?: must be finite"):
+            dataclasses.replace(good, **{field: value})
+    # NaN and inf are not numbers in range either
+    for field, value in (("rabi_freq", math.nan), ("bath_temperature", math.nan),
+                         ("cavity_freq", math.inf)):
+        with pytest.raises(ValidationError, match=f"^{field}: must be finite"):
+            dataclasses.replace(good, **{field: value})
+
+
+def test_device_rejects_duplicate_mechanical_frequencies():
+    with pytest.raises(ValidationError, match="^mechanical_modes: must be ordered by increasing"):
+        make_base_setup(mechanical_modes=make_mechs(freq_hz=(1.0e7, 1.0e7)))
+
+
+def test_device_accepts_lists_and_stores_tuples():
+    device = make_base_setup(mechanical_modes=list(make_mechs()),
+                             matter_linewidths=[TWO_PI * 1.0e6])
+    assert isinstance(device.mechanical_modes, tuple)
+    assert isinstance(device.matter_linewidths, tuple)
+
+
 def test_fixed_coupling_device_validations():
     device = three_mode_device()
     assert device.couplings and len(device.matter_linewidths) == 2
@@ -116,8 +142,7 @@ def test_fixed_coupling_device_validations():
     with pytest.raises(ValidationError, match=r"^matter_linewidths: need 2 entries for 3"):
         pc.Device(**{**fields, "matter_linewidths": device.matter_linewidths[:1]})
     # the angle is no knob of a fixed-coupling device
-    for call in (lambda: device.params_at(0.7),
-                 lambda: pc.sweep(device, "theta", [0.5, 0.7]),
+    for call in (lambda: pc.sweep(device, "theta", [0.5, 0.7]),
                  lambda: pc.optimize_theta(device)):
         with pytest.raises(ValidationError, match="needs an angle-tuned device"):
             call()
@@ -541,11 +566,11 @@ def test_polariton_network_keeps_dissipative_cross_coupling():
     shared-loss cross damping delta-kappa.
     """
     angle_tuned = make_base_setup(magnon_linewidth=TWO_PI * 4.0e6)
-    params = angle_tuned.params_at(0.6)
-    fixed = dataclasses.replace(angle_tuned, couplings=(params.photon_matter_coupling,))
+    (coupling, magnon_freq, drive_freq), _ = angle_tuned.working_point(0.6)
+    fixed = dataclasses.replace(angle_tuned, couplings=(coupling,))
     assert fixed.tuning.converged
-    assert fixed.tuning.matter_freqs[0] == pytest.approx(params.magnon_freq, rel=1e-14)
-    assert fixed.tuning.drive_freq == pytest.approx(params.drive_freq, rel=1e-14)
+    assert fixed.tuning.matter_freqs[0] == pytest.approx(magnon_freq, rel=1e-14)
+    assert fixed.tuning.drive_freq == pytest.approx(drive_freq, rel=1e-14)
     perm = [2, 3, 0, 1, 4, 5, 6, 7]
     for mode in ("approx", "selfconsistent"):
         _, two_mode = angle_tuned.working_point(0.6, mode=mode)
@@ -560,6 +585,31 @@ def test_polariton_network_keeps_dissipative_cross_coupling():
         occ_network = (occ_network[1], occ_network[0]) + occ_network[2:]
         occ_two_mode = pc.steady_state(two_mode).occupations
         assert occ_network == pytest.approx(occ_two_mode, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_default_guess_that_misses_ends_not_converged(n):
+    # exact tunings exist (below); from the default guess N = 8's search left
+    # the domain and raised a ValidationError naming one of its iterates
+    device, _ = design(n)
+    assert not device.tuning.converged
+    assert all(f > 0.0 for f in device.tuning.matter_freqs)
+    assert "tuning_not_converged" in pc.evaluate_point(device).flags
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_designed_family_converges_from_its_design(n):
+    device, matter = design(n)
+    tuned = pc.tune_n_mode(device.cavity_freq, [m.freq for m in device.mechanical_modes],
+                           device.couplings, device.cavity_linewidth, device.matter_linewidths,
+                           initial_guess=matter)
+    assert tuned.converged
+    assert tuned.matter_freqs == pytest.approx(matter, rel=1e-9)  # the designed tuning
+
+
+def test_an_initial_guess_outside_the_domain_raises():
+    with pytest.raises(ValidationError, match=r"^matter_modes\[0\]\.freq: must be finite"):
+        pc.tune_n_mode(**three_mode_inputs(), initial_guess=[-1.0, TWO_PI * 1e10])
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +653,7 @@ def test_a_working_point_checks_its_matrices_once(check_counts, device, averages
 
 
 def test_solve_lyapunov_checks_its_arrays_once(check_counts):
-    model = pc.build_linear_model(make_base_setup().params_at(0.7))
+    _, model = make_base_setup().working_point(0.7)
     check_counts.clear()
     pc.solve_lyapunov(model.drift, model.diffusion)
     assert check_counts == {"check_drift_diffusion": 1, "check_matrix": 2}
@@ -920,8 +970,9 @@ def angle_tuned_points(draw):
 @given(angle_tuned_points(), st.sampled_from(["approx", "selfconsistent"]))
 def test_the_pair_core_fills_the_oracles_entries_bit_for_bit(drawn, averages):
     """A sweep stack of the pair, built from plain floats, against the drift and
-    diffusion filled entry by entry from the one-point objects: params_at, then
-    diagonalize_polaritons, whose nodes carry the weights sin and cos theta."""
+    diffusion filled entry by entry from the closed-form tuning written out here
+    and the pair's normal modes, whose nodes carry the weights sin and cos theta;
+    the effective couplings come from build_network of those nodes."""
     device, points = drawn
     values, wanted = [], []
     for theta, temperature, rabi in points:
@@ -932,18 +983,24 @@ def test_the_pair_core_fills_the_oracles_entries_bit_for_bit(drawn, averages):
                 device.working_point(theta, temperature, rabi, averages)
             assert str(again.value) == str(exc)
             continue
-        params = device.params_at(theta, temperature, rabi)
-        basis = pc.diagonalize_polaritons(params)
-        s, c = math.sin(basis.theta), math.cos(basis.theta)
-        nodes = [
-            pc.NetworkPolariton(basis.upper_freq, basis.upper_linewidth, s, basis.detuning_upper),
-            pc.NetworkPolariton(basis.lower_freq, basis.lower_linewidth, c, basis.detuning_lower),
-        ]
-        drive = pc.NetworkDrive(params.drive_freq, params.rabi_freq, params.bath_temperature)
-        dk = basis.dissipative_coupling
-        couplings = pc.build_linear_model(params, basis, averages).averages.effective_couplings
-        wanted.append(assemble_network(nodes, params.mechanical_modes, drive,
-                                       [[0.0, dk], [dk, 0.0]], couplings))
+        # targets omega_1 < omega_2, S = omega_2 - omega_1: g = (S/2) sin(2 theta),
+        # omega_m = omega_a - S cos(2 theta), omega_0 = (omega_a + omega_m - omega_1 - omega_2)/2
+        lower, upper = (m.freq for m in device.mechanical_modes)
+        split = upper - lower
+        coupling = 0.5 * split * math.sin(2.0 * theta)
+        magnon_freq = device.cavity_freq - split * math.cos(2.0 * theta)
+        drive_freq = 0.5 * (device.cavity_freq + magnon_freq) - 0.5 * (upper + lower)
+        angle, up_freq, low_freq, kappa_u, kappa_l, dk, det_u, det_l = model_module._pair(
+            device.cavity_freq, magnon_freq, coupling, device.cavity_linewidth,
+            device.matter_linewidths[0], drive_freq)
+        s, c = math.sin(angle), math.cos(angle)
+        nodes = [pc.NetworkPolariton(up_freq, kappa_u, s, det_u),
+                 pc.NetworkPolariton(low_freq, kappa_l, c, det_l)]
+        drive = pc.NetworkDrive(drive_freq, rabi, temperature)
+        cross = [[0.0, dk], [dk, 0.0]]
+        couplings = pc.build_network(nodes, device.mechanical_modes, drive, cross,
+                                     averages).averages.effective_couplings
+        wanted.append(assemble_network(nodes, device.mechanical_modes, drive, cross, couplings))
     if not values:
         return
     _, drift, diffusion = dynamics._stack(2, 2, values)
@@ -955,7 +1012,7 @@ def test_the_pair_core_fills_the_oracles_entries_bit_for_bit(drawn, averages):
 LOW_CAVITY = TWO_PI * 1.5e7  # between the mechanical modes: the tuned drive goes negative
 
 # the messages of every failure that depends on the working point, as the
-# parameter objects of the one-point API word them
+# one-point API words them
 POINT_FAILURES = [
     ({}, {"theta": 0.0},
      "theta: must be finite and strictly positive and < 1.5707963267948966, got 0.0"),
@@ -973,7 +1030,7 @@ POINT_FAILURES = [
     ({}, {"theta": 0.7, "rabi": "abc"}, "rabi_freq: expected a number, got 'abc'"),
     ({"cavity_freq": LOW_CAVITY}, {"theta": 0.7},
      "drive_freq: must be finite and strictly positive, got -42095277.08563882"),
-    # the tuned values come before the overrides, as in SystemParams
+    # the tuned values come before the overrides
     ({"cavity_freq": LOW_CAVITY}, {"theta": 0.7, "rabi": -1.0},
      "drive_freq: must be finite and strictly positive, got -42095277.08563882"),
     ({"cavity_freq": LOW_CAVITY}, {"theta": 0.3},
@@ -987,11 +1044,9 @@ def test_a_point_dependent_failure_keeps_its_row_and_message(device, point, mess
     setup = make_base_setup(**device)
     row = pc.evaluate_point(setup, averages=averages, **point)
     assert row.flags == ("error:ValidationError",) and not row.stable
-    for call in (lambda: setup.params_at(**point),
-                 lambda: setup.working_point(mode=averages, **point)):
-        with pytest.raises(ValidationError) as exc:
-            call()
-        assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        setup.working_point(mode=averages, **point)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("point, message", [
@@ -1035,12 +1090,11 @@ def network_inputs(device, theta):
         nodes = [pc.NetworkPolariton(p.freq, p.linewidth, p.weights[1]) for p in tuned.polaritons]
         cross, drive_freq = [p.cross_damping for p in tuned.polaritons], tuned.drive_freq
     else:
-        params = device.params_at(theta)
-        b = pc.diagonalize_polaritons(params)
+        b = pair_at(device, theta)
         s, c = math.sin(b.theta), math.cos(b.theta)
         nodes = [pc.NetworkPolariton(b.upper_freq, b.upper_linewidth, s, b.detuning_upper),
                  pc.NetworkPolariton(b.lower_freq, b.lower_linewidth, c, b.detuning_lower)]
-        dk, drive_freq = b.dissipative_coupling, params.drive_freq
+        dk, drive_freq = b.dissipative_coupling, device._tuned(theta)[2]
         cross = [[0.0, dk], [dk, 0.0]]
     drive = pc.NetworkDrive(drive_freq, device.rabi_freq, device.bath_temperature)
     return nodes, device.mechanical_modes, drive, cross
@@ -1061,11 +1115,8 @@ def test_the_mode_and_resonance_rules_read_the_same_through_every_entry_point(an
         device = resonant_pair() if angle_tuned else resonant_three_mode()
         mode, message = "approx", RESONANT.format(1 if angle_tuned else 0)
     theta = 0.25 * math.pi if angle_tuned else None
-    calls = [lambda: pc.build_network(*network_inputs(device, theta), mode=mode),
-             lambda: device.working_point(theta, mode=mode)]
-    if angle_tuned:
-        calls.append(lambda: pc.build_linear_model(device.params_at(theta), mode=mode))
-    for call in calls:
+    for call in (lambda: pc.build_network(*network_inputs(device, theta), mode=mode),
+                 lambda: device.working_point(theta, mode=mode)):
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == message
@@ -1082,8 +1133,7 @@ def parameter_objects(monkeypatch):
     """Constructions of the per-point parameter and rates objects and calls of
     ``MechanicalMode.validate``, counted by name."""
     counts = collections.Counter()
-    for owner, name in ((pc.SystemParams, "__init__"), (pc.PolaritonBasis, "__init__"),
-                        (pc.NetworkPolariton, "__init__"), (pc.NetworkDrive, "__init__"),
+    for owner, name in ((pc.NetworkPolariton, "__init__"), (pc.NetworkDrive, "__init__"),
                         (pc.SteadyStateAverages, "__init__"), (pc.CoolingRates, "__init__"),
                         (pc.MechanicalMode, "validate")):
         original = getattr(owner, name)
