@@ -95,6 +95,9 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     finite, as its construction checked. A wrapper: the values that fill the
     matrices (:func:`~polarcool.dynamics._values`), then :func:`_cooling`.
     """
+    # any record with the three fields is read; a value without them is named
+    if not all(hasattr(model, name) for name in ("mode_layout", "drift", "diffusion")):
+        raise ValidationError(f"model: expected a LinearModel, got {model!r}")
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
     n_m = len(model.mode_layout) - n_p
     return _cooling(_values(model, n_p, n_m), n_p, n_m)

@@ -222,7 +222,8 @@ def _node_detunings(freqs, linewidths, weights, detunings, drive_freq) -> list[f
 
     A plain float passes by check_real's own test, inline; any other value (an
     int, a numpy scalar) or a failing one goes through :func:`check_real`,
-    which converts it or raises with its path.
+    which raises with its path or gives the float that then replaces it in
+    its list, so that no other number type reaches the averages.
     """
     checked = []
     for k, (freq, linewidth, weight, det) in enumerate(zip(freqs, linewidths, weights, detunings)):
@@ -230,9 +231,9 @@ def _node_detunings(freqs, linewidths, weights, detunings, drive_freq) -> list[f
                 and type(linewidth) is float and 0.0 < linewidth < math.inf
                 and type(weight) is float and abs(weight) < math.inf):
             freq_path, linewidth_path, weight_path, _ = _node_paths(k)
-            check_real(freq_path, freq, above=0.0)
-            check_real(linewidth_path, linewidth, above=0.0)
-            check_real(weight_path, weight)
+            freq = freqs[k] = check_real(freq_path, freq, above=0.0)
+            linewidths[k] = check_real(linewidth_path, linewidth, above=0.0)
+            weights[k] = check_real(weight_path, weight)
         if det is None:
             det = freq - drive_freq
         if not (type(det) is float and abs(det) < math.inf):
@@ -608,8 +609,8 @@ def _pair_nodes(pair: tuple) -> tuple:
     system's nodes, (upper, lower), from its normal modes as :func:`~polarcool.model._pair`
     gives them: the inputs of :func:`_network` that the nodes carry, each node checked."""
     theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = pair
-    freqs, linewidths = (upper, lower), (kappa_u, kappa_l)
-    weights = (math.sin(theta), math.cos(theta))
+    freqs, linewidths = [upper, lower], [kappa_u, kappa_l]
+    weights = [math.sin(theta), math.cos(theta)]
     return (freqs, linewidths, weights,
             _node_detunings(freqs, linewidths, weights, (det_u, det_l), None),
             [[0.0, dk], [dk, 0.0]])

@@ -32,6 +32,7 @@ from .errors import (
     check_drift_diffusion,
     check_matrix,
     check_real,
+    check_type,
 )
 
 STABILITY_MARGIN = 1e-9
@@ -366,6 +367,7 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so a caller can record the point.
     """
+    check_type("model", model, LinearModel)
     (result,) = _solve(model.drift[None], model.diffusion[None])  # a one-point stack
     if isinstance(result, SolverError):
         raise result

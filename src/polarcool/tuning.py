@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
     check_entries,
     check_real,
+    check_type,
 )
 from .model import MechanicalMode, _float_modes, _pair, _sum
 from .steadystate import _occupations, _solve
@@ -270,99 +271,57 @@ def _flags(tuning, stable: bool = True, ill_conditioned: bool = False,
 _STACK_POINTS = 256
 
 
-def _built(setup: Device, points: list, averages: str) -> tuple:
-    """Stage one of a stack of working points ``(theta, temperature, rabi)``:
-    build each point, then check the stack.
+def _stages(setup: Device, points: list, averages: str) -> list:
+    """The one per-point sequence over a stack of working points ``(theta,
+    temperature, rabi)``: build each to one flat list of values (:meth:`Device._fields`),
+    check the stack with one finite test of its values
+    (:func:`~polarcool.dynamics._checked_stack`), solve it (:func:`~polarcool.steadystate._solve`:
+    a factorization and triangular solve per point, the products and one
+    verification per stack), then read the occupations off each V's diagonal
+    unchecked (:func:`~polarcool.steadystate._occupations`).
 
-    Each point runs the float core of the build (:meth:`Device._fields`) to
-    one flat list of values, checking only what the point changes (the
-    values it derives by an inline test) and building no parameter, basis,
-    node or averages object, nor the fields of an averages record; the points
-    that built fill one drift and one diffusion stack, whose check is one
-    finite test of their values (:func:`~polarcool.dynamics._checked_stack`).
-
-    Returns (errors, built, vals, drift, diffusion): per point the
-    ValidationError or SolverError of its build or matrix check, or None; the
-    (index, tuning, solved) of each point that passed both, ``solved`` being
-    what only a report's record step reads; and the values, drifts and
-    diffusions of those points, in the order of ``built``.
+    Returns one entry per point: the ValidationError or SolverError of its
+    build or matrix check, or (tuning, solved, values, result): ``solved`` for
+    a report's record step, ``values`` as plain floats, and ``result`` the
+    (verdict, residual, ill_conditioned, mechanical occupations) of its solve,
+    the occupations NaN where the drift is unstable, or its SolverError. The
+    rates are the caller's, off ``values``; their error comes ahead of
+    ``result``'s, as :func:`~polarcool.analytics.network_cooling` comes ahead
+    of :func:`~polarcool.steadystate.steady_state` on a model.
     """
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
-    errors, built, values = [None] * len(points), [], []
+    out, built, values = [], [], []
     for i, (theta, temperature, rabi) in enumerate(points):
         try:
             tuning, point_values, solved = setup._fields(theta, temperature, rabi, averages)
         except (ValidationError, SolverError) as exc:
-            errors[i] = exc
+            out.append(exc)
             continue
+        out.append(None)
         built.append((i, tuning, solved))
         values.append(point_values)
     if not built:
-        return errors, built, None, None, None
+        return out
     vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
-    clean = [p for p, fault in enumerate(faults) if fault is None]
-    if len(clean) < len(built):
+    if any(faults):
+        clean = [p for p, fault in enumerate(faults) if fault is None]
         for (i, _, _), fault in zip(built, faults):
-            errors[i] = fault
+            if fault is not None:
+                out[i] = fault
         built = [built[p] for p in clean]
         vals, drift, diffusion = vals[clean], drift[clean], diffusion[clean]
-    return errors, built, vals, drift, diffusion
-
-
-def _solved(drift: np.ndarray, diffusion: np.ndarray, n_p: int) -> list:
-    """Stage three of a stack: per point of its checked drifts and diffusions,
-    (verdict, residual, ill_conditioned, mechanical occupations), the
-    occupations NaN where the drift is unstable, or the SolverError of its
-    solve or occupations.
-
-    One :func:`~polarcool.steadystate._solve` runs its own factorization and
-    triangular solve per point, the products and one verification for the
-    whole stack; the occupations are read off the diagonal of each V it
-    returns, which is not checked again (:func:`~polarcool.steadystate._occupations`).
-    """
-    out, nans = [], (math.nan,) * (drift.shape[-1] // 2 - n_p)
-    for result in _solve(drift, diffusion):
-        if isinstance(result, SolverError):
-            out.append(result)
-            continue
-        info, v, residual, ill_conditioned = result
-        try:
-            occupations = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
-        except SolverError as exc:
-            out.append(exc)
-            continue
-        out.append((info, residual, ill_conditioned, occupations))
+    nans = (math.nan,) * n_m
+    solves = _solve(drift, diffusion)
+    for (i, tuning, solved), point_values, result in zip(built, vals.tolist(), solves):
+        if not isinstance(result, SolverError):
+            info, v, residual, ill_conditioned = result
+            try:
+                occupations = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
+                result = (info, residual, ill_conditioned, occupations)
+            except SolverError as exc:
+                result = exc
+        out[i] = (tuning, solved, point_values, result)
     return out
-
-
-def _stages(setup: Device, points: list, averages: str) -> tuple:
-    """The one per-point sequence, over one stack of working points
-    ``(theta, temperature, rabi)``: build and matrix check (:func:`_built`),
-    rates (:func:`~polarcool.analytics._rates`, off each point's values), then
-    solve and occupations (:func:`_solved`), a point stopping at its first
-    ValidationError or SolverError: what :func:`~polarcool.analytics.network_cooling`
-    and :func:`~polarcool.steadystate.steady_state` do to its model.
-
-    Returns (errors, built, vals, live, rates, results): the first three of
-    :func:`_built`, ``errors`` with the rates failures added, then per point
-    solved its place in ``built``, its rates and its result of :func:`_solved`.
-    """
-    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
-    errors, built, vals, drift, diffusion = _built(setup, points, averages)
-    if not built:
-        return errors, built, vals, [], [], []
-    live, rates = [], []
-    # plain floats, as network_cooling reads them off a model
-    for p, ((i, _, _), point_values) in enumerate(zip(built, vals.tolist())):
-        try:
-            rates.append(_rates(point_values, n_p, n_m))
-        except (ValidationError, SolverError) as exc:
-            errors[i] = exc
-            continue
-        live.append(p)
-    if len(live) < len(drift):
-        drift, diffusion = drift[live], diffusion[live]
-    return errors, built, vals, live, rates, _solved(drift, diffusion, n_p)
 
 
 def _point(setup: Device, theta: float | None, averages: str) -> tuple:
@@ -371,24 +330,26 @@ def _point(setup: Device, theta: float | None, averages: str) -> tuple:
     Returns (tuning, values, solved, rates, result), what a report prints
     beyond a row: ``solved`` for the record step (:func:`~polarcool.dynamics._averages`),
     the :class:`~polarcool.analytics.CoolingRates` of the values, and the
-    result of :func:`_solved` or its SolverError, for a report that solves to
-    raise. Raises the point's error of build, matrix check or rates.
+    point's result of :func:`_stages`, for a report that solves to raise its
+    SolverError. Raises the point's error of build, matrix check or rates.
     """
-    errors, built, vals, _, _, results = _stages(setup, [(theta, None, None)], averages)
-    if errors[0] is not None:
-        raise errors[0]
-    ((_, tuning, solved),), values = built, vals[0].tolist()
+    (entry,) = _stages(setup, [(theta, None, None)], averages)
+    if isinstance(entry, Exception):
+        raise entry
+    tuning, solved, values, result = entry
     rates = _cooling(values, len(setup.matter_linewidths) + 1, len(setup.mechanical_modes))
-    return tuning, values, solved, rates, results[0]
+    return tuning, values, solved, rates, result
 
 
 def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     """One row per working point ``(variable, theta, temperature, rabi)``, the
-    points run through :func:`_stages` as stacks of up to ``_STACK_POINTS``.
-    A point that fails becomes its ``error:<Type>`` row; the others go on.
+    points run through :func:`_stages` as stacks of up to ``_STACK_POINTS``
+    and the rates of each (:func:`~polarcool.analytics._rates`) run off its
+    values. A point that fails becomes its ``error:<Type>`` row; the others go on.
     """
     fixed = bool(setup.couplings)
-    nans = (math.nan,) * len(setup.mechanical_modes)
+    n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
+    nans = (math.nan,) * n_m
 
     def error_row(point, exc) -> SweepRow:
         return SweepRow(point[0], math.nan if fixed else point[1], math.nan, math.nan, math.nan,
@@ -397,24 +358,26 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
     rows = []
     for start in range(0, len(points), _STACK_POINTS):
         stack = points[start:start + _STACK_POINTS]
-        errors, built, _, live, rates, results = _stages(
-            setup, [point[1:] for point in stack], averages)
-        block = [None if exc is None else error_row(point, exc)
-                 for point, exc in zip(stack, errors)]
-        for p, point_rates, result in zip(live, rates, results):
-            i, tuning, _ = built[p]
-            if isinstance(result, SolverError):
-                block[i] = error_row(stack[i], result)
+        entries = _stages(setup, [point[1:] for point in stack], averages)
+        for point, entry in zip(stack, entries):
+            if isinstance(entry, Exception):
+                rows.append(error_row(point, entry))
+                continue
+            tuning, _, values, result = entry
+            try:
+                rates = _rates(values, n_p, n_m)
+            except (ValidationError, SolverError) as exc:
+                result = exc  # the rates' error comes ahead of the solve's
+            if isinstance(result, Exception):
+                rows.append(error_row(point, result))
                 continue
             info, _, ill_conditioned, n_numeric = result
             coupling, magnon_freq, drive_freq = (
                 (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
-            kappa_eff, n_analytic, weak, _ = zip(*point_rates)  # per field, over the modes
-            block[i] = SweepRow(
-                stack[i][0], math.nan if fixed else stack[i][1], coupling, magnon_freq,
-                drive_freq, kappa_eff, n_analytic, n_numeric, info.stable,
-                _flags(tuning, info.stable, ill_conditioned, all(weak)))
-        rows += block
+            kappa_eff, n_analytic, weak, _ = zip(*rates)  # per field, over the modes
+            rows.append(SweepRow(point[0], math.nan if fixed else point[1], coupling, magnon_freq,
+                                 drive_freq, kappa_eff, n_analytic, n_numeric, info.stable,
+                                 _flags(tuning, info.stable, ill_conditioned, all(weak))))
     return rows
 
 
@@ -432,6 +395,7 @@ def evaluate_point(
     ``tuning_not_converged`` (:func:`_flags`). A
     ValidationError or SolverError comes back as an ``error:<Type>`` row.
     """
+    check_type("setup", setup, Device)
     return _rows(setup, [(math.nan, theta, temperature, rabi)], averages)[0]
 
 
@@ -457,6 +421,7 @@ def sweep(
     calling thread. ``threads`` is checked and otherwise ignored; it stays
     until the benchmark's workloads stop passing it.
     """
+    check_type("setup", setup, Device)
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
     if variable == "theta":
@@ -517,14 +482,14 @@ def optimize_theta(
 
     Deterministic two-stage search: a coarse grid over ``bounds`` followed by
     a compass (step-halving) refinement from the best grid point. The grid
-    and each compass step are scored as one stack through the two stages of
-    a sweep point that the score needs, build and check (:func:`_built`),
-    then solve and occupations (:func:`_solved`): no closed-form rates and no
+    and each compass step are scored as one stack through :func:`_stages`,
+    build, check, solve and occupations: no closed-form rates and no
     :class:`SweepRow`, so the score does not depend on the analytic rates.
     A point that fails its build, matrix check, solve or occupations, or is
     unstable, scores +inf, so the optimizer simply walks around it.
     ``objective`` selects max(n_1, n_2) or a single mode's occupation.
     """
+    check_type("setup", setup, Device)
     setup._needs_angle("optimize_theta")
     if objective not in OPTIMIZE_OBJECTIVES:
         raise ValidationError(
@@ -558,18 +523,11 @@ def optimize_theta(
         new = [t for t in dict.fromkeys(thetas) if t not in cache]
         for start in range(0, len(new), _STACK_POINTS):
             stack = new[start:start + _STACK_POINTS]
-            _, built, _, drift, diffusion = _built(
-                setup, [(t, temperature, rabi) for t in stack], averages)
-            for theta in stack:
-                cache[theta] = failed  # unless it solves stable, below
-            if not built:
-                continue
-            for (i, _, _), result in zip(built, _solved(drift, diffusion, 2)):  # two nodes
-                if isinstance(result, SolverError):
-                    continue
-                info, _, _, occupations = result
-                if info.stable:
-                    cache[stack[i]] = (pick(occupations), occupations)
+            entries = _stages(setup, [(t, temperature, rabi) for t in stack], averages)
+            for theta, entry in zip(stack, entries):
+                result = entry if isinstance(entry, Exception) else entry[-1]
+                stable = not isinstance(result, Exception) and result[0].stable
+                cache[theta] = (pick(result[3]), result[3]) if stable else failed
 
     def score(theta: float) -> float:
         return cache[theta][0]

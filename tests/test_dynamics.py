@@ -98,6 +98,26 @@ def test_numpy_scalar_mechanics_give_the_float_records(mode):
         assert got.diffusion.tobytes() == want.diffusion.tobytes()
 
 
+@pytest.mark.parametrize("detuned", [True, False], ids=["explicit detunings", "None detunings"])
+@pytest.mark.parametrize("mode", ["approx", "selfconsistent"])
+def test_numpy_scalar_nodes_give_the_float_records(mode, detuned):
+    # the nodes' fields are check_real's floats too, so no numpy scalar reaches
+    # the averages, whose repr and selfconsistent solve would differ with it
+    def network(number):
+        nodes = [pc.NetworkPolariton(*map(number, (TWO_PI * f, TWO_PI * 1.0e6, w)),
+                                     detuning=number(TWO_PI * d) if detuned else None)
+                 for f, w, d in ((1.00003e10, 0.6, 3.0e7), (1.00001e10, 0.8, 1.0e7))]
+        mechanics = [pc.MechanicalMode(TWO_PI * f, TWO_PI * 100.0, TWO_PI * 0.2)
+                     for f in (1.0e7, 3.0e7)]
+        return pc.build_network(nodes, mechanics, pc.NetworkDrive(TWO_PI * 1.0e10, 1.0e13, 0.01),
+                                mode=mode)
+
+    got, want = network(np.float64), network(float)
+    assert repr(got.averages) == repr(want.averages)
+    assert got.drift.tobytes() == want.drift.tobytes()
+    assert got.diffusion.tobytes() == want.diffusion.tobytes()
+
+
 def test_approx_rejects_zero_detuning():
     with pytest.raises(ValidationError, match=r"^polaritons\[1\]\.detuning: polariton resonant"):
         pair_network(make_base_setup(), 0.25 * math.pi, detuning_lower=0.0)

@@ -248,6 +248,16 @@ MISTYPED = {
         f"matter_modes[0]: expected a MatterMode, got {dataclasses.astuple(MATTER)!r}",
         lambda: pc.photon_matter_diagonalize(CAV, [dataclasses.astuple(MATTER)],
                                              TWO_PI * 1e6)),
+    "sweep setup None": ("setup: expected a Device, got None",
+                         lambda: pc.sweep(None, "theta", [0.5])),
+    "evaluate_point setup None": ("setup: expected a Device, got None",
+                                  lambda: pc.evaluate_point(None, 0.5)),
+    "optimize_theta setup None": ("setup: expected a Device, got None",
+                                  lambda: pc.optimize_theta(None)),
+    "steady_state model None": ("model: expected a LinearModel, got None",
+                                lambda: pc.steady_state(None)),
+    "network_cooling model None": ("model: expected a LinearModel, got None",
+                                   lambda: pc.network_cooling(None)),
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import polarcool as pc
 from polarcool import analytics, dynamics, errors, steadystate, tuning
 from polarcool import model as model_module
+from polarcool.cli import main
 from polarcool.config import load_config
 from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
@@ -745,14 +746,19 @@ def test_sweep_rows_equal_the_one_point_api(device, averages, data):
 
 
 def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
-    """Make the sweep's stage ``stage`` fail for the point of ``model``.
+    """Make the sweep's stage ``stage`` fail for the point of ``model``; stages
+    joined by ``+`` all fail for it.
 
-    ``rates`` raises from ``_rates(values, n_p, n_m)`` and ``solve`` makes
+    ``rates`` raises from ``_rates(values, n_p, n_m)``, as a sweep row and a
+    report's rates (``analytics._cooling``) call it, and ``solve`` makes
     ``_solve(drifts, diffusions)`` return a SolverError for that point; ``residual``
     doubles the point's triangular Sylvester solution, so its covariance fails
     the stacked residual check.
     """
-    if stage == "rates":
+    if "+" in stage:
+        for one in stage.split("+"):
+            inject(monkeypatch, one, model)
+    elif stage == "rates":
         original, marked = tuning._rates, dynamics._values(model, 2, 2)
 
         def failing(values, n_p, n_m):
@@ -761,6 +767,7 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
             return original(values, n_p, n_m)
 
         monkeypatch.setattr(tuning, "_rates", failing)
+        monkeypatch.setattr(analytics, "_rates", failing)
     elif stage == "solve":
         original = tuning._solve
 
@@ -788,6 +795,7 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
     ("rates", "temperature", 0.3, "ValidationError"),
     ("solve", "temperature", 0.3, "SolverError"),
     ("residual", "temperature", 0.3, "SolverError"),  # fails the stacked residual check
+    ("rates+solve", "temperature", 0.3, "ValidationError"),  # the rates' error comes first
 ])
 @pytest.mark.parametrize("position", [0, 2, 4])
 def test_one_failing_point_leaves_the_others_bit_identical(
@@ -798,7 +806,7 @@ def test_one_failing_point_leaves_the_others_bit_identical(
             "temperature": [0.0, 0.01, 0.1, 1.0]}[variable]
     theta = None if variable == "theta" else 0.7
     clean = pc.sweep(setup, variable, grid, theta=theta, averages=averages)
-    if stage in ("rates", "solve", "residual"):
+    if stage not in ("build", "matrix check"):
         _, model = setup.working_point(theta, temperature=bad, mode=averages)
         inject(monkeypatch, stage, model)
     check_counts.clear()
@@ -813,6 +821,17 @@ def test_one_failing_point_leaves_the_others_bit_identical(
     # only the point whose values are not all finite has its matrices checked
     point_checks = 1 if stage == "matrix check" else 0
     assert check_counts["check_drift_diffusion"] == point_checks
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_a_report_whose_point_fails_rates_and_solve_gives_the_rates_error(
+        monkeypatch, capsys, command):
+    config = "configs/two_mode_base.config"
+    cfg = load_config(config)
+    _, model = cfg.setup.working_point(cfg.theta, mode=cfg.averages)
+    inject(monkeypatch, "rates+solve", model)
+    assert main([command, "--config", config]) == 1
+    assert capsys.readouterr() == ("", "error: _rates: injected\n")
 
 
 def test_a_drift_whose_norm_overflows_is_a_solver_error():
@@ -904,13 +923,13 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
 
 def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
     sizes = []
-    original = tuning._built
+    original = tuning._stages
 
     def recorded(setup, points, averages):
         sizes.append([theta for theta, _, _ in points])
         return original(setup, points, averages)
 
-    monkeypatch.setattr(tuning, "_built", recorded)
+    monkeypatch.setattr(tuning, "_stages", recorded)
     monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
     # the score is the solve's alone: no closed-form rates and no sweep row
     for owner, name, key in ((tuning, "_rates", "rates"), (tuning.SweepRow, "__init__", "rows")):
