@@ -105,27 +105,13 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
 
 def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
     """:func:`network_cooling` of the values that fill a drift and diffusion, as
-    plain floats, and the counts of polariton and mechanical modes: kappa_eff,
-    n_eff, the weak-coupling verdict and the dominant polariton of :func:`_rates`,
-    which a sweep point runs alone, then the per-polariton rates and ``n_eff_all``.
-    """
-    rates = _rates(values, n_p, n_m)  # checks every value this function reads
-    linewidths, detunings = _nodes(values, n_p)
-    out = []
-    for j, (kappa_eff, n_eff, weak, dominant) in enumerate(rates):
-        mech_damping, nbar, mech_freq, couplings = _mode(values, n_p, n_m, j)
-        stokes, anti, stokes_sum = [], [], 0.0
-        for g, kappa, det in zip(couplings, linewidths, detunings):
-            s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
-            stokes.append(s_k)
-            anti.append(a_k)
-            stokes_sum += s_k
-        n_eff_all = (math.inf if kappa_eff <= 0.0
-                     else (mech_damping * nbar + stokes_sum) / kappa_eff)
-        out.append(CoolingRates(j, tuple(stokes), tuple(anti),
-                                tuple(a_k - s_k for s_k, a_k in zip(stokes, anti)),
-                                kappa_eff, n_eff, n_eff_all, dominant, weak))
-    return tuple(out)
+    plain floats, and the counts of polariton and mechanical modes: the
+    :class:`CoolingRates` of each mode's :func:`_rates`."""
+    return tuple(CoolingRates(j, tuple(stokes), tuple(anti),
+                              tuple(a_k - s_k for s_k, a_k in zip(stokes, anti)),
+                              kappa_eff, n_eff, n_eff_all, dominant, weak)
+                 for j, (kappa_eff, n_eff, weak, dominant, n_eff_all, stokes, anti)
+                 in enumerate(_rates(values, n_p, n_m)))
 
 
 def _nodes(values: list, n_p: int) -> tuple[list, list]:
@@ -134,26 +120,16 @@ def _nodes(values: list, n_p: int) -> tuple[list, list]:
     return [-values[4 * k] for k in range(n_p)], values[1:4 * n_p:4]
 
 
-def _mode(values: list, n_p: int, n_m: int, j: int) -> tuple:
-    """(damping, thermal occupation, frequency, couplings -G_j w_k to the
-    polaritons) of mechanical mode ``j`` in the values, its damping checked."""
-    m = 4 * (n_p + j)
-    mech_damping = -values[m]
-    if not 0.0 < mech_damping < math.inf:  # check_real's test, so it raises with its message
-        check_real(f"model: mechanical mode {j} damping", mech_damping, above=0.0)
-    start = 4 * (n_p + n_m) + n_p * (n_p - 1) + 2 * j * n_p
-    return (mech_damping, values[m + 3] / (2.0 * mech_damping) - 0.5, values[m + 1],
-            values[start:start + 2 * n_p:2])
-
-
 def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
-    """Per mechanical mode, (kappa_eff, n_eff, weak_coupling, dominant) of
-    :func:`_cooling` from the values that fill a drift and diffusion, as
-    plain floats, and the counts of polariton and mechanical modes.
+    """Per mechanical mode, (kappa_eff, n_eff, weak_coupling, dominant, n_eff_all,
+    Stokes rates, anti-Stokes rates) from the values that fill a drift and
+    diffusion, as plain floats, laid out as :func:`~polarcool.dynamics._pattern`
+    says, and the counts of polariton and mechanical modes.
 
-    One pass over a mode's couplings keeps only the running net-rate sum and the
-    dominant polariton's rates, so no per-polariton list is formed. The sum adds
-    left to right from 0.0.
+    One pass over a mode's couplings -G_j w_k forms each polariton's (Stokes,
+    anti-Stokes) pair once, the two lists in polariton order. The sums add
+    left to right from 0.0; the dominant polariton has the first largest
+    anti-Stokes rate. A sweep row reads the first three fields.
     """
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
@@ -162,24 +138,36 @@ def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
         if not 0.0 < kappa < math.inf:
             check_real(f"model: polariton {k} linewidth", kappa, above=0.0)
     out = []
-    for j in range(n_m):
-        mech_damping, nbar, mech_freq, couplings = _mode(values, n_p, n_m, j)
-        net_sum = top_s = top_a = 0.0
+    for j in range(n_m):  # mode j's four values start at m, its N_p couplings at start
+        m, start = 4 * (n_p + j), 4 * (n_p + n_m) + n_p * (n_p - 1) + 2 * j * n_p
+        mech_damping = -values[m]
+        if not 0.0 < mech_damping < math.inf:  # check_real's test, so it raises with its message
+            check_real(f"model: mechanical mode {j} damping", mech_damping, above=0.0)
+        nbar, mech_freq = values[m + 3] / (2.0 * mech_damping) - 0.5, values[m + 1]
+        stokes, anti = [], []
+        net_sum = stokes_sum = 0.0
         dominant, weak = 0, True
         # each coupling is -G_j w_k, whose sign drops out of g^2 and |g|
-        for k, (g, kappa, det) in enumerate(zip(couplings, linewidths, detunings)):
+        for k, (g, kappa, det) in enumerate(zip(values[start:start + 2 * n_p:2], linewidths,
+                                                detunings)):
             s_k, a_k = _sideband_rates(g, kappa, det, mech_freq)
+            stokes.append(s_k)
+            anti.append(a_k)
             if abs(g) > 0.5 * kappa:
                 weak = False
-            if not k or a_k > top_a:  # the first largest anti-Stokes rate, as max() finds it
-                dominant, top_s, top_a = k, s_k, a_k
+            if a_k > anti[dominant]:  # the first largest anti-Stokes rate, as max() finds it
+                dominant = k
             net_sum += a_k - s_k
+            stokes_sum += s_k
+        kappa_eff = mech_damping + net_sum
         # n = (gamma nbar + extra noise) / (gamma + extra damping), inf where that damping is <= 0
         n_eff = nbar
         if n_p:
-            denom = mech_damping + (top_a - top_s)
-            n_eff = math.inf if denom <= 0.0 else (mech_damping * nbar + top_s) / denom
-        out.append((mech_damping + net_sum, n_eff, weak, dominant))
+            denom = mech_damping + (anti[dominant] - stokes[dominant])
+            n_eff = math.inf if denom <= 0.0 else (mech_damping * nbar + stokes[dominant]) / denom
+        n_eff_all = (math.inf if kappa_eff <= 0.0
+                     else (mech_damping * nbar + stokes_sum) / kappa_eff)
+        out.append((kappa_eff, n_eff, weak, dominant, n_eff_all, stokes, anti))
     return out
 
 

@@ -195,8 +195,10 @@ def _parse_optimize(obj, path: str) -> OptimizeConfig:
         raise ValidationError(
             f"{path}.objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
         )
-    lower = _number(m, "lower", path) if "lower" in m else 1e-3
-    upper = _number(m, "upper", path) if "upper" in m else 0.5 * math.pi - 1e-3
+    # the bounds optimize_theta takes, checked here so that they fail at load
+    lower = check_real(f"{path}.lower", m.get("lower", 1e-3), above=0.0)
+    upper = check_real(f"{path}.upper", m.get("upper", 0.5 * math.pi - 1e-3), above=lower,
+                       below=0.5 * math.pi)
     coarse = m.get("coarse_points", 33)
     if not isinstance(coarse, int) or isinstance(coarse, bool) or coarse < 3:
         raise ValidationError(f"{path}.coarse_points: expected an integer >= 3, got {coarse!r}")

@@ -149,8 +149,9 @@ def _stack(n_p: int, n_m: int, values: list) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
-    """:func:`_stack` of P points, and per point the ValidationError of
-    :class:`LinearModel`'s check of its drift and diffusion, or None.
+    """The drift and diffusion stacks of P points (:func:`_stack`), and per
+    point the ValidationError of :class:`LinearModel`'s check of its drift and
+    diffusion, or None.
 
     Every cell :func:`_pattern` fills holds one of the point's values and
     every other cell is +0.0, and each diffusion value fills a diagonal cell
@@ -168,7 +169,7 @@ def _checked_stack(n_p: int, n_m: int, values: list) -> tuple:
                 check_drift_diffusion(r[p], d[p])
             except ValidationError as exc:
                 faults[p] = exc
-    return vals, r, d, faults
+    return r, d, faults
 
 
 def _model(n_p: int, n_m: int, values: list, solved: tuple) -> LinearModel:

@@ -271,61 +271,56 @@ def _flags(tuning, stable: bool = True, ill_conditioned: bool = False,
 _STACK_POINTS = 256
 
 
-def _stages(setup: Device, points: list, averages: str) -> list:
-    """The one per-point sequence over a stack of working points ``(theta,
-    temperature, rabi)``: build each to one flat list of values (:meth:`Device._fields`),
-    check the stack with one finite test of its values
+def _stages(setup: Device, points: list, averages: str):
+    """The one per-point sequence over working points ``(theta, temperature, rabi)``,
+    in stacks of up to ``_STACK_POINTS``: build each point to one flat list of values
+    (:meth:`Device._fields`), check the stack by one finite test of its values
     (:func:`~polarcool.dynamics._checked_stack`), solve it (:func:`~polarcool.steadystate._solve`:
     a factorization and triangular solve per point, the products and one
     verification per stack), then read the occupations off each V's diagonal
     unchecked (:func:`~polarcool.steadystate._occupations`).
 
-    Returns one entry per point: the ValidationError or SolverError of its
-    build or matrix check, or (tuning, solved, values, result): ``solved`` for
-    a report's record step, ``values`` as plain floats, and ``result`` the
-    (verdict, residual, ill_conditioned, mechanical occupations) of its solve,
-    the occupations NaN where the drift is unstable, or its SolverError. The
-    rates are the caller's, off ``values``; their error comes ahead of
-    ``result``'s, as :func:`~polarcool.analytics.network_cooling` comes ahead
-    of :func:`~polarcool.steadystate.steady_state` on a model.
+    Yields one entry per point, in order: the ValidationError or SolverError of its
+    build or matrix check, or (tuning, solved, values, result): ``solved`` for a
+    report's record step, ``values`` the list the build made, and ``result`` the
+    (verdict, residual, ill_conditioned, mechanical occupations) of its solve, NaN
+    occupations where the drift is unstable, or its SolverError. The caller forms
+    the rates off ``values`` and puts their error ahead of ``result``'s, as
+    :func:`~polarcool.analytics.network_cooling` comes ahead of
+    :func:`~polarcool.steadystate.steady_state` on a model.
     """
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
-    out, built, values = [], [], []
-    for i, (theta, temperature, rabi) in enumerate(points):
-        try:
-            tuning, point_values, solved = setup._fields(theta, temperature, rabi, averages)
-        except (ValidationError, SolverError) as exc:
-            out.append(exc)
-            continue
-        out.append(None)
-        built.append((i, tuning, solved))
-        values.append(point_values)
-    if not built:
-        return out
-    vals, drift, diffusion, faults = _checked_stack(n_p, n_m, values)
-    if any(faults):
-        clean = [p for p, fault in enumerate(faults) if fault is None]
-        for (i, _, _), fault in zip(built, faults):
-            if fault is not None:
-                out[i] = fault
-        built = [built[p] for p in clean]
-        vals, drift, diffusion = vals[clean], drift[clean], diffusion[clean]
     nans = (math.nan,) * n_m
-    solves = _solve(drift, diffusion)
-    for (i, tuning, solved), point_values, result in zip(built, vals.tolist(), solves):
-        if not isinstance(result, SolverError):
-            info, v, residual, ill_conditioned = result
+    for start in range(0, len(points), _STACK_POINTS):
+        out, built = [], []
+        for i, (theta, temperature, rabi) in enumerate(points[start:start + _STACK_POINTS]):
             try:
-                occupations = nans if v is None else _occupations(v.diagonal().tolist())[n_p:]
-                result = (info, residual, ill_conditioned, occupations)
-            except SolverError as exc:
-                result = exc
-        out[i] = (tuning, solved, point_values, result)
-    return out
+                built.append((i, *setup._fields(theta, temperature, rabi, averages)))
+                out.append(None)
+            except (ValidationError, SolverError) as exc:
+                out.append(exc)
+        if built:
+            drift, diffusion, faults = _checked_stack(n_p, n_m, [point[2] for point in built])
+            if any(faults):
+                for (i, *_), fault in zip(built, faults):
+                    out[i] = fault  # None for a point that passed, as out[i] already is
+                clean = [p for p, fault in enumerate(faults) if fault is None]
+                built, drift, diffusion = [built[p] for p in clean], drift[clean], diffusion[clean]
+            for (i, tuning, values, solved), result in zip(built, _solve(drift, diffusion)):
+                if not isinstance(result, SolverError):
+                    info, v, residual, ill_conditioned = result
+                    try:
+                        occupations = (nans if v is None
+                                       else _occupations(v.diagonal().tolist())[n_p:])
+                        result = (info, residual, ill_conditioned, occupations)
+                    except SolverError as exc:
+                        result = exc
+                out[i] = (tuning, solved, values, result)
+        yield from out
 
 
 def _point(setup: Device, theta: float | None, averages: str) -> tuple:
-    """A report's working point: :func:`_stages` of a one-point stack.
+    """A report's working point: its one entry of :func:`_stages`.
 
     Returns (tuning, values, solved, rates, result), what a report prints
     beyond a row: ``solved`` for the record step (:func:`~polarcool.dynamics._averages`),
@@ -342,10 +337,11 @@ def _point(setup: Device, theta: float | None, averages: str) -> tuple:
 
 
 def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
-    """One row per working point ``(variable, theta, temperature, rabi)``, the
-    points run through :func:`_stages` as stacks of up to ``_STACK_POINTS``
-    and the rates of each (:func:`~polarcool.analytics._rates`) run off its
-    values. A point that fails becomes its ``error:<Type>`` row; the others go on.
+    """One row per working point ``(variable, theta, temperature, rabi)``, each
+    point's entry of :func:`_stages` and the rates of its values
+    (:func:`~polarcool.analytics._rates`), of which a row reads kappa_eff,
+    n_eff and the weak-coupling verdict. A point that fails becomes its
+    ``error:<Type>`` row; the others go on.
     """
     fixed = bool(setup.couplings)
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
@@ -356,28 +352,25 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
                         nans, nans, nans, False, (f"error:{type(exc).__name__}",))
 
     rows = []
-    for start in range(0, len(points), _STACK_POINTS):
-        stack = points[start:start + _STACK_POINTS]
-        entries = _stages(setup, [point[1:] for point in stack], averages)
-        for point, entry in zip(stack, entries):
-            if isinstance(entry, Exception):
-                rows.append(error_row(point, entry))
-                continue
-            tuning, _, values, result = entry
-            try:
-                rates = _rates(values, n_p, n_m)
-            except (ValidationError, SolverError) as exc:
-                result = exc  # the rates' error comes ahead of the solve's
-            if isinstance(result, Exception):
-                rows.append(error_row(point, result))
-                continue
-            info, _, ill_conditioned, n_numeric = result
-            coupling, magnon_freq, drive_freq = (
-                (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
-            kappa_eff, n_analytic, weak, _ = zip(*rates)  # per field, over the modes
-            rows.append(SweepRow(point[0], math.nan if fixed else point[1], coupling, magnon_freq,
-                                 drive_freq, kappa_eff, n_analytic, n_numeric, info.stable,
-                                 _flags(tuning, info.stable, ill_conditioned, all(weak))))
+    for point, entry in zip(points, _stages(setup, [point[1:] for point in points], averages)):
+        if isinstance(entry, Exception):
+            rows.append(error_row(point, entry))
+            continue
+        tuning, _, values, result = entry
+        try:
+            rates = _rates(values, n_p, n_m)
+        except (ValidationError, SolverError) as exc:
+            result = exc  # the rates' error comes ahead of the solve's
+        if isinstance(result, Exception):
+            rows.append(error_row(point, result))
+            continue
+        info, _, ill_conditioned, n_numeric = result
+        coupling, magnon_freq, drive_freq = (
+            (math.nan, math.nan, tuning.drive_freq) if fixed else tuning)
+        kappa_eff, n_analytic, weak, *_ = zip(*rates)  # per field, over the modes
+        rows.append(SweepRow(point[0], math.nan if fixed else point[1], coupling, magnon_freq,
+                             drive_freq, kappa_eff, n_analytic, n_numeric, info.stable,
+                             _flags(tuning, info.stable, ill_conditioned, all(weak))))
     return rows
 
 
@@ -416,10 +409,11 @@ def sweep(
     entries must be finite numbers; a point that fails validation (an angle
     outside (0, pi/2)) or the solve is recorded in the row's flags rather
     than raised; an unstable point raises UnstableSystemError only under
-    require_stable=True. The points are built and checked as one stack and
-    each solved on its own, as :func:`evaluate_point` solves one, on the
-    calling thread. ``threads`` is checked and otherwise ignored; it stays
-    until the benchmark's workloads stop passing it.
+    require_stable=True. The points run through :func:`_stages` on the
+    calling thread, as stacks of up to 256 that are built, checked and solved
+    together; each point's row is the one :func:`evaluate_point` gives.
+    ``threads`` is checked and otherwise ignored; it stays until the
+    benchmark's workloads stop passing it.
     """
     check_type("setup", setup, Device)
     if variable not in SWEEP_VARIABLES:
@@ -519,15 +513,15 @@ def optimize_theta(
     failed = (math.inf, (math.nan,) * len(setup.mechanical_modes))
 
     def solve(thetas) -> None:
-        """Score the angles not yet in the cache, as one stack of up to ``_STACK_POINTS``."""
+        """Score the angles not yet in the cache through :func:`_stages`."""
         new = [t for t in dict.fromkeys(thetas) if t not in cache]
-        for start in range(0, len(new), _STACK_POINTS):
-            stack = new[start:start + _STACK_POINTS]
-            entries = _stages(setup, [(t, temperature, rabi) for t in stack], averages)
-            for theta, entry in zip(stack, entries):
-                result = entry if isinstance(entry, Exception) else entry[-1]
-                stable = not isinstance(result, Exception) and result[0].stable
-                cache[theta] = (pick(result[3]), result[3]) if stable else failed
+        if not new:
+            return
+        for theta, entry in zip(new, _stages(setup, [(t, temperature, rabi) for t in new],
+                                             averages)):
+            result = entry if isinstance(entry, Exception) else entry[-1]
+            stable = not isinstance(result, Exception) and result[0].stable
+            cache[theta] = (pick(result[3]), result[3]) if stable else failed
 
     def score(theta: float) -> float:
         return cache[theta][0]

@@ -215,9 +215,8 @@ def test_network_cooling_equals_the_oracle_by_repr(case):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=cooling_values())
 def test_the_sweep_rates_core_equals_the_oracle_by_repr(case):
-    # what a sweep row reads of each mode, and the dominant polariton, without
-    # the per-polariton rates that only network_cooling forms
+    # the one rates pass, which a sweep row and network_cooling both read
     n_p, n_m, values = case
     assert outcome(lambda: analytics._rates(values, n_p, n_m)) == outcome(
-        lambda: [(r.kappa_eff, r.n_eff, r.weak_coupling, r.dominant)
-                 for r in cooling(values, n_p, n_m)])
+        lambda: [(r.kappa_eff, r.n_eff, r.weak_coupling, r.dominant, r.n_eff_all,
+                  list(r.stokes), list(r.anti_stokes)) for r in cooling(values, n_p, n_m)])

@@ -339,6 +339,12 @@ def test_optimize_section_defaults_and_validation():
     raw["optimize"] = {"coarse_points": 2}
     with pytest.raises(ValidationError, match="coarse_points"):
         parse_config(raw)
+    # the bounds fail at load under their keys, as optimize_theta would reject them
+    for bounds, key in (({"lower": 1.2, "upper": 0.3}, "upper"), ({"lower": -1.0}, "lower"),
+                        ({"upper": 2.0}, "upper")):
+        raw["optimize"] = bounds
+        with pytest.raises(ValidationError, match=rf"^config\.optimize\.{key}: must be"):
+            parse_config(raw)
 
 
 def test_load_config_error_paths(tmp_path):

@@ -705,7 +705,7 @@ def test_a_non_finite_value_faults_its_point_as_the_matrix_check_does(n_p, n_m, 
     for slot in range(len(clean)):
         values = [list(clean), list(clean), list(clean)]
         values[1][slot] = bad
-        _, r, d, faults = dynamics._checked_stack(n_p, n_m, values)
+        r, d, faults = dynamics._checked_stack(n_p, n_m, values)
         _, want_r, want_d = dynamics._stack(n_p, n_m, [values[1]])  # the point on its own
         with pytest.raises(ValidationError) as want:
             errors.check_drift_diffusion(want_r[0], want_d[0])

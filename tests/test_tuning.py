@@ -950,6 +950,42 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert call_counts["verifications"] == len(sizes)  # one per stack
 
 
+def test_stages_run_stacks_of_at_most_the_stack_bound(monkeypatch):
+    setup = make_base_setup()
+    grid = [0.2, 0.4, 0.6, 0.8, 2.0, 1.0, 1.2]  # the fifth angle is out of range: a build error
+    rows, optimized = pc.sweep(setup, "theta", grid), pc.optimize_theta(setup, coarse_points=7)
+    assert rows[4].flags == ("error:ValidationError",)
+    sizes, original = [], tuning._solve
+
+    def recorded(drift, diffusion):
+        sizes.append(len(drift))
+        return original(drift, diffusion)
+
+    monkeypatch.setattr(tuning, "_solve", recorded)
+    monkeypatch.setattr(tuning, "_STACK_POINTS", 3)
+    assert repr(pc.sweep(setup, "theta", grid)) == repr(rows)
+    assert sizes == [3, 2, 1]  # the build error leaves two points of the second stack
+    sizes.clear()
+    assert repr(pc.optimize_theta(setup, coarse_points=7)) == repr(optimized)
+    assert sizes[:3] == [3, 3, 1]  # the coarse grid; then one stack per compass step
+    assert all(size in (1, 2) for size in sizes[3:])
+
+
+@pytest.mark.parametrize("config, pairs", [("configs/two_mode_base.config", 2 * 2),
+                                           ("configs/three_mode.config", 3 * 3)])
+def test_a_report_forms_each_sideband_rate_once(monkeypatch, config, pairs):
+    # one (Stokes, anti-Stokes) pair per polariton and mechanical mode
+    cfg, calls, original = load_config(config), [], analytics._sideband_rates
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analytics, "_sideband_rates", counted)
+    tuning._point(cfg.setup, cfg.theta, cfg.averages)
+    assert len(calls) == pairs
+
+
 @pytest.mark.parametrize("temperature, rabi", [
     (None, None), (0.0, None), (0.3, None),
     (None, 20.0 * BASE_RABI),  # part of the coarse grid is unstable in both modes
