@@ -175,11 +175,13 @@ def quantum_backaction_limit(linewidth: float, mech_freq: float) -> float:
     """Minimum occupation of ideal resolved-sideband cooling, kappa^2/(4 omega^2).
 
     Emits a warning above 0.01, where the drive sits outside the resolved
-    sideband regime and the limit stops being a useful target.
+    sideband regime and the limit stops being a useful target. It is ``math.inf``
+    where (kappa/omega)^2 / 4 overflows.
     """
     linewidth = check_real("linewidth", linewidth, above=0.0)
     mech_freq = check_real("mech_freq", mech_freq, above=0.0)
-    limit = linewidth**2 / (4.0 * mech_freq**2)
+    ratio = linewidth / mech_freq
+    limit = 0.25 * ratio * ratio
     if limit > 1e-2:
         warnings.warn(
             f"backaction limit {limit:.3g} > 0.01: outside the resolved sideband regime",

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 solver error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -18,10 +17,8 @@ from .analytics import _nodes, quantum_backaction_limit
 from .config import RunConfig, load_config
 from .dynamics import _averages
 from .errors import SolverError, UnstableSystemError, ValidationError
-from .model import thermal_occupation
+from .model import TWO_PI, thermal_occupation
 from .tuning import _flags, _point, optimize_theta, sweep
-
-TWO_PI = 2.0 * math.pi
 
 
 def csv_columns(n_modes: int) -> tuple[str, ...]:

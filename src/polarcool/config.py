@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import ValidationError, check_real
-from .model import DriveCalibration, MechanicalMode, calibrate_drive
+from .model import TWO_PI, DriveCalibration, MechanicalMode, calibrate_drive
 from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, Device
-
-TWO_PI = 2.0 * math.pi
 
 # each sweep variable's domain as check_real bounds; a grid is linear, so its ends suffice
 _SWEEP_DOMAINS = {
@@ -100,6 +98,11 @@ def _parse_mech(obj, path: str) -> MechanicalMode:
     )
 
 
+# the drive-section key of each argument that calibrate_drive names in its errors
+_DRIVE_KEYS = {"sphere_diameter": "sphere_diameter_m", "power": "power_w",
+               "field_amplitude": "field_t"}
+
+
 def _parse_drive(obj, path: str) -> float:
     """Resolve the drive section to a Rabi frequency in rad/s.
 
@@ -126,12 +129,16 @@ def _parse_drive(obj, path: str) -> float:
     has_field, has_power = "field_t" in m, "power_w" in m
     if has_field == has_power:
         raise ValidationError(f"{path}: give exactly one of field_t, power_w (or rabi_hz)")
-    # a field or power so large that the Rabi frequency overflows fails under its own path
-    if has_field:
-        field = _number(m, "field_t", path, at_least=0.0)
-        return check_real(f"{path}.field_t", calibrate_drive(cal, field_amplitude=field))
-    power = _number(m, "power_w", path, at_least=0.0)
-    return check_real(f"{path}.power_w", calibrate_drive(cal, power=power))
+    key, arg = ("field_t", "field_amplitude") if has_field else ("power_w", "power")
+    value = _number(m, key, path, at_least=0.0)
+    # a missing reference, or a spin number, field or Rabi frequency that
+    # overflows, fails under the key that set it
+    try:
+        rabi = calibrate_drive(cal, **{arg: value})
+    except ValidationError as exc:
+        name, _, reason = str(exc).partition(": ")
+        raise ValidationError(f"{path}.{_DRIVE_KEYS[name]}: {reason}") from None
+    return check_real(f"{path}.{key}", rabi)
 
 
 def _parse_device(obj, path: str, drive=None) -> Device:
@@ -273,21 +280,14 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _serialize_mech(m: MechanicalMode) -> dict:
-    return {
-        "freq_hz": m.freq / TWO_PI,
-        "damping_hz": m.damping / TWO_PI,
-        "bare_coupling_hz": m.bare_coupling / TWO_PI,
-    }
-
-
 def serialize_config(cfg: RunConfig) -> dict:
     """Plain mapping in file units, suitable for yaml.safe_dump."""
     d = cfg.setup
     cavity = {"cavity_freq_hz": d.cavity_freq / TWO_PI,
               "cavity_linewidth_hz": d.cavity_linewidth / TWO_PI}
-    bath_and_mechs = {"bath_temperature_k": d.bath_temperature,
-                      "mechanical_modes": [_serialize_mech(m) for m in d.mechanical_modes]}
+    mechs = [{"freq_hz": m.freq / TWO_PI, "damping_hz": m.damping / TWO_PI,
+              "bare_coupling_hz": m.bare_coupling / TWO_PI} for m in d.mechanical_modes]
+    bath_and_mechs = {"bath_temperature_k": d.bath_temperature, "mechanical_modes": mechs}
     drive = {"rabi_hz": d.rabi_freq / TWO_PI}
     if d.couplings:
         out: dict = {"nmode": {

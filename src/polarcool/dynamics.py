@@ -223,30 +223,23 @@ def _node_detunings(freqs, linewidths, weights, detunings, drive_freq) -> list[f
 
     A plain float passes by check_real's own test, inline; any other value (an
     int, a numpy scalar) or a failing one goes through :func:`check_real`,
-    which raises with its path or gives the float that then replaces it in
-    its list, so that no other number type reaches the averages.
+    which raises with its path, formatted only then, or gives the float that
+    then replaces it in its list, so that no other number type reaches the averages.
     """
     checked = []
     for k, (freq, linewidth, weight, det) in enumerate(zip(freqs, linewidths, weights, detunings)):
         if not (type(freq) is float and 0.0 < freq < math.inf
                 and type(linewidth) is float and 0.0 < linewidth < math.inf
                 and type(weight) is float and abs(weight) < math.inf):
-            freq_path, linewidth_path, weight_path, _ = _node_paths(k)
-            freq = freqs[k] = check_real(freq_path, freq, above=0.0)
-            linewidths[k] = check_real(linewidth_path, linewidth, above=0.0)
-            weights[k] = check_real(weight_path, weight)
+            freq = freqs[k] = check_real(f"polaritons[{k}].freq", freq, above=0.0)
+            linewidths[k] = check_real(f"polaritons[{k}].linewidth", linewidth, above=0.0)
+            weights[k] = check_real(f"polaritons[{k}].weight", weight)
         if det is None:
             det = freq - drive_freq
         if not (type(det) is float and abs(det) < math.inf):
-            det = check_real(_node_paths(k)[3], det)
+            det = check_real(f"polaritons[{k}].detuning", det)
         checked.append(det)
     return checked
-
-
-@functools.cache
-def _node_paths(k: int) -> tuple[str, ...]:
-    """The paths of node ``k``'s checked values, formatted once rather than per point."""
-    return tuple(f"polaritons[{k}].{name}" for name in ("freq", "linewidth", "weight", "detuning"))
 
 
 def _cross_damping(cross_damping, n_p: int) -> list:
@@ -420,7 +413,7 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, sigm
                      for q in range(n)] + [weights[k]] for k in range(n)])
     chi = _sum(w * x for w, x in zip(weights, v))
     scale = abs(sigma) * abs(chi)
-    if scale == 0.0:
+    if scale == 0.0 or chi == 0:  # chi = 0 also where sigma is infinite: M = 0
         unit, cubic, y = 0j, None, 0.0
     else:
         unit = math.copysign(1.0, sigma) * chi / abs(chi)  # sigma u chi = y unit
@@ -599,10 +592,12 @@ def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
     v, chi, unit, cubic = solution
     ys = [0.0] if cubic is None else _nonnegative_roots(*cubic)
     lowest = rabi / (1.0 + 1j * ys[0] * unit)
+    # a root with y unit = i, a rounded fold at infinite |M|, is no steady state
+    denoms = [1.0 + 1j * y * unit for y in ys[1:]]
     return (tuple(lowest * x for x in v),
             tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping) for m in mechanics),
             matter, couplings, -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0,
-            mode, (matter,) + tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys[1:]))
+            mode, (matter,) + tuple(rabi * chi / q for q in denoms if q))
 
 
 def _pair_nodes(pair: tuple) -> tuple:

@@ -1,15 +1,23 @@
-"""Mechanical modes, the two-polariton normal modes, thermal occupation, drive calibration.
+"""Constants, mechanical modes, the two-polariton normal modes, thermal occupation, drive.
 
-Frequencies and rates are angular (rad/s). Linewidths are amplitude
-half-widths (a bare mode decays as e^{-kappa t}).
+SI units. Frequencies and rates are angular (rad/s), except the gyromagnetic
+ratio, a linear frequency per tesla as it enters the Rabi-frequency
+calibration. Linewidths are amplitude half-widths (a bare mode decays as e^{-kappa t}).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .constants import GYROMAGNETIC_RATIO, HBAR, KB, SPIN_DENSITY
 from .errors import ValidationError, check_real
+
+TWO_PI = 2.0 * math.pi   # rad per cycle: Hz to rad/s
+HBAR = 1.054571817e-34   # J s
+KB = 1.380649e-23        # J / K
+
+# YIG sphere defaults
+SPIN_DENSITY = 4.22e27          # spins per m^3
+GYROMAGNETIC_RATIO = 28e9       # Hz / T
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,8 @@ def thermal_occupation(freq: float, temperature: float) -> float:
 
     Exact 0 at zero temperature. Uses expm1 so the small-argument regime
     (hbar w / kT << 1) loses no precision, and switches to the asymptotic
-    exponential once expm1 would overflow.
+    exponential once expm1 would overflow. ``math.inf`` where kT / (hbar w)
+    overflows, as where hbar w underflows to 0 (w below about 5e-290 rad/s).
     """
     return _bose(check_real("freq", freq, above=0.0),
                  check_real("temperature", temperature, at_least=0.0))
@@ -80,6 +89,8 @@ def _bose(freq: float, temperature: float) -> float:
     x = HBAR * freq / kt
     if x > 700.0:
         return math.exp(-x)
+    if x == 0.0:  # hbar w underflows: the limit a subnormal x already gives
+        return math.inf
     return 1.0 / math.expm1(x)
 
 
@@ -120,8 +131,12 @@ class DriveCalibration:
 
     @property
     def spin_number(self) -> float:
+        """N = n (4/3) pi r^3 of the sphere, ``math.inf`` where it overflows."""
         r = 0.5 * self.sphere_diameter
-        return self.spin_density * (4.0 / 3.0) * math.pi * r**3
+        try:
+            return self.spin_density * (4.0 / 3.0) * math.pi * r**3
+        except OverflowError:  # float ** raises instead of giving inf
+            return math.inf
 
 
 def calibrate_drive(
@@ -134,15 +149,23 @@ def calibrate_drive(
     Exactly one of ``field_amplitude`` and ``power`` must be given. Power
     input requires ``cal.reference_power`` and maps through
     B0 = B_ref sqrt(P / P_ref) before the field formula
-    Omega = (sqrt(5)/4) gamma sqrt(N) B0.
+    Omega = (sqrt(5)/4) gamma sqrt(N) B0. A ValidationError starts with the
+    argument it names: ``power`` for a missing reference or a B0 that
+    overflows, ``sphere_diameter`` for an N that overflows.
     """
     if (field_amplitude is None) == (power is None):
         raise ValidationError("calibrate_drive: give exactly one of field_amplitude, power")
     if field_amplitude is None:
         power = check_real("power", power, at_least=0.0)
         if cal.reference_power is None:
-            raise ValidationError("power input requires cal.reference_power")
+            raise ValidationError("power: needs a cal.reference_power calibration")
         p_ref, b_ref = cal.reference_power
         field_amplitude = b_ref * math.sqrt(power / p_ref)
+        if field_amplitude == math.inf:
+            raise ValidationError(f"power: the field B_ref sqrt(P / P_ref) overflows, got {power}")
     field_amplitude = check_real("field_amplitude", field_amplitude, at_least=0.0)
-    return (math.sqrt(5.0) / 4.0) * cal.gyro_ratio * math.sqrt(cal.spin_number) * field_amplitude
+    spins = cal.spin_number
+    if spins == math.inf:
+        raise ValidationError(f"sphere_diameter: the spin number of the sphere overflows,"
+                              f" got {cal.sphere_diameter}")
+    return (math.sqrt(5.0) / 4.0) * cal.gyro_ratio * math.sqrt(spins) * field_amplitude

@@ -140,23 +140,23 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
     Bartels-Stewart in stages over the stack. Only the LAPACK calls run per
     point: each drift is factored R = Z T Z^T once (``dgees``), its verdict is
     read off T, and a stable one is solved on the same factors (``dtrsyl``).
-    The products F = Z^T (-D) Z before the solve and V = (W + W^T)/2 with
-    W = (Z Y) Z^T after it are each formed for the whole stack, and one
-    :func:`_verify` checks all the solves. V is None and the residual NaN
-    where the drift is unstable. Every factor keeps the memory layout LAPACK
-    gives it (the stacks hold T^T, Z^T and Y^T, read through transposed
-    views), so each product runs the gemm of scipy's
-    ``solve_continuous_lyapunov`` and V is bit-identical to it. A zero
-    diffusion has the exact V = 0 and residual 0; a diffusion whose norm
-    overflows leaves no residual to check, and a residual above 1e-9 is an
-    error.
+    The products F = Z^T (-D) Z before the solve, V = (W + W^T)/2 with
+    W = (Z Y) Z^T after it, and the residuals E = R V + V R^T + D are each
+    formed for the whole stack, and one :func:`_fros` gives ||V||_F, ||E||_F
+    and ||D||_F of every point. V is None and the residual NaN where the
+    drift is unstable. Every factor keeps the memory layout LAPACK gives it
+    (the stacks hold T^T, Z^T and Y^T, read through transposed views), so
+    each product runs the gemm of scipy's ``solve_continuous_lyapunov`` and V
+    is bit-identical to it. A zero diffusion has the exact V = 0 and residual
+    0; a diffusion whose norm overflows leaves no residual to check, and a
+    residual above 1e-9 is an error.
     """
     size, n = r.shape[:2]
     out = [None] * size
     # T^T, Z^T and Y^T, then the covariances, residuals and diffusions, in one
-    # array so that _verify forms all their norms with one product. The
-    # products run over the whole stack: a point that is not solved keeps a
-    # zero Y^T, so its W and V are zero, and its norms are not read
+    # array so that one product forms all their norms. The products run over
+    # the whole stack: a point that is not solved keeps a zero Y^T, so its W
+    # and V are zero, and its norms are not read
     stacks = np.zeros((6, size, n, n))
     tt, zt, yt, checks = stacks[0], stacks[1], stacks[2], stacks[3:]
     # an overflow is inf and a residual that cannot be formed NaN, judged point
@@ -201,10 +201,15 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
         if not solved:
             return out
         w = np.matmul(np.matmul(z, yt.transpose(0, 2, 1)), zt)
-        v = checks[0]
+        v, e, checks[2] = checks[0], checks[1], d
         np.add(w, w.transpose(0, 2, 1), out=v)
         v *= 0.5
-        v_norms, e_norms, d_norms = _verify(r, d, checks)
+        # each norm is bit-identical to _fro of the point's 2-D products in C order
+        np.matmul(r, v, out=e)
+        e += v @ r.transpose(0, 2, 1)
+        e += d
+        norms = _fros(checks).tolist()
+        v_norms, e_norms, d_norms = norms[:size], norms[size:2 * size], norms[2 * size:]
     for p in solved:
         r_norm, d_norm = r_norms[p], d_norms[p]
         if d_norm == 0.0:
@@ -224,24 +229,6 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
         proxy = 2.0 * r_norm * v_norms[p] / d_norm
         out[p] = (out[p], v[p], residual, proxy > CONDITION_LIMIT)
     return out
-
-
-def _verify(r: np.ndarray, d: np.ndarray, checks: np.ndarray) -> tuple[list, list, list]:
-    """||V||_F, ||R V + V R^T + D||_F and ||D||_F of each point of (P, n, n)
-    stacks, as three lists of plain floats, formed for the whole stack at once.
-
-    ``checks`` is a (3, P, n, n) array that holds the covariances V and takes
-    the residuals and the diffusions. Each norm is bit-identical to
-    :func:`_fro` of the point's 2-D products in C order. It runs under the
-    ``np.errstate`` of :func:`_solve`.
-    """
-    v, e, checks[2] = checks[0], checks[1], d
-    np.matmul(r, v, out=e)
-    e += v @ r.transpose(0, 2, 1)
-    e += d
-    norms = _fros(checks).tolist()
-    p = len(d)
-    return norms[:p], norms[p:2 * p], norms[2 * p:]
 
 
 def check_stability(drift: np.ndarray) -> StabilityInfo:

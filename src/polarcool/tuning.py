@@ -276,8 +276,8 @@ def _stages(setup: Device, points: list, averages: str):
     in stacks of up to ``_STACK_POINTS``: build each point to one flat list of values
     (:meth:`Device._fields`), check the stack by one finite test of its values
     (:func:`~polarcool.dynamics._checked_stack`), solve it (:func:`~polarcool.steadystate._solve`:
-    a factorization and triangular solve per point, the products and one
-    verification per stack), then read the occupations off each V's diagonal
+    a factorization and triangular solve per point, the products and the norms
+    of the residual check per stack), then read the occupations off each V's diagonal
     unchecked (:func:`~polarcool.steadystate._occupations`).
 
     Yields one entry per point, in order: the ValidationError or SolverError of its

@@ -306,8 +306,7 @@ def solve(r, d):
     """``steadystate._solve`` of (P, n, n) stacks, each point factored, solved and
     back-transformed on its own."""
     out, solved = [], []
-    checks = np.zeros((3, *d.shape))
-    v = checks[0]
+    v = np.zeros(d.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(len(r)):
             try:
@@ -332,7 +331,14 @@ def solve(r, d):
             solved.append((p, r_norm))
         if not solved:
             return out
-        v_norms, e_norms, d_norms = steadystate._verify(r, d, checks)
+        # each norm of one matrix in C order, as np.linalg.norm forms it
+        v_norms, e_norms, d_norms = {}, {}, {}
+        for p, _ in solved:
+            e = r[p] @ v[p]
+            e += v[p] @ r[p].T
+            e += d[p]
+            v_norms[p], e_norms[p], d_norms[p] = (
+                float(np.linalg.norm(np.ascontiguousarray(a))) for a in (v[p], e, d[p]))
     for p, r_norm in solved:
         d_norm = d_norms[p]
         if d_norm == 0.0:
@@ -488,7 +494,7 @@ def selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mecha
     sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
                  for m in mechanics)
     scale = abs(sigma) * abs(chi)
-    if scale == 0.0:
+    if scale == 0.0 or chi == 0:  # chi = 0 also where sigma is infinite: M = 0
         unit, ys = 0j, [0.0]
     else:
         unit = math.copysign(1.0, sigma) * chi / abs(chi)
@@ -497,7 +503,8 @@ def selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mecha
         if not (math.isfinite(p) and math.isfinite(c)):
             raise OverflowError
         ys = _nonnegative_roots(p, c)
-    branches = tuple(rabi * chi / (1.0 + 1j * y * unit) for y in ys)
+    # a root with y unit = i, a rounded fold at infinite |M|, is no steady state
+    branches = tuple(rabi * chi / q for q in (1.0 + 1j * y * unit for y in ys) if q)
     lowest = rabi / (1.0 + 1j * ys[0] * unit)
     return tuple(lowest * x for x in v), branches
 

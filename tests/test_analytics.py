@@ -59,6 +59,12 @@ def test_backaction_limit_values_and_warning():
         pc.quantum_backaction_limit(kappa, math.inf)
 
 
+def test_network_cooling_needs_a_mechanical_mode():
+    model = pc.LinearModel(-np.eye(2), np.eye(2), ("p1",), None)  # one node, no mechanics
+    with pytest.raises(ValidationError, match="^model: no mechanical modes in layout$"):
+        pc.network_cooling(model)
+
+
 def model_with_couplings(setup, theta, couplings, detuning_sign=1.0):
     """Two-node network at the device's polaritons at ``theta`` with effective
     couplings G_j given.

@@ -14,7 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from polarcool import SweepRow, analytics, dynamics, load_config, serialize_config, sweep, tuning
+from polarcool import (
+    SweepRow,
+    analytics,
+    dynamics,
+    load_config,
+    optimize_theta,
+    serialize_config,
+    sweep,
+    tuning,
+)
 from polarcool.cli import csv_columns, main, write_csv, write_plot_data
 from polarcool.errors import SolverError
 
@@ -135,7 +144,8 @@ def test_simulate_flags_match_one_point_sweep(capsys, tmp_path, drive):
 
 
 @pytest.mark.parametrize("config,command", [
-    (BASE, "simulate"), (BASE, "rates"), (BASE, "tune"), (BASE, "optimize"), (THREE, "tune")])
+    (BASE, "simulate"), (BASE, "rates"), (BASE, "tune"), (BASE, "optimize"), (THREE, "tune"),
+    (THREE, "simulate"), (THREE, "rates")])
 def test_preset_reports_match_golden_files(capsys, config, command):
     golden = Path("tests/golden") / f"{Path(config).stem}_{command}.txt"
     assert main([command, "--config", config]) == 0
@@ -212,6 +222,23 @@ def test_optimize_report(capsys):
     assert "converged = yes" in text
     theta = float(re.search(r"theta = (\S+) rad", text).group(1))
     assert 0.1 < theta < 0.5 * math.pi - 0.1
+
+
+def test_optimize_report_runs_the_config_section(capsys, tmp_path):
+    section = {"objective": "mode1", "lower": 0.2, "upper": 1.3, "coarse_points": 9,
+               "tol": 1e-4}
+    path = write_config(tmp_path, preset_raw(BASE, "system") | {"optimize": section})
+    assert main(["optimize", "--config", path]) == 0
+    result = optimize_theta(load_config(BASE).setup, objective="mode1", bounds=(0.2, 1.3),
+                            coarse_points=9, tol=1e-4)
+    fmt = "{:.12g}".format
+    out = capsys.readouterr().out
+    assert out == (
+        "optimization result:\n  objective = mode1\n"
+        f"  theta = {fmt(result.theta)} rad\n  value = {fmt(result.value)}\n"
+        f"  occupations = ({fmt(result.occupations[0])}, {fmt(result.occupations[1])})\n"
+        f"  evaluations = {result.evaluations}\n  converged = yes\n")
+    assert out != Path("tests/golden/two_mode_base_optimize.txt").read_text()  # the defaults'
 
 
 # ---------------------------------------------------------------------------
@@ -692,3 +719,44 @@ def test_import_does_not_load_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def drive_raw(**drive):
+    """The base preset with ``drive`` as its drive section."""
+    return preset_raw(BASE, "system") | {"drive": drive}
+
+
+# each once escaped as a raw traceback or named an argument of calibrate_drive
+@pytest.mark.parametrize("drive, message", [
+    ({"sphere_diameter_m": 1.0e200, "field_t": 2.7e-5},
+     "config.drive.sphere_diameter_m: the spin number of the sphere overflows, got 1e+200"),
+    ({"sphere_diameter_m": 2.5e-4, "power_w": 1.0e308, "reference_power_w": 1.0e-300,
+      "reference_field_t": 1.0},
+     "config.drive.power_w: the field B_ref sqrt(P / P_ref) overflows, got 1e+308"),
+    ({"sphere_diameter_m": 2.5e-4, "power_w": 1.0},
+     "config.drive.power_w: needs a cal.reference_power calibration"),
+], ids=["sphere", "power", "no-reference"])
+@pytest.mark.parametrize("command", ["simulate", "rates", "sweep"])
+def test_a_drive_section_that_overflows_names_its_key(capsys, tmp_path, drive, message, command):
+    path = write_config(tmp_path, drive_raw(**drive))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out.txt")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_backaction_limit_that_overflows_is_an_infinite_warning(capsys, tmp_path):
+    raw = preset_raw(BASE, "system", bath_temperature_k=0.0, mech_hz=(1.0e-200, 3.0e7))
+    raw["drive"] = {"rabi_hz": 0.0}
+    assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("warning: backaction limit inf > 0.01: outside the resolved"
+                         " sideband regime")
+
+
+def test_a_mode_whose_quantum_underflows_fails_its_points(capsys, tmp_path):
+    path = write_config(tmp_path, preset_raw(BASE, "system", mech_hz=(1.0e-295, 3.0e7)))
+    assert main(["simulate", "--config", path]) == 1
+    assert capsys.readouterr() == ("", "error: diffusion: contains a NaN or infinite entry\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 101 and all(row.endswith(",false,error:ValidationError") for row in rows)

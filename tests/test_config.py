@@ -347,6 +347,37 @@ def test_optimize_section_defaults_and_validation():
             parse_config(raw)
 
 
+def test_sections_and_lists_of_the_wrong_kind_name_their_path():
+    raw = base_raw()
+    raw["sweep"] = [0.1, 1.0]
+    with pytest.raises(ValidationError, match=r"^config\.sweep: expected a mapping, got list$"):
+        parse_config(raw)
+    raw = base_raw()
+    raw["system"]["mechanical_modes"] = []
+    with pytest.raises(ValidationError,
+                       match=r"^config\.system\.mechanical_modes: expected a non-empty list$"):
+        parse_config(raw)
+    raw = base_raw()
+    raw["sweep"] = {"variable": "theta", "start": 0.1, "stop": 1.5, "points": 3, "plot": 3}
+    with pytest.raises(ValidationError,
+                       match=r"^config\.sweep\.plot: expected a path string, got 3$"):
+        parse_config(raw)
+    raw = yaml.safe_load(Path("configs/three_mode.config").read_text())
+    raw["nmode"]["couplings_hz"] = []
+    with pytest.raises(ValidationError,
+                       match=r"^config\.nmode\.couplings_hz: expected a non-empty list$"):
+        parse_config(raw)
+
+
+def test_a_sweep_plot_path_round_trips():
+    raw = base_raw()
+    raw["sweep"] = {"variable": "theta", "start": 0.1, "stop": 1.5, "points": 3,
+                    "plot": "sweep.dat"}
+    cfg = parse_config(raw)
+    assert serialize_config(cfg)["sweep"]["plot"] == "sweep.dat"
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_load_config_error_paths(tmp_path):
     with pytest.raises(ValidationError, match="not found"):
         load_config(str(tmp_path / "missing.config"))

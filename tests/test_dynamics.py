@@ -426,6 +426,27 @@ def test_node_elimination_matches_numpy(n, seed):
     assert np.abs(got - want).max() <= 1e-13 * np.linalg.cond(a) * np.abs(want).max()
 
 
+def test_node_elimination_pivots_past_a_small_diagonal():
+    # node 0's |kappa + i Delta| lies below its cross damping to node 1, so the
+    # elimination swaps the two rows before it divides
+    a = np.array([[0.1 + 0.2j, 3.0, 0.5], [3.0, 2.0 + 1.0j, 0.7], [0.5, 0.7, 1.0 - 4.0j]])
+    w = [0.3, -0.8, 0.6]
+    rows = [list(row) + [wk] for row, wk in zip(a.tolist(), w)]
+    got = np.array(dynamics._eliminate(rows))
+    assert rows[0][0] == 3.0  # the largest entry of the first column went on top
+    want = np.linalg.solve(a, w)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_build_network_needs_a_node_and_a_mechanical_mode():
+    node = pc.NetworkPolariton(TWO_PI * 1e10, TWO_PI * 1e6, 0.7, detuning=TWO_PI * 1e7)
+    drive = pc.NetworkDrive(TWO_PI * 1e10, 1e13, 0.01)
+    for nodes, mechanics in (([], make_mechs()), ([node], [])):
+        with pytest.raises(ValidationError, match="^build_network: need at least one polariton"
+                                                  " and one mechanical mode$"):
+            pc.build_network(nodes, mechanics, drive)
+
+
 def test_singular_polariton_matrix_raises_solver_error():
     # A0 = [[1, 1], [1, 1]]: unit linewidths, no detuning, unit cross damping
     pol = pc.NetworkPolariton(freq=10.0, linewidth=1.0, weight=1.0, detuning=0.0)

@@ -10,12 +10,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcool as pc
 from polarcool import analytics, dynamics
 from polarcool.config import parse_config
-from polarcool.errors import ValidationError
+from polarcool.errors import ValidationError, check_real
 
+import helpers
 from helpers import TWO_PI, make_base_setup, make_mechs
 
 BAD_VALUES = (math.nan, math.inf, -math.inf, None, "1.0", True, 1j)
@@ -283,3 +286,117 @@ UNDERFLOW = {
 def test_a_rate_denominator_that_underflows_is_a_validation_error(call):
     with pytest.raises(ValidationError, match=r"^sideband_rates: .* underflows to 0$"):
         call()
+
+
+def test_an_int_beyond_the_float_range_is_infinite_and_rejected():
+    for big in (10**400, -10**400):
+        with pytest.raises(ValidationError, match=r"^x: must be finite, got -?inf$"):
+            check_real("x", big)
+
+
+# a mechanical frequency so low that hbar omega underflows to 0 at any T > 0:
+# 1 / expm1(0) once escaped as a raw ZeroDivisionError
+TINY_MODE = pc.MechanicalMode(1e-300, TWO_PI * 100.0, TWO_PI * 0.2)
+
+
+def test_a_frequency_whose_quantum_underflows_has_infinite_occupation():
+    assert pc.thermal_occupation(1e-300, 0.01) == math.inf
+    assert pc.thermal_occupation(1.0, 1e300) == math.inf  # a subnormal hbar omega / kT
+    assert pc.thermal_occupation(1e-300, 0.0) == 0.0
+    setup = _setup(mechanical_modes=(TINY_MODE, SETUP.mechanical_modes[1]))
+    failed = ("error:ValidationError",)
+    assert pc.evaluate_point(setup, 0.7).flags == failed
+    assert [row.flags for row in pc.sweep(setup, "theta", [0.5, 0.7])] == [failed, failed]
+    with pytest.raises(ValidationError, match="^diffusion: contains a NaN or infinite entry$"):
+        setup.working_point(0.7)
+
+
+def test_a_zero_susceptibility_has_no_shift_even_where_sigma_overflows():
+    # 2 G_0^2 overflows, so sigma = -inf, while the node's zero weight makes chi = 0:
+    # sigma chi was NaN and slipped past the no-shift test
+    node = pc.NetworkPolariton(1e10, 1e6, 0.0, 1e7)
+    drive = pc.NetworkDrive(1e10, 1e13, 0.01)
+    assert dynamics._shift_coefficient([pc.MechanicalMode(1e7, 100.0, 1e160)]) == -math.inf
+    averages = [pc.build_network([node], [pc.MechanicalMode(1e7, 100.0, g0)], drive,
+                                 mode="selfconsistent").averages for g0 in (1e160, 1.0)]
+    for avg in averages:
+        assert (avg.avg_matter, avg.effective_couplings, avg.branches) == (0j, (0.0,), (0j,))
+    for g0 in (1e160, 1.0):
+        oracle = helpers.selfconsistent_polaritons(
+            [0.0], [1e7], [1e6], [[0.0]], 1e13, [pc.MechanicalMode(1e7, 100.0, g0)])
+        assert oracle == ((0j,), (0j,))
+
+
+def test_a_fold_at_infinite_amplitude_is_no_branch():
+    # Re chi underflows, so p = -2 exactly, and the fold's double root y = 1 has
+    # 1 + i y unit = 0: that branch's M would divide by zero
+    model = pc.build_network([pc.NetworkPolariton(1e10, 1e-315, 1.0, 1e7)],
+                             [pc.MechanicalMode(1e7, 100.0, 1.0)],
+                             pc.NetworkDrive(1e10, 1.0, 0.0), mode="selfconsistent")
+    assert model.averages.branches == (model.averages.avg_matter,)
+    assert model.averages.avg_matter == -1e-07j
+    oracle = helpers.selfconsistent_polaritons(
+        [1.0], [1e7], [1e-315], [[0.0]], 1.0, [pc.MechanicalMode(1e7, 100.0, 1.0)])
+    assert oracle == (model.averages.avg_polaritons, model.averages.branches)
+
+
+def test_a_spin_number_or_drive_field_that_overflows_is_a_validation_error():
+    huge = pc.DriveCalibration(1e200)
+    assert huge.spin_number == math.inf
+    with pytest.raises(ValidationError, match="^sphere_diameter: the spin number"):
+        pc.calibrate_drive(huge, field_amplitude=1.0)
+    with pytest.raises(ValidationError, match="^sphere_diameter: the spin number"):
+        pc.calibrate_drive(pc.DriveCalibration(1e100), field_amplitude=0.0)
+    anchored = pc.DriveCalibration(2.5e-4, reference_power=(1e-300, 1.0))
+    with pytest.raises(ValidationError, match=r"^power: the field .* overflows, got 1e\+308$"):
+        pc.calibrate_drive(anchored, power=1e308)
+
+
+def test_a_backaction_limit_whose_square_leaves_the_float_range():
+    with pytest.warns(UserWarning, match="^backaction limit inf > 0.01"):
+        assert pc.quantum_backaction_limit(1e200, 1.0) == math.inf
+    with pytest.warns(UserWarning, match="^backaction limit inf > 0.01"):
+        assert pc.quantum_backaction_limit(1.0, 1e-200) == math.inf
+    with pytest.warns(UserWarning, match="^backaction limit 0.25 > 0.01"):
+        assert pc.quantum_backaction_limit(1e-200, 1e-200) == 0.25
+    # kappa^2 underflows to 0, (kappa / omega)^2 does not
+    assert pc.quantum_backaction_limit(1e-200, 1e-100) == pytest.approx(2.5e-201, rel=1e-15)
+
+
+# every float of a device log-uniform over nearly the whole double range
+MAGNITUDES = st.floats(-310.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+TYPED_ERRORS = (ValidationError, pc.SolverError, pc.UnstableSystemError, pc.ConvergenceError)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), fixed=st.booleans(), averages=st.sampled_from(["approx", "selfconsistent"]))
+def test_an_extreme_device_raises_only_typed_errors(data, fixed, averages):
+    """A pair or a one-coupling device, each float in [1e-310, 1e300], the
+    temperature and drive sometimes 0: evaluate_point, working_point with
+    steady_state and network_cooling, and a sweep raise only the four typed errors."""
+    draw = data.draw
+    freqs = sorted(draw(MAGNITUDES) for _ in range(2))
+    modes = tuple(pc.MechanicalMode(f, draw(MAGNITUDES), draw(MAGNITUDES)) for f in freqs)
+    off_or_on = st.just(0.0) | MAGNITUDES
+    try:
+        setup = pc.Device(cavity_freq=draw(MAGNITUDES), cavity_linewidth=draw(MAGNITUDES),
+                          matter_linewidths=(draw(MAGNITUDES),), mechanical_modes=modes,
+                          bath_temperature=draw(off_or_on), rabi_freq=draw(off_or_on),
+                          couplings=(draw(MAGNITUDES),) if fixed else ())
+    except ValidationError:
+        return
+    theta = None if fixed else draw(st.floats(0.01, 1.56))
+    temperatures = [0.0, draw(MAGNITUDES)]
+
+    def one_point():
+        _, model = setup.working_point(theta, mode=averages)
+        pc.steady_state(model, require_stable=False)
+        pc.network_cooling(model)
+
+    for call in (lambda: pc.evaluate_point(setup, theta, averages=averages), one_point,
+                 lambda: pc.sweep(setup, "temperature", temperatures, theta=theta,
+                                  averages=averages)):
+        try:
+            call()
+        except TYPED_ERRORS:
+            pass

@@ -242,6 +242,11 @@ def test_integrate_covariance_validations():
     assert np.allclose(v, np.eye(2), atol=1e-10)
 
 
+def test_integrate_covariance_rejects_a_v0_of_another_shape():
+    with pytest.raises(ValidationError, match=r"^v0: expected shape \(2, 2\), got \(4, 4\)$"):
+        pc.integrate_covariance(-np.eye(2), np.eye(2), v0=0.5 * np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # one real Schur factorization serves the verdict and the solve
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import polarcool as pc
 from polarcool import analytics, dynamics, errors, steadystate, tuning
 from polarcool import model as model_module
-from polarcool.cli import main
+from polarcool.cli import main, write_csv
 from polarcool.config import load_config
 from polarcool.errors import SolverError, UnstableSystemError, ValidationError
 
@@ -753,7 +753,8 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
     report's rates (``analytics._cooling``) call it, and ``solve`` makes
     ``_solve(drifts, diffusions)`` return a SolverError for that point; ``residual``
     doubles the point's triangular Sylvester solution, so its covariance fails
-    the stacked residual check.
+    the stacked residual check; ``occupations`` raises a SolverError from the
+    occupation read of the point's covariance diagonal.
     """
     if "+" in stage:
         for one in stage.split("+"):
@@ -776,6 +777,16 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
                     else result for d, result in zip(diffusions, original(drifts, diffusions))]
 
         monkeypatch.setattr(tuning, "_solve", failing)
+    elif stage == "occupations":
+        original = tuning._occupations
+        marked = pc.steady_state(model).covariance.diagonal().tolist()
+
+        def failing(diag):
+            if diag == marked:
+                raise SolverError("_occupations: injected")
+            return original(diag)
+
+        monkeypatch.setattr(tuning, "_occupations", failing)
     else:
         t, z = schur(model.drift)[:2]
         marked, original = z.T.dot((-model.diffusion).dot(z)), steadystate.dtrsyl
@@ -795,6 +806,7 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
     ("rates", "temperature", 0.3, "ValidationError"),
     ("solve", "temperature", 0.3, "SolverError"),
     ("residual", "temperature", 0.3, "SolverError"),  # fails the stacked residual check
+    ("occupations", "temperature", 0.3, "SolverError"),
     ("rates+solve", "temperature", 0.3, "ValidationError"),  # the rates' error comes first
 ])
 @pytest.mark.parametrize("position", [0, 2, 4])
@@ -821,6 +833,28 @@ def test_one_failing_point_leaves_the_others_bit_identical(
     # only the point whose values are not all finite has its matrices checked
     point_checks = 1 if stage == "matrix check" else 0
     assert check_counts["check_drift_diffusion"] == point_checks
+
+
+def test_an_ill_conditioned_solve_is_flagged_in_order(monkeypatch, tmp_path):
+    assert tuning._flags(None, stable=False, ill_conditioned=True, weak_coupling=False) == (
+        "unstable", "ill_conditioned", "weak_coupling_broken")
+    setup, grid = make_base_setup(), [x * BASE_RABI for x in (0.0, 1.0, 3.0, 40.0)]
+    clean = pc.sweep(setup, "rabi", grid, theta=0.7, averages="selfconsistent")
+    monkeypatch.setattr(steadystate, "CONDITION_LIMIT", 0.0)  # every proxy exceeds it
+    rows = pc.sweep(setup, "rabi", grid, theta=0.7, averages="selfconsistent")
+    assert [row.flags for row in rows] == [
+        ("ill_conditioned",), ("ill_conditioned",),
+        ("ill_conditioned", "weak_coupling_broken"), ("unstable", "weak_coupling_broken")]
+    assert [row_bits(row) for row in rows] == [
+        row_bits(dataclasses.replace(row, flags=new.flags)) for row, new in zip(clean, rows)]
+    out = tmp_path / "sweep.csv"
+    write_csv(rows, str(out))
+    flags = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+    assert flags == ["ill_conditioned", "ill_conditioned", "ill_conditioned;weak_coupling_broken",
+                     "unstable;weak_coupling_broken"]
+    _, model = setup.working_point(0.7, rabi=grid[2], mode="selfconsistent")
+    assert pc.steady_state(model).condition_flag
+    assert pc.solve_lyapunov(model.drift, model.diffusion)[2]
 
 
 @pytest.mark.parametrize("command", ["simulate", "rates"])
@@ -858,7 +892,7 @@ def test_a_drift_whose_norm_overflows_is_a_solver_error():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of dgees and dtrsyl, of the stacked verification, of ``np.matmul``
+    """Calls of dgees and dtrsyl, of the stacked norm pass ``_fros``, of ``np.matmul``
     in the solver, of the two model classes' construction and of the stack path."""
     counts = collections.Counter()
 
@@ -881,7 +915,7 @@ def call_counts(monkeypatch):
     counting(steadystate.np, "matmul", "matmul")
     counting(steadystate, "dgees", "dgees")
     counting(steadystate, "dtrsyl", "dtrsyl")
-    counting(steadystate, "_verify", "verifications")
+    counting(steadystate, "_fros", "norm passes")
     counting(steadystate, "SteadyState", "SteadyState")
     counting(dynamics.LinearModel, "__post_init__", "LinearModel")
     counting(tuning, "_rows", "stacks")
@@ -905,19 +939,20 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
     # the stack's values are finite, which is the matrix check's verdict
     assert not check_counts
     # one factorization and one triangular solve per point, plus one workspace
-    # query on an empty cache, and one verification of all the solves; the
-    # products are stacked, so their count does not grow with the points
+    # query on an empty cache, and two norm passes per stack, of the drifts and
+    # of the solves' checks; the products are stacked, so their count does not
+    # grow with the points
     counts = dict(call_counts)
     products = counts.pop("matmul")
-    assert counts == {"dgees": len(grid) + 1, "dtrsyl": len(grid), "verifications": 1,
+    assert counts == {"dgees": len(grid) + 1, "dtrsyl": len(grid), "norm passes": 2,
                       "stacks": 1}
     call_counts.clear()
     pc.sweep(device, variable, grid, theta=theta, averages=averages)
-    assert call_counts == {"dgees": len(grid), "dtrsyl": len(grid), "verifications": 1,
+    assert call_counts == {"dgees": len(grid), "dtrsyl": len(grid), "norm passes": 2,
                            "stacks": 1, "matmul": products}
     call_counts.clear()
     pc.sweep(device, variable, grid[:2], theta=theta, averages=averages)
-    assert call_counts == {"dgees": 2, "dtrsyl": 2, "verifications": 1, "stacks": 1,
+    assert call_counts == {"dgees": 2, "dtrsyl": 2, "norm passes": 2, "stacks": 1,
                            "matmul": products}
 
 
@@ -947,7 +982,7 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert call_counts["rates"] == call_counts["rows"] == call_counts["stacks"] == 0
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
-    assert call_counts["verifications"] == len(sizes)  # one per stack
+    assert call_counts["norm passes"] == 2 * len(sizes)  # two per stack
 
 
 def test_stages_run_stacks_of_at_most_the_stack_bound(monkeypatch):
