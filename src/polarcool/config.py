@@ -9,6 +9,7 @@ round-off (one 2 pi conversion each way).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -177,7 +178,7 @@ def _parse_device(obj, path: str, drive=None) -> Device:
 
 def _parse_sweep(obj, path: str) -> SweepConfig:
     m = _mapping(obj, path)
-    _check_keys(m, {"variable", "start", "stop", "points", "plot"}, path)
+    _check_keys(m, {f.name for f in dataclasses.fields(SweepConfig)}, path)
     variable = m.get("variable")
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"{path}.variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
@@ -196,7 +197,7 @@ def _parse_sweep(obj, path: str) -> SweepConfig:
 
 def _parse_optimize(obj, path: str) -> OptimizeConfig:
     m = _mapping(obj, path)
-    _check_keys(m, {"objective", "lower", "upper", "coarse_points", "tol"}, path)
+    _check_keys(m, {f.name for f in dataclasses.fields(OptimizeConfig)}, path)
     objective = m.get("objective", "max")
     if objective not in OPTIMIZE_OBJECTIVES:
         raise ValidationError(
@@ -303,23 +304,10 @@ def serialize_config(cfg: RunConfig) -> dict:
                "drive": drive}
     out["theta"] = cfg.theta
     out["averages"] = cfg.averages
-    if cfg.sweep is not None:
-        out["sweep"] = {
-            "variable": cfg.sweep.variable,
-            "start": cfg.sweep.start,
-            "stop": cfg.sweep.stop,
-            "points": cfg.sweep.points,
-        }
-        if cfg.sweep.plot is not None:
-            out["sweep"]["plot"] = cfg.sweep.plot
-    if cfg.optimize is not None:
-        out["optimize"] = {
-            "objective": cfg.optimize.objective,
-            "lower": cfg.optimize.lower,
-            "upper": cfg.optimize.upper,
-            "coarse_points": cfg.optimize.coarse_points,
-            "tol": cfg.optimize.tol,
-        }
+    # a section's keys are its record's fields, less an absent (None) one
+    for key, section in (("sweep", cfg.sweep), ("optimize", cfg.optimize)):
+        if section is not None:
+            out[key] = {k: v for k, v in dataclasses.asdict(section).items() if v is not None}
     return out
 
 

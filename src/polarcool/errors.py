@@ -30,7 +30,7 @@ def check_real(path: str, value, above=None, at_least=None, below=None) -> float
     with ``path``.
     """
     # a plain float skips the numbers.Real ABC check, some 30 times slower than
-    # this type test; one working point makes about 60 calls
+    # this type test; a clean working point calls it on its angle, not on what it derives
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{path}: expected a number, got {value!r}")

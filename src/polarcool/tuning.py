@@ -11,6 +11,7 @@ on top.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -97,11 +98,8 @@ class Device:
             raise ValidationError(f"couplings: need {n - 1} entries for {n} mechanical"
                                   f" modes, got {len(self.couplings)}")
         # the shift coefficient of the selfconsistent averages, the same at every
-        # working point, and the slot of the fixed-coupling tuning and its nodes,
-        # filled on first use: set here, not as a cached_property, whose write of a
-        # new key to __dict__ makes every later attribute load on the device slower
+        # working point
         object.__setattr__(self, "_sigma", _shift_coefficient(self.mechanical_modes))
-        object.__setattr__(self, "_fixed", None)
 
     def _needs_angle(self, what: str) -> None:
         if self.couplings:
@@ -139,32 +137,30 @@ class Device:
             check_real("drive_freq", drive_freq, above=0.0)
         return coupling, magnon_freq, drive_freq
 
-    @property
+    @functools.cached_property
     def tuning(self) -> NModeResult:
-        """Matter and drive frequencies of a fixed-coupling device, found on first use
-        and held in ``_fixed`` as (tuning, None) until :meth:`_nodes` adds its nodes."""
-        if self._fixed is None:
-            object.__setattr__(self, "_fixed", (tune_n_mode(
-                self.cavity_freq, [m.freq for m in self.mechanical_modes], self.couplings,
-                self.cavity_linewidth, self.matter_linewidths), None))
-        return self._fixed[0]
+        """Matter and drive frequencies of a fixed-coupling device (:func:`tune_n_mode`),
+        found on first use and kept. An angle-tuned device has none: reading it raises
+        a ValidationError, as :meth:`_needs_angle` does for the other kind."""
+        if not self.couplings:
+            raise ValidationError(
+                "tuning: needs a device with fixed couplings, this one is angle-tuned")
+        return tune_n_mode(self.cavity_freq, [m.freq for m in self.mechanical_modes],
+                           self.couplings, self.cavity_linewidth, self.matter_linewidths)
 
+    @functools.cached_property
     def _nodes(self) -> tuple:
         """(freqs, linewidths, weights, detunings, cross damping) of the nodes of a
-        fixed-coupling device (see :meth:`working_point`), as plain floats, the nodes
-        checked once, on first use: its :attr:`tuning` is the same at every working
-        point. The cross damping is used as :func:`photon_matter_diagonalize` built
-        it, symmetric with a zero diagonal."""
-        tuned, nodes = self.tuning, self._fixed[1]
-        if nodes is None:
-            pols = tuned.polaritons
-            freqs, linewidths = [p.freq for p in pols], [p.linewidth for p in pols]
-            weights = [p.weights[1] for p in pols]
-            nodes = (freqs, linewidths, weights, _node_detunings(
-                freqs, linewidths, weights, [None] * len(pols), tuned.drive_freq),
-                [p.cross_damping for p in pols])
-            object.__setattr__(self, "_fixed", (tuned, nodes))
-        return nodes
+        fixed-coupling device (see :meth:`working_point`), as plain floats, built and
+        checked on first use and kept, as its :attr:`tuning` is; a node that fails its
+        check raises on every read. The cross damping is used as
+        :func:`photon_matter_diagonalize` built it, symmetric with a zero diagonal."""
+        pols = self.tuning.polaritons
+        freqs, linewidths = [p.freq for p in pols], [p.linewidth for p in pols]
+        weights = [p.weights[1] for p in pols]
+        return (freqs, linewidths, weights, _node_detunings(
+            freqs, linewidths, weights, [None] * len(pols), self.tuning.drive_freq),
+            [p.cross_damping for p in pols])
 
     def working_point(
         self,
@@ -202,7 +198,7 @@ class Device:
         type or a failing value, to convert it or raise with its message. The
         tuning of an angle-tuned pair is (coupling, magnon frequency, drive
         frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
-        are checked once (:meth:`_nodes`); the shift coefficient ``_sigma`` is
+        are checked once (:attr:`_nodes`); the shift coefficient ``_sigma`` is
         formed when the device is built.
         """
         tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
@@ -215,7 +211,7 @@ class Device:
         elif not (type(temperature) is float and 0.0 <= temperature < math.inf):
             temperature = check_real(f"{prefix}bath_temperature", temperature, at_least=0.0)
         if self.couplings:
-            nodes = self._nodes()
+            nodes = self._nodes
         else:
             coupling, magnon_freq, drive_freq = tuned
             nodes = _pair_nodes(_pair(self.cavity_freq, magnon_freq, coupling,
@@ -615,19 +611,19 @@ def tune_n_mode(
             f"couplings/matter_linewidths: need {n - 1} entries for {n} mechanical modes"
         )
 
-    def modes_for(freqs: np.ndarray) -> tuple[MatterMode, ...]:
-        return tuple(
-            MatterMode(freq=f, coupling=g, linewidth=k)
-            for f, g, k in zip(freqs, gs, kappas)
-        )
-
     best = []  # (cost, freqs) of the in-domain point of least cost evaluated so far
 
-    def residuals(freqs: np.ndarray) -> np.ndarray:
-        pols = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
+    def evaluate(freqs: np.ndarray) -> tuple:
+        """(polaritons, drive frequency, detuning mismatch) at matter frequencies ``freqs``."""
+        pols = photon_matter_diagonalize(
+            cavity_freq, tuple(MatterMode(freq=f, coupling=g, linewidth=k)
+                               for f, g, k in zip(freqs, gs, kappas)), cavity_linewidth)
         p_freqs = np.array([p.freq for p in pols])
         drive = (p_freqs.sum() - _sum(mech)) / n
-        mismatch = (p_freqs - drive) - np.asarray(mech)
+        return pols, drive, (p_freqs - drive) - np.asarray(mech)
+
+    def residuals(freqs: np.ndarray) -> np.ndarray:
+        mismatch = evaluate(freqs)[2]
         cost = float(mismatch @ mismatch)
         if not best or cost < best[0]:
             best[:] = cost, freqs.copy()
@@ -658,14 +654,12 @@ def tune_n_mode(
                 raise
             found, success = best[1], False
     freqs = np.sort(found)
-    polaritons = photon_matter_diagonalize(cavity_freq, modes_for(freqs), cavity_linewidth)
-    p_freqs = np.array([p.freq for p in polaritons])
-    drive_freq = float((p_freqs.sum() - _sum(mech)) / n)
-    resid = float(np.abs((p_freqs - drive_freq) - np.asarray(mech)).max())
+    polaritons, drive_freq, mismatch = evaluate(freqs)
+    resid = float(np.abs(mismatch).max())
     converged = success and resid <= 1e-6 * mech[-1]
     return NModeResult(
         matter_freqs=tuple(float(f) for f in freqs),
-        drive_freq=drive_freq,
+        drive_freq=float(drive_freq),
         polaritons=polaritons,
         residual=resid,
         converged=converged,

@@ -1,7 +1,6 @@
 """Sideband-rate formulas and their agreement with the covariance solver."""
 import dataclasses
 import math
-import types
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ import polarcool as pc
 from polarcool import analytics, dynamics
 from polarcool.errors import ValidationError
 
-from helpers import TWO_PI, cooling, make_base_setup, pair_at
+from helpers import TWO_PI, cooling, make_base_setup, make_mechs, pair_at
 
 
 def test_sideband_rates_hand_values():
@@ -210,12 +209,14 @@ def outcome(call) -> str:
 @given(case=cooling_values())
 def test_network_cooling_equals_the_oracle_by_repr(case):
     n_p, n_m, values = case
-    _, drift, diffusion = dynamics._stack(n_p, n_m, [values])
-    layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
-    # a LinearModel would reject the NaN and infinite entries that reach the core here
-    model = types.SimpleNamespace(drift=drift[0], diffusion=diffusion[0], mode_layout=layout)
-    assert outcome(lambda: pc.network_cooling(model)) == outcome(
-        lambda: cooling(values, n_p, n_m))
+    if all(map(math.isfinite, values)):
+        _, drift, diffusion = dynamics._stack(n_p, n_m, [values])
+        layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
+        got = outcome(lambda: pc.network_cooling(
+            pc.LinearModel(drift[0], diffusion[0], layout, None)))
+    else:  # a LinearModel rejects NaN and inf: the core that network_cooling calls
+        got = outcome(lambda: analytics._cooling(values, n_p, n_m))
+    assert got == outcome(lambda: cooling(values, n_p, n_m))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -226,3 +227,23 @@ def test_the_sweep_rates_core_equals_the_oracle_by_repr(case):
     assert outcome(lambda: analytics._rates(values, n_p, n_m)) == outcome(
         lambda: [(r.kappa_eff, r.n_eff, r.weak_coupling, r.dominant, r.n_eff_all,
                   list(r.stokes), list(r.anti_stokes)) for r in cooling(values, n_p, n_m)])
+
+
+# ROADMAP item 13: two modes closer than their cooling rates hybridize through
+# the polaritons, and a dark combination stays hot; the closed-form rates, which
+# cool each mode on its own, miss it, and no flag says so yet
+MISSED = pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+NEAR_DEGENERATE = [pytest.param(2e7, id="20MHz"), pytest.param(1e6, id="1MHz"),
+                   pytest.param(1e5, id="100kHz", marks=MISSED),
+                   pytest.param(1e4, id="10kHz", marks=MISSED)]
+
+
+@pytest.mark.parametrize("delta_hz", NEAR_DEGENERATE)
+def test_near_degenerate_modes_are_flagged_where_the_rates_miss(delta_hz):
+    # the base preset at theta = 0.7, its second mode moved to omega_1 + 2 pi delta
+    setup = make_base_setup(mechanical_modes=make_mechs(freq_hz=(1.0e7, 1.0e7 + delta_hz)))
+    _, model = setup.working_point(0.7)
+    numeric = pc.steady_state(model).occupations[2:]
+    gap = max(abs(r.n_eff_all - n) / n for r, n in zip(pc.network_cooling(model), numeric))
+    if gap > 0.15:  # outside the criterion-2 budget
+        assert pc.evaluate_point(setup, 0.7).flags

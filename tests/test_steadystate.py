@@ -1,6 +1,7 @@
 """Covariance solvers: Lyapunov route, time-domain route, derived occupations."""
 import collections
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -27,6 +28,7 @@ from helpers import (
     TWO_PI,
     averages_vector,
     classical_rhs,
+    design,
     integrate,
     make_base_setup,
     make_mechs,
@@ -533,6 +535,53 @@ def test_steady_state_reports_uncertainty_compliant_covariance():
     assert eigs.min() > -1e-10
     assert not state.condition_flag
     assert state.lyapunov_residual < 1e-9
+
+
+# the fixed-coupling designs, each tuned once across the draws
+DESIGNS = functools.cache(lambda n: design(n)[0])
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def valid_points(draw):
+    """(device, theta, temperature, rabi, averages) of a valid working point: the base
+    pair with bare linewidths of 0.1-100 MHz and any angle, or a 2-5 mode design;
+    zero or 1 mK - 1 K; zero drive or 0.01-20 times the base preset's."""
+    if draw(st.booleans()):
+        linewidth = log_uniform(TWO_PI * 1e5, TWO_PI * 1e8)
+        setup = make_base_setup(magnon_linewidth=draw(linewidth), cavity_linewidth=draw(linewidth))
+        theta = draw(st.floats(0.01, 1.56))
+    else:
+        setup, theta = DESIGNS(draw(st.integers(2, 5))), None
+    temperature = draw(st.just(0.0) | log_uniform(1e-3, 1.0))
+    rabi = draw(st.just(0.0) | st.floats(0.01, 20.0).map(lambda f: f * BASE_RABI))
+    return setup, theta, temperature, rabi, draw(st.sampled_from(("approx", "selfconsistent")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_points())
+def test_a_valid_device_keeps_the_physical_invariants(point):
+    setup, theta, temperature, rabi, averages = point
+    try:
+        state = pc.steady_state(setup.working_point(theta, temperature, rabi, averages)[1],
+                                require_stable=False)
+    except TYPED_ERRORS:
+        return
+    if not state.stable:
+        return
+    v = state.covariance
+    assert np.array_equal(v, v.T)
+    assert state.lyapunov_residual <= 1e-9
+    omega = np.kron(np.eye(len(v) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.linalg.eigvalsh(v + 0.5j * omega).min() >= -1e-9 * max(1.0, np.abs(v).max())
+    if rabi == 0.0:  # undriven, each mechanical mode sits at its thermal occupation
+        n_p = len(setup.matter_linewidths) + 1
+        for mech, n in zip(setup.mechanical_modes, state.occupations[n_p:]):
+            nbar = pc.thermal_occupation(mech.freq, temperature)
+            assert abs(n - nbar) <= 1e-9 * (1.0 + nbar)
 
 
 def test_steady_state_unstable_paths():

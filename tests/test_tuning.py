@@ -303,16 +303,19 @@ def numpy_scalar_twin(device):
         couplings=tuple(np.float64(x) for x in device.couplings))
 
 
-def test_a_device_keeps_its_attribute_keys_through_its_tuning_and_points():
-    """A key added to the instance __dict__ after construction (as a cached_property
-    adds one) makes every later attribute load on the device slower."""
+def test_a_device_tunes_once():
     device = three_mode_device()
-    keys = sorted(vars(device))
     tuned = device.tuning
-    assert sorted(vars(device)) == keys
     row = pc.evaluate_point(device)
-    assert sorted(vars(device)) == keys
     assert device.tuning is tuned and row.drive_freq == tuned.drive_freq
+
+
+def test_an_angle_tuned_device_has_no_tuning():
+    device = load_config("configs/two_mode_base.config").setup
+    message = "^tuning: needs a device with fixed couplings, this one is angle-tuned$"
+    for _ in range(2):  # an error is not kept: each read raises it
+        with pytest.raises(ValidationError, match=message):
+            device.tuning
 
 
 @pytest.mark.parametrize("overrides", ["none", "floats", "numpy scalars"])
@@ -1164,12 +1167,11 @@ def resonant_pair():
 
 
 def resonant_three_mode():
-    """The three-mode device with a tuning whose drive sits on polariton 0, set in
-    the slot that holds a fixed-coupling device's tuning and, later, its nodes."""
+    """The three-mode device with a tuning whose drive sits on polariton 0, written
+    over its kept tuning before its nodes are built from it."""
     device = three_mode_device()
     tuned = device.tuning
-    object.__setattr__(device, "_fixed",
-                       (dataclasses.replace(tuned, drive_freq=tuned.polaritons[0].freq), None))
+    vars(device)["tuning"] = dataclasses.replace(tuned, drive_freq=tuned.polaritons[0].freq)
     return device
 
 
