@@ -112,12 +112,6 @@ def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
                  in enumerate(_rates(values, n_p, n_m)))
 
 
-def _nodes(values: list, n_p: int) -> tuple[list, list]:
-    """(linewidths, detunings) of the polaritons in the values that fill a drift
-    and diffusion, laid out as :func:`~polarcool.dynamics._pattern` says."""
-    return [-values[4 * k] for k in range(n_p)], values[1:4 * n_p:4]
-
-
 def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
     """Per mechanical mode, (kappa_eff, n_eff, weak_coupling, dominant, n_eff_all,
     Stokes rates, anti-Stokes rates) from the values that fill a drift and
@@ -131,7 +125,8 @@ def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:
     """
     if n_m == 0:
         raise ValidationError("model: no mechanical modes in layout")
-    linewidths, detunings = _nodes(values, n_p)
+    # each polariton's four values start with its damping (negated) and detuning
+    linewidths, detunings = [-values[4 * k] for k in range(n_p)], values[1:4 * n_p:4]
     for k, kappa in enumerate(linewidths):
         if not 0.0 < kappa < math.inf:
             check_real(f"model: polariton {k} linewidth", kappa, above=0.0)

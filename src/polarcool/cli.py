@@ -3,6 +3,8 @@
 Subcommands: simulate (one working point, full report), rates (analytic
 scattering-rate table), sweep (grid -> CSV, optional plot-data file), tune
 (working-point inversion, two-mode or N-mode), optimize (best mixing angle).
+Reports run one working point by the public path that sweep rows are pinned to:
+Device.working_point, network_cooling, then steady_state (not run for rates).
 
 Exit codes: 0 success, 1 validation error, 2 solver error,
 3 instability under --require-stable.
@@ -13,12 +15,12 @@ import argparse
 import sys
 import warnings
 
-from .analytics import _nodes, quantum_backaction_limit
+from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
-from .dynamics import _averages
 from .errors import SolverError, UnstableSystemError, ValidationError
 from .model import TWO_PI, thermal_occupation
-from .tuning import _flags, _point, optimize_theta, sweep
+from .steadystate import steady_state
+from .tuning import SWEEP_VARIABLES, _flags, optimize_theta, sweep
 
 
 def csv_columns(n_modes: int) -> tuple[str, ...]:
@@ -40,6 +42,13 @@ EXIT_UNSTABLE = 3
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _columns(rows) -> tuple[str, ...]:
+    """:func:`csv_columns` of sweep rows, or a ValidationError where there are none."""
+    if not rows:
+        raise ValidationError("rows: expected at least one sweep row, got none")
+    return csv_columns(len(rows[0].kappa_eff))
 
 
 def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[str]:
@@ -72,18 +81,21 @@ def write_csv(rows, path: str) -> None:
     All values are plain %.12g numbers or bare lowercase words, so no field
     ever needs quoting and identical inputs give bit-identical files.
     """
-    lines = [",".join(csv_columns(len(rows[0].kappa_eff)))]
+    lines = [",".join(_columns(rows))]
     lines += _table(rows, ",", "true", "false", "")
     _write(path, "\n".join(lines) + "\n")
 
 
 def write_plot_data(rows, path: str, variable: str) -> None:
     """Gnuplot-friendly whitespace table; units spelled out in the # header."""
+    columns = _columns(rows)
+    if variable not in SWEEP_VARIABLES:
+        raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
     unit = {"theta": "rad", "temperature": "K", "rabi": "rad/s"}[variable]
     lines = [
         "# steady-state cooling sweep",
         f"# swept variable: {variable} [{unit}]",
-        "# columns: " + " ".join(csv_columns(len(rows[0].kappa_eff))),
+        "# columns: " + " ".join(columns),
         "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
     ]
     lines += _table(rows, " ", "1", "0", "-")
@@ -100,15 +112,15 @@ def _occupation_lines(device, numeric, analytic) -> list[str]:
 
 
 def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    device = cfg.setup
-    tuning, values, solved, rates, result = _point(device, cfg.theta, averages_mode)
-    if isinstance(result, SolverError):
-        raise result
-    info, residual, ill_conditioned, numeric = result
-    flags = _flags(tuning, info.stable, ill_conditioned, all(r.weak_coupling for r in rates))
-    # polariton k's linewidth and drive detuning, as its values hold them
-    linewidths, detunings = _nodes(values, len(device.matter_linewidths) + 1)
-    avg_polaritons, _, avg_matter, effective_couplings, _, mode, _ = _averages(*solved)
+    device, n_p = cfg.setup, len(cfg.setup.matter_linewidths) + 1
+    tuning, model = device.working_point(cfg.theta, mode=averages_mode)
+    rates = network_cooling(model)
+    state = steady_state(model, require_stable=False)
+    flags = _flags(tuning, state.stable, state.condition_flag, all(r.weak_coupling for r in rates))
+    # polariton k's linewidth and drive detuning, off its damped rotation block
+    drift, avg = model.drift, model.averages
+    linewidths = [-drift[2 * k, 2 * k] for k in range(n_p)]
+    detunings = [drift[2 * k, 2 * k + 1] for k in range(n_p)]
 
     lines = ["working point:"]
     if device.couplings:
@@ -124,19 +136,19 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
         lines.append(f"  omega_m = {_fmt(magnon_freq / TWO_PI)} Hz")
     lines.append(f"  omega_0 = {_fmt(drive_freq / TWO_PI)} Hz")
     lines.append(f"  detunings = ({', '.join(_fmt(d / TWO_PI) for d in detunings)}) Hz")
-    lines.append(f"  averages mode = {mode}")
+    lines.append(f"  averages mode = {avg.mode}")
     lines.append("steady-state averages:")
-    for name, p_avg in zip(names, avg_polaritons):
+    for name, p_avg in zip(names, avg.avg_polaritons):
         lines.append(f"  |<{name}>| = {_fmt(abs(p_avg))}")
-    lines.append(f"  |<M>| = {_fmt(abs(avg_matter))}")
-    for j, g_eff in enumerate(effective_couplings):
+    lines.append(f"  |<M>| = {_fmt(abs(avg.avg_matter))}")
+    for j, g_eff in enumerate(avg.effective_couplings):
         lines.append(f"  G_{j + 1} = {_fmt(g_eff / TWO_PI)} Hz")
-    verdict = "stable" if info.stable else "UNSTABLE"
-    lines.append(f"stability: {verdict} (spectral abscissa {_fmt(info.spectral_abscissa)} rad/s)")
-    if info.stable:
-        lines.append(f"lyapunov residual: {residual:.3e}")
+    verdict = "stable" if state.stable else "UNSTABLE"
+    lines.append(f"stability: {verdict} (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
+    if state.stable:
+        lines.append(f"lyapunov residual: {state.lyapunov_residual:.3e}")
     lines.append("occupations:")
-    lines.extend(_occupation_lines(device, numeric, [r.n_eff for r in rates]))
+    lines.extend(_occupation_lines(device, state.occupations[n_p:], [r.n_eff for r in rates]))
     lines.append(f"flags: {';'.join(flags) if flags else '-'}")
 
     with warnings.catch_warnings(record=True) as caught:
@@ -145,12 +157,12 @@ def _simulate_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
             quantum_backaction_limit(linewidths[r.dominant], mech.freq)
         for w in caught:
             lines.append(f"warning: {w.message}")
-    return "\n".join(lines) + "\n", info.stable
+    return "\n".join(lines) + "\n", state.stable
 
 
 def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
-    # the point's solve is not reported, nor its failure
-    tuning, _, _, rates, _ = _point(cfg.setup, cfg.theta, averages_mode)
+    tuning, model = cfg.setup.working_point(cfg.theta, mode=averages_mode)
+    rates = network_cooling(model)
     if cfg.setup.couplings:
         lines = ["scattering rates (all rates in Hz):"]
         names = [f"polariton {k + 1}" for k in range(len(cfg.setup.matter_linewidths) + 1)]
@@ -178,22 +190,22 @@ def _rates_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
 def _tune_report(cfg: RunConfig, averages_mode: str) -> tuple[str, bool]:
     device = cfg.setup
     if device.couplings:
-        tuned, _, _, rates, result = _point(device, cfg.theta, averages_mode)
-        if isinstance(result, SolverError):
-            raise result
-        info, _, _, numeric = result
+        tuned, model = device.working_point(cfg.theta, mode=averages_mode)
+        rates = network_cooling(model)
+        state = steady_state(model, require_stable=False)
         lines = [f"n-mode tuning ({len(device.mechanical_modes)} polaritons):"]
         lines.append(f"  converged: {'yes' if tuned.converged else 'no'}")
         lines.append(f"  residual: {tuned.residual / TWO_PI:.6e} Hz")
         lines.append(f"  omega_0 = {_fmt(tuned.drive_freq / TWO_PI)} Hz")
         for i, f in enumerate(tuned.matter_freqs):
             lines.append(f"  matter mode {i + 1}: {_fmt(f / TWO_PI)} Hz")
-        verdict = "stable" if info.stable else "UNSTABLE"
+        verdict = "stable" if state.stable else "UNSTABLE"
         lines.append(f"  network: {verdict}"
-                     f" (spectral abscissa {_fmt(info.spectral_abscissa)} rad/s)")
-        if info.stable:
+                     f" (spectral abscissa {_fmt(state.spectral_abscissa)} rad/s)")
+        if state.stable:
+            numeric = state.occupations[len(device.matter_linewidths) + 1:]
             lines.extend(_occupation_lines(device, numeric, [r.n_eff_all for r in rates]))
-        return "\n".join(lines) + "\n", info.stable
+        return "\n".join(lines) + "\n", state.stable
 
     coupling, magnon_freq, drive_freq = device._tuned(cfg.theta)
     lower, upper = device.mechanical_modes

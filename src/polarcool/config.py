@@ -312,5 +312,10 @@ def serialize_config(cfg: RunConfig) -> dict:
 
 
 def dump_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(serialize_config(cfg), fh, sort_keys=False)
+    """Write ``cfg`` to ``path`` as a YAML config file; a path it cannot write
+    raises ValidationError naming it, as :func:`load_config` does one it cannot read."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(serialize_config(cfg), fh, sort_keys=False)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write the config file ({exc.strerror})") from exc

@@ -176,9 +176,9 @@ def _model(n_p: int, n_m: int, values: list, solved: tuple) -> LinearModel:
     """The :class:`LinearModel` of one point's values and solution, both as
     :func:`_network` returns them, a one-point stack, which it checks.
 
-    The one-point path (:func:`build_network`, :meth:`~polarcool.tuning.Device.working_point`)
-    and the ``simulate`` report are all that run the record step, :func:`_averages`;
-    a sweep point reads only its values.
+    Only the one-point path (:func:`build_network`, :meth:`~polarcool.tuning.Device.working_point`,
+    and so the reports) runs the record step, :func:`_averages`; a sweep point reads only
+    its values.
     """
     _, r, d = _stack(n_p, n_m, [values])
     layout = tuple(f"p{k + 1}" for k in range(n_p)) + tuple(f"b{j + 1}" for j in range(n_m))
@@ -514,7 +514,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
     couplings and the selfconsistent solution (None in approx mode or at zero
     drive). This values core is what every working point runs; a sweep reads
     the values and forms neither a :class:`LinearModel` nor the fields of its
-    averages record, which only :func:`_model` and a report form.
+    averages record, which only :func:`_model` forms.
 
     It checks the two rules that every working point obeys, for every caller:
     the mode is "approx" or "selfconsistent", and in approx mode at a nonzero
@@ -573,7 +573,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
 def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
               solution) -> tuple:
     """The fields of a point's :class:`SteadyStateAverages`, in order, from the
-    ``solved`` of :func:`_network`: the record step, which only :func:`_model` and a report run.
+    ``solved`` of :func:`_network`: the record step, which only :func:`_model` runs.
 
     It forms what no value of the point reads: the polariton amplitudes, the
     mechanical averages <b_j> (-G_0j |M|^2 / omega_j in approx mode,

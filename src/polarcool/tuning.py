@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _cooling, _rates
+from .analytics import _rates
 from .dynamics import (
     LinearModel,
     MatterMode,
@@ -277,13 +277,12 @@ def _stages(setup: Device, points: list, averages: str):
     unchecked (:func:`~polarcool.steadystate._occupations`).
 
     Yields one entry per point, in order: the ValidationError or SolverError of its
-    build or matrix check, or (tuning, solved, values, result): ``solved`` for a
-    report's record step, ``values`` the list the build made, and ``result`` the
-    (verdict, residual, ill_conditioned, mechanical occupations) of its solve, NaN
-    occupations where the drift is unstable, or its SolverError. The caller forms
-    the rates off ``values`` and puts their error ahead of ``result``'s, as
-    :func:`~polarcool.analytics.network_cooling` comes ahead of
-    :func:`~polarcool.steadystate.steady_state` on a model.
+    build or matrix check, or (tuning, values, result): ``values`` the list the build
+    made, ``result`` the (verdict, residual, ill_conditioned, mechanical occupations)
+    of its solve, NaN occupations where the drift is unstable, or its SolverError.
+    The caller forms the rates off ``values`` and puts their error ahead of
+    ``result``'s, as a report runs :func:`~polarcool.analytics.network_cooling`
+    ahead of :func:`~polarcool.steadystate.steady_state` on its one point's model.
     """
     n_p, n_m = len(setup.matter_linewidths) + 1, len(setup.mechanical_modes)
     nans = (math.nan,) * n_m
@@ -291,7 +290,7 @@ def _stages(setup: Device, points: list, averages: str):
         out, built = [], []
         for i, (theta, temperature, rabi) in enumerate(points[start:start + _STACK_POINTS]):
             try:
-                built.append((i, *setup._fields(theta, temperature, rabi, averages)))
+                built.append((i, *setup._fields(theta, temperature, rabi, averages)[:2]))
                 out.append(None)
             except (ValidationError, SolverError) as exc:
                 out.append(exc)
@@ -302,7 +301,7 @@ def _stages(setup: Device, points: list, averages: str):
                     out[i] = fault  # None for a point that passed, as out[i] already is
                 clean = [p for p, fault in enumerate(faults) if fault is None]
                 built, drift, diffusion = [built[p] for p in clean], drift[clean], diffusion[clean]
-            for (i, tuning, values, solved), result in zip(built, _solve(drift, diffusion)):
+            for (i, tuning, values), result in zip(built, _solve(drift, diffusion)):
                 if not isinstance(result, SolverError):
                     info, v, residual, ill_conditioned = result
                     try:
@@ -311,25 +310,8 @@ def _stages(setup: Device, points: list, averages: str):
                         result = (info, residual, ill_conditioned, occupations)
                     except SolverError as exc:
                         result = exc
-                out[i] = (tuning, solved, values, result)
+                out[i] = (tuning, values, result)
         yield from out
-
-
-def _point(setup: Device, theta: float | None, averages: str) -> tuple:
-    """A report's working point: its one entry of :func:`_stages`.
-
-    Returns (tuning, values, solved, rates, result), what a report prints
-    beyond a row: ``solved`` for the record step (:func:`~polarcool.dynamics._averages`),
-    the :class:`~polarcool.analytics.CoolingRates` of the values, and the
-    point's result of :func:`_stages`, for a report that solves to raise its
-    SolverError. Raises the point's error of build, matrix check or rates.
-    """
-    (entry,) = _stages(setup, [(theta, None, None)], averages)
-    if isinstance(entry, Exception):
-        raise entry
-    tuning, solved, values, result = entry
-    rates = _cooling(values, len(setup.matter_linewidths) + 1, len(setup.mechanical_modes))
-    return tuning, values, solved, rates, result
 
 
 def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
@@ -352,7 +334,7 @@ def _rows(setup: Device, points: list, averages: str) -> list[SweepRow]:
         if isinstance(entry, Exception):
             rows.append(error_row(point, entry))
             continue
-        tuning, _, values, result = entry
+        tuning, values, result = entry
         try:
             rates = _rates(values, n_p, n_m)
         except (ValidationError, SolverError) as exc:

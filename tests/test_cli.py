@@ -25,7 +25,7 @@ from polarcool import (
     tuning,
 )
 from polarcool.cli import csv_columns, main, write_csv, write_plot_data
-from polarcool.errors import SolverError
+from polarcool.errors import SolverError, ValidationError
 
 BASE = "configs/two_mode_base.config"
 HIGHPOWER = "configs/two_mode_highpower.config"
@@ -641,6 +641,22 @@ def test_a_failing_point_keeps_each_reports_error_line_and_exit_code(capsys, tmp
         assert (out.out == "") == (code != 0), command
 
 
+def test_the_writers_name_missing_rows_and_an_unknown_variable(tmp_path):
+    """No rows once escaped both writers as a raw IndexError, and an unknown
+    variable the plot writer as a raw KeyError."""
+    path = tmp_path / "out.txt"
+    for write in (write_csv, lambda rows, out: write_plot_data(rows, out, "theta")):
+        with pytest.raises(ValidationError, match="^rows: expected at least one sweep row"):
+            write([], str(path))
+    setup = load_config(BASE).setup
+    with pytest.raises(ValidationError) as want:
+        sweep(setup, "foo", [0.3])
+    with pytest.raises(ValidationError) as got:
+        write_plot_data(sweep(setup, "theta", [0.3, 0.6]), str(path), "foo")
+    assert str(got.value) == str(want.value)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "plot"])
 def test_an_output_path_that_cannot_be_written_is_a_validation_error(capsys, tmp_path,
                                                                      command):
@@ -668,7 +684,7 @@ def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     def explode(drifts, diffusions):  # each point's solve fails, as _solve reports it
         return [SolverError("manufactured failure")] * len(drifts)
 
-    monkeypatch.setattr("polarcool.tuning._solve", explode)
+    monkeypatch.setattr("polarcool.steadystate._solve", explode)
     assert main(["simulate", "--config", BASE]) == 2
     assert "solver error" in capsys.readouterr().err
 

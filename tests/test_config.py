@@ -158,6 +158,18 @@ def test_dump_and_reload(tmp_path):
     assert load_config(str(out)) == cfg
 
 
+def test_a_config_path_that_cannot_be_written_is_a_validation_error(tmp_path):
+    """Such a path once escaped as a raw FileNotFoundError."""
+    cfg = load_config("configs/two_mode_base.config")
+    missing = tmp_path / "missing" / "copy.config"
+    with pytest.raises(ValidationError) as exc:
+        dump_config(cfg, str(missing))
+    assert str(exc.value) == f"{missing}: cannot write the config file (No such file or directory)"
+    with pytest.raises(ValidationError, match="cannot write the config file"):
+        dump_config(cfg, str(tmp_path))  # a directory
+    assert not missing.parent.exists()
+
+
 def test_unknown_keys_rejected_with_path():
     raw = base_raw()
     raw["system"]["color"] = "blue"

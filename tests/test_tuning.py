@@ -754,7 +754,8 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
 
     ``rates`` raises from ``_rates(values, n_p, n_m)``, as a sweep row and a
     report's rates (``analytics._cooling``) call it, and ``solve`` makes
-    ``_solve(drifts, diffusions)`` return a SolverError for that point; ``residual``
+    ``_solve(drifts, diffusions)`` return a SolverError for that point, in a sweep
+    and in a report's ``steady_state``; ``residual``
     doubles the point's triangular Sylvester solution, so its covariance fails
     the stacked residual check; ``occupations`` raises a SolverError from the
     occupation read of the point's covariance diagonal.
@@ -780,6 +781,7 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
                     else result for d, result in zip(diffusions, original(drifts, diffusions))]
 
         monkeypatch.setattr(tuning, "_solve", failing)
+        monkeypatch.setattr(steadystate, "_solve", failing)
     elif stage == "occupations":
         original = tuning._occupations
         marked = pc.steady_state(model).covariance.diagonal().tolist()
@@ -1013,15 +1015,31 @@ def test_stages_run_stacks_of_at_most_the_stack_bound(monkeypatch):
                                            ("configs/three_mode.config", 3 * 3)])
 def test_a_report_forms_each_sideband_rate_once(monkeypatch, config, pairs):
     # one (Stokes, anti-Stokes) pair per polariton and mechanical mode
-    cfg, calls, original = load_config(config), [], analytics._sideband_rates
+    calls, original = [], analytics._sideband_rates
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(analytics, "_sideband_rates", counted)
-    tuning._point(cfg.setup, cfg.theta, cfg.averages)
+    assert main(["rates", "--config", config]) == 0
     assert len(calls) == pairs
+
+
+@pytest.mark.parametrize("config", ["configs/two_mode_base.config", "configs/three_mode.config"])
+def test_the_rates_report_solves_nothing(monkeypatch, capsys, config):
+    # the rates report prints no solve, so it runs none
+    calls, original = [], steadystate._solve
+
+    def counted(drifts, diffusions):
+        calls.append(len(drifts))
+        return original(drifts, diffusions)
+
+    for owner in (steadystate, tuning):
+        monkeypatch.setattr(owner, "_solve", counted)
+    assert main(["rates", "--config", config]) == 0
+    assert capsys.readouterr().out.startswith("scattering rates")
+    assert calls == []
 
 
 @pytest.mark.parametrize("temperature, rabi", [
