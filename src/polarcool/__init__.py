@@ -1,10 +1,10 @@
 """Steady-state cooling of mechanical modes through tunable magnon polaritons.
 
-The pipeline: describe the system (:mod:`polarcool.model`), pick a working
-point (:mod:`polarcool.tuning`), linearize around the classical steady state
-(:mod:`polarcool.dynamics`), solve for the stationary covariance
-(:mod:`polarcool.steadystate`), and cross-check against closed-form sideband
-rates (:mod:`polarcool.analytics`).
+The pipeline: describe the system (:mod:`polarcool.model`), form its polaritons
+and pick a working point (:mod:`polarcool.tuning`), linearize around the
+classical steady state (:mod:`polarcool.dynamics`), solve for the stationary
+covariance (:mod:`polarcool.steadystate`), and cross-check against closed-form
+sideband rates (:mod:`polarcool.analytics`).
 """
 
 from types import ModuleType as _ModuleType
@@ -26,13 +26,10 @@ from .config import (
 )
 from .dynamics import (
     LinearModel,
-    MatterMode,
     NetworkDrive,
     NetworkPolariton,
-    PolaritonMode,
     SteadyStateAverages,
     build_network,
-    photon_matter_diagonalize,
 )
 from .errors import ConvergenceError, SolverError, UnstableSystemError, ValidationError
 from .model import (
@@ -52,11 +49,14 @@ from .steadystate import (
 )
 from .tuning import (
     Device,
+    MatterMode,
     NModeResult,
     OptimizeResult,
+    PolaritonMode,
     SweepRow,
     evaluate_point,
     optimize_theta,
+    photon_matter_diagonalize,
     sweep,
     tune_n_mode,
 )

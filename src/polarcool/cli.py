@@ -17,10 +17,10 @@ import warnings
 
 from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
-from .errors import SolverError, UnstableSystemError, ValidationError
+from .errors import SolverError, UnstableSystemError, ValidationError, check_entries
 from .model import TWO_PI, thermal_occupation
 from .steadystate import steady_state
-from .tuning import SWEEP_VARIABLES, _flags, optimize_theta, sweep
+from .tuning import SWEEP_VARIABLES, SweepRow, _flags, optimize_theta, sweep
 
 
 def csv_columns(n_modes: int) -> tuple[str, ...]:
@@ -44,11 +44,19 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _columns(rows) -> tuple[str, ...]:
-    """:func:`csv_columns` of sweep rows, or a ValidationError where there are none."""
+def _columns(rows) -> tuple[tuple[SweepRow, ...], tuple[str, ...]]:
+    """(rows as a tuple, their :func:`csv_columns`), or a ValidationError naming the
+    rows where there are none or ``rows[i]`` where one is not a :class:`SweepRow`
+    or has another number of mechanical modes than the first."""
+    rows = check_entries("rows", rows, SweepRow)
     if not rows:
         raise ValidationError("rows: expected at least one sweep row, got none")
-    return csv_columns(len(rows[0].kappa_eff))
+    n_modes = len(rows[0].kappa_eff)
+    for i, row in enumerate(rows):
+        if len(row.kappa_eff) != n_modes:
+            raise ValidationError(f"rows[{i}]: expected {n_modes} mechanical modes as rows[0]"
+                                  f" has, got {len(row.kappa_eff)}")
+    return rows, csv_columns(n_modes)
 
 
 def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[str]:
@@ -81,14 +89,14 @@ def write_csv(rows, path: str) -> None:
     All values are plain %.12g numbers or bare lowercase words, so no field
     ever needs quoting and identical inputs give bit-identical files.
     """
-    lines = [",".join(_columns(rows))]
-    lines += _table(rows, ",", "true", "false", "")
+    rows, columns = _columns(rows)
+    lines = [",".join(columns)] + _table(rows, ",", "true", "false", "")
     _write(path, "\n".join(lines) + "\n")
 
 
 def write_plot_data(rows, path: str, variable: str) -> None:
     """Gnuplot-friendly whitespace table; units spelled out in the # header."""
-    columns = _columns(rows)
+    rows, columns = _columns(rows)
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
     unit = {"theta": "rad", "temperature": "K", "rabi": "rad/s"}[variable]

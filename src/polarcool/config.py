@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, check_type
 from .model import TWO_PI, DriveCalibration, MechanicalMode, calibrate_drive
 from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, Device
 
@@ -283,7 +283,7 @@ def load_config(path: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Plain mapping in file units, suitable for yaml.safe_dump."""
-    d = cfg.setup
+    d = check_type("cfg", cfg, RunConfig).setup
     cavity = {"cavity_freq_hz": d.cavity_freq / TWO_PI,
               "cavity_linewidth_hz": d.cavity_linewidth / TWO_PI}
     mechs = [{"freq_hz": m.freq / TWO_PI, "damping_hz": m.damping / TWO_PI,
@@ -313,9 +313,11 @@ def serialize_config(cfg: RunConfig) -> dict:
 
 def dump_config(cfg: RunConfig, path: str) -> None:
     """Write ``cfg`` to ``path`` as a YAML config file; a path it cannot write
-    raises ValidationError naming it, as :func:`load_config` does one it cannot read."""
+    raises ValidationError naming it, as :func:`load_config` does one it cannot read.
+    The text is formed first, so a ``cfg`` that fails leaves the file as it was."""
+    text = yaml.safe_dump(serialize_config(cfg), sort_keys=False)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(serialize_config(cfg), fh, sort_keys=False)
+            fh.write(text)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot write the config file ({exc.strerror})") from exc

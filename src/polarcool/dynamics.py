@@ -5,9 +5,7 @@ fed by one drive through their matter content (one weight per node), cooling
 M mechanical modes. It finds the classical averages (approximate closed form
 or a selfconsistent fixed point) and the effective couplings they induce,
 and builds the drift and diffusion matrices of the quadrature fluctuations.
-The two-polariton system is the two-node case (:func:`_pair_nodes`): the
-upper and lower polaritons with weights sin(theta) and cos(theta) and their
-dissipative cross-coupling.
+The nodes, a device's polaritons, are formed in :mod:`polarcool.tuning`.
 
 Quadrature ordering is (X, Y) per mode, polaritons first, then mechanics.
 Vacuum noise corresponds to covariance 1/2 per quadrature.
@@ -598,99 +596,3 @@ def _averages(weights, detunings, mechanics, rabi, mode, matter, m2, couplings,
             tuple(-1j * m.bare_coupling * m2 / (1j * m.freq + m.damping) for m in mechanics),
             matter, couplings, -cmath.phase(matter) - 0.5 * math.pi if matter != 0 else 0.0,
             mode, (matter,) + tuple(rabi * chi / q for q in denoms if q))
-
-
-def _pair_nodes(pair: tuple) -> tuple:
-    """(freqs, linewidths, weights, detunings, cross damping) of the two-polariton
-    system's nodes, (upper, lower), from its normal modes as :func:`~polarcool.model._pair`
-    gives them: the inputs of :func:`_network` that the nodes carry, each node checked."""
-    theta, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = pair
-    freqs, linewidths = [upper, lower], [kappa_u, kappa_l]
-    weights = [math.sin(theta), math.cos(theta)]
-    return (freqs, linewidths, weights,
-            _node_detunings(freqs, linewidths, weights, (det_u, det_l), None),
-            [[0.0, dk], [dk, 0.0]])
-
-
-# ---------------------------------------------------------------------------
-# photon-matter diagonalization for N-polariton devices
-
-
-@dataclass(frozen=True)
-class MatterMode:
-    """A matter excitation coupled to the cavity: frequency, coupling, linewidth."""
-
-    freq: float
-    coupling: float
-    linewidth: float
-
-
-@dataclass(frozen=True)
-class PolaritonMode:
-    """One normal mode of the photon-matter network.
-
-    ``weights`` is the orthonormal eigenvector (photon component first, then
-    one entry per matter mode), signed so its largest-magnitude matter
-    component is positive. ``cross_damping`` holds this mode's dissipative
-    coupling to every mode of the network (zero for itself), the
-    off-diagonal of the bare losses in the polariton basis.
-    """
-
-    freq: float
-    linewidth: float
-    weights: tuple[float, ...]
-    cross_damping: tuple[float, ...]
-
-
-def photon_matter_diagonalize(
-    cavity_freq: float,
-    matter_modes: Sequence[MatterMode],
-    cavity_linewidth: float,
-) -> tuple[PolaritonMode, ...]:
-    """Normal modes of one cavity coupled to M matter modes, ascending in frequency.
-
-    Diagonalizes the (M+1)x(M+1) symmetric frequency-coupling matrix; the
-    polariton linewidths are the weight-squared averages of the bare ones,
-    and modes k, l share the dissipative coupling
-    K_kl = sum_i v_ik v_il (kappa_i - kappa_cavity), which is exactly zero
-    when every bare linewidth equals the cavity's.
-    Raises SolverError on (near-)degenerate eigenvalues, where the weight
-    assignment is ambiguous.
-    """
-    matter_modes = check_entries("matter_modes", matter_modes, MatterMode)
-    if not matter_modes:
-        raise ValidationError("matter_modes: must not be empty")
-    check_real("cavity_freq", cavity_freq, above=0.0)
-    check_real("cavity_linewidth", cavity_linewidth, above=0.0)
-    for i, mm in enumerate(matter_modes):
-        for field in ("coupling", "freq", "linewidth"):
-            check_real(f"matter_modes[{i}].{field}", getattr(mm, field), above=0.0)
-    m = len(matter_modes)
-    h = np.zeros((m + 1, m + 1))
-    h[0, 0] = cavity_freq
-    for i, mm in enumerate(matter_modes):
-        h[i + 1, i + 1] = mm.freq
-        h[0, i + 1] = h[i + 1, 0] = mm.coupling
-    freqs, vecs = np.linalg.eigh(h)
-    gaps = np.diff(freqs)
-    tol = 1e-9 * np.abs(freqs).max()
-    if np.any(gaps < tol):
-        raise SolverError(
-            f"photon_matter_diagonalize: near-degenerate polaritons (min gap {gaps.min():.3e})"
-        )
-    bare_kappas = np.array([cavity_linewidth] + [mm.linewidth for mm in matter_modes])
-    # sign convention: each mode's largest-magnitude matter component positive
-    lead = np.abs(vecs[1:]).argmax(axis=0)
-    vecs = vecs * np.where(vecs[1 + lead, np.arange(m + 1)] < 0, -1.0, 1.0)
-    excess = vecs.T @ ((bare_kappas - cavity_linewidth)[:, None] * vecs)
-    cross = 0.5 * (excess + excess.T)
-    np.fill_diagonal(cross, 0.0)
-    return tuple(
-        PolaritonMode(
-            freq=float(freqs[k]),
-            linewidth=float((vecs[:, k] ** 2 * bare_kappas).sum()),
-            weights=tuple(float(x) for x in vecs[:, k]),
-            cross_damping=tuple(float(x) for x in cross[k]),
-        )
-        for k in range(m + 1)
-    )

@@ -1,4 +1,4 @@
-"""Constants, mechanical modes, the two-polariton normal modes, thermal occupation, drive.
+"""The physical inputs: constants, mechanical modes, thermal occupation, drive calibration.
 
 SI units. Frequencies and rates are angular (rad/s), except the gyromagnetic
 ratio, a linear frequency per tesla as it enters the Rabi-frequency
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, check_type
 
 TWO_PI = 2.0 * math.pi   # rad per cycle: Hz to rad/s
 HBAR = 1.054571817e-34   # J s
@@ -41,32 +41,6 @@ def _float_modes(modes, path: str) -> tuple[MechanicalMode, ...]:
     plain float, mode ``j`` checked as ``path[j]``: every value a working point
     derives from them is then a float too, whatever number type they came in."""
     return tuple(MechanicalMode(*m.validate(path=f"{path}[{j}]")) for j, m in enumerate(modes))
-
-
-def _pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
-          drive_freq) -> tuple[float, ...]:
-    """Normal modes of the photon-magnon pair, from plain floats with a coupling > 0:
-    (theta, upper frequency, lower frequency, upper linewidth, lower linewidth,
-    dissipative coupling delta-kappa, upper detuning, lower detuning).
-
-    The upper polariton is U = a cos(theta) + m sin(theta), the lower one
-    L = -a sin(theta) + m cos(theta); theta in (0, pi/2) so every weight
-    factor sin^2, cos^2 stays in [0, 1].
-    """
-    delta_am = cavity_freq - magnon_freq
-    # atan2 keeps theta in (0, pi/2) for a coupling > 0, both signs of delta_am
-    theta = 0.5 * math.atan2(2.0 * coupling, delta_am)
-    split = math.hypot(delta_am, 2.0 * coupling)
-    mean = 0.5 * (cavity_freq + magnon_freq)
-    s, c = math.sin(theta), math.cos(theta)
-    kappa_u = cavity_linewidth * c * c + magnon_linewidth * s * s
-    kappa_l = cavity_linewidth * s * s + magnon_linewidth * c * c
-    dk = (magnon_linewidth - cavity_linewidth) * s * c
-    # mean - drive is exact for nearby magnitudes; forming the eigenfrequency
-    # first would round at the GHz scale and contaminate the MHz detunings
-    base = mean - drive_freq
-    return (theta, mean + 0.5 * split, mean - 0.5 * split, kappa_u, kappa_l, dk,
-            base + 0.5 * split, base - 0.5 * split)
 
 
 def thermal_occupation(freq: float, temperature: float) -> float:
@@ -150,9 +124,10 @@ def calibrate_drive(
     input requires ``cal.reference_power`` and maps through
     B0 = B_ref sqrt(P / P_ref) before the field formula
     Omega = (sqrt(5)/4) gamma sqrt(N) B0. A ValidationError starts with the
-    argument it names: ``power`` for a missing reference or a B0 that
-    overflows, ``sphere_diameter`` for an N that overflows.
+    argument it names: ``cal`` for one that is not a DriveCalibration, ``power`` for a
+    missing reference or a B0 that overflows, ``sphere_diameter`` for an N that overflows.
     """
+    check_type("cal", cal, DriveCalibration)
     if (field_amplitude is None) == (power is None):
         raise ValidationError("calibrate_drive: give exactly one of field_amplitude, power")
     if field_amplitude is None:

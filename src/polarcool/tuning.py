@@ -1,13 +1,13 @@
-"""Working-point selection: hit mechanical sidebands with polariton detunings.
+"""Polaritons and working points: hit mechanical sidebands with polariton detunings.
 
-A :class:`Device` is tuned one of two ways. For an angle-tuned pair the
-two-mode transform is exact and closed-form: given a mixing angle it
-returns the photon-matter coupling, matter frequency and drive frequency
-that place the lower polariton at detuning omega_1 and the upper at omega_2.
-A device with fixed couplings is inverted numerically instead (least
-squares over the matter frequencies, once per device), since no closed form
-exists beyond one matter mode. Sweeps and a derivative-free optimizer sit
-on top.
+A device's polaritons, the nodes of :mod:`polarcool.dynamics`, are formed here
+alone: the pair's normal modes in closed form (:func:`_pair`), N polaritons by
+diagonalization (:func:`photon_matter_diagonalize`). A :class:`Device` is tuned
+one of two ways: a mixing angle sets an angle-tuned pair's photon-matter coupling,
+matter and drive frequencies in closed form, placing the lower polariton at
+detuning omega_1 and the upper at omega_2; fixed couplings are inverted by least
+squares over the matter frequencies, once per device, since no closed form exists
+beyond one matter mode. Sweeps and a derivative-free optimizer sit on top.
 """
 from __future__ import annotations
 
@@ -15,21 +15,18 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .analytics import _rates
 from .dynamics import (
     LinearModel,
-    MatterMode,
-    PolaritonMode,
     _checked_stack,
     _model,
     _network,
     _node_detunings,
-    _pair_nodes,
     _shift_coefficient,
-    photon_matter_diagonalize,
 )
 from .errors import (
     SolverError,
@@ -39,8 +36,119 @@ from .errors import (
     check_real,
     check_type,
 )
-from .model import MechanicalMode, _float_modes, _pair, _sum
+from .model import MechanicalMode, _float_modes, _sum
 from .steadystate import _occupations, _solve
+
+
+# normal modes: the pair's in closed form, N polaritons' by diagonalization
+def _pair(cavity_freq, magnon_freq, coupling, cavity_linewidth, magnon_linewidth,
+          drive_freq) -> tuple[float, ...]:
+    """Normal modes of the photon-magnon pair, from plain floats with a coupling > 0:
+    (theta, upper frequency, lower frequency, upper linewidth, lower linewidth,
+    dissipative coupling delta-kappa, upper detuning, lower detuning).
+
+    The upper polariton is U = a cos(theta) + m sin(theta), the lower one
+    L = -a sin(theta) + m cos(theta); theta in (0, pi/2) so every weight
+    factor sin^2, cos^2 stays in [0, 1].
+    """
+    delta_am = cavity_freq - magnon_freq
+    # atan2 keeps theta in (0, pi/2) for a coupling > 0, both signs of delta_am
+    theta = 0.5 * math.atan2(2.0 * coupling, delta_am)
+    split = math.hypot(delta_am, 2.0 * coupling)
+    mean = 0.5 * (cavity_freq + magnon_freq)
+    s, c = math.sin(theta), math.cos(theta)
+    kappa_u = cavity_linewidth * c * c + magnon_linewidth * s * s
+    kappa_l = cavity_linewidth * s * s + magnon_linewidth * c * c
+    dk = (magnon_linewidth - cavity_linewidth) * s * c
+    # mean - drive is exact for nearby magnitudes; forming the eigenfrequency
+    # first would round at the GHz scale and contaminate the MHz detunings
+    base = mean - drive_freq
+    return (theta, mean + 0.5 * split, mean - 0.5 * split, kappa_u, kappa_l, dk,
+            base + 0.5 * split, base - 0.5 * split)
+
+
+@dataclass(frozen=True)
+class MatterMode:
+    """A matter excitation coupled to the cavity: frequency, coupling, linewidth."""
+
+    freq: float
+    coupling: float
+    linewidth: float
+
+
+@dataclass(frozen=True)
+class PolaritonMode:
+    """One normal mode of the photon-matter network.
+
+    ``weights`` is the orthonormal eigenvector (photon component first, then
+    one entry per matter mode), signed so its largest-magnitude matter
+    component is positive. ``cross_damping`` holds this mode's dissipative
+    coupling to every mode of the network (zero for itself), the
+    off-diagonal of the bare losses in the polariton basis.
+    """
+
+    freq: float
+    linewidth: float
+    weights: tuple[float, ...]
+    cross_damping: tuple[float, ...]
+
+
+def photon_matter_diagonalize(
+    cavity_freq: float,
+    matter_modes: Sequence[MatterMode],
+    cavity_linewidth: float,
+) -> tuple[PolaritonMode, ...]:
+    """Normal modes of one cavity coupled to M matter modes, ascending in frequency.
+
+    Diagonalizes the (M+1)x(M+1) symmetric frequency-coupling matrix; the
+    polariton linewidths are the weight-squared averages of the bare ones,
+    and modes k, l share the dissipative coupling
+    K_kl = sum_i v_ik v_il (kappa_i - kappa_cavity), which is exactly zero
+    when every bare linewidth equals the cavity's.
+    Raises SolverError on (near-)degenerate eigenvalues, where the weight
+    assignment is ambiguous.
+    """
+    matter_modes = check_entries("matter_modes", matter_modes, MatterMode)
+    if not matter_modes:
+        raise ValidationError("matter_modes: must not be empty")
+    check_real("cavity_freq", cavity_freq, above=0.0)
+    check_real("cavity_linewidth", cavity_linewidth, above=0.0)
+    for i, mm in enumerate(matter_modes):
+        for field in ("coupling", "freq", "linewidth"):
+            check_real(f"matter_modes[{i}].{field}", getattr(mm, field), above=0.0)
+    m = len(matter_modes)
+    h = np.zeros((m + 1, m + 1))
+    h[0, 0] = cavity_freq
+    for i, mm in enumerate(matter_modes):
+        h[i + 1, i + 1] = mm.freq
+        h[0, i + 1] = h[i + 1, 0] = mm.coupling
+    freqs, vecs = np.linalg.eigh(h)
+    gaps = np.diff(freqs)
+    tol = 1e-9 * np.abs(freqs).max()
+    if np.any(gaps < tol):
+        raise SolverError(
+            f"photon_matter_diagonalize: near-degenerate polaritons (min gap {gaps.min():.3e})"
+        )
+    bare_kappas = np.array([cavity_linewidth] + [mm.linewidth for mm in matter_modes])
+    # sign convention: each mode's largest-magnitude matter component positive
+    lead = np.abs(vecs[1:]).argmax(axis=0)
+    vecs = vecs * np.where(vecs[1 + lead, np.arange(m + 1)] < 0, -1.0, 1.0)
+    excess = vecs.T @ ((bare_kappas - cavity_linewidth)[:, None] * vecs)
+    cross = 0.5 * (excess + excess.T)
+    np.fill_diagonal(cross, 0.0)
+    return tuple(
+        PolaritonMode(
+            freq=float(freqs[k]),
+            linewidth=float((vecs[:, k] ** 2 * bare_kappas).sum()),
+            weights=tuple(float(x) for x in vecs[:, k]),
+            cross_damping=tuple(float(x) for x in cross[k]),
+        )
+        for k in range(m + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# devices and their working points
 
 
 @dataclass(frozen=True)
@@ -151,10 +259,10 @@ class Device:
     @functools.cached_property
     def _nodes(self) -> tuple:
         """(freqs, linewidths, weights, detunings, cross damping) of the nodes of a
-        fixed-coupling device (see :meth:`working_point`), as plain floats, built and
-        checked on first use and kept, as its :attr:`tuning` is; a node that fails its
-        check raises on every read. The cross damping is used as
-        :func:`photon_matter_diagonalize` built it, symmetric with a zero diagonal."""
+        fixed-coupling device, its :attr:`tuning`'s polaritons, as plain floats, built and
+        checked on first use and kept; a node that fails its check raises on every read. A
+        pair forms the same lists at each point (:meth:`_fields`). The cross damping is
+        used as :func:`photon_matter_diagonalize` built it, symmetric with a zero diagonal."""
         pols = self.tuning.polaritons
         freqs, linewidths = [p.freq for p in pols], [p.linewidth for p in pols]
         weights = [p.weights[1] for p in pols]
@@ -189,34 +297,37 @@ class Device:
         step needs to form its averages (:func:`~polarcool.dynamics._network`).
 
         The device's own fields were checked when it was built, and it is frozen,
-        so only what the point changes is checked here, with the paths of
-        :meth:`_tuned` and :func:`~polarcool.dynamics.build_network` and in
-        this order: the angle and the tuned values (:meth:`_tuned`), the rabi and
-        temperature overrides, each node, then in :func:`~polarcool.dynamics._network`
-        the averages mode and the approx zero-detuning rule. A plain float passes
-        by check_real's own test, inline; :func:`check_real` runs only on another
-        type or a failing value, to convert it or raise with its message. The
-        tuning of an angle-tuned pair is (coupling, magnon frequency, drive
-        frequency); a fixed-coupling device's is its :attr:`tuning`, whose nodes
-        are checked once (:attr:`_nodes`); the shift coefficient ``_sigma`` is
-        formed when the device is built.
+        so only what the point changes is checked here, in this order: the angle
+        and the tuned values (:meth:`_tuned`), the overrides, named after the fields
+        ``rabi_freq`` and ``bath_temperature``, each node (``polaritons[k]``), then
+        in :func:`~polarcool.dynamics._network` the averages mode and the approx
+        zero-detuning rule. A plain float passes by check_real's own test, inline;
+        :func:`check_real` runs only on another type or a failing value, to convert
+        it or raise with its message. An angle-tuned pair's tuning is (coupling,
+        magnon frequency, drive frequency) and its nodes, (upper, lower) of :func:`_pair`
+        with weights sin(theta) and cos(theta), are formed at each point; a fixed-coupling
+        device's is its :attr:`tuning`, whose nodes are checked once (:attr:`_nodes`).
         """
-        tuned, prefix = (self.tuning, "drive.") if self.couplings else (self._tuned(theta), "")
+        tuned = self.tuning if self.couplings else self._tuned(theta)
         if rabi is None:
             rabi = self.rabi_freq
         elif not (type(rabi) is float and 0.0 <= rabi < math.inf):
-            rabi = check_real(f"{prefix}rabi_freq", rabi, at_least=0.0)
+            rabi = check_real("rabi_freq", rabi, at_least=0.0)
         if temperature is None:
             temperature = self.bath_temperature
         elif not (type(temperature) is float and 0.0 <= temperature < math.inf):
-            temperature = check_real(f"{prefix}bath_temperature", temperature, at_least=0.0)
+            temperature = check_real("bath_temperature", temperature, at_least=0.0)
         if self.couplings:
-            nodes = self._nodes
-        else:
+            freqs, linewidths, weights, detunings, cross = self._nodes
+        else:  # the pair's nodes (upper, lower), from its normal modes at this point
             coupling, magnon_freq, drive_freq = tuned
-            nodes = _pair_nodes(_pair(self.cavity_freq, magnon_freq, coupling,
-                                      self.cavity_linewidth, self.matter_linewidths[0], drive_freq))
-        freqs, linewidths, weights, detunings, cross = nodes
+            angle, upper, lower, kappa_u, kappa_l, dk, det_u, det_l = _pair(
+                self.cavity_freq, magnon_freq, coupling, self.cavity_linewidth,
+                self.matter_linewidths[0], drive_freq)
+            freqs, linewidths = [upper, lower], [kappa_u, kappa_l]
+            weights = [math.sin(angle), math.cos(angle)]
+            detunings = _node_detunings(freqs, linewidths, weights, (det_u, det_l), None)
+            cross = [[0.0, dk], [dk, 0.0]]
         return tuned, *_network(freqs, linewidths, weights, detunings, self.mechanical_modes,
                                 self._sigma, rabi, temperature, cross, mode)
 

@@ -10,7 +10,8 @@ import polarcool as pc
 from polarcool import steadystate
 from polarcool.analytics import CoolingRates, _sideband_rates
 from polarcool.errors import SolverError, ValidationError, check_real
-from polarcool.model import _pair, _sum
+from polarcool.model import _sum
+from polarcool.tuning import _pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +77,7 @@ def design(n):
 
 
 class Pair(NamedTuple):
-    """The normal modes of an angle-tuned pair, the fields of ``model._pair`` in order."""
+    """The normal modes of an angle-tuned pair, the fields of ``tuning._pair`` in order."""
 
     theta: float
     upper_freq: float

@@ -642,12 +642,28 @@ def test_a_failing_point_keeps_each_reports_error_line_and_exit_code(capsys, tmp
 
 
 def test_the_writers_name_missing_rows_and_an_unknown_variable(tmp_path):
-    """No rows once escaped both writers as a raw IndexError, and an unknown
-    variable the plot writer as a raw KeyError."""
+    """No rows once escaped both writers as a raw IndexError, an unknown
+    variable the plot writer as a raw KeyError, and rows of two devices, an entry
+    that is not a row or a generator of rows each as a raw TypeError or AttributeError."""
     path = tmp_path / "out.txt"
+    two = sweep(load_config(BASE).setup, "theta", [0.3, 0.6])
+    three = sweep(load_config(THREE).setup, "temperature", [0.01])
     for write in (write_csv, lambda rows, out: write_plot_data(rows, out, "theta")):
         with pytest.raises(ValidationError, match="^rows: expected at least one sweep row"):
             write([], str(path))
+        for rows, message in (
+                (two + three, "rows[2]: expected 2 mechanical modes as rows[0] has, got 3"),
+                (three + two, "rows[1]: expected 3 mechanical modes as rows[0] has, got 2"),
+                ([two[0], "row"], "rows[1]: expected a SweepRow, got 'row'")):
+            with pytest.raises(ValidationError) as exc:
+                write(rows, str(path))
+            assert str(exc.value) == message
+        assert not path.exists()
+        write((row for row in two), str(path))  # a generator writes as its list does
+        from_generator = path.read_bytes()
+        write(list(two), str(path))
+        assert path.read_bytes() == from_generator
+        path.unlink()
     setup = load_config(BASE).setup
     with pytest.raises(ValidationError) as want:
         sweep(setup, "foo", [0.3])

@@ -158,6 +158,20 @@ def test_dump_and_reload(tmp_path):
     assert load_config(str(out)) == cfg
 
 
+@pytest.mark.parametrize("cfg", [None, "x", load_config("configs/two_mode_base.config").setup])
+def test_a_config_that_is_not_a_run_config_leaves_the_file_as_it_was(tmp_path, cfg):
+    """Such a config once raised a raw AttributeError after the file had been
+    opened for writing, which left it empty."""
+    out = tmp_path / "keep.config"
+    out.write_bytes(b"theta: 0.5\n")
+    with pytest.raises(ValidationError) as exc:
+        dump_config(cfg, str(out))
+    assert str(exc.value) == f"cfg: expected a RunConfig, got {cfg!r}"
+    assert out.read_bytes() == b"theta: 0.5\n"
+    with pytest.raises(ValidationError, match="^cfg: expected a RunConfig"):
+        serialize_config(cfg)
+
+
 def test_a_config_path_that_cannot_be_written_is_a_validation_error(tmp_path):
     """Such a path once escaped as a raw FileNotFoundError."""
     cfg = load_config("configs/two_mode_base.config")

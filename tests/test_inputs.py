@@ -352,6 +352,15 @@ def test_a_spin_number_or_drive_field_that_overflows_is_a_validation_error():
         pc.calibrate_drive(anchored, power=1e308)
 
 
+@pytest.mark.parametrize("cal", [None, "x", 2.5e-4])
+def test_a_calibration_that_is_not_a_drive_calibration_is_named(cal):
+    """Such a calibration once raised a raw AttributeError."""
+    for given in ({"field_amplitude": 1e-5}, {"power": 1e-3}):
+        with pytest.raises(ValidationError) as exc:
+            pc.calibrate_drive(cal, **given)
+        assert str(exc.value) == f"cal: expected a DriveCalibration, got {cal!r}"
+
+
 def test_a_backaction_limit_whose_square_leaves_the_float_range():
     with pytest.warns(UserWarning, match="^backaction limit inf > 0.01"):
         assert pc.quantum_backaction_limit(1e200, 1.0) == math.inf

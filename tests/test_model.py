@@ -7,7 +7,7 @@ import pytest
 
 import polarcool as pc
 from polarcool.errors import ValidationError
-from polarcool.model import _pair
+from polarcool.tuning import _pair
 
 from helpers import TWO_PI, Pair, make_base_setup, pair_at
 

@@ -344,9 +344,8 @@ def test_a_clean_point_checks_only_its_own_inputs(monkeypatch, device, averages,
     row = pc.evaluate_point(setup, 0.7, averages=averages, **given)
     assert row.stable and not row.flags
     own = [] if fixed else ["theta"]
-    if kind is np.float64:
-        prefix = "drive." if fixed else ""
-        own += [f"{prefix}rabi_freq", f"{prefix}bath_temperature"]
+    if kind is np.float64:  # named as the device's fields, whatever its kind
+        own += ["rabi_freq", "bath_temperature"]
     assert calls == collections.Counter(own)
 
 
@@ -1101,7 +1100,7 @@ def test_the_pair_core_fills_the_oracles_entries_bit_for_bit(drawn, averages):
         coupling = 0.5 * split * math.sin(2.0 * theta)
         magnon_freq = device.cavity_freq - split * math.cos(2.0 * theta)
         drive_freq = 0.5 * (device.cavity_freq + magnon_freq) - 0.5 * (upper + lower)
-        angle, up_freq, low_freq, kappa_u, kappa_l, dk, det_u, det_l = model_module._pair(
+        angle, up_freq, low_freq, kappa_u, kappa_l, dk, det_u, det_l = tuning._pair(
             device.cavity_freq, magnon_freq, coupling, device.cavity_linewidth,
             device.matter_linewidths[0], drive_freq)
         s, c = math.sin(angle), math.cos(angle)
@@ -1161,9 +1160,9 @@ def test_a_point_dependent_failure_keeps_its_row_and_message(device, point, mess
 
 
 @pytest.mark.parametrize("point, message", [
-    ({"temperature": -1.0}, "drive.bath_temperature: must be finite and non-negative, got -1.0"),
-    ({"temperature": math.nan}, "drive.bath_temperature: must be finite and non-negative, got nan"),
-    ({"rabi": "abc"}, "drive.rabi_freq: expected a number, got 'abc'"),
+    ({"temperature": -1.0}, "bath_temperature: must be finite and non-negative, got -1.0"),
+    ({"temperature": math.nan}, "bath_temperature: must be finite and non-negative, got nan"),
+    ({"rabi": "abc"}, "rabi_freq: expected a number, got 'abc'"),
     ({"mode": "exact"}, "mode: expected 'approx' or 'selfconsistent', got 'exact'"),
 ])
 def test_a_fixed_coupling_point_keeps_its_row_and_message(point, message):
@@ -1275,11 +1274,12 @@ def test_a_sweep_builds_no_parameter_objects(monkeypatch, parameter_objects, ang
     else:
         rows = pc.sweep(device, "temperature", np.linspace(0.0, 1.0, 7), averages=averages)
     assert all(row.stable for row in rows)
+    # a fixed-coupling device checks its nodes once, not once per point; a pair
+    # derives its nodes at each point
+    assert node_checks == {"nodes": len(rows) if angle_tuned else 1}
     if angle_tuned:
         assert pc.optimize_theta(device, averages=averages, coarse_points=5, tol=1e-3).converged
     assert not parameter_objects
-    # a fixed-coupling device checks its nodes once, not once per point
-    assert node_checks == ({} if angle_tuned else {"nodes": 1})
     # the one-point API still builds its objects, and one CoolingRates per mode
     _, model = device.working_point(0.7, mode=averages)
     pc.network_cooling(model)
