@@ -46,8 +46,9 @@ def _fmt(value: float) -> str:
 
 def _columns(rows) -> tuple[tuple[SweepRow, ...], tuple[str, ...]]:
     """(rows as a tuple, their :func:`csv_columns`), or a ValidationError naming the
-    rows where there are none or ``rows[i]`` where one is not a :class:`SweepRow`
-    or has another number of mechanical modes than the first."""
+    rows where there are none or ``rows[i]`` where one is not a :class:`SweepRow`,
+    has another number of mechanical modes than the first, or an occupation
+    tuple of another length than its ``kappa_eff``."""
     rows = check_entries("rows", rows, SweepRow)
     if not rows:
         raise ValidationError("rows: expected at least one sweep row, got none")
@@ -56,6 +57,10 @@ def _columns(rows) -> tuple[tuple[SweepRow, ...], tuple[str, ...]]:
         if len(row.kappa_eff) != n_modes:
             raise ValidationError(f"rows[{i}]: expected {n_modes} mechanical modes as rows[0]"
                                   f" has, got {len(row.kappa_eff)}")
+        for name in ("n_analytic", "n_numeric"):
+            if len(getattr(row, name)) != n_modes:
+                raise ValidationError(f"rows[{i}]: expected {n_modes} {name} values, one per"
+                                      f" mechanical mode, got {len(getattr(row, name))}")
     return rows, csv_columns(n_modes)
 
 

@@ -133,25 +133,90 @@ def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
     )
 
 
+def _sylvester(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Y of T Y + Y T^T = F on the quasi-triangular factor T (``dtrsyl``), scaled
+    back as LAPACK reports; a failed solve raises SolverError."""
+    y, scale, status = dtrsyl(t, t, f, tranb="T")
+    if status != 0:
+        raise SolverError(
+            f"lyapunov: triangular Sylvester solve returned info {status} "
+            "(eigenvalue pairs of the drift nearly cancel)"
+        )
+    if scale != 1.0:
+        y *= scale
+    return y
+
+
+def _accept(info: StabilityInfo, v: np.ndarray, r_norm: float, v_norm: float, e_norm: float,
+            d_norm: float) -> tuple:
+    """(verdict, V, residual, condition_flag) of a solved point from the Frobenius
+    norms of R, V, the residual E = R V + V R^T + D and D, or SolverError.
+
+    A zero diffusion has the exact V = 0 and residual 0; a diffusion whose norm
+    overflows leaves no residual to check, and a residual above 1e-9 is an error.
+    """
+    if d_norm == 0.0:
+        return info, v, 0.0, False
+    if d_norm == math.inf:
+        # every residual would divide to 0 or NaN: none could be checked
+        raise SolverError("lyapunov: the diffusion's norm overflows, so the residual"
+                          " cannot be checked")
+    residual = e_norm / d_norm
+    if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
+        raise SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+    # cheap conditioning proxy: large covariance from modest inputs signals
+    # strong cancellation in the factored solve
+    proxy = 2.0 * r_norm * v_norm / d_norm
+    return info, v, residual, proxy > CONDITION_LIMIT
+
+
+def _solve_point(r: np.ndarray, d: np.ndarray) -> tuple | SolverError:
+    """:func:`_solve` of one point, on its 2-D drift and diffusion: the same
+    stages with no stack buffer, no stacked product and no :func:`_fros` pass.
+    Each product is a 2-D ``dot`` on the layouts the stacked products see for
+    that point, ||R||_F is read in memory order and ||V||_F, ||E||_F and ||D||_F
+    in C order, as :func:`_fros` reads them, so the verdict, V, residual and
+    flag are bit-identical to those of the point in a stack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r_norm = _fro(r)
+            t, z = _factor(r, r_norm)
+            info = _verdict(float(t.diagonal().max()), r_norm)
+            if not info.stable:
+                return info, None, math.nan, False
+            y = _sylvester(t, z.T.dot((-d).dot(z)))
+            w = z.dot(y).dot(z.T)
+            v = w + w.T
+            v *= 0.5
+            e = r.dot(v)
+            e += v.dot(r.T)
+            e += d
+            return _accept(info, v, r_norm, _fro(v), _fro(e), _fro(np.ascontiguousarray(d)))
+        except SolverError as exc:
+            return exc
+
+
 def _solve(r: np.ndarray, d: np.ndarray) -> list:
     """Per point of (P, n, n) stacks of checked drifts and diffusions, its
     (verdict, V, residual, condition_flag), or the SolverError of that point.
 
-    Bartels-Stewart in stages over the stack. Only the LAPACK calls run per
-    point: each drift is factored R = Z T Z^T once (``dgees``), its verdict is
-    read off T, and a stable one is solved on the same factors (``dtrsyl``).
-    The products F = Z^T (-D) Z before the solve, V = (W + W^T)/2 with
+    Bartels-Stewart: each drift is factored R = Z T Z^T once (``dgees``), its
+    verdict is read off T, and a stable one is solved on the same factors
+    (``dtrsyl``); V is None and the residual NaN where the drift is unstable.
+    A one-point stack runs :func:`_solve_point` on its 2-D matrices. A larger
+    one runs in stages over the stack, and only the LAPACK calls run per
+    point: the products F = Z^T (-D) Z before the solve, V = (W + W^T)/2 with
     W = (Z Y) Z^T after it, and the residuals E = R V + V R^T + D are each
     formed for the whole stack, and one :func:`_fros` gives ||V||_F, ||E||_F
-    and ||D||_F of every point. V is None and the residual NaN where the
-    drift is unstable. Every factor keeps the memory layout LAPACK gives it
-    (the stacks hold T^T, Z^T and Y^T, read through transposed views), so
-    each product runs the gemm of scipy's ``solve_continuous_lyapunov`` and V
-    is bit-identical to it. A zero diffusion has the exact V = 0 and residual
-    0; a diffusion whose norm overflows leaves no residual to check, and a
-    residual above 1e-9 is an error.
+    and ||D||_F of every point. Every factor keeps the memory layout LAPACK
+    gives it (the stacks hold T^T, Z^T and Y^T, read through transposed
+    views), so each product runs the gemm of scipy's
+    ``solve_continuous_lyapunov`` and V is bit-identical to it, and to the
+    one-point path. :func:`_accept` judges the residual of each solved point.
     """
     size, n = r.shape[:2]
+    if size == 1:
+        return [_solve_point(r[0], d[0])]
     out = [None] * size
     # T^T, Z^T and Y^T, then the covariances, residuals and diffusions, in one
     # array so that one product forms all their norms. The products run over
@@ -186,17 +251,11 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
         f = np.matmul(zt, np.matmul(-d, z))
         solved = []
         for p in live:
-            t = tt[p].T
-            y, scale, status = dtrsyl(t, t, f[p], tranb="T")
-            if status != 0:
-                out[p] = SolverError(
-                    f"lyapunov: triangular Sylvester solve returned info {status} "
-                    "(eigenvalue pairs of the drift nearly cancel)"
-                )
+            try:
+                yt[p] = _sylvester(tt[p].T, f[p]).T
+            except SolverError as exc:
+                out[p] = exc
                 continue
-            if scale != 1.0:
-                y *= scale
-            yt[p] = y.T
             solved.append(p)
         if not solved:
             return out
@@ -211,23 +270,10 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
         norms = _fros(checks).tolist()
         v_norms, e_norms, d_norms = norms[:size], norms[size:2 * size], norms[2 * size:]
     for p in solved:
-        r_norm, d_norm = r_norms[p], d_norms[p]
-        if d_norm == 0.0:
-            out[p] = (out[p], v[p], 0.0, False)
-            continue
-        if d_norm == math.inf:
-            # every residual would divide to 0 or NaN: none could be checked
-            out[p] = SolverError("lyapunov: the diffusion's norm overflows, so the residual"
-                                 " cannot be checked")
-            continue
-        residual = e_norms[p] / d_norm
-        if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
-            out[p] = SolverError(f"lyapunov residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-            continue
-        # cheap conditioning proxy: large covariance from modest inputs signals
-        # strong cancellation in the factored solve
-        proxy = 2.0 * r_norm * v_norms[p] / d_norm
-        out[p] = (out[p], v[p], residual, proxy > CONDITION_LIMIT)
+        try:
+            out[p] = _accept(out[p], v[p], r_norms[p], v_norms[p], e_norms[p], d_norms[p])
+        except SolverError as exc:
+            out[p] = exc
     return out
 
 
@@ -247,7 +293,8 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     Returns (V, residual, condition_flag) where residual is
     ||R V + V R^T + D||_F / ||D||_F. Raises UnstableSystemError when the
     drift fails the stability check and SolverError when the residual of an
-    otherwise-accepted solve exceeds 1e-9.
+    otherwise-accepted solve exceeds 1e-9. The point is solved as a one-point
+    stack, on its 2-D matrices (:func:`_solve_point`).
     """
     r, d = check_drift_diffusion(drift, diffusion)
     (result,) = _solve(r[None], d[None])  # a one-point stack
@@ -348,8 +395,9 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     """Full pipeline: stability, Lyapunov solve, occupations.
 
     R is factored once: the verdict is read off its real Schur form and the
-    Lyapunov equation is solved on the same factors. The model's matrices
-    were checked when it was built, so they are not checked again.
+    Lyapunov equation is solved on the same factors, as a one-point stack on
+    the 2-D matrices (:func:`_solve_point`). The model's matrices were checked
+    when it was built, so they are not checked again.
 
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so a caller can record the point.

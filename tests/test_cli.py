@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, report content, CSV/plot-file formats."""
+import dataclasses
 import json
 import math
 import os
@@ -671,6 +672,26 @@ def test_the_writers_name_missing_rows_and_an_unknown_variable(tmp_path):
         write_plot_data(sweep(setup, "theta", [0.3, 0.6]), str(path), "foo")
     assert str(got.value) == str(want.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["n_analytic", "n_numeric"])
+@pytest.mark.parametrize("write", [
+    write_csv, lambda rows, out: write_plot_data(rows, out, "theta")],
+    ids=["write_csv", "write_plot_data"])
+def test_the_writers_reject_a_row_whose_occupations_are_not_one_per_mode(tmp_path, field, write):
+    """A row with an occupation more or fewer than its modes was once written as a
+    normal line: the pairs of analytic and numeric occupations were zipped, so the
+    extra value was dropped."""
+    path = tmp_path / "out.txt"
+    rows = sweep(load_config(BASE).setup, "theta", [0.3, 0.6])
+    for i, changed in ((1, getattr(rows[1], field) + (1.0,)), (0, getattr(rows[0], field)[:1])):
+        bad = list(rows)
+        bad[i] = dataclasses.replace(rows[i], **{field: changed})
+        with pytest.raises(ValidationError) as exc:
+            write(bad, str(path))
+        assert str(exc.value) == (f"rows[{i}]: expected 2 {field} values, one per mechanical"
+                                  f" mode, got {len(changed)}")
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "plot"])

@@ -457,6 +457,16 @@ def assert_solve_matches_the_oracle(r, d, kinds):
     return expected
 
 
+def assert_ends_as_its_kind(kind, outcome):
+    """Each kind ends where it should, so every stage's edge is reached."""
+    if kind in ("stable", "zero diffusion"):
+        assert outcome[1] is not None
+    elif kind == "unstable":
+        assert outcome[1] is None
+    else:
+        assert outcome[0] is SolverError
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.sampled_from(SOLVE_POINTS), min_size=1, max_size=8), st.integers(1, 40),
        st.integers(0, 2**32 - 1))
@@ -464,14 +474,8 @@ def test_staged_solve_equals_the_point_by_point_oracle(kinds, n, seed):
     rng = np.random.default_rng(seed)
     r, d = (np.array(m) for m in zip(*(solve_point(rng, n, kind) for kind in kinds)))
     outcomes = assert_solve_matches_the_oracle(r, d, kinds)
-    # each kind ends where it should, so every stage's edge is reached
     for kind, outcome in zip(kinds, outcomes):
-        if kind in ("stable", "zero diffusion"):
-            assert outcome[1] is not None
-        elif kind == "unstable":
-            assert outcome[1] is None
-        else:
-            assert outcome[0] is SolverError
+        assert_ends_as_its_kind(kind, outcome)
 
 
 @pytest.mark.parametrize("n", [64, 75, 100, 130])
@@ -483,6 +487,131 @@ def test_staged_solve_equals_the_oracle_on_large_drifts(n):
     # one point in Fortran order, as a caller of solve_lyapunov may pass it
     r1, d1 = np.asfortranarray(r[0])[None], np.asfortranarray(d[0])[None]
     assert_solve_matches_the_oracle(r1, d1, kinds[:1])
+
+
+def tampered_outcome(kind, call):
+    """What ``call()`` returns or raises when the one point it solves is of
+    ``kind``: a fresh :class:`Tampered` spoils its one ``dtrsyl`` call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steadystate, "dtrsyl",
+                      Tampered({0: kind} if kind in ("residual", "status") else {}))
+        try:
+            return call()
+        except TYPED_ERRORS as exc:
+            return exc
+
+
+def error_outcome(exc):
+    return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 8, 16, 40])
+@pytest.mark.parametrize("kind", SOLVE_POINTS)
+def test_a_one_point_solve_equals_the_oracle(kind, n, order):
+    # a one-point stack is solved on its 2-D matrices; _solve and the two public
+    # one-point entries give the oracle's bytes, or its error, for every kind
+    r, d = (np.asarray(m, order=order)
+            for m in solve_point(np.random.default_rng(n), n, kind))
+    (expected,) = assert_solve_matches_the_oracle(r[None], d[None], [kind])
+    assert_ends_as_its_kind(kind, expected)
+    (result,) = tampered_outcome(kind, lambda: solve(r[None], d[None]))
+
+    got = tampered_outcome(kind, lambda: pc.solve_lyapunov(r, d))
+    if isinstance(result, SolverError):
+        want = error_outcome(result)
+    elif result[1] is None:
+        want = error_outcome(steadystate._unstable(result[0]))
+    else:
+        want = result[1].tobytes(), repr(result[2]), result[3]
+    if isinstance(got, Exception):
+        got = error_outcome(got)
+    else:
+        got = got[0].tobytes(), repr(got[1]), got[2]
+    assert got == want
+
+    if n % 2:
+        return  # a model names one mode per two rows, so it has even matrices
+    _, base = make_base_setup().working_point(0.7)
+    model = pc.LinearModel(r, d, ("mode",) * (n // 2), base.averages)
+    assert model.drift.flags.f_contiguous == (order == "F")
+    got = tampered_outcome(kind, lambda: pc.steady_state(model, require_stable=False))
+    if isinstance(result, SolverError):
+        want = error_outcome(result)
+    else:
+        info, v, residual, flagged = result
+        try:
+            occupations = (math.nan,) * (n // 2) if v is None else pc.extract_occupations(v)
+        except SolverError as exc:
+            want = error_outcome(exc)
+        else:
+            want = (info.stable, repr(info.spectral_abscissa),
+                    None if v is None else v.tobytes(), repr(occupations), repr(residual), flagged)
+    if isinstance(got, Exception):
+        got = error_outcome(got)
+    else:
+        got = (got.stable, repr(got.spectral_abscissa),
+               None if got.covariance is None else got.covariance.tobytes(),
+               repr(got.occupations), repr(got.lyapunov_residual), got.condition_flag)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [8, 16, 40])
+def test_a_one_point_solve_reads_a_nearly_symmetric_diffusion_in_c_order(n):
+    # a diffusion need be symmetric only within the check's tolerance; both paths
+    # read its norm in C order, also when it is passed in Fortran order, where
+    # its memory order would give another rounding for about a third of draws
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        r, d = solve_point(rng, n, "stable")
+        d = d + 0.9e-12 * np.abs(d).max() * np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        d = np.asfortranarray(d)
+        pc.solve_lyapunov(r, d)  # the check accepts it
+        (one,) = assert_solve_matches_the_oracle(r[None], d[None], ["stable"])
+        assert solve_outcome(steadystate._solve(np.stack([r, r]), np.stack([d, d]))[0]) == one
+
+
+@pytest.mark.parametrize("entry", ["solve_lyapunov", "steady_state"])
+def test_a_one_point_solve_forms_no_stack(monkeypatch, entry):
+    _, model = make_base_setup().working_point(0.7)
+    calls = collections.Counter()
+
+    class SolverNumpy:
+        """numpy as the solver module sees it."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if kwargs.get("lwork") == -1:
+                calls["workspace query"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setattr(steadystate, "np", SolverNumpy())
+    monkeypatch.setattr(steadystate, "_DGEES_LWORK", {})
+    for owner, name in ((steadystate, "dgees"), (steadystate, "dtrsyl"), (steadystate, "_fros"),
+                        (steadystate.np, "matmul"), (steadystate.np, "zeros")):
+        counted(owner, name)
+    call = {"solve_lyapunov": lambda: pc.solve_lyapunov(model.drift, model.diffusion),
+            "steady_state": lambda: pc.steady_state(model)}[entry]
+    # one factorization, plus one workspace query on an empty cache, and one
+    # triangular solve; no stack buffer, no stacked product and no norm pass
+    call()
+    assert calls == {"dgees": 2, "workspace query": 1, "dtrsyl": 1}
+    calls.clear()
+    call()
+    assert calls == {"dgees": 1, "dtrsyl": 1}
+    # the same point twice is a stack, which counts each of those
+    calls.clear()
+    steadystate._solve(np.stack([model.drift] * 2), np.stack([model.diffusion] * 2))
+    assert calls["zeros"] == 1 and calls["_fros"] == 2 and calls["matmul"] > 0
+    assert calls["dgees"] == calls["dtrsyl"] == 2
 
 
 def test_nonfinite_drift_of_a_hand_built_model_is_rejected():

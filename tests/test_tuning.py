@@ -986,7 +986,8 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert call_counts["rates"] == call_counts["rows"] == call_counts["stacks"] == 0
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
-    assert call_counts["norm passes"] == 2 * len(sizes)  # two per stack
+    # two per stack of two or more points; a one-point stack runs no norm pass
+    assert call_counts["norm passes"] == 2 * sum(len(thetas) > 1 for thetas in sizes)
 
 
 def test_stages_run_stacks_of_at_most_the_stack_bound(monkeypatch):
