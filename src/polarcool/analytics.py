@@ -92,24 +92,18 @@ def network_cooling(model: LinearModel) -> tuple[CoolingRates, ...]:
     detunings, couplings, mechanical frequencies) come from the drift, bath
     occupations from the diffusion diagonal, so the estimate refers to
     exactly the system the covariance solver sees. The model's matrices are
-    finite, as its construction checked. A wrapper: the values that fill the
-    matrices (:func:`~polarcool.dynamics._values`), then :func:`_cooling`.
+    finite, as its construction checked. Each mode's :class:`CoolingRates` is
+    its :func:`_rates` of the values that fill the matrices
+    (:func:`~polarcool.dynamics._values`).
     """
     check_type("model", model, LinearModel)
     n_p = sum(1 for name in model.mode_layout if not name.startswith("b"))
     n_m = len(model.mode_layout) - n_p
-    return _cooling(_values(model, n_p, n_m), n_p, n_m)
-
-
-def _cooling(values: list, n_p: int, n_m: int) -> tuple[CoolingRates, ...]:
-    """:func:`network_cooling` of the values that fill a drift and diffusion, as
-    plain floats, and the counts of polariton and mechanical modes: the
-    :class:`CoolingRates` of each mode's :func:`_rates`."""
     return tuple(CoolingRates(j, tuple(stokes), tuple(anti),
                               tuple(a_k - s_k for s_k, a_k in zip(stokes, anti)),
                               kappa_eff, n_eff, n_eff_all, dominant, weak)
                  for j, (kappa_eff, n_eff, weak, dominant, n_eff_all, stokes, anti)
-                 in enumerate(_rates(values, n_p, n_m)))
+                 in enumerate(_rates(_values(model, n_p, n_m), n_p, n_m)))
 
 
 def _rates(values: list, n_p: int, n_m: int) -> list[tuple]:

@@ -83,9 +83,9 @@ def _fro(a: np.ndarray) -> float:
 
 
 def _fros(a: np.ndarray) -> np.ndarray:
-    """:func:`_fro` of each matrix of a stack (..., n, n), in order, bit for bit:
-    matmul of a row by a column runs the same dot product, over each matrix in
-    memory order. The stack is C-ordered, or one matrix in either order."""
+    """:func:`_fro` of each matrix of a C-ordered stack (..., n, n), in order, bit
+    for bit: matmul of a row by a column runs the same dot product, over each
+    matrix in memory order."""
     x = a.ravel(order="K").reshape(-1, 1, a.shape[-2] * a.shape[-1])
     return np.sqrt(np.matmul(x, x.transpose(0, 2, 1))[:, 0, 0])
 
@@ -170,30 +170,28 @@ def _accept(info: StabilityInfo, v: np.ndarray, r_norm: float, v_norm: float, e_
     return info, v, residual, proxy > CONDITION_LIMIT
 
 
-def _solve_point(r: np.ndarray, d: np.ndarray) -> tuple | SolverError:
-    """:func:`_solve` of one point, on its 2-D drift and diffusion: the same
-    stages with no stack buffer, no stacked product and no :func:`_fros` pass.
-    Each product is a 2-D ``dot`` on the layouts the stacked products see for
-    that point, ||R||_F is read in memory order and ||V||_F, ||E||_F and ||D||_F
-    in C order, as :func:`_fros` reads them, so the verdict, V, residual and
-    flag are bit-identical to those of the point in a stack."""
+def _solve_point(r: np.ndarray, d: np.ndarray) -> tuple:
+    """(verdict, V, residual, condition_flag) of one point from its checked 2-D
+    drift and diffusion, or SolverError raised: the stages of :func:`_solve`
+    with no stack buffer, no stacked product and no :func:`_fros` pass. Each
+    product is a 2-D ``dot`` on the layouts the stacked products see for that
+    point, ||R||_F is read in memory order and ||V||_F, ||E||_F and ||D||_F in
+    C order, as :func:`_fros` reads them, so the result is bit-identical to
+    that of the point in a stack."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r_norm = _fro(r)
-            t, z = _factor(r, r_norm)
-            info = _verdict(float(t.diagonal().max()), r_norm)
-            if not info.stable:
-                return info, None, math.nan, False
-            y = _sylvester(t, z.T.dot((-d).dot(z)))
-            w = z.dot(y).dot(z.T)
-            v = w + w.T
-            v *= 0.5
-            e = r.dot(v)
-            e += v.dot(r.T)
-            e += d
-            return _accept(info, v, r_norm, _fro(v), _fro(e), _fro(np.ascontiguousarray(d)))
-        except SolverError as exc:
-            return exc
+        r_norm = _fro(r)
+        t, z = _factor(r, r_norm)
+        info = _verdict(float(t.diagonal().max()), r_norm)
+        if not info.stable:
+            return info, None, math.nan, False
+        y = _sylvester(t, z.T.dot((-d).dot(z)))
+        w = z.dot(y).dot(z.T)
+        v = w + w.T
+        v *= 0.5
+        e = r.dot(v)
+        e += v.dot(r.T)
+        e += d
+        return _accept(info, v, r_norm, _fro(v), _fro(e), _fro(np.ascontiguousarray(d)))
 
 
 def _solve(r: np.ndarray, d: np.ndarray) -> list:
@@ -213,10 +211,14 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
     views), so each product runs the gemm of scipy's
     ``solve_continuous_lyapunov`` and V is bit-identical to it, and to the
     one-point path. :func:`_accept` judges the residual of each solved point.
+    Stack code alone turns a point's SolverError into a value, as here.
     """
     size, n = r.shape[:2]
     if size == 1:
-        return [_solve_point(r[0], d[0])]
+        try:
+            return [_solve_point(r[0], d[0])]
+        except SolverError as exc:
+            return [exc]
     out = [None] * size
     # T^T, Z^T and Y^T, then the covariances, residuals and diffusions, in one
     # array so that one product forms all their norms. The products run over
@@ -293,14 +295,10 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray
     Returns (V, residual, condition_flag) where residual is
     ||R V + V R^T + D||_F / ||D||_F. Raises UnstableSystemError when the
     drift fails the stability check and SolverError when the residual of an
-    otherwise-accepted solve exceeds 1e-9. The point is solved as a one-point
-    stack, on its 2-D matrices (:func:`_solve_point`).
+    otherwise-accepted solve exceeds 1e-9. The point is solved on its 2-D
+    matrices (:func:`_solve_point`).
     """
-    r, d = check_drift_diffusion(drift, diffusion)
-    (result,) = _solve(r[None], d[None])  # a one-point stack
-    if isinstance(result, SolverError):
-        raise result
-    info, v, residual, flagged = result
+    info, v, residual, flagged = _solve_point(*check_drift_diffusion(drift, diffusion))
     if v is None:
         raise _unstable(info)
     return v, residual, flagged
@@ -395,18 +393,15 @@ def steady_state(model: LinearModel, require_stable: bool = True) -> SteadyState
     """Full pipeline: stability, Lyapunov solve, occupations.
 
     R is factored once: the verdict is read off its real Schur form and the
-    Lyapunov equation is solved on the same factors, as a one-point stack on
-    the 2-D matrices (:func:`_solve_point`). The model's matrices were checked
-    when it was built, so they are not checked again.
+    Lyapunov equation is solved on the same factors, on the 2-D matrices
+    (:func:`_solve_point`). The model's matrices were checked when it was
+    built, so they are not checked again.
 
     With require_stable=False an unstable model yields covariance=None and
     NaN occupations instead of raising, so a caller can record the point.
     """
     check_type("model", model, LinearModel)
-    (result,) = _solve(model.drift[None], model.diffusion[None])  # a one-point stack
-    if isinstance(result, SolverError):
-        raise result
-    info, v, residual, flagged = result
+    info, v, residual, flagged = _solve_point(model.drift, model.diffusion)
     if v is None and require_stable:
         raise _unstable(info)
     return SteadyState(

@@ -129,6 +129,29 @@ def test_simulate_instability_needs_flag_for_nonzero_exit(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("device, command, code", [
+    ("pair", "simulate", 3), ("pair", "sweep", 3),
+    # these solve no point (rates, the two-mode tune) or report the best stable angle
+    ("pair", "rates", 0), ("pair", "tune", 0), ("pair", "optimize", 0),
+    ("three", "simulate", 3), ("three", "sweep", 3), ("three", "tune", 3), ("three", "rates", 0),
+])
+def test_require_stable_acts_on_the_commands_that_solve_a_point(
+        capsys, tmp_path, device, command, code):
+    # the preset's working point at a drive far past the instability edge
+    if device == "pair":
+        raw = base_raw(drive={"rabi_hz": 6.25e14},
+                       sweep={"variable": "theta", "start": 0.3, "stop": 1.2, "points": 3})
+    else:
+        raw = serialize_config(load_config(THREE))
+        raw["nmode"]["drive"] = {"rabi_hz": 6.25e14}
+    argv = [command, "--config", write_config(tmp_path, raw)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    assert main(argv + ["--require-stable"]) == code
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("drive", [None, {"rabi_hz": 6.25e14}], ids=["base", "unstable"])
 def test_simulate_flags_match_one_point_sweep(capsys, tmp_path, drive):
     path = write_config(tmp_path, base_raw() if drive is None else base_raw(drive=drive))
@@ -718,10 +741,10 @@ def test_an_output_path_that_cannot_be_written_is_a_validation_error(capsys, tmp
 
 
 def test_solver_error_maps_to_exit2(capsys, monkeypatch):
-    def explode(drifts, diffusions):  # each point's solve fails, as _solve reports it
-        return [SolverError("manufactured failure")] * len(drifts)
+    def explode(drift, diffusion):  # the report's one point fails its solve
+        raise SolverError("manufactured failure")
 
-    monkeypatch.setattr("polarcool.steadystate._solve", explode)
+    monkeypatch.setattr("polarcool.steadystate._solve_point", explode)
     assert main(["simulate", "--config", BASE]) == 2
     assert "solver error" in capsys.readouterr().err
 

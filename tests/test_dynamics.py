@@ -693,6 +693,74 @@ def test_the_values_core_and_the_record_step_equal_the_oracle(point):
     assert model.diffusion.tobytes() == want.diffusion.tobytes()
 
 
+@st.composite
+def bistable_networks(draw):
+    """(nodes, mechanics, drive, cross damping) of a selfconsistent network: 1-4
+    nodes, mostly red-detuned by 2 to 32 linewidths, with or without cross damping,
+    and 1-4 mechanical modes. Where the cubic of the lowest branch can have three
+    roots, the drive mostly puts its constant inside that window; otherwise it is
+    drawn from zero to 60 times the base drive."""
+    unit = st.floats(0.0, 1.0)
+    mechanics = [
+        pc.MechanicalMode(
+            freq=TWO_PI * 1e6 * (5.0 + 45.0 * draw(unit)),
+            damping=TWO_PI * (10.0 + 990.0 * draw(unit)),
+            bare_coupling=TWO_PI * (0.05 + 0.95 * draw(unit)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    n_p = draw(st.integers(1, 4))
+    linewidths = [TWO_PI * (3e5 + 2.7e6 * draw(unit)) for _ in range(n_p)]
+    detunings = [draw(st.sampled_from((1.0, 1.0, 1.0, -1.0))) * kappa * (2.0 + 30.0 * draw(unit))
+                 for kappa in linewidths]
+    weights = [draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.2, 1.0)) for _ in range(n_p)]
+    cross = np.zeros((n_p, n_p))
+    if draw(st.booleans()):
+        for k in range(n_p):
+            for q in range(k + 1, n_p):
+                cross[k, q] = cross[q, k] = 1e5 * draw(st.floats(-1.0, 1.0))
+    # the scaled cubic y^3 + p y^2 + y - c of the lowest branch, formed with numpy
+    w = np.array(weights)
+    chi = w @ np.linalg.solve(np.diag(np.array(linewidths) + 1j * np.array(detunings)) + cross,
+                              w.astype(complex))
+    sigma = dynamics._shift_coefficient(mechanics)
+    p = -2.0 * math.copysign(1.0, sigma) * chi.imag / abs(chi)
+    if p < -math.sqrt(3.0) and draw(st.sampled_from((True, True, False))):
+        # three roots for c between the cubic's values at its two critical points
+        y_hi = (math.sqrt(p * p - 3.0) - p) / 3.0
+        low, high = (((y + p) * y + 1.0) * y for y in (y_hi, 1.0 / (3.0 * y_hi)))
+        c = low + draw(unit) * (high - low)
+        rabi = math.sqrt(c / (abs(sigma) * abs(chi) ** 3))
+    else:
+        rabi = BASE_RABI * draw(st.sampled_from((0.0,)) | st.floats(0.0, 60.0))
+    nodes = [pc.NetworkPolariton(freq=TWO_PI * 1e10 + det, linewidth=kappa, weight=weight,
+                                 detuning=det)
+             for kappa, det, weight in zip(linewidths, detunings, weights)]
+    return nodes, mechanics, pc.NetworkDrive(TWO_PI * 1e10, rabi, 0.01), cross
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bistable_networks())
+def test_every_selfconsistent_branch_solves_the_classical_equations(case):
+    # at a fixed shift x = sigma |M|^2 the polariton equations are linear,
+    # (diag(kappa + i Delta) + K + i x w w^T) P = Omega w, and each branch's M
+    # must be the matter amplitude w^T P of its own shift
+    nodes, mechanics, drive, cross = case
+    avg = pc.build_network(nodes, mechanics, drive, cross, mode="selfconsistent").averages
+    event(f"{len(avg.branches)} branch(es)")
+    assert len(avg.branches) in (1, 3) and avg.branches[0] == avg.avg_matter
+    magnitudes = [abs(m) for m in avg.branches]
+    assert magnitudes == sorted(magnitudes)
+    w = np.array([node.weight for node in nodes])
+    a0 = np.diag([complex(node.linewidth, node.detuning) for node in nodes]) + cross
+    sigma = dynamics._shift_coefficient(mechanics)
+    for matter in avg.branches:
+        polaritons = np.linalg.solve(a0 + 1j * sigma * abs(matter) ** 2 * np.outer(w, w),
+                                     drive.rabi_freq * w.astype(complex))
+        # within 1e-9 |M|, well inside the 1e-9 Omega of the classical equations
+        assert abs(w @ polaritons - matter) <= 1e-9 * abs(matter)
+
+
 @pytest.mark.parametrize("n_p", [1, 2, 3])
 @pytest.mark.parametrize("n_m", [1, 2, 3])
 def test_each_diffusion_value_fills_the_diagonal_or_a_transposed_pair(n_p, n_m):

@@ -277,8 +277,8 @@ UNDERFLOW_NETWORK = pc.build_network(
 UNDERFLOW = {
     "sideband_rates": lambda: pc.sideband_rates(1.0, 1e-200, 1.0, 1.0),
     "network_cooling": lambda: pc.network_cooling(UNDERFLOW_NETWORK),
-    # the values-level rates that network_cooling wraps and the CLI reports run
-    "rates_of_values": lambda: analytics._cooling(dynamics._values(UNDERFLOW_NETWORK, 1, 1), 1, 1),
+    # the values-level rates pass that network_cooling and a sweep row read
+    "rates_of_values": lambda: analytics._rates(dynamics._values(UNDERFLOW_NETWORK, 1, 1), 1, 1),
 }
 
 

@@ -752,9 +752,10 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
     joined by ``+`` all fail for it.
 
     ``rates`` raises from ``_rates(values, n_p, n_m)``, as a sweep row and a
-    report's rates (``analytics._cooling``) call it, and ``solve`` makes
-    ``_solve(drifts, diffusions)`` return a SolverError for that point, in a sweep
-    and in a report's ``steady_state``; ``residual``
+    report's ``network_cooling`` call it, and ``solve`` makes
+    ``_solve(drifts, diffusions)`` return a SolverError for that point in a sweep,
+    and ``_solve_point(drift, diffusion)`` raise it in a report's
+    ``steady_state``; ``residual``
     doubles the point's triangular Sylvester solution, so its covariance fails
     the stacked residual check; ``occupations`` raises a SolverError from the
     occupation read of the point's covariance diagonal.
@@ -773,14 +774,19 @@ def inject(monkeypatch, stage: str, model: pc.LinearModel) -> None:
         monkeypatch.setattr(tuning, "_rates", failing)
         monkeypatch.setattr(analytics, "_rates", failing)
     elif stage == "solve":
-        original = tuning._solve
+        original, original_point = tuning._solve, steadystate._solve_point
 
         def failing(drifts, diffusions):
             return [SolverError("_solve: injected") if np.array_equal(d, model.diffusion)
                     else result for d, result in zip(diffusions, original(drifts, diffusions))]
 
+        def failing_point(drift, diffusion):
+            if np.array_equal(diffusion, model.diffusion):
+                raise SolverError("_solve: injected")
+            return original_point(drift, diffusion)
+
         monkeypatch.setattr(tuning, "_solve", failing)
-        monkeypatch.setattr(steadystate, "_solve", failing)
+        monkeypatch.setattr(steadystate, "_solve_point", failing_point)
     elif stage == "occupations":
         original = tuning._occupations
         marked = pc.steady_state(model).covariance.diagonal().tolist()
@@ -867,6 +873,10 @@ def test_a_report_whose_point_fails_rates_and_solve_gives_the_rates_error(
     config = "configs/two_mode_base.config"
     cfg = load_config(config)
     _, model = cfg.setup.working_point(cfg.theta, mode=cfg.averages)
+    with monkeypatch.context() as solve_only:  # the injected solve fails simulate's point
+        inject(solve_only, "solve", model)
+        assert main([command, "--config", config]) == (2 if command == "simulate" else 0)
+    capsys.readouterr()
     inject(monkeypatch, "rates+solve", model)
     assert main([command, "--config", config]) == 1
     assert capsys.readouterr() == ("", "error: _rates: injected\n")
@@ -1028,15 +1038,20 @@ def test_a_report_forms_each_sideband_rate_once(monkeypatch, config, pairs):
 
 @pytest.mark.parametrize("config", ["configs/two_mode_base.config", "configs/three_mode.config"])
 def test_the_rates_report_solves_nothing(monkeypatch, capsys, config):
-    # the rates report prints no solve, so it runs none
-    calls, original = [], steadystate._solve
+    # the rates report prints no solve, so it runs none: no stack and no one point
+    calls = []
 
-    def counted(drifts, diffusions):
-        calls.append(len(drifts))
-        return original(drifts, diffusions)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    for owner in (steadystate, tuning):
-        monkeypatch.setattr(owner, "_solve", counted)
+        def call(drift, diffusion):
+            calls.append(name)
+            return original(drift, diffusion)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(tuning, "_solve")
+    counted(steadystate, "_solve_point")
     assert main(["rates", "--config", config]) == 0
     assert capsys.readouterr().out.startswith("scattering rates")
     assert calls == []
