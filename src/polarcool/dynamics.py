@@ -141,7 +141,7 @@ def _stack(n_p: int, n_m: int, values: list) -> tuple[np.ndarray, np.ndarray, np
     n = 2 * (n_p + n_m)
     cells, sources, _ = _pattern(n_p, n_m)
     matrices = np.zeros((len(vals), 2 * n * n))
-    matrices[:, cells] = vals[:, sources]
+    matrices[:, cells] = vals.take(sources, axis=1)
     matrices = matrices.reshape(-1, 2, n, n)
     return vals, matrices[:, 0], matrices[:, 1]
 

@@ -65,6 +65,11 @@ class SteadyState:
     condition_flag: bool
 
 
+# the fewest points _solve stacks: one _solve_point per point beat a 2-point stack
+# at n = 8 in 13/20 and 16/20 rounds and tied at n = 12; from 3 points the stack won
+# (84-88 against 94-99 us at n = 8; in-process, one BLAS thread)
+_STACKED_FROM = 3
+
 # optimal dgees workspace per matrix size, from one lwork=-1 query each (the
 # answer depends on n alone); the minimal 3n workspace changes the blocking
 # and so the bits of T and Z
@@ -120,11 +125,19 @@ def _verdict(abscissa: float, r_norm: float) -> StabilityInfo:
     return StabilityInfo(stable=abscissa < -margin, spectral_abscissa=abscissa, margin=margin)
 
 
+def _abscissa(t: np.ndarray) -> float:
+    """``float(t.diagonal().max())`` off a list: Python's max drops a NaN that is not
+    first and keeps the first of tied zeros, so a NaN sum or a maximum >= 0 goes to numpy."""
+    diag = t.diagonal().tolist()
+    top = max(diag)
+    return top if top < 0.0 and not math.isnan(sum(diag)) else float(t.diagonal().max())
+
+
 def _stability(r: np.ndarray) -> StabilityInfo:
     """The verdict on one validated drift, read off T alone (no Z is formed)."""
     with np.errstate(over="ignore"):
         r_norm = _fro(r)
-    return _verdict(float(_factor(r, r_norm, compute_v=0)[0].diagonal().max()), r_norm)
+    return _verdict(_abscissa(_factor(r, r_norm, compute_v=0)[0]), r_norm)
 
 
 def _unstable(info: StabilityInfo, hint: str = "") -> UnstableSystemError:
@@ -181,7 +194,7 @@ def _solve_point(r: np.ndarray, d: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         r_norm = _fro(r)
         t, z = _factor(r, r_norm)
-        info = _verdict(float(t.diagonal().max()), r_norm)
+        info = _verdict(_abscissa(t), r_norm)
         if not info.stable:
             return info, None, math.nan, False
         y = _sylvester(t, z.T.dot((-d).dot(z)))
@@ -201,25 +214,28 @@ def _solve(r: np.ndarray, d: np.ndarray) -> list:
     Bartels-Stewart: each drift is factored R = Z T Z^T once (``dgees``), its
     verdict is read off T, and a stable one is solved on the same factors
     (``dtrsyl``); V is None and the residual NaN where the drift is unstable.
-    A one-point stack runs :func:`_solve_point` on its 2-D matrices. A larger
-    one runs in stages over the stack, and only the LAPACK calls run per
-    point: the products F = Z^T (-D) Z before the solve, V = (W + W^T)/2 with
+    One or two points run :func:`_solve_point` each, on 2-D matrices, as the
+    stack's fixed costs outweigh what it saves there. Three or more run in
+    stages over the stack, and only the LAPACK calls run per point: the
+    products F = Z^T (-D) Z before the solve, V = (W + W^T)/2 with
     W = (Z Y) Z^T after it, and the residuals E = R V + V R^T + D are each
     formed for the whole stack, and one :func:`_fros` gives ||V||_F, ||E||_F
     and ||D||_F of every point. Every factor keeps the memory layout LAPACK
     gives it (the stacks hold T^T, Z^T and Y^T, read through transposed
     views), so each product runs the gemm of scipy's
     ``solve_continuous_lyapunov`` and V is bit-identical to it, and to the
-    one-point path. :func:`_accept` judges the residual of each solved point.
+    per-point path. :func:`_accept` judges the residual of each solved point.
     Stack code alone turns a point's SolverError into a value, as here.
     """
     size, n = r.shape[:2]
-    if size == 1:
-        try:
-            return [_solve_point(r[0], d[0])]
-        except SolverError as exc:
-            return [exc]
     out = [None] * size
+    if size < _STACKED_FROM:
+        for p in range(size):
+            try:
+                out[p] = _solve_point(r[p], d[p])
+            except SolverError as exc:
+                out[p] = exc
+        return out
     # T^T, Z^T and Y^T, then the covariances, residuals and diffusions, in one
     # array so that one product forms all their norms. The products run over
     # the whole stack: a point that is not solved keeps a zero Y^T, so its W

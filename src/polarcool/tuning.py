@@ -383,9 +383,9 @@ def _stages(setup: Device, points: list, averages: str):
     in stacks of up to ``_STACK_POINTS``: build each point to one flat list of values
     (:meth:`Device._fields`), check the stack by one finite test of its values
     (:func:`~polarcool.dynamics._checked_stack`), solve it (:func:`~polarcool.steadystate._solve`:
-    a factorization and triangular solve per point, the products and the norms
-    of the residual check per stack), then read the occupations off each V's diagonal
-    unchecked (:func:`~polarcool.steadystate._occupations`).
+    a factorization and triangular solve per point, the products and residual norms
+    per stack, or per point on a compass step's one or two), then read the
+    occupations off each V's diagonal unchecked (:func:`~polarcool.steadystate._occupations`).
 
     Yields one entry per point, in order: the ValidationError or SolverError of its
     build or matrix check, or (tuning, values, result): ``values`` the list the build
@@ -566,7 +566,8 @@ def optimize_theta(
     Deterministic two-stage search: a coarse grid over ``bounds`` followed by
     a compass (step-halving) refinement from the best grid point. The grid
     and each compass step are scored as one stack through :func:`_stages`,
-    build, check, solve and occupations: no closed-form rates and no
+    build, check, solve and occupations (a step's one or two new angles are
+    solved one by one on 2-D matrices): no closed-form rates and no
     :class:`SweepRow`, so the score does not depend on the analytic rates.
     A point that fails its build, matrix check, solve or occupations, or is
     unstable, scores +inf, so the optimizer simply walks around it.
@@ -625,7 +626,7 @@ def optimize_theta(
     floor = tol * (hi - lo)
     while step > floor:
         moved = False
-        # both candidates are scored on every step, so they go as one stack
+        # both candidates are scored on every step, so they go as one _stages call
         candidates = [min(max(cand, lo), hi) for cand in (best - step, best + step)]
         solve(candidates)
         for cand in candidates:

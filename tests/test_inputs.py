@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcool as pc
-from polarcool import analytics, dynamics
+from polarcool import analytics, dynamics, steadystate
 from polarcool.config import parse_config
 from polarcool.errors import ValidationError, check_real
 
@@ -382,7 +382,8 @@ TYPED_ERRORS = (ValidationError, pc.SolverError, pc.UnstableSystemError, pc.Conv
 def test_an_extreme_device_raises_only_typed_errors(data, fixed, averages):
     """A pair or a one-coupling device, each float in [1e-310, 1e300], the
     temperature and drive sometimes 0: evaluate_point, working_point with
-    steady_state and network_cooling, and a sweep raise only the four typed errors."""
+    steady_state and network_cooling, and a sweep raise only the four typed errors,
+    and every spectral abscissa read off a list equals ``ndarray.max``'s."""
     draw = data.draw
     freqs = sorted(draw(MAGNITUDES) for _ in range(2))
     modes = tuple(pc.MechanicalMode(f, draw(MAGNITUDES), draw(MAGNITUDES)) for f in freqs)
@@ -402,10 +403,21 @@ def test_an_extreme_device_raises_only_typed_errors(data, fixed, averages):
         pc.steady_state(model, require_stable=False)
         pc.network_cooling(model)
 
-    for call in (lambda: pc.evaluate_point(setup, theta, averages=averages), one_point,
-                 lambda: pc.sweep(setup, "temperature", temperatures, theta=theta,
-                                  averages=averages)):
-        try:
-            call()
-        except TYPED_ERRORS:
-            pass
+    reads = []
+
+    def abscissa(t, _read=steadystate._abscissa):
+        # the list read of max(diag T) gives ndarray.max's float for every T met
+        read = _read(t)
+        reads.append((repr(read), repr(float(t.diagonal().max()))))
+        return read
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steadystate, "_abscissa", abscissa)
+        for call in (lambda: pc.evaluate_point(setup, theta, averages=averages), one_point,
+                     lambda: pc.sweep(setup, "temperature", temperatures, theta=theta,
+                                      averages=averages)):
+            try:
+                call()
+            except TYPED_ERRORS:
+                pass
+    assert all(read == numpy for read, numpy in reads)

@@ -65,6 +65,9 @@ def test_check_stability_verdicts():
     info = pc.check_stability(marginal)
     assert not info.stable
     assert info.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
+    # T keeps both zeros: the abscissa is ndarray.max's last one, not the first
+    # one Python's max keeps
+    assert repr(pc.check_stability(np.diag([-0.0, 0.0])).spectral_abscissa) == "0.0"
     with pytest.raises(ValidationError):
         pc.check_stability(np.zeros((2, 3)))
     with pytest.raises(ValidationError, match="drift"):
@@ -77,6 +80,28 @@ def test_check_stability_verdicts():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="drift.*complex"):
             pc.check_stability(-np.eye(2) + 1j * np.eye(2))
+
+
+@pytest.mark.parametrize("diagonal", [
+    [-1.0, -2.0], [-2.0, math.nan, -1.0], [math.nan, -1.0], [-1.0, -math.inf],
+    [-0.0, 0.0, -1.0], [0.0, -0.0], [math.inf, -math.inf], [1.0, -0.0],
+])
+def test_the_abscissa_read_is_ndarray_max(monkeypatch, diagonal):
+    # Python's max drops a NaN that is not first and keeps the first of two tied
+    # zeros; the read gives ndarray.max's float, and so its verdict, for each T
+    t = np.diag(diagonal)
+    read = steadystate._abscissa(t)
+    assert repr(read) == repr(float(t.diagonal().max()))
+    real = steadystate.dgees
+
+    def diagonal_t(select, a, compute_v=1, lwork=None):
+        out = real(select, a, compute_v=compute_v, lwork=lwork)
+        return (out if lwork == -1 else (t.copy(order="F"),) + out[1:])
+
+    monkeypatch.setattr(steadystate, "dgees", diagonal_t)
+    info = pc.check_stability(-np.eye(len(diagonal)))
+    assert repr(info.spectral_abscissa) == repr(read)
+    assert info.stable == (read < -info.margin)
 
 
 def test_stability_info_holds_plain_python_scalars():
@@ -489,6 +514,23 @@ def test_staged_solve_equals_the_oracle_on_large_drifts(n):
     assert_solve_matches_the_oracle(r1, d1, kinds[:1])
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("kinds", [
+    ("stable", "stable"), ("stable", "unstable"), ("residual", "stable"), ("stable", "status"),
+    ("stable", "stable", "stable"), ("unstable", "stable", "residual"),
+])
+def test_two_and_three_point_stacks_equal_the_oracle(kinds, n):
+    # two points are solved one by one and three as a stack; either way each point
+    # gets the oracle's bytes, or its own error, and the others are untouched
+    rng = np.random.default_rng(n)
+    points = [solve_point(rng, n, kind) for kind in kinds]
+    r, d = (np.array(m) for m in zip(*points))
+    outcomes = assert_solve_matches_the_oracle(r, d, kinds)
+    for kind, (rp, dp), outcome in zip(kinds, points, outcomes):
+        assert_ends_as_its_kind(kind, outcome)
+        assert assert_solve_matches_the_oracle(rp[None], dp[None], [kind]) == [outcome]
+
+
 def tampered_outcome(kind, call):
     """What ``call()`` returns or raises when the one point it solves is of
     ``kind``: a fresh :class:`Tampered` spoils its one ``dtrsyl`` call."""
@@ -568,7 +610,7 @@ def test_a_one_point_solve_reads_a_nearly_symmetric_diffusion_in_c_order(n):
         d = np.asfortranarray(d)
         pc.solve_lyapunov(r, d)  # the check accepts it
         (one,) = assert_solve_matches_the_oracle(r[None], d[None], ["stable"])
-        assert solve_outcome(steadystate._solve(np.stack([r, r]), np.stack([d, d]))[0]) == one
+        assert solve_outcome(steadystate._solve(np.stack([r] * 3), np.stack([d] * 3))[0]) == one
 
 
 @pytest.mark.parametrize("entry", ["solve_lyapunov", "steady_state"])
@@ -607,11 +649,15 @@ def test_a_one_point_solve_forms_no_stack(monkeypatch, entry):
     calls.clear()
     call()
     assert calls == {"dgees": 1, "dtrsyl": 1}
-    # the same point twice is a stack, which counts each of those
+    # the same point twice is solved point by point, with the same counts per point
     calls.clear()
     steadystate._solve(np.stack([model.drift] * 2), np.stack([model.diffusion] * 2))
+    assert calls == {"dgees": 2, "dtrsyl": 2}
+    # three times is a stack, which counts each of those
+    calls.clear()
+    steadystate._solve(np.stack([model.drift] * 3), np.stack([model.diffusion] * 3))
     assert calls["zeros"] == 1 and calls["_fros"] == 2 and calls["matmul"] > 0
-    assert calls["dgees"] == calls["dtrsyl"] == 2
+    assert calls["dgees"] == calls["dtrsyl"] == 3
 
 
 def test_nonfinite_drift_of_a_hand_built_model_is_rejected():

@@ -965,9 +965,13 @@ def test_a_sweep_checks_one_stack_and_factors_each_point_once(
     assert call_counts == {"dgees": len(grid), "dtrsyl": len(grid), "norm passes": 2,
                            "stacks": 1, "matmul": products}
     call_counts.clear()
-    pc.sweep(device, variable, grid[:2], theta=theta, averages=averages)
-    assert call_counts == {"dgees": 2, "dtrsyl": 2, "norm passes": 2, "stacks": 1,
+    pc.sweep(device, variable, grid[:3], theta=theta, averages=averages)
+    assert call_counts == {"dgees": 3, "dtrsyl": 3, "norm passes": 2, "stacks": 1,
                            "matmul": products}
+    # two points are solved one by one: no norm pass and no stacked product
+    call_counts.clear()
+    pc.sweep(device, variable, grid[:2], theta=theta, averages=averages)
+    assert call_counts == {"dgees": 2, "dtrsyl": 2, "stacks": 1}
 
 
 def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkeypatch):
@@ -996,8 +1000,9 @@ def test_optimize_scores_its_grid_and_each_step_as_one_stack(call_counts, monkey
     assert call_counts["rates"] == call_counts["rows"] == call_counts["stacks"] == 0
     assert call_counts["LinearModel"] == 0 and call_counts["SteadyState"] == 0
     assert call_counts["dgees"] == result.evaluations + 1  # and one workspace query
-    # two per stack of two or more points; a one-point stack runs no norm pass
-    assert call_counts["norm passes"] == 2 * sum(len(thetas) > 1 for thetas in sizes)
+    # two per stack of three or more points (the grid); a compass step's one or
+    # two points are solved one by one, with no norm pass
+    assert call_counts["norm passes"] == 2 * sum(len(thetas) > 2 for thetas in sizes) == 2
 
 
 def test_stages_run_stacks_of_at_most_the_stack_bound(monkeypatch):
