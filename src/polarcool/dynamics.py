@@ -255,17 +255,28 @@ def _cross_damping(cross_damping, n_p: int) -> list:
 def _eliminate(rows) -> list:
     """x with a x = b from the rows [a_k..., b_k] of the augmented matrix, which
     it overwrites: Gaussian elimination with partial pivoting on Python scalars;
-    raises SolverError on a zero pivot."""
+    raises SolverError on a zero pivot.
+
+    It mixes the complex diagonal with the real cross damping and weights
+    without converting them, and forms every quotient, product and difference
+    in one fixed order: the bits of x, and so of the selfconsistent averages
+    and every value of a working point, are pinned to those this order gives.
+    """
     n = len(rows)
-    for k in range(n):
-        for i in range(k + 1, n):  # the largest entry of column k goes on top
-            if abs(rows[i][k]) > abs(rows[k][k]):
-                rows[i], rows[k] = rows[k], rows[i]
-        top = rows[k]
-        if top[k] == 0:
+    for k, top in enumerate(rows):
+        below = range(k + 1, n)
+        if below:  # the largest entry of column k goes on top
+            size = abs(top[k])
+            for i in below:
+                row = rows[i]
+                if (entry := abs(row[k])) > size:
+                    rows[i], rows[k], top, size = top, row, row, entry
+        pivot = top[k]
+        if pivot == 0:
             raise SolverError("selfconsistent averages: singular polariton matrix")
-        for row in rows[k + 1:]:
-            factor = row[k] / top[k]
+        for i in below:
+            row = rows[i]
+            factor = row[k] / pivot
             for j in range(k + 1, n + 1):
                 row[j] -= factor * top[j]
     x = [0j] * n
@@ -292,7 +303,8 @@ def _cubic_seeds(p: float, c: float) -> list[float]:
         r = 2.0 * math.sqrt(-k)
         phi = math.acos(max(-1.0, min(1.0, -8.0 * h / (r * r * r)))) / 3.0
         third = 2.0 * math.pi / 3.0  # cos(phi + third) <= cos(phi + 2 third) <= cos(phi)
-        ys = [r * math.cos(a) - p / 3.0 for a in (phi + third, phi + 2.0 * third, phi)]
+        ys = [r * math.cos(phi + third) - p / 3.0, r * math.cos(phi + 2.0 * third) - p / 3.0,
+              r * math.cos(phi) - p / 3.0]
         small = 0 if p < 0.0 else 2  # all three roots are positive for p < 0, two negative else
     else:
         # sqrt(h^2 + k^3) without squaring h, which overflows for c beyond ~1e154
@@ -317,6 +329,12 @@ def _nonnegative_roots(p: float, c: float, lowest: bool = False) -> list[float]:
     twice; two such points are one triple root. Every other root lies where f
     changes sign between two marks and is polished there by bracketed Newton
     steps from its closed-form seed, until a step is below 1e-14 relative.
+
+    The search walks the brackets upward, so with ``lowest``, the search of a
+    working point's build, it stops at the first that holds a root and forms
+    no mark above it: where f(y_lo) > 0 neither f(y_hi) nor the upper bound.
+    The record step (:func:`_averages`) lists every root by the same walk,
+    seeds and Newton steps, so both give the lowest root the same bits.
     """
 
     def f(y):
@@ -327,24 +345,31 @@ def _nonnegative_roots(p: float, c: float, lowest: bool = False) -> list[float]:
     if p < 0.0 and disc > -1e-14:  # a rounded p = -sqrt(3) keeps its critical point
         y_hi = (math.sqrt(max(disc, 0.0)) - p) / 3.0
         y_lo = 1.0 / (3.0 * y_hi)  # the product of the critical points is 1/3
-        f_lo, f_hi = f(y_lo), f(y_hi)
+        f_lo = f(y_lo)
         if abs(f_lo) <= 1e-15 * (((y_lo - p) * y_lo + 1.0) * y_lo + c):
             f_lo = 0.0
-        if abs(f_hi) <= 1e-15 * (((y_hi - p) * y_hi + 1.0) * y_hi + c):
-            f_hi = 0.0
-        if f_lo == f_hi == 0.0:
-            marks.append((-p / 3.0, 0.0, 3))
+        if lowest and f_lo > 0.0:  # the lowest root lies below y_lo
+            marks.append((y_lo, f_lo, 2))
         else:
-            marks += [(y_lo, f_lo, 2), (y_hi, f_hi, 2)]
-    marks.append((2.0 + 2.0 * c ** (1.0 / 3.0), 1.0, 0))
+            f_hi = f(y_hi)
+            if abs(f_hi) <= 1e-15 * (((y_hi - p) * y_hi + 1.0) * y_hi + c):
+                f_hi = 0.0
+            if f_lo == f_hi == 0.0:
+                marks.append((-p / 3.0, 0.0, 3))
+            else:
+                marks += [(y_lo, f_lo, 2), (y_hi, f_hi, 2)]
 
     seeds, roots = _cubic_seeds(p, c), []
-    for (lo, f_a, mult), (hi, f_b, _) in zip(marks, marks[1:]):
+    for i, (lo, f_a, mult) in enumerate(marks):
         if f_a == 0.0:
             roots += [lo] * mult
             if lowest:
                 break
             continue
+        if i + 1 < len(marks):
+            hi, f_b, _ = marks[i + 1]
+        else:  # the bound where f > 0, formed only where the walk gets past the last mark
+            hi, f_b = 2.0 + 2.0 * c ** (1.0 / 3.0), 1.0
         if f_b == 0.0 or (f_a < 0.0) == (f_b < 0.0):
             continue
         rising = f_a < 0.0
@@ -404,18 +429,28 @@ def _selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, sigm
     twice. sigma chi = 0 leaves no shift: M = Omega chi. With ys the roots and
     unit = sgn(sigma) chi / |chi|, branch k's M is Omega chi / (1 + i ys[k] unit),
     and the polariton amplitudes of the lowest are P = Omega v / (1 + i ys[0] unit).
-    Only the lowest root is found here; the others are the record's.
+    Only the lowest root is found here, in the bracket that holds it
+    (:func:`_nonnegative_roots` with ``lowest``); the record step
+    (:func:`_averages`: :func:`build_network`, ``working_point`` and the
+    reports) finds every root. v comes from :func:`_eliminate`, whose order of
+    operations is fixed because the bits of M, and so of every value, are pinned.
     """
-    n = len(weights)
-    v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
-                     for q in range(n)] + [weights[k]] for k in range(n)])
-    chi = _sum(w * x for w, x in zip(weights, v))
-    scale = abs(sigma) * abs(chi)
+    rows = []  # [A0 | w]: the diagonal complex, the cross damping and weights real
+    for k, (kappa, delta, w) in enumerate(zip(linewidths, detunings, weights)):
+        row = [*cross[k], w]
+        row[k] = complex(kappa, delta)
+        rows.append(row)
+    v = _eliminate(rows)
+    chi = 0  # from int 0, as _sum adds: the start decides the sign of a zero sum
+    for w, x in zip(weights, v):
+        chi += w * x
+    size = abs(chi)
+    scale = abs(sigma) * size
     if scale == 0.0 or chi == 0:  # chi = 0 also where sigma is infinite: M = 0
         unit, cubic, y = 0j, None, 0.0
     else:
-        unit = math.copysign(1.0, sigma) * chi / abs(chi)  # sigma u chi = y unit
-        field = rabi * abs(chi)
+        unit = math.copysign(1.0, sigma) * chi / size  # sigma u chi = y unit
+        field = rabi * size
         p, c = -2.0 * unit.imag, scale * field * field
         if not (math.isfinite(p) and math.isfinite(c)):
             raise OverflowError
@@ -542,7 +577,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
             matter, solution = _selfconsistent_polaritons(
                 weights, detunings, linewidths, cross, rabi, sigma)
             m2 = abs(matter) ** 2
-            couplings = tuple(abs(2.0 * m.bare_coupling * matter) for m in mechanics)
+            couplings = tuple([abs(2.0 * m.bare_coupling * matter) for m in mechanics])
     except OverflowError:  # float ** 2 raises instead of giving inf
         raise ValidationError("averages: a value derived from the inputs overflows") from None
 

@@ -325,12 +325,16 @@ def extract_occupations(covariance: np.ndarray) -> tuple[float, ...]:
 
     Values in [-1e-9, 0) are clamped to zero (round-off below vacuum);
     anything lower raises SolverError since the covariance is then unphysical.
-    A ragged, non-numeric, boolean or complex covariance, or one that is not an
-    even square matrix, raises ValidationError.
+    A ragged, non-numeric, boolean or complex covariance, one that is not an
+    even square matrix, or one with a NaN or infinite entry raises
+    ValidationError, as :func:`~polarcool.errors.check_matrix` does for every
+    other matrix argument.
     """
     v = _real_array("covariance", covariance)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValidationError(f"covariance: expected an even square matrix, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError("covariance: contains a NaN or infinite entry")
     return _occupations(v.diagonal().tolist())
 
 

@@ -484,26 +484,157 @@ def optimize_by_rows(setup, objective="max", temperature=None, rabi=None, averag
 # together at every point, before the record step was split off
 
 
-def selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
-    """Polariton amplitudes of the lowest branch, and the matter amplitude of every branch."""
-    from polarcool.dynamics import _eliminate, _nonnegative_roots
+# an independent copy of the averages solve, which the production elimination and
+# root search must equal bit for bit: a comparison with the production functions
+# themselves would follow any rewrite of them
 
+
+def eliminate(rows) -> list:
+    """x with a x = b from the rows [a_k..., b_k] of the augmented matrix, which
+    it overwrites: Gaussian elimination with partial pivoting on Python scalars;
+    raises SolverError on a zero pivot."""
+    n = len(rows)
+    for k in range(n):
+        for i in range(k + 1, n):  # the largest entry of column k goes on top
+            if abs(rows[i][k]) > abs(rows[k][k]):
+                rows[i], rows[k] = rows[k], rows[i]
+        top = rows[k]
+        if top[k] == 0:
+            raise SolverError("selfconsistent averages: singular polariton matrix")
+        for row in rows[k + 1:]:
+            factor = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= factor * top[j]
+    x = [0j] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        acc = row[n]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def cubic_seeds(p: float, c: float) -> list[float]:
+    """Real roots of y^3 + p y^2 + y - c in closed form, ascending: trigonometric
+    for three, Cardano for one (Kahan 1986; Blinn 2006-07).
+
+    The depressed form t = y + p/3 loses a root much smaller than 1 to
+    cancellation, so the root of least magnitude is recomputed from the
+    identity y = c / (y^2 + p y + 1).
+    """
+    h = 0.5 * (p * (2.0 * p * p - 9.0) / 27.0 - c)  # t^3 + 3 k t + 2 h = 0
+    k = (1.0 - p * p / 3.0) / 3.0
+    if k < 0.0 and h * h + k * k * k < 0.0:
+        r = 2.0 * math.sqrt(-k)
+        phi = math.acos(max(-1.0, min(1.0, -8.0 * h / (r * r * r)))) / 3.0
+        third = 2.0 * math.pi / 3.0  # cos(phi + third) <= cos(phi + 2 third) <= cos(phi)
+        ys = [r * math.cos(a) - p / 3.0 for a in (phi + third, phi + 2.0 * third, phi)]
+        small = 0 if p < 0.0 else 2  # all three roots are positive for p < 0, two negative else
+    else:
+        # sqrt(h^2 + k^3) without squaring h, which overflows for c beyond ~1e154
+        q, k3 = abs(h), abs(k) ** 1.5
+        s = math.hypot(q, k3) if k >= 0.0 else math.sqrt(max(q - k3, 0.0)) * math.sqrt(q + k3)
+        big = -math.copysign((q + s) ** (1.0 / 3.0), h)
+        ys, small = [(big - k / big if big else 0.0) - p / 3.0], 0
+    y = ys[small]
+    others = (y + p) * y + 1.0  # the product of the other two roots, positive
+    if others > 0.0:
+        ys[small] = c / others
+    return ys
+
+
+def nonnegative_roots(p: float, c: float, lowest: bool = False) -> list[float]:
+    """Ascending roots y >= 0 of the monic cubic f(y) = y^3 + p y^2 + y - c, |p| <= 2, c >= 0;
+    with ``lowest`` only the first (repeated if it is multiple), all a point's values read.
+
+    f(0) = -c <= 0 < f(2 + 2 c^(1/3)), and f has critical points, 0 < y_lo < y_hi,
+    only for p < -sqrt(3); between these marks f is monotone. A critical point
+    where |f| <= 1e-15 sum|terms| is a double root at round-off (a fold), listed
+    twice; two such points are one triple root. Every other root lies where f
+    changes sign between two marks and is polished there by bracketed Newton
+    steps from its closed-form seed, until a step is below 1e-14 relative.
+    """
+
+    def f(y):
+        return ((y + p) * y + 1.0) * y - c
+
+    marks = [(0.0, -c, 1)]  # (y, f(y) or 0 at a root, multiplicity of that root)
+    disc = p * p - 3.0
+    if p < 0.0 and disc > -1e-14:  # a rounded p = -sqrt(3) keeps its critical point
+        y_hi = (math.sqrt(max(disc, 0.0)) - p) / 3.0
+        y_lo = 1.0 / (3.0 * y_hi)  # the product of the critical points is 1/3
+        f_lo, f_hi = f(y_lo), f(y_hi)
+        if abs(f_lo) <= 1e-15 * (((y_lo - p) * y_lo + 1.0) * y_lo + c):
+            f_lo = 0.0
+        if abs(f_hi) <= 1e-15 * (((y_hi - p) * y_hi + 1.0) * y_hi + c):
+            f_hi = 0.0
+        if f_lo == f_hi == 0.0:
+            marks.append((-p / 3.0, 0.0, 3))
+        else:
+            marks += [(y_lo, f_lo, 2), (y_hi, f_hi, 2)]
+    marks.append((2.0 + 2.0 * c ** (1.0 / 3.0), 1.0, 0))
+
+    seeds, roots = cubic_seeds(p, c), []
+    for (lo, f_a, mult), (hi, f_b, _) in zip(marks, marks[1:]):
+        if f_a == 0.0:
+            roots += [lo] * mult
+            if lowest:
+                break
+            continue
+        if f_b == 0.0 or (f_a < 0.0) == (f_b < 0.0):
+            continue
+        rising = f_a < 0.0
+        for y in seeds:
+            if lo < y < hi:
+                break
+        else:
+            y = 0.5 * (lo + hi)
+        for _ in range(100):
+            fy = f(y)
+            if fy == 0.0:
+                break
+            if (fy < 0.0) == rising:
+                lo = y
+            else:
+                hi = y
+            slope = (3.0 * y + 2.0 * p) * y + 1.0
+            nxt = y - fy / slope if slope else math.nan
+            if not lo <= nxt <= hi:  # also a NaN, from an overflowed f near the bound
+                nxt = 0.5 * (lo + hi)
+            y, step = nxt, abs(nxt - y)
+            if step <= 1e-14 * y:
+                break
+        roots.append(y)
+        if lowest:
+            break
+    return roots
+
+
+def selfconsistent_roots(weights, detunings, linewidths, cross, rabi, sigma):
+    """(v, chi, unit, cubic, ys) of a point's selfconsistent averages: v = A0^{-1} w,
+    chi = w^T v, unit = sgn(sigma) chi / |chi|, the scaled cubic's (p, c) and its
+    every root, ascending; (0j, None, [0.0]) for the last three where there is no shift."""
     n = len(weights)
-    v = _eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
-                     for q in range(n)] + [weights[k]] for k in range(n)])
+    v = eliminate([[complex(linewidths[k], detunings[k]) if q == k else cross[k][q]
+                    for q in range(n)] + [weights[k]] for k in range(n)])
     chi = _sum(w * x for w, x in zip(weights, v))
-    sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
-                 for m in mechanics)
     scale = abs(sigma) * abs(chi)
     if scale == 0.0 or chi == 0:  # chi = 0 also where sigma is infinite: M = 0
-        unit, ys = 0j, [0.0]
-    else:
-        unit = math.copysign(1.0, sigma) * chi / abs(chi)
-        field = rabi * abs(chi)
-        p, c = -2.0 * unit.imag, scale * field * field
-        if not (math.isfinite(p) and math.isfinite(c)):
-            raise OverflowError
-        ys = _nonnegative_roots(p, c)
+        return v, chi, 0j, None, [0.0]
+    unit = math.copysign(1.0, sigma) * chi / abs(chi)
+    field = rabi * abs(chi)
+    p, c = -2.0 * unit.imag, scale * field * field
+    if not (math.isfinite(p) and math.isfinite(c)):
+        raise OverflowError
+    return v, chi, unit, (p, c), nonnegative_roots(p, c)
+
+
+def selfconsistent_polaritons(weights, detunings, linewidths, cross, rabi, mechanics):
+    """Polariton amplitudes of the lowest branch, and the matter amplitude of every branch."""
+    sigma = _sum(2.0 * m.bare_coupling * (-1j * m.bare_coupling / (1j * m.freq + m.damping)).real
+                 for m in mechanics)
+    v, chi, unit, _, ys = selfconsistent_roots(weights, detunings, linewidths, cross, rabi, sigma)
     # a root with y unit = i, a rounded fold at infinite |M|, is no steady state
     branches = tuple(rabi * chi / q for q in (1.0 + 1j * y * unit for y in ys) if q)
     lowest = rabi / (1.0 + 1j * ys[0] * unit)

@@ -19,12 +19,15 @@ from helpers import (
     assemble_network,
     averages_vector,
     classical_rhs,
+    eliminate,
     make_base_setup,
     make_mechs,
     network,
+    nonnegative_roots,
     pair_at,
     pair_network,
     rotate_polaritons,
+    selfconsistent_roots,
     shift_corrected_drift,
 )
 
@@ -390,11 +393,21 @@ def test_cubic_roots_match_a_50_digit_referee(pc_pair):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cubics)
 @example((0.0, 10.0 ** -50.5))
+@example((-1.99, 0.026))  # three roots, the lowest inside (0, y_lo): f(y_hi) is not formed
+@example((-2.0, 4.0 / 27.0))  # f(y_lo) rounds to 0: the fold's double root, listed twice
+@example((-1.99, 1.0))  # f(y_lo) < 0 and f(y_hi) < 0: the root lies past y_hi
+@example((-math.sqrt(3.0), 1.0 / (3.0 * math.sqrt(3.0))))  # the triple root
+@example((-1.99, 0.0))  # c = 0: the root 0, before any bracket
+@example((0.5, 1.0))  # p > -sqrt(3): no critical points, one bracket up to the bound
+@example((-1.99, 1e300))  # c near the top of the range
 def test_the_lowest_root_alone_has_the_same_bits(pc_pair):
-    # all a working point's values read; repeated only where it is a multiple root
+    # all a working point's values read; repeated only where it is a multiple root,
+    # and both searches keep the bits of the oracle's
     got = dynamics._nonnegative_roots(*pc_pair)
     lowest = dynamics._nonnegative_roots(*pc_pair, lowest=True)
     assert lowest == got[:len(lowest)] and set(lowest) == {got[0]}
+    assert repr(got) == repr(nonnegative_roots(*pc_pair))
+    assert repr(lowest) == repr(nonnegative_roots(*pc_pair, lowest=True))
 
 
 def test_cubic_roots_at_the_edges_of_the_range():
@@ -421,9 +434,19 @@ def test_node_elimination_matches_numpy(n, seed):
     a = np.diag(rng.uniform(0.1, 10.0, n) + 1j * rng.uniform(-10.0, 10.0, n)) + cross
     w = rng.uniform(-1.0, 1.0, n)
     rows = [list(row) + [wk] for row, wk in zip(a.tolist(), w.tolist())]
-    got = np.array(dynamics._eliminate(rows))
+    oracle = eliminate([row[:] for row in rows])
+    got = dynamics._eliminate(rows)
+    assert repr(got) == repr(oracle)
     want = np.linalg.solve(a, w)
-    assert np.abs(got - want).max() <= 1e-13 * np.linalg.cond(a) * np.abs(want).max()
+    assert np.abs(np.array(got) - want).max() <= 1e-13 * np.linalg.cond(a) * np.abs(want).max()
+
+
+def test_node_elimination_keeps_the_top_row_on_a_tie():
+    # |3 + 4i| = 5 = |5|: only a strictly larger entry goes on top
+    rows = [[3.0 + 4.0j, 5.0, 1.0], [5.0, 1.0 + 1.0j, 2.0]]
+    oracle = eliminate([row[:] for row in rows])
+    assert repr(dynamics._eliminate(rows)) == repr(oracle)
+    assert rows[0][0] == 3.0 + 4.0j
 
 
 def test_node_elimination_pivots_past_a_small_diagonal():
@@ -759,6 +782,44 @@ def test_every_selfconsistent_branch_solves_the_classical_equations(case):
                                      drive.rabi_freq * w.astype(complex))
         # within 1e-9 |M|, well inside the 1e-9 Omega of the classical equations
         assert abs(w @ polaritons - matter) <= 1e-9 * abs(matter)
+
+
+@st.composite
+def averages_inputs(draw):
+    """(weights, detunings, linewidths, cross, rabi, sigma) of a point of
+    :func:`bistable_networks`; where its cubic has critical points, a third of
+    the draws move the drive so that c is the cubic's value at one of them,
+    a fold to within a few rounding errors."""
+    nodes, mechanics, drive, cross = draw(bistable_networks())
+    weights = [node.weight for node in nodes]
+    detunings = [node.detuning for node in nodes]
+    linewidths = [node.linewidth for node in nodes]
+    cross, sigma, rabi = cross.tolist(), dynamics._shift_coefficient(mechanics), drive.rabi_freq
+    _, chi, unit, _, _ = selfconsistent_roots(weights, detunings, linewidths, cross, 1.0, sigma)
+    p = -2.0 * unit.imag
+    if p < -math.sqrt(3.0) and draw(st.sampled_from((True, False, False))):
+        y_hi = (math.sqrt(p * p - 3.0) - p) / 3.0
+        y = draw(st.sampled_from((y_hi, 1.0 / (3.0 * y_hi))))
+        rabi = math.sqrt(((y + p) * y + 1.0) * y / (abs(sigma) * abs(chi) ** 3))
+    return weights, detunings, linewidths, cross, rabi, sigma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(averages_inputs())
+def test_the_averages_solve_equals_the_oracle(point):
+    # M, v, chi, the cubic and its lowest root of a working point's build, bit for
+    # bit those of the solve copied into the oracle, which finds every root
+    matter, (v, chi, unit, cubic) = dynamics._selfconsistent_polaritons(*point)
+    want_v, want_chi, want_unit, want_cubic, ys = selfconsistent_roots(*point)
+    want_matter = point[4] * want_chi / (1.0 + 1j * ys[0] * want_unit)
+    assert repr((matter, v, chi, unit, cubic)) == repr(
+        (want_matter, want_v, want_chi, want_unit, want_cubic))
+    if cubic is not None:
+        lowest = dynamics._nonnegative_roots(*cubic, lowest=True)
+        assert repr(lowest) == repr(nonnegative_roots(*cubic, lowest=True))
+        assert repr(lowest) == repr(ys[:len(lowest)])
+        event(f"{len(ys)} root(s), the lowest {'a fold' if len(lowest) > 1 else 'simple'}")
+        event(f"{len(point[0])} node(s)")
 
 
 @pytest.mark.parametrize("n_p", [1, 2, 3])

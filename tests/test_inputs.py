@@ -216,6 +216,10 @@ MALFORMED = {
     # a complex array used to warn, lose its imaginary part and fail the vacuum clamp
     "covariance complex": ("covariance", lambda: pc.extract_occupations(np.eye(2) * 1j)),
     "covariance bool": ("covariance", lambda: pc.extract_occupations(np.eye(2) > 0)),
+    # a non-finite entry, on the diagonal or off it
+    "covariance inf": ("covariance", lambda: pc.extract_occupations(np.diag([np.inf, 0.5]))),
+    "covariance off-diagonal nan": ("covariance", lambda: pc.extract_occupations(
+        [[0.5, math.nan], [math.nan, 0.5]])),
     "initial_guess ragged": ("initial_guess", lambda: pc.tune_n_mode(
         **NMODE, initial_guess=[[1.0], [2.0, 3.0]])),
     "mech_freqs None": ("mech_freqs", lambda: pc.tune_n_mode(**{**NMODE, "mech_freqs": None})),

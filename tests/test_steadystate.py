@@ -685,8 +685,11 @@ def test_extract_occupations_vacuum_and_clamp():
         pc.extract_occupations(too_low)
     with pytest.raises(ValidationError):
         pc.extract_occupations(np.eye(3))
-    with pytest.raises(SolverError, match="non-finite"):
+    with pytest.raises(ValidationError, match="^covariance: contains a NaN or infinite entry$"):
         pc.extract_occupations(np.diag([0.5, np.nan]))
+    # while the diagonal of a solved V that reads non-finite is the solver's fault
+    with pytest.raises(SolverError, match="^mode 0: non-finite occupation inf$"):
+        steadystate._occupations([math.inf, 0.5])
 
 
 def test_zero_coupling_recovers_thermal_occupations():
