@@ -8,16 +8,20 @@ Device.working_point, network_cooling, then steady_state (not run for rates).
 
 Exit codes: 0 success, 1 validation error, 2 solver error,
 3 instability under --require-stable.
+
+:func:`main` parses with one parser, built on its first call and kept for the
+life of the process; :func:`build_parser` returns a fresh one on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
 from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
-from .errors import SolverError, UnstableSystemError, ValidationError, check_entries
+from .errors import SolverError, UnstableSystemError, ValidationError, check_entries, check_path
 from .model import TWO_PI, thermal_occupation
 from .steadystate import steady_state
 from .tuning import SWEEP_VARIABLES, SweepRow, _flags, optimize_theta, sweep
@@ -80,7 +84,9 @@ def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[st
 
 
 def _write(path: str, text: str) -> None:
-    """``text`` to the file at ``path``, or a ValidationError naming a path it cannot write."""
+    """``text`` to the file at ``path``, or a ValidationError naming a path it cannot
+    write or a ``path`` that is not a file path (:func:`~polarcool.errors.check_path`)."""
+    check_path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -325,8 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`: argparse keeps no state between two parses, so
+    one built on the first call serves every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except ValidationError as exc:

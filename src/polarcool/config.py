@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ValidationError, check_real, check_type
+from .errors import ValidationError, check_path, check_real, check_type
 from .model import TWO_PI, DriveCalibration, MechanicalMode, calibrate_drive
 from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, Device
 
@@ -265,8 +265,10 @@ def load_config(path: str) -> RunConfig:
     """Read, parse and validate a YAML config file.
 
     A missing or unreadable file, text that is not UTF-8 and invalid YAML
-    raise ValidationError naming ``path``.
+    raise ValidationError naming ``path``, as does a ``path`` that is not a file
+    path (:func:`~polarcool.errors.check_path`).
     """
+    check_path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_LOADER)
@@ -315,6 +317,7 @@ def dump_config(cfg: RunConfig, path: str) -> None:
     """Write ``cfg`` to ``path`` as a YAML config file; a path it cannot write
     raises ValidationError naming it, as :func:`load_config` does one it cannot read.
     The text is formed first, so a ``cfg`` that fails leaves the file as it was."""
+    check_path(path)
     text = yaml.safe_dump(serialize_config(cfg), sort_keys=False)
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks on scalar and matrix inputs."""
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -73,9 +74,17 @@ def check_entries(path: str, value, kind: type | None = None) -> tuple:
     return entries
 
 
+def check_path(path) -> None:
+    """A ValidationError unless ``path`` is a file path (a str, bytes or os.PathLike);
+    an int, which ``open`` would take as a file descriptor, is not one."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path: expected a file path, got {path!r}")
+
+
 def _real_array(path: str, a) -> np.ndarray:
     """``a`` as a float array, or a ValidationError naming ``path`` if it is ragged,
-    not numeric, boolean or complex (rejected before any conversion)."""
+    not numeric, boolean or complex (rejected before any conversion), or holds an
+    int beyond the float range (an infinite entry, as :func:`check_real` takes it)."""
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind
@@ -83,6 +92,8 @@ def _real_array(path: str, a) -> np.ndarray:
             arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: expected a real numeric matrix") from None
+    except OverflowError:
+        raise ValidationError(f"{path}: contains a NaN or infinite entry") from None
     if kind == "b":
         raise ValidationError(f"{path}: expected a real numeric matrix, got booleans")
     if kind == "c":

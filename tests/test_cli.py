@@ -25,7 +25,8 @@ from polarcool import (
     sweep,
     tuning,
 )
-from polarcool.cli import csv_columns, main, write_csv, write_plot_data
+from polarcool import cli
+from polarcool.cli import build_parser, csv_columns, main, write_csv, write_plot_data
 from polarcool.errors import SolverError, ValidationError
 
 BASE = "configs/two_mode_base.config"
@@ -717,6 +718,38 @@ def test_the_writers_reject_a_row_whose_occupations_are_not_one_per_mode(tmp_pat
         assert not path.exists()
 
 
+@pytest.mark.parametrize("path", [None, 2, True, 1.5])
+@pytest.mark.parametrize("write", [
+    write_csv, lambda rows, out: write_plot_data(rows, out, "theta")],
+    ids=["write_csv", "write_plot_data"])
+def test_the_writers_take_only_a_file_path(path, write):
+    """An int was once opened as a file descriptor, other non-paths raised a raw TypeError."""
+    rows = sweep(load_config(BASE).setup, "theta", [0.3])
+    with pytest.raises(ValidationError, match="^" + re.escape(f"path: expected a file path,"
+                                                              f" got {path!r}") + "$"):
+        write(rows, path)
+
+
+def test_writing_to_a_file_descriptor_leaves_it_open():
+    """write_csv(rows, fd) once wrote the CSV to the descriptor, then closed it."""
+    rows = sweep(load_config(BASE).setup, "theta", [0.3])
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(ValidationError, match="^path: expected a file path"):
+            write_csv(rows, write_end)
+        os.fstat(write_end)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("path", [Path, lambda p: str(p).encode()], ids=["PathLike", "bytes"])
+def test_the_writers_take_a_path_object_or_bytes(tmp_path, path):
+    rows = sweep(load_config(BASE).setup, "theta", [0.3])
+    write_csv(rows, path(tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").read_text().splitlines()[0] == ",".join(csv_columns(2))
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "plot"])
 def test_an_output_path_that_cannot_be_written_is_a_validation_error(capsys, tmp_path,
                                                                      command):
@@ -749,15 +782,62 @@ def test_solver_error_maps_to_exit2(capsys, monkeypatch):
     assert "solver error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [None, "simulate", "rates", "sweep", "tune", "optimize"])
-def test_help_matches_golden_text(capsys, monkeypatch, command):
-    # argparse wraps its help to $COLUMNS; the golden files are 80 columns wide
-    monkeypatch.setenv("COLUMNS", "80")
+HELP_COMMANDS = (None, "simulate", "rates", "sweep", "tune", "optimize")
+
+
+def assert_help_matches_golden_text(capsys, command):
+    """``main``'s help for ``command`` (the top level for None) is its golden file;
+    argparse wraps it to $COLUMNS, and the golden files are 80 columns wide."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"] if command else ["--help"])
     assert exc.value.code == 0
     golden = Path("tests/golden") / (f"help_{command}.txt" if command else "help.txt")
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_matches_golden_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_help_matches_golden_text(capsys, command)
+
+
+def test_main_builds_one_parser_and_parses_each_argv_as_a_fresh_one(capsys, monkeypatch,
+                                                                   tmp_path):
+    """main keeps the parser of its first call: help texts, argparse failures and a
+    sweep, run one after another on it, each give what a fresh parser gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    failures = (["sweep"], ["sweep", "--config", BASE, "--averages", "bogus"], ["frobnicate"])
+    fresh_errors = []
+    for argv in failures:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        fresh_errors.append(capsys.readouterr().err)
+    assert all(err.startswith("usage: polarcool") for err in fresh_errors)
+
+    built = []
+
+    def counted_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for command in HELP_COMMANDS:
+            assert_help_matches_golden_text(capsys, command)
+        for argv, err in zip(failures, fresh_errors):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == err
+        out = tmp_path / "sweep.csv"
+        assert run_sweep(capsys, BASE, out) == 0
+        assert out.read_bytes() == Path(GOLDEN).read_bytes()
+        for command in HELP_COMMANDS:
+            assert_help_matches_golden_text(capsys, command)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_console_script_entry_point():

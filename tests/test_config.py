@@ -422,6 +422,25 @@ def test_unreadable_config_is_a_validation_error(tmp_path):
         load_config(str(tmp_path))
 
 
+@pytest.mark.parametrize("path", [None, 0, 1.5, True])
+@pytest.mark.parametrize("io", ["load_config", "dump_config"])
+def test_a_config_path_must_be_a_file_path(path, io):
+    """An int was once opened as a file descriptor (0 read stdin), other non-paths
+    raised a raw TypeError."""
+    call = (lambda: load_config(path)) if io == "load_config" else (
+        lambda: dump_config(load_config("configs/two_mode_base.config"), path))
+    with pytest.raises(ValidationError, match="^" + re.escape(f"path: expected a file path,"
+                                                              f" got {path!r}") + "$"):
+        call()
+
+
+def test_a_config_path_may_be_a_path_object_or_bytes(tmp_path):
+    cfg = load_config(Path("configs/two_mode_base.config"))
+    assert load_config(b"configs/two_mode_base.config") == cfg
+    dump_config(cfg, tmp_path / "copy.config")
+    assert load_config(str(tmp_path / "copy.config").encode()) == cfg
+
+
 CONFIG_FILES = sorted(str(p) for p in (*Path("configs").glob("*.config"),
                                        *Path("perfbench/configs").glob("*.config")))
 

@@ -202,6 +202,7 @@ def test_hz_fields_that_overflow_in_rad_s_fail_under_their_path(path, call):
 
 # (argument path, call with a malformed value): a ragged, string, complex or bool
 # matrix, or a scalar where a sequence goes, is a ValidationError naming the argument
+BIG = 10**400
 MALFORMED = {
     "cross_damping ragged": ("cross_damping", lambda: pc.build_network(
         [POL, POL], [MECH], DRIVE, [[0.0, 1.0], [1.0]])),
@@ -220,6 +221,18 @@ MALFORMED = {
     "covariance inf": ("covariance", lambda: pc.extract_occupations(np.diag([np.inf, 0.5]))),
     "covariance off-diagonal nan": ("covariance", lambda: pc.extract_occupations(
         [[0.5, math.nan], [math.nan, 0.5]])),
+    # an int beyond the float range, which a float conversion of the matrix overflows on
+    "drift int beyond float range": ("drift", lambda: pc.check_stability([[BIG, 0], [0, -1]])),
+    "LinearModel drift int beyond float range": ("drift", lambda: pc.LinearModel(
+        [[BIG, 0], [0, -1]], np.eye(2), ("p1",), None)),
+    "diffusion int beyond float range": ("diffusion", lambda: pc.solve_lyapunov(
+        -np.eye(2), [[BIG, 0], [0, 1]])),
+    "covariance int beyond float range": ("covariance", lambda: pc.extract_occupations(
+        [[-BIG, 0], [0, 0.5]])),
+    "cross_damping int beyond float range": ("cross_damping", lambda: pc.build_network(
+        [POL, POL], [MECH], DRIVE, [[0, BIG], [BIG, 0]])),
+    "v0 int beyond float range": ("v0", lambda: pc.integrate_covariance(
+        -np.eye(2), np.eye(2), v0=[[BIG, 0], [0, 1]], t_final=1.0)),
     "initial_guess ragged": ("initial_guess", lambda: pc.tune_n_mode(
         **NMODE, initial_guess=[[1.0], [2.0, 3.0]])),
     "mech_freqs None": ("mech_freqs", lambda: pc.tune_n_mode(**{**NMODE, "mech_freqs": None})),
@@ -230,6 +243,15 @@ MALFORMED = {
 @pytest.mark.parametrize("path,call", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_matrices_and_sequences_name_their_argument(path, call):
     with pytest.raises(ValidationError, match="^" + re.escape(path) + ": "):
+        call()
+
+
+@pytest.mark.parametrize("key", [key for key in MALFORMED if key.endswith("beyond float range")])
+def test_a_matrix_int_beyond_the_float_range_is_an_infinite_entry(key):
+    """Such an int once escaped the matrix checks as a raw OverflowError."""
+    path, call = MALFORMED[key]
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape(f"{path}: contains a NaN or infinite entry") + "$"):
         call()
 
 
