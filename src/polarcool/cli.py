@@ -21,7 +21,9 @@ import warnings
 
 from .analytics import network_cooling, quantum_backaction_limit
 from .config import RunConfig, load_config
-from .errors import SolverError, UnstableSystemError, ValidationError, check_entries, check_path
+from .dynamics import AVERAGES
+from .errors import (SolverError, UnstableSystemError, ValidationError, check_choice,
+                     check_entries, write_text)
 from .model import TWO_PI, thermal_occupation
 from .steadystate import steady_state
 from .tuning import SWEEP_VARIABLES, SweepRow, _flags, optimize_theta, sweep
@@ -83,17 +85,6 @@ def _table(rows, sep: str, stable: str, unstable: str, no_flags: str) -> list[st
     ]
 
 
-def _write(path: str, text: str) -> None:
-    """``text`` to the file at ``path``, or a ValidationError naming a path it cannot
-    write or a ``path`` that is not a file path (:func:`~polarcool.errors.check_path`)."""
-    check_path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot write the output file ({exc.strerror})") from exc
-
-
 def write_csv(rows, path: str) -> None:
     """Sweep rows to an RFC-4180-style CSV (header row, LF line endings).
 
@@ -102,14 +93,13 @@ def write_csv(rows, path: str) -> None:
     """
     rows, columns = _columns(rows)
     lines = [",".join(columns)] + _table(rows, ",", "true", "false", "")
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n", "output")
 
 
 def write_plot_data(rows, path: str, variable: str) -> None:
     """Gnuplot-friendly whitespace table; units spelled out in the # header."""
     rows, columns = _columns(rows)
-    if variable not in SWEEP_VARIABLES:
-        raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
+    check_choice("variable", variable, SWEEP_VARIABLES)
     unit = {"theta": "rad", "temperature": "K", "rabi": "rad/s"}[variable]
     lines = [
         "# steady-state cooling sweep",
@@ -118,7 +108,7 @@ def write_plot_data(rows, path: str, variable: str) -> None:
         "# units: theta [rad], *_hz [Hz], n_* [quanta], stable in {0,1}, flags '-' if none",
     ]
     lines += _table(rows, " ", "1", "0", "-")
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n", "output")
 
 
 def _occupation_lines(device, numeric, analytic) -> list[str]:
@@ -274,7 +264,7 @@ def _run(args) -> int:
         report, stable = _REPORTS[args.command](cfg, averages_mode)
         sys.stdout.write(report)
         if args.out:
-            _write(args.out, report)
+            write_text(args.out, report, "output")
         return EXIT_UNSTABLE if args.require_stable and not stable else EXIT_OK
 
     if cfg.sweep is None:
@@ -314,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--require-stable", action="store_true",
                         help="exit with status 3 when the working point is unstable")
-    common.add_argument("--averages", choices=("approx", "selfconsistent"), default=None,
+    common.add_argument("--averages", choices=AVERAGES, default=None,
                         help="override the config's steady-state averages mode")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

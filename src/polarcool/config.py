@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ValidationError, check_path, check_real, check_type
+from .dynamics import AVERAGES
+from .errors import (ValidationError, check_choice, check_integer, check_path, check_real,
+                     check_type, write_text)
 from .model import TWO_PI, DriveCalibration, MechanicalMode, calibrate_drive
 from .tuning import OPTIMIZE_OBJECTIVES, SWEEP_VARIABLES, Device
 
@@ -179,12 +181,8 @@ def _parse_device(obj, path: str, drive=None) -> Device:
 def _parse_sweep(obj, path: str) -> SweepConfig:
     m = _mapping(obj, path)
     _check_keys(m, {f.name for f in dataclasses.fields(SweepConfig)}, path)
-    variable = m.get("variable")
-    if variable not in SWEEP_VARIABLES:
-        raise ValidationError(f"{path}.variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
-    points = m.get("points")
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ValidationError(f"{path}.points: expected an integer >= 2, got {points!r}")
+    variable = check_choice(f"{path}.variable", m.get("variable"), SWEEP_VARIABLES)
+    points = check_integer(f"{path}.points", m.get("points"), at_least=2)
     start = _number(m, "start", path, **_SWEEP_DOMAINS[variable])
     stop = _number(m, "stop", path, **_SWEEP_DOMAINS[variable])
     if not stop > start:
@@ -198,18 +196,12 @@ def _parse_sweep(obj, path: str) -> SweepConfig:
 def _parse_optimize(obj, path: str) -> OptimizeConfig:
     m = _mapping(obj, path)
     _check_keys(m, {f.name for f in dataclasses.fields(OptimizeConfig)}, path)
-    objective = m.get("objective", "max")
-    if objective not in OPTIMIZE_OBJECTIVES:
-        raise ValidationError(
-            f"{path}.objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
-        )
+    objective = check_choice(f"{path}.objective", m.get("objective", "max"), OPTIMIZE_OBJECTIVES)
     # the bounds optimize_theta takes, checked here so that they fail at load
     lower = check_real(f"{path}.lower", m.get("lower", 1e-3), above=0.0)
     upper = check_real(f"{path}.upper", m.get("upper", 0.5 * math.pi - 1e-3), above=lower,
                        below=0.5 * math.pi)
-    coarse = m.get("coarse_points", 33)
-    if not isinstance(coarse, int) or isinstance(coarse, bool) or coarse < 3:
-        raise ValidationError(f"{path}.coarse_points: expected an integer >= 3, got {coarse!r}")
+    coarse = check_integer(f"{path}.coarse_points", m.get("coarse_points", 33), at_least=3)
     tol = _number(m, "tol", path, above=0.0) if "tol" in m else 1e-6
     return OptimizeConfig(objective=objective, lower=lower, upper=upper,
                           coarse_points=coarse, tol=tol)
@@ -242,15 +234,10 @@ def parse_config(raw) -> RunConfig:
                               _mapping(m["drive"], "config.drive"))
     theta = check_real("config.theta", m.get("theta", 0.25 * math.pi),
                        above=0.0, below=0.5 * math.pi)
-    averages = m.get("averages", "approx")
-    if averages not in ("approx", "selfconsistent"):
-        raise ValidationError(
-            f"config.averages: expected 'approx' or 'selfconsistent', got {averages!r}"
-        )
     return RunConfig(
         setup=setup,
         theta=theta,
-        averages=averages,
+        averages=check_choice("config.averages", m.get("averages", "approx"), AVERAGES),
         sweep=_parse_sweep(m["sweep"], "config.sweep") if "sweep" in m else None,
         optimize=_parse_optimize(m["optimize"], "config.optimize") if "optimize" in m else None,
     )
@@ -314,13 +301,11 @@ def serialize_config(cfg: RunConfig) -> dict:
 
 
 def dump_config(cfg: RunConfig, path: str) -> None:
-    """Write ``cfg`` to ``path`` as a YAML config file; a path it cannot write
-    raises ValidationError naming it, as :func:`load_config` does one it cannot read.
-    The text is formed first, so a ``cfg`` that fails leaves the file as it was."""
-    check_path(path)
-    text = yaml.safe_dump(serialize_config(cfg), sort_keys=False)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot write the config file ({exc.strerror})") from exc
+    """Write ``cfg`` to ``path`` as a YAML config file (UTF-8, LF line endings)
+    that :func:`load_config` accepts; a path it cannot write raises ValidationError
+    naming it, as :func:`load_config` does one it cannot read. The mapping is
+    parsed first, so a ``cfg`` that :func:`load_config` would reject raises the
+    error it would raise and leaves the file as it was."""
+    raw = serialize_config(cfg)
+    parse_config(raw)
+    write_text(path, yaml.safe_dump(raw, sort_keys=False), "config")

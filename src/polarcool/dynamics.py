@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     SolverError,
     ValidationError,
+    check_choice,
     check_drift_diffusion,
     check_entries,
     check_matrix,
@@ -30,6 +31,10 @@ from .errors import (
     check_type,
 )
 from .model import MechanicalMode, _bose, _float_modes, _sum
+
+# the averages modes a working point takes (:func:`build_network`'s ``mode``)
+AVERAGES = ("approx", "selfconsistent")
+
 
 @dataclass(frozen=True)
 class SteadyStateAverages:
@@ -63,8 +68,9 @@ class LinearModel:
     The one place a model's matrices are checked: construction (and so
     ``dataclasses.replace``) raises ValidationError, naming the field, unless
     both are real, square, non-empty, finite and of one shape, the diffusion
-    is symmetric within 1e-12 max(1, max|D|), and ``mode_layout`` names one
-    mode per two rows. The model holds
+    is symmetric within 1e-12 max(1, max|D|), and ``mode_layout`` is a sequence
+    of mode names (each a str; a str itself is not one), one per two rows, which
+    the model holds as a tuple. The model holds
     read-only float copies, so what was checked cannot change afterwards and
     the solvers use the matrices without checking them again. Two models
     compare equal only if they are the same object.
@@ -82,13 +88,17 @@ class LinearModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         try:
-            fits = 2 * len(self.mode_layout) == len(self.drift)
-        except TypeError:  # a layout without a length, such as None
-            fits = False
-        if not fits:
+            layout = tuple(self.mode_layout)
+        except TypeError:  # not a sequence, such as None
+            layout = None
+        # network_cooling counts the names that do not start with "b" as polaritons
+        if (layout is None or isinstance(self.mode_layout, (str, bytes))
+                or not all(isinstance(name, str) for name in layout)
+                or 2 * len(layout) != len(self.drift)):
             raise ValidationError(f"mode_layout: expected {len(self.drift) // 2} mode names for"
                                   f" {len(self.drift)} x {len(self.drift)} matrices,"
                                   f" got {self.mode_layout!r}")
+        object.__setattr__(self, "mode_layout", layout)
 
 
 @functools.cache
@@ -550,7 +560,7 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
     averages record, which only :func:`_model` forms.
 
     It checks the two rules that every working point obeys, for every caller:
-    the mode is "approx" or "selfconsistent", and in approx mode at a nonzero
+    the mode is one of :data:`AVERAGES`, and in approx mode at a nonzero
     drive no detuning is zero (the first zero one is named). The callers check
     the inputs first, so a node's own bad value is reported before either.
     Derived values are not checked one by one: an M whose |M|^2 overflows
@@ -558,8 +568,8 @@ def _network(freqs, linewidths, weights, detunings, mechanics, sigma, rabi, temp
     matrix check (:class:`LinearModel`, or a sweep's one finite test of its
     stack's values, :func:`_checked_stack`).
     """
-    if mode not in ("approx", "selfconsistent"):
-        raise ValidationError(f"mode: expected 'approx' or 'selfconsistent', got {mode!r}")
+    if mode not in AVERAGES:
+        check_choice("mode", mode, AVERAGES)
     if mode == "approx" and rabi != 0.0 and 0.0 in detunings:
         raise ValidationError(
             f"polaritons[{detunings.index(0.0)}].detuning: polariton resonant with the drive"

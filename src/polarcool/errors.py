@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks on scalar and matrix inputs."""
+"""Exception types shared across the package, the checks on inputs, and the one text writer."""
 import math
 import numbers
 import os
@@ -52,6 +52,23 @@ def check_real(path: str, value, above=None, at_least=None, below=None) -> float
     raise ValidationError(f"{path}: must be {' and '.join(wanted)}, got {value}")
 
 
+def check_choice(path: str, value, choices: tuple):
+    """``value`` if it is one of the strings ``choices``, else a ValidationError naming
+    ``path`` that words two choices as ``'a' or 'b'`` and more as ``one of (...)``."""
+    if isinstance(value, str) and value in choices:  # an array's == would not give a bool
+        return value
+    wanted = " or ".join(map(repr, choices)) if len(choices) == 2 else f"one of {choices}"
+    raise ValidationError(f"{path}: expected {wanted}, got {value!r}")
+
+
+def check_integer(path: str, value, at_least: int) -> int:
+    """``int(value)`` of an integer other than a bool of at least ``at_least``,
+    else a ValidationError naming ``path``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= at_least:
+        return int(value)
+    raise ValidationError(f"{path}: expected an integer >= {at_least}, got {value!r}")
+
+
 def check_type(path: str, value, kind: type):
     """``value`` if it is a ``kind``, else a ValidationError naming ``path``."""
     if isinstance(value, kind):
@@ -79,6 +96,18 @@ def check_path(path) -> None:
     an int, which ``open`` would take as a file descriptor, is not one."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise ValidationError(f"path: expected a file path, got {path!r}")
+
+
+def write_text(path, text: str, kind: str) -> None:
+    """``text`` to the file at ``path`` as UTF-8 with LF line endings on every
+    platform; a ``path`` that is not a file path (:func:`check_path`) or that cannot
+    be written raises ValidationError naming it and the ``kind`` of file."""
+    check_path(path)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write the {kind} file ({exc.strerror})") from exc
 
 
 def _real_array(path: str, a) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .analytics import _rates
 from .dynamics import (
+    AVERAGES,
     LinearModel,
     _checked_stack,
     _model,
@@ -32,7 +32,9 @@ from .errors import (
     SolverError,
     UnstableSystemError,
     ValidationError,
+    check_choice,
     check_entries,
+    check_integer,
     check_real,
     check_type,
 )
@@ -505,8 +507,7 @@ def sweep(
     benchmark's workloads stop passing it.
     """
     check_type("setup", setup, Device)
-    if variable not in SWEEP_VARIABLES:
-        raise ValidationError(f"variable: expected one of {SWEEP_VARIABLES}, got {variable!r}")
+    check_choice("variable", variable, SWEEP_VARIABLES)
     if variable == "theta":
         setup._needs_angle("variable theta")
     elif not setup.couplings:
@@ -518,8 +519,7 @@ def sweep(
     values = [check_real(f"grid[{i}]", v) for i, v in enumerate(items)]
     if not values:
         raise ValidationError("grid: must not be empty")
-    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
-        raise ValidationError(f"threads: expected an integer >= 1, got {threads!r}")
+    check_integer("threads", threads, at_least=1)
 
     # a point is (grid value, theta, temperature, rabi), SWEEP_VARIABLES' order;
     # the grid value overrides its keyword (a theta sweep, the fixed angle)
@@ -575,23 +575,16 @@ def optimize_theta(
     """
     check_type("setup", setup, Device)
     setup._needs_angle("optimize_theta")
-    if objective not in OPTIMIZE_OBJECTIVES:
-        raise ValidationError(
-            f"objective: expected one of {OPTIMIZE_OBJECTIVES}, got {objective!r}"
-        )
+    check_choice("objective", objective, OPTIMIZE_OBJECTIVES)
     # checked here, not per angle: an unknown mode would score every angle +inf
-    if averages not in ("approx", "selfconsistent"):
-        raise ValidationError(
-            f"averages: expected 'approx' or 'selfconsistent', got {averages!r}")
+    check_choice("averages", averages, AVERAGES)
     try:
         lo, hi = bounds
     except (TypeError, ValueError):
         raise ValidationError(f"bounds: expected a (lo, hi) pair, got {bounds!r}") from None
     lo = check_real("bounds[0]", lo, above=0.0)
     hi = check_real("bounds[1]", hi, above=lo, below=0.5 * math.pi)
-    if (not isinstance(coarse_points, numbers.Integral) or isinstance(coarse_points, bool)
-            or coarse_points < 3):
-        raise ValidationError(f"coarse_points: expected an integer >= 3, got {coarse_points!r}")
+    coarse_points = check_integer("coarse_points", coarse_points, at_least=3)
     tol = check_real("tol", tol, above=0.0)
     if temperature is not None:
         temperature = check_real("temperature", temperature, at_least=0.0)

@@ -158,6 +158,42 @@ def test_dump_and_reload(tmp_path):
     assert load_config(str(out)) == cfg
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_dump_config_writes_the_serialized_mapping_with_lf_line_endings(tmp_path, preset):
+    cfg = load_config(f"configs/{preset}.config")
+    dump_config(cfg, tmp_path / "copy.config")
+    text = yaml.safe_dump(serialize_config(cfg), sort_keys=False)
+    assert (tmp_path / "copy.config").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("averages", "exact"),
+    ("theta", math.nan),
+    ("sweep.points", 1),
+    ("sweep.variable", "drive"),
+])
+def test_dump_config_writes_only_a_config_that_load_config_accepts(tmp_path, field, value):
+    """Such a config was once written, and load_config then rejected the file."""
+    cfg = load_config("configs/two_mode_base.config")
+    section, _, key = field.rpartition(".")
+    if section:
+        cfg = dataclasses.replace(
+            cfg, **{section: dataclasses.replace(getattr(cfg, section), **{key: value})})
+    else:
+        cfg = dataclasses.replace(cfg, **{key: value})
+    written = tmp_path / "written.config"
+    written.write_text(yaml.safe_dump(serialize_config(cfg), sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationError) as loaded:
+        load_config(written)
+    out = tmp_path / "keep.config"
+    out.write_bytes(b"theta: 0.5\n")
+    with pytest.raises(ValidationError) as dumped:
+        dump_config(cfg, out)
+    assert str(dumped.value) == str(loaded.value)
+    assert str(dumped.value).startswith(f"config.{field}: ")
+    assert out.read_bytes() == b"theta: 0.5\n"
+
+
 @pytest.mark.parametrize("cfg", [None, "x", load_config("configs/two_mode_base.config").setup])
 def test_a_config_that_is_not_a_run_config_leaves_the_file_as_it_was(tmp_path, cfg):
     """Such a config once raised a raw AttributeError after the file had been
@@ -317,6 +353,9 @@ def test_sweep_section_validation():
     raw["sweep"] = {"variable": "theta", "start": 0.1, "stop": 1.5, "points": 11}
     cfg = parse_config(raw)
     assert cfg.sweep.points == 11 and cfg.sweep.plot is None
+    # a numpy integer is an integer, as optimize_theta takes it, held as a plain int
+    raw["sweep"]["points"] = np.int64(11)
+    assert type(parse_config(raw).sweep.points) is int
     raw["sweep"]["points"] = 1
     with pytest.raises(ValidationError, match="points"):
         parse_config(raw)
@@ -365,6 +404,8 @@ def test_optimize_section_defaults_and_validation():
     raw["optimize"] = {"coarse_points": 2}
     with pytest.raises(ValidationError, match="coarse_points"):
         parse_config(raw)
+    raw["optimize"] = {"coarse_points": np.int32(9)}
+    assert type(parse_config(raw).optimize.coarse_points) is int
     # the bounds fail at load under their keys, as optimize_theta would reject them
     for bounds, key in (({"lower": 1.2, "upper": 0.3}, "upper"), ({"lower": -1.0}, "lower"),
                         ({"upper": 2.0}, "upper")):

@@ -425,6 +425,25 @@ def test_cubic_roots_at_the_edges_of_the_range():
         == [pytest.approx(1.0 / math.sqrt(3.0), rel=1e-5)] * 3
 
 
+@pytest.mark.parametrize("p, c", [
+    (0.5, 1.0),  # one bracket, up to the bound
+    (0.0, 10.0 ** -50.5),  # a root near 0, far below the bracket's midpoint
+    (-1.99, 0.026),  # three simple roots, one in each bracket
+    (-1.99, 1.0),  # the root past y_hi
+    (-1.99, 1e300),  # near the top of the range
+])
+def test_a_bracket_without_a_seed_starts_at_its_midpoint(p, c, monkeypatch):
+    """No cubic found near p = -sqrt(3), the folds or across the range puts a
+    closed-form seed outside its bracket, so the seeds are taken away here: the
+    bracketed Newton steps from each midpoint find the same roots."""
+    want = dynamics._nonnegative_roots(p, c)
+    monkeypatch.setattr(dynamics, "_cubic_seeds", lambda p, c: [])
+    got = dynamics._nonnegative_roots(p, c)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert dynamics._nonnegative_roots(p, c, lowest=True) == pytest.approx(want[:1], rel=1e-14,
+                                                                             abs=0.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_node_elimination_matches_numpy(n, seed):
@@ -1108,6 +1127,10 @@ def test_linear_model_rejects_invalid_matrices(field, drift, diffusion, message)
     (8, ("p1", "p2", "b1")),  # fewer: the rates read a mechanical damping as a linewidth
     (8, ()),
     (8, None),
+    (8, "p1b1"),  # four characters: network_cooling counted one mechanical mode, not two
+    (8, b"p1b1"),
+    (8, (1, 2, 3, 4)),  # not names: network_cooling raised a raw AttributeError
+    (8, ("p1", "p2", "b1", b"b2")),
 ])
 def test_linear_model_rejects_a_layout_that_does_not_fit_its_matrices(size, layout):
     model = base_model()
@@ -1117,6 +1140,13 @@ def test_linear_model_rejects_a_layout_that_does_not_fit_its_matrices(size, layo
     if size == len(model.drift):
         with pytest.raises(ValidationError, match="^mode_layout: "):
             dataclasses.replace(model, mode_layout=layout)
+
+
+def test_linear_model_holds_its_layout_as_a_tuple():
+    model = base_model()
+    listed = dataclasses.replace(model, mode_layout=list(model.mode_layout))
+    assert listed.mode_layout == ("p1", "p2", "b1", "b2")
+    assert repr(pc.network_cooling(listed)) == repr(pc.network_cooling(model))
 
 
 def test_linear_model_accepts_round_off_asymmetry():

@@ -460,7 +460,7 @@ def test_optimize_validations():
     with pytest.raises(ValidationError, match="^rabi: "):
         pc.optimize_theta(setup, rabi=-1.0)
     # so is the averages mode, which scored every angle +inf when misspelled
-    for bad in ("selfconsistant", None):
+    for bad in ("selfconsistant", None, np.array(["approx", "x"])):
         with pytest.raises(ValidationError, match=(
                 "^averages: expected 'approx' or 'selfconsistent', got " + re.escape(repr(bad)))):
             pc.optimize_theta(setup, averages=bad)
